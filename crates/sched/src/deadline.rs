@@ -29,9 +29,13 @@
 //! are sorted `Vec`s, the band condition is answered in O(log |Q|) by the
 //! incremental [`DensityBands`], and every per-call index (ready counts,
 //! grant slots, the admission candidate list) is a hoisted scratch buffer.
-//! The pre-refactor implementation survives as
-//! [`OracleSchedulerS`](crate::oracle::OracleSchedulerS), which the
-//! differential tests hold this one byte-identical to.
+//! The completion scan is *targeted*: it re-checks only the parked jobs
+//! whose outcome can have changed since the previous scan (see
+//! [`admit_from_p`](SchedulerS)), so a completion costs
+//! O((in-band + new + expired candidates) · log |Q| + removals · log |P|)
+//! rather than a pass over all of `P`. The pre-refactor implementation
+//! survives as [`OracleSchedulerS`](crate::oracle::OracleSchedulerS), which
+//! the differential tests hold this one byte-identical to.
 
 use crate::bands::DensityBands;
 use crate::slab::{DenseU32Map, JobSlab};
@@ -40,6 +44,14 @@ use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
     TickView, ViewDelta,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Relative widening of the `(v/c, c·v)` re-check interval around a density
+/// `v` removed from `Q`. The band arithmetic rounds `c·v` once per
+/// comparison (≈ 1e-16 relative), so this margin covers it many times over;
+/// a too-wide interval only re-checks jobs the full scan would also no-op.
+const BAND_SLACK: f64 = 1e-9;
 
 /// Totally-ordered f64 key for the density-sorted queues.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,6 +103,13 @@ impl DensityQueue {
         self.items.len()
     }
 
+    /// The keys with density in `[lo, hi]` (`lo ≤ hi`), ascending.
+    fn density_range(&self, lo: f64, hi: f64) -> &[(OrdF64, JobId)] {
+        let start = self.items.partition_point(|(d, _)| d.0 < lo);
+        let end = self.items.partition_point(|(d, _)| d.0 <= hi);
+        &self.items[start..end]
+    }
+
     /// Iterate ascending by `(density, id)`.
     fn iter(&self) -> std::slice::Iter<'_, (OrdF64, JobId)> {
         self.items.iter()
@@ -128,6 +147,9 @@ pub struct SchedulerSMetrics {
     pub inadmissible: usize,
     /// High-water mark of `|Q|`.
     pub max_q_len: usize,
+    /// `P` candidates the completion scans examined, summed over every
+    /// completion. Deterministic: the targeted scan's work counter.
+    pub admission_probes: u64,
 }
 
 /// The Section 3 scheduler. See module docs.
@@ -155,8 +177,16 @@ pub struct SchedulerS {
     /// Admission-decision buffer for the engine's observer plumbing
     /// (`None` = reporting off, the default: zero cost when unobserved).
     report: Option<Vec<AdmissionEvent>>,
-    /// Scratch: candidate ids for the completion-event admission scan.
-    admit_scratch: Vec<JobId>,
+    /// Density intervals `[v/c, c·v]` (widened by [`BAND_SLACK`]) around
+    /// every `v` removed from `Q` since the last completion scan.
+    recheck_bands: Vec<(f64, f64)>,
+    /// Jobs parked in `P` since the last completion scan.
+    deferred_since_scan: Vec<JobId>,
+    /// `(abs_deadline, id)` of every job parked in `P`, earliest first. Lazy
+    /// deletion: entries of jobs that since left `P` are dropped when popped.
+    p_deadlines: BinaryHeap<Reverse<(Time, JobId)>>,
+    /// Scratch: the completion scan's candidate keys, ascending.
+    admit_scratch: Vec<(OrdF64, JobId)>,
     /// Ready counts of the current view, for backfill: per-call scratch on
     /// the rebuild path, persistent across calls on the delta path.
     ready_lut: DenseU32Map,
@@ -186,6 +216,9 @@ impl SchedulerS {
             speed_hint: 1.0,
             work_conserving: false,
             report: None,
+            recheck_bands: Vec::new(),
+            deferred_since_scan: Vec::new(),
+            p_deadlines: BinaryHeap::new(),
             admit_scratch: Vec::new(),
             ready_lut: DenseU32Map::new(),
             slot_lut: DenseU32Map::new(),
@@ -220,7 +253,9 @@ impl SchedulerS {
     }
 
     /// Enable Observation-3 re-verification after every queue mutation
-    /// (O(|Q| log |Q|) per event; for tests).
+    /// (O(|Q| log |Q|) per event), and re-probe every `P` job each
+    /// completion scan skips to prove the skip sound (O(|P| log |Q|) per
+    /// completion). For tests.
     pub fn with_invariant_checks(mut self) -> SchedulerS {
         self.check_invariants = true;
         self
@@ -290,11 +325,19 @@ impl SchedulerS {
             if job.in_q {
                 self.q.remove(&key);
                 self.bands.remove(id);
+                let (v, c) = (job.density, self.params.c());
+                self.recheck_bands
+                    .push((v / c * (1.0 - BAND_SLACK), v * c * (1.0 + BAND_SLACK)));
             } else {
                 self.p.remove(&key);
             }
         }
         self.assert_invariant();
+    }
+
+    /// The job's record, if it is parked in `P`.
+    fn parked(&self, id: JobId) -> Option<SJob> {
+        self.jobs.get(id).filter(|j| !j.in_q).copied()
     }
 
     /// The standard pass: walk `Q` highest-density-first, granting each
@@ -391,41 +434,154 @@ impl SchedulerS {
         }
     }
 
-    /// The completion-event admission pass: scan `P` by density (desc),
-    /// dropping dead jobs and starting every δ-fresh job that passes the
-    /// band condition. With the incremental band index each candidate costs
-    /// O(log |Q|), so a pass is O((|P| + admitted) · log |Q|) instead of
-    /// the seed's O(|P| · |Q|).
+    /// The completion-event admission pass. The paper's rule walks all of
+    /// `P` by density (desc), dropping dead jobs and starting every δ-fresh
+    /// job that passes the band condition. This pass walks the same order
+    /// but visits only the parked jobs whose outcome can differ from their
+    /// last check; the rest would be no-ops.
+    ///
+    /// Why skipping them is exact. A job `j` at density `d` that is still
+    /// in `P` after its last check (an earlier scan, or its arrival) failed
+    /// for a reason that persists:
+    ///
+    /// * `!admissible` never changes.
+    /// * Not δ-fresh: the slack `d_j − t` only shrinks, so a job that stops
+    ///   being fresh never becomes fresh again.
+    /// * `fits(d, a)` was false. `fits` reads only the `Q` jobs with
+    ///   density in the open interval `(d/c, c·d)`: the candidate's own
+    ///   window `[d, c·d)` and the windows of the anchors `v ≤ d < c·v`.
+    ///   Every other (flank) anchor keeps its load and is within capacity
+    ///   by Observation 3. And `fits` can only become false as `Q` grows,
+    ///   so it turns true again only after a `Q` job in that interval
+    ///   leaves.
+    ///
+    /// So the scan visits the union of three sets:
+    ///
+    /// * **(a)** `P` jobs in `(v/c, c·v)` for each density `v` removed from
+    ///   `Q` since the last scan, by a completion or a `Q`-job expiry. The
+    ///   interval is widened by [`BAND_SLACK`] against float rounding:
+    ///   visiting too many is harmless, skipping one would not be.
+    /// * **(b)** `P` jobs deferred since the last scan. Their arrival check
+    ///   is not a scan's: a `NotDeltaGood` deferral may be δ-fresh and fit.
+    /// * **(c)** `P` jobs with `abs_deadline <= now`, from the deadline
+    ///   heap, so their `Rejected(DeadlinePassed)` events still fire.
+    ///
+    /// Within a scan `Q` only grows, so the full walk would meet every
+    /// skipped job with a `Q` at least as large on its interval as at its
+    /// last check. The union is walked in descending `(density, id)` order
+    /// with the full scan's per-candidate body ([`probe`](Self::probe)), so
+    /// admissions and rejections come out in the same order. Cost:
+    /// O((in-band + new + expired candidates) · log |Q| + removals · log |P|).
     fn admit_from_p(&mut self, now: Time) {
         let mut candidates = std::mem::take(&mut self.admit_scratch);
-        candidates.clear();
-        candidates.extend(self.p.iter().rev().map(|&(_, id)| id));
-        for &id in &candidates {
-            let Some(job) = self.jobs.get(id).copied() else {
-                continue;
-            };
-            // Remove jobs whose absolute deadline has passed.
-            if job.abs_deadline <= now {
-                self.forget(id);
-                self.record(
-                    id,
-                    AdmissionDecision::Rejected(AdmissionReason::DeadlinePassed),
-                );
-                continue;
+        self.collect_candidates(now, &mut candidates);
+        self.metrics.admission_probes += candidates.len() as u64;
+        if self.check_invariants {
+            // Replay the full walk: each skipped job must be one the full
+            // scan would leave alone at that point of the walk.
+            let all: Vec<(OrdF64, JobId)> = self.p.iter().rev().copied().collect();
+            let mut next = candidates.iter().rev().peekable();
+            for key in all {
+                if next.next_if_eq(&&key).is_some() {
+                    self.probe(key.1, now);
+                } else {
+                    self.assert_skip_sound(key.1, now);
+                }
             }
-            if !job.admissible {
-                continue;
-            }
-            // δ-fresh: d_i − t ≥ (1+δ)x_i.
-            let slack = job.abs_deadline.since(now) as f64;
-            if slack < self.params.fresh_factor() * job.x {
-                continue;
-            }
-            if self.bands.fits(job.density, job.allot) {
-                self.start_job(id, true);
+            assert!(next.next().is_none(), "scan candidate missing from P");
+        } else {
+            for &(_, id) in candidates.iter().rev() {
+                self.probe(id, now);
             }
         }
         self.admit_scratch = candidates;
+    }
+
+    /// Gather the sets (a)–(c) of [`admit_from_p`](Self::admit_from_p) into
+    /// `out`, ascending by `(density, id)` without duplicates, and reset the
+    /// since-last-scan logs.
+    fn collect_candidates(&mut self, now: Time, out: &mut Vec<(OrdF64, JobId)>) {
+        out.clear();
+        // (a): merge the re-check intervals, then copy each `P` slice once;
+        // disjoint intervals taken in order give sorted, distinct keys.
+        self.recheck_bands
+            .sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        let mut merged: Option<(f64, f64)> = None;
+        for (lo, hi) in self.recheck_bands.drain(..) {
+            match merged {
+                Some((cur_lo, cur_hi)) if lo <= cur_hi => merged = Some((cur_lo, cur_hi.max(hi))),
+                _ => {
+                    if let Some((cur_lo, cur_hi)) = merged {
+                        out.extend_from_slice(self.p.density_range(cur_lo, cur_hi));
+                    }
+                    merged = Some((lo, hi));
+                }
+            }
+        }
+        if let Some((cur_lo, cur_hi)) = merged {
+            out.extend_from_slice(self.p.density_range(cur_lo, cur_hi));
+        }
+        let in_band = out.len();
+
+        // (b) and (c), restricted to jobs still parked.
+        for id in self.deferred_since_scan.drain(..) {
+            if let Some(job) = self.jobs.get(id).filter(|j| !j.in_q) {
+                out.push((OrdF64(job.density), id));
+            }
+        }
+        while let Some(&Reverse((deadline, id))) = self.p_deadlines.peek() {
+            if deadline > now {
+                break;
+            }
+            self.p_deadlines.pop();
+            if let Some(job) = self.parked(id) {
+                out.push((OrdF64(job.density), id));
+            }
+        }
+        if out.len() > in_band {
+            out.sort_unstable();
+            out.dedup();
+        }
+    }
+
+    /// The full scan's per-candidate body: drop the job if its deadline has
+    /// passed, else start it if it is admissible, δ-fresh and fits.
+    fn probe(&mut self, id: JobId, now: Time) {
+        let Some(job) = self.jobs.get(id).copied() else {
+            return;
+        };
+        // Remove jobs whose absolute deadline has passed.
+        if job.abs_deadline <= now {
+            self.forget(id);
+            self.record(
+                id,
+                AdmissionDecision::Rejected(AdmissionReason::DeadlinePassed),
+            );
+            return;
+        }
+        if job.admissible && !self.stale(&job, now) && self.bands.fits(job.density, job.allot) {
+            self.start_job(id, true);
+        }
+    }
+
+    /// Not δ-fresh: `d_i − t < (1+δ)x_i`.
+    fn stale(&self, job: &SJob, now: Time) -> bool {
+        let slack = job.abs_deadline.since(now) as f64;
+        slack < self.params.fresh_factor() * job.x
+    }
+
+    /// The skip-soundness check: the full scan would do nothing for `id`
+    /// at this point of its walk.
+    fn assert_skip_sound(&self, id: JobId, now: Time) {
+        let job = self.parked(id).expect("P holds only parked jobs");
+        assert!(
+            job.abs_deadline > now,
+            "completion scan skipped {id:?}, whose deadline has passed"
+        );
+        assert!(
+            !(job.admissible && !self.stale(&job, now) && self.bands.fits(job.density, job.allot)),
+            "completion scan skipped {id:?}, which the full scan would start"
+        );
     }
 }
 
@@ -494,6 +650,8 @@ impl OnlineScheduler for SchedulerS {
             };
             self.record(info.id, AdmissionDecision::Deferred(reason));
             self.p.insert((OrdF64(density), info.id));
+            self.deferred_since_scan.push(info.id);
+            self.p_deadlines.push(Reverse((abs_deadline, info.id)));
         }
     }
 
@@ -586,6 +744,9 @@ impl OnlineScheduler for SchedulerS {
         self.jobs.clear();
         self.q.clear();
         self.p.clear();
+        self.recheck_bands.clear();
+        self.deferred_since_scan.clear();
+        self.p_deadlines.clear();
         self.bands.clear();
         self.metrics = SchedulerSMetrics::default();
         self.report = None;
@@ -860,6 +1021,108 @@ mod tests {
             .work_conserving()
             .with_invariant_checks();
         simulate(&inst, &mut s, &SimConfig::default()).unwrap();
+    }
+
+    /// S behind a wrapper that logs, per completion, the completed job, the
+    /// candidates its scan probed, and `|P|` before the scan (what the full
+    /// scan would have probed).
+    struct ProbeLog {
+        s: SchedulerS,
+        scans: Vec<(JobId, u64, usize)>,
+    }
+
+    impl OnlineScheduler for ProbeLog {
+        fn name(&self) -> String {
+            self.s.name()
+        }
+        fn on_arrival(&mut self, info: &JobInfo, now: Time) {
+            self.s.on_arrival(info, now);
+        }
+        fn on_completion(&mut self, id: JobId, now: Time) {
+            let (before, p_len) = (self.s.metrics().admission_probes, self.s.p_len());
+            self.s.on_completion(id, now);
+            let probes = self.s.metrics().admission_probes - before;
+            self.scans.push((id, probes, p_len));
+        }
+        fn on_expiry(&mut self, id: JobId, now: Time) {
+            self.s.on_expiry(id, now);
+        }
+        fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+            self.s.allocate(view)
+        }
+        fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
+            self.s.allocate_into(view, out);
+        }
+        fn allocate_delta(
+            &mut self,
+            delta: &ViewDelta,
+            view: &TickView<'_>,
+            out: &mut Allocation,
+        ) -> bool {
+            self.s.allocate_delta(delta, view, out)
+        }
+        fn allocation_stable_between_events(&self) -> bool {
+            self.s.allocation_stable_between_events()
+        }
+    }
+
+    #[test]
+    fn foreground_completions_probe_only_their_band() {
+        // The parked single-node shape, scaled down: `n` background jobs of
+        // work ~10,000 and a far deadline park in P behind the band
+        // capacity (b·m ≈ 3.5 on m = 4), while two tiny tight-deadline jobs
+        // arrive per tick. The two populations sit ~15,000x apart in
+        // density, far outside each other's bands (c ≈ 53).
+        let n = 400u32;
+        let mut rng = dagsched_core::Rng64::seed_from(1);
+        let mut jobs: Vec<JobSpec> = (0..n)
+            .map(|i| {
+                JobSpec::new(
+                    JobId(i),
+                    Time(0),
+                    gen::single(9_500 + rng.gen_range(1_001)).into_shared(),
+                    StepProfitFn::deadline(Time(500_000), 1),
+                )
+            })
+            .collect();
+        for i in 0..n {
+            jobs.push(JobSpec::new(
+                JobId(n + i),
+                Time((i / 2) as u64),
+                gen::single(2).into_shared(),
+                StepProfitFn::deadline(Time(60), 3),
+            ));
+        }
+        let inst = Instance::new(4, jobs).unwrap();
+        let mut log = ProbeLog {
+            s: SchedulerS::with_epsilon(4, 1.0).with_invariant_checks(),
+            scans: Vec::new(),
+        };
+        simulate(&inst, &mut log, &SimConfig::default()).unwrap();
+
+        let total: u64 = log.scans.iter().map(|&(_, probes, _)| probes).sum();
+        assert_eq!(total, log.s.metrics().admission_probes);
+        let foreground: Vec<_> = log.scans.iter().filter(|(id, ..)| id.0 >= n).collect();
+        assert!(
+            foreground.len() > n as usize / 2,
+            "foreground completions ran"
+        );
+        // The first scan checks every deferral once, background included.
+        // After it, a foreground completion re-checks only the parked
+        // foreground jobs in its band, a population the arrival rate and
+        // the 60-tick deadline bound independently of n, while the full
+        // scan probed all of P, background included.
+        const BAND_BOUND: u64 = 64;
+        for &&(id, probes, p_len) in &foreground[1..] {
+            assert!(
+                probes <= BAND_BOUND,
+                "completion of {id:?} probed {probes} of |P| = {p_len}"
+            );
+            assert!(
+                p_len as u64 > 4 * BAND_BOUND,
+                "the full scan would have probed |P| = {p_len}"
+            );
+        }
     }
 
     #[test]
