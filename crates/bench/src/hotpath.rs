@@ -34,8 +34,7 @@
 //!   the scan pays two O(alive) passes per step (window minimum and expiry
 //!   rescan) where the kernel pays O(log n) pops; the `steady/…` case is
 //!   informational — on sparse multi-node streams the scan's passes are
-//!   cheap and the kernel's per-step heap traffic makes it the slower
-//!   side, which is recorded, not gated.
+//!   cheap and the two modes run at parity, which is recorded, not gated.
 //!
 //! * **view-delta** — full engine runs on the same parked-set workloads,
 //!   timed with the incremental [`HandoffMode::Delta`] scheduler handoff

@@ -240,8 +240,8 @@ impl FromStr for MachineGroups {
 /// Ticks a processor completing `units` scaled work units per tick needs to
 /// finish `rem` remaining scaled units: `ceil(rem/units)`.
 ///
-/// This is the single audited implementation of the completion-frontier
-/// arithmetic used by the engine's claim loop and event re-keying; it
+/// This is the single audited implementation of the completion-distance
+/// arithmetic used by the engine's claim loop; it
 /// replaces the ad-hoc `div_ceil` call sites that predated machine groups.
 ///
 /// # Panics

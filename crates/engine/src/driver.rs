@@ -36,7 +36,7 @@ use crate::platform::Platform;
 use crate::reference::{HorizonScan, ViewRebuild};
 use crate::result::SimResult;
 use crate::sched_api::{Allocation, OnlineScheduler, TickView};
-use crate::sim::{HandoffMode, PlatformMode, SimConfig};
+use crate::sim::{HandoffMode, SimConfig};
 use crate::trace::Trace;
 use dagsched_core::{ticks_to_complete, JobId, NodeId, Result, SchedError, Time};
 use dagsched_workload::Instance;
@@ -82,26 +82,15 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     /// allocation-idle stretches may be bulk-skipped (the plan boundary —
     /// not the per-tick re-decision — is what ends an idle stretch).
     bounded: bool,
-    /// Whether the [`EventKernel`] is maintained at all
+    /// Whether the [`EventKernel`] is maintained
     /// ([`SimConfig::window`] is [`WindowMode::EventKernel`]). Governs the
-    /// expiry index and idle-skip source on *both* execution paths.
+    /// expiry index and idle-skip source on *both* execution paths, and the
+    /// fast-forward window bound (otherwise the [`HorizonScan`] twin).
     kernel_on: bool,
-    /// Whether fast-forward windows come from the kernel (`kernel_on`, the
-    /// fast-forward path is engaged, and the scheduler's completion keys
-    /// are stable). Otherwise the fast-forward path falls back to the
-    /// [`HorizonScan`] twin.
-    kernel_windows: bool,
     /// Whether the scheduler handoff runs on the maintained view + delta
     /// path ([`HandoffMode::Delta`]). Otherwise every step rebuilds the
     /// view via the frozen [`ViewRebuild`] twin and calls `allocate_into`.
     delta_on: bool,
-    /// Whether the platform runs grouped arithmetic
-    /// ([`PlatformMode::Grouped`]). Governs the kernel's completion-entry
-    /// re-push rule: the grouped path re-pushes a node's entry after any
-    /// claim gap (frontiers are not monotone across groups — see
-    /// [`events`](crate::events)); the frozen scalar twin keeps the
-    /// pre-group moved-frontier-only rule.
-    grouped: bool,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
@@ -169,11 +158,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             && (stable || bounded);
         let bounded = bounded && fast_forward;
         let kernel_on = matches!(cfg.window, WindowMode::EventKernel);
-        // Kernel windows additionally need stable completion keys: a
-        // claimed node's entry is re-keyed only when its frontier moves,
-        // which is sound only if the allocation cannot silently reshuffle
-        // between events.
-        let kernel_windows = kernel_on && fast_forward && sched.completion_keys_stable();
         let delta_on = matches!(cfg.handoff, HandoffMode::Delta);
         let mut kernel = EventKernel::new(n);
         if kernel_on {
@@ -190,9 +174,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             fast_forward,
             bounded,
             kernel_on,
-            kernel_windows,
             delta_on,
-            grouped: matches!(cfg.platform, PlatformMode::Grouped),
             observing,
             done: false,
             poisoned: false,
@@ -382,22 +364,12 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // finish and no arrival / expiry / horizon boundary falls, and
         // advance the whole window in one engine step.
         if self.fast_forward {
-            // Kernel windows: stamp this step's claim epoch; every node
-            // claimed below refreshes its stamp, and its completion entry
-            // is (re-)pushed only when its frontier actually moved.
-            let epoch = if self.kernel_windows {
-                self.kernel.begin_step()
-            } else {
-                0
-            };
             let sc = &mut self.scratch;
             sc.claimed.clear();
             // Minimum over claimed nodes of the ticks until completion,
             // ceil(remaining / units): within `min_q - 1` ticks no claimed
             // node finishes, so the ready sets — and with them every pick
-            // and every allocation — are frozen. On the kernel path the
-            // same quantity lives in the heap as per-node completion
-            // frontiers `t + q - 1` instead of a per-step fold.
+            // and every allocation — are frozen.
             let mut min_q = u64::MAX;
             let mut cursor = 0usize;
             for &(id, k) in &sc.alloc {
@@ -412,34 +384,12 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     // The i-th picked node binds to the i-th processor the
                     // entry consumes — the same pairing the reference
                     // path's per-processor loop realizes.
-                    let (pu, grp) = match uniform_units {
-                        Some(u) => (u, 0u32),
-                        None => (
-                            self.platform.proc_units()[cursor + i],
-                            self.platform.proc_group()[cursor + i],
-                        ),
+                    let pu = match uniform_units {
+                        Some(u) => u,
+                        None => self.platform.proc_units()[cursor + i],
                     };
                     let rem = l.state.node_remaining(node).units();
-                    let q = ticks_to_complete(rem, pu);
-                    if self.kernel_windows {
-                        let frontier = t.after(q - 1);
-                        let prev = l.armed_done[node.index()];
-                        // Grouped platforms additionally re-push after any
-                        // claim gap: a node re-claimed onto a faster group
-                        // can reproduce a frontier whose entry was already
-                        // discarded as epoch-stale (see `events`). The
-                        // scalar twin keeps the frozen moved-frontier-only
-                        // rule, sound under uniform monotonicity.
-                        let gap_repush = self.grouped && l.claim_epoch[node.index()] + 1 != epoch;
-                        if prev != frontier || gap_repush {
-                            l.armed_done[node.index()] = frontier;
-                            self.kernel
-                                .arm_completion(id, node, grp, frontier, prev != Time::MAX);
-                        }
-                        l.claim_epoch[node.index()] = epoch;
-                    } else {
-                        min_q = min_q.min(q);
-                    }
+                    min_q = min_q.min(ticks_to_complete(rem, pu));
                     sc.claimed.push((id, node, pu));
                 }
                 cursor += k as usize;
@@ -467,11 +417,15 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // path. An empty claim set (empty allocation) also runs the
             // reference tick: the naive path counts allocation-idle ticks
             // one by one, and `ticks_simulated` must stay byte-identical.
+            // On the kernel path `min_q == 1` needs no heap query: a claimed
+            // node finishes this tick, so `s == 0` whatever the heap holds.
             if !sc.claimed.is_empty() {
-                let s = if self.kernel_windows {
-                    self.kernel.window(t, &self.life)
-                } else {
+                let s = if !self.kernel_on {
                     HorizonScan::window(min_q, jobs, &self.life, &self.clock, t)
+                } else if min_q == 1 {
+                    0
+                } else {
+                    (min_q - 1).min(self.kernel.window(t))
                 }
                 .min(bound_cap);
                 if s > 0 {
@@ -532,8 +486,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 // left to cap it — fall through to the single reference
                 // tick the naive path charges before its run guard ends
                 // the run.
-                let s = if self.kernel_windows {
-                    self.kernel.window(t, &self.life)
+                let s = if self.kernel_on {
+                    self.kernel.window(t)
                 } else {
                     HorizonScan::window(u64::MAX, jobs, &self.life, &self.clock, t)
                 }
@@ -742,7 +696,7 @@ mod tests {
     use crate::result::JobStatus;
     use crate::sched_api::JobInfo;
     use crate::sim::{simulate, SimConfig};
-    use dagsched_workload::WorkloadGen;
+    use dagsched_workload::{ArrivalProcess, DeadlinePolicy, WorkloadGen};
 
     /// Work-conserving FIFO-by-arrival test scheduler (mirrors the one in
     /// `sim::tests`): hands each alive job as many processors as it has
@@ -889,5 +843,130 @@ mod tests {
             .count();
         assert_eq!(done, one_shot.completed());
         assert_eq!(drv.lifecycle().total_profit(), one_shot.total_profit);
+    }
+
+    /// Single-node-job scheduler with a pinned priority: each tick it
+    /// selects the `m` alive jobs that come first in `select`, and lists
+    /// them in `place` order, which on an aggregate-blind platform fixes
+    /// which processor each entry binds to (declaration order).
+    struct Pinned {
+        select: Vec<u32>,
+        place: Vec<u32>,
+    }
+
+    impl OnlineScheduler for Pinned {
+        fn name(&self) -> String {
+            "pinned-test".into()
+        }
+        fn on_arrival(&mut self, _job: &JobInfo, _now: Time) {}
+        fn on_completion(&mut self, _id: JobId, _now: Time) {}
+        fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+        fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+            let mut chosen: Vec<JobId> = self
+                .select
+                .iter()
+                .map(|&j| JobId(j))
+                .filter(|&id| view.jobs().iter().any(|&(a, r)| a == id && r > 0))
+                .take(view.m as usize)
+                .collect();
+            chosen.sort_by_key(|id| self.place.iter().position(|&j| j == id.0));
+            chosen.into_iter().map(|id| (id, 1)).collect()
+        }
+        fn allocation_stable_between_events(&self) -> bool {
+            true
+        }
+    }
+
+    /// Related machines: a node first claimed at 1 unit/tick, then
+    /// preempted, then re-claimed on the 2-unit group lands on the same
+    /// last-safe tick as its first claim (rem 10 from t = 0 at 1 unit/tick:
+    /// tick 9; rem 9 from t = 5 at 2 units/tick: tick 9 again). Event
+    /// kernels that cache per-node completion ticks must not lose it.
+    #[test]
+    fn reclaim_on_a_faster_group_matches_naive() {
+        use dagsched_core::MachineGroups;
+        use dagsched_dag::gen;
+        use dagsched_workload::{Instance, JobSpec, StepProfitFn};
+        let job = |id: u32, at: u64, work: u64| {
+            JobSpec::new(
+                JobId(id),
+                Time(at),
+                gen::single(work).into_shared(),
+                StepProfitFn::deadline(Time(1000), 1),
+            )
+        };
+        // A (job 0) and B (job 1) start on processors 0 (1 unit) and 1
+        // (2 units); C (job 2) arrives at t = 1 and preempts A on
+        // processor 0; B finishes at t = 5 and A takes processor 1.
+        let inst = Instance::new(2, vec![job(0, 0, 10), job(1, 0, 10), job(2, 1, 100)]).unwrap();
+        let groups: MachineGroups = "1x1,1x2".parse().unwrap();
+        let mk = || Pinned {
+            select: vec![2, 1, 0],
+            place: vec![2, 0, 1],
+        };
+        let run = |cfg: &SimConfig| simulate(&inst, &mut mk(), cfg).unwrap();
+        let fast = run(&SimConfig::on_groups(groups.clone()));
+        let naive = run(&SimConfig {
+            fast_forward: false,
+            ..SimConfig::on_groups(groups.clone())
+        });
+        let scan = run(&SimConfig {
+            window: WindowMode::ReferenceScan,
+            ..SimConfig::on_groups(groups)
+        });
+        assert!(fast.same_outcome(&naive));
+        assert!(fast.same_outcome(&scan));
+        assert_eq!(fast.steps_executed, scan.steps_executed);
+        assert_eq!(
+            fast.outcomes[0],
+            JobStatus::Completed {
+                at: Time(10),
+                profit: 1
+            },
+            "A re-claimed on the 2-unit group at t = 5 finishes during tick 9"
+        );
+        // Windows [0,1) [1,4) [5,9) [10,100) plus the three completion
+        // ticks 4, 9 and 100.
+        assert_eq!(fast.steps_executed, 7);
+        assert_eq!(naive.steps_executed, 101);
+    }
+
+    /// The kernel holds only arrival, expiry and horizon keys: after every
+    /// step of a real run its heap stays within twice the armed keys plus
+    /// the compaction slack.
+    #[test]
+    fn kernel_heap_stays_bounded_by_armed_keys() {
+        use crate::events::COMPACT_MIN_STALE;
+        for seed in 0..3u64 {
+            // Loose deadlines: most jobs complete long before their expiry
+            // boundary, so each completion leaves a disarmed entry that
+            // only compaction can reclaim.
+            let inst = WorkloadGen {
+                arrivals: ArrivalProcess::Poisson { rate: 0.2 },
+                deadlines: DeadlinePolicy::SlackFactor(100.0),
+                ..WorkloadGen::standard(4, 400, seed)
+            }
+            .generate()
+            .unwrap();
+            let cfg = SimConfig::default();
+            let one_shot = simulate(&inst, &mut Greedy, &cfg).unwrap();
+            let mut sched = Greedy;
+            let mut drv = SimDriver::new(&inst, &mut sched, &cfg);
+            let mut peak = 0;
+            while drv.step().unwrap() {
+                let (len, armed) = (drv.kernel.len(), drv.kernel.armed_keys());
+                assert!(
+                    len <= 2 * armed + COMPACT_MIN_STALE + 2,
+                    "seed {seed} t={}: heap holds {len} entries for {armed} armed keys",
+                    drv.now().0
+                );
+                peak = peak.max(len);
+            }
+            assert!(
+                peak > COMPACT_MIN_STALE,
+                "seed {seed}: the heap must grow past the compaction threshold"
+            );
+            full_eq(&drv.finish().unwrap(), &one_shot);
+        }
     }
 }

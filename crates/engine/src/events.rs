@@ -2,99 +2,58 @@
 //! fast-forward engine.
 //!
 //! The fast-forward path asks one question every step: *how far can the
-//! clock jump before anything observable happens?* The retained reference
-//! answer ([`HorizonScan`](crate::reference::HorizonScan)) rescans state —
-//! O(claimed) for the nearest completion, O(alive) for the nearest zero-tail
-//! expiry — even when nothing changed since the last step. An [`EventKernel`]
-//! answers the same question in O(log n) by keeping every *event source*
-//! armed in one lazy-deletion binary min-heap.
+//! clock jump before anything observable happens?* Two kinds of boundary
+//! bound the jump. The first is the nearest completion of a node claimed
+//! this step. The driver's claim pass visits every claimed node anyway, so
+//! it folds `min_q = min ceil(rem/units)` over them as it goes; no claimed
+//! node finishes within `min_q - 1` ticks. The second kind is every
+//! boundary the claim pass does not see. The retained reference answer
+//! ([`HorizonScan`](crate::reference::HorizonScan)) rescans the alive set
+//! for them every step, O(alive), even when nothing changed since the last
+//! step. An [`EventKernel`] answers the same question in O(log n) by
+//! keeping each such *event source* armed in one lazy-deletion binary
+//! min-heap. The window is then `min(min_q - 1, window(t))`.
 //!
 //! # Source taxonomy
 //!
 //! | source                           | armed                              | re-keyed / disarmed                     |
 //! |----------------------------------|------------------------------------|-----------------------------------------|
-//! | completion frontier (job, node)  | when a claimed node's width changes| re-keyed only when the frontier moves   |
 //! | arrival cursor (one global)      | at construction                    | re-armed after each admission batch     |
 //! | expiry boundary (zero-tail job)  | at admission                       | disarmed when the job goes terminal     |
 //! | horizon (one global)             | at construction                    | never                                   |
 //!
-//! A claimed node's **completion frontier** is `t + ceil(rem/units) - 1`,
-//! where `units` is the per-tick rate of the *processor the node is bound
-//! to* (uniform platforms have one rate; related-machines platforms one per
-//! group — each group is its own event source, keyed by its own rate and
-//! carrying its group index in the entry). It is the last tick of the
-//! widest window in which the node cannot yet have finished. Arming the
-//! frontier (not the completion tick itself) makes every source uniform —
-//! the window width is simply `min(valid entry times) - t` — and gives the
-//! kernel its key amortization: while a node stays claimed on the same
-//! group across a bulk window its *absolute* frontier is constant (`rem`
-//! drops by `s·units` exactly as `t` grows by `s`), so a
-//! continuously-running node is pushed **once**, not once per step.
-//!
 //! # Lazy deletion and staleness
 //!
 //! Heap entries are never removed in place. Each source records its
-//! currently-armed key (`armed_arrival`, `armed_expiry[job]`,
-//! `Live::armed_done[node]`) and an entry is *valid* iff it matches; stale
-//! entries are discarded when they surface at the top. Discarding is safe
-//! because a discarded key is either gone for good or re-pushed before it
-//! can matter:
+//! currently-armed key (`armed_arrival`, `armed_expiry[job]`) and an entry
+//! is *valid* iff it matches; stale entries are discarded when they
+//! surface at the top. Discarding is safe because a discarded key is gone
+//! for good:
 //!
 //! * the arrival cursor only advances, so a superseded arrival time never
 //!   returns;
 //! * an expiry is armed once at admission and disarmed at the job's
-//!   terminal transition — never re-armed;
-//! * on a **uniform** platform a node's frontier is non-decreasing over
-//!   time: a node advances at most `units` per tick (one processor per node
-//!   per tick), so `t + ceil(rem/units) - 1` can never move backwards to a
-//!   superseded value, and epoch-stale entries (see below) are likewise
-//!   gone for good — a node that was unclaimed for even one step advanced
-//!   strictly less than `units` on at least one elapsed tick, so its next
-//!   frontier is strictly larger than the discarded one. The driver
-//!   therefore re-pushes only when the frontier value moves.
-//! * on a **related-machines** platform monotonicity fails: a node
-//!   re-claimed onto a *faster* group can reproduce a frontier time whose
-//!   entry was already discarded as epoch-stale (rem 10, 1 unit/tick at
-//!   `t` → frontier `t+9`; unclaimed, then re-claimed at `t+5` on a
-//!   2-unit group → frontier `t+9` again). The driver compensates by
-//!   re-pushing the entry whenever the node was **not claimed on the
-//!   immediately-preceding step**, even at an unchanged frontier value —
-//!   so every valid key always has at least one live entry. The price is
-//!   an occasional *duplicate* of an identical key, which is harmless:
-//!   validity is key-based, both copies match the same armed slot, and a
-//!   minimum is unchanged by duplication.
-//!
-//! Completion entries carry no per-step validity of their own; instead the
-//! driver stamps every node it claims with the current step's **epoch**
-//! ([`EventKernel::begin_step`]) and an entry is valid only when its node's
-//! stamp is current. For a node continuously claimed at an unmoved frontier
-//! the entry is *not* re-pushed — the stamp check is what distinguishes
-//! "claimed this step" from "claimed long ago" without touching the heap.
+//!   terminal transition — never re-armed.
 //!
 //! # Tie-break contract
 //!
-//! Entries order by `(time, kind, group, job, node)` with kinds in
-//! declaration order — completion < arrival < expiry < horizon at equal
-//! time, and at equal time and kind the *group index* orders before the job
-//! (per-group frontiers are distinct event sources; non-completion sources
-//! carry group 0). The window width is a *minimum over valid entry times*,
-//! so the tie order can never change a computed window; fixing it anyway
-//! keeps the pop sequence (and therefore the kernel's internal traversal)
-//! deterministic, which is what the differential suites pin down
-//! byte-for-byte.
+//! Entries order by `(time, kind, job)` with kinds in declaration order —
+//! arrival < expiry < horizon at equal time. The window width is a
+//! *minimum over valid entry times*, so the tie order can never change a
+//! computed window; fixing it anyway keeps the pop sequence (and therefore
+//! the kernel's internal traversal) deterministic, which is what the
+//! differential suites pin down byte-for-byte.
 //!
 //! # Memory bound
 //!
 //! Lazy deletion alone would let the heap grow with the total number of
 //! re-keys. The kernel counts superseded keys (`stale_hint`) and, once they
 //! could dominate the heap, compacts in place with `BinaryHeap::retain`,
-//! keeping only entries whose key is still armed. Retention ignores epochs
-//! (conservative: a kept-but-invalid entry is harmless), the backing
-//! capacity is kept, and the bound becomes O(armed state) — which is what
-//! keeps the engine's zero-allocation arrival-storm property intact.
+//! keeping only entries whose key is still armed. The backing capacity is
+//! kept, and the bound becomes O(armed state) — which is what keeps the
+//! engine's zero-allocation arrival-storm property intact.
 
-use crate::lifecycle::Lifecycle;
-use dagsched_core::{JobId, NodeId, Time};
+use dagsched_core::{JobId, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -112,11 +71,9 @@ pub enum WindowMode {
 }
 
 /// Event-source kind. Declaration order *is* the tie-break order at equal
-/// time: completion < arrival < expiry < horizon.
+/// time: arrival < expiry < horizon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SourceKind {
-    /// A claimed node's completion frontier (`t + ceil(rem/units) - 1`).
-    Completion,
     /// The next not-yet-admitted arrival.
     Arrival,
     /// A zero-tail job's expiry boundary (`last_useful_abs`).
@@ -126,21 +83,18 @@ enum SourceKind {
 }
 
 /// One heap entry. Derived `Ord` is lexicographic over the field order,
-/// which realizes the `(time, kind, group, job, node)` tie-break contract.
+/// which realizes the `(time, kind, job)` tie-break contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct EventKey {
     time: Time,
     kind: SourceKind,
-    /// Machine-group index for completion frontiers; 0 for every other
-    /// source and on uniform platforms.
-    group: u32,
+    /// The job of an expiry boundary; 0 for the global sources.
     job: u32,
-    node: u32,
 }
 
 /// Compaction fires only once at least this many keys were superseded —
 /// below it the heap is too small for lazy corpses to matter.
-const COMPACT_MIN_STALE: usize = 64;
+pub(crate) const COMPACT_MIN_STALE: usize = 64;
 
 /// The discrete-event heap shared by the driver's window computation and
 /// the lifecycle's expiry index. See the [module docs](self).
@@ -151,15 +105,9 @@ pub struct EventKernel {
     armed_expiry: Vec<Time>,
     /// Armed arrival-cursor key; `None` = no pending arrival.
     armed_arrival: Option<Time>,
-    /// Claim-phase epoch: completion entries are valid only for nodes whose
-    /// [`Live::claim_epoch`](crate::lifecycle::Live) stamp matches.
-    epoch: u64,
     /// Keys superseded since the last compaction (never decremented —
     /// naturally-popped corpses just make the next compaction earlier).
     stale_hint: usize,
-    /// Scratch for re-pushing still-due completion entries in
-    /// [`pop_due_expiries`](Self::pop_due_expiries).
-    repush: Vec<EventKey>,
 }
 
 impl EventKernel {
@@ -170,29 +118,17 @@ impl EventKernel {
             heap: BinaryHeap::new(),
             armed_expiry: vec![Time::MAX; n],
             armed_arrival: None,
-            epoch: 0,
             stale_hint: 0,
-            repush: Vec::new(),
         }
     }
 
-    /// Start a claim phase: bump and return the epoch that valid completion
-    /// stamps must carry this step.
-    #[inline]
-    pub(crate) fn begin_step(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch
+    fn push(&mut self, time: Time, kind: SourceKind, job: u32) {
+        self.heap.push(Reverse(EventKey { time, kind, job }));
     }
 
     /// Arm the run's hard stop (once, at construction).
     pub(crate) fn arm_horizon(&mut self, at: Time) {
-        self.heap.push(Reverse(EventKey {
-            time: at,
-            kind: SourceKind::Horizon,
-            group: 0,
-            job: 0,
-            node: 0,
-        }));
+        self.push(at, SourceKind::Horizon, 0);
     }
 
     /// The currently-armed arrival time (the driver's idle-skip target).
@@ -210,13 +146,7 @@ impl EventKernel {
             self.stale_hint += 1;
         }
         self.armed_arrival = Some(at);
-        self.heap.push(Reverse(EventKey {
-            time: at,
-            kind: SourceKind::Arrival,
-            group: 0,
-            job: 0,
-            node: 0,
-        }));
+        self.push(at, SourceKind::Arrival, 0);
     }
 
     /// Disarm the arrival cursor (every job has arrived).
@@ -233,13 +163,7 @@ impl EventKernel {
             self.stale_hint += 1;
         }
         *slot = at;
-        self.heap.push(Reverse(EventKey {
-            time: at,
-            kind: SourceKind::Expiry,
-            group: 0,
-            job: job.0,
-            node: 0,
-        }));
+        self.push(at, SourceKind::Expiry, job.0);
     }
 
     /// Disarm `job`'s expiry boundary (terminal transition). No-op if it
@@ -252,44 +176,14 @@ impl EventKernel {
         }
     }
 
-    /// Push a completion-frontier entry for `(job, node)` bound to machine
-    /// group `group` (0 on uniform platforms). The driver has already
-    /// written `frontier` into the node's `armed_done` slot; `rekey` says a
-    /// previous frontier was superseded (its entry is now a lazy corpse).
-    pub(crate) fn arm_completion(
-        &mut self,
-        job: JobId,
-        node: NodeId,
-        group: u32,
-        frontier: Time,
-        rekey: bool,
-    ) {
-        if rekey {
-            self.stale_hint += 1;
-        }
-        self.heap.push(Reverse(EventKey {
-            time: frontier,
-            kind: SourceKind::Completion,
-            group,
-            job: job.0,
-            node: node.0,
-        }));
-    }
-
-    /// The fast-forward window width from `t`: `min(valid entry time) - t`,
-    /// discarding stale entries as they surface. The horizon entry is
-    /// always armed, so the minimum always exists.
-    pub(crate) fn window(&mut self, t: Time, life: &Lifecycle) -> u64 {
-        self.maybe_compact(life);
+    /// Ticks from `t` to the nearest armed boundary: `min(valid entry
+    /// time) - t`, discarding stale entries as they surface. The horizon
+    /// entry is always armed, so the minimum always exists.
+    pub(crate) fn window(&mut self, t: Time) -> u64 {
+        self.maybe_compact();
         loop {
             let Reverse(e) = *self.heap.peek().expect("the horizon is always armed");
-            let valid = match e.kind {
-                SourceKind::Horizon => true,
-                SourceKind::Arrival => self.armed_arrival == Some(e.time),
-                SourceKind::Expiry => self.armed_expiry[e.job as usize] == e.time,
-                SourceKind::Completion => life.completion_armed(e.job, e.node, e.time, self.epoch),
-            };
-            if valid {
+            if is_armed(e, self.armed_arrival, &self.armed_expiry) {
                 debug_assert!(e.time >= t, "a valid entry is never in the past");
                 return e.time.since(t);
             }
@@ -299,14 +193,11 @@ impl EventKernel {
 
     /// Pop every entry with `time ≤ t`, collecting the *due* expiries into
     /// `out` in ascending job order (= arrival order: instance ids are
-    /// assigned in arrival order). Due expiries are disarmed as they pop.
-    ///
-    /// Completion entries with `time == t` are re-pushed, not discarded:
-    /// they may be the still-valid `s == 0` signal for a node that kept its
-    /// frontier across the preceding window. Everything else at or below
-    /// `t` is permanently stale (see the module docs) and is dropped.
-    pub(crate) fn pop_due_expiries(&mut self, t: Time, life: &Lifecycle, out: &mut Vec<JobId>) {
-        self.maybe_compact(life);
+    /// assigned in arrival order). Due expiries are disarmed as they pop;
+    /// everything else at or below `t` is permanently stale (see the
+    /// module docs) and is dropped.
+    pub(crate) fn pop_due_expiries(&mut self, t: Time, out: &mut Vec<JobId>) {
+        self.maybe_compact();
         while self.heap.peek().is_some_and(|&Reverse(top)| top.time <= t) {
             let Reverse(e) = self.heap.pop().expect("just peeked");
             match e.kind {
@@ -315,11 +206,6 @@ impl EventKernel {
                     if *slot == e.time {
                         *slot = Time::MAX;
                         out.push(JobId(e.job));
-                    }
-                }
-                SourceKind::Completion => {
-                    if e.time == t {
-                        self.repush.push(e);
                     }
                 }
                 SourceKind::Arrival => {
@@ -332,210 +218,115 @@ impl EventKernel {
                 }
             }
         }
-        for e in self.repush.drain(..) {
-            self.heap.push(Reverse(e));
-        }
         out.sort_unstable();
     }
 
     /// In-place compaction: once the superseded-key count could dominate,
-    /// retain only entries whose key is still armed (epoch ignored —
-    /// conservative). Keeps the backing capacity.
-    fn maybe_compact(&mut self, life: &Lifecycle) {
+    /// retain only entries whose key is still armed. Keeps the backing
+    /// capacity.
+    fn maybe_compact(&mut self) {
         if self.stale_hint < COMPACT_MIN_STALE || self.stale_hint * 2 < self.heap.len() {
             return;
         }
-        let armed_arrival = self.armed_arrival;
-        let armed_expiry = &self.armed_expiry;
-        self.heap.retain(|&Reverse(e)| match e.kind {
-            SourceKind::Horizon => true,
-            SourceKind::Arrival => armed_arrival == Some(e.time),
-            SourceKind::Expiry => armed_expiry[e.job as usize] == e.time,
-            SourceKind::Completion => life.completion_key_current(e.job, e.node, e.time),
-        });
+        let (arrival, expiry) = (self.armed_arrival, &self.armed_expiry);
+        self.heap.retain(|&Reverse(e)| is_armed(e, arrival, expiry));
         self.stale_hint = 0;
     }
 
     /// Heap length (diagnostics / tests).
     #[cfg(test)]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Number of armed keys: expiry boundaries, the arrival cursor, and
+    /// the horizon (tests).
+    #[cfg(test)]
+    pub(crate) fn armed_keys(&self) -> usize {
+        self.armed_expiry
+            .iter()
+            .filter(|&&t| t != Time::MAX)
+            .count()
+            + usize::from(self.armed_arrival.is_some())
+            + 1
+    }
+}
+
+/// Whether entry `e` matches its source's currently-armed key.
+#[inline]
+fn is_armed(e: EventKey, arrival: Option<Time>, expiry: &[Time]) -> bool {
+    match e.kind {
+        SourceKind::Horizon => true,
+        SourceKind::Arrival => arrival == Some(e.time),
+        SourceKind::Expiry => expiry[e.job as usize] == e.time,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::NullObserver;
-    use crate::sched_api::{Allocation, JobInfo, OnlineScheduler, TickView};
-    use dagsched_dag::gen;
-    use dagsched_workload::{JobSpec, StepProfitFn};
-
-    struct NopSched;
-    impl OnlineScheduler for NopSched {
-        fn name(&self) -> String {
-            "nop".into()
-        }
-        fn on_arrival(&mut self, _job: &JobInfo, _now: Time) {}
-        fn on_completion(&mut self, _id: JobId, _now: Time) {}
-        fn on_expiry(&mut self, _id: JobId, _now: Time) {}
-        fn allocate(&mut self, _view: &TickView<'_>) -> Allocation {
-            Vec::new()
-        }
-    }
-
-    /// A lifecycle with `n` admitted single-node jobs (arrival 0, deadline
-    /// 100), so completion-entry validity can be probed through the real
-    /// `Live` slots.
-    fn admitted_lifecycle(n: u32) -> (Vec<JobSpec>, Lifecycle) {
-        let dag = gen::single(10).into_shared();
-        let jobs: Vec<JobSpec> = (0..n)
-            .map(|i| {
-                JobSpec::new(
-                    JobId(i),
-                    Time(0),
-                    dag.clone(),
-                    StepProfitFn::deadline(Time(100), 1),
-                )
-            })
-            .collect();
-        let mut lc = Lifecycle::new(jobs.len());
-        lc.admit_arrivals(&jobs, Time(0), 1, &mut NopSched, &mut NullObserver);
-        (jobs, lc)
-    }
 
     #[test]
-    fn tie_break_orders_kinds_then_group_then_job_then_node() {
-        let key = |kind, job, node| EventKey {
+    fn tie_break_orders_kinds_then_job() {
+        let key = |kind, job| EventKey {
             time: Time(5),
             kind,
-            group: 0,
             job,
-            node,
         };
         let mut keys = vec![
-            key(SourceKind::Horizon, 0, 0),
-            key(SourceKind::Expiry, 1, 0),
-            key(SourceKind::Arrival, 0, 0),
-            key(SourceKind::Completion, 2, 1),
-            key(SourceKind::Completion, 2, 0),
-            key(SourceKind::Completion, 1, 9),
-            key(SourceKind::Expiry, 0, 0),
+            key(SourceKind::Horizon, 0),
+            key(SourceKind::Expiry, 1),
+            key(SourceKind::Arrival, 0),
+            key(SourceKind::Expiry, 0),
         ];
         keys.sort();
         assert_eq!(
             keys,
             vec![
-                key(SourceKind::Completion, 1, 9),
-                key(SourceKind::Completion, 2, 0),
-                key(SourceKind::Completion, 2, 1),
-                key(SourceKind::Arrival, 0, 0),
-                key(SourceKind::Expiry, 0, 0),
-                key(SourceKind::Expiry, 1, 0),
-                key(SourceKind::Horizon, 0, 0),
+                key(SourceKind::Arrival, 0),
+                key(SourceKind::Expiry, 0),
+                key(SourceKind::Expiry, 1),
+                key(SourceKind::Horizon, 0),
             ]
         );
         // Time dominates the kind: an earlier horizon sorts before a later
-        // completion.
+        // arrival.
         assert!(
             EventKey {
                 time: Time(4),
                 kind: SourceKind::Horizon,
-                group: 0,
                 job: 0,
-                node: 0
-            } < key(SourceKind::Completion, 0, 0)
+            } < key(SourceKind::Arrival, 0)
         );
     }
 
     #[test]
-    fn group_index_orders_before_job_at_equal_time_and_kind() {
-        let key = |group, job| EventKey {
-            time: Time(5),
-            kind: SourceKind::Completion,
-            group,
-            job,
-            node: 0,
-        };
-        // A higher-job entry in an earlier group sorts first: per-group
-        // frontiers are distinct sources with their own sub-order.
-        let mut keys = vec![key(1, 0), key(0, 7), key(1, 2), key(0, 3)];
-        keys.sort();
-        assert_eq!(keys, vec![key(0, 3), key(0, 7), key(1, 0), key(1, 2)]);
-    }
-
-    #[test]
     fn rearming_the_arrival_cursor_invalidates_the_old_entry() {
-        let (_jobs, lc) = admitted_lifecycle(1);
         let mut k = EventKernel::new(1);
         k.arm_horizon(Time(100));
         k.arm_arrival(Time(5));
         k.arm_arrival(Time(9)); // supersedes 5
                                 // From t = 3 the stale 5-entry surfaces first and must be skipped.
-        assert_eq!(k.window(Time(3), &lc), 6);
+        assert_eq!(k.window(Time(3)), 6);
         k.disarm_arrival();
-        assert_eq!(k.window(Time(3), &lc), 97, "only the horizon remains");
+        assert_eq!(k.window(Time(3)), 97, "only the horizon remains");
     }
 
     #[test]
     fn disarmed_expiry_entries_are_skipped() {
-        let (_jobs, lc) = admitted_lifecycle(2);
         let mut k = EventKernel::new(2);
         k.arm_horizon(Time(50));
         k.arm_expiry(JobId(0), Time(7));
         k.arm_expiry(JobId(1), Time(12));
-        assert_eq!(k.window(Time(2), &lc), 5);
+        assert_eq!(k.window(Time(2)), 5);
         k.disarm_expiry(JobId(0));
-        assert_eq!(k.window(Time(2), &lc), 10);
+        assert_eq!(k.window(Time(2)), 10);
         k.disarm_expiry(JobId(1));
-        assert_eq!(k.window(Time(2), &lc), 48);
-    }
-
-    #[test]
-    fn completion_entries_need_a_current_epoch_stamp() {
-        let (_jobs, mut lc) = admitted_lifecycle(1);
-        let mut k = EventKernel::new(1);
-        k.arm_horizon(Time(100));
-        let epoch = k.begin_step();
-        {
-            let l = lc.live[0].as_mut().expect("admitted");
-            l.armed_done.resize(1, Time::MAX);
-            l.claim_epoch.resize(1, 0);
-            l.armed_done[0] = Time(4);
-            l.claim_epoch[0] = epoch;
-        }
-        k.arm_completion(JobId(0), NodeId(0), 0, Time(4), false);
-        assert_eq!(k.window(Time(2), &lc), 2, "stamped entry is valid");
-        // A new step without re-claiming the node: the stamp is stale and
-        // the entry no longer bounds the window.
-        k.begin_step();
-        assert_eq!(k.window(Time(2), &lc), 98);
-    }
-
-    #[test]
-    fn rekeyed_completion_frontier_supersedes_the_old_entry() {
-        let (_jobs, mut lc) = admitted_lifecycle(1);
-        let mut k = EventKernel::new(1);
-        k.arm_horizon(Time(100));
-        let epoch = k.begin_step();
-        {
-            let l = lc.live[0].as_mut().expect("admitted");
-            l.armed_done.resize(1, Time::MAX);
-            l.claim_epoch.resize(1, 0);
-            l.armed_done[0] = Time(4);
-            l.claim_epoch[0] = epoch;
-        }
-        k.arm_completion(JobId(0), NodeId(0), 0, Time(4), false);
-        // The frontier moves to 9 (as after a width change): old entry
-        // stale even though its epoch stamp is current.
-        lc.live[0].as_mut().expect("admitted").armed_done[0] = Time(9);
-        k.arm_completion(JobId(0), NodeId(0), 0, Time(9), true);
-        assert_eq!(k.window(Time(2), &lc), 7);
+        assert_eq!(k.window(Time(2)), 48);
     }
 
     #[test]
     fn pop_due_collects_expiries_sorted_and_disarms_them() {
-        let (_jobs, lc) = admitted_lifecycle(3);
         let mut k = EventKernel::new(3);
         k.arm_horizon(Time(100));
         // Armed out of id order, one of them not yet due.
@@ -543,7 +334,7 @@ mod tests {
         k.arm_expiry(JobId(0), Time(5));
         k.arm_expiry(JobId(1), Time(30));
         let mut due = Vec::new();
-        k.pop_due_expiries(Time(5), &lc, &mut due);
+        k.pop_due_expiries(Time(5), &mut due);
         assert_eq!(
             due,
             vec![JobId(0), JobId(2)],
@@ -551,37 +342,11 @@ mod tests {
         );
         due.clear();
         // Popping again at the same t: already disarmed, nothing due.
-        k.pop_due_expiries(Time(5), &lc, &mut due);
+        k.pop_due_expiries(Time(5), &mut due);
         assert!(due.is_empty());
         due.clear();
-        k.pop_due_expiries(Time(30), &lc, &mut due);
+        k.pop_due_expiries(Time(30), &mut due);
         assert_eq!(due, vec![JobId(1)]);
-    }
-
-    #[test]
-    fn pop_due_repushes_still_due_completion_frontiers() {
-        let (_jobs, mut lc) = admitted_lifecycle(1);
-        let mut k = EventKernel::new(1);
-        k.arm_horizon(Time(100));
-        let epoch = k.begin_step();
-        {
-            let l = lc.live[0].as_mut().expect("admitted");
-            l.armed_done.resize(1, Time::MAX);
-            l.claim_epoch.resize(1, 0);
-            l.armed_done[0] = Time(6);
-            l.claim_epoch[0] = epoch;
-        }
-        k.arm_completion(JobId(0), NodeId(0), 0, Time(6), false);
-        let mut due = Vec::new();
-        // At t == 6 the frontier entry is the valid s == 0 signal: the pop
-        // must put it back so `window` still sees it.
-        k.pop_due_expiries(Time(6), &lc, &mut due);
-        assert!(due.is_empty());
-        assert_eq!(k.window(Time(6), &lc), 0);
-        // One tick later the same entry is past and silently dropped.
-        k.pop_due_expiries(Time(7), &lc, &mut due);
-        assert!(due.is_empty());
-        assert_eq!(k.window(Time(7), &lc), 93, "only the horizon remains");
     }
 
     proptest::proptest! {
@@ -601,8 +366,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 0u32..16, 0u64..40), 1..300)
         ) {
             use proptest::prelude::{prop_assert, prop_assert_eq};
-            let (_jobs, lc) = admitted_lifecycle(16);
-            let mut k = EventKernel::new(16);
+                        let mut k = EventKernel::new(16);
             let horizon = Time(1_000_000);
             k.arm_horizon(horizon);
             let mut now = Time(0);
@@ -629,7 +393,7 @@ mod tests {
                     _ => {
                         now = Time(now.0 + dt);
                         due.clear();
-                        k.pop_due_expiries(now, &lc, &mut due);
+                        k.pop_due_expiries(now, &mut due);
                         let expect: Vec<JobId> = (0..16u32)
                             .filter(|&j| mirror[j as usize] <= now)
                             .map(JobId)
@@ -647,7 +411,7 @@ mod tests {
                             .chain(std::iter::once(horizon))
                             .min()
                             .expect("horizon is always armed");
-                        prop_assert_eq!(k.window(now, &lc), min_live.since(now));
+                        prop_assert_eq!(k.window(now), min_live.since(now));
                         // Heap bound: one live entry per armed key plus the
                         // corpses compaction is allowed to defer.
                         let live = mirror.iter().filter(|&&t| t != Time::MAX).count()
@@ -667,7 +431,6 @@ mod tests {
 
     #[test]
     fn compaction_bounds_the_heap_under_rekey_churn() {
-        let (_jobs, lc) = admitted_lifecycle(1);
         let mut k = EventKernel::new(1);
         k.arm_horizon(Time(1_000_000));
         // Re-arm the arrival cursor far more often than the compaction
@@ -677,7 +440,7 @@ mod tests {
         let mut due = Vec::new();
         for i in 0..10_000u64 {
             k.arm_arrival(Time(100 + i));
-            k.pop_due_expiries(Time(50), &lc, &mut due);
+            k.pop_due_expiries(Time(50), &mut due);
         }
         assert!(
             k.len() < 2 * COMPACT_MIN_STALE + 2,
@@ -685,6 +448,6 @@ mod tests {
             k.len()
         );
         // The surviving armed entry still answers correctly.
-        assert_eq!(k.window(Time(50), &lc), 10_049);
+        assert_eq!(k.window(Time(50)), 10_049);
     }
 }

@@ -35,14 +35,6 @@ pub(crate) struct Live {
     /// cleared via `dirty` after the tick.
     pub(crate) busy: Vec<bool>,
     pub(crate) dirty: Vec<u32>,
-    /// Armed completion frontier per node (`Time::MAX` = never armed) —
-    /// the [`EventKernel`](crate::events::EventKernel)'s validity record
-    /// for this job's completion entries. Only meaningful together with a
-    /// current `claim_epoch` stamp.
-    pub(crate) armed_done: Vec<Time>,
-    /// Kernel claim-phase epoch stamp per node: a completion entry is live
-    /// only if its node was claimed in the current step.
-    pub(crate) claim_epoch: Vec<u64>,
 }
 
 impl Live {
@@ -229,18 +221,12 @@ impl Lifecycle {
                     state: UnfoldState::new(job.dag.clone(), scale),
                     busy: Vec::new(),
                     dirty: Vec::new(),
-                    armed_done: Vec::new(),
-                    claim_epoch: Vec::new(),
                 },
             };
             let nodes = slot.state.spec().num_nodes();
             slot.busy.clear();
             slot.busy.resize(nodes, false);
             slot.dirty.clear();
-            slot.armed_done.clear();
-            slot.armed_done.resize(nodes, Time::MAX);
-            slot.claim_epoch.clear();
-            slot.claim_epoch.resize(nodes, 0);
             let ready0 = slot.state.ready_count() as u32;
             self.live[job.id.index()] = Some(slot);
             self.alive.push(job.id);
@@ -316,7 +302,7 @@ impl Lifecycle {
         expired: &mut Vec<JobId>,
     ) -> bool {
         expired.clear();
-        kernel.pop_due_expiries(t, self, expired);
+        kernel.pop_due_expiries(t, expired);
         if expired.is_empty() {
             return false;
         }
@@ -343,30 +329,6 @@ impl Lifecycle {
             obs.on_job_expired(t, id);
         }
         true
-    }
-
-    /// Kernel validity check for a completion entry: the job is live, the
-    /// node's armed frontier matches, and the node was claimed in the
-    /// current step (epoch stamp).
-    pub(crate) fn completion_armed(&self, job: u32, node: u32, time: Time, epoch: u64) -> bool {
-        self.live
-            .get(job as usize)
-            .and_then(Option::as_ref)
-            .is_some_and(|l| {
-                l.armed_done.get(node as usize).copied() == Some(time)
-                    && l.claim_epoch.get(node as usize).copied() == Some(epoch)
-            })
-    }
-
-    /// Epoch-free variant of [`completion_armed`](Self::completion_armed)
-    /// for heap compaction: an epoch-stale entry whose key is still armed
-    /// is kept — harmless (lazy checks skip it), and retention then never
-    /// has to reason about which step's epoch is "current" mid-compaction.
-    pub(crate) fn completion_key_current(&self, job: u32, node: u32, time: Time) -> bool {
-        self.live
-            .get(job as usize)
-            .and_then(Option::as_ref)
-            .is_some_and(|l| l.armed_done.get(node as usize).copied() == Some(time))
     }
 
     /// Retire `completions` at `t_done`, paying each job's profit function

@@ -250,22 +250,15 @@ pub trait OnlineScheduler {
         false
     }
 
-    /// Declare that this scheduler's *completion keys* are stable between
-    /// events, unlocking the engine's heap-based window computation
-    /// ([`EventKernel`](crate::events::EventKernel)).
+    /// Retained for API compatibility; **the engine no longer reads it.**
     ///
-    /// Returning `true` strengthens
-    /// [`allocation_stable_between_events`](Self::allocation_stable_between_events):
-    /// the kernel re-keys a claimed node's completion entry only when the
-    /// node's allocation width (and with it its completion frontier)
-    /// actually changes, rather than re-deriving every claimed node's
-    /// distance each step. That is sound exactly when the inter-event
-    /// allocation is stable, so the default forwards to
-    /// `allocation_stable_between_events` and virtually no implementation
-    /// needs to override it. Override only to return `false` while staying
-    /// allocation-stable — a scheduler that wants scan-based windows (the
-    /// [`HorizonScan`](crate::reference::HorizonScan) twin) without giving
-    /// up the fast-forward path itself.
+    /// It once selected whether the event kernel kept per-node completion
+    /// entries for this scheduler. The kernel now holds only arrival,
+    /// expiry and horizon boundaries, and the driver folds the nearest
+    /// completion in its claim pass for every scheduler. The default
+    /// forwards to
+    /// [`allocation_stable_between_events`](Self::allocation_stable_between_events);
+    /// there is no reason to override it.
     fn completion_keys_stable(&self) -> bool {
         self.allocation_stable_between_events()
     }

@@ -341,11 +341,6 @@ impl OnlineScheduler for RandomOrder {
     fn stable_until(&self, now: Time) -> Option<Time> {
         Some(now.after(1))
     }
-    fn completion_keys_stable(&self) -> bool {
-        // Sound because every window is a single tick: the allocation
-        // cannot reshuffle *within* a window.
-        true
-    }
     fn reset(&mut self) -> bool {
         self.base.clear();
         self.rng = Rng64::seed_from(self.seed);
@@ -796,9 +791,6 @@ impl<S: OnlineScheduler> OnlineScheduler for AggregateBlind<S> {
     }
     fn allocation_stable_between_events(&self) -> bool {
         self.0.allocation_stable_between_events()
-    }
-    fn completion_keys_stable(&self) -> bool {
-        self.0.completion_keys_stable()
     }
     fn bounded_stability(&self) -> bool {
         self.0.bounded_stability()

@@ -561,13 +561,6 @@ impl OnlineScheduler for SchedulerSProfit {
         }
     }
 
-    fn completion_keys_stable(&self) -> bool {
-        // Sound because every fast-forward window is already capped at
-        // `stable_until`: within a window the allocation cannot reshuffle,
-        // which is all the kernel's re-key rule needs.
-        true
-    }
-
     fn reset(&mut self) -> bool {
         // The maps are only ever probed by key (no iteration order reaches
         // the allocation), so clearing them restores fresh-construction

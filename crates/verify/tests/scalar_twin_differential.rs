@@ -3,7 +3,7 @@
 //! frozen pre-refactor scalar-speed path ([`PlatformMode::Scalar`]).
 //!
 //! The grouped path is the production arithmetic (per-processor units at a
-//! group-lcm scale, per-group completion frontiers, placement-order claim
+//! group-lcm scale, per-processor completion distances, placement-order claim
 //! binding); the scalar twin is the pre-refactor engine frozen behind
 //! `SimConfig::platform`. On a uniform platform the two must be
 //! indistinguishable at every observable layer:
