@@ -59,7 +59,7 @@ fn bench_observer_overhead(c: &mut Criterion) {
             let mut s = SchedulerS::with_epsilon(m, 1.0);
             let mut log = EventLog::new();
             simulate_observed(&inst, &mut s, &cfg, &mut log).unwrap();
-            log.lines().len()
+            log.lines().count()
         })
     });
 

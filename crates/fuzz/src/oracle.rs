@@ -187,7 +187,7 @@ fn run_under(
     let mut log = EventLog::new();
     let mut sched = subject.instantiate(inst.m());
     match simulate_observed(inst, sched.as_mut(), cfg, &mut log) {
-        Ok(r) => Ok((r, log.to_jsonl())),
+        Ok(r) => Ok((r, log.into_jsonl())),
         Err(e) => Err(OracleFailure {
             oracle: "sim-error",
             detail: format!("{label}: {e}"),
@@ -394,7 +394,7 @@ pub fn run_exec_with(
                 };
                 match paused {
                     Ok(r) => {
-                        let jsonl = log.to_jsonl();
+                        let jsonl = log.into_jsonl();
                         if !r.same_outcome(&base.0)
                             || r.steps_executed != base.0.steps_executed
                             || jsonl != base.1

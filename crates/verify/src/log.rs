@@ -13,15 +13,20 @@
 //! differential corpus.
 //!
 //! The format is deliberately dependency-free (hand-rolled JSON of integers
-//! and fixed token strings — nothing needs escaping).
+//! and fixed token strings — nothing needs escaping). The whole stream is
+//! appended to one `String`: integers go through a small decimal writer and
+//! fixed tokens through `push_str`, and the pending window's vectors are
+//! reused across flushes, so logging a run allocates only while they grow.
 
 use dagsched_core::{JobId, MachineGroups, NodeId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
 use std::fmt::Write as _;
 
-/// A not-yet-flushed window, pending possible coalescing with its successor.
-#[derive(Debug)]
+/// The not-yet-flushed window, pending possible coalescing with its
+/// successor. Its vectors keep their capacity from one window to the next.
+#[derive(Debug, Default)]
 struct PendingWindow {
+    open: bool,
     at: Time,
     ticks: u64,
     jobs: Vec<(JobId, u32)>,
@@ -32,17 +37,38 @@ struct PendingWindow {
 /// Observer serializing the full event stream to JSON lines.
 #[derive(Debug, Default)]
 pub struct EventLog {
-    lines: Vec<String>,
-    pending: Option<PendingWindow>,
+    /// Every flushed line, each terminated by `'\n'`.
+    out: String,
+    window: PendingWindow,
+}
+
+/// Append `v` in decimal, exactly as `format!("{v}")` writes it.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// Append a fixed token followed by a decimal integer.
+fn field(out: &mut String, token: &str, v: u64) {
+    out.push_str(token);
+    push_u64(out, v);
 }
 
 fn pairs<T: Copy + Into<u64>>(out: &mut String, items: &[(JobId, T)]) {
     out.push('[');
     for (i, &(id, v)) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},{}]", id.0, v.into());
+        field(out, if i > 0 { ",[" } else { "[" }, id.0.into());
+        field(out, ",", v.into());
+        out.push(']');
     }
     out.push(']');
 }
@@ -53,81 +79,94 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// The serialized lines. Complete only after `on_end` (which flushes the
-    /// last pending window).
-    pub fn lines(&self) -> &[String] {
-        &self.lines
+    /// The serialized lines, without their newlines. Complete only after
+    /// `on_end` (which flushes the last pending window).
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        self.out.lines()
     }
 
-    /// The whole log as one JSONL string (trailing newline included).
+    /// The serialized stream so far, every line newline-terminated (empty
+    /// before the first event).
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// The whole log as one JSONL string (trailing newline included; a log
+    /// with no lines is `"\n"`).
     pub fn to_jsonl(&self) -> String {
-        let mut s = self.lines.join("\n");
-        s.push('\n');
-        s
+        if self.out.is_empty() {
+            "\n".to_owned()
+        } else {
+            self.out.clone()
+        }
+    }
+
+    /// [`to_jsonl`](EventLog::to_jsonl), moving the buffer out instead of
+    /// copying it.
+    pub fn into_jsonl(self) -> String {
+        if self.out.is_empty() {
+            "\n".to_owned()
+        } else {
+            self.out
+        }
     }
 
     fn flush_window(&mut self) {
-        if let Some(w) = self.pending.take() {
-            let mut line = format!(
-                r#"{{"ev":"window","t":{},"ticks":{},"jobs":"#,
-                w.at.ticks(),
-                w.ticks
-            );
-            pairs(&mut line, &w.jobs);
-            line.push_str(r#","alloc":"#);
-            pairs(&mut line, &w.alloc);
-            line.push_str(r#","progress":"#);
-            pairs(&mut line, &w.progress);
-            line.push('}');
-            self.lines.push(line);
+        let EventLog { out, window: w } = self;
+        if !w.open {
+            return;
         }
+        w.open = false;
+        field(out, r#"{"ev":"window","t":"#, w.at.ticks());
+        field(out, r#","ticks":"#, w.ticks);
+        out.push_str(r#","jobs":"#);
+        pairs(out, &w.jobs);
+        out.push_str(r#","alloc":"#);
+        pairs(out, &w.alloc);
+        out.push_str(r#","progress":"#);
+        pairs(out, &w.progress);
+        out.push_str("}\n");
     }
 }
 
 impl SimObserver for EventLog {
     fn on_start(&mut self, m: u32, speed: Speed, horizon: Time) {
-        self.lines.push(format!(
-            r#"{{"ev":"start","m":{m},"speed":[{},{}],"horizon":{}}}"#,
-            speed.units_per_tick(),
-            speed.work_scale(),
-            horizon.ticks()
-        ));
+        let out = &mut self.out;
+        field(out, r#"{"ev":"start","m":"#, m.into());
+        field(out, r#","speed":["#, speed.units_per_tick());
+        field(out, ",", speed.work_scale());
+        field(out, r#"],"horizon":"#, horizon.ticks());
+        out.push_str("}\n");
     }
 
     fn on_platform(&mut self, groups: &MachineGroups) {
         // Fires only on non-uniform platforms, so uniform streams (and the
         // scalar-twin byte-identity contract) are untouched.
-        let mut line = format!(
-            r#"{{"ev":"platform","groups":"{groups}","scale":{},"units":["#,
-            groups.work_scale()
-        );
-        for (i, u) in groups.units_per_group().iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{u}");
+        let out = &mut self.out;
+        let _ = write!(out, r#"{{"ev":"platform","groups":"{groups}""#);
+        field(out, r#","scale":"#, groups.work_scale());
+        out.push_str(r#","units":["#);
+        for (i, &u) in groups.units_per_group().iter().enumerate() {
+            field(out, if i > 0 { "," } else { "" }, u);
         }
-        line.push_str("]}");
-        self.lines.push(line);
+        out.push_str("]}\n");
     }
 
     fn on_job_arrival(&mut self, now: Time, info: &JobInfo) {
         self.flush_window();
-        let mut line = format!(
-            r#"{{"ev":"arrive","t":{},"job":{},"w":{},"l":{},"profit":["#,
-            now.ticks(),
-            info.id.0,
-            info.work.units(),
-            info.span.units()
-        );
+        let out = &mut self.out;
+        field(out, r#"{"ev":"arrive","t":"#, now.ticks());
+        field(out, r#","job":"#, info.id.0.into());
+        field(out, r#","w":"#, info.work.units());
+        field(out, r#","l":"#, info.span.units());
+        out.push_str(r#","profit":["#);
         for (i, &(t, p)) in info.profit.segments().iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "[{},{p}]", t.ticks());
+            field(out, if i > 0 { ",[" } else { "[" }, t.ticks());
+            field(out, ",", p);
+            out.push(']');
         }
-        let _ = write!(line, r#"],"tail":{}}}"#, info.profit.tail_value());
-        self.lines.push(line);
+        field(out, r#"],"tail":"#, info.profit.tail_value());
+        out.push_str("}\n");
     }
 
     fn on_admission(&mut self, now: Time, event: AdmissionEvent) {
@@ -137,16 +176,18 @@ impl SimObserver for EventLog {
             AdmissionDecision::Deferred(r) => ("deferred", Some(r)),
             AdmissionDecision::Rejected(r) => ("rejected", Some(r)),
         };
-        let mut line = format!(
-            r#"{{"ev":"admission","t":{},"job":{},"decision":"{verdict}""#,
-            now.ticks(),
-            event.job.0
-        );
+        let out = &mut self.out;
+        field(out, r#"{"ev":"admission","t":"#, now.ticks());
+        field(out, r#","job":"#, event.job.0.into());
+        out.push_str(r#","decision":""#);
+        out.push_str(verdict);
+        out.push('"');
         if let Some(r) = reason {
-            let _ = write!(line, r#","reason":"{}""#, r.token());
+            out.push_str(r#","reason":""#);
+            out.push_str(r.token());
+            out.push('"');
         }
-        line.push('}');
-        self.lines.push(line);
+        out.push_str("}\n");
     }
 
     fn on_window(
@@ -157,59 +198,59 @@ impl SimObserver for EventLog {
         alloc: &[(JobId, u32)],
         progress: &[(JobId, u64)],
     ) {
-        if let Some(p) = self.pending.as_mut() {
-            // Same stable stretch: contiguous, same view, same allocation.
-            if at == p.at.after(p.ticks) && p.jobs == jobs && p.alloc == alloc {
-                p.ticks += ticks;
-                for (acc, &(id, delta)) in p.progress.iter_mut().zip(progress) {
-                    debug_assert_eq!(acc.0, id);
-                    acc.1 += delta;
-                }
-                return;
+        let w = &mut self.window;
+        // Same stable stretch: contiguous, same view, same allocation.
+        if w.open && at == w.at.after(w.ticks) && w.jobs == jobs && w.alloc == alloc {
+            w.ticks += ticks;
+            for (acc, &(id, delta)) in w.progress.iter_mut().zip(progress) {
+                debug_assert_eq!(acc.0, id);
+                acc.1 += delta;
             }
+            return;
         }
         self.flush_window();
-        self.pending = Some(PendingWindow {
-            at,
-            ticks,
-            jobs: jobs.to_vec(),
-            alloc: alloc.to_vec(),
-            progress: progress.to_vec(),
-        });
+        let w = &mut self.window;
+        w.open = true;
+        w.at = at;
+        w.ticks = ticks;
+        w.jobs.clear();
+        w.jobs.extend_from_slice(jobs);
+        w.alloc.clear();
+        w.alloc.extend_from_slice(alloc);
+        w.progress.clear();
+        w.progress.extend_from_slice(progress);
     }
 
     fn on_node_complete(&mut self, at: Time, job: JobId, node: NodeId) {
         self.flush_window();
-        self.lines.push(format!(
-            r#"{{"ev":"node","t":{},"job":{},"node":{}}}"#,
-            at.ticks(),
-            job.0,
-            node.0
-        ));
+        let out = &mut self.out;
+        field(out, r#"{"ev":"node","t":"#, at.ticks());
+        field(out, r#","job":"#, job.0.into());
+        field(out, r#","node":"#, node.0.into());
+        out.push_str("}\n");
     }
 
     fn on_job_complete(&mut self, at: Time, job: JobId, profit: u64) {
         self.flush_window();
-        self.lines.push(format!(
-            r#"{{"ev":"complete","t":{},"job":{},"profit":{profit}}}"#,
-            at.ticks(),
-            job.0
-        ));
+        let out = &mut self.out;
+        field(out, r#"{"ev":"complete","t":"#, at.ticks());
+        field(out, r#","job":"#, job.0.into());
+        field(out, r#","profit":"#, profit);
+        out.push_str("}\n");
     }
 
     fn on_job_expired(&mut self, at: Time, job: JobId) {
         self.flush_window();
-        self.lines.push(format!(
-            r#"{{"ev":"expire","t":{},"job":{}}}"#,
-            at.ticks(),
-            job.0
-        ));
+        let out = &mut self.out;
+        field(out, r#"{"ev":"expire","t":"#, at.ticks());
+        field(out, r#","job":"#, job.0.into());
+        out.push_str("}\n");
     }
 
     fn on_end(&mut self, at: Time) {
         self.flush_window();
-        self.lines
-            .push(format!(r#"{{"ev":"end","t":{}}}"#, at.ticks()));
+        field(&mut self.out, r#"{"ev":"end","t":"#, at.ticks());
+        self.out.push_str("}\n");
     }
 }
 
@@ -230,9 +271,8 @@ mod tests {
         // ...then the allocation changes.
         log.on_window(Time(3), 1, &jobs, &[(JobId(0), 1)], &[(JobId(0), 1)]);
         log.on_end(Time(4));
-        let windows: Vec<&String> = log
+        let windows: Vec<&str> = log
             .lines()
-            .iter()
             .filter(|l| l.contains(r#""ev":"window""#))
             .collect();
         assert_eq!(windows.len(), 2, "3 + 1 ticks must fold into 2 windows");
@@ -256,7 +296,6 @@ mod tests {
         log.on_end(Time(6));
         let windows = log
             .lines()
-            .iter()
             .filter(|l| l.contains(r#""ev":"window""#))
             .count();
         assert_eq!(windows, 2);
@@ -296,10 +335,102 @@ mod tests {
         log.on_job_complete(Time(3), JobId(1), 4);
         log.on_job_expired(Time(3), JobId(2));
         log.on_end(Time(3));
-        assert_eq!(log.lines().len(), 8);
-        assert!(log.lines()[0].contains(r#""speed":[3,2]"#));
-        assert!(log.lines()[1].contains(r#""profit":[[9,4]]"#));
-        assert!(log.lines()[2].contains(r#""decision":"admitted""#));
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 8);
+        assert!(lines[0].contains(r#""speed":[3,2]"#));
+        assert!(lines[1].contains(r#""profit":[[9,4]]"#));
+        assert!(lines[2].contains(r#""decision":"admitted""#));
         assert!(log.to_jsonl().ends_with("}\n"));
+    }
+
+    fn window_lines(log: &EventLog) -> Vec<&str> {
+        log.lines()
+            .filter(|l| l.contains(r#""ev":"window""#))
+            .collect()
+    }
+
+    #[test]
+    fn a_smaller_window_after_a_flush_leaves_no_stale_pairs() {
+        let mut log = EventLog::new();
+        let three = [(JobId(0), 1u32), (JobId(1), 1), (JobId(2), 1)];
+        log.on_window(
+            Time(0),
+            1,
+            &three,
+            &three,
+            &[(JobId(0), 1), (JobId(1), 1), (JobId(2), 1)],
+        );
+        log.on_node_complete(Time(1), JobId(1), NodeId(0));
+        log.on_window(
+            Time(1),
+            2,
+            &[(JobId(7), 2)],
+            &[(JobId(7), 1)],
+            &[(JobId(7), 2)],
+        );
+        log.on_end(Time(3));
+        let windows = window_lines(&log);
+        assert_eq!(
+            windows[1],
+            r#"{"ev":"window","t":1,"ticks":2,"jobs":[[7,2]],"alloc":[[7,1]],"progress":[[7,2]]}"#
+        );
+    }
+
+    #[test]
+    fn coalescing_after_a_flush_sums_only_the_new_window() {
+        let mut log = EventLog::new();
+        let jobs = [(JobId(0), 1u32)];
+        let alloc = [(JobId(0), 1u32)];
+        log.on_window(Time(0), 1, &jobs, &alloc, &[(JobId(0), 5)]);
+        log.on_window(Time(1), 1, &jobs, &alloc, &[(JobId(0), 5)]);
+        log.on_job_expired(Time(2), JobId(9));
+        // A new stretch with the same view and allocation: it must start
+        // from its own progress, not the flushed window's 10.
+        log.on_window(Time(2), 1, &jobs, &alloc, &[(JobId(0), 3)]);
+        log.on_window(Time(3), 1, &jobs, &alloc, &[(JobId(0), 4)]);
+        log.on_end(Time(4));
+        let windows = window_lines(&log);
+        assert_eq!(windows.len(), 2);
+        assert!(windows[0].contains(r#""ticks":2"#) && windows[0].contains("[[0,10]]"));
+        assert!(windows[1].contains(r#""t":2,"ticks":2"#), "{}", windows[1]);
+        assert!(
+            windows[1].ends_with(r#""progress":[[0,7]]}"#),
+            "{}",
+            windows[1]
+        );
+    }
+
+    #[test]
+    fn an_empty_log_is_one_newline() {
+        let log = EventLog::new();
+        assert_eq!(log.as_str(), "");
+        assert_eq!(log.lines().count(), 0);
+        assert_eq!(log.to_jsonl(), "\n");
+        assert_eq!(log.into_jsonl(), "\n");
+    }
+
+    #[test]
+    fn decimal_writer_agrees_with_format() {
+        for v in [0, 9, 10, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn jsonl_forms_agree() {
+        let mut log = EventLog::new();
+        log.on_start(1, Speed::ONE, Time(5));
+        log.on_end(Time(5));
+        let text = log.to_jsonl();
+        assert_eq!(
+            text,
+            r#"{"ev":"start","m":1,"speed":[1,1],"horizon":5}
+{"ev":"end","t":5}
+"#
+        );
+        assert_eq!(log.as_str(), text);
+        assert_eq!(log.into_jsonl(), text);
     }
 }

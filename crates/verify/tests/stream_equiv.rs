@@ -146,7 +146,7 @@ fn logged_stream_is_well_formed() {
     let mut log = EventLog::new();
     let mut s = SchedulerS::with_epsilon(m, 1.0);
     simulate_observed(&inst, &mut s, &SimConfig::default(), &mut log).expect("runs");
-    let lines = log.lines();
+    let lines: Vec<&str> = log.lines().collect();
     assert!(lines.first().expect("nonempty").contains(r#""ev":"start""#));
     assert!(lines.last().expect("nonempty").contains(r#""ev":"end""#));
     let count = |kind: &str| {
