@@ -99,14 +99,23 @@ impl ReadyList {
 
     fn iter(&self) -> ReadyIter<'_> {
         ReadyIter {
-            list: self,
+            links: &self.next,
             cur: self.head,
+        }
+    }
+
+    fn iter_rev(&self) -> ReadyIter<'_> {
+        ReadyIter {
+            links: &self.prev,
+            cur: self.tail,
         }
     }
 }
 
+/// A walk along one direction of the list: the `next` links from the head
+/// (readiness order) or the `prev` links from the tail (newest first).
 struct ReadyIter<'a> {
-    list: &'a ReadyList,
+    links: &'a [u32],
     cur: u32,
 }
 
@@ -117,7 +126,7 @@ impl Iterator for ReadyIter<'_> {
             return None;
         }
         let v = NodeId(self.cur);
-        self.cur = self.list.next[self.cur as usize];
+        self.cur = self.links[self.cur as usize];
         Some(v)
     }
 }
@@ -214,6 +223,13 @@ impl UnfoldState {
     /// Iterate ready nodes in FIFO (readiness) order.
     pub fn ready_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.ready.iter()
+    }
+
+    /// Iterate ready nodes newest-first: exactly the reverse of
+    /// [`ready_iter`](Self::ready_iter), lazily, so taking a short prefix
+    /// costs O(prefix) rather than O(ready).
+    pub fn ready_iter_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.ready.iter_rev()
     }
 
     /// First `k` ready nodes in FIFO order (fewer if not that many).
@@ -405,6 +421,35 @@ mod tests {
         assert_eq!(st.remaining_total(), Work::ZERO);
         assert_eq!(st.remaining_span(), Work::ZERO);
         assert_eq!(st.completed_nodes(), 4);
+    }
+
+    #[test]
+    fn ready_iter_rev_reverses_readiness_order() {
+        // Two sources feeding a diamond: removals from the head and the
+        // middle must keep the `prev` links consistent with `next`.
+        let mut b = DagBuilder::new();
+        let s0 = b.add_node(Work(1));
+        let s1 = b.add_node(Work(1));
+        let a = b.add_node(Work(1));
+        let c = b.add_node(Work(1));
+        b.add_edge(s0, a).unwrap();
+        b.add_edge(s0, c).unwrap();
+        b.add_edge(s1, c).unwrap();
+        let mut st = UnfoldState::new(b.build().unwrap().into_shared(), 1);
+        let rev = |st: &UnfoldState| {
+            let mut fwd: Vec<_> = st.ready_iter().collect();
+            fwd.reverse();
+            assert_eq!(st.ready_iter_rev().collect::<Vec<_>>(), fwd);
+            fwd
+        };
+        assert_eq!(rev(&st), vec![s1, s0]);
+        st.advance(s0, 1);
+        assert_eq!(rev(&st), vec![a, s1]);
+        st.advance(s1, 1);
+        assert_eq!(rev(&st), vec![c, a]);
+        st.advance(c, 1);
+        st.advance(a, 1);
+        assert_eq!(rev(&st), vec![]);
     }
 
     #[test]

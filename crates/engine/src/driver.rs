@@ -42,7 +42,7 @@ use dagsched_core::{ticks_to_complete, JobId, NodeId, Result, SchedError, Time};
 use dagsched_workload::Instance;
 
 /// Scratch buffers reused across every step (no per-tick allocation):
-/// the tick view, validation output, expired ids, picked nodes,
+/// the tick view, validation output, expired ids, the pick batch,
 /// per-processor continuations, the fast-forward claim list, and the
 /// observation payload builders.
 #[derive(Default)]
@@ -359,8 +359,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         // 5. Fast-forward: with a stable scheduler and a deterministic
         // picker, nothing observable changes until the next event. Claim
-        // this tick's nodes exactly as the reference path's first picking
-        // round would, find the widest window in which no claimed node can
+        // this tick's nodes — the batch the reference round below hands
+        // out — find the widest window in which no claimed node can
         // finish and no arrival / expiry / horizon boundary falls, and
         // advance the whole window in one engine step.
         if self.fast_forward {
@@ -506,31 +506,50 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     return Ok(true);
                 }
             }
-            // A completion is due this tick (or nothing was claimed):
-            // release the claim marks and run the tick on the reference
-            // path below (which re-picks the same nodes and handles
-            // completion, carryover and unlocking).
-            for &(id, _) in &sc.alloc {
-                self.life.live[id.index()]
-                    .as_mut()
-                    .expect("validated alive")
-                    .release_claims();
-            }
+            // A completion is due this tick (or nothing was claimed): run
+            // the tick on the reference path below, which hands out the
+            // claimed nodes (still marked busy) as each entry's first batch
+            // and handles completion, carryover and unlocking.
         }
 
         // 6. Execute (reference path).
+        //
+        // Each entry's fresh nodes come from a batch of up to `batch_k`
+        // nodes in the picker's order. Within one tick the entry's eligible
+        // set (ready and not busy) only shrinks: a handed-out node stays
+        // busy, and every node a completion unlocks is marked busy below
+        // before any later pick can see it. For a deterministic policy the
+        // nodes one-node picks would return are therefore successive
+        // prefixes of one policy order over the tick-start eligible set, so
+        // one `k`-node pick per batch returns the same nodes in the same
+        // order. A batch that came back short has drained the eligible set
+        // for the rest of the tick. `Random`'s reservoir draws per call
+        // are part of its output, so it keeps one call per node.
         let sc = &mut self.scratch;
         sc.completions.clear();
         if self.observing {
             sc.progress.clear();
             sc.node_done.clear();
         }
+        let batching = self.cfg.pick.fast_forward_safe();
+        // On the fast-forward path the claim pass ran this step: its
+        // claims, contiguous per entry in alloc order, are the first
+        // batches. (On the naive path the list is always empty.)
+        let mut claimed = sc.claimed.as_slice();
         let mut cursor = 0usize;
         for &(id, k) in &sc.alloc {
             let l = self.life.live[id.index()]
                 .as_mut()
                 .expect("validated alive");
             let mut entry_units = 0u64;
+            let batch_k = if batching { k as usize } else { 1 };
+            let taken = claimed.iter().take_while(|&&(j, _, _)| j == id).count();
+            sc.picked.clear();
+            sc.picked
+                .extend(claimed[..taken].iter().map(|&(_, node, _)| node));
+            claimed = &claimed[taken..];
+            let mut drained = self.fast_forward && taken < batch_k;
+            let mut next = 0usize;
             // Nodes that become ready *during* this tick may only be
             // continued by the processor whose completion unlocked them —
             // any other processor has already spent this tick's time.
@@ -546,15 +565,24 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     let node = match sc.continuations.pop() {
                         Some(n) => n,
                         None => {
-                            self.picker.pick_into(&l.state, &l.busy, 1, &mut sc.picked);
-                            match sc.picked.first() {
-                                Some(&n) => {
+                            if next == sc.picked.len() {
+                                if drained {
+                                    break;
+                                }
+                                self.picker
+                                    .pick_into(&l.state, &l.busy, batch_k, &mut sc.picked);
+                                for &n in &sc.picked {
                                     l.busy[n.index()] = true;
                                     l.dirty.push(n.0);
-                                    n
                                 }
-                                None => break,
+                                next = 0;
+                                drained = sc.picked.len() < batch_k;
+                                if sc.picked.is_empty() {
+                                    break;
+                                }
                             }
+                            next += 1;
+                            sc.picked[next - 1]
                         }
                     };
                     let (consumed, node_finished) = l.state.advance(node, budget);
@@ -929,6 +957,48 @@ mod tests {
         // ticks 4, 9 and 100.
         assert_eq!(fast.steps_executed, 7);
         assert_eq!(naive.steps_executed, 101);
+    }
+
+    /// The reference round picks each entry's nodes once per tick, not once
+    /// per processor: on the Figure 1 job at m = 64 (a 7,560-node block
+    /// ready at once, unit nodes finishing every tick) both clairvoyant
+    /// picks make at most two picker calls per tick on either path.
+    #[test]
+    fn picker_runs_once_per_entry_per_tick() {
+        use crate::pick::NodePick;
+        use dagsched_dag::gen;
+        use dagsched_workload::{Instance, JobSpec, StepProfitFn};
+        let m = 64;
+        let dag = gen::fig1(m, 120, 1).into_shared();
+        let deadline = Time(dag.total_work().as_ticks() + 2);
+        let inst = Instance::new(
+            m,
+            vec![JobSpec::new(
+                JobId(0),
+                Time::ZERO,
+                dag,
+                StepProfitFn::deadline(deadline, 1),
+            )],
+        )
+        .unwrap();
+        for pick in [NodePick::CriticalPathFirst, NodePick::AdversarialLowHeight] {
+            for fast_forward in [true, false] {
+                let cfg = SimConfig {
+                    pick: pick.clone(),
+                    fast_forward,
+                    ..SimConfig::default()
+                };
+                let mut sched = Greedy;
+                let mut drv = SimDriver::new(&inst, &mut sched, &cfg);
+                while drv.step().unwrap() {}
+                let (calls, ticks) = (drv.picker.calls, drv.clock.ticks_simulated());
+                assert!(
+                    calls <= 2 * ticks,
+                    "{pick:?} fast_forward={fast_forward}: {calls} picker calls in {ticks} ticks"
+                );
+                assert!(drv.finish().unwrap().outcomes[0].is_completed());
+            }
+        }
     }
 
     /// The kernel holds only arrival, expiry and horizon keys: after every

@@ -14,6 +14,12 @@
 //!   producing the `(W−L)/m + L` worst case of Theorem 1;
 //! * [`NodePick::CriticalPathFirst`] — the clairvoyant *friendly* policy
 //!   (longest-path-first list scheduling), used by the offline baselines.
+//!
+//! Every policy but `Random` is a fixed order over the eligible (ready,
+//! not busy) nodes, so `k` successive one-node picks within a tick return
+//! what one `k`-node pick returns, and the engine picks each allocation
+//! entry's nodes once per tick (see [`NodePick::fast_forward_safe`]; the
+//! driver's execution phase gives the argument).
 
 use dagsched_core::{NodeId, Rng64};
 use dagsched_dag::{DagJobSpec, UnfoldState};
@@ -41,9 +47,15 @@ impl NodePick {
     /// same nodes without consuming per-call state — the property the
     /// engine's event-driven fast-forward path relies on.
     ///
+    /// The same determinism licenses batching: the engine hands out an
+    /// entry's nodes for a whole tick from one `k`-node pick, not one
+    /// one-node pick per processor.
+    ///
     /// [`NodePick::Random`] fails it: the naive path draws from the RNG on
-    /// every tick, so skipping ticks would change every subsequent draw.
-    /// Random runs stay on the naive reference path.
+    /// every tick, so skipping ticks would change every subsequent draw,
+    /// and its reservoir draws per call are part of the output, so it keeps
+    /// one call per handed-out node. Random runs stay on the naive
+    /// reference path.
     pub fn fast_forward_safe(&self) -> bool {
         !matches!(self, NodePick::Random(_))
     }
@@ -60,6 +72,10 @@ pub struct Picker {
     /// by the spec's `Arc` pointer; the held `Arc` keeps the allocation
     /// alive so the key can never be reused while cached.
     ranks: HashMap<usize, (Arc<DagJobSpec>, Vec<u32>)>,
+    /// Number of [`pick_into`](Self::pick_into) calls, for tests that pin
+    /// the engine's picker cost per tick.
+    #[cfg(test)]
+    pub(crate) calls: u64,
 }
 
 impl Picker {
@@ -73,6 +89,8 @@ impl Picker {
             policy,
             rng: Rng64::seed_from(seed),
             ranks: HashMap::new(),
+            #[cfg(test)]
+            calls: 0,
         }
     }
 
@@ -95,6 +113,10 @@ impl Picker {
         k: usize,
         out: &mut Vec<NodeId>,
     ) {
+        #[cfg(test)]
+        {
+            self.calls += 1;
+        }
         out.clear();
         if k == 0 {
             return;
@@ -105,9 +127,8 @@ impl Picker {
                 out.extend(state.ready_iter().filter(|n| !busy[n.index()]).take(k));
             }
             NodePick::Lifo => {
-                out.extend(state.ready_iter().filter(|n| !busy[n.index()]));
-                out.reverse();
-                out.truncate(k);
+                // Newest-first walk: stops after k, like Fifo.
+                out.extend(state.ready_iter_rev().filter(|n| !busy[n.index()]).take(k));
             }
             NodePick::Random(_) => {
                 // Reservoir sample of size k over the eligible nodes, then
@@ -193,6 +214,51 @@ mod tests {
         let busy = no_busy(&st);
         let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 2);
         assert_eq!(picked, vec![NodeId(7), NodeId(6)]);
+    }
+
+    #[test]
+    fn lifo_skips_busy_nodes_at_the_tail() {
+        let st = fig1ish();
+        let mut busy = no_busy(&st);
+        // Ready order is 0, 4, 5, 6, 7: the newest two are taken.
+        busy[7] = true;
+        busy[6] = true;
+        let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 2);
+        assert_eq!(picked, vec![NodeId(5), NodeId(4)]);
+        // Asking for more than are free returns every free node, newest
+        // first.
+        busy[4] = true;
+        let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 5);
+        assert_eq!(picked, vec![NodeId(5), NodeId(0)]);
+    }
+
+    /// The prefix property batching relies on: for every deterministic
+    /// policy, `k` one-node picks that each mark their node busy return
+    /// the same nodes, in the same order, as one `k`-node pick.
+    #[test]
+    fn one_k_pick_equals_k_one_node_picks() {
+        let st = fig1ish();
+        for policy in [
+            NodePick::Fifo,
+            NodePick::Lifo,
+            NodePick::AdversarialLowHeight,
+            NodePick::CriticalPathFirst,
+        ] {
+            assert!(policy.fast_forward_safe());
+            let mut picker = Picker::new(policy.clone());
+            for k in 0..=6 {
+                let batch = picker.pick(&st, &no_busy(&st), k);
+                let mut busy = no_busy(&st);
+                let mut singles = Vec::new();
+                for _ in 0..k {
+                    if let Some(&n) = picker.pick(&st, &busy, 1).first() {
+                        busy[n.index()] = true;
+                        singles.push(n);
+                    }
+                }
+                assert_eq!(batch, singles, "{policy:?} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -88,12 +88,21 @@ fn check_all(inst: &Instance, m: u32, label: &str) {
         ("LLF", Box::new(move || Box::new(LeastLaxity::new(m)))),
         ("EDF-AC", Box::new(move || Box::new(EdfAc::new(m)))),
     ];
+    // The fast path hands the reference round its claimed nodes while the
+    // naive path picks its own batch, so every deterministic pick runs
+    // here; speed 5/4 leaves carryover budget that refills a batch.
     for speed in [
         Speed::ONE,
+        Speed::new(5, 4).expect("positive"),
         Speed::new(3, 2).expect("positive"),
         Speed::integer(2).expect("positive"),
     ] {
-        for pick in [NodePick::Fifo, NodePick::CriticalPathFirst] {
+        for pick in [
+            NodePick::Fifo,
+            NodePick::Lifo,
+            NodePick::CriticalPathFirst,
+            NodePick::AdversarialLowHeight,
+        ] {
             let cfg = SimConfig {
                 speed,
                 pick: pick.clone(),

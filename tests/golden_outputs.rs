@@ -6,7 +6,9 @@
 //! these outputs byte-identical. The sweep CSV carries the `ticks` and
 //! `steps` columns, so it also pins `steps_executed` — the one `SimResult`
 //! field the fast-vs-naive differential checks cannot. The `EventLog` JSONL
-//! digests pin the event serializer itself.
+//! digests pin the event serializer itself. The F1 and E9 table texts and
+//! the pick matrix pin which nodes the engine hands out under every pick
+//! policy, speed and carryover setting.
 //!
 //! A digest mismatch means the output changed. Reproduce with, e.g.,
 //! `dagsched sweep --grid b1` and diff against a build of the previous
@@ -117,4 +119,95 @@ fn standard_workload_event_logs_are_golden() {
     assert!(all.contains(r#""ev":"platform""#));
     assert_eq!(all.len(), 458228);
     assert_eq!(fnv1a(all.as_bytes()), 0xf91f_52eb_bacf_5df6);
+}
+
+/// Every table `fig1::run(false)` renders: the Figure 1 makespan gap at
+/// m up to 64 and the speed sweep, both under the clairvoyant picks.
+#[test]
+fn fig1_tables_are_golden() {
+    let mut all = String::new();
+    for t in dagsched_experiments::fig1::run(false) {
+        all.push_str(&t.render());
+    }
+    assert_eq!(all.len(), 1108);
+    assert_eq!(fnv1a(all.as_bytes()), 0x16c7_4aeb_331c_7fa5);
+}
+
+/// The E9 node-pick table, which alone runs `NodePick::Random`.
+#[test]
+fn node_pick_table_is_golden() {
+    let mut all = String::new();
+    for t in dagsched_experiments::node_pick::run(true) {
+        all.push_str(&t.render());
+    }
+    assert_eq!(all.len(), 497);
+    assert_eq!(fnv1a(all.as_bytes()), 0x46fd_7a6d_4a5b_f90c);
+}
+
+/// Every deterministic pick policy × speeds {1, 5/4, 15/8} × carryover ×
+/// fast-forward, on a single Figure 1 job (as `dagsched_opt` runs it) and
+/// on a standard workload under EDF and S. Speeds above 1 with carryover
+/// let one processor finish a node and take another within a tick, so a
+/// tick can hand out more than `k` nodes to one allocation entry.
+#[test]
+fn pick_matrix_runs_are_golden() {
+    use dagsched_core::{JobId, Speed, Time};
+    use dagsched_engine::{NodePick, SimConfig};
+    use dagsched_sched::{Edf, Fifo, SchedulerS};
+    use dagsched_workload::{Instance, JobSpec, StepProfitFn};
+
+    let dag = dagsched_dag::gen::fig1(8, 40, 1).into_shared();
+    let standard = dagsched_workload::WorkloadGen::standard(6, 40, 7)
+        .generate()
+        .expect("standard workload generates");
+    let mut all = String::new();
+    let mut run =
+        |inst: &Instance, sched: &mut dyn dagsched_engine::OnlineScheduler, cfg: &SimConfig| {
+            let mut log = dagsched_verify::EventLog::new();
+            let r = dagsched_engine::simulate_observed(inst, sched, cfg, &mut log)
+                .expect("run succeeds");
+            all.push_str(&format!(
+                "{:?} {} {}\n",
+                r.outcomes, r.ticks_simulated, r.steps_executed
+            ));
+            all.push_str(log.as_str());
+        };
+    for pick in [
+        NodePick::Fifo,
+        NodePick::Lifo,
+        NodePick::CriticalPathFirst,
+        NodePick::AdversarialLowHeight,
+    ] {
+        for (num, den) in [(1u32, 1u32), (5, 4), (15, 8)] {
+            let speed = Speed::new(num, den).expect("positive");
+            for carryover in [true, false] {
+                for fast_forward in [true, false] {
+                    let cfg = SimConfig {
+                        speed,
+                        pick: pick.clone(),
+                        carryover,
+                        fast_forward,
+                        ..SimConfig::default()
+                    };
+                    // The single-job instance `dagsched_opt` builds.
+                    let horizon = dag.total_work().as_ticks() * speed.work_scale().max(1) + 2;
+                    let single = Instance::new(
+                        8,
+                        vec![JobSpec::new(
+                            JobId(0),
+                            Time::ZERO,
+                            dag.clone(),
+                            StepProfitFn::deadline(Time(horizon), 1),
+                        )],
+                    )
+                    .expect("valid instance");
+                    run(&single, &mut Fifo::new(8), &cfg);
+                    run(&standard, &mut Edf::new(6), &cfg);
+                    run(&standard, &mut SchedulerS::with_epsilon(6, 1.0), &cfg);
+                }
+            }
+        }
+    }
+    assert_eq!(all.len(), 6704544);
+    assert_eq!(fnv1a(all.as_bytes()), 0x1183_3802_fe34_0d5f);
 }
