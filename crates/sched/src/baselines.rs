@@ -27,76 +27,90 @@
 //!   Garg, Gupta, Kumar & Singla: the machine is split evenly among alive
 //!   jobs with no access to work, span, deadline, or profit.
 //!
-//! Every priority key here is fixed at arrival, so the alive list is kept
-//! *insertion-sorted* by `(key, seq)` instead of being cloned and re-sorted
-//! per tick: the unique ascending `seq` tiebreak makes the maintained order
-//! identical to the old stable sort, and the per-tick path (a walk plus a
-//! dense ready-count scratch) allocates nothing.
+//! Every priority key here is fixed at arrival, so each scheduler keeps its
+//! alive jobs in one `AliveSet`: a `BTreeMap` ordered by `(key, seq)`,
+//! where `seq` is the arrival sequence. The unique ascending `seq` tiebreak
+//! makes the maintained order identical to a stable sort by key, so a fill
+//! walks the map instead of re-sorting per tick. Arrival, completion and
+//! expiry each cost O(log n) in the alive count, and the per-tick path (a
+//! walk plus a dense ready-count scratch) allocates nothing.
 
-use crate::slab::DenseU32Map;
+use crate::ord::OrdF64;
+use crate::slab::{DenseU32Map, JobSlab};
 use dagsched_core::{AlgoParams, JobId, Rng64, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler, TickView, ViewDelta,
 };
+use std::collections::BTreeMap;
 
-/// Arrival-time facts a baseline keeps per alive job.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    id: JobId,
-    seq: u64,
-    deadline: Time,
-    density: f64,
-    laxity_key: f64,
-    /// The owning scheduler's priority key, computed once at arrival.
-    sort_key: f64,
-}
-
-/// Shared alive-set bookkeeping: a `(sort_key, seq)`-sorted list.
-#[derive(Debug, Default)]
-struct Base {
-    alive: Vec<Entry>,
+/// A baseline's alive jobs, in ascending `(key, seq)` order, each carrying
+/// a value `V` fixed at arrival (an allotment, or nothing).
+///
+/// `key` is the owner's priority, computed once at arrival; `seq` counts
+/// arrivals, so equal keys keep arrival order. `keys` remembers each alive
+/// job's map key, so removal by id is a lookup plus one O(log n) map
+/// removal rather than a scan.
+#[derive(Debug)]
+struct AliveSet<V> {
+    order: BTreeMap<(OrdF64, u64), (JobId, V)>,
+    keys: JobSlab<(OrdF64, u64)>,
     seq: u64,
 }
 
-impl Base {
-    fn add(&mut self, info: &JobInfo, m: u32, key: fn(&Entry) -> f64) {
-        let w = info.work.as_f64();
-        let l = info.span.as_f64();
-        let brent = (w - l) / m as f64 + l;
-        let deadline = info.abs_deadline().unwrap_or_else(|| {
-            info.arrival
-                .saturating_add(info.profit.last_useful_time().ticks())
-        });
-        let mut e = Entry {
-            id: info.id,
-            seq: self.seq,
-            deadline,
-            density: info.profit.max_profit() as f64 / w,
-            laxity_key: deadline.as_f64() - brent,
-            sort_key: 0.0,
-        };
-        e.sort_key = key(&e);
+impl<V> Default for AliveSet<V> {
+    fn default() -> Self {
+        AliveSet {
+            order: BTreeMap::new(),
+            keys: JobSlab::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<V: Copy> AliveSet<V> {
+    /// Add job `id` under priority `key`; it sorts after every alive job
+    /// with an equal key.
+    fn insert(&mut self, id: JobId, key: f64, value: V) {
+        let k = (OrdF64(key), self.seq);
         self.seq += 1;
-        // `e.seq` is the largest seq so far, so among equal keys the new
-        // entry lands after every existing one — exactly where a stable
-        // sort by `(key, seq)` would put it.
-        let at = self.alive.partition_point(|x| {
-            x.sort_key
-                .total_cmp(&e.sort_key)
-                .then(x.seq.cmp(&e.seq))
-                .is_lt()
-        });
-        self.alive.insert(at, e);
+        let old = self.keys.insert(id, k);
+        debug_assert!(old.is_none(), "job {id:?} arrived twice");
+        self.order.insert(k, (id, value));
     }
 
+    /// Drop job `id`; a no-op if it is not alive.
     fn remove(&mut self, id: JobId) {
-        self.alive.retain(|e| e.id != id);
+        if let Some(k) = self.keys.remove(id) {
+            self.order.remove(&k);
+        }
     }
 
     fn clear(&mut self) {
-        self.alive.clear();
+        self.order.clear();
+        self.keys.clear();
         self.seq = 0;
     }
+
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Alive jobs and their values, in `(key, seq)` order.
+    fn iter(&self) -> impl Iterator<Item = (JobId, V)> + '_ {
+        self.order.values().copied()
+    }
+
+    fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.order.values().map(|&(id, _)| id)
+    }
+}
+
+/// A job's absolute deadline, or the last time it can still earn profit.
+fn deadline(info: &JobInfo) -> Time {
+    info.abs_deadline().unwrap_or_else(|| {
+        info.arrival
+            .saturating_add(info.profit.last_useful_time().ticks())
+    })
 }
 
 /// Work-conserving fill: walk `order`, give each job `min(ready, left)`.
@@ -143,7 +157,7 @@ macro_rules! baseline {
         #[derive(Debug)]
         pub struct $name {
             m: u32,
-            base: Base,
+            alive: AliveSet<()>,
             /// Ready counts: per-call scratch on the rebuild path, kept
             /// *persistent* across calls on the delta path (`lut_live`).
             ready_lut: DenseU32Map,
@@ -157,7 +171,7 @@ macro_rules! baseline {
             pub fn new(m: u32) -> $name {
                 $name {
                     m,
-                    base: Base::default(),
+                    alive: AliveSet::default(),
                     ready_lut: DenseU32Map::new(),
                     lut_live: false,
                 }
@@ -169,13 +183,14 @@ macro_rules! baseline {
                 $label.into()
             }
             fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-                self.base.add(info, self.m, $key);
+                let key: fn(&JobInfo, u32) -> f64 = $key;
+                self.alive.insert(info.id, key(info, self.m), ());
             }
             fn on_completion(&mut self, id: JobId, _now: Time) {
-                self.base.remove(id);
+                self.alive.remove(id);
             }
             fn on_expiry(&mut self, id: JobId, _now: Time) {
-                self.base.remove(id);
+                self.alive.remove(id);
             }
             fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
                 let mut out = Vec::new();
@@ -185,12 +200,7 @@ macro_rules! baseline {
             fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
                 self.lut_live = false;
                 out.clear();
-                fill_into(
-                    self.base.alive.iter().map(|e| e.id),
-                    view,
-                    &mut self.ready_lut,
-                    out,
-                );
+                fill_into(self.alive.ids(), view, &mut self.ready_lut, out);
             }
             fn allocate_delta(
                 &mut self,
@@ -215,12 +225,7 @@ macro_rules! baseline {
                     self.lut_live = true;
                 }
                 out.clear();
-                fill_with_lut(
-                    self.base.alive.iter().map(|e| e.id),
-                    view.m,
-                    &self.ready_lut,
-                    out,
-                );
+                fill_with_lut(self.alive.ids(), view.m, &self.ready_lut, out);
                 true
             }
             fn allocation_stable_between_events(&self) -> bool {
@@ -238,7 +243,7 @@ macro_rules! baseline {
                 true
             }
             fn reset(&mut self) -> bool {
-                self.base.clear();
+                self.alive.clear();
                 self.ready_lut.clear();
                 self.lut_live = false;
                 true
@@ -251,35 +256,39 @@ baseline!(
     /// First-come-first-served (by arrival sequence).
     Fifo,
     "FIFO",
-    |e: &Entry| e.seq as f64
+    // One key for every job: the `seq` tiebreak alone orders the set.
+    |_, _| 0.0
 );
 
 baseline!(
     /// Earliest absolute deadline first.
     Edf,
     "EDF",
-    |e: &Entry| e.deadline.as_f64()
+    |info, _| deadline(info).as_f64()
 );
 
 baseline!(
     /// Highest static density `p/W` first.
     GreedyDensity,
     "HDF",
-    |e: &Entry| -e.density
+    |info, _| -(info.profit.max_profit() as f64 / info.work.as_f64())
 );
 
 baseline!(
     /// Least laxity (`d − brent`) first.
     LeastLaxity,
     "LLF",
-    |e: &Entry| e.laxity_key
+    |info, m| {
+        let w = info.work.as_f64();
+        let l = info.span.as_f64();
+        deadline(info).as_f64() - ((w - l) / m as f64 + l)
+    }
 );
 
 /// Random job order each tick, from a fixed seed.
 #[derive(Debug)]
 pub struct RandomOrder {
-    m: u32,
-    base: Base,
+    alive: AliveSet<()>,
     seed: u64,
     rng: Rng64,
     ids: Vec<JobId>,
@@ -287,11 +296,10 @@ pub struct RandomOrder {
 }
 
 impl RandomOrder {
-    /// Create the scheduler for `m` processors with the given seed.
-    pub fn new(m: u32, seed: u64) -> RandomOrder {
+    /// Create the scheduler with the given seed (`m` comes from the view).
+    pub fn new(_m: u32, seed: u64) -> RandomOrder {
         RandomOrder {
-            m,
-            base: Base::default(),
+            alive: AliveSet::default(),
             seed,
             rng: Rng64::seed_from(seed),
             ids: Vec::new(),
@@ -305,15 +313,14 @@ impl OnlineScheduler for RandomOrder {
         "RANDOM".into()
     }
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        // Arrival-sequence key: the pre-shuffle order stays the arrival
-        // order, exactly as before the sorted-list rework.
-        self.base.add(info, self.m, |e| e.seq as f64);
+        // One key for every job: the pre-shuffle order is arrival order.
+        self.alive.insert(info.id, 0.0, ());
     }
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.base.remove(id);
+        self.alive.remove(id);
     }
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.base.remove(id);
+        self.alive.remove(id);
     }
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
@@ -323,7 +330,7 @@ impl OnlineScheduler for RandomOrder {
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
         self.ids.clear();
-        self.ids.extend(self.base.alive.iter().map(|e| e.id));
+        self.ids.extend(self.alive.ids());
         self.rng.shuffle(&mut self.ids);
         fill_into(self.ids.iter().copied(), view, &mut self.ready_lut, out);
     }
@@ -342,7 +349,7 @@ impl OnlineScheduler for RandomOrder {
         Some(now.after(1))
     }
     fn reset(&mut self) -> bool {
-        self.base.clear();
+        self.alive.clear();
         self.rng = Rng64::seed_from(self.seed);
         true
     }
@@ -354,10 +361,9 @@ impl OnlineScheduler for RandomOrder {
 pub struct SNoAdmission {
     m: u32,
     params: AlgoParams,
-    /// (density, seq, id, allot) of alive jobs, kept sorted by
-    /// (density desc, seq asc) — the allocate order.
-    alive: Vec<(f64, u64, JobId, u32)>,
-    seq: u64,
+    /// Alive jobs and their allotments, keyed by `-density`: density
+    /// descending, then arrival order — the allocate order.
+    alive: AliveSet<u32>,
     report: Option<Vec<AdmissionEvent>>,
     /// True while `out` from the previous allocate call is still current
     /// (delta path: the walk ignores ready counts, so only hook-driven
@@ -371,8 +377,7 @@ impl SNoAdmission {
         SNoAdmission {
             m,
             params,
-            alive: Vec::new(),
-            seq: 0,
+            alive: AliveSet::default(),
             report: None,
             cache_live: false,
         }
@@ -396,15 +401,7 @@ impl OnlineScheduler for SNoAdmission {
         };
         let x = AlgoParams::x_time(w, l, allot);
         let density = profit as f64 / (x * allot as f64);
-        let e = (density, self.seq, info.id, allot);
-        self.seq += 1;
-        // Descending density, ascending seq; the new seq is the largest, so
-        // equal densities place it after every existing equal — matching
-        // the stable sort this list used to undergo per tick.
-        let at = self
-            .alive
-            .partition_point(|x| x.0.total_cmp(&e.0).reverse().then(x.1.cmp(&e.1)).is_lt());
-        self.alive.insert(at, e);
+        self.alive.insert(info.id, -density, allot);
         if let Some(buf) = self.report.as_mut() {
             // The ablation's whole point: every job is admitted.
             buf.push(AdmissionEvent {
@@ -414,10 +411,10 @@ impl OnlineScheduler for SNoAdmission {
         }
     }
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.2 != id);
+        self.alive.remove(id);
     }
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.2 != id);
+        self.alive.remove(id);
     }
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
@@ -428,7 +425,7 @@ impl OnlineScheduler for SNoAdmission {
         self.cache_live = false;
         out.clear();
         let mut left = view.m;
-        for &(_, _, id, allot) in &self.alive {
+        for (id, allot) in self.alive.iter() {
             if left == 0 {
                 break;
             }
@@ -454,7 +451,7 @@ impl OnlineScheduler for SNoAdmission {
         true
     }
     fn allocation_stable_between_events(&self) -> bool {
-        // Pure walk over (density, seq, allot) tuples fixed at arrival.
+        // Pure walk over densities and allotments fixed at arrival.
         true
     }
 
@@ -470,7 +467,6 @@ impl OnlineScheduler for SNoAdmission {
 
     fn reset(&mut self) -> bool {
         self.alive.clear();
-        self.seq = 0;
         self.report = None;
         self.cache_live = false;
         true
@@ -492,9 +488,8 @@ impl OnlineScheduler for SNoAdmission {
 #[derive(Debug)]
 pub struct MoldableList {
     m: u32,
-    /// `(seq, id, allot)` in arrival order — the list.
-    alive: Vec<(u64, JobId, u32)>,
-    seq: u64,
+    /// Alive jobs and their allotments in arrival order — the list.
+    alive: AliveSet<u32>,
     ready_lut: DenseU32Map,
     lut_live: bool,
 }
@@ -504,8 +499,7 @@ impl MoldableList {
     pub fn new(m: u32) -> MoldableList {
         MoldableList {
             m,
-            alive: Vec::new(),
-            seq: 0,
+            alive: AliveSet::default(),
             ready_lut: DenseU32Map::new(),
             lut_live: false,
         }
@@ -513,7 +507,7 @@ impl MoldableList {
 
     fn fill(&self, m: u32, out: &mut Allocation) {
         let mut left = m;
-        for &(_, id, allot) in &self.alive {
+        for (id, allot) in self.alive.iter() {
             if left == 0 {
                 break;
             }
@@ -538,14 +532,13 @@ impl OnlineScheduler for MoldableList {
         let l = info.span.as_f64().max(1.0);
         let cap = self.m.div_ceil(2).max(1);
         let allot = ((w / l).ceil() as u32).clamp(1, cap);
-        self.alive.push((self.seq, info.id, allot));
-        self.seq += 1;
+        self.alive.insert(info.id, 0.0, allot);
     }
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.1 != id);
+        self.alive.remove(id);
     }
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.1 != id);
+        self.alive.remove(id);
     }
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
@@ -593,7 +586,6 @@ impl OnlineScheduler for MoldableList {
     }
     fn reset(&mut self) -> bool {
         self.alive.clear();
-        self.seq = 0;
         self.ready_lut.clear();
         self.lut_live = false;
         true
@@ -609,9 +601,8 @@ impl OnlineScheduler for MoldableList {
 /// to later jobs in arrival order, keeping the policy work-conserving.
 #[derive(Debug)]
 pub struct EquiPartition {
-    /// `(seq, id)` in arrival order.
-    alive: Vec<(u64, JobId)>,
-    seq: u64,
+    /// Alive jobs in arrival order.
+    alive: AliveSet<()>,
     ready_lut: DenseU32Map,
     lut_live: bool,
 }
@@ -620,8 +611,7 @@ impl EquiPartition {
     /// Create the scheduler (`m` comes from the view).
     pub fn new(_m: u32) -> EquiPartition {
         EquiPartition {
-            alive: Vec::new(),
-            seq: 0,
+            alive: AliveSet::default(),
             ready_lut: DenseU32Map::new(),
             lut_live: false,
         }
@@ -636,7 +626,7 @@ impl EquiPartition {
         // jobs), capped by its ready width.
         let (quota, rem) = (m / k, m % k);
         let mut left = m;
-        for (i, &(_, id)) in self.alive.iter().enumerate() {
+        for (i, id) in self.alive.ids().enumerate() {
             let share = quota + u32::from((i as u32) < rem);
             let Some(r) = self.ready_lut.get(id) else {
                 continue;
@@ -654,7 +644,7 @@ impl EquiPartition {
         // ready width beyond their share, in arrival order. `out` entries
         // are in arrival order too, so patching them keeps the invariant.
         let mut at = 0;
-        for &(_, id) in &self.alive {
+        for id in self.alive.ids() {
             if left == 0 {
                 break;
             }
@@ -690,14 +680,13 @@ impl OnlineScheduler for EquiPartition {
         "EQUI".into()
     }
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        self.alive.push((self.seq, info.id));
-        self.seq += 1;
+        self.alive.insert(info.id, 0.0, ());
     }
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.1 != id);
+        self.alive.remove(id);
     }
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.retain(|e| e.1 != id);
+        self.alive.remove(id);
     }
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
@@ -744,7 +733,6 @@ impl OnlineScheduler for EquiPartition {
     }
     fn reset(&mut self) -> bool {
         self.alive.clear();
-        self.seq = 0;
         self.ready_lut.clear();
         self.lut_live = false;
         true
@@ -827,6 +815,106 @@ mod tests {
             work: Work(w),
             span: Work(l),
             profit: StepProfitFn::deadline(Time(d), p),
+        }
+    }
+
+    /// The insertion-sorted `Vec` the alive sets replaced, kept as a model:
+    /// `(key, seq, id)` entries placed by binary search under `cmp` on the
+    /// keys, then ascending `seq`, and removed with `retain`.
+    struct SortedVecModel {
+        alive: Vec<(f64, u64, JobId)>,
+        seq: u64,
+        cmp: fn(&f64, &f64) -> std::cmp::Ordering,
+    }
+
+    impl SortedVecModel {
+        fn insert(&mut self, id: JobId, key: f64) {
+            let e = (key, self.seq, id);
+            self.seq += 1;
+            let at = self
+                .alive
+                .partition_point(|x| (self.cmp)(&x.0, &e.0).then(x.1.cmp(&e.1)).is_lt());
+            self.alive.insert(at, e);
+        }
+
+        fn remove(&mut self, id: JobId) {
+            self.alive.retain(|e| e.2 != id);
+        }
+
+        fn ids(&self) -> Vec<JobId> {
+            self.alive.iter().map(|e| e.2).collect()
+        }
+    }
+
+    /// Random interleavings of insert, remove (of alive and of unknown
+    /// ids) and clear, over a key pool full of ties, signed zeros,
+    /// infinities and NaNs. The set must iterate exactly like the old
+    /// ascending list (FIFO, EDF, HDF, LLF, RANDOM, MOLD-LIST, EQUI) and,
+    /// keyed by `-density`, exactly like S-noadmit's old descending list.
+    #[test]
+    fn alive_set_iterates_like_the_insertion_sorted_vec() {
+        const POOL: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            -2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            1e300,
+        ];
+        for seed in 0..200 {
+            let mut rng = Rng64::seed_from(seed);
+            let mut asc = SortedVecModel {
+                alive: Vec::new(),
+                seq: 0,
+                cmp: f64::total_cmp,
+            };
+            let mut desc = SortedVecModel {
+                alive: Vec::new(),
+                seq: 0,
+                cmp: |a, b| a.total_cmp(b).reverse(),
+            };
+            let mut set: AliveSet<u32> = AliveSet::default();
+            let mut neg: AliveSet<()> = AliveSet::default();
+            let mut next_id = 0u32;
+            for _ in 0..300 {
+                match rng.gen_range(20) {
+                    0..=10 => {
+                        let key = POOL[rng.gen_range(POOL.len() as u64) as usize];
+                        let id = JobId(next_id);
+                        next_id += 1;
+                        asc.insert(id, key);
+                        desc.insert(id, key);
+                        set.insert(id, key, id.0 * 3);
+                        neg.insert(id, -key, ());
+                    }
+                    11..=18 => {
+                        // Mostly alive ids; now and then one never seen.
+                        let id = JobId(rng.gen_range(u64::from(next_id) + 2) as u32);
+                        asc.remove(id);
+                        desc.remove(id);
+                        set.remove(id);
+                        neg.remove(id);
+                    }
+                    _ => {
+                        for m in [&mut asc, &mut desc] {
+                            m.alive.clear();
+                            m.seq = 0;
+                        }
+                        set.clear();
+                        neg.clear();
+                    }
+                }
+                assert_eq!(set.ids().collect::<Vec<_>>(), asc.ids(), "seed {seed}");
+                assert!(set.iter().all(|(id, v)| v == id.0 * 3), "seed {seed}");
+                assert_eq!(set.len(), asc.alive.len());
+                assert_eq!(neg.ids().collect::<Vec<_>>(), desc.ids(), "seed {seed}");
+            }
         }
     }
 

@@ -38,6 +38,7 @@
 //! the differential tests hold this one byte-identical to.
 
 use crate::bands::DensityBands;
+use crate::ord::OrdF64;
 use crate::slab::{DenseU32Map, JobSlab};
 use dagsched_core::{AlgoParams, JobId, Time};
 use dagsched_engine::{
@@ -52,22 +53,6 @@ use std::collections::BinaryHeap;
 /// comparison (≈ 1e-16 relative), so this margin covers it many times over;
 /// a too-wide interval only re-checks jobs the full scan would also no-op.
 const BAND_SLACK: f64 = 1e-9;
-
-/// Totally-ordered f64 key for the density-sorted queues.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// A sorted-`Vec` ordered set of `(density, id)` keys: the `BTreeSet` it
 /// replaces allocated a node per insert, which put the queues on the

@@ -33,6 +33,7 @@ pub mod deadline;
 pub mod edf_ac;
 pub mod federated;
 pub mod oracle;
+mod ord;
 pub mod profit;
 pub mod slab;
 

@@ -16,7 +16,7 @@
 //! Do not optimize this module; its value is being frozen.
 
 use crate::bands::{fits_population, reference::ReferenceBands};
-use crate::deadline::OrdF64;
+use crate::ord::OrdF64;
 use dagsched_core::{AlgoParams, JobId, Rng64, Time, Work};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,

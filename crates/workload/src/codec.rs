@@ -62,10 +62,15 @@ pub fn encode(inst: &Instance) -> String {
     s
 }
 
+/// The fewest lines one job takes: `job`, `arrival`, `profit`, `nodes`,
+/// `work`, `edges` and `end`.
+const MIN_JOB_LINES: usize = 7;
+
 /// A token cursor with line tracking for error messages.
 struct Lines<'a> {
     inner: std::str::Lines<'a>,
     line_no: usize,
+    total: usize,
 }
 
 impl<'a> Lines<'a> {
@@ -73,7 +78,22 @@ impl<'a> Lines<'a> {
         Lines {
             inner: text.lines(),
             line_no: 0,
+            total: text.lines().count(),
         }
+    }
+
+    /// Check a count read from the input against the lines left to hold
+    /// its items, `per_item` lines each, before anything is allocated for
+    /// them: a header cannot ask for more items than the text contains.
+    fn check_count(&self, what: &str, n: usize, per_item: usize) -> Result<()> {
+        let remaining = self.total - self.line_no;
+        if n.saturating_mul(per_item) > remaining {
+            return Err(SchedError::InvalidInstance(format!(
+                "line {}: {what} count {n} exceeds the {remaining} remaining line(s)",
+                self.line_no
+            )));
+        }
+        Ok(())
     }
 
     /// Next non-empty line, split into tokens (comments after `#` dropped).
@@ -123,6 +143,7 @@ pub fn decode(text: &str) -> Result<Instance> {
     }
     let m: u32 = parse(lines.expect("m", 1)?[0], &lines, "machine count")?;
     let n_jobs: usize = parse(lines.expect("jobs", 1)?[0], &lines, "job count")?;
+    lines.check_count("job", n_jobs, MIN_JOB_LINES)?;
     let mut jobs = Vec::with_capacity(n_jobs);
     for expect_id in 0..n_jobs {
         let id: u32 = parse(lines.expect("job", 1)?[0], &lines, "job id")?;
@@ -133,6 +154,7 @@ pub fn decode(text: &str) -> Result<Instance> {
         let p = lines.expect("profit", 2)?;
         let n_segs: usize = parse(p[0], &lines, "segment count")?;
         let tail: u64 = parse(p[1], &lines, "tail value")?;
+        lines.check_count("segment", n_segs, 1)?;
         let mut segs = Vec::with_capacity(n_segs);
         for _ in 0..n_segs {
             let s = lines.expect("seg", 2)?;
@@ -283,5 +305,33 @@ edge 0 7
 end
 ";
         assert!(decode(text).is_err());
+    }
+
+    #[test]
+    fn header_counts_beyond_the_input_are_rejected_before_allocating() {
+        // Both counts once went straight into `Vec::with_capacity`, which
+        // aborts the process on a terabyte-sized request.
+        let huge_profit = "\
+dagsched-instance v1
+m 4
+jobs 1
+job 0
+arrival 0
+profit 99999999999 0
+";
+        let huge_jobs = "\
+dagsched-instance v1
+m 4
+jobs 99999999999
+job 0
+arrival 0
+profit 0 1
+";
+        for text in [huge_profit, huge_jobs] {
+            assert!(
+                matches!(decode(text), Err(SchedError::InvalidInstance(_))),
+                "{text}"
+            );
+        }
     }
 }

@@ -211,3 +211,97 @@ fn pick_matrix_runs_are_golden() {
     assert_eq!(all.len(), 6704544);
     assert_eq!(fnv1a(all.as_bytes()), 0x1183_3802_fe34_0d5f);
 }
+
+/// A large-alive instance, after the `parked-dense` benchmark's builder:
+/// `n` background jobs (work 9,500–10,500, drawn from `seed`) arrive at
+/// `t = 0` with one far deadline, while `n` tiny tight-deadline foreground
+/// jobs saturate the `m = 4` machine, so every baseline holds about `n`
+/// parked jobs alive while events arrive every tick. The background then
+/// runs in long windows until the survivors expire in one wave at `far`.
+/// `chains` picks the foreground shape: two single-node jobs of work 2 per
+/// tick, or one 2-node chain of work 4 per tick.
+fn parked_instance(n: usize, chains: bool, seed: u64, far: u64) -> dagsched_workload::Instance {
+    use dagsched_core::{JobId, Rng64, Time};
+    use dagsched_dag::gen;
+    use dagsched_workload::{Instance, JobSpec, StepProfitFn};
+
+    let mut rng = Rng64::seed_from(seed).child(chains as u64);
+    let mut jobs: Vec<JobSpec> = (0..n)
+        .map(|i| {
+            JobSpec::new(
+                JobId(i as u32),
+                Time(0),
+                gen::single(9_500 + rng.gen_range(1_001)).into_shared(),
+                StepProfitFn::deadline(Time(far), 1),
+            )
+        })
+        .collect();
+    let per_tick = if chains { 1 } else { 2 };
+    for i in 0..n {
+        let dag = if chains {
+            gen::chain(2, 2).into_shared()
+        } else {
+            gen::single(2).into_shared()
+        };
+        jobs.push(JobSpec::new(
+            JobId((n + i) as u32),
+            Time((i / per_tick) as u64),
+            dag,
+            StepProfitFn::deadline(Time(60), 3),
+        ));
+    }
+    Instance::new(4, jobs).expect("valid parked instance")
+}
+
+/// Every baseline that keeps an ordered alive set — FIFO, EDF, HDF, LLF,
+/// RANDOM, S-noadmit, MOLD-LIST and EQUI — on 1,000 parked background jobs
+/// in both foreground shapes. Each run contributes its outcomes, profit,
+/// tick and step counts, and (except RANDOM, which re-asks every tick and
+/// would log one window per tick) the digest of its JSONL event log.
+#[test]
+fn parked_baseline_runs_are_golden() {
+    use dagsched_core::AlgoParams;
+    use dagsched_engine::{OnlineScheduler, SimConfig};
+    use dagsched_sched::{
+        Edf, EquiPartition, Fifo, GreedyDensity, LeastLaxity, MoldableList, RandomOrder,
+        SNoAdmission,
+    };
+
+    let cfg = SimConfig::default();
+    let mut all = String::new();
+    for chains in [false, true] {
+        let inst = parked_instance(1_000, chains, 3, 20_000);
+        let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
+        let scheds: Vec<Box<dyn OnlineScheduler>> = vec![
+            Box::new(Fifo::new(4)),
+            Box::new(Edf::new(4)),
+            Box::new(GreedyDensity::new(4)),
+            Box::new(LeastLaxity::new(4)),
+            Box::new(RandomOrder::new(4, 11)),
+            Box::new(SNoAdmission::new(4, params)),
+            Box::new(MoldableList::new(4)),
+            Box::new(EquiPartition::new(4)),
+        ];
+        for mut sched in scheds {
+            let logged = sched.name() != "RANDOM";
+            let mut log = dagsched_verify::EventLog::new();
+            let r = if logged {
+                dagsched_engine::simulate_observed(&inst, sched.as_mut(), &cfg, &mut log)
+            } else {
+                dagsched_engine::simulate(&inst, sched.as_mut(), &cfg)
+            }
+            .expect("run succeeds");
+            all.push_str(&format!(
+                "{} {:?} {} {} {} {:#x}\n",
+                r.scheduler,
+                r.outcomes,
+                r.total_profit,
+                r.ticks_simulated,
+                r.steps_executed,
+                fnv1a(log.as_str().as_bytes()),
+            ));
+        }
+    }
+    assert_eq!(all.len(), 1000417);
+    assert_eq!(fnv1a(all.as_bytes()), 0x346f_c7b6_d9e3_ef3a);
+}
