@@ -3,12 +3,10 @@
 //! DAG generation + unfolding, and the PRNG.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use dagsched_bench::hotpath::{handoff_run, parked_instance, profit_instance};
+use dagsched_bench::hotpath::profit_instance;
 use dagsched_core::{AlgoParams, JobId, Rng64, Speed, Time, Work};
 use dagsched_dag::{gen, UnfoldState};
-use dagsched_engine::{
-    simulate, Allocation, HandoffMode, JobInfo, OnlineScheduler, SimConfig, TickView, WindowMode,
-};
+use dagsched_engine::{simulate, Allocation, JobInfo, OnlineScheduler, SimConfig, TickView};
 use dagsched_sched::oracle::OracleSProfit;
 use dagsched_sched::{bands::DensityBands, GreedyDensity, SchedulerS, SchedulerSProfit};
 use dagsched_workload::{DagFamily, StepProfitFn, WorkloadGen};
@@ -245,28 +243,6 @@ fn bench_dag(c: &mut Criterion) {
     g.finish();
 }
 
-/// The PR8 handoff comparison: parked-majority instances where almost no
-/// job changes between steps, so the delta path hands the scheduler O(1)
-/// patches while the frozen rebuild re-materializes all |alive| rows every
-/// step. Sized across two orders of magnitude to expose the O(alive) vs
-/// O(changed) asymptotics; both sides run the event kernel so the window
-/// cost is held constant.
-fn bench_view_delta(c: &mut Criterion) {
-    let mut g = c.benchmark_group("view-delta");
-    g.sample_size(10);
-    for n in [100usize, 1_000, 10_000] {
-        let inst = parked_instance(n, false);
-        g.throughput(Throughput::Elements(n as u64));
-        g.bench_function(format!("rebuild/parked-j{n}"), |b| {
-            b.iter(|| handoff_run(&inst, WindowMode::EventKernel, HandoffMode::Rebuild))
-        });
-        g.bench_function(format!("delta/parked-j{n}"), |b| {
-            b.iter(|| handoff_run(&inst, WindowMode::EventKernel, HandoffMode::Delta))
-        });
-    }
-    g.finish();
-}
-
 /// The PR10 slot-assignment comparison: the rewritten general-profit
 /// scheduler (incremental segment plan + bounded-stability fast-forward)
 /// vs its frozen per-tick twin on a parked-majority two-step-profit
@@ -326,7 +302,6 @@ criterion_group!(
     bench_admission,
     bench_backfill,
     bench_dag,
-    bench_view_delta,
     bench_slot_assignment,
     bench_rng
 );

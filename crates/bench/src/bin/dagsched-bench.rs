@@ -4,7 +4,6 @@
 //! ```text
 //! dagsched-bench [--quick] [--out PATH] [--baseline PATH]
 //!                [--max-regress FRAC] [--min-sweep-speedup X]
-//!                [--min-kernel-speedup X] [--min-view-delta-speedup X]
 //!                [--min-sprofit-speedup X] [--min-related-gain X]
 //! ```
 //!
@@ -12,28 +11,23 @@
 //! * `--out PATH` — where to write the JSON report (default
 //!   `BENCH_pr10.json` in the current directory);
 //! * `--baseline PATH` — compare this run's
-//!   admission/backfill/arrival/event-kernel/view-delta speedups against
-//!   the ones recorded in `PATH`; exit non-zero if any
-//!   fell more than `--max-regress` (default `0.25`, i.e. 25%) below it. A
-//!   baseline without sweep, arrival, or view-delta keys (an older
-//!   `BENCH_prN.json` format) is accepted — the missing comparison is
-//!   simply skipped;
+//!   admission/backfill/arrival/profit speedups and related-machines gain
+//!   against the ones recorded in `PATH`; exit non-zero if any fell more
+//!   than `--max-regress` (default `0.25`, i.e. 25%) below it. A baseline
+//!   without some of these keys (an older `BENCH_prN.json` format) is
+//!   accepted — the missing comparison is simply skipped. Keys the
+//!   baseline carries but this report no longer produces
+//!   (`event_kernel_speedup` and `view_delta_speedup`, whose groups were
+//!   retired) are skipped too;
 //! * `--min-sweep-speedup X` — require the B1 sweep's 4-thread speedup to
 //!   reach at least `X`. Only enforced when the machine has ≥ 4 cores: a
 //!   parallel speedup is physically bounded by the core count, so on a
 //!   smaller box the measured ratio is recorded but not gated;
-//! * `--min-kernel-speedup X` — require the event-kernel group's dense-case
-//!   speedup (heap windows vs the frozen horizon scan) to reach at least
-//!   `X`. Unlike the sweep gate this is a same-process legacy-vs-optimized
-//!   ratio, so it is enforced unconditionally;
-//! * `--min-view-delta-speedup X` — require the view-delta group's gated
-//!   minimum (delta handoff vs the frozen full rebuild, dense and combined
-//!   cases) to reach at least `X`. Same-process ratio, enforced
-//!   unconditionally;
 //! * `--min-sprofit-speedup X` — require the profit group's gated minimum
 //!   (the rewritten general-profit scheduler's slot-plan fast path vs the
-//!   frozen per-tick twin, `parked/…` cases) to reach at least `X`.
-//!   Same-process ratio, enforced unconditionally;
+//!   frozen per-tick twin, `parked/…` cases) to reach at least `X`. Unlike
+//!   the sweep gate this is a same-process legacy-vs-optimized ratio, so it
+//!   is enforced unconditionally;
 //! * `--min-related-gain X` — require the related-machines group's
 //!   completed-profit gain (group-aware vs aggregate-blind placement on
 //!   the skewed platform) to reach at least `X`. Profit is deterministic
@@ -56,8 +50,6 @@ fn main() -> ExitCode {
     let mut baseline: Option<String> = None;
     let mut max_regress = 0.25f64;
     let mut min_sweep_speedup: Option<f64> = None;
-    let mut min_kernel_speedup: Option<f64> = None;
-    let mut min_view_delta_speedup: Option<f64> = None;
     let mut min_sprofit_speedup: Option<f64> = None;
     let mut min_related_gain: Option<f64> = None;
 
@@ -80,22 +72,6 @@ fn main() -> ExitCode {
                         .expect("--min-sweep-speedup needs a number")
                         .parse()
                         .expect("--min-sweep-speedup must be a number"),
-                )
-            }
-            "--min-kernel-speedup" => {
-                min_kernel_speedup = Some(
-                    args.next()
-                        .expect("--min-kernel-speedup needs a number")
-                        .parse()
-                        .expect("--min-kernel-speedup must be a number"),
-                )
-            }
-            "--min-view-delta-speedup" => {
-                min_view_delta_speedup = Some(
-                    args.next()
-                        .expect("--min-view-delta-speedup needs a number")
-                        .parse()
-                        .expect("--min-view-delta-speedup must be a number"),
                 )
             }
             "--min-sprofit-speedup" => {
@@ -132,8 +108,6 @@ fn main() -> ExitCode {
         .iter()
         .chain(report.backfill.iter())
         .chain(report.arrival.iter())
-        .chain(report.event_kernel.iter())
-        .chain(report.view_delta.iter())
         .chain(report.profit.iter())
     {
         eprintln!(
@@ -159,20 +133,17 @@ fn main() -> ExitCode {
             c.id, c.execs, c.elapsed_ns, c.execs_per_sec, c.features
         );
     }
-    let (adm, bf, arr, ek, vd, sp, rg, sw) = (
+    let (adm, bf, arr, sp, rg, sw) = (
         report.admission_speedup(),
         report.backfill_speedup(),
         report.arrival_speedup(),
-        report.event_kernel_speedup(),
-        report.view_delta_speedup(),
         report.sprofit_speedup(),
         report.related_machines_gain(),
         report.sweep_speedup(),
     );
     eprintln!(
         "  admission_speedup {adm:.2}x, backfill_speedup {bf:.2}x, \
-         arrival_speedup {arr:.2}x, event_kernel_speedup {ek:.2}x, \
-         view_delta_speedup {vd:.2}x, sprofit_speedup {sp:.2}x, \
+         arrival_speedup {arr:.2}x, sprofit_speedup {sp:.2}x, \
          related_machines_gain {rg:.2}x, sweep_speedup {sw:.2}x, \
          fuzz {:.0} execs/sec (host_cores {})",
         report.fuzz_execs_per_sec(),
@@ -194,22 +165,20 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
         };
+        // Only the report's own keys are compared, so keys of retired
+        // groups that an older baseline still holds are never read.
         for (key, current) in [
             ("admission_speedup", adm),
             ("backfill_speedup", bf),
             ("arrival_speedup", arr),
-            ("event_kernel_speedup", ek),
-            ("view_delta_speedup", vd),
             ("sprofit_speedup", sp),
             ("related_machines_gain", rg),
         ] {
             let Some(expected) = json_number(&base, key) else {
                 // An older baseline simply lacks keys added after its era
-                // (pre-arrival, pre-kernel, or pre-delta formats); the
+                // (pre-arrival or pre-profit formats); the
                 // legacy-vs-optimized keys it does carry are still gated.
                 if key == "arrival_speedup"
-                    || key == "event_kernel_speedup"
-                    || key == "view_delta_speedup"
                     || key == "sprofit_speedup"
                     || key == "related_machines_gain"
                 {
@@ -258,24 +227,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-        }
-    }
-
-    if let Some(min) = min_kernel_speedup {
-        if ek < min {
-            eprintln!("FAIL: event_kernel_speedup {ek:.2}x is below the required {min:.2}x");
-            failed = true;
-        } else {
-            eprintln!("ok: event_kernel_speedup {ek:.2}x >= required {min:.2}x");
-        }
-    }
-
-    if let Some(min) = min_view_delta_speedup {
-        if vd < min {
-            eprintln!("FAIL: view_delta_speedup {vd:.2}x is below the required {min:.2}x");
-            failed = true;
-        } else {
-            eprintln!("ok: view_delta_speedup {vd:.2}x >= required {min:.2}x");
         }
     }
 

@@ -22,8 +22,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "admission_speedup",
     "backfill_speedup",
     "arrival_speedup",
-    "event_kernel_speedup",
-    "view_delta_speedup",
     "sprofit_speedup",
     "related_machines_gain",
     "sweep_speedup",
@@ -94,16 +92,6 @@ fn summarize(report: &BenchReport) -> String {
         ),
         ("backfill", report.backfill.len(), report.backfill_speedup()),
         ("arrival", report.arrival.len(), report.arrival_speedup()),
-        (
-            "event-kernel",
-            report.event_kernel.len(),
-            report.event_kernel_speedup(),
-        ),
-        (
-            "view-delta",
-            report.view_delta.len(),
-            report.view_delta_speedup(),
-        ),
         ("profit", report.profit.len(), report.sprofit_speedup()),
     ] {
         s.push_str(&format!(
@@ -165,9 +153,9 @@ mod tests {
         let report = run_smoke();
         let json = report.to_json();
         assert!(validate_schema(&json).is_ok());
-        let broken = json.replace("\"event_kernel_speedup\"", "\"renamed\"");
+        let broken = json.replace("\"sprofit_speedup\"", "\"renamed\"");
         let err = validate_schema(&broken).expect_err("drift must be caught");
-        assert!(err.contains("event_kernel_speedup"), "{err}");
+        assert!(err.contains("sprofit_speedup"), "{err}");
     }
 
     #[test]
@@ -177,8 +165,7 @@ mod tests {
             assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
         }
         let summary = execute(&BenchCmd::Summary).expect("summary run succeeds");
-        assert!(summary.contains("event-kernel"));
-        assert!(summary.contains("view-delta"));
+        assert!(summary.contains("arrival"));
         assert!(summary.contains("profit"));
         assert!(summary.contains("group-aware vs blind"));
         assert!(summary.contains("schema: all required keys present"));

@@ -6,8 +6,8 @@
 //! sequence of explicit **steps**:
 //!
 //! * [`step`](SimDriver::step) executes exactly one engine scheduling round
-//!   — one reference tick or one bulk fast-forward window — and reports
-//!   whether the run is still live;
+//!   — one tick or one bulk fast-forward window — and reports whether the
+//!   run is still live;
 //! * [`run_until`](SimDriver::run_until) steps until simulated time reaches
 //!   a target (a step may overshoot it: bulk windows are never split, which
 //!   is what keeps a stepped run byte-identical to a one-shot run);
@@ -22,29 +22,36 @@
 //! branch folded away; to keep access to an observer after the run, pass a
 //! `&mut dyn SimObserver` (which itself implements [`SimObserver`]).
 //!
+//! [`SimConfig::fast_forward`] alone picks the path a driver runs (see the
+//! [`sim`](crate::sim) module docs): the production path keeps an
+//! [`EventKernel`] and the lifecycle's maintained view and hands the
+//! scheduler a delta; the naive reference path steps tick by tick, scans
+//! for expiries and rebuilds the view. The two share the execution round
+//! (phase 6 of [`step`](SimDriver::step)) and the lifecycle transitions,
+//! nothing else.
+//!
 //! Driving the same schedule stepped or one-shot produces the same
 //! [`SimResult`] *including* `steps_executed` and the same event stream —
 //! the `driver_differential` suite in `crates/verify` holds this
 //! byte-identical over the stream-equivalence corpus.
 
 use crate::clock::{auto_horizon, Clock};
-use crate::events::{EventKernel, WindowMode};
+use crate::events::EventKernel;
 use crate::lifecycle::Lifecycle;
 use crate::observe::{AdmissionEvent, NullObserver, SimObserver};
 use crate::pick::Picker;
 use crate::platform::Platform;
-use crate::reference::{HorizonScan, ViewRebuild};
 use crate::result::SimResult;
 use crate::sched_api::{Allocation, OnlineScheduler, TickView};
-use crate::sim::{HandoffMode, SimConfig};
+use crate::sim::SimConfig;
 use crate::trace::Trace;
 use dagsched_core::{ticks_to_complete, JobId, NodeId, Result, SchedError, Time};
 use dagsched_workload::Instance;
 
 /// Scratch buffers reused across every step (no per-tick allocation):
-/// the tick view, validation output, expired ids, the pick batch,
-/// per-processor continuations, the fast-forward claim list, and the
-/// observation payload builders.
+/// the reference path's rebuilt tick view, validation output, expired ids,
+/// the pick batch, per-processor continuations, the fast-forward claim
+/// list, and the observation payload builders.
 #[derive(Default)]
 struct StepScratch {
     view_jobs: Vec<(JobId, u32)>,
@@ -71,10 +78,12 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     platform: Platform,
     life: Lifecycle,
     picker: Picker,
+    /// Next-event index; armed and read on the production path only.
     kernel: EventKernel,
     trace: Option<Trace>,
-    /// Whether the event-driven fast-forward path is engaged (pinned at
-    /// construction: scheduler opt-in, deterministic pick, no trace).
+    /// Whether bulk fast-forward windows are engaged (pinned at
+    /// construction: production path, scheduler opt-in, deterministic
+    /// pick, no trace).
     fast_forward: bool,
     /// Whether the scheduler's stability is *bounded*
     /// ([`OnlineScheduler::bounded_stability`]): fast-forward windows are
@@ -82,15 +91,6 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     /// allocation-idle stretches may be bulk-skipped (the plan boundary —
     /// not the per-tick re-decision — is what ends an idle stretch).
     bounded: bool,
-    /// Whether the [`EventKernel`] is maintained
-    /// ([`SimConfig::window`] is [`WindowMode::EventKernel`]). Governs the
-    /// expiry index and idle-skip source on *both* execution paths, and the
-    /// fast-forward window bound (otherwise the [`HorizonScan`] twin).
-    kernel_on: bool,
-    /// Whether the scheduler handoff runs on the maintained view + delta
-    /// path ([`HandoffMode::Delta`]). Otherwise every step rebuilds the
-    /// view via the frozen [`ViewRebuild`] twin and calls `allocate_into`.
-    delta_on: bool,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
@@ -119,8 +119,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
     ///
     /// # Panics
     /// When the platform configuration is inconsistent with the instance
-    /// (group total ≠ `m`, or the scalar twin paired with a heterogeneous
-    /// platform). [`simulate`](crate::simulate) and
+    /// (group total ≠ `m`). [`simulate`](crate::simulate) and
     /// [`simulate_observed`](crate::simulate_observed) pre-validate via
     /// [`SimConfig::resolve_groups`] and surface this as an error instead.
     pub fn with_observer(
@@ -157,10 +156,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             && cfg.pick.fast_forward_safe()
             && (stable || bounded);
         let bounded = bounded && fast_forward;
-        let kernel_on = matches!(cfg.window, WindowMode::EventKernel);
-        let delta_on = matches!(cfg.handoff, HandoffMode::Delta);
         let mut kernel = EventKernel::new(n);
-        if kernel_on {
+        if cfg.fast_forward {
             kernel.arm_horizon(horizon);
             kernel.arm_arrival(jobs[0].arrival);
         }
@@ -173,8 +170,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             trace,
             fast_forward,
             bounded,
-            kernel_on,
-            delta_on,
             observing,
             done: false,
             poisoned: false,
@@ -216,7 +211,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         &self.life
     }
 
-    /// Execute one engine scheduling round: one reference tick, or one bulk
+    /// Execute one engine scheduling round: one tick, or one bulk
     /// fast-forward window. Returns `Ok(true)` while the run is live;
     /// `Ok(false)` once it has ended (the first such call fires
     /// [`SimObserver::on_end`]; further calls are no-ops).
@@ -235,6 +230,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             return Ok(false);
         }
         let jobs = self.inst.jobs();
+        // The one path switch: production (event kernel, maintained view,
+        // delta handoff) or the naive reference path.
+        let production = self.cfg.fast_forward;
         if !((self.life.pending_arrivals() || !self.life.alive.is_empty())
             && self.clock.before_horizon())
         {
@@ -247,7 +245,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // ensures an arrival is pending whenever nothing is alive, so both
         // sources always have a target here.)
         if self.life.alive.is_empty() {
-            let next = if self.kernel_on {
+            let next = if production {
                 self.kernel
                     .armed_arrival()
                     .expect("pending arrival is armed")
@@ -259,9 +257,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             }
         }
         let t = self.clock.now();
-        // `Some(units)` on a uniform platform — the scalar twin's (and the
-        // common case's) single hoisted rate. Heterogeneous platforms walk
-        // the per-processor rates with a placement cursor instead.
+        // `Some(units)` on a uniform platform: one hoisted rate for every
+        // processor. Heterogeneous platforms walk the per-processor rates
+        // with a placement cursor instead.
         let uniform_units = self.platform.uniform_units();
 
         // 1. Arrivals.
@@ -273,7 +271,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             self.sched,
             &mut self.obs,
         );
-        if arrived && self.kernel_on {
+        if arrived && production {
             // Arm each admitted zero-tail job's expiry boundary and re-arm
             // the arrival cursor past the admitted batch.
             for job in &jobs[first_arrival..self.life.next_arrival] {
@@ -292,7 +290,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         // 2. Expiry: zero-tail jobs that can no longer earn anything even
         // if they complete this very tick (completion time would be t+1).
-        let expired_any = if self.kernel_on {
+        let expired_any = if production {
             self.life.expire_hopeless_indexed(
                 t,
                 &mut self.kernel,
@@ -301,8 +299,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 &mut self.scratch.expired,
             )
         } else {
-            HorizonScan::expire(
-                &mut self.life,
+            self.life.expire_hopeless(
                 jobs,
                 t,
                 self.sched,
@@ -314,13 +311,13 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             self.forward_admissions(t);
         }
 
-        // 3. Ask the scheduler. Delta handoff: the maintained view is
-        // already current (phases 1–2 and the previous step's execution
-        // kept it patched), so offer the scheduler the accumulated delta
-        // first and fall back to a full `allocate_into` over the same view
-        // if it declines. Rebuild handoff: the frozen twin reconstructs
-        // the view from scratch into the hoisted buffer.
-        if self.delta_on {
+        // 3. Ask the scheduler. Production: the maintained view is already
+        // current (phases 1–2 and the previous step's execution kept it
+        // patched), so offer the scheduler the accumulated delta first and
+        // fall back to a full `allocate_into` over the same view if it
+        // declines. Reference: rebuild the view from scratch into the
+        // hoisted buffer and call `allocate_into`.
+        if production {
             let view = TickView::new(self.platform.m(), t, self.life.view())
                 .with_groups(self.platform.groups());
             if !self
@@ -331,7 +328,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             }
             self.life.delta.clear();
         } else {
-            ViewRebuild::build(&self.life, &mut self.scratch.view_jobs);
+            self.life.rebuild_view(&mut self.scratch.view_jobs);
             self.life.delta.clear();
             self.sched.allocate_into(
                 &TickView::new(self.platform.m(), t, &self.scratch.view_jobs)
@@ -359,7 +356,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         // 5. Fast-forward: with a stable scheduler and a deterministic
         // picker, nothing observable changes until the next event. Claim
-        // this tick's nodes — the batch the reference round below hands
+        // this tick's nodes — the batch the execution round below hands
         // out — find the widest window in which no claimed node can
         // finish and no arrival / expiry / horizon boundary falls, and
         // advance the whole window in one engine step.
@@ -382,8 +379,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     l.busy[node.index()] = true;
                     l.dirty.push(node.0);
                     // The i-th picked node binds to the i-th processor the
-                    // entry consumes — the same pairing the reference
-                    // path's per-processor loop realizes.
+                    // entry consumes — the same pairing the execution
+                    // round's per-processor loop realizes.
                     let pu = match uniform_units {
                         Some(u) => u,
                         None => self.platform.proc_units()[cursor + i],
@@ -413,21 +410,18 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // skip the next arrival is strictly in the future, after step 2
             // every zero-tail job is strictly before its expiry boundary,
             // and the run guard keeps t < horizon), so s == 0 iff a claimed
-            // node completes this very tick — which runs on the reference
-            // path. An empty claim set (empty allocation) also runs the
-            // reference tick: the naive path counts allocation-idle ticks
+            // node completes this very tick — which runs as a single-tick
+            // round below. An empty claim set (empty allocation) also runs
+            // the single tick: the naive path counts allocation-idle ticks
             // one by one, and `ticks_simulated` must stay byte-identical.
-            // On the kernel path `min_q == 1` needs no heap query: a claimed
-            // node finishes this tick, so `s == 0` whatever the heap holds.
+            // `min_q == 1` needs no heap query: a claimed node finishes this
+            // tick, so `s == 0` whatever the heap holds.
             if !sc.claimed.is_empty() {
-                let s = if !self.kernel_on {
-                    HorizonScan::window(min_q, jobs, &self.life, &self.clock, t)
-                } else if min_q == 1 {
+                let s = if min_q == 1 {
                     0
                 } else {
-                    (min_q - 1).min(self.kernel.window(t))
-                }
-                .min(bound_cap);
+                    (min_q - 1).min(self.kernel.window(t)).min(bound_cap)
+                };
                 if s > 0 {
                     // No claimed node completes within the window: each
                     // consumes its processor's full rate per tick
@@ -455,12 +449,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                             rest = &rest[cnt..];
                             sc.progress.push((id, s * rate));
                         }
-                        let vj: &[(JobId, u32)] = if self.delta_on {
-                            self.life.view()
-                        } else {
-                            &sc.view_jobs
-                        };
-                        self.obs.on_window(t, s, vj, &sc.alloc, &sc.progress);
+                        self.obs
+                            .on_window(t, s, self.life.view(), &sc.alloc, &sc.progress);
                     }
                     for &(id, _) in &sc.alloc {
                         self.life.live[id.index()]
@@ -476,43 +466,33 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 // allocation with alive jobs is a plan gap (no slot at this
                 // tick), and within `bound_cap` the per-tick re-decision
                 // cannot change it. Skip the whole gap in one window — the
-                // reference path would emit `s` identical empty-allocation
+                // naive path would emit `s` identical empty-allocation
                 // ticks, which the event log coalesces into exactly this
                 // window, and `advance_window` charges the same
                 // `ticks_simulated`. Restricted to bounded schedulers so
                 // fully stable schedulers keep their frozen per-tick idle
                 // accounting. When the last alive job left during this
                 // step's own event phases the window has no job boundary
-                // left to cap it — fall through to the single reference
-                // tick the naive path charges before its run guard ends
-                // the run.
-                let s = if self.kernel_on {
-                    self.kernel.window(t)
-                } else {
-                    HorizonScan::window(u64::MAX, jobs, &self.life, &self.clock, t)
-                }
-                .min(bound_cap);
+                // left to cap it — fall through to the single tick the
+                // naive path charges before its run guard ends the run.
+                let s = self.kernel.window(t).min(bound_cap);
                 if s > 0 {
                     if self.observing {
                         sc.progress.clear();
-                        let vj: &[(JobId, u32)] = if self.delta_on {
-                            self.life.view()
-                        } else {
-                            &sc.view_jobs
-                        };
-                        self.obs.on_window(t, s, vj, &sc.alloc, &sc.progress);
+                        self.obs
+                            .on_window(t, s, self.life.view(), &sc.alloc, &sc.progress);
                     }
                     self.clock.advance_window(s);
                     return Ok(true);
                 }
             }
             // A completion is due this tick (or nothing was claimed): run
-            // the tick on the reference path below, which hands out the
-            // claimed nodes (still marked busy) as each entry's first batch
-            // and handles completion, carryover and unlocking.
+            // the single-tick round below, which hands out the claimed
+            // nodes (still marked busy) as each entry's first batch and
+            // handles completion, carryover and unlocking.
         }
 
-        // 6. Execute (reference path).
+        // 6. Execute one tick (both paths).
         //
         // Each entry's fresh nodes come from a batch of up to `batch_k`
         // nodes in the picker's order. Within one tick the entry's eligible
@@ -624,7 +604,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             cursor += k as usize;
         }
         if self.observing {
-            let vj: &[(JobId, u32)] = if self.delta_on {
+            let vj: &[(JobId, u32)] = if production {
                 self.life.view()
             } else {
                 &sc.view_jobs
@@ -654,7 +634,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         self.life
             .complete(jobs, t_done, &sc.completions, self.sched, &mut self.obs);
         let completed_any = !sc.completions.is_empty();
-        if completed_any && self.kernel_on {
+        if completed_any && production {
             for &id in &sc.completions {
                 self.kernel.disarm_expiry(id);
             }
@@ -936,15 +916,9 @@ mod tests {
         let fast = run(&SimConfig::on_groups(groups.clone()));
         let naive = run(&SimConfig {
             fast_forward: false,
-            ..SimConfig::on_groups(groups.clone())
-        });
-        let scan = run(&SimConfig {
-            window: WindowMode::ReferenceScan,
             ..SimConfig::on_groups(groups)
         });
         assert!(fast.same_outcome(&naive));
-        assert!(fast.same_outcome(&scan));
-        assert_eq!(fast.steps_executed, scan.steps_executed);
         assert_eq!(
             fast.outcomes[0],
             JobStatus::Completed {

@@ -7,12 +7,18 @@
 //! this step. The driver's claim pass visits every claimed node anyway, so
 //! it folds `min_q = min ceil(rem/units)` over them as it goes; no claimed
 //! node finishes within `min_q - 1` ticks. The second kind is every
-//! boundary the claim pass does not see. The retained reference answer
-//! ([`HorizonScan`](crate::reference::HorizonScan)) rescans the alive set
-//! for them every step, O(alive), even when nothing changed since the last
+//! boundary the claim pass does not see. Rescanning the alive set for
+//! them every step costs O(alive) even when nothing changed since the last
 //! step. An [`EventKernel`] answers the same question in O(log n) by
 //! keeping each such *event source* armed in one lazy-deletion binary
 //! min-heap. The window is then `min(min_q - 1, window(t))`.
+//!
+//! The kernel belongs to the production path only. The naive reference
+//! path (`SimConfig::fast_forward` off) steps one tick at a time, skips
+//! idle gaps from the arrival list and finds expiries with the O(alive)
+//! [`Lifecycle::expire_hopeless`](crate::lifecycle::Lifecycle) scan, so the
+//! naive-vs-fast differential checks the kernel against an independent
+//! answer.
 //!
 //! # Source taxonomy
 //!
@@ -42,7 +48,7 @@
 //! *minimum over valid entry times*, so the tie order can never change a
 //! computed window; fixing it anyway keeps the pop sequence (and therefore
 //! the kernel's internal traversal) deterministic, which is what the
-//! differential suites pin down byte-for-byte.
+//! golden digests in `tests/golden_outputs.rs` pin down byte-for-byte.
 //!
 //! # Memory bound
 //!
@@ -56,19 +62,6 @@
 use dagsched_core::{JobId, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Which next-event selection the engine uses for fast-forward windows and
-/// expiry boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowMode {
-    /// The [`EventKernel`]: O(log n) heap-based selection (default).
-    #[default]
-    EventKernel,
-    /// The frozen O(alive + claimed) rescan
-    /// ([`HorizonScan`](crate::reference::HorizonScan)), retained as the
-    /// differential-testing twin.
-    ReferenceScan,
-}
 
 /// Event-source kind. Declaration order *is* the tie-break order at equal
 /// time: arrival < expiry < horizon.

@@ -36,7 +36,6 @@ pub mod lifecycle;
 pub mod observe;
 pub mod pick;
 pub mod platform;
-pub mod reference;
 pub mod result;
 pub mod runner;
 pub mod sched_api;
@@ -45,14 +44,12 @@ pub mod trace;
 
 pub use clock::auto_horizon;
 pub use driver::SimDriver;
-pub use events::WindowMode;
 pub use observe::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, NullObserver, Observers, SimObserver,
 };
 pub use pick::NodePick;
-pub use reference::{HorizonScan, ViewRebuild};
 pub use result::{JobStatus, SimResult};
 pub use runner::parallel_map;
 pub use sched_api::{Allocation, JobInfo, OnlineScheduler, TickView, ViewDelta};
-pub use sim::{simulate, simulate_observed, HandoffMode, PlatformMode, SimConfig};
+pub use sim::{simulate, simulate_observed, SimConfig};
 pub use trace::{Trace, TraceStats};

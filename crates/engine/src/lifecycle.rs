@@ -9,7 +9,9 @@
 //!   with `arrival ≤ t` and runs the scheduler's and observer's arrival
 //!   hooks;
 //! * [`expire_hopeless`](Lifecycle::expire_hopeless) abandons zero-tail jobs
-//!   past their last useful moment;
+//!   past their last useful moment (the reference path's O(alive) scan;
+//!   the production path pulls the due ids from the event kernel via
+//!   `expire_hopeless_indexed`);
 //! * [`complete`](Lifecycle::complete) retires jobs whose last node
 //!   finished, paying `p(t_done − r)`.
 //!
@@ -64,8 +66,8 @@ pub struct Lifecycle {
     /// [`TickView::ready_count`](crate::sched_api::TickView) binary-searches
     /// ascending ids and the observer's window payload carries this slice
     /// verbatim), and the driver patches ready counts after node
-    /// completions. The frozen per-step rebuild lives on as
-    /// [`ViewRebuild`](crate::reference::ViewRebuild).
+    /// completions. The reference path ignores it and calls
+    /// [`rebuild_view`](Lifecycle::rebuild_view) every tick instead.
     view: Vec<(JobId, u32)>,
     /// Dense id → view/alive position map (`NO_SLOT` = not in the view).
     slot: Vec<u32>,
@@ -114,11 +116,23 @@ impl Lifecycle {
     }
 
     /// The maintained scheduler view: `(id, ready_count)` per alive job, in
-    /// arrival order — what [`ViewRebuild`](crate::reference::ViewRebuild)
-    /// would build from scratch, kept current incrementally.
+    /// arrival order — what [`rebuild_view`](Self::rebuild_view) builds
+    /// from scratch, kept current incrementally.
     #[inline]
     pub fn view(&self) -> &[(JobId, u32)] {
         &self.view
+    }
+
+    /// Rebuild the scheduler's tick view into `out` from the alive list:
+    /// `(id, ready_count)` per alive job, in arrival order. O(alive); the
+    /// naive reference path's handoff, and the specification the
+    /// maintained [`view`](Self::view) is tested against.
+    pub fn rebuild_view(&self, out: &mut Vec<(JobId, u32)>) {
+        out.clear();
+        for &id in &self.alive {
+            let l = self.live[id.index()].as_ref().expect("alive implies live");
+            out.push((id, l.state.ready_count() as u32));
+        }
     }
 
     /// Re-read `id`'s ready count from its unfold state and patch the

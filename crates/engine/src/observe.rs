@@ -136,8 +136,7 @@ pub trait SimObserver {
     /// The run's platform is heterogeneous: the full machine-group
     /// description, fired immediately after [`on_start`](Self::on_start).
     /// **Never fires on a uniform platform** — uniform runs keep the exact
-    /// pre-group event stream, so byte-level stream equality against the
-    /// scalar-speed twin holds without observer awareness.
+    /// pre-group event stream.
     fn on_platform(&mut self, groups: &MachineGroups) {
         let _ = groups;
     }

@@ -54,8 +54,7 @@ impl NodePick {
     /// [`NodePick::Random`] fails it: the naive path draws from the RNG on
     /// every tick, so skipping ticks would change every subsequent draw,
     /// and its reservoir draws per call are part of the output, so it keeps
-    /// one call per handed-out node. Random runs stay on the naive
-    /// reference path.
+    /// one call per handed-out node. Random runs take one tick per step.
     pub fn fast_forward_safe(&self) -> bool {
         !matches!(self, NodePick::Random(_))
     }

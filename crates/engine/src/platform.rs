@@ -144,7 +144,7 @@ impl Platform {
     }
 
     /// `Some(units)` iff every processor runs at the same speed — the
-    /// scalar-twin fast path.
+    /// uniform fast path (one hoisted rate per tick).
     #[inline]
     pub fn uniform_units(&self) -> Option<u64> {
         self.uniform_units

@@ -206,9 +206,11 @@ pub trait OnlineScheduler {
     /// * `delta` records every view change since that previous call (see
     ///   [`ViewDelta`]); `view` is the full, already-patched view, so an
     ///   implementation may consult either.
-    /// * Within one engine run the handoff mode is pinned: the engine
-    ///   either calls this method every step (falling back per-step when it
-    ///   returns `false`) or never calls it at all.
+    /// * Within one engine run the path is pinned: the production path
+    ///   calls this method every step (falling back per-step when it
+    ///   returns `false`); the naive reference path
+    ///   ([`SimConfig::fast_forward`](crate::SimConfig) off) never calls
+    ///   it.
     ///
     /// Correctness bar: after returning `true`, `out` must be byte-identical
     /// to what `allocate_into(view, out)` would have produced. Only
@@ -245,7 +247,7 @@ pub trait OnlineScheduler {
     /// the whole inter-event window — identical results, O(events) instead
     /// of O(ticks). Schedulers that cannot promise this (e.g. randomized
     /// per-tick orders, or profit-curve trackers keyed on absolute time)
-    /// keep the default `false` and run on the naive reference path.
+    /// keep the default `false` and run one tick per step.
     fn allocation_stable_between_events(&self) -> bool {
         false
     }

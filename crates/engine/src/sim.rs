@@ -1,24 +1,33 @@
 //! The discrete-time execution engine: configuration and the one-shot
 //! entry points.
 //!
-//! Two execution paths produce identical results:
+//! [`SimConfig::fast_forward`] is the one switch between the engine's two
+//! execution paths, which produce identical results:
 //!
-//! * the **naive reference path** advances one tick at a time — the direct
-//!   transcription of the paper's model, kept as ground truth;
-//! * the **event-driven fast-forward path** observes that between *events*
+//! * the **production path** (`true`, the default) keeps the next event in
+//!   an [`EventKernel`](crate::events::EventKernel), maintains the
+//!   scheduler's view incrementally and offers the scheduler each step's
+//!   [`ViewDelta`](crate::sched_api::ViewDelta). Between *events*
 //!   (arrivals, node completions, expiries, the horizon) nothing visible to
-//!   a stable scheduler changes, computes the width of that boring window,
-//!   and bulk-advances every claimed node across it in one engine step —
-//!   O(events) instead of O(ticks).
+//!   a stable scheduler changes, so it computes the width of that boring
+//!   window and bulk-advances every claimed node across it in one engine
+//!   step — O(events) instead of O(ticks). Bulk windows engage only when
+//!   the scheduler opts in via
+//!   [`OnlineScheduler::allocation_stable_between_events`], the pick policy
+//!   is deterministic ([`NodePick::fast_forward_safe`]) and tracing is off;
+//!   otherwise the production path runs one tick per step;
+//! * the **naive reference path** (`false`) is the direct transcription of
+//!   the paper's per-tick model, kept as ground truth. It steps one tick at
+//!   a time, skips idle gaps from the arrival list, finds expiries by
+//!   scanning the alive jobs, rebuilds the `(id, ready)` view every tick
+//!   and calls a full
+//!   [`allocate_into`](OnlineScheduler::allocate_into). It shares no event
+//!   or handoff code with the production path.
 //!
-//! Fast-forward engages only when every precondition holds: the scheduler
-//! opts in via
-//! [`OnlineScheduler::allocation_stable_between_events`], the pick policy is
-//! deterministic ([`NodePick::fast_forward_safe`]), tracing is off, and
-//! [`SimConfig::fast_forward`] (default on) is set. Anything else falls back
-//! to the reference path, so opting in is always safe for correctness
-//! *checking* — and the equivalence property tests in
-//! `crates/engine/tests/fastforward.rs` hold the two paths byte-identical.
+//! Opting in is therefore always safe for correctness *checking*: the
+//! naive-vs-fast suites (`crates/engine/tests/fastforward.rs`,
+//! `crates/verify/tests/stream_equiv.rs`) hold the two paths
+//! byte-identical.
 //!
 //! Both entry points are thin wrappers over the layered, resumable
 //! [`SimDriver`](crate::driver::SimDriver): [`simulate`] drives it with the
@@ -27,51 +36,12 @@
 //! [`driver`](crate::driver) for the layer diagram).
 
 use crate::driver::SimDriver;
-use crate::events::WindowMode;
 use crate::observe::SimObserver;
 use crate::pick::NodePick;
 use crate::result::SimResult;
 use crate::sched_api::OnlineScheduler;
 use dagsched_core::{MachineGroups, Result, SchedError, Speed, Time};
 use dagsched_workload::Instance;
-
-/// How the per-step scheduler handoff (view construction + allocation) is
-/// performed. Both modes are byte-identical by contract — the
-/// `view_delta_differential` suite in `crates/verify` holds them so.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HandoffMode {
-    /// Incremental (default): the lifecycle maintains the view persistently
-    /// (admits append, terminal transitions compact, node completions patch
-    /// ready counts in place) and the scheduler is offered the accumulated
-    /// [`ViewDelta`](crate::sched_api::ViewDelta) via
-    /// [`allocate_delta`](crate::sched_api::OnlineScheduler::allocate_delta)
-    /// — O(changed) per step, with a full `allocate_into` fallback for
-    /// schedulers that decline.
-    #[default]
-    Delta,
-    /// The frozen full-rebuild twin
-    /// ([`ViewRebuild`](crate::reference::ViewRebuild)): rebuild the whole
-    /// view and call `allocate_into`, every step — O(alive). Kept for
-    /// differential testing and the perf harness.
-    Rebuild,
-}
-
-/// Which platform arithmetic drives per-tick progress. Both modes are
-/// byte-identical on uniform platforms by contract — the
-/// `scalar_twin_differential` suite in `crates/verify` holds them so.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlatformMode {
-    /// Machine-group arithmetic (default): per-processor unit rates from
-    /// the platform's [`MachineGroups`], walked by a placement cursor. The
-    /// only mode that supports heterogeneous platforms.
-    #[default]
-    Grouped,
-    /// The frozen pre-group scalar-speed twin: one hoisted `units` rate for
-    /// every processor, byte-for-byte the arithmetic the engine shipped
-    /// with through PR 8. Requires a uniform platform; kept for
-    /// differential testing and the perf harness.
-    Scalar,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -85,10 +55,6 @@ pub struct SimConfig {
     /// [`speed`](SimConfig::speed). When set, the total processor count
     /// must equal the instance's `m`.
     pub groups: Option<MachineGroups>,
-    /// Platform arithmetic: the grouped path (default) or the frozen
-    /// [`PlatformMode::Scalar`] twin (uniform platforms only), kept for
-    /// differential testing and the perf harness.
-    pub platform: PlatformMode,
     /// How ready nodes are chosen when a job gets processors.
     pub pick: NodePick,
     /// Whether a processor finishing a node mid-tick may continue on another
@@ -100,23 +66,15 @@ pub struct SimConfig {
     /// fits in (last useful time + total work + 1).
     pub horizon: Option<Time>,
     /// Record every tick's allocation into [`SimResult::trace`]. Costs
-    /// memory proportional to simulated ticks; off by default. Forces the
-    /// naive path (a trace is inherently per-tick).
+    /// memory proportional to simulated ticks; off by default. Disables
+    /// bulk windows (a trace is inherently per-tick).
     pub record_trace: bool,
-    /// Allow the event-driven fast-forward path when the scheduler and pick
-    /// policy support it (on by default). Turn off to force the naive
-    /// reference path, e.g. for differential testing.
+    /// Run the production path (on by default): the event kernel, the
+    /// maintained view with `allocate_delta`, and bulk fast-forward windows
+    /// when the scheduler and pick policy allow them. Turn off for the
+    /// naive per-tick reference path, e.g. for differential testing. See
+    /// the [module docs](self).
     pub fast_forward: bool,
-    /// Next-event selection: the O(log n) [`WindowMode::EventKernel`]
-    /// (default) or the frozen O(alive + claimed)
-    /// [`WindowMode::ReferenceScan`] twin, kept for differential testing
-    /// and the perf harness. Both are byte-identical by contract.
-    pub window: WindowMode,
-    /// Per-step scheduler handoff: the incremental
-    /// [`HandoffMode::Delta`] path (default) or the frozen O(alive)
-    /// [`HandoffMode::Rebuild`] twin, kept for differential testing and the
-    /// perf harness. Both are byte-identical by contract.
-    pub handoff: HandoffMode,
 }
 
 impl Default for SimConfig {
@@ -124,14 +82,11 @@ impl Default for SimConfig {
         SimConfig {
             speed: Speed::ONE,
             groups: None,
-            platform: PlatformMode::Grouped,
             pick: NodePick::Fifo,
             carryover: true,
             horizon: None,
             record_trace: false,
             fast_forward: true,
-            window: WindowMode::EventKernel,
-            handoff: HandoffMode::Delta,
         }
     }
 }
@@ -158,28 +113,17 @@ impl SimConfig {
     ///
     /// # Errors
     /// [`SchedError::InvalidInstance`] when the group total disagrees with
-    /// `m`, or when [`PlatformMode::Scalar`] is paired with a heterogeneous
-    /// platform (the scalar twin has no per-group arithmetic).
+    /// `m`.
     pub fn resolve_groups(&self, m: u32) -> Result<MachineGroups> {
-        let groups = match &self.groups {
-            Some(g) => {
-                if g.total() != m {
-                    return Err(SchedError::InvalidInstance(format!(
-                        "platform {} has {} processors but the instance has m = {m}",
-                        g,
-                        g.total()
-                    )));
-                }
-                g.clone()
-            }
-            None => MachineGroups::uniform(m, self.speed)?,
-        };
-        if self.platform == PlatformMode::Scalar && !groups.is_uniform() {
-            return Err(SchedError::InvalidInstance(format!(
-                "the scalar platform twin requires a uniform platform, got {groups}"
-            )));
+        match &self.groups {
+            Some(g) if g.total() != m => Err(SchedError::InvalidInstance(format!(
+                "platform {} has {} processors but the instance has m = {m}",
+                g,
+                g.total()
+            ))),
+            Some(g) => Ok(g.clone()),
+            None => MachineGroups::uniform(m, self.speed),
         }
-        Ok(groups)
     }
 }
 
@@ -204,8 +148,8 @@ pub fn simulate(
 /// Run `sched` on `inst` under `cfg` with `obs` receiving the event stream.
 ///
 /// Observation never changes the schedule: the run produces the same
-/// [`SimResult`] as [`simulate`], on the same execution path (fast-forward
-/// stays enabled under observation — both paths emit the same stream; see
+/// [`SimResult`] as [`simulate`], on the same execution path (bulk windows
+/// stay enabled under observation — both paths emit the same stream; see
 /// [`observe`](crate::observe) for the ordering and equivalence contracts).
 /// When the observer is [active](SimObserver::is_active), the engine also
 /// asks the scheduler to
@@ -722,6 +666,29 @@ mod tests {
                     assert_eq!(r.outcomes[id.index()], JobStatus::Completed { at, profit });
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ungrouped_config_resolves_to_the_uniform_platform() {
+        for (m, speed) in [(1, Speed::ONE), (6, Speed::new(5, 4).unwrap())] {
+            let cfg = SimConfig::at_speed(speed);
+            assert_eq!(
+                cfg.resolve_groups(m).unwrap(),
+                MachineGroups::uniform(m, speed).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn group_total_must_match_m() {
+        let cfg = SimConfig::on_groups("4x1,2x2".parse().unwrap());
+        assert_eq!(cfg.resolve_groups(6).unwrap().total(), 6);
+        for m in [5, 7] {
+            assert!(matches!(
+                cfg.resolve_groups(m),
+                Err(SchedError::InvalidInstance(_))
+            ));
         }
     }
 

@@ -1,20 +1,22 @@
-//! The maintained tick view against its frozen twin: after *every* step of
-//! *any* run, `Lifecycle::view()` must equal what
-//! [`ViewRebuild::build`] reconstructs from the alive list — same jobs,
+//! The maintained tick view against its specification: after *every* step
+//! of *any* run, `Lifecycle::view()` must equal what
+//! `Lifecycle::rebuild_view` reconstructs from the alive list — same jobs,
 //! same ready counts, same (arrival) order. This is the engine-level half
-//! of the delta-handoff oracle; `view_delta_differential` in the verify
-//! crate pins the scheduler-facing half (full runs, byte-identical output).
+//! of the delta-handoff oracle; the naive-vs-fast `stream_equiv` suite in
+//! the verify crate pins the scheduler-facing half (full runs,
+//! byte-identical output against the naive path's rebuilt view).
 //!
 //! Also pins the `allocate_delta` contract from the engine side with a
 //! minimal delta-capable scheduler: on an empty delta the engine hands the
-//! scheduler the *same* buffer still holding the previous allocation, and a
-//! cached replay is indistinguishable from a recompute.
+//! scheduler the *same* buffer still holding the previous allocation, a
+//! cached replay is indistinguishable from a recompute, and the naive
+//! reference path never calls `allocate_delta` at all.
 
 use dagsched_core::{JobId, Time};
 use dagsched_dag::gen;
 use dagsched_engine::{
-    simulate, Allocation, HandoffMode, JobInfo, OnlineScheduler, SimConfig, SimDriver, TickView,
-    ViewDelta, ViewRebuild, WindowMode,
+    simulate, Allocation, JobInfo, NodePick, OnlineScheduler, SimConfig, SimDriver, TickView,
+    ViewDelta,
 };
 use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
 
@@ -111,7 +113,7 @@ fn run_pinned(inst: &Instance, cfg: &SimConfig, sched: &mut dyn OnlineScheduler)
     let mut rebuilt: Vec<(JobId, u32)> = Vec::new();
     loop {
         let more = driver.step().expect("step succeeds");
-        ViewRebuild::build(driver.lifecycle(), &mut rebuilt);
+        driver.lifecycle().rebuild_view(&mut rebuilt);
         assert_eq!(
             driver.lifecycle().view(),
             &rebuilt[..],
@@ -126,21 +128,15 @@ fn run_pinned(inst: &Instance, cfg: &SimConfig, sched: &mut dyn OnlineScheduler)
     (r.total_profit, r.steps_executed)
 }
 
+/// Both engine paths: production and naive reference.
 fn knob_grid() -> Vec<SimConfig> {
-    let mut cfgs = Vec::new();
-    for window in [WindowMode::EventKernel, WindowMode::ReferenceScan] {
-        for handoff in [HandoffMode::Delta, HandoffMode::Rebuild] {
-            for fast_forward in [true, false] {
-                cfgs.push(SimConfig {
-                    window,
-                    handoff,
-                    fast_forward,
-                    ..SimConfig::default()
-                });
-            }
-        }
-    }
-    cfgs
+    [true, false]
+        .into_iter()
+        .map(|fast_forward| SimConfig {
+            fast_forward,
+            ..SimConfig::default()
+        })
+        .collect()
 }
 
 #[test]
@@ -155,8 +151,8 @@ fn maintained_view_equals_rebuild_on_standard_workloads() {
             let mut s = CountingGreedy::new();
             outcomes.push(run_pinned(&inst, &cfg, &mut s));
         }
-        // Every knob combination also agrees on profit (steps legitimately
-        // differ between fast-forward and naive pacing).
+        // Both paths also agree on profit (steps legitimately differ
+        // between fast-forward and naive pacing).
         assert!(
             outcomes.windows(2).all(|w| w[0].0 == w[1].0),
             "seed {seed}: profits diverge across knobs: {outcomes:?}"
@@ -201,10 +197,10 @@ fn empty_deltas_actually_replay_on_a_parked_instance() {
     ));
     let inst = Instance::new(2, jobs).expect("valid parked instance");
 
-    // Naive pacing so every tick is a step: the replay branch must carry
-    // nearly the whole run.
+    // The random pick keeps the production path at one tick per step: the
+    // replay branch must carry nearly the whole run.
     let cfg = SimConfig {
-        fast_forward: false,
+        pick: NodePick::Random(7),
         ..SimConfig::default()
     };
     let mut s = CountingGreedy::new();
@@ -224,12 +220,16 @@ fn rebuild_mode_never_calls_allocate_delta() {
         .generate()
         .expect("valid workload");
     let cfg = SimConfig {
-        handoff: HandoffMode::Rebuild,
+        fast_forward: false,
         ..SimConfig::default()
     };
     let mut s = CountingGreedy::new();
     simulate(&inst, &mut s, &cfg).expect("run succeeds");
-    assert_eq!(s.replays + s.recomputes, 0, "rebuild mode is delta-free");
+    assert_eq!(
+        s.replays + s.recomputes,
+        0,
+        "the reference path rebuilds the view and never offers a delta"
+    );
 }
 
 #[test]
@@ -295,35 +295,29 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// After arbitrary admit/expire/complete interleavings, under every
-        /// knob combination, the maintained view equals a fresh rebuild at
-        /// every step and both handoffs agree on the outcome.
+        /// After arbitrary admit/expire/complete interleavings, on both
+        /// paths, the maintained view equals a fresh rebuild at every step
+        /// and the two paths agree on the profit.
         #[test]
         fn maintained_view_equals_rebuild_under_ties(
             seed in 0u64..2000,
             n in 2usize..12,
             m in 1u32..4,
-            ff in 0u8..2,
             decline in 0u8..2,
         ) {
             let inst = collision_instance(seed, n, m);
-            let mut results = Vec::new();
-            for handoff in [HandoffMode::Delta, HandoffMode::Rebuild] {
-                let cfg = SimConfig {
-                    handoff,
-                    fast_forward: ff == 1,
-                    ..SimConfig::default()
-                };
+            let mut profits = Vec::new();
+            for cfg in knob_grid() {
                 let mut s = if decline == 1 {
                     CountingGreedy::declining()
                 } else {
                     CountingGreedy::new()
                 };
-                results.push(run_pinned(&inst, &cfg, &mut s));
+                profits.push(run_pinned(&inst, &cfg, &mut s).0);
             }
             prop_assert_eq!(
-                results[0], results[1],
-                "delta vs rebuild outcome diverged (seed {}, n {}, m {})",
+                profits[0], profits[1],
+                "fast vs naive profit diverged (seed {}, n {}, m {})",
                 seed, n, m
             );
         }
@@ -350,7 +344,7 @@ mod properties {
                 driver
                     .run_until(Time(rng.gen_range(span.max(1))))
                     .expect("run_until runs");
-                ViewRebuild::build(driver.lifecycle(), &mut rebuilt);
+                driver.lifecycle().rebuild_view(&mut rebuilt);
                 prop_assert_eq!(driver.lifecycle().view(), &rebuilt[..]);
             }
             driver.finish().expect("finish runs");

@@ -10,7 +10,7 @@
 //!   (`fuzz-min-<i>.txt`) next to the working directory, each with its
 //!   one-line replay command.
 //! * `dagsched fuzz --replay <path|seed>` — re-judge a fixture file
-//!   through all five oracle heads (exit non-zero on failure), or, given
+//!   through all three oracle heads (exit non-zero on failure), or, given
 //!   a bare integer, re-run the bounded loop under that master seed.
 
 use crate::oracle::{run_exec, OracleSet, Subject};
@@ -23,11 +23,9 @@ pub const USAGE: &str = "\
 usage: dagsched fuzz [--seed N] [--execs N] [--json]
        dagsched fuzz --replay <path|seed>
 
-Coverage-guided adversarial workload fuzzing with five oracle heads:
-the invariant suite, kernel-vs-scan byte equality, the
-paused-vs-one-shot differential, the delta-vs-rebuild handoff
-differential, and the grouped-vs-scalar platform twin
-differential. A fixed --seed reproduces the exact
+Coverage-guided adversarial workload fuzzing with three oracle heads:
+the invariant suite, naive-vs-fast byte equality, and the
+paused-vs-one-shot differential. A fixed --seed reproduces the exact
 corpus trajectory; failures are delta-debugged and written as replay
 fixtures (fuzz-min-<i>.txt).
 
@@ -140,23 +138,17 @@ fn run_summary(report: &FuzzReport) -> String {
     s
 }
 
-/// Judge one decoded instance through all five oracle heads; the replay
+/// Judge one decoded instance through all three oracle heads; the replay
 /// verdict text lists each head. Used by `--replay <path>` and the fixture
 /// regression test. Fixtures carry no engine-configuration axis, so replay
-/// always judges under the defaults (event kernel, delta handoff,
-/// carry-over on, FIFO pick, uniform platform).
+/// always judges under the defaults (carry-over on, FIFO pick, uniform
+/// platform).
 pub fn replay_instance(text: &str) -> Result<String, String> {
     let inst = codec::decode(text).map_err(|e| format!("cannot decode fixture: {e}"))?;
     let salt = crate::ir::fnv1a(text.as_bytes());
     let subject = Subject::scheduler_s();
-    let off = OracleSet {
-        invariants: false,
-        kernel_diff: false,
-        pause_diff: false,
-        handoff_diff: false,
-        twin_diff: false,
-    };
-    let heads: [(&str, OracleSet); 5] = [
+    let off = OracleSet::NONE;
+    let heads: [(&str, OracleSet); 3] = [
         (
             "invariants",
             OracleSet {
@@ -165,9 +157,9 @@ pub fn replay_instance(text: &str) -> Result<String, String> {
             },
         ),
         (
-            "kernel-vs-scan",
+            "naive-vs-fast",
             OracleSet {
-                kernel_diff: true,
+                naive_diff: true,
                 ..off
             },
         ),
@@ -175,20 +167,6 @@ pub fn replay_instance(text: &str) -> Result<String, String> {
             "paused-vs-oneshot",
             OracleSet {
                 pause_diff: true,
-                ..off
-            },
-        ),
-        (
-            "delta-vs-rebuild",
-            OracleSet {
-                handoff_diff: true,
-                ..off
-            },
-        ),
-        (
-            "grouped-vs-scalar",
-            OracleSet {
-                twin_diff: true,
                 ..off
             },
         ),
@@ -210,7 +188,7 @@ pub fn replay_instance(text: &str) -> Result<String, String> {
     if failed {
         Err(format!("replay failed:\n{out}"))
     } else {
-        Ok(format!("replay clean under all five oracles:\n{out}"))
+        Ok(format!("replay clean under all three oracles:\n{out}"))
     }
 }
 
@@ -307,9 +285,9 @@ mod tests {
         let inst = crate::corpus::seed_corpus()[0].to_instance().unwrap();
         let text = codec::encode(&inst);
         let verdict = replay_instance(&text).expect("clean replay");
-        assert_eq!(verdict.matches("PASS").count(), 5);
-        assert!(verdict.contains("delta-vs-rebuild"));
-        assert!(verdict.contains("grouped-vs-scalar"));
+        assert_eq!(verdict.matches("PASS").count(), 3);
+        assert!(verdict.contains("naive-vs-fast"));
+        assert!(verdict.contains("paused-vs-oneshot"));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use dagsched_core::Rng64;
 use dagsched_dag::gen;
 use dagsched_workload::{Instance, WorkloadGen};
 
-/// The hand-built triple-tie nest from the kernel differential suite: on 2
+/// The hand-built triple-tie nest from the naive-vs-fast suite: on 2
 /// processors, tick 10 carries a completion frontier, an expiry boundary
 /// and an arrival at once.
 fn triple_tie() -> FuzzInstance {

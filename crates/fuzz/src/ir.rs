@@ -11,7 +11,7 @@
 
 use dagsched_core::{JobId, MachineGroups, NodeId, Result, SchedError, Speed, Time, Work};
 use dagsched_dag::{DagBuilder, DagJobSpec};
-use dagsched_engine::{HandoffMode, NodePick, SimConfig, WindowMode};
+use dagsched_engine::{NodePick, SimConfig};
 use dagsched_workload::{Instance, JobSpec, StepProfitFn};
 
 /// Upper bounds keeping mutated instances small enough that one fuzz exec
@@ -114,8 +114,8 @@ impl FuzzJob {
 }
 
 /// The deterministic [`NodePick`] policies the configuration axis cycles
-/// through. [`NodePick::Random`] is deliberately excluded — it forces the
-/// naive path, which would silently disable the differential heads'
+/// through. [`NodePick::Random`] is deliberately excluded — it runs one
+/// tick per step, which would silently disable the differential heads'
 /// fast-forward coverage.
 pub const PICKS: &[NodePick] = &[
     NodePick::Fifo,
@@ -127,22 +127,18 @@ pub const PICKS: &[NodePick] = &[
 /// A whole instance in mutable form, plus the engine-configuration axis
 /// the candidate is judged under. The axis fields are *not* part of the
 /// workload — the codec neither writes nor reads them, so promoted replay
-/// fixtures always re-judge under the defaults (event kernel + delta
-/// handoff, carry-over on, FIFO pick, uniform platform) — but they are
-/// mutable state the config mutators toggle, which lets the coverage loop
-/// explore the scan window, the rebuild handoff, carry-over, node-pick
-/// policies, related-machines group shapes and the general-profit subject
-/// without a separate fuzzing harness per configuration.
+/// fixtures always re-judge under the defaults (carry-over on, FIFO pick,
+/// uniform platform, scheduler S) — but they are mutable state the config
+/// mutators toggle, which lets the coverage loop explore carry-over,
+/// node-pick policies, related-machines group shapes and the
+/// general-profit subject without a separate fuzzing harness per
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzInstance {
     /// Machine count.
     pub m: u32,
     /// The jobs, in no particular order (sorted at conversion).
     pub jobs: Vec<FuzzJob>,
-    /// Judge under [`WindowMode::ReferenceScan`] instead of the kernel.
-    pub scan_window: bool,
-    /// Judge under [`HandoffMode::Rebuild`] instead of the delta path.
-    pub rebuild_handoff: bool,
     /// Judge with mid-tick carry-over disabled (node-granular progress).
     pub no_carryover: bool,
     /// Index into [`PICKS`]: the node-pick policy the candidate is judged
@@ -183,14 +179,12 @@ pub fn dag_to_ir(dag: &DagJobSpec) -> (Vec<u64>, Vec<(u32, u32)>) {
 }
 
 impl FuzzInstance {
-    /// A fresh IR under the default configuration axis (kernel + delta,
-    /// carry-over on, FIFO pick, uniform platform).
+    /// A fresh IR under the default configuration axis (carry-over on,
+    /// FIFO pick, uniform platform, scheduler S).
     pub fn new(m: u32, jobs: Vec<FuzzJob>) -> FuzzInstance {
         FuzzInstance {
             m,
             jobs,
-            scan_window: false,
-            rebuild_handoff: false,
             no_carryover: false,
             pick_idx: 0,
             speed_groups: Vec::new(),
@@ -233,16 +227,6 @@ impl FuzzInstance {
     /// configuration axis applied over the engine defaults.
     pub fn base_config(&self) -> SimConfig {
         SimConfig {
-            window: if self.scan_window {
-                WindowMode::ReferenceScan
-            } else {
-                WindowMode::EventKernel
-            },
-            handoff: if self.rebuild_handoff {
-                HandoffMode::Rebuild
-            } else {
-                HandoffMode::Delta
-            },
             carryover: !self.no_carryover,
             pick: PICKS[self.pick_idx as usize % PICKS.len()].clone(),
             groups: self.platform_groups(),
@@ -489,21 +473,18 @@ mod tests {
 
     #[test]
     fn config_axis_maps_onto_the_sim_config() {
-        use dagsched_engine::{HandoffMode, WindowMode};
         let mut fi = FuzzInstance::new(2, vec![]);
         let cfg = fi.base_config();
-        assert_eq!(cfg.window, WindowMode::EventKernel);
-        assert_eq!(cfg.handoff, HandoffMode::Delta);
+        assert!(
+            cfg.fast_forward,
+            "candidates are judged on the production path"
+        );
         assert!(cfg.carryover);
         assert_eq!(cfg.pick, NodePick::Fifo);
         assert_eq!(cfg.groups, None);
-        fi.scan_window = true;
-        fi.rebuild_handoff = true;
         fi.no_carryover = true;
         fi.pick_idx = 2;
         let cfg = fi.base_config();
-        assert_eq!(cfg.window, WindowMode::ReferenceScan);
-        assert_eq!(cfg.handoff, HandoffMode::Rebuild);
         assert!(!cfg.carryover);
         assert_eq!(cfg.pick, NodePick::CriticalPathFirst);
         // The pick index wraps around the table.

@@ -16,9 +16,8 @@
 //! * [`coverage`] — cheap execution features (bands touched, admission
 //!   reasons fired, event-collision masks, expiry-batch and window-width
 //!   buckets) driving corpus retention;
-//! * [`oracle`] — the five heads: invariant suite, kernel-vs-scan byte
-//!   equality, paused-vs-one-shot differential, delta-vs-rebuild handoff
-//!   differential, grouped-vs-scalar platform twin differential;
+//! * [`oracle`] — the three heads: invariant suite, naive-vs-fast byte
+//!   equality, paused-vs-one-shot differential;
 //! * [`minimize`] — bounded delta-debugging of failing instances;
 //! * [`run`] — the deterministic fuzz loop (fixed master seed ⇒
 //!   byte-identical corpus trajectory);

@@ -78,8 +78,8 @@ fn drop_node(job: &FuzzJob, node: usize) -> FuzzJob {
 ///
 /// `base` is the engine configuration the failure was found under — every
 /// shrink candidate is re-judged under the same configuration, so a
-/// failure specific to (say) the scan window or the rebuild handoff does
-/// not silently vanish during minimization.
+/// failure specific to (say) a pick policy or a platform shape does not
+/// silently vanish during minimization.
 ///
 /// Returns the smallest failing instance found within `max_checks` oracle
 /// calls (the original instance if nothing could be removed).
@@ -246,10 +246,7 @@ mod tests {
         );
         let set = OracleSet {
             invariants: true,
-            kernel_diff: false,
-            pause_diff: false,
-            handoff_diff: false,
-            twin_diff: false,
+            ..OracleSet::NONE
         };
         let base = SimConfig::default();
         assert!(

@@ -58,12 +58,6 @@ pub enum Mutator {
     DropEdge,
     /// Change the machine count.
     ScaleM,
-    /// Toggle the window mode the candidate is judged under (event kernel
-    /// vs reference scan) — a configuration-axis mutator.
-    FlipWindowMode,
-    /// Toggle the scheduler-handoff mode (delta vs full rebuild) — the
-    /// other configuration axis.
-    FlipHandoff,
     /// Toggle mid-tick carry-over (Observation 1's chain-progress knob) —
     /// a configuration-axis mutator.
     FlipCarryover,
@@ -112,8 +106,6 @@ pub const MUTATORS: &[(u32, Mutator)] = &[
     (1, Mutator::AddEdge),
     (1, Mutator::DropEdge),
     (1, Mutator::ScaleM),
-    (1, Mutator::FlipWindowMode),
-    (1, Mutator::FlipHandoff),
     (1, Mutator::FlipCarryover),
     (1, Mutator::CyclePick),
     (1, Mutator::SplitSpeedGroup),
@@ -296,12 +288,6 @@ pub fn apply(mutator: Mutator, rng: &mut Rng64, fi: &mut FuzzInstance) {
         Mutator::ScaleM => {
             fi.m = 1 + rng.gen_range(limits::MAX_M as u64) as u32;
         }
-        Mutator::FlipWindowMode => {
-            fi.scan_window = !fi.scan_window;
-        }
-        Mutator::FlipHandoff => {
-            fi.rebuild_handoff = !fi.rebuild_handoff;
-        }
         Mutator::FlipCarryover => {
             fi.no_carryover = !fi.no_carryover;
         }
@@ -462,11 +448,9 @@ mod tests {
         let base = seed_corpus().swap_remove(0);
         for (m, read) in [
             (
-                Mutator::FlipWindowMode,
-                (|fi: &FuzzInstance| fi.scan_window) as fn(&FuzzInstance) -> bool,
+                Mutator::FlipCarryover,
+                (|fi: &FuzzInstance| fi.no_carryover) as fn(&FuzzInstance) -> bool,
             ),
-            (Mutator::FlipHandoff, |fi: &FuzzInstance| fi.rebuild_handoff),
-            (Mutator::FlipCarryover, |fi: &FuzzInstance| fi.no_carryover),
             (Mutator::FlipSProfitSubject, |fi: &FuzzInstance| {
                 fi.sprofit_subject
             }),

@@ -1,49 +1,42 @@
-//! The five-headed oracle: what "the fuzzer found something" means.
+//! The three-headed oracle: what "the fuzzer found something" means.
 //!
-//! Every candidate instance is judged by up to five independent checks,
+//! Every candidate instance is judged by up to three independent checks,
 //! in order, stopping at the first failure:
 //!
 //! 1. **Invariants** — the `dagsched-verify` suite (band capacity per
 //!    Observation 3, allotment discipline per Lemma 1, δ-goodness, work
-//!    conservation) attached to a full run. The suite is built lenient so
-//!    the loop collects violations rather than unwinding; under the
-//!    `verify-strict` feature the semantics are identical, only the
-//!    failure transport differs.
-//! 2. **Kernel vs scan** — the run repeated under
-//!    [`WindowMode::EventKernel`] and [`WindowMode::ReferenceScan`] must
-//!    produce the same outcome, the same step count, and byte-identical
-//!    JSONL event streams.
+//!    conservation) attached to a full run on the production engine path.
+//!    The suite is built lenient so the loop collects violations rather
+//!    than unwinding; under the `verify-strict` feature the semantics are
+//!    identical, only the failure transport differs. An [`EventLog`] rides
+//!    in the same observer fan, so this run also supplies the fast-path
+//!    outcome and JSONL stream the other two heads compare against.
+//! 2. **Naive vs fast** — the run repeated on the naive per-tick reference
+//!    path ([`SimConfig::fast_forward`] off: expiry scan, rebuilt view,
+//!    full `allocate_into` every tick) must produce the same outcome and a
+//!    byte-identical JSONL stream. Step counts legitimately differ; the
+//!    golden digests in `tests/golden_outputs.rs` pin the fast path's.
 //! 3. **Paused vs one-shot** — a [`SimDriver`] paused at several
-//!    deterministically-derived horizons must finish byte-identical to the
-//!    one-shot kernel run (the pacing-invisibility contract).
-//! 4. **Delta vs rebuild** — the run repeated under
-//!    [`HandoffMode::Delta`] and [`HandoffMode::Rebuild`] must produce the
-//!    same outcome, step count and JSONL stream (the incremental-handoff
-//!    contract from DESIGN.md §4.8).
-//! 5. **Grouped vs scalar** — a uniform single-group
-//!    [`MachineGroups`] platform at the base config's speed must be
-//!    byte-identical (outcome, step count, JSONL) to the frozen
-//!    [`PlatformMode::Scalar`] twin — the related-machines refactor's
-//!    scalar-twin contract (DESIGN.md §4.9). This head always compares the
-//!    *uniform* platform, whatever group shape the candidate is judged
-//!    under elsewhere.
+//!    deterministically-derived horizons must finish byte-identical to
+//!    head 1's one-shot run, step count included (the pacing-invisibility
+//!    contract).
 //!
 //! A simulation error from any head is itself a failure (`sim-error`) —
 //! that is how scheduler mutants that emit invalid allocations are caught.
 //!
 //! The coverage features of head 1's run are returned alongside the
-//! verdict, so one exec yields both signals with at most eight simulations.
+//! verdict, so one exec yields both signals with at most three
+//! simulations.
 //!
 //! All heads run over a caller-supplied *base* [`SimConfig`]
 //! ([`run_exec_with`]) so the fuzz loop can judge candidates under the
-//! mutated window/handoff configuration axis; the differential heads
-//! override only the knob they are comparing.
+//! mutated carry-over / pick / platform axis; head 2 overrides only
+//! `fast_forward`.
 
 use crate::coverage::CoverageObserver;
-use dagsched_core::{AlgoParams, MachineGroups, Rng64, Time};
+use dagsched_core::{AlgoParams, Rng64, Time};
 use dagsched_engine::{
-    simulate_observed, HandoffMode, Observers, OnlineScheduler, PlatformMode, SimConfig, SimDriver,
-    SimObserver, SimResult, WindowMode,
+    simulate_observed, Observers, OnlineScheduler, SimConfig, SimDriver, SimObserver,
 };
 use dagsched_sched::{SchedulerS, SchedulerSProfit};
 use dagsched_verify::{EventLog, InvariantSuite, WorkConservationChecker};
@@ -98,7 +91,7 @@ impl Subject {
     /// The general-profit subject: S-profit at ε = 1. Its slot-assignment
     /// admission deliberately breaks S's exact-allotment discipline, so only
     /// the universal work-conservation invariant applies; the differential
-    /// heads (kernel/pause/handoff/twin) carry the byte-equality burden —
+    /// heads (naive-vs-fast, paused) carry the byte-equality burden —
     /// which is exactly where the slot-plan fast path would show a crack.
     pub fn scheduler_s_profit() -> Subject {
         Subject::new("S-profit", InvariantProfile::WorkOnly, |m| {
@@ -118,29 +111,32 @@ impl Subject {
 }
 
 /// Which oracle heads run. All on by default; the mutant-kill tests switch
-/// the differential heads off for speed.
+/// heads off to isolate the one they exercise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OracleSet {
     /// Head 1: the invariant suite.
     pub invariants: bool,
-    /// Head 2: kernel-vs-scan byte equality.
-    pub kernel_diff: bool,
+    /// Head 2: naive-vs-fast byte equality.
+    pub naive_diff: bool,
     /// Head 3: paused-vs-one-shot byte equality.
     pub pause_diff: bool,
-    /// Head 4: delta-vs-rebuild handoff byte equality.
-    pub handoff_diff: bool,
-    /// Head 5: uniform-grouped-vs-scalar-twin byte equality.
-    pub twin_diff: bool,
+}
+
+impl OracleSet {
+    /// Every head off: the base for enabling exactly one.
+    pub const NONE: OracleSet = OracleSet {
+        invariants: false,
+        naive_diff: false,
+        pause_diff: false,
+    };
 }
 
 impl Default for OracleSet {
     fn default() -> OracleSet {
         OracleSet {
             invariants: true,
-            kernel_diff: true,
+            naive_diff: true,
             pause_diff: true,
-            handoff_diff: true,
-            twin_diff: true,
         }
     }
 }
@@ -148,9 +144,8 @@ impl Default for OracleSet {
 /// A failed oracle head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleFailure {
-    /// Which head failed: `invariants`, `kernel-vs-scan`,
-    /// `paused-vs-oneshot`, `delta-vs-rebuild`, `grouped-vs-scalar`, or
-    /// `sim-error`.
+    /// Which head failed: `invariants`, `naive-vs-fast`,
+    /// `paused-vs-oneshot`, or `sim-error`.
     pub oracle: &'static str,
     /// Human-readable evidence (violation list or first diverging line).
     pub detail: String,
@@ -178,38 +173,8 @@ fn first_diff(label: &str, a: &str, b: &str) -> String {
     )
 }
 
-fn run_under(
-    inst: &Instance,
-    subject: &Subject,
-    cfg: &SimConfig,
-    label: &str,
-) -> Result<(SimResult, String), OracleFailure> {
-    let mut log = EventLog::new();
-    let mut sched = subject.instantiate(inst.m());
-    match simulate_observed(inst, sched.as_mut(), cfg, &mut log) {
-        Ok(r) => Ok((r, log.into_jsonl())),
-        Err(e) => Err(OracleFailure {
-            oracle: "sim-error",
-            detail: format!("{label}: {e}"),
-        }),
-    }
-}
-
-fn run_windowed(
-    inst: &Instance,
-    subject: &Subject,
-    cfg: &SimConfig,
-    window: WindowMode,
-) -> Result<(SimResult, String), OracleFailure> {
-    let cfg = SimConfig {
-        window,
-        ..cfg.clone()
-    };
-    run_under(inst, subject, &cfg, &format!("{window:?}"))
-}
-
 /// Run one candidate through the enabled oracle heads under the default
-/// [`SimConfig`] (event kernel, delta handoff). See [`run_exec_with`].
+/// [`SimConfig`]. See [`run_exec_with`].
 pub fn run_exec(
     inst: &Instance,
     subject: &Subject,
@@ -231,9 +196,8 @@ pub fn run_exec(
 ///
 /// `base` is the engine configuration the candidate is judged under — the
 /// fuzz loop passes [`FuzzInstance::base_config`](crate::ir::FuzzInstance)
-/// so the mutated window/handoff axis actually takes effect. Heads 2 and 4
-/// override the knob they compare (window resp. handoff) and inherit the
-/// rest.
+/// so the mutated configuration axis actually takes effect. Head 2
+/// overrides only `fast_forward` and inherits the rest.
 ///
 /// `pause_salt` seeds head 3's pause schedule; the caller derives it
 /// deterministically (from the master RNG in the fuzz loop, from the
@@ -249,257 +213,130 @@ pub fn run_exec_with(
     base: &SimConfig,
 ) -> ExecOutcome {
     let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
-    let cfg = base.clone();
     if let Some(seed) = replay_seed {
         dagsched_verify::context::set_replay_seed(seed);
     }
-
-    // Head 1 (always simulated — it carries the coverage signal).
     let mut cov = CoverageObserver::new(params.c());
-    let mut failure: Option<OracleFailure>;
-    {
+    let failure = judge(inst, subject, set, pause_salt, base, params, &mut cov).err();
+    ExecOutcome {
+        features: cov.into_features(),
+        failure,
+    }
+}
+
+fn sim_error(label: &str, e: impl std::fmt::Display) -> OracleFailure {
+    OracleFailure {
+        oracle: "sim-error",
+        detail: format!("{label}: {e}"),
+    }
+}
+
+/// The heads in order; the first failure ends the exec.
+fn judge(
+    inst: &Instance,
+    subject: &Subject,
+    set: &OracleSet,
+    pause_salt: u64,
+    cfg: &SimConfig,
+    params: AlgoParams,
+    cov: &mut CoverageObserver,
+) -> Result<(), OracleFailure> {
+    // Head 1 (always simulated — it carries the coverage signal and the
+    // fast-path stream).
+    let (fast, fast_log) = {
+        let mut log = EventLog::new();
         let mut sched = subject.instantiate(inst.m());
-        let run_with =
-            |obs: &mut dyn SimObserver, sched: &mut dyn OnlineScheduler| -> Option<OracleFailure> {
-                match simulate_observed(inst, sched, &cfg, obs) {
-                    Ok(_) => None,
-                    Err(e) => Some(OracleFailure {
-                        oracle: "sim-error",
-                        detail: e.to_string(),
-                    }),
-                }
-            };
-        match subject.profile {
+        let mut run = |fan: Vec<&mut dyn SimObserver>| {
+            simulate_observed(inst, sched.as_mut(), cfg, &mut Observers::new(fan))
+                .map_err(|e| sim_error("fast path", e))
+        };
+        let (r, violations) = match subject.profile {
             InvariantProfile::SchedulerS { backfill } if set.invariants => {
                 let mut suite = InvariantSuite::for_scheduler_s(params);
                 if backfill {
                     suite = suite.allow_backfill();
                 }
                 let mut suite = suite.lenient();
-                {
-                    let mut fan = Observers::new(vec![&mut suite, &mut cov]);
-                    failure = run_with(&mut fan, sched.as_mut());
+                let r = run(vec![&mut suite, cov, &mut log])?;
+                let vs = suite.violations();
+                let mut lines: Vec<String> = vs.iter().take(4).map(|v| v.to_string()).collect();
+                if vs.len() > 4 {
+                    lines.push(format!("... and {} more", vs.len() - 4));
                 }
-                if failure.is_none() {
-                    let vs = suite.violations();
-                    if !vs.is_empty() {
-                        let mut lines: Vec<String> =
-                            vs.iter().take(4).map(|v| v.to_string()).collect();
-                        if vs.len() > 4 {
-                            lines.push(format!("... and {} more", vs.len() - 4));
-                        }
-                        failure = Some(OracleFailure {
-                            oracle: "invariants",
-                            detail: lines.join("; "),
-                        });
-                    }
-                }
+                (r, lines)
             }
             InvariantProfile::WorkOnly if set.invariants => {
                 let mut work = WorkConservationChecker::new().lenient();
-                {
-                    let mut fan = Observers::new(vec![&mut work, &mut cov]);
-                    failure = run_with(&mut fan, sched.as_mut());
-                }
-                if failure.is_none() && !work.violations().is_empty() {
-                    failure = Some(OracleFailure {
-                        oracle: "invariants",
-                        detail: work.violations()[0].to_string(),
-                    });
-                }
+                let r = run(vec![&mut work, cov, &mut log])?;
+                let first = work.violations().first().map(|v| v.to_string());
+                (r, first.into_iter().collect())
             }
-            _ => {
-                failure = run_with(&mut cov, sched.as_mut());
-            }
+            _ => (run(vec![cov, &mut log])?, Vec::new()),
+        };
+        if !violations.is_empty() {
+            return Err(OracleFailure {
+                oracle: "invariants",
+                detail: violations.join("; "),
+            });
+        }
+        (r, log.into_jsonl())
+    };
+
+    // Head 2: the naive reference path must match the fast path's outcome
+    // and stream.
+    if set.naive_diff {
+        let naive_cfg = SimConfig {
+            fast_forward: false,
+            ..cfg.clone()
+        };
+        let mut log = EventLog::new();
+        let mut sched = subject.instantiate(inst.m());
+        let naive = simulate_observed(inst, sched.as_mut(), &naive_cfg, &mut log)
+            .map_err(|e| sim_error("naive path", e))?;
+        if !fast.same_outcome(&naive) {
+            return Err(OracleFailure {
+                oracle: "naive-vs-fast",
+                detail: format!(
+                    "outcome diverges: fast profit {}, naive profit {}",
+                    fast.total_profit, naive.total_profit
+                ),
+            });
+        }
+        let naive_log = log.into_jsonl();
+        if naive_log != fast_log {
+            return Err(OracleFailure {
+                oracle: "naive-vs-fast",
+                detail: first_diff("fast != naive", &fast_log, &naive_log),
+            });
         }
     }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
 
-    // Head 2: kernel vs scan byte equality.
-    let mut one_shot: Option<(SimResult, String)> = None;
-    if set.kernel_diff {
-        let kernel = run_windowed(inst, subject, &cfg, WindowMode::EventKernel);
-        let scan = run_windowed(inst, subject, &cfg, WindowMode::ReferenceScan);
-        match (kernel, scan) {
-            (Ok(k), Ok(s)) => {
-                if !k.0.same_outcome(&s.0) || k.0.steps_executed != s.0.steps_executed {
-                    failure =
-                        Some(OracleFailure {
-                            oracle: "kernel-vs-scan",
-                            detail: format!(
-                            "outcome diverges: kernel profit {} steps {}, scan profit {} steps {}",
-                            k.0.total_profit, k.0.steps_executed, s.0.total_profit,
-                            s.0.steps_executed
-                        ),
-                        });
-                } else if k.1 != s.1 {
-                    failure = Some(OracleFailure {
-                        oracle: "kernel-vs-scan",
-                        detail: first_diff("kernel != scan", &k.1, &s.1),
-                    });
-                } else {
-                    one_shot = Some(k);
-                }
-            }
-            (Err(f), _) | (_, Err(f)) => failure = Some(f),
-        }
-    }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
-
-    // Head 3: paused driver vs one-shot, kernel mode.
+    // Head 3: a paused driver must finish byte-identical to head 1's
+    // one-shot run.
     if set.pause_diff {
-        let one_shot = match one_shot {
-            Some(k) => Ok(k),
-            None => run_windowed(inst, subject, &cfg, WindowMode::EventKernel),
-        };
-        match one_shot {
-            Ok(base) => {
-                let span = inst.stats().horizon.ticks() + 8;
-                let mut prng = Rng64::seed_from(pause_salt);
-                let n_pauses = 1 + prng.gen_range(6) as usize;
-                let mut log = EventLog::new();
-                let mut sched = subject.instantiate(inst.m());
-                let mut driver = SimDriver::with_observer(
-                    inst,
-                    sched.as_mut(),
-                    &cfg,
-                    &mut log as &mut dyn SimObserver,
-                );
-                let mut pause_err: Option<OracleFailure> = None;
-                for _ in 0..n_pauses {
-                    if let Err(e) = driver.run_until(Time(prng.gen_range(span.max(1)))) {
-                        pause_err = Some(OracleFailure {
-                            oracle: "sim-error",
-                            detail: format!("paused run: {e}"),
-                        });
-                        break;
-                    }
-                }
-                let paused = match pause_err {
-                    Some(f) => Err(f),
-                    None => driver.finish().map_err(|e| OracleFailure {
-                        oracle: "sim-error",
-                        detail: format!("paused finish: {e}"),
-                    }),
-                };
-                match paused {
-                    Ok(r) => {
-                        let jsonl = log.into_jsonl();
-                        if !r.same_outcome(&base.0)
-                            || r.steps_executed != base.0.steps_executed
-                            || jsonl != base.1
-                        {
-                            failure = Some(OracleFailure {
-                                oracle: "paused-vs-oneshot",
-                                detail: first_diff("paused != one-shot", &jsonl, &base.1),
-                            });
-                        }
-                    }
-                    Err(f) => failure = Some(f),
-                }
-            }
-            Err(f) => failure = Some(f),
+        let span = inst.stats().horizon.ticks() + 8;
+        let mut prng = Rng64::seed_from(pause_salt);
+        let n_pauses = 1 + prng.gen_range(6) as usize;
+        let mut log = EventLog::new();
+        let mut sched = subject.instantiate(inst.m());
+        let mut driver =
+            SimDriver::with_observer(inst, sched.as_mut(), cfg, &mut log as &mut dyn SimObserver);
+        for _ in 0..n_pauses {
+            driver
+                .run_until(Time(prng.gen_range(span.max(1))))
+                .map_err(|e| sim_error("paused run", e))?;
+        }
+        let paused = driver.finish().map_err(|e| sim_error("paused finish", e))?;
+        let jsonl = log.into_jsonl();
+        if !paused.same_outcome(&fast)
+            || paused.steps_executed != fast.steps_executed
+            || jsonl != fast_log
+        {
+            return Err(OracleFailure {
+                oracle: "paused-vs-oneshot",
+                detail: first_diff("paused != one-shot", &jsonl, &fast_log),
+            });
         }
     }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
-
-    // Head 4: delta vs rebuild handoff byte equality.
-    if set.handoff_diff {
-        let run_handoff = |handoff: HandoffMode, label: &str| {
-            let cfg = SimConfig {
-                handoff,
-                ..cfg.clone()
-            };
-            run_under(inst, subject, &cfg, label)
-        };
-        let delta = run_handoff(HandoffMode::Delta, "delta handoff");
-        let rebuild = run_handoff(HandoffMode::Rebuild, "rebuild handoff");
-        match (delta, rebuild) {
-            (Ok(d), Ok(r)) => {
-                if !d.0.same_outcome(&r.0) || d.0.steps_executed != r.0.steps_executed {
-                    failure = Some(OracleFailure {
-                        oracle: "delta-vs-rebuild",
-                        detail: format!(
-                            "outcome diverges: delta profit {} steps {}, rebuild profit {} steps {}",
-                            d.0.total_profit, d.0.steps_executed, r.0.total_profit,
-                            r.0.steps_executed
-                        ),
-                    });
-                } else if d.1 != r.1 {
-                    failure = Some(OracleFailure {
-                        oracle: "delta-vs-rebuild",
-                        detail: first_diff("delta != rebuild", &d.1, &r.1),
-                    });
-                }
-            }
-            (Err(f), _) | (_, Err(f)) => failure = Some(f),
-        }
-    }
-    if failure.is_some() {
-        return ExecOutcome {
-            features: cov.into_features(),
-            failure,
-        };
-    }
-
-    // Head 5: uniform grouped platform vs the frozen scalar twin. Always
-    // compares the uniform platform at `cfg.speed` — a candidate judged
-    // under a heterogeneous shape elsewhere still pins the twin contract
-    // here, which is what keeps the refactored arithmetic honest on every
-    // exec.
-    if set.twin_diff {
-        let uniform = MachineGroups::uniform(inst.m(), cfg.speed).expect("m >= 1");
-        let grouped_cfg = SimConfig {
-            groups: Some(uniform),
-            platform: PlatformMode::Grouped,
-            ..cfg.clone()
-        };
-        let scalar_cfg = SimConfig {
-            groups: None,
-            platform: PlatformMode::Scalar,
-            ..cfg.clone()
-        };
-        let grouped = run_under(inst, subject, &grouped_cfg, "uniform grouped");
-        let scalar = run_under(inst, subject, &scalar_cfg, "scalar twin");
-        match (grouped, scalar) {
-            (Ok(g), Ok(s)) => {
-                if !g.0.same_outcome(&s.0) || g.0.steps_executed != s.0.steps_executed {
-                    failure = Some(OracleFailure {
-                        oracle: "grouped-vs-scalar",
-                        detail: format!(
-                            "outcome diverges: grouped profit {} steps {}, scalar profit {} steps {}",
-                            g.0.total_profit, g.0.steps_executed, s.0.total_profit,
-                            s.0.steps_executed
-                        ),
-                    });
-                } else if g.1 != s.1 {
-                    failure = Some(OracleFailure {
-                        oracle: "grouped-vs-scalar",
-                        detail: first_diff("grouped != scalar", &g.1, &s.1),
-                    });
-                }
-            }
-            (Err(f), _) | (_, Err(f)) => failure = Some(f),
-        }
-    }
-
-    ExecOutcome {
-        features: cov.into_features(),
-        failure,
-    }
+    Ok(())
 }

@@ -405,7 +405,7 @@ mod tests {
     /// The general-profit scheduler survives a bounded run as the sole
     /// subject — every candidate (including general-profit mutants grown by
     /// the profit mutators) is judged against S-profit's slot-plan fast
-    /// path under all five heads.
+    /// path under all three heads.
     #[test]
     fn general_profit_subject_survives_a_bounded_run() {
         let report = FuzzSession::with_subject(

@@ -162,8 +162,9 @@ impl DenseU32Map {
     /// in the delta contract's apply order (admitted → ready_changed →
     /// removed) so a job admitted and expired within the same step nets out
     /// to absent. After this the lut's content equals a fresh rebuild from
-    /// the tick view — which is exactly what the `view_delta_differential`
-    /// suite pins.
+    /// the tick view — which is exactly what the naive-vs-fast
+    /// `stream_equiv` suite pins (the naive path rebuilds the view and
+    /// never offers a delta).
     pub fn apply_view_delta(&mut self, delta: &ViewDelta) {
         for &(id, r) in &delta.admitted {
             self.set(id, r);

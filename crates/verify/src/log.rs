@@ -140,8 +140,8 @@ impl SimObserver for EventLog {
     }
 
     fn on_platform(&mut self, groups: &MachineGroups) {
-        // Fires only on non-uniform platforms, so uniform streams (and the
-        // scalar-twin byte-identity contract) are untouched.
+        // Fires only on non-uniform platforms, so uniform streams keep the
+        // pre-group bytes.
         let out = &mut self.out;
         let _ = write!(out, r#"{{"ev":"platform","groups":"{groups}""#);
         field(out, r#","scale":"#, groups.work_scale());

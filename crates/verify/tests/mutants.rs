@@ -10,7 +10,7 @@ use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_dag::gen;
 use dagsched_engine::{
     simulate_observed, AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler,
-    SimConfig, SimObserver, TickView,
+    SimConfig, SimObserver, TickView, ViewDelta,
 };
 use dagsched_sched::SNoAdmission;
 use dagsched_verify::{
@@ -292,28 +292,38 @@ fn work_checker_fires_on_finished_expiry() {
 
 use dagsched_fuzz::{FuzzConfig, FuzzSession, InvariantProfile, OracleSet, Subject};
 
-/// Invariant-head-only fuzz config: deterministic, bounded well under the
+/// Single-head fuzz config: deterministic, bounded well under the
 /// 10k-exec ceiling, stops at the first kill, skips minimization for speed.
-fn kill_cfg(seed: u64) -> FuzzConfig {
+fn kill_cfg(seed: u64, oracles: OracleSet) -> FuzzConfig {
     FuzzConfig {
         master_seed: seed,
         max_execs: 2000,
         max_failures: 1,
-        oracles: OracleSet {
-            invariants: true,
-            kernel_diff: false,
-            pause_diff: false,
-            handoff_diff: false,
-            twin_diff: false,
-        },
+        oracles,
         minimize: false,
         ..FuzzConfig::default()
     }
 }
 
+/// Only the invariant head.
+const INVARIANTS: OracleSet = OracleSet {
+    invariants: true,
+    ..OracleSet::NONE
+};
+
 fn assert_killed(subject: Subject, seed: u64, oracle: &str, detail_needle: &str) {
+    assert_killed_by(subject, INVARIANTS, seed, oracle, detail_needle);
+}
+
+fn assert_killed_by(
+    subject: Subject,
+    oracles: OracleSet,
+    seed: u64,
+    oracle: &str,
+    detail_needle: &str,
+) {
     let name = subject.name().to_string();
-    let report = FuzzSession::with_subject(kill_cfg(seed), subject).run();
+    let report = FuzzSession::with_subject(kill_cfg(seed, oracles), subject).run();
     assert!(
         !report.failures.is_empty(),
         "{name}: not killed within {} execs",
@@ -414,4 +424,68 @@ fn fuzz_kills_over_allocating_mutant() {
         })
     });
     assert_killed(subject, 0xBEEF, "sim-error", "");
+}
+
+/// A stale-delta mutant: a greedy arrival-order scheduler whose
+/// `allocate_delta` replays its cached allocation even when the delta is
+/// *not* empty. It only drops the jobs the delta removed, so the engine
+/// still accepts every allocation; arrivals and ready-count changes are
+/// ignored until the cache empties. Its `allocate_into` is correct, so the
+/// naive reference path (which never calls `allocate_delta`) schedules
+/// correctly and only a naive-vs-fast comparison can tell.
+struct StaleDeltaMutant {
+    cached: bool,
+}
+
+impl OnlineScheduler for StaleDeltaMutant {
+    fn name(&self) -> String {
+        "stale-delta-mutant".into()
+    }
+    fn on_arrival(&mut self, _info: &JobInfo, _now: Time) {}
+    fn on_completion(&mut self, _id: JobId, _now: Time) {}
+    fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+        let mut left = view.m;
+        let mut out = Vec::new();
+        for &(id, ready) in view.jobs() {
+            let k = ready.min(left);
+            if k > 0 {
+                out.push((id, k));
+                left -= k;
+            }
+        }
+        out
+    }
+    fn allocate_delta(
+        &mut self,
+        delta: &ViewDelta,
+        view: &TickView<'_>,
+        out: &mut Allocation,
+    ) -> bool {
+        if self.cached && !out.is_empty() {
+            out.retain(|(id, _)| !delta.removed.contains(id));
+        } else {
+            self.allocate_into(view, out);
+        }
+        self.cached = true;
+        true
+    }
+    fn allocation_stable_between_events(&self) -> bool {
+        true
+    }
+}
+
+/// The stale-delta mutant violates no invariant the suite can see on its
+/// own run, so with the invariant head off the naive-vs-fast head must
+/// kill it.
+#[test]
+fn fuzz_kills_stale_delta_mutant_via_naive_vs_fast() {
+    let subject = Subject::new("stale-delta", InvariantProfile::Off, |_m| {
+        Box::new(StaleDeltaMutant { cached: false })
+    });
+    let naive_diff = OracleSet {
+        naive_diff: true,
+        ..OracleSet::NONE
+    };
+    assert_killed_by(subject, naive_diff, 0xBEEF, "naive-vs-fast", "");
 }

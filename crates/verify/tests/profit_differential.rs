@@ -21,7 +21,7 @@
 use dagsched_core::{JobId, Speed, Time};
 use dagsched_engine::{
     parallel_map, simulate_observed, NodePick, OnlineScheduler, SimConfig, SimDriver, SimObserver,
-    SimResult, WindowMode,
+    SimResult,
 };
 use dagsched_sched::oracle::{OracleRandomOrder, OracleSProfit};
 use dagsched_sched::{RandomOrder, SchedulerSProfit};
@@ -100,11 +100,14 @@ fn check_pair(
 fn check_all(inst: &Instance, m: u32, label: &str) {
     for speed in [Speed::ONE, Speed::new(3, 2).expect("positive")] {
         for pick in [NodePick::Fifo, NodePick::CriticalPathFirst] {
-            for window in [WindowMode::EventKernel, WindowMode::ReferenceScan] {
+            // The rewrites must also be byte-faithful on the naive path,
+            // where the segment plan replaces the per-tick BTreeMap scan
+            // step for step.
+            for fast_forward in [true, false] {
                 let cfg = SimConfig {
                     speed,
                     pick: pick.clone(),
-                    window,
+                    fast_forward,
                     ..SimConfig::default()
                 };
                 for (name, mk_fast, mk_oracle) in &pairs(m) {
@@ -114,27 +117,12 @@ fn check_all(inst: &Instance, m: u32, label: &str) {
                         mk_oracle,
                         &cfg,
                         &format!(
-                            "{label}: {name} at speed {speed:?} pick {pick:?} window {window:?}"
+                            "{label}: {name} at speed {speed:?} pick {pick:?} ff {fast_forward}"
                         ),
                     );
                 }
             }
         }
-    }
-    // The rewrites must also be byte-faithful on the naive path, where the
-    // segment plan replaces the per-tick BTreeMap scan step for step.
-    let naive = SimConfig {
-        fast_forward: false,
-        ..SimConfig::default()
-    };
-    for (name, mk_fast, mk_oracle) in &pairs(m) {
-        check_pair(
-            inst,
-            mk_fast,
-            mk_oracle,
-            &naive,
-            &format!("{label}: {name} naive"),
-        );
     }
 }
 
