@@ -30,7 +30,6 @@ pub mod analysis;
 pub mod dot;
 pub mod gen;
 pub mod hpc;
-pub mod reference;
 pub mod spec;
 pub mod unfold;
 

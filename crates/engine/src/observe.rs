@@ -193,7 +193,7 @@ pub trait SimObserver {
 /// The do-nothing observer: [`simulate`](crate::simulate) runs with this, and
 /// its `is_active() == false` lets the engine skip every payload-assembly
 /// branch — the unobserved path monomorphizes to exactly the pre-observer
-/// code (the `observer-overhead` bench group holds this to measurement).
+/// code.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 

@@ -3,8 +3,8 @@
 //! The per-figure / per-table experiment harness (DESIGN.md §5). Each module
 //! exposes `run(quick) -> Vec<Table>`; the binaries in `src/bin/` print the
 //! rendered tables and their CSV form. `quick = true` shrinks seeds and
-//! instance sizes for tests and Criterion benches; `quick = false` is the
-//! configuration whose numbers are recorded in EXPERIMENTS.md.
+//! instance sizes for tests; `quick = false` is the configuration whose
+//! numbers are recorded in EXPERIMENTS.md.
 //!
 //! | id | module | paper artifact |
 //! |----|--------|----------------|

@@ -24,8 +24,8 @@
 //! * [`cli`] — the `dagsched fuzz` / `dagsched fuzz --replay` subcommand;
 //! * [`corpus`] — the fixed seed corpus, one entry per family.
 //!
-//! The loop doubles as a perf workload (it hammers the arrival-storm and
-//! admission hot paths); `BENCH_pr7.json` records its execs/sec.
+//! The loop doubles as a perf workload: the `fuzz-campaign` workload of
+//! `benchmark/run.sh` times it end to end.
 
 #![warn(missing_docs)]
 

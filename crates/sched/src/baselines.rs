@@ -744,9 +744,10 @@ impl OnlineScheduler for EquiPartition {
 /// processors in declaration order instead of fastest-first.
 ///
 /// Every other trait method delegates verbatim, so on a uniform platform the
-/// wrapper is behaviorally invisible. The `related-machines` bench group
-/// compares `Edf` against `AggregateBlind<Edf>` on a skewed platform to
-/// measure what fastest-first placement alone is worth.
+/// wrapper is behaviorally invisible. The golden test
+/// `related_machines_profit_is_golden` compares `Edf` against
+/// `AggregateBlind<Edf>` on a skewed platform to pin what fastest-first
+/// placement alone is worth.
 #[derive(Debug)]
 pub struct AggregateBlind<S>(pub S);
 

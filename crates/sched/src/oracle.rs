@@ -10,8 +10,8 @@
 //! `dagsched-verify` JSONL log produced by an oracle compares equal to one
 //! produced by its rewritten counterpart — which is exactly what
 //! `crates/verify/tests/legacy_differential.rs` asserts over the
-//! stream-equivalence corpus. They also serve as the "before" leg of the
-//! `admission`/`backfill` benchmark groups.
+//! stream-equivalence corpus. `crates/verify/tests/profit_differential.rs`
+//! does the same for [`OracleSProfit`] and [`OracleRandomOrder`].
 //!
 //! Do not optimize this module; its value is being frozen.
 
@@ -389,8 +389,7 @@ struct OraclePJob {
 /// deliberately *unstable* between events — byte-for-byte the scheduler the
 /// crate shipped with through PR 9. The segment-plan rewrite in
 /// [`profit`](crate::profit) is held byte-identical to this oracle by
-/// `crates/verify/tests/profit_differential.rs`, and the `profit` bench
-/// group times the two against each other.
+/// `crates/verify/tests/profit_differential.rs`.
 #[derive(Debug)]
 pub struct OracleSProfit {
     params: AlgoParams,

@@ -1,7 +1,8 @@
 //! Guards on the fast-forward opt-in: schedulers that are *boundedly*
 //! stable run the event path with `stable_until`-capped windows, schedulers
 //! with no stability claim at all stay on the reference path, and trace
-//! recording must force the reference path for everyone.
+//! recording must force the reference path for everyone. On a parked
+//! slot plan, SProfit's step and tick counts are pinned exactly.
 //!
 //! On the reference path every simulated tick is one engine step, so
 //! `steps_executed == ticks_simulated` is the observable signature that no
@@ -9,10 +10,11 @@
 //! a single tick, the same equality proves the cap is honored (every tick
 //! still consumes exactly one RNG draw).
 
-use dagsched_core::{Speed, Time};
+use dagsched_core::{JobId, Speed, Time};
+use dagsched_dag::gen;
 use dagsched_engine::{simulate, OnlineScheduler, SimConfig};
 use dagsched_sched::{RandomOrder, SchedulerS, SchedulerSProfit};
-use dagsched_workload::{Instance, WorkloadGen};
+use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
 
 fn workload(m: u32, seed: u64) -> Instance {
     WorkloadGen::standard(m, 25, seed)
@@ -91,6 +93,66 @@ fn general_profit_scheduler_fast_forwards_between_slot_boundaries() {
         "window path changed the schedule"
     );
     assert_eq!(fast.ticks_simulated, naive.ticks_simulated);
+}
+
+/// The slot-plan regime: `n` long background jobs (work 5,000, a two-step
+/// profit with cliffs at `horizon / 2` and `horizon`) arrive at `t = 0` on
+/// an `m = 4` machine; band capacity admits a handful and parks the rest.
+/// A brief wave of small two-step chain jobs (one every other tick, cliffs
+/// at 40 and 90) churns the plan early on. After it drains, the run is one
+/// long plan gap that SProfit declares stable.
+fn profit_instance(n: usize, horizon: u64) -> Instance {
+    let mid = (horizon / 2).max(2);
+    let background = StepProfitFn::steps(vec![(Time(mid), 4), (Time(horizon), 2)], 0)
+        .expect("valid background profit");
+    let wave =
+        StepProfitFn::steps(vec![(Time(40), 3), (Time(90), 1)], 0).expect("valid wave profit");
+    let mut jobs: Vec<JobSpec> = (0..n)
+        .map(|i| {
+            JobSpec::new(
+                JobId(i as u32),
+                Time(0),
+                gen::single(5_000).into_shared(),
+                background.clone(),
+            )
+        })
+        .collect();
+    for i in 0..n / 2 {
+        jobs.push(JobSpec::new(
+            JobId((n + i) as u32),
+            Time(2 * i as u64),
+            gen::chain(3, 2).into_shared(),
+            wave.clone(),
+        ));
+    }
+    Instance::new(4, jobs).expect("valid profit instance")
+}
+
+/// Exact step and tick counts of SProfit on the slot-plan regime. Bounded
+/// stability is what turns tens of thousands of ticks into a few hundred
+/// steps; a lost window shows up here as a changed `steps_executed`.
+#[test]
+fn general_profit_step_counts_are_pinned_on_parked_plans() {
+    for (n, steps, ticks) in [(40, 74, 50_001), (160, 194, 50_001)] {
+        let inst = profit_instance(n, 50_000);
+        let run = |fast_forward| {
+            let cfg = SimConfig {
+                fast_forward,
+                ..SimConfig::default()
+            };
+            simulate(&inst, &mut SchedulerSProfit::with_epsilon(4, 1.0), &cfg).expect("runs")
+        };
+        let (fast, naive) = (run(true), run(false));
+        assert!(
+            fast.same_outcome(&naive),
+            "window path changed the schedule at n {n}"
+        );
+        assert_eq!(
+            (fast.steps_executed, fast.ticks_simulated),
+            (steps, ticks),
+            "n {n}"
+        );
+    }
 }
 
 #[test]

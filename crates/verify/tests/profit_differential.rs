@@ -152,12 +152,13 @@ fn rewrites_match_oracles_under_overload() {
     check_all(&inst, m, "overload");
 }
 
-/// A parked majority: most jobs are rejected at admission (band
-/// conflicts) and wait out their deadlines unallocated, so the run is
-/// dominated by plan gaps — exactly the stretches the bounded-stability
-/// bulk-skip fast-forwards through in one window each.
-#[test]
-fn rewrites_match_oracles_with_a_parked_majority() {
+/// 40 long background jobs (work 5,000) arrive at `t = 0` behind a brief
+/// wave of 20 chain jobs, one every other tick. Most background jobs are
+/// rejected at admission (band conflicts) and wait out their profit
+/// unallocated, so the run is dominated by plan gaps — exactly the
+/// stretches the bounded-stability bulk-skip fast-forwards through in one
+/// window each.
+fn parked_instance(background: StepProfitFn, wave: StepProfitFn) -> Instance {
     use dagsched_dag::gen;
     let mut jobs: Vec<JobSpec> = (0..40u32)
         .map(|i| {
@@ -165,7 +166,7 @@ fn rewrites_match_oracles_with_a_parked_majority() {
                 JobId(i),
                 Time(0),
                 gen::single(5_000).into_shared(),
-                StepProfitFn::deadline(Time(50_000), 1),
+                background.clone(),
             )
         })
         .collect();
@@ -174,17 +175,40 @@ fn rewrites_match_oracles_with_a_parked_majority() {
             JobId(40 + i),
             Time(2 * i as u64),
             gen::chain(3, 2).into_shared(),
-            StepProfitFn::deadline(Time(40), 3),
+            wave.clone(),
         ));
     }
-    jobs.sort_by_key(|j| j.arrival);
-    let jobs = jobs
-        .into_iter()
-        .enumerate()
-        .map(|(i, j)| JobSpec::new(JobId(i as u32), j.arrival, j.dag.clone(), j.profit.clone()))
-        .collect();
-    let inst = Instance::new(4, jobs).expect("valid parked instance");
+    Instance::new(4, jobs).expect("valid parked instance")
+}
+
+#[test]
+fn rewrites_match_oracles_with_a_parked_majority() {
+    let inst = parked_instance(
+        StepProfitFn::deadline(Time(50_000), 1),
+        StepProfitFn::deadline(Time(40), 3),
+    );
     check_all(&inst, 4, "parked majority");
+}
+
+/// The slot-plan regime of `fastforward_guard.rs` at 40 background jobs:
+/// two-step profits (background cliffs at 25,000 and 50,000, wave cliffs
+/// at 40 and 90) leave one long plan gap. Only the S-profit pair runs it,
+/// once: the oracle steps every one of the 50,001 ticks.
+#[test]
+fn sprofit_matches_oracle_on_a_parked_slot_plan() {
+    let two_step = |a, pa, b, pb| StepProfitFn::steps(vec![(Time(a), pa), (Time(b), pb)], 0);
+    let inst = parked_instance(
+        two_step(25_000, 4, 50_000, 2).expect("valid background profit"),
+        two_step(40, 3, 90, 1).expect("valid wave profit"),
+    );
+    let (name, mk_fast, mk_oracle) = &pairs(4)[0];
+    check_pair(
+        &inst,
+        mk_fast,
+        mk_oracle,
+        &SimConfig::default(),
+        &format!("parked slot plan: {name}"),
+    );
 }
 
 /// The standard corpus again through the multi-thread harness: each

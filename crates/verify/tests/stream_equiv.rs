@@ -504,8 +504,9 @@ mod properties {
     /// `n_pauses` sorted random pause instants in `[0, span)`.
     fn random_pauses(hseed: u64, n_pauses: usize, span: u64) -> Vec<Time> {
         let mut rng = dagsched_core::Rng64::seed_from(hseed);
-        let mut pauses: Vec<Time> =
-            (0..n_pauses).map(|_| Time(rng.gen_range(span.max(1)))).collect();
+        let mut pauses: Vec<Time> = (0..n_pauses)
+            .map(|_| Time(rng.gen_range(span.max(1))))
+            .collect();
         pauses.sort_unstable();
         pauses
     }

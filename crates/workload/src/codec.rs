@@ -166,7 +166,7 @@ pub fn decode(text: &str) -> Result<Instance> {
         let profit = StepProfitFn::steps(segs, tail)?;
         let n_nodes: usize = parse(lines.expect("nodes", 1)?[0], &lines, "node count")?;
         let w = lines.next_tokens()?;
-        if w[0] != "work" || w.len() != n_nodes + 1 {
+        if w[0] != "work" || w.len() - 1 != n_nodes {
             return Err(lines.err(format!("expected `work` with {n_nodes} values")));
         }
         let mut builder = DagBuilder::with_capacity(n_nodes, 0);
@@ -309,8 +309,9 @@ end
 
     #[test]
     fn header_counts_beyond_the_input_are_rejected_before_allocating() {
-        // Both counts once went straight into `Vec::with_capacity`, which
-        // aborts the process on a terabyte-sized request.
+        // The jobs and segment counts once went straight into
+        // `Vec::with_capacity`, which aborts the process on a terabyte-sized
+        // request.
         let huge_profit = "\
 dagsched-instance v1
 m 4
@@ -327,11 +328,27 @@ job 0
 arrival 0
 profit 0 1
 ";
+        // The node count is compared with the `work` line's length, never
+        // incremented: `usize::MAX + 1` overflows.
+        let max_nodes = "\
+dagsched-instance v1
+m 4
+jobs 1
+job 0
+arrival 0
+profit 1 0
+seg 10 1
+nodes 18446744073709551615
+work 1
+edges 0
+end
+";
         for text in [huge_profit, huge_jobs] {
             assert!(
                 matches!(decode(text), Err(SchedError::InvalidInstance(_))),
                 "{text}"
             );
         }
+        assert!(matches!(decode(max_nodes), Err(SchedError::Codec(_))));
     }
 }

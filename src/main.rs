@@ -1,7 +1,7 @@
 //! The `dagsched` command-line entry point.
 //!
 //! Parsing and execution are unit-tested in the libraries
-//! (`dagsched_experiments::sweep`, `dagsched_bench::cli`); this binary only
+//! (`dagsched_experiments::sweep`, `dagsched_fuzz::cli`); this binary only
 //! dispatches and sets the exit code.
 
 use std::process::ExitCode;
@@ -12,8 +12,6 @@ usage: dagsched <command> [options]
 commands:
   sweep  run a scheduler sweep grid sharded over worker threads
            (see `dagsched sweep help`)
-  bench  run the hot-path perf harness at smoke sizes and validate
-           its report schema (see `dagsched bench help`)
   fuzz   coverage-guided adversarial workload fuzzing against the
            invariant and differential oracles (see `dagsched fuzz help`)
   help   print this message
@@ -32,20 +30,6 @@ fn main() -> ExitCode {
                 }
                 Err(e) => {
                     eprintln!("dagsched sweep: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("bench") => {
-            let report = dagsched_bench::cli::parse(&args[1..])
-                .and_then(|cmd| dagsched_bench::cli::execute(&cmd));
-            match report {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("dagsched bench: {e}");
                     ExitCode::FAILURE
                 }
             }

@@ -308,6 +308,52 @@ fn parked_baseline_runs_are_golden() {
     assert_eq!(fnv1a(all.as_bytes()), 0x346f_c7b6_d9e3_ef3a);
 }
 
+/// A deadline-wave workload for related machines: every 15 ticks, two hard
+/// single-node jobs (work 20, deadline 12 ticks out, profit 3) and two easy
+/// ones (work 5, deadline 30 ticks out, profit 1) arrive. A double-speed
+/// processor finishes a hard job in 10 ticks; a unit-speed one needs 20 and
+/// misses the deadline. So the hard jobs pay only on the fast group, and
+/// each wave is worth 8 to fastest-first placement and 2 to slow-first.
+fn related_instance(waves: usize) -> dagsched_workload::Instance {
+    use dagsched_core::{JobId, Time};
+    use dagsched_workload::{Instance, JobSpec, StepProfitFn};
+
+    let jobs = (0..waves * 4)
+        .map(|k| {
+            let (work, slack, profit) = if k % 4 < 2 { (20, 12, 3) } else { (5, 30, 1) };
+            JobSpec::new(
+                JobId(k as u32),
+                Time((k / 4) as u64 * 15),
+                dagsched_dag::gen::single(work).into_shared(),
+                StepProfitFn::deadline(Time(slack), profit),
+            )
+        })
+        .collect();
+    Instance::new(6, jobs).expect("valid related-machines instance")
+}
+
+/// Group-aware placement against its control arm. `4x1,2x2` declares four
+/// unit-speed processors before two double-speed ones, so `AggregateBlind`,
+/// which places in declaration order, fills the slow half first. EDF earns
+/// four times the blind profit: the 4.0 gain recorded in `BENCH_pr10.json`.
+#[test]
+fn related_machines_profit_is_golden() {
+    use dagsched_engine::{simulate, SimConfig};
+    use dagsched_sched::{AggregateBlind, Edf};
+
+    let cfg = SimConfig::on_groups("4x1,2x2".parse().expect("valid platform spec"));
+    for (waves, aware, blind) in [(40, 320, 80), (120, 960, 240)] {
+        let inst = related_instance(waves);
+        let aware_run = simulate(&inst, &mut Edf::new(6), &cfg).expect("runs");
+        let blind_run = simulate(&inst, &mut AggregateBlind(Edf::new(6)), &cfg).expect("runs");
+        assert_eq!(
+            (aware_run.total_profit, blind_run.total_profit),
+            (aware, blind),
+            "{waves} waves"
+        );
+    }
+}
+
 /// The instances of the stream-equivalence corpus
 /// (`crates/verify/tests/stream_equiv.rs`): three standard workloads and
 /// one overloaded one.
