@@ -6,12 +6,12 @@
 //! counts covered simulated time, `steps_executed` counts engine scheduling
 //! rounds) — and the ways they may legally advance:
 //!
-//! * [`skip_idle_to`](Clock::skip_idle_to) jumps over a gap in which nothing
+//! * `skip_idle_to` jumps over a gap in which nothing
 //!   is alive and nothing arrives (no ticks are charged: the naive reference
 //!   path never iterated those ticks either);
-//! * [`advance_tick`](Clock::advance_tick) closes one reference tick
+//! * `advance_tick` closes one reference tick
 //!   (1 tick, 1 step);
-//! * [`advance_window`](Clock::advance_window) closes one fast-forward bulk
+//! * `advance_window` closes one fast-forward bulk
 //!   window of `s` ticks (`s` ticks, 1 step).
 //!
 //! Keeping the counters behind these three operations is what makes

@@ -1,18 +1,18 @@
 //! The lifecycle layer: the arrival → (expiry | completion) state machine.
 //!
 //! A [`Lifecycle`] owns every per-job state the engine keeps — the dense
-//! slab of unfolded DAG states ([`Live`]), the arrival cursor, the alive
+//! slab of unfolded DAG states (`Live`), the arrival cursor, the alive
 //! list (always in arrival order), terminal outcomes, and earned profit —
 //! and the three transitions a job can make:
 //!
-//! * [`admit_arrivals`](Lifecycle::admit_arrivals) materializes every job
+//! * `admit_arrivals` materializes every job
 //!   with `arrival ≤ t` and runs the scheduler's and observer's arrival
 //!   hooks;
-//! * [`expire_hopeless`](Lifecycle::expire_hopeless) abandons zero-tail jobs
+//! * `expire_hopeless` abandons zero-tail jobs
 //!   past their last useful moment (the reference path's O(alive) scan;
 //!   the production path pulls the due ids from the event kernel via
 //!   `expire_hopeless_indexed`);
-//! * [`complete`](Lifecycle::complete) retires jobs whose last node
+//! * `complete` retires jobs whose last node
 //!   finished, paying `p(t_done − r)`.
 //!
 //! The scheduler and observer hooks fire *inside* the transition methods so

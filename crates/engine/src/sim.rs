@@ -30,8 +30,8 @@
 //! byte-identical.
 //!
 //! Both entry points are thin wrappers over the layered, resumable
-//! [`SimDriver`](crate::driver::SimDriver): [`simulate`] drives it with the
-//! zero-cost [`NullObserver`] instantiation and [`simulate_observed`] with a
+//! [`SimDriver`]: [`simulate`] drives it with the
+//! zero-cost [`NullObserver`](crate::observe::NullObserver) instantiation and [`simulate_observed`] with a
 //! dynamic observer — there is exactly one loop body in the engine (see
 //! [`driver`](crate::driver) for the layer diagram).
 
@@ -130,7 +130,7 @@ impl SimConfig {
 /// Run `sched` on `inst` under `cfg`.
 ///
 /// # Errors
-/// [`SchedError`](dagsched_core::SchedError)`::InvalidAllocation` if the
+/// [`SchedError::InvalidAllocation`] if the
 /// scheduler ever over-subscribes processors, allocates to a job that is not
 /// alive, allocates zero processors, or repeats a job within one tick.
 /// [`SchedError::InvalidInstance`] if the configured platform is

@@ -11,14 +11,14 @@
 //! searches for them deliberately:
 //!
 //! * [`ir`] — a mutable, always-repairable instance representation;
-//! * [`mutate`] — structural mutators biased toward the adversarial
+//! * [`mutate`](mod@mutate) — structural mutators biased toward the adversarial
 //!   families;
 //! * [`coverage`] — cheap execution features (bands touched, admission
 //!   reasons fired, event-collision masks, expiry-batch and window-width
 //!   buckets) driving corpus retention;
 //! * [`oracle`] — the three heads: invariant suite, naive-vs-fast byte
 //!   equality, paused-vs-one-shot differential;
-//! * [`minimize`] — bounded delta-debugging of failing instances;
+//! * [`minimize`](mod@minimize) — bounded delta-debugging of failing instances;
 //! * [`run`] — the deterministic fuzz loop (fixed master seed ⇒
 //!   byte-identical corpus trajectory);
 //! * [`cli`] — the `dagsched fuzz` / `dagsched fuzz --replay` subcommand;

@@ -90,7 +90,7 @@ pub struct FuzzReport {
     pub trajectory: u64,
     /// Failures found, in discovery order.
     pub failures: Vec<FailureReport>,
-    /// Wall-clock duration of the loop (excluded from [`to_json`]
+    /// Wall-clock duration of the loop (excluded from [`to_json`](Self::to_json)
     /// determinism).
     pub elapsed: Duration,
 }

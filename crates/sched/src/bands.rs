@@ -74,6 +74,14 @@ pub struct DensityBands {
     capacity: f64,
 }
 
+/// Relative margin against float rounding in density-interval arithmetic.
+/// The band arithmetic rounds `c·v` once per comparison (≈ 1e-16
+/// relative), so this covers it many times over. Scheduler S widens its
+/// re-check intervals by it, and [`DensityBands::blocked_stretch`] narrows
+/// its own-window stretch by it: in both, erring that way only costs
+/// probes the full scan would also no-op.
+pub(crate) const BAND_SLACK: f64 = 1e-9;
+
 /// Seed of the deterministic treap-priority stream (also replayed by
 /// [`DensityBands::clear`] so a cleared structure rebuilds the exact shapes
 /// a new one would).
@@ -97,7 +105,7 @@ impl DensityBands {
 
     /// Return to the freshly-constructed state (same `c` and capacity),
     /// keeping allocated storage. The priority stream restarts from
-    /// [`PRIO_SEED`], so subsequent inserts replay exactly what a new
+    /// a fixed seed, so subsequent inserts replay exactly what a new
     /// structure would build.
     pub fn clear(&mut self) {
         self.nodes.clear();
@@ -162,6 +170,44 @@ impl DensityBands {
             return false;
         }
         true
+    }
+
+    /// The lowest density `lo ≤ d` such that an allotment-1 candidate fits
+    /// nowhere in `[lo, d]`, found from two window families; `None` if
+    /// neither blocks `d` itself. O(log n).
+    ///
+    /// * **Anchor window.** A member anchor `v ≤ d < c·v` whose load is
+    ///   above `b·m − 1` rejects every candidate in `[v, d]`: its window
+    ///   holds them all. The lowest such `v` bounds the stretch.
+    /// * **Own window.** Walk the members from `d` upward until their load
+    ///   is above `b·m − 1`; call the last one `v_j`. Every `d' ≤ d` with
+    ///   `c·d' > v_j` has an own window `[d', c·d')` holding all of them,
+    ///   so it is blocked: the stretch reaches down to `v_j/c`, moved
+    ///   inward by a relative `1e-9` against float rounding.
+    ///
+    /// The stretch is sound, not tight: a density it omits may still be
+    /// blocked. Both families hold for every allotment, because a larger
+    /// allotment only adds load.
+    pub fn blocked_stretch(&self, d: f64) -> Option<f64> {
+        debug_assert!(d.is_finite() && d > 0.0);
+        let anchor = self.first_full_affected(self.root, 0, d);
+        let own = if self.full(0) {
+            // Not even an empty window takes one processor.
+            Some(0.0)
+        } else {
+            // `capacity.floor()` is the least load `full` accepts.
+            let target = self.sum_lt(self.root, d) + self.capacity.floor() as u64;
+            self.select_by_sum(self.root, 0, target).and_then(|v_j| {
+                // `c·d'` rounds monotonically in `d'`, so checking the
+                // bottom keeps every `d' ∈ [lo, d]` above `v_j`.
+                let lo = v_j / self.c * (1.0 + BAND_SLACK);
+                (lo <= d && self.c * lo > v_j).then_some(lo)
+            })
+        };
+        match (anchor, own) {
+            (Some(a), Some(o)) => Some(a.min(o)),
+            (a, o) => a.or(o),
+        }
     }
 
     /// Insert a job (caller has already verified [`fits`](Self::fits) when
@@ -498,6 +544,106 @@ impl DensityBands {
             n.allot as u64 + left + self.sum_lt(n.right, hi)
         } else {
             self.sum_lt(n.left, hi)
+        }
+    }
+
+    /// Would a window of this load reject an allotment-1 candidate?
+    fn full(&self, load: u64) -> bool {
+        (load + 1) as f64 > self.capacity
+    }
+
+    /// `n`'s density if its own window is full (`acc` as in the queries
+    /// below).
+    fn full_at(&self, n: &Node, acc: i64) -> Option<f64> {
+        self.full(n.wl.wrapping_add_signed(acc))
+            .then_some(n.density)
+    }
+
+    /// Density of the lowest anchor with `v ≤ d && c·v > d` whose window
+    /// is [`full`](Self::full).
+    fn first_full_affected(&self, t: u32, acc: i64, d: f64) -> Option<f64> {
+        if t == NIL {
+            return None;
+        }
+        let n = &self.nodes[t as usize];
+        let child_acc = acc + n.add;
+        if n.density > d {
+            self.first_full_affected(n.left, child_acc, d)
+        } else if self.c * n.density <= d {
+            self.first_full_affected(n.right, child_acc, d)
+        } else {
+            self.first_full_cv_gt(n.left, child_acc, d)
+                .or_else(|| self.full_at(n, acc))
+                .or_else(|| self.first_full_v_le(n.right, child_acc, d))
+        }
+    }
+
+    /// All nodes here have `v ≤ d`; the lowest full anchor with `c·v > d`.
+    fn first_full_cv_gt(&self, t: u32, acc: i64, d: f64) -> Option<f64> {
+        if t == NIL {
+            return None;
+        }
+        let n = &self.nodes[t as usize];
+        let child_acc = acc + n.add;
+        if self.c * n.density > d {
+            self.first_full_cv_gt(n.left, child_acc, d)
+                .or_else(|| self.full_at(n, acc))
+                .or_else(|| self.first_full(n.right, child_acc))
+        } else {
+            self.first_full_cv_gt(n.right, child_acc, d)
+        }
+    }
+
+    /// All nodes here have `c·v > d`; the lowest full anchor with `v ≤ d`.
+    fn first_full_v_le(&self, t: u32, acc: i64, d: f64) -> Option<f64> {
+        if t == NIL {
+            return None;
+        }
+        let n = &self.nodes[t as usize];
+        let child_acc = acc + n.add;
+        if n.density <= d {
+            self.first_full(n.left, child_acc)
+                .or_else(|| self.full_at(n, acc))
+                .or_else(|| self.first_full_v_le(n.right, child_acc, d))
+        } else {
+            self.first_full_v_le(n.left, child_acc, d)
+        }
+    }
+
+    /// The lowest full anchor of a whole subtree; the `max_wl` guard keeps
+    /// the descent on one path.
+    fn first_full(&self, t: u32, acc: i64) -> Option<f64> {
+        if t == NIL {
+            return None;
+        }
+        let n = &self.nodes[t as usize];
+        if !self.full(n.max_wl.wrapping_add_signed(acc)) {
+            return None;
+        }
+        let child_acc = acc + n.add;
+        self.first_full(n.left, child_acc)
+            .or_else(|| self.full_at(n, acc))
+            .or_else(|| self.first_full(n.right, child_acc))
+    }
+
+    /// Density of the first member, in order, at which the running
+    /// allotment total reaches `target`; `None` if the total falls short.
+    fn select_by_sum(&self, t: u32, below: u64, target: u64) -> Option<f64> {
+        if t == NIL {
+            return None;
+        }
+        let n = &self.nodes[t as usize];
+        let left = if n.left == NIL {
+            0
+        } else {
+            self.nodes[n.left as usize].sum
+        };
+        if below + left >= target {
+            self.select_by_sum(n.left, below, target)
+        } else if below + left + n.allot as u64 >= target {
+            Some(n.density)
+        } else {
+            self.select_by_sum(n.right, below + left + n.allot as u64, target)
         }
     }
 

@@ -15,7 +15,7 @@
 //! Jobs are *started* (admitted to queue `Q`) only if they are `δ`-good
 //! (`D_i ≥ (1+2δ)x_i`) and every density band `[v_j, c·v_j)` stays within
 //! `b·m` processors (condition (2), maintained by
-//! [`DensityBands`](crate::bands::DensityBands) structure). Everything else waits in
+//! [`DensityBands`] structure). Everything else waits in
 //! queue `P`; at each job completion, `δ`-fresh jobs from `P` that now pass
 //! the band check are started. Execution is greedy highest-density-first,
 //! granting each scheduled job its full allotment.
@@ -30,14 +30,15 @@
 //! incremental [`DensityBands`], and every per-call index (ready counts,
 //! grant slots, the admission candidate list) is a hoisted scratch buffer.
 //! The completion scan is *targeted*: it re-checks only the parked jobs
-//! whose outcome can have changed since the previous scan (see
-//! [`admit_from_p`](SchedulerS)), so a completion costs
-//! O((in-band + new + expired candidates) · log |Q| + removals · log |P|)
-//! rather than a pass over all of `P`. The pre-refactor implementation
+//! whose outcome can have changed since the previous scan, and jumps over
+//! every stretch of them the band cannot take (see
+//! [`admit_from_p`](SchedulerS)). A completion costs one copy of its
+//! candidates plus O(probes · log |Q| + removals · log |P|), rather than a
+//! probe of every job in `P`. The pre-refactor implementation
 //! survives as [`OracleSchedulerS`](crate::oracle::OracleSchedulerS), which
 //! the differential tests hold this one byte-identical to.
 
-use crate::bands::DensityBands;
+use crate::bands::{DensityBands, BAND_SLACK};
 use crate::ord::OrdF64;
 use crate::slab::{DenseU32Map, JobSlab};
 use dagsched_core::{AlgoParams, JobId, Time};
@@ -47,12 +48,6 @@ use dagsched_engine::{
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Relative widening of the `(v/c, c·v)` re-check interval around a density
-/// `v` removed from `Q`. The band arithmetic rounds `c·v` once per
-/// comparison (≈ 1e-16 relative), so this margin covers it many times over;
-/// a too-wide interval only re-checks jobs the full scan would also no-op.
-const BAND_SLACK: f64 = 1e-9;
 
 /// A sorted-`Vec` ordered set of `(density, id)` keys: the `BTreeSet` it
 /// replaces allocated a node per insert, which put the queues on the
@@ -132,8 +127,11 @@ pub struct SchedulerSMetrics {
     pub inadmissible: usize,
     /// High-water mark of `|Q|`.
     pub max_q_len: usize,
-    /// `P` candidates the completion scans examined, summed over every
-    /// completion. Deterministic: the targeted scan's work counter.
+    /// `P` candidates the completion scans probed, summed over every
+    /// completion. Candidates passed over inside a blocked stretch are not
+    /// counted; expired ones dropped there are. Deterministic: the
+    /// targeted scan's work counter, equal with and without invariant
+    /// checks.
     pub admission_probes: u64,
 }
 
@@ -172,6 +170,9 @@ pub struct SchedulerS {
     p_deadlines: BinaryHeap<Reverse<(Time, JobId)>>,
     /// Scratch: the completion scan's candidate keys, ascending.
     admit_scratch: Vec<(OrdF64, JobId)>,
+    /// Scratch: the candidates whose deadline has passed (set (c) of
+    /// [`admit_from_p`](Self::admit_from_p)), ascending.
+    expired_scratch: Vec<(OrdF64, JobId)>,
     /// Ready counts of the current view, for backfill: per-call scratch on
     /// the rebuild path, persistent across calls on the delta path.
     ready_lut: DenseU32Map,
@@ -205,6 +206,7 @@ impl SchedulerS {
             deferred_since_scan: Vec::new(),
             p_deadlines: BinaryHeap::new(),
             admit_scratch: Vec::new(),
+            expired_scratch: Vec::new(),
             ready_lut: DenseU32Map::new(),
             slot_lut: DenseU32Map::new(),
             lut_live: false,
@@ -238,9 +240,11 @@ impl SchedulerS {
     }
 
     /// Enable Observation-3 re-verification after every queue mutation
-    /// (O(|Q| log |Q|) per event), and re-probe every `P` job each
-    /// completion scan skips to prove the skip sound (O(|P| log |Q|) per
-    /// completion). For tests.
+    /// (O(|Q| log |Q|) per event), and replay the full walk on every
+    /// completion scan: each `P` job the scan passes over, whether
+    /// untouched since its last check or inside a blocked stretch, is
+    /// re-probed to prove the skip sound (O(|P| log |Q|) per completion).
+    /// For tests.
     pub fn with_invariant_checks(mut self) -> SchedulerS {
         self.check_invariants = true;
         self
@@ -422,12 +426,13 @@ impl SchedulerS {
     /// The completion-event admission pass. The paper's rule walks all of
     /// `P` by density (desc), dropping dead jobs and starting every δ-fresh
     /// job that passes the band condition. This pass walks the same order
-    /// but visits only the parked jobs whose outcome can differ from their
-    /// last check; the rest would be no-ops.
+    /// but probes only the parked jobs whose outcome can differ from their
+    /// last check, and jumps over stretches the band rules out; the rest
+    /// would be no-ops.
     ///
-    /// Why skipping them is exact. A job `j` at density `d` that is still
-    /// in `P` after its last check (an earlier scan, or its arrival) failed
-    /// for a reason that persists:
+    /// Why skipping a job untouched since its last check is exact. A job
+    /// `j` at density `d` that is still in `P` after its last check (an
+    /// earlier scan, or its arrival) failed for a reason that persists:
     ///
     /// * `!admissible` never changes.
     /// * Not δ-fresh: the slack `d_j − t` only shrinks, so a job that stops
@@ -440,7 +445,7 @@ impl SchedulerS {
     ///   so it turns true again only after a `Q` job in that interval
     ///   leaves.
     ///
-    /// So the scan visits the union of three sets:
+    /// So the candidates are the union of three sets:
     ///
     /// * **(a)** `P` jobs in `(v/c, c·v)` for each density `v` removed from
     ///   `Q` since the last scan, by a completion or a `Q`-job expiry. The
@@ -453,40 +458,79 @@ impl SchedulerS {
     ///
     /// Within a scan `Q` only grows, so the full walk would meet every
     /// skipped job with a `Q` at least as large on its interval as at its
-    /// last check. The union is walked in descending `(density, id)` order
-    /// with the full scan's per-candidate body ([`probe`](Self::probe)), so
-    /// admissions and rejections come out in the same order. Cost:
-    /// O((in-band + new + expired candidates) · log |Q| + removals · log |P|).
+    /// last check.
+    ///
+    /// **Blocked stretches.** When a candidate at density `d` fails on
+    /// `fits` alone, [`DensityBands::blocked_stretch`] gives the lowest
+    /// `lo` such that an allotment-1 job fits nowhere in `[lo, d]`, and
+    /// the walk jumps to the candidates below `lo`, probing on the way
+    /// only the set-(c) keys in the stretch. Why the jump is exact:
+    ///
+    /// * Within one scan `Q` only grows, so a stretch that cannot take one
+    ///   processor cannot take any allotment for the rest of the scan.
+    /// * Every job skipped this way has `abs_deadline > now` (set (c)
+    ///   holds every parked job whose deadline has passed), so the full
+    ///   scan would do nothing for it. The set-(c) keys are probed in
+    ///   descending order, so each `Rejected(DeadlinePassed)` event keeps
+    ///   its position.
+    ///
+    /// The candidates are walked in descending `(density, id)` order with
+    /// the full scan's per-candidate body ([`probe`](Self::probe)), so
+    /// admissions and rejections come out in the same order. Cost: one
+    /// copy of the candidates, plus O(probes · log |Q| + removals ·
+    /// log |P|); a probe that fails on `fits` alone adds one stretch query
+    /// and two binary searches.
     fn admit_from_p(&mut self, now: Time) {
         let mut candidates = std::mem::take(&mut self.admit_scratch);
-        self.collect_candidates(now, &mut candidates);
-        self.metrics.admission_probes += candidates.len() as u64;
-        if self.check_invariants {
-            // Replay the full walk: each skipped job must be one the full
-            // scan would leave alone at that point of the walk.
-            let all: Vec<(OrdF64, JobId)> = self.p.iter().rev().copied().collect();
-            let mut next = candidates.iter().rev().peekable();
-            for key in all {
-                if next.next_if_eq(&&key).is_some() {
-                    self.probe(key.1, now);
-                } else {
-                    self.assert_skip_sound(key.1, now);
-                }
-            }
-            assert!(next.next().is_none(), "scan candidate missing from P");
+        let mut expired = std::mem::take(&mut self.expired_scratch);
+        self.collect_candidates(now, &mut candidates, &mut expired);
+        // Invariant mode replays the full walk over a snapshot of `P`.
+        let replay: Vec<(OrdF64, JobId)> = if self.check_invariants {
+            self.p.iter().copied().collect()
         } else {
-            for &(_, id) in candidates.iter().rev() {
-                self.probe(id, now);
+            Vec::new()
+        };
+        let mut unwalked = replay.as_slice();
+        let mut i = candidates.len();
+        while i > 0 {
+            i -= 1;
+            let key = candidates[i];
+            self.replay_to(&mut unwalked, key, now);
+            if !self.probe(key.1, now) {
+                continue;
             }
+            let Some(lo) = self.bands.blocked_stretch(key.0 .0) else {
+                continue;
+            };
+            let bottom = candidates[..i].partition_point(|k| k.0 .0 < lo);
+            let from = expired.partition_point(|k| k.0 .0 < lo);
+            let to = expired.partition_point(|k| *k < key);
+            for &k in expired[from..to].iter().rev() {
+                self.replay_to(&mut unwalked, k, now);
+                self.probe(k.1, now);
+            }
+            i = bottom;
+        }
+        // Invariant mode: the `P` jobs below the last probe were passed
+        // over too. (Outside it, `unwalked` is empty.)
+        for &(_, id) in unwalked.iter().rev() {
+            self.assert_skip_sound(id, now);
         }
         self.admit_scratch = candidates;
+        self.expired_scratch = expired;
     }
 
     /// Gather the sets (a)–(c) of [`admit_from_p`](Self::admit_from_p) into
-    /// `out`, ascending by `(density, id)` without duplicates, and reset the
-    /// since-last-scan logs.
-    fn collect_candidates(&mut self, now: Time, out: &mut Vec<(OrdF64, JobId)>) {
+    /// `out`, ascending by `(density, id)` without duplicates, with set (c)
+    /// also in `expired`, same order; and reset the since-last-scan logs.
+    fn collect_candidates(
+        &mut self,
+        now: Time,
+        out: &mut Vec<(OrdF64, JobId)>,
+        expired: &mut Vec<(OrdF64, JobId)>,
+    ) {
         out.clear();
+        expired.clear();
         // (a): merge the re-check intervals, then copy each `P` slice once;
         // disjoint intervals taken in order give sorted, distinct keys.
         self.recheck_bands
@@ -521,19 +565,23 @@ impl SchedulerS {
             self.p_deadlines.pop();
             if let Some(job) = self.parked(id) {
                 out.push((OrdF64(job.density), id));
+                expired.push((OrdF64(job.density), id));
             }
         }
         if out.len() > in_band {
             out.sort_unstable();
             out.dedup();
         }
+        expired.sort_unstable();
     }
 
     /// The full scan's per-candidate body: drop the job if its deadline has
-    /// passed, else start it if it is admissible, δ-fresh and fits.
-    fn probe(&mut self, id: JobId, now: Time) {
+    /// passed, else start it if it is admissible, δ-fresh and fits. Counts
+    /// the probe; returns true iff the job failed on `fits` alone.
+    fn probe(&mut self, id: JobId, now: Time) -> bool {
+        self.metrics.admission_probes += 1;
         let Some(job) = self.jobs.get(id).copied() else {
-            return;
+            return false;
         };
         // Remove jobs whose absolute deadline has passed.
         if job.abs_deadline <= now {
@@ -542,17 +590,43 @@ impl SchedulerS {
                 id,
                 AdmissionDecision::Rejected(AdmissionReason::DeadlinePassed),
             );
-            return;
+            return false;
         }
-        if job.admissible && !self.stale(&job, now) && self.bands.fits(job.density, job.allot) {
+        if !job.admissible || self.stale(&job, now) {
+            return false;
+        }
+        if self.bands.fits(job.density, job.allot) {
             self.start_job(id, true);
+            return false;
         }
+        true
     }
 
     /// Not δ-fresh: `d_i − t < (1+δ)x_i`.
     fn stale(&self, job: &SJob, now: Time) -> bool {
         let slack = job.abs_deadline.since(now) as f64;
         slack < self.params.fresh_factor() * job.x
+    }
+
+    /// Invariant mode's replay of the full walk, advanced to the probe of
+    /// `key`: every `P` key above it in `unwalked` (ascending) was passed
+    /// over, by either skip rule, and must be one the full scan would leave
+    /// alone at this point of the walk. No-op outside invariant mode.
+    fn replay_to(&self, unwalked: &mut &[(OrdF64, JobId)], key: (OrdF64, JobId), now: Time) {
+        if !self.check_invariants {
+            return;
+        }
+        loop {
+            let (&last, rest) = unwalked
+                .split_last()
+                .expect("scan candidate missing from P");
+            *unwalked = rest;
+            if last == key {
+                return;
+            }
+            assert!(last > key, "scan candidate {key:?} missing from P");
+            self.assert_skip_sound(last.1, now);
+        }
     }
 
     /// The skip-soundness check: the full scan would do nothing for `id`
@@ -1108,6 +1182,48 @@ mod tests {
                 "the full scan would have probed |P| = {p_len}"
             );
         }
+    }
+
+    #[test]
+    fn parked_dense_scan_skips_blocked_stretches() {
+        // The S simulation of the `parked-dense` benchmark at seed 1: 1,500
+        // background jobs parked behind the band, and the foreground stream
+        // of `foreground_completions_probe_only_their_band`. Each
+        // background completion admits the densest parked job, which
+        // refills the band; the other ~1,420 in-band candidates then sit in
+        // one blocked stretch. Probing them one by one cost 254,006 probes.
+        // Invariant checks replay the full walk against every skip; they do
+        // not change the probe count.
+        let n = 1_500u32;
+        let mut rng = dagsched_core::Rng64::seed_from(1).child(0);
+        let mut jobs: Vec<JobSpec> = (0..n)
+            .map(|i| {
+                JobSpec::new(
+                    JobId(i),
+                    Time(0),
+                    gen::single(9_500 + rng.gen_range(1_001)).into_shared(),
+                    StepProfitFn::deadline(Time(500_000), 1),
+                )
+            })
+            .collect();
+        for i in 0..n {
+            jobs.push(JobSpec::new(
+                JobId(n + i),
+                Time((i / 2) as u64),
+                gen::single(2).into_shared(),
+                StepProfitFn::deadline(Time(60), 3),
+            ));
+        }
+        let inst = Instance::new(4, jobs).unwrap();
+        let mut s = SchedulerS::with_epsilon(4, 1.0).with_invariant_checks();
+        let r = simulate(&inst, &mut s, &SimConfig::default()).unwrap();
+
+        let metrics = s.metrics();
+        assert_eq!(metrics.admission_probes, 6_982);
+        assert!(metrics.admission_probes <= 254_006 / 5);
+        assert_eq!(metrics.admitted_from_p, 1_295);
+        assert_eq!(metrics.started_count, 1_302);
+        assert_eq!(r.total_profit, 3_598);
     }
 
     #[test]

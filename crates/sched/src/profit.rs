@@ -19,7 +19,7 @@
 //! ## The segment slot plan
 //!
 //! The plan is stored as maximal runs of consecutive ticks sharing one
-//! population — a [`BTreeMap`] from run start to [`Segment`], each holding
+//! population — a [`BTreeMap`] from run start to `Segment`, each holding
 //! its population sorted by density with a prefix-sum table of allotments.
 //! Within a run every tick has the same population, so the admission scan
 //! checks each run **once** (per-band loads by prefix-sum subtraction,

@@ -12,6 +12,10 @@
 //!   against existing members matters),
 //! * **exact `c·v` band edges** (densities drawn as `base · c^k`, landing
 //!   precisely on the exclusive upper boundary of other members' bands).
+//!
+//! The stretch query [`DensityBands::blocked_stretch`] has no reference
+//! twin; it is held to its contract instead: every density of a returned
+//! stretch must reject allotment 1 on the reference sweep.
 
 use dagsched_core::JobId;
 use dagsched_sched::bands::{reference::ReferenceBands, DensityBands};
@@ -44,6 +48,40 @@ fn density(pool: &[f64], c: f64, idx: u8) -> f64 {
     let base = pool[idx as usize % n];
     let k = (idx as usize / n) % 4;
     base * c.powi(k as i32)
+}
+
+/// The positive float just above (`step = 1`) or below (`step = -1`) `x`.
+fn neighbour(x: f64, step: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(step))
+}
+
+/// If `fast` reports a blocked stretch `[lo, d]`, the reference must
+/// reject allotment 1 at its ends, at every member density inside it, at
+/// every `v/c` and `c·v` breakpoint inside it, and one float to either
+/// side of each of those.
+fn check_stretch(fast: &DensityBands, slow: &ReferenceBands, c: f64, d: f64) {
+    let Some(lo) = fast.blocked_stretch(d) else {
+        return;
+    };
+    prop_assert!(lo <= d, "stretch [{}, {}] is empty", lo, d);
+    prop_assert!(!fast.fits(d, 1), "{} fits, yet starts a stretch", d);
+    let mut points = vec![lo, d];
+    for (_, v, _) in slow.iter() {
+        points.extend([v, v / c, c * v]);
+    }
+    for x in points {
+        for y in [neighbour(x, -1), x, neighbour(x, 1)] {
+            if lo <= y && y <= d && y > 0.0 {
+                prop_assert!(
+                    !slow.fits(y, 1),
+                    "{} in the stretch [{}, {}] fits allotment 1",
+                    y,
+                    lo,
+                    d
+                );
+            }
+        }
+    }
 }
 
 fn run_script(pool: &[f64], c: f64, cap: f64, ops: &[Op]) {
@@ -79,6 +117,7 @@ fn run_script(pool: &[f64], c: f64, cap: f64, ops: &[Op]) {
                     op.allot,
                     step
                 );
+                check_stretch(&fast, &slow, c, d);
             }
             _ => {
                 prop_assert_eq!(
@@ -157,5 +196,31 @@ proptest! {
         let a: Vec<_> = fast.iter().collect();
         let b: Vec<_> = slow.iter().collect();
         prop_assert_eq!(a, b);
+    }
+
+    /// Greedy builds dense enough to fill their bands, queried at every
+    /// pool density: the stretches S jumps over on its completion scan.
+    #[test]
+    fn blocked_stretches_reject_allotment_one_throughout(
+        raw_pool in proptest::collection::vec(0.01f64..100.0, 1..5),
+        jobs in proptest::collection::vec((0u8..255, 1u32..4), 8..48),
+        c in 1.2f64..6.0,
+        cap in 1.0f64..10.0,
+    ) {
+        let mut fast = DensityBands::new(c, cap);
+        let mut slow = ReferenceBands::new(c, cap);
+        for (i, &(dens_idx, allot)) in jobs.iter().enumerate() {
+            let d = density(&raw_pool, c, dens_idx);
+            if fast.fits(d, allot) {
+                fast.insert(JobId(i as u32), d, allot);
+                slow.insert(JobId(i as u32), d, allot);
+            }
+        }
+        for idx in 0..=255u8 {
+            let d = density(&raw_pool, c, idx);
+            check_stretch(&fast, &slow, c, d);
+            check_stretch(&fast, &slow, c, d * 1.01);
+            check_stretch(&fast, &slow, c, d / 1.01);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! *when* in simulation time — not *where* in the event stream or *how* to
 //! reproduce it, so a CI log line was the start of an investigation, not
 //! the end of one. This module threads two pieces of context into
-//! [`Recorder::flag`](crate::violation::Recorder)'s panic message without
+//! `Recorder::flag`'s panic message without
 //! touching any checker signature:
 //!
 //! * the **event index**: how many observer callbacks the

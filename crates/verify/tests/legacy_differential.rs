@@ -16,6 +16,10 @@
 //! * the full JSONL [`EventLog`] — every arrival, admission decision,
 //!   execution window, node completion, completion and expiry must
 //!   serialize to the same bytes.
+//!
+//! S and S-wc run `with_invariant_checks()`, so each completion scan also
+//! replays the full walk and checks every job it passed over, whether
+//! untouched since its last check or inside a blocked stretch.
 
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_dag::{gen, DagJobSpec};
@@ -79,7 +83,10 @@ fn pairs(m: u32, params: AlgoParams) -> Vec<(&'static str, SchedFactory, SchedFa
     vec![
         (
             "S",
-            Box::new(move || Box::new(SchedulerS::new(m, params)) as Box<dyn OnlineScheduler>),
+            Box::new(move || {
+                Box::new(SchedulerS::new(m, params).with_invariant_checks())
+                    as Box<dyn OnlineScheduler>
+            }),
             Box::new(move || {
                 Box::new(OracleSchedulerS::new(m, params)) as Box<dyn OnlineScheduler>
             }),
@@ -87,7 +94,11 @@ fn pairs(m: u32, params: AlgoParams) -> Vec<(&'static str, SchedFactory, SchedFa
         (
             "S-wc",
             Box::new(move || {
-                Box::new(SchedulerS::new(m, params).work_conserving()) as Box<dyn OnlineScheduler>
+                Box::new(
+                    SchedulerS::new(m, params)
+                        .work_conserving()
+                        .with_invariant_checks(),
+                ) as Box<dyn OnlineScheduler>
             }),
             Box::new(move || {
                 Box::new(OracleSchedulerS::new(m, params).work_conserving())
@@ -356,6 +367,44 @@ fn wc_parked_completes() -> Instance {
     ])
 }
 
+/// Stretches a band-blocked probe lets the completion scan jump over. Three
+/// density-50 `Q` jobs fill every own window reaching past `50/c ≈ 0.949`;
+/// three density-0.5 `Q` jobs, one of which completes at t = 100, anchor
+/// the band `[0.5, 26.4)`. The scan at t = 100 re-checks all of `P`:
+///
+/// * job 6 (density 1) fails on its own window, so `[0.949, 1]` is one
+///   own-window stretch: jobs 7 and 9 are passed over, but job 8 (0.975),
+///   whose deadline is t = 100, is still dropped there;
+/// * job 10 (0.94), just below that stretch, fits and is started, which
+///   fills the 0.5 anchors' band;
+/// * job 11 (0.6) then fails on those anchors, so `[0.5, 0.6]` is one
+///   anchor stretch, and job 12 (0.55) is passed over.
+///
+/// Jobs 13 and 14 park at t = 112, inside the own-window stretch; the
+/// completion at t = 113 is far outside their band, probes job 13 and
+/// passes over job 14, deferred since the last scan.
+fn blocked_stretches() -> Instance {
+    let one = gen::single;
+    instance(vec![
+        (0, one(1_000), 10_000, 50_000),
+        (0, one(1_000), 10_000, 50_000),
+        (0, one(1_000), 10_000, 50_000),
+        (0, one(100), 500, 50),
+        (0, one(100), 500, 50),
+        (0, one(100), 500, 50),
+        (0, one(100), 1_000, 100),
+        (0, one(100), 1_000, 99),
+        (0, one(40), 100, 39),
+        (0, one(100), 1_000, 95),
+        (0, one(100), 1_000, 94),
+        (0, one(100), 1_000, 60),
+        (0, one(100), 1_000, 55),
+        (112, one(100), 1_000, 98),
+        (112, one(100), 1_000, 96),
+        (112, one(1), 100, 1_000_000),
+    ])
+}
+
 /// Every targeted-scan input with its constants.
 fn targeted_scan_inputs() -> Vec<(&'static str, Instance, AlgoParams)> {
     let (boundaries, c32) = band_boundaries();
@@ -375,6 +424,7 @@ fn targeted_scan_inputs() -> Vec<(&'static str, Instance, AlgoParams)> {
         ("band-boundaries", boundaries, c32),
         ("band-edges-inside", band_edges_inside(), c32),
         ("wc-parked-completes", wc_parked_completes(), eps1()),
+        ("blocked-stretches", blocked_stretches(), eps1()),
     ]
 }
 
@@ -391,7 +441,7 @@ fn targeted_scan_inputs_reach_their_cases() {
     // S's own event stream on the default configuration.
     let cfg = SimConfig::default();
     let log_of = |inst: &Instance, mut s: SchedulerS| run_logged(inst, &mut s, &cfg).1;
-    let s = || SchedulerS::with_epsilon(M, 1.0);
+    let s = || SchedulerS::with_epsilon(M, 1.0).with_invariant_checks();
 
     let log = log_of(&deadline_on_completion(), s());
     assert!(
@@ -406,7 +456,10 @@ fn targeted_scan_inputs_reach_their_cases() {
         "the parked job was not dropped at the far completion on its deadline"
     );
 
-    let log = log_of(&not_delta_good_then_fresh(), SchedulerS::new(M, eps07()));
+    let log = log_of(
+        &not_delta_good_then_fresh(),
+        SchedulerS::new(M, eps07()).with_invariant_checks(),
+    );
     assert!(log.contains(r#""job":0,"decision":"deferred","reason":"not-delta-good""#));
     assert!(
         log.contains(r#"{"ev":"admission","t":1,"job":0,"decision":"admitted"}"#),
@@ -421,7 +474,10 @@ fn targeted_scan_inputs_reach_their_cases() {
     );
 
     let (_, c32) = band_boundaries();
-    let log = log_of(&band_edges_inside(), SchedulerS::new(M, c32));
+    let log = log_of(
+        &band_edges_inside(),
+        SchedulerS::new(M, c32).with_invariant_checks(),
+    );
     for job in [4, 5] {
         assert!(log.contains(&format!(
             r#""job":{job},"decision":"deferred","reason":"band-capacity""#
@@ -433,6 +489,38 @@ fn targeted_scan_inputs_reach_their_cases() {
             "in-band job {job} was not started when its band's anchor completed"
         );
     }
+
+    let mut stretched = s();
+    let log = run_logged(&blocked_stretches(), &mut stretched, &cfg).1;
+    for job in [6, 7, 8, 9, 10, 11, 12] {
+        assert!(log.contains(&format!(
+            r#"{{"ev":"admission","t":0,"job":{job},"decision":"deferred","reason":"band-capacity"}}"#
+        )));
+    }
+    let dropped = log
+        .find(r#"{"ev":"admission","t":100,"job":8,"decision":"rejected","reason":"deadline-passed"}"#)
+        .expect("the expired job inside the own-window stretch was not dropped at t = 100");
+    let started = log
+        .find(r#"{"ev":"admission","t":100,"job":10,"decision":"admitted"}"#)
+        .expect("the job just below the own-window stretch was not started at t = 100");
+    assert!(
+        dropped < started,
+        "the expired job's rejection lost its place in the walk"
+    );
+    assert!(log.contains(r#""job":14,"decision":"deferred","reason":"band-capacity""#));
+    for (t, job) in [(100, 7), (100, 9), (100, 12), (113, 14)] {
+        assert!(
+            !log.contains(&format!(r#""t":{t},"job":{job},"#)),
+            "job {job}, inside a blocked stretch, has an event at t = {t}"
+        );
+    }
+    // Probing every candidate, as the scan did before it skipped blocked
+    // stretches, takes 36 probes on this run.
+    assert_eq!(
+        stretched.metrics().admission_probes,
+        20,
+        "the scans did not pass over the blocked stretches"
+    );
 
     let log = log_of(&wc_parked_completes(), s().work_conserving());
     assert!(log.contains(r#""job":4,"decision":"deferred","reason":"band-capacity""#));

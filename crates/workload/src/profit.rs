@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// Profits are integers so experiment totals are exact.
 ///
 /// Segments live behind an `Arc` so cloning — which the engine does once per
-/// job **arrival** to build the scheduler's [`JobInfo`] — is a reference-count
+/// job **arrival** to build the scheduler's `JobInfo` — is a reference-count
 /// bump, not a heap allocation. Profit functions are immutable after
 /// construction, so the sharing is unobservable.
 #[derive(Debug, Clone, PartialEq, Eq)]
