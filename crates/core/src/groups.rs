@@ -24,6 +24,14 @@ use crate::speed::Speed;
 use std::fmt;
 use std::str::FromStr;
 
+/// The most processors a platform or an instance may have.
+///
+/// Processor counts come from user input (instance files, `--groups`
+/// specs), and the engine lays out one entry per processor, so the bound
+/// caps an allocation an input can ask for. It is far above every machine
+/// the experiments use.
+pub const MAX_PROCESSORS: u32 = 1 << 16;
+
 /// One homogeneous slice of the platform: `count` processors at `speed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MachineGroup {
@@ -36,8 +44,8 @@ pub struct MachineGroup {
 /// An ordered list of machine groups describing a related-machines platform.
 ///
 /// Invariants (checked at construction): at least one group, every count
-/// positive, the total processor count fits in `u32`, and the combined work
-/// scale / per-group units fit in `u64`.
+/// positive, at most [`MAX_PROCESSORS`] processors in total, and the
+/// combined work scale / per-group units fit in `u64`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MachineGroups {
     groups: Vec<MachineGroup>,
@@ -54,8 +62,8 @@ impl MachineGroups {
     ///
     /// # Errors
     /// [`SchedError::InvalidInstance`] if the list is empty, any count is
-    /// zero, the total processor count overflows `u32`, or the combined
-    /// work scale overflows `u64`.
+    /// zero, the total processor count exceeds [`MAX_PROCESSORS`], or the
+    /// combined work scale overflows `u64`.
     pub fn new(pairs: impl IntoIterator<Item = (u32, Speed)>) -> Result<MachineGroups, SchedError> {
         let groups: Vec<MachineGroup> = pairs
             .into_iter()
@@ -74,11 +82,14 @@ impl MachineGroups {
                     "machine groups: group count must be positive".into(),
                 ));
             }
-            total = total.checked_add(g.count).ok_or_else(|| {
-                SchedError::InvalidInstance(
-                    "machine groups: total processor count overflows".into(),
-                )
-            })?;
+            total = total
+                .checked_add(g.count)
+                .filter(|&t| t <= MAX_PROCESSORS)
+                .ok_or_else(|| {
+                    SchedError::InvalidInstance(format!(
+                        "machine groups: more than {MAX_PROCESSORS} processors"
+                    ))
+                })?;
             scale = lcm(scale, g.speed.work_scale()).ok_or_else(|| {
                 SchedError::InvalidInstance("machine groups: work scale overflows u64".into())
             })?;
@@ -341,6 +352,25 @@ mod tests {
         assert!(MachineGroups::new(std::iter::empty()).is_err());
         assert!(MachineGroups::new([(0, Speed::ONE)]).is_err());
         assert!(MachineGroups::new([(u32::MAX, Speed::ONE), (1, Speed::ONE)]).is_err());
+    }
+
+    #[test]
+    fn processor_counts_above_the_bound_are_rejected() {
+        assert_eq!(
+            MachineGroups::uniform(MAX_PROCESSORS, Speed::ONE)
+                .unwrap()
+                .total(),
+            MAX_PROCESSORS
+        );
+        for spec in ["4294967295x1", "65537x1", "65536x1,1x2"] {
+            assert!(
+                matches!(
+                    spec.parse::<MachineGroups>(),
+                    Err(SchedError::InvalidInstance(_))
+                ),
+                "accepted {spec:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod speed;
 pub mod time;
 
 pub use error::SchedError;
-pub use groups::{scale_work, ticks_to_complete, MachineGroup, MachineGroups};
+pub use groups::{scale_work, ticks_to_complete, MachineGroup, MachineGroups, MAX_PROCESSORS};
 pub use ids::{JobId, NodeId};
 pub use params::AlgoParams;
 pub use rng::Rng64;

@@ -24,11 +24,13 @@
 //!
 //! [`SimConfig::fast_forward`] alone picks the path a driver runs (see the
 //! [`sim`](crate::sim) module docs): the production path keeps an
-//! [`EventKernel`] and the lifecycle's maintained view and hands the
-//! scheduler a delta; the naive reference path steps tick by tick, scans
-//! for expiries and rebuilds the view. The two share the execution round
-//! (phase 6 of [`step`](SimDriver::step)) and the lifecycle transitions,
-//! nothing else.
+//! [`EventKernel`] and the lifecycle's maintained view, and asks the
+//! scheduler for a fresh allocation only when the view changed or the last
+//! allocation's stability window ended (otherwise it replays that
+//! allocation); the naive reference path steps tick by tick, scans for
+//! expiries, rebuilds the view and asks every tick. The two share the
+//! execution round (phase 6 of [`step`](SimDriver::step)) and the
+//! lifecycle transitions, nothing else.
 //!
 //! Driving the same schedule stepped or one-shot produces the same
 //! [`SimResult`] *including* `steps_executed` and the same event stream —
@@ -68,6 +70,20 @@ struct StepScratch {
     progress: Vec<(JobId, u64)>,
 }
 
+/// How long a fresh allocation stays valid while the view is unchanged: the
+/// scheduler's stability declaration, sampled once at construction.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Stability {
+    /// No declaration: the scheduler is asked every step.
+    PerTick,
+    /// [`OnlineScheduler::bounded_stability`]: valid until
+    /// [`OnlineScheduler::stable_until`] of the tick it was decided at.
+    Bounded,
+    /// [`OnlineScheduler::allocation_stable_between_events`]: valid until
+    /// the view changes.
+    Full,
+}
+
 /// A resumable simulation run. See the [module docs](self).
 pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     inst: &'a Instance,
@@ -85,12 +101,17 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     /// construction: production path, scheduler opt-in, deterministic
     /// pick, no trace).
     fast_forward: bool,
-    /// Whether the scheduler's stability is *bounded*
-    /// ([`OnlineScheduler::bounded_stability`]): fast-forward windows are
-    /// additionally capped at [`OnlineScheduler::stable_until`], and
-    /// allocation-idle stretches may be bulk-skipped (the plan boundary —
-    /// not the per-tick re-decision — is what ends an idle stretch).
-    bounded: bool,
+    /// The scheduler's stability. On the production path it bounds how
+    /// long `scratch.alloc` is replayed; with bulk windows engaged,
+    /// [`Stability::Bounded`] also caps every window at
+    /// [`OnlineScheduler::stable_until`] and lets allocation-idle
+    /// stretches be bulk-skipped (the plan boundary — not the per-tick
+    /// re-decision — is what ends an idle stretch).
+    stability: Stability,
+    /// Production path: while the maintained view is unchanged,
+    /// `scratch.alloc` is what the scheduler would decide at every tick
+    /// before this one, so it is replayed instead of asked for again.
+    replay_before: Time,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
@@ -149,13 +170,17 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // pinned down: a scheduler whose allocation is stable between
         // events (fully, or boundedly with `stable_until` capping every
         // window), a deterministic pick policy, and no per-tick trace.
-        let stable = sched.allocation_stable_between_events();
-        let bounded = !stable && sched.bounded_stability();
+        let stability = if sched.allocation_stable_between_events() {
+            Stability::Full
+        } else if sched.bounded_stability() {
+            Stability::Bounded
+        } else {
+            Stability::PerTick
+        };
         let fast_forward = cfg.fast_forward
             && trace.is_none()
             && cfg.pick.fast_forward_safe()
-            && (stable || bounded);
-        let bounded = bounded && fast_forward;
+            && stability != Stability::PerTick;
         let mut kernel = EventKernel::new(n);
         if cfg.fast_forward {
             kernel.arm_horizon(horizon);
@@ -169,7 +194,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             kernel,
             trace,
             fast_forward,
-            bounded,
+            stability,
+            replay_before: Time(0),
             observing,
             done: false,
             poisoned: false,
@@ -231,7 +257,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         }
         let jobs = self.inst.jobs();
         // The one path switch: production (event kernel, maintained view,
-        // delta handoff) or the naive reference path.
+        // allocation replay) or the naive reference path.
         let production = self.cfg.fast_forward;
         if !((self.life.pending_arrivals() || !self.life.alive.is_empty())
             && self.clock.before_horizon())
@@ -313,23 +339,35 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         // 3. Ask the scheduler. Production: the maintained view is already
         // current (phases 1–2 and the previous step's execution kept it
-        // patched), so offer the scheduler the accumulated delta first and
-        // fall back to a full `allocate_into` over the same view if it
-        // declines. Reference: rebuild the view from scratch into the
-        // hoisted buffer and call `allocate_into`.
+        // patched). If it has not changed since the last fresh allocation
+        // and `t` is still inside that allocation's stability window, the
+        // scheduler would decide the same again, so `scratch.alloc` (which
+        // nothing writes between steps) is replayed. Otherwise ask for a
+        // fresh allocation and open its window. Reference: rebuild the view
+        // from scratch into the hoisted buffer and ask every tick.
+        //
+        // `fresh_until` keeps `stable_until(t)` when this step asked a
+        // bounded scheduler afresh, so the window cap in phase 5 need not
+        // ask again.
+        let mut fresh_until = None;
         if production {
-            let view = TickView::new(self.platform.m(), t, self.life.view())
-                .with_groups(self.platform.groups());
-            if !self
-                .sched
-                .allocate_delta(&self.life.delta, &view, &mut self.scratch.alloc)
-            {
+            if self.life.view_changed || t >= self.replay_before {
+                let view = TickView::new(self.platform.m(), t, self.life.view())
+                    .with_groups(self.platform.groups());
                 self.sched.allocate_into(&view, &mut self.scratch.alloc);
+                self.life.view_changed = false;
+                self.replay_before = match self.stability {
+                    Stability::PerTick => t,
+                    Stability::Bounded => {
+                        let until = self.sched.stable_until(t);
+                        fresh_until = Some(until);
+                        until.unwrap_or(Time::MAX)
+                    }
+                    Stability::Full => Time::MAX,
+                };
             }
-            self.life.delta.clear();
         } else {
             self.life.rebuild_view(&mut self.scratch.view_jobs);
-            self.life.delta.clear();
             self.sched.allocate_into(
                 &TickView::new(self.platform.m(), t, &self.scratch.view_jobs)
                     .with_groups(self.platform.groups()),
@@ -397,8 +435,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // means no further boundary (stable to the next event, like a
             // fully stable scheduler); a boundary at or before `t` means a
             // single-tick window.
-            let bound_cap = if self.bounded {
-                match self.sched.stable_until(t) {
+            let bounded = self.stability == Stability::Bounded;
+            let bound_cap = if bounded {
+                match fresh_until.unwrap_or_else(|| self.sched.stable_until(t)) {
                     Some(until) if until > t => until.since(t),
                     Some(_) => 1,
                     None => u64::MAX,
@@ -461,7 +500,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     self.clock.advance_window(s);
                     return Ok(true);
                 }
-            } else if self.bounded && sc.alloc.is_empty() && !self.life.alive.is_empty() {
+            } else if bounded && sc.alloc.is_empty() && !self.life.alive.is_empty() {
                 // Bounded schedulers idle *deliberately*: an empty
                 // allocation with alive jobs is a plan gap (no slot at this
                 // tick), and within `bound_cap` the per-tick re-decision

@@ -21,7 +21,7 @@
 
 use crate::observe::SimObserver;
 use crate::result::JobStatus;
-use crate::sched_api::{JobInfo, OnlineScheduler, ViewDelta};
+use crate::sched_api::{JobInfo, OnlineScheduler};
 use dagsched_core::{JobId, Time};
 use dagsched_dag::UnfoldState;
 use dagsched_workload::JobSpec;
@@ -71,9 +71,11 @@ pub struct Lifecycle {
     view: Vec<(JobId, u32)>,
     /// Dense id → view/alive position map (`NO_SLOT` = not in the view).
     slot: Vec<u32>,
-    /// View changes accumulated since the scheduler last allocated. The
-    /// driver hands this to `allocate_delta` and clears it.
-    pub(crate) delta: ViewDelta,
+    /// Whether the maintained view changed (a job entered or left it, or a
+    /// ready count moved) since the driver last cleared the flag. The
+    /// production path clears it at each fresh allocation and replays the
+    /// previous allocation while it stays `false`.
+    pub(crate) view_changed: bool,
     /// Index of the next not-yet-arrived job.
     pub(crate) next_arrival: usize,
     /// Σ profit of completed jobs.
@@ -96,7 +98,7 @@ impl Lifecycle {
             alive: Vec::new(),
             view: Vec::new(),
             slot: vec![NO_SLOT; n],
-            delta: ViewDelta::default(),
+            view_changed: false,
             next_arrival: 0,
             total_profit: 0,
             pool: Vec::new(),
@@ -136,7 +138,7 @@ impl Lifecycle {
     }
 
     /// Re-read `id`'s ready count from its unfold state and patch the
-    /// maintained view (recording the change in the delta) if it moved.
+    /// maintained view (flagging the change) if it moved.
     /// The driver calls this after the reference execution path, the only
     /// place a ready count can change (node completions unlock successors);
     /// bulk fast-forward windows never complete a node, so they never need
@@ -148,13 +150,13 @@ impl Lifecycle {
         debug_assert!(pos != NO_SLOT as usize, "patched job is in the view");
         if self.view[pos].1 != rc {
             self.view[pos].1 = rc;
-            self.delta.ready_changed.push((id, rc));
+            self.view_changed = true;
         }
     }
 
     /// Remove `id` from the maintained view by ordered compaction (the
-    /// entries behind it shift left one slot), recording the removal in the
-    /// delta. O(tail behind the removed position).
+    /// entries behind it shift left one slot). O(tail behind the removed
+    /// position).
     fn remove_from_view(&mut self, id: JobId) {
         let pos = self.slot[id.index()] as usize;
         debug_assert_eq!(self.view[pos].0, id, "slot map points at its job");
@@ -163,7 +165,7 @@ impl Lifecycle {
         for j in pos..self.view.len() {
             self.slot[self.view[j].0.index()] = j as u32;
         }
-        self.delta.removed.push(id);
+        self.view_changed = true;
     }
 
     /// Remove an ascending batch of ids from the maintained view in one
@@ -174,6 +176,7 @@ impl Lifecycle {
         if removed.is_empty() {
             return;
         }
+        self.view_changed = true;
         let first = self.slot[removed[0].index()] as usize;
         let mut next = 0;
         let mut w = first;
@@ -182,7 +185,6 @@ impl Lifecycle {
             if next < removed.len() && removed[next] == id {
                 next += 1;
                 self.slot[id.index()] = NO_SLOT;
-                self.delta.removed.push(id);
             } else {
                 self.slot[id.index()] = w as u32;
                 self.view[w] = (id, rc);
@@ -246,7 +248,7 @@ impl Lifecycle {
             self.alive.push(job.id);
             self.slot[job.id.index()] = self.view.len() as u32;
             self.view.push((job.id, ready0));
-            self.delta.admitted.push((job.id, ready0));
+            self.view_changed = true;
             let info = JobInfo {
                 id: job.id,
                 arrival: job.arrival,
@@ -460,13 +462,12 @@ mod tests {
         let mut obs = NullObserver;
 
         // All four admit at once: the view lists them in arrival (id) order
-        // with their initial ready counts, and the delta mirrors it.
+        // with their initial ready counts, and the change is flagged.
         assert!(lc.admit_arrivals(&jobs, Time(0), 1, &mut sched, &mut obs));
         let expect: Vec<(JobId, u32)> = (0..4).map(|i| (JobId(i), 1)).collect();
         assert_eq!(lc.view(), &expect[..]);
-        assert_eq!(lc.delta.admitted, expect);
-        assert!(lc.delta.removed.is_empty() && lc.delta.ready_changed.is_empty());
-        lc.delta.clear();
+        assert!(lc.view_changed);
+        lc.view_changed = false;
 
         // Remove the middle job: ordered compaction, not swap-remove — the
         // tail keeps arrival order, and the slot map follows it.
@@ -476,19 +477,29 @@ mod tests {
             &[(JobId(0), 1), (JobId(2), 1), (JobId(3), 1)],
             "compaction preserves arrival order"
         );
-        assert_eq!(lc.delta.removed, vec![JobId(1)]);
-        lc.delta.clear();
+        assert!(lc.view_changed);
+        lc.view_changed = false;
 
-        // Patch a ready count in place: recorded once, and only on change.
+        // Patch a ready count in place: flagged only on change.
         lc.patch_ready(JobId(2));
         assert!(
-            lc.delta.ready_changed.is_empty(),
-            "unchanged ready count must not be recorded"
+            !lc.view_changed,
+            "unchanged ready count must not be flagged"
         );
 
         // Removing the head compacts the remaining two, again in order.
         lc.complete(&jobs, Time(2), &[JobId(0)], &mut sched, &mut obs);
         assert_eq!(lc.view(), &[(JobId(2), 1), (JobId(3), 1)]);
-        assert_eq!(lc.delta.removed, vec![JobId(0)]);
+        assert!(lc.view_changed);
+        lc.view_changed = false;
+
+        // An expiry scan that finds nothing due leaves the flag alone; one
+        // that expires the rest sets it.
+        let mut expired = Vec::new();
+        lc.expire_hopeless(&jobs, Time(3), &mut sched, &mut obs, &mut expired);
+        assert!(expired.is_empty() && !lc.view_changed);
+        lc.expire_hopeless(&jobs, Time(5000), &mut sched, &mut obs, &mut expired);
+        assert_eq!(expired, vec![JobId(2), JobId(3)]);
+        assert!(lc.view().is_empty() && lc.view_changed);
     }
 }

@@ -54,7 +54,14 @@ pub struct TickView<'a> {
 
 impl<'a> TickView<'a> {
     /// Construct a view (used by the engine and by scheduler unit tests).
+    ///
+    /// `jobs` must list strictly ascending ids, as engine-built views do:
+    /// [`ready_count`](Self::ready_count) binary-searches them.
     pub fn new(m: u32, now: Time, jobs: &'a [(JobId, u32)]) -> TickView<'a> {
+        debug_assert!(
+            jobs.windows(2).all(|w| w[0].0 < w[1].0),
+            "tick view ids must strictly ascend"
+        );
         TickView {
             m,
             now,
@@ -86,9 +93,9 @@ impl<'a> TickView<'a> {
     /// O(log n) by binary search: engine-built views list jobs in arrival
     /// order, and [`Instance::new`](dagsched_workload::Instance::new)
     /// guarantees ids are assigned in arrival order, so `jobs` is ascending
-    /// by id. Hand-built test views must keep ids sorted for this lookup
-    /// (views with unsorted ids may still be *iterated* via
-    /// [`jobs`](Self::jobs)).
+    /// by id ([`new`](Self::new) asserts it in debug builds). This is how
+    /// every shipped scheduler reads ready counts; none keeps a copy of
+    /// the view.
     pub fn ready_count(&self, id: JobId) -> Option<u32> {
         self.jobs
             .binary_search_by_key(&id, |&(j, _)| j)
@@ -105,25 +112,19 @@ impl<'a> TickView<'a> {
 /// where S always hands a job its full allotment `n_i`).
 pub type Allocation = Vec<(JobId, u32)>;
 
-/// What changed in the [`TickView`] since the scheduler last allocated.
+/// What changed in the [`TickView`] between two allocate calls: the
+/// argument of [`OnlineScheduler::allocate_delta`].
 ///
-/// The engine's lifecycle maintains the view persistently and accumulates
-/// every mutation here: admissions append, terminal transitions remove,
-/// node completions patch a job's ready count in place. The delta is
-/// handed to [`OnlineScheduler::allocate_delta`] together with the full
-/// (already-patched) view, then cleared — so **an empty delta means no
-/// scheduler hook fired and no ready count moved since the previous
-/// `allocate` call**, which for a scheduler honoring
-/// [`allocation_stable_between_events`](OnlineScheduler::allocation_stable_between_events)
-/// makes replaying the previous allocation byte-identical to recomputing
-/// it.
+/// Retained for API compatibility; **the engine no longer builds or passes
+/// it.** The production path replays the previous allocation itself
+/// when the view has not changed (see
+/// [`allocate_into`](OnlineScheduler::allocate_into)), and schedulers read
+/// ready counts from the view with [`TickView::ready_count`].
 ///
-/// One job id appears in at most one of the three lists per delta, with a
-/// single exception: a job can be admitted and then expire (or a job can
-/// have its ready count patched and then complete) before the next
-/// allocate, in which case it appears in `removed` *as well*. Applying the
-/// lists in the order `admitted` → `ready_changed` → `removed` therefore
-/// always yields the correct net effect.
+/// One job id appears in at most one of the three lists, except that a job
+/// admitted (or patched) and then removed before the next allocate appears
+/// in `removed` as well: applying the lists in the order `admitted` →
+/// `ready_changed` → `removed` yields the net effect.
 #[derive(Debug, Clone, Default)]
 pub struct ViewDelta {
     /// Jobs that entered the view: `(id, initial ready count)`, in
@@ -133,22 +134,6 @@ pub struct ViewDelta {
     pub removed: Vec<JobId>,
     /// Jobs whose ready count changed in place: `(id, new ready count)`.
     pub ready_changed: Vec<(JobId, u32)>,
-}
-
-impl ViewDelta {
-    /// True iff nothing changed since the last allocate.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.admitted.is_empty() && self.removed.is_empty() && self.ready_changed.is_empty()
-    }
-
-    /// Forget every recorded change, keeping capacity.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.admitted.clear();
-        self.removed.clear();
-        self.ready_changed.clear();
-    }
 }
 
 /// An online scheduler driving the engine.
@@ -176,49 +161,37 @@ pub trait OnlineScheduler {
     /// Buffer-reusing variant of [`allocate`](Self::allocate): write this
     /// tick's assignment into `out` instead of returning a fresh vector.
     ///
-    /// The engine hoists one `Allocation` buffer across the whole run and
-    /// calls this method, so schedulers that override it (and otherwise
-    /// keep allocation off their event path) decide each tick without
-    /// touching the allocator. Implementations must leave `out` holding
-    /// exactly what `allocate` would have returned — the default clears
-    /// `out` and delegates, so overriders must also start from
-    /// `out.clear()` and must not read stale contents.
+    /// This is the one allocation call the engine makes, on both paths. It
+    /// hoists one `Allocation` buffer across the whole run, so schedulers
+    /// that override this (and otherwise keep allocation off their event
+    /// path) decide each tick without touching the allocator.
+    /// Implementations must leave `out` holding exactly what `allocate`
+    /// would have returned — the default clears `out` and delegates, so
+    /// overriders must also start from `out.clear()` and must not read
+    /// stale contents.
+    ///
+    /// The naive reference path
+    /// ([`SimConfig::fast_forward`](crate::SimConfig) off) calls this every
+    /// tick on a rebuilt view. The production path calls it only when the
+    /// previous allocation may have gone stale: the view changed since the
+    /// last call (an arrival, a completion, an expiry, or a ready count
+    /// moved), or `now` left that call's stability window (see
+    /// [`allocation_stable_between_events`](Self::allocation_stable_between_events)
+    /// and [`bounded_stability`](Self::bounded_stability)). Otherwise it
+    /// replays the previous `out` unchanged. A scheduler that declares
+    /// neither stability is asked every step.
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
         let alloc = self.allocate(view);
         out.extend_from_slice(&alloc);
     }
 
-    /// Incremental variant of [`allocate_into`](Self::allocate_into):
-    /// patch the previous allocation from a [`ViewDelta`] instead of
-    /// re-deriving it from the full view. Return `true` after writing the
-    /// allocation into `out`; return `false` (the default) to decline, in
-    /// which case the engine falls back to a full `allocate_into` on the
-    /// same view.
+    /// Retained for API compatibility; **the engine no longer calls it.**
     ///
-    /// The engine's contract with implementations:
-    ///
-    /// * `out` still holds **exactly what the previous `allocate_delta` /
-    ///   `allocate_into` call left in it** — the engine hoists one buffer
-    ///   per run and never writes to it between scheduler calls. On an
-    ///   empty `delta` an implementation may therefore return `true`
-    ///   without touching `out` at all (the cached-replay fast path).
-    /// * `delta` records every view change since that previous call (see
-    ///   [`ViewDelta`]); `view` is the full, already-patched view, so an
-    ///   implementation may consult either.
-    /// * Within one engine run the path is pinned: the production path
-    ///   calls this method every step (falling back per-step when it
-    ///   returns `false`); the naive reference path
-    ///   ([`SimConfig::fast_forward`](crate::SimConfig) off) never calls
-    ///   it.
-    ///
-    /// Correctness bar: after returning `true`, `out` must be byte-identical
-    /// to what `allocate_into(view, out)` would have produced. Only
-    /// schedulers honoring
-    /// [`allocation_stable_between_events`](Self::allocation_stable_between_events)
-    /// can promise this for the empty-delta replay (a `now`-dependent
-    /// scheduler would re-decide differently); unstable schedulers keep the
-    /// default `false`.
+    /// It once let a scheduler patch its previous allocation from a
+    /// [`ViewDelta`] and replay it when nothing changed. The engine does
+    /// the replay itself (see [`allocate_into`](Self::allocate_into)), so
+    /// an override is never reached. The default declines (`false`).
     fn allocate_delta(
         &mut self,
         delta: &ViewDelta,
@@ -242,12 +215,14 @@ pub trait OnlineScheduler {
     ///    such as RNG draws, counters, or time-keyed queues), and
     /// 3. not depend on `view.now` other than through the event hooks.
     ///
-    /// When this holds, the engine may call `allocate` once per event
-    /// instead of once per tick and bulk-advance the claimed nodes across
-    /// the whole inter-event window — identical results, O(events) instead
-    /// of O(ticks). Schedulers that cannot promise this (e.g. randomized
-    /// per-tick orders, or profit-curve trackers keyed on absolute time)
-    /// keep the default `false` and run one tick per step.
+    /// When this holds, the production path asks the scheduler once per
+    /// change of the view and replays that allocation until the next
+    /// change, and (with a deterministic pick policy) bulk-advances the
+    /// claimed nodes across the whole inter-event window — identical
+    /// results, O(events) instead of O(ticks). Schedulers that cannot
+    /// promise this (e.g. randomized per-tick orders, or profit-curve
+    /// trackers keyed on absolute time) keep the default `false` and are
+    /// asked every tick.
     fn allocation_stable_between_events(&self) -> bool {
         false
     }
@@ -277,8 +252,10 @@ pub trait OnlineScheduler {
     /// hook firing in between, repeated `allocate` calls on views with
     /// `now ∈ [t, stable_until(t))` must satisfy the same three points as
     /// full stability (same allocation, no observable side effects, no
-    /// other `now` dependence). The engine then fast-forwards in windows
-    /// capped by `stable_until` instead of single ticks.
+    /// other `now` dependence). The production path then replays the
+    /// allocation decided at `t` while the view is unchanged and
+    /// `now < stable_until(t)`, and fast-forwards in windows capped by
+    /// `stable_until` instead of single ticks.
     ///
     /// Full stability subsumes this: schedulers returning `true` from
     /// `allocation_stable_between_events` are never asked. The default
@@ -292,7 +269,8 @@ pub trait OnlineScheduler {
     /// `[now, stable_until(now))`.
     ///
     /// Only consulted when [`bounded_stability`](Self::bounded_stability)
-    /// returns `true`, once per engine step after the allocation. `None`
+    /// returns `true`: after each fresh allocation on the production path
+    /// (to end its replay window) and once per fast-forward step. `None`
     /// means *no further plan boundary* — stable until the next event, like
     /// a fully stable scheduler. `Some(t)` with `t <= now` is treated as a
     /// single-tick window. The default `None` pairs with the default

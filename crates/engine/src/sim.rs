@@ -5,17 +5,20 @@
 //! execution paths, which produce identical results:
 //!
 //! * the **production path** (`true`, the default) keeps the next event in
-//!   an [`EventKernel`](crate::events::EventKernel), maintains the
-//!   scheduler's view incrementally and offers the scheduler each step's
-//!   [`ViewDelta`](crate::sched_api::ViewDelta). Between *events*
-//!   (arrivals, node completions, expiries, the horizon) nothing visible to
-//!   a stable scheduler changes, so it computes the width of that boring
+//!   an [`EventKernel`](crate::events::EventKernel) and maintains the
+//!   scheduler's view incrementally. Between *events* (arrivals, node
+//!   completions, expiries, the horizon) nothing visible to a stable
+//!   scheduler changes, so while the view is unchanged and the last
+//!   allocation's stability window is open it replays that allocation
+//!   instead of asking again, and it computes the width of that boring
 //!   window and bulk-advances every claimed node across it in one engine
-//!   step — O(events) instead of O(ticks). Bulk windows engage only when
-//!   the scheduler opts in via
-//!   [`OnlineScheduler::allocation_stable_between_events`], the pick policy
-//!   is deterministic ([`NodePick::fast_forward_safe`]) and tracing is off;
-//!   otherwise the production path runs one tick per step;
+//!   step — O(events) instead of O(ticks). Both engage only when the
+//!   scheduler opts in via
+//!   [`OnlineScheduler::allocation_stable_between_events`] or
+//!   [`OnlineScheduler::bounded_stability`]; bulk windows also need a
+//!   deterministic pick policy ([`NodePick::fast_forward_safe`]) and
+//!   tracing off, and otherwise the production path runs one tick per
+//!   step;
 //! * the **naive reference path** (`false`) is the direct transcription of
 //!   the paper's per-tick model, kept as ground truth. It steps one tick at
 //!   a time, skips idle gaps from the arrival list, finds expiries by
@@ -70,10 +73,10 @@ pub struct SimConfig {
     /// bulk windows (a trace is inherently per-tick).
     pub record_trace: bool,
     /// Run the production path (on by default): the event kernel, the
-    /// maintained view with `allocate_delta`, and bulk fast-forward windows
-    /// when the scheduler and pick policy allow them. Turn off for the
-    /// naive per-tick reference path, e.g. for differential testing. See
-    /// the [module docs](self).
+    /// maintained view with allocation replay, and bulk fast-forward
+    /// windows when the scheduler and pick policy allow them. Turn off for
+    /// the naive per-tick reference path, e.g. for differential testing.
+    /// See the [module docs](self).
     pub fast_forward: bool,
 }
 

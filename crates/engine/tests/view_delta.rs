@@ -2,15 +2,15 @@
 //! of *any* run, `Lifecycle::view()` must equal what
 //! `Lifecycle::rebuild_view` reconstructs from the alive list — same jobs,
 //! same ready counts, same (arrival) order. This is the engine-level half
-//! of the delta-handoff oracle; the naive-vs-fast `stream_equiv` suite in
+//! of the view-handoff oracle; the naive-vs-fast `stream_equiv` suite in
 //! the verify crate pins the scheduler-facing half (full runs,
 //! byte-identical output against the naive path's rebuilt view).
 //!
-//! Also pins the `allocate_delta` contract from the engine side with a
-//! minimal delta-capable scheduler: on an empty delta the engine hands the
-//! scheduler the *same* buffer still holding the previous allocation, a
-//! cached replay is indistinguishable from a recompute, and the naive
-//! reference path never calls `allocate_delta` at all.
+//! Also pins the engine's allocation replay by counting `allocate_into`
+//! calls: on the production path a stable scheduler is asked once per
+//! change of the view and its allocation is replayed in between; a
+//! scheduler that declares no stability is asked every step; the naive
+//! reference path asks every tick. No path calls `allocate_delta`.
 
 use dagsched_core::{JobId, Time};
 use dagsched_dag::gen;
@@ -20,32 +20,27 @@ use dagsched_engine::{
 };
 use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
 
-/// Greedy arrival-order scheduler with an `allocate_delta` that replays the
-/// cached allocation on empty deltas and otherwise recomputes from the
-/// view. Counts which branch ran so tests can assert replays happen.
+/// Greedy arrival-order scheduler that counts its `allocate_into` calls.
+/// Its `allocate_delta` panics: the engine must never call it.
 struct CountingGreedy {
-    cache_live: bool,
-    replays: u64,
-    recomputes: u64,
-    declines: bool,
+    stable: bool,
+    asks: u64,
 }
 
 impl CountingGreedy {
+    /// Declares `allocation_stable_between_events`.
     fn new() -> CountingGreedy {
         CountingGreedy {
-            cache_live: false,
-            replays: 0,
-            recomputes: 0,
-            declines: false,
+            stable: true,
+            asks: 0,
         }
     }
 
-    /// A variant that declines every delta call: exercises the engine's
-    /// fallback (maintained view + full `allocate_into`).
-    fn declining() -> CountingGreedy {
+    /// The same policy with no stability declaration: asked every step.
+    fn per_tick() -> CountingGreedy {
         CountingGreedy {
-            declines: true,
-            ..CountingGreedy::new()
+            stable: false,
+            asks: 0,
         }
     }
 }
@@ -63,7 +58,7 @@ impl OnlineScheduler for CountingGreedy {
         out
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        self.cache_live = false;
+        self.asks += 1;
         out.clear();
         let mut left = view.m;
         for &(id, r) in view.jobs() {
@@ -79,30 +74,14 @@ impl OnlineScheduler for CountingGreedy {
     }
     fn allocate_delta(
         &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
+        _delta: &ViewDelta,
+        _view: &TickView<'_>,
+        _out: &mut Allocation,
     ) -> bool {
-        if self.declines {
-            return false;
-        }
-        if self.cache_live && delta.is_empty() {
-            self.replays += 1;
-            return true;
-        }
-        self.recomputes += 1;
-        self.allocate_into(view, out);
-        self.cache_live = true;
-        true
+        panic!("the engine must not call allocate_delta");
     }
     fn allocation_stable_between_events(&self) -> bool {
-        true
-    }
-    fn reset(&mut self) -> bool {
-        self.cache_live = false;
-        self.replays = 0;
-        self.recomputes = 0;
-        true
+        self.stable
     }
 }
 
@@ -161,24 +140,28 @@ fn maintained_view_equals_rebuild_on_standard_workloads() {
 }
 
 #[test]
-fn declining_scheduler_rides_the_fallback_identically() {
+fn panicking_allocate_delta_runs_clean_on_both_paths() {
+    // Stable (replayed between changes, bulk windows) and per-tick (asked
+    // every step) runs of the same policy: no path reaches the panicking
+    // `allocate_delta`, and all four runs agree on every outcome.
     let inst = WorkloadGen::standard(4, 30, 11)
         .generate()
         .expect("valid workload");
+    let mut results = Vec::new();
     for cfg in knob_grid() {
-        let mut accepting = CountingGreedy::new();
-        let mut declining = CountingGreedy::declining();
-        let a = run_pinned(&inst, &cfg, &mut accepting);
-        let d = run_pinned(&inst, &cfg, &mut declining);
-        assert_eq!(a, d, "fallback diverges under {cfg:?}");
+        for mut s in [CountingGreedy::new(), CountingGreedy::per_tick()] {
+            results.push(simulate(&inst, &mut s, &cfg).expect("run succeeds"));
+        }
+    }
+    assert!(results[0].total_profit > 0);
+    for r in &results[1..] {
+        assert!(r.same_outcome(&results[0]), "outcomes diverge");
     }
 }
 
-#[test]
-fn empty_deltas_actually_replay_on_a_parked_instance() {
-    // Forty parked jobs and one long-running foreground job: after the
-    // initial burst, steps between events see empty deltas, so the cached
-    // allocation must be replayed, not recomputed.
+/// Forty parked jobs and one foreground job on two processors: after the
+/// initial burst, long stretches pass with an unchanged view.
+fn parked_instance() -> Instance {
     let mut jobs: Vec<JobSpec> = (0..40u32)
         .map(|i| {
             JobSpec::new(
@@ -195,10 +178,14 @@ fn empty_deltas_actually_replay_on_a_parked_instance() {
         gen::single(2_000).into_shared(),
         StepProfitFn::deadline(Time(500_000), 5),
     ));
-    let inst = Instance::new(2, jobs).expect("valid parked instance");
+    Instance::new(2, jobs).expect("valid parked instance")
+}
 
-    // The random pick keeps the production path at one tick per step: the
-    // replay branch must carry nearly the whole run.
+#[test]
+fn empty_deltas_actually_replay_on_a_parked_instance() {
+    let inst = parked_instance();
+    // The random pick keeps the production path at one tick per step, so
+    // every step between two changes of the view is a replay.
     let cfg = SimConfig {
         pick: NodePick::Random(7),
         ..SimConfig::default()
@@ -206,16 +193,26 @@ fn empty_deltas_actually_replay_on_a_parked_instance() {
     let mut s = CountingGreedy::new();
     let r = simulate(&inst, &mut s, &cfg).expect("run succeeds");
     assert!(r.total_profit > 0);
-    assert!(
-        s.replays > 100 * s.recomputes.max(1),
-        "parked steady state should be replay-dominated: {} replays, {} recomputes",
-        s.replays,
-        s.recomputes
+    assert_eq!(r.steps_executed, r.ticks_simulated, "one tick per step");
+    // One fresh allocation at the start and one after each pair of parked
+    // jobs completes; the other 201,979 steps replay.
+    assert_eq!(
+        (s.asks, r.steps_executed),
+        (21, 202_000),
+        "fresh allocations and steps"
     );
+
+    // Without a stability declaration the scheduler is asked every step.
+    let mut p = CountingGreedy::per_tick();
+    let rp = simulate(&inst, &mut p, &cfg).expect("run succeeds");
+    assert!(rp.same_outcome(&r));
+    assert_eq!(p.asks, rp.steps_executed);
 }
 
 #[test]
 fn rebuild_mode_never_calls_allocate_delta() {
+    // The naive reference path asks once per tick, stable or not (and a
+    // call to the panicking `allocate_delta` would fail the run).
     let inst = WorkloadGen::standard(4, 20, 5)
         .generate()
         .expect("valid workload");
@@ -223,21 +220,19 @@ fn rebuild_mode_never_calls_allocate_delta() {
         fast_forward: false,
         ..SimConfig::default()
     };
-    let mut s = CountingGreedy::new();
-    simulate(&inst, &mut s, &cfg).expect("run succeeds");
-    assert_eq!(
-        s.replays + s.recomputes,
-        0,
-        "the reference path rebuilds the view and never offers a delta"
-    );
+    for mut s in [CountingGreedy::new(), CountingGreedy::per_tick()] {
+        let r = simulate(&inst, &mut s, &cfg).expect("run succeeds");
+        assert_eq!(r.steps_executed, r.ticks_simulated);
+        assert_eq!(s.asks, r.ticks_simulated, "one ask per tick");
+    }
 }
 
 #[test]
 fn same_step_admit_and_expire_nets_out_of_the_view() {
     // Job 1 arrives already hopeless (deadline 0 profit tail 0): it is
-    // admitted and expired within the same step, so the view never shows
-    // it and the delta the scheduler sees nets to absent. The maintained
-    // view must agree with the rebuild throughout (run_pinned asserts it).
+    // admitted and expired within the same step, so the view the
+    // scheduler sees never shows it. The maintained view must agree with
+    // the rebuild throughout (run_pinned asserts it).
     let jobs = vec![
         JobSpec::new(
             JobId(0),
@@ -303,15 +298,15 @@ mod properties {
             seed in 0u64..2000,
             n in 2usize..12,
             m in 1u32..4,
-            decline in 0u8..2,
+            stable in 0u8..2,
         ) {
             let inst = collision_instance(seed, n, m);
             let mut profits = Vec::new();
             for cfg in knob_grid() {
-                let mut s = if decline == 1 {
-                    CountingGreedy::declining()
-                } else {
+                let mut s = if stable == 1 {
                     CountingGreedy::new()
+                } else {
+                    CountingGreedy::per_tick()
                 };
                 profits.push(run_pinned(&inst, &cfg, &mut s).0);
             }
@@ -322,7 +317,7 @@ mod properties {
             );
         }
 
-        /// Pausing a delta run at arbitrary horizons leaves the maintained
+        /// Pausing a production run at arbitrary horizons leaves the maintained
         /// view equal to a rebuild at every pause point and at the end.
         #[test]
         fn paused_runs_keep_the_view_pinned(

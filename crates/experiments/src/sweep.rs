@@ -624,6 +624,7 @@ mod tests {
         }
         assert!(parse(&argv("--groups 4xfast")).is_err());
         assert!(parse(&argv("--groups 0x1")).is_err());
+        assert!(parse(&argv("--groups 4294967295x1")).is_err());
     }
 
     #[test]

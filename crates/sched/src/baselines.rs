@@ -33,13 +33,13 @@
 //! makes the maintained order identical to a stable sort by key, so a fill
 //! walks the map instead of re-sorting per tick. Arrival, completion and
 //! expiry each cost O(log n) in the alive count, and the per-tick path (a
-//! walk plus a dense ready-count scratch) allocates nothing.
+//! walk that reads ready counts from the view) allocates nothing.
 
 use crate::ord::OrdF64;
-use crate::slab::{DenseU32Map, JobSlab};
+use crate::slab::JobSlab;
 use dagsched_core::{AlgoParams, JobId, Rng64, Time};
 use dagsched_engine::{
-    AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler, TickView, ViewDelta,
+    AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler, TickView,
 };
 use std::collections::BTreeMap;
 
@@ -114,35 +114,16 @@ fn deadline(info: &JobInfo) -> Time {
 }
 
 /// Work-conserving fill: walk `order`, give each job `min(ready, left)`.
-/// `lut` is caller-owned scratch, rebuilt from the view; `out` is appended
-/// to.
-fn fill_into(
-    order: impl Iterator<Item = JobId>,
-    view: &TickView<'_>,
-    lut: &mut DenseU32Map,
-    out: &mut Allocation,
-) {
-    lut.clear();
-    for &(id, r) in view.jobs() {
-        lut.set(id, r);
-    }
-    fill_with_lut(order, view.m, lut, out);
-}
-
-/// The fill walk against an already-current ready lut — the delta path's
-/// variant of [`fill_into`] with the O(alive) rebuild factored out.
-fn fill_with_lut(
-    order: impl Iterator<Item = JobId>,
-    m: u32,
-    lut: &DenseU32Map,
-    out: &mut Allocation,
-) {
-    let mut left = m;
+/// `out` is appended to.
+fn fill(order: impl Iterator<Item = JobId>, view: &TickView<'_>, out: &mut Allocation) {
+    let mut left = view.m;
     for id in order {
         if left == 0 {
             break;
         }
-        let Some(r) = lut.get(id) else { continue };
+        let Some(r) = view.ready_count(id) else {
+            continue;
+        };
         let k = r.min(left);
         if k > 0 {
             out.push((id, k));
@@ -158,12 +139,6 @@ macro_rules! baseline {
         pub struct $name {
             m: u32,
             alive: AliveSet<()>,
-            /// Ready counts: per-call scratch on the rebuild path, kept
-            /// *persistent* across calls on the delta path (`lut_live`).
-            ready_lut: DenseU32Map,
-            /// True while `ready_lut` mirrors the engine's maintained view
-            /// (delta path only; any full `allocate_into` invalidates it).
-            lut_live: bool,
         }
 
         impl $name {
@@ -172,8 +147,6 @@ macro_rules! baseline {
                 $name {
                     m,
                     alive: AliveSet::default(),
-                    ready_lut: DenseU32Map::new(),
-                    lut_live: false,
                 }
             }
         }
@@ -198,35 +171,8 @@ macro_rules! baseline {
                 out
             }
             fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-                self.lut_live = false;
                 out.clear();
-                fill_into(self.alive.ids(), view, &mut self.ready_lut, out);
-            }
-            fn allocate_delta(
-                &mut self,
-                delta: &ViewDelta,
-                view: &TickView<'_>,
-                out: &mut Allocation,
-            ) -> bool {
-                if self.lut_live && delta.is_empty() {
-                    // Nothing moved since the last call: `out` still holds
-                    // that call's allocation, and replaying it verbatim is
-                    // exactly what the full walk would recompute.
-                    return true;
-                }
-                if self.lut_live {
-                    self.ready_lut.apply_view_delta(delta);
-                } else {
-                    // First delta call of the run: seed the lut once.
-                    self.ready_lut.clear();
-                    for &(id, r) in view.jobs() {
-                        self.ready_lut.set(id, r);
-                    }
-                    self.lut_live = true;
-                }
-                out.clear();
-                fill_with_lut(self.alive.ids(), view.m, &self.ready_lut, out);
-                true
+                fill(self.alive.ids(), view, out);
             }
             fn allocation_stable_between_events(&self) -> bool {
                 // Every baseline orders by keys fixed at arrival (seq,
@@ -244,8 +190,6 @@ macro_rules! baseline {
             }
             fn reset(&mut self) -> bool {
                 self.alive.clear();
-                self.ready_lut.clear();
-                self.lut_live = false;
                 true
             }
         }
@@ -292,7 +236,6 @@ pub struct RandomOrder {
     seed: u64,
     rng: Rng64,
     ids: Vec<JobId>,
-    ready_lut: DenseU32Map,
 }
 
 impl RandomOrder {
@@ -303,7 +246,6 @@ impl RandomOrder {
             seed,
             rng: Rng64::seed_from(seed),
             ids: Vec::new(),
-            ready_lut: DenseU32Map::new(),
         }
     }
 }
@@ -332,7 +274,7 @@ impl OnlineScheduler for RandomOrder {
         self.ids.clear();
         self.ids.extend(self.alive.ids());
         self.rng.shuffle(&mut self.ids);
-        fill_into(self.ids.iter().copied(), view, &mut self.ready_lut, out);
+        fill(self.ids.iter().copied(), view, out);
     }
     fn allocation_stable_between_events(&self) -> bool {
         // Deliberately NOT stable: each call consumes RNG state and may
@@ -365,10 +307,6 @@ pub struct SNoAdmission {
     /// descending, then arrival order — the allocate order.
     alive: AliveSet<u32>,
     report: Option<Vec<AdmissionEvent>>,
-    /// True while `out` from the previous allocate call is still current
-    /// (delta path: the walk ignores ready counts, so only hook-driven
-    /// queue changes can invalidate it).
-    cache_live: bool,
 }
 
 impl SNoAdmission {
@@ -379,7 +317,6 @@ impl SNoAdmission {
             params,
             alive: AliveSet::default(),
             report: None,
-            cache_live: false,
         }
     }
 }
@@ -422,7 +359,6 @@ impl OnlineScheduler for SNoAdmission {
         out
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        self.cache_live = false;
         out.clear();
         let mut left = view.m;
         for (id, allot) in self.alive.iter() {
@@ -434,21 +370,6 @@ impl OnlineScheduler for SNoAdmission {
                 left -= allot;
             }
         }
-    }
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        if self.cache_live && delta.is_empty() {
-            return true;
-        }
-        // The walk never reads ready counts, so a non-empty delta just
-        // means "rerun the (cheap) allotment walk" — no lut to maintain.
-        self.allocate_into(view, out);
-        self.cache_live = true;
-        true
     }
     fn allocation_stable_between_events(&self) -> bool {
         // Pure walk over densities and allotments fixed at arrival.
@@ -468,7 +389,6 @@ impl OnlineScheduler for SNoAdmission {
     fn reset(&mut self) -> bool {
         self.alive.clear();
         self.report = None;
-        self.cache_live = false;
         true
     }
 }
@@ -490,8 +410,6 @@ pub struct MoldableList {
     m: u32,
     /// Alive jobs and their allotments in arrival order — the list.
     alive: AliveSet<u32>,
-    ready_lut: DenseU32Map,
-    lut_live: bool,
 }
 
 impl MoldableList {
@@ -500,25 +418,6 @@ impl MoldableList {
         MoldableList {
             m,
             alive: AliveSet::default(),
-            ready_lut: DenseU32Map::new(),
-            lut_live: false,
-        }
-    }
-
-    fn fill(&self, m: u32, out: &mut Allocation) {
-        let mut left = m;
-        for (id, allot) in self.alive.iter() {
-            if left == 0 {
-                break;
-            }
-            let Some(r) = self.ready_lut.get(id) else {
-                continue;
-            };
-            let k = r.min(allot).min(left);
-            if k > 0 {
-                out.push((id, k));
-                left -= k;
-            }
         }
     }
 }
@@ -546,35 +445,21 @@ impl OnlineScheduler for MoldableList {
         out
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        self.lut_live = false;
         out.clear();
-        self.ready_lut.clear();
-        for &(id, r) in view.jobs() {
-            self.ready_lut.set(id, r);
-        }
-        self.fill(view.m, out);
-    }
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        if self.lut_live && delta.is_empty() {
-            return true;
-        }
-        if self.lut_live {
-            self.ready_lut.apply_view_delta(delta);
-        } else {
-            self.ready_lut.clear();
-            for &(id, r) in view.jobs() {
-                self.ready_lut.set(id, r);
+        let mut left = view.m;
+        for (id, allot) in self.alive.iter() {
+            if left == 0 {
+                break;
             }
-            self.lut_live = true;
+            let Some(r) = view.ready_count(id) else {
+                continue;
+            };
+            let k = r.min(allot).min(left);
+            if k > 0 {
+                out.push((id, k));
+                left -= k;
+            }
         }
-        out.clear();
-        self.fill(view.m, out);
-        true
     }
     fn allocation_stable_between_events(&self) -> bool {
         // List order and allotments are fixed at arrival; the fill is a
@@ -586,8 +471,6 @@ impl OnlineScheduler for MoldableList {
     }
     fn reset(&mut self) -> bool {
         self.alive.clear();
-        self.ready_lut.clear();
-        self.lut_live = false;
         true
     }
 }
@@ -603,8 +486,6 @@ impl OnlineScheduler for MoldableList {
 pub struct EquiPartition {
     /// Alive jobs in arrival order.
     alive: AliveSet<()>,
-    ready_lut: DenseU32Map,
-    lut_live: bool,
 }
 
 impl EquiPartition {
@@ -612,12 +493,11 @@ impl EquiPartition {
     pub fn new(_m: u32) -> EquiPartition {
         EquiPartition {
             alive: AliveSet::default(),
-            ready_lut: DenseU32Map::new(),
-            lut_live: false,
         }
     }
 
-    fn fill(&self, m: u32, out: &mut Allocation) {
+    fn fill(&self, view: &TickView<'_>, out: &mut Allocation) {
+        let m = view.m;
         let k = self.alive.len() as u32;
         if k == 0 {
             return;
@@ -628,7 +508,7 @@ impl EquiPartition {
         let mut left = m;
         for (i, id) in self.alive.ids().enumerate() {
             let share = quota + u32::from((i as u32) < rem);
-            let Some(r) = self.ready_lut.get(id) else {
+            let Some(r) = view.ready_count(id) else {
                 continue;
             };
             let give = r.min(share).min(left);
@@ -648,7 +528,7 @@ impl EquiPartition {
             if left == 0 {
                 break;
             }
-            let Some(r) = self.ready_lut.get(id) else {
+            let Some(r) = view.ready_count(id) else {
                 continue;
             };
             match out.get_mut(at) {
@@ -694,35 +574,8 @@ impl OnlineScheduler for EquiPartition {
         out
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        self.lut_live = false;
         out.clear();
-        self.ready_lut.clear();
-        for &(id, r) in view.jobs() {
-            self.ready_lut.set(id, r);
-        }
-        self.fill(view.m, out);
-    }
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        if self.lut_live && delta.is_empty() {
-            return true;
-        }
-        if self.lut_live {
-            self.ready_lut.apply_view_delta(delta);
-        } else {
-            self.ready_lut.clear();
-            for &(id, r) in view.jobs() {
-                self.ready_lut.set(id, r);
-            }
-            self.lut_live = true;
-        }
-        out.clear();
-        self.fill(view.m, out);
-        true
+        self.fill(view, out);
     }
     fn allocation_stable_between_events(&self) -> bool {
         // The split depends only on the alive count and ready widths.
@@ -733,8 +586,6 @@ impl OnlineScheduler for EquiPartition {
     }
     fn reset(&mut self) -> bool {
         self.alive.clear();
-        self.ready_lut.clear();
-        self.lut_live = false;
         true
     }
 }
@@ -769,14 +620,6 @@ impl<S: OnlineScheduler> OnlineScheduler for AggregateBlind<S> {
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         self.0.allocate_into(view, out);
-    }
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        self.0.allocate_delta(delta, view, out)
     }
     fn allocation_stable_between_events(&self) -> bool {
         self.0.allocation_stable_between_events()
@@ -962,17 +805,18 @@ mod tests {
 
     #[test]
     fn equal_keys_break_ties_by_arrival_order() {
-        // Three identical jobs under EDF: the maintained sorted list must
-        // keep them in arrival order, like the stable sort it replaced.
+        // Three identical jobs under EDF, announced out of id order: the
+        // maintained sorted list must keep them in the order the hooks saw
+        // them, like the stable sort it replaced — not in id (view) order.
         let mut s = Edf::new(8);
-        for id in 0..3 {
+        for id in [2, 0, 1] {
             s.on_arrival(&info(id, 0, 10, 1, 50, 1), Time(0));
         }
-        let jobs = [(JobId(2), 2u32), (JobId(0), 2), (JobId(1), 2)];
+        let jobs = [(JobId(0), 2u32), (JobId(1), 2), (JobId(2), 2)];
         let alloc = s.allocate(&TickView::new(8, Time(0), &jobs));
         assert_eq!(
             alloc,
-            vec![(JobId(0), 2), (JobId(1), 2), (JobId(2), 2)],
+            vec![(JobId(2), 2), (JobId(0), 2), (JobId(1), 2)],
             "ties resolve by seq"
         );
     }

@@ -27,8 +27,9 @@
 //! is allocation-free after warm-up: job records live in a dense
 //! [`JobSlab`] indexed by `JobId`, the density-ordered queues `Q` and `P`
 //! are sorted `Vec`s, the band condition is answered in O(log |Q|) by the
-//! incremental [`DensityBands`], and every per-call index (ready counts,
-//! grant slots, the admission candidate list) is a hoisted scratch buffer.
+//! incremental [`DensityBands`], ready counts are read from the view, and
+//! every per-call index (grant slots, the admission candidate list) is a
+//! hoisted scratch buffer.
 //! The completion scan is *targeted*: it re-checks only the parked jobs
 //! whose outcome can have changed since the previous scan, and jumps over
 //! every stretch of them the band cannot take (see
@@ -44,7 +45,7 @@ use crate::slab::{DenseU32Map, JobSlab};
 use dagsched_core::{AlgoParams, JobId, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
-    TickView, ViewDelta,
+    TickView,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -173,16 +174,8 @@ pub struct SchedulerS {
     /// Scratch: the candidates whose deadline has passed (set (c) of
     /// [`admit_from_p`](Self::admit_from_p)), ascending.
     expired_scratch: Vec<(OrdF64, JobId)>,
-    /// Ready counts of the current view, for backfill: per-call scratch on
-    /// the rebuild path, persistent across calls on the delta path.
-    ready_lut: DenseU32Map,
     /// Scratch: job → slot position in the allocation being built.
     slot_lut: DenseU32Map,
-    /// True while `ready_lut` mirrors the engine's maintained view (delta
-    /// path only; a full `allocate_into` invalidates it).
-    lut_live: bool,
-    /// True while the previous allocate call's `out` is still current.
-    cache_live: bool,
 }
 
 impl SchedulerS {
@@ -207,10 +200,7 @@ impl SchedulerS {
             p_deadlines: BinaryHeap::new(),
             admit_scratch: Vec::new(),
             expired_scratch: Vec::new(),
-            ready_lut: DenseU32Map::new(),
             slot_lut: DenseU32Map::new(),
-            lut_live: false,
-            cache_live: false,
         }
     }
 
@@ -331,8 +321,7 @@ impl SchedulerS {
 
     /// The standard pass: walk `Q` highest-density-first, granting each
     /// started job its full allotment while it fits. Clears `out`; returns
-    /// the processors left idle. Reads nothing but the queues, so both the
-    /// rebuild and the delta handoff share it verbatim.
+    /// the processors left idle. Reads nothing but the queues.
     fn standard_pass(&self, m: u32, out: &mut Allocation) -> u32 {
         out.clear();
         let mut left = m;
@@ -361,23 +350,11 @@ impl SchedulerS {
     ///    un-started, keeping the admission accounting intact, but spare
     ///    capacity does real work toward their completion.
     ///
-    /// Ready counts and grant slots are tracked in dense scratch maps — no
-    /// per-call hashing or allocation, and the grant merge that used to
-    /// rescan `out` per grant (`out.iter_mut().find`) is now an O(1) slot
-    /// lookup.
-    fn backfill(&mut self, view: &TickView<'_>, left: u32, out: &mut Allocation) {
-        self.ready_lut.clear();
-        for &(id, r) in view.jobs() {
-            self.ready_lut.set(id, r);
-        }
-        self.backfill_with_lut(left, out);
-    }
-
-    /// The backfill walk against an already-current `ready_lut` — the delta
-    /// path's variant of [`backfill`](SchedulerS::backfill) with the
-    /// O(alive) ready-count rebuild factored out. The slot lut is still
-    /// rebuilt from `out` each call, which is O(|out|) ≤ O(m).
-    fn backfill_with_lut(&mut self, mut left: u32, out: &mut Allocation) {
+    /// Ready counts come from the view (O(log alive) each); grant slots
+    /// are tracked in a dense scratch map rebuilt from `out` each call,
+    /// O(|out|) ≤ O(m), so merging a grant into its job's entry is an O(1)
+    /// slot lookup — no per-call hashing or allocation.
+    fn backfill(&mut self, view: &TickView<'_>, mut left: u32, out: &mut Allocation) {
         self.slot_lut.clear();
         for (slot, &(id, _)) in out.iter().enumerate() {
             self.slot_lut.set(id, slot as u32);
@@ -387,7 +364,7 @@ impl SchedulerS {
             if left == 0 {
                 return;
             }
-            let Some(r) = self.ready_lut.get(id) else {
+            let Some(r) = view.ready_count(id) else {
                 continue;
             };
             let slot = self.slot_lut.get(id);
@@ -410,7 +387,7 @@ impl SchedulerS {
             if left == 0 {
                 return;
             }
-            let Some(r) = self.ready_lut.get(id) else {
+            let Some(r) = view.ready_count(id) else {
                 continue;
             };
             let want = r.min(left);
@@ -730,45 +707,10 @@ impl OnlineScheduler for SchedulerS {
     }
 
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        self.lut_live = false;
-        self.cache_live = false;
         let left = self.standard_pass(view.m, out);
         if self.work_conserving && left > 0 {
             self.backfill(view, left, out);
         }
-    }
-
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        if self.cache_live && delta.is_empty() {
-            // No hook fired and no ready count moved: the previous call's
-            // `out` (still in the buffer) is exactly what a full walk would
-            // recompute.
-            return true;
-        }
-        if self.work_conserving {
-            // Only the backfill reads ready counts; keep its lut current
-            // incrementally instead of rebuilding it O(alive) per step.
-            if self.lut_live {
-                self.ready_lut.apply_view_delta(delta);
-            } else {
-                self.ready_lut.clear();
-                for &(id, r) in view.jobs() {
-                    self.ready_lut.set(id, r);
-                }
-                self.lut_live = true;
-            }
-        }
-        let left = self.standard_pass(view.m, out);
-        if self.work_conserving && left > 0 {
-            self.backfill_with_lut(left, out);
-        }
-        self.cache_live = true;
-        true
     }
 
     fn allocation_stable_between_events(&self) -> bool {
@@ -809,9 +751,6 @@ impl OnlineScheduler for SchedulerS {
         self.bands.clear();
         self.metrics = SchedulerSMetrics::default();
         self.report = None;
-        self.ready_lut.clear();
-        self.lut_live = false;
-        self.cache_live = false;
         true
     }
 }
@@ -1111,14 +1050,6 @@ mod tests {
         }
         fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
             self.s.allocate_into(view, out);
-        }
-        fn allocate_delta(
-            &mut self,
-            delta: &ViewDelta,
-            view: &TickView<'_>,
-            out: &mut Allocation,
-        ) -> bool {
-            self.s.allocate_delta(delta, view, out)
         }
         fn allocation_stable_between_events(&self) -> bool {
             self.s.allocation_stable_between_events()

@@ -21,15 +21,16 @@
 //! it can reject admissible jobs but never over-promises because of stale
 //! optimism.
 //!
-//! Admitted-job records live in a dense [`JobSlab`] and both the arrival
-//! test and the per-tick EDF sort run over hoisted scratch vectors, so the
-//! steady-state paths do not allocate.
+//! Admitted-job records live in a dense [`JobSlab`], the arrival test runs
+//! over a hoisted scratch vector, and the hooks keep the admitted jobs in
+//! EDF order, so the steady-state paths do not allocate and the per-tick
+//! fill never sorts.
 
-use crate::slab::{DenseU32Map, JobSlab};
+use crate::slab::JobSlab;
 use dagsched_core::{JobId, Time, Work};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
-    TickView, ViewDelta,
+    TickView,
 };
 
 /// Per-admitted-job record.
@@ -51,20 +52,11 @@ pub struct EdfAc {
     report: Option<Vec<AdmissionEvent>>,
     /// Scratch: the sorted-deduped deadline horizon of the admission test.
     deadline_scratch: Vec<Time>,
-    /// Scratch: this tick's `(deadline, seq, id, ready)` EDF order, for the
-    /// rebuild path.
-    order_scratch: Vec<(Time, u64, JobId, u32)>,
     /// Admitted jobs kept sorted by `(deadline, seq)` — the EDF walk order
     /// — maintained incrementally in the hooks. `(deadline, seq)` is a
-    /// unique key, so this order equals what the rebuild path's
-    /// `sort_unstable` produces every tick.
+    /// unique key, so this order equals a per-tick sort of the admitted
+    /// jobs.
     live_order: Vec<(Time, u64, JobId)>,
-    /// Ready counts, persistent across calls on the delta path.
-    ready_lut: DenseU32Map,
-    /// True while `ready_lut` mirrors the engine's maintained view.
-    lut_live: bool,
-    /// True while the previous allocate call's `out` is still current.
-    cache_live: bool,
 }
 
 impl EdfAc {
@@ -78,11 +70,7 @@ impl EdfAc {
             rejected: 0,
             report: None,
             deadline_scratch: Vec::new(),
-            order_scratch: Vec::new(),
             live_order: Vec::new(),
-            ready_lut: DenseU32Map::new(),
-            lut_live: false,
-            cache_live: false,
         }
     }
 
@@ -205,62 +193,15 @@ impl OnlineScheduler for EdfAc {
     }
 
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        self.lut_live = false;
-        self.cache_live = false;
         out.clear();
-        let mut order = std::mem::take(&mut self.order_scratch);
-        order.clear();
-        order.extend(view.jobs().iter().filter_map(|&(id, r)| {
-            self.admitted
-                .get(id)
-                .map(|j| (j.abs_deadline, j.seq, id, r))
-        }));
-        // `(deadline, seq)` is already a unique key; the trailing ready
-        // count rides along so the fill below needs no lookup table.
-        order.sort_unstable();
-        let mut left = view.m;
-        for &(_, _, id, r) in &order {
-            if left == 0 {
-                break;
-            }
-            let k = r.min(left);
-            if k > 0 {
-                out.push((id, k));
-                left -= k;
-            }
-        }
-        self.order_scratch = order;
-    }
-
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        if self.cache_live && delta.is_empty() {
-            return true;
-        }
-        if self.lut_live {
-            self.ready_lut.apply_view_delta(delta);
-        } else {
-            self.ready_lut.clear();
-            for &(id, r) in view.jobs() {
-                self.ready_lut.set(id, r);
-            }
-            self.lut_live = true;
-        }
-        out.clear();
-        // Walk the maintained `(deadline, seq)` order instead of sorting
-        // the view: admitted ⊆ alive (terminal hooks always fire), so every
-        // ordered job has a lut entry, and the rebuild path's sort visits
-        // the same jobs in the same unique-key order.
+        // Walk the maintained `(deadline, seq)` order. Admitted ⊆ alive
+        // (terminal hooks always fire), so every ordered job is in the view.
         let mut left = view.m;
         for &(_, _, id) in &self.live_order {
             if left == 0 {
                 break;
             }
-            let Some(r) = self.ready_lut.get(id) else {
+            let Some(r) = view.ready_count(id) else {
                 continue;
             };
             let k = r.min(left);
@@ -269,13 +210,11 @@ impl OnlineScheduler for EdfAc {
                 left -= k;
             }
         }
-        self.cache_live = true;
-        true
     }
 
     fn allocation_stable_between_events(&self) -> bool {
-        // Pure (deadline, seq) sort over the admitted set + work-conserving
-        // fill; admission happens only in the arrival hook.
+        // A work-conserving fill over the admitted set in (deadline, seq)
+        // order; admission happens only in the arrival hook.
         true
     }
 
@@ -301,9 +240,6 @@ impl OnlineScheduler for EdfAc {
         self.rejected = 0;
         self.report = None;
         self.live_order.clear();
-        self.ready_lut.clear();
-        self.lut_live = false;
-        self.cache_live = false;
         true
     }
 }

@@ -28,8 +28,9 @@
 //! at a run boundary or a job event. That is exactly the engine's
 //! bounded-stability contract
 //! ([`bounded_stability`](OnlineScheduler::bounded_stability) /
-//! [`stable_until`](OnlineScheduler::stable_until)), so the fast-forward
-//! kernel bulk-advances this scheduler between slot boundaries. Runs are
+//! [`stable_until`](OnlineScheduler::stable_until)), so the engine replays
+//! each decision until the next run boundary or event and bulk-advances
+//! this scheduler between slot boundaries. Runs are
 //! split on insert, never merged; past runs are retired incrementally at
 //! each allocate (amortized `O(1)`, replacing the old per-call
 //! `split_off` rebuild). The pre-rewrite per-tick implementation is frozen
@@ -46,7 +47,7 @@
 //!   outright (it could never earn anything anyway).
 
 use dagsched_core::{AlgoParams, JobId, Time};
-use dagsched_engine::{Allocation, JobInfo, OnlineScheduler, TickView, ViewDelta};
+use dagsched_engine::{Allocation, JobInfo, OnlineScheduler, TickView};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -206,10 +207,6 @@ pub struct SchedulerSProfit {
     order: Vec<SlotEntry>,
     /// Release scratch: starts of runs emptied by the removal.
     empties: Vec<Time>,
-    /// Cached-replay interval for `allocate_delta`: the allocation decided
-    /// at `.0` stays valid for `now ∈ [.0, .1)` (`None` end = until the
-    /// next event). Invalidated by every hook.
-    cache: Option<(Time, Option<Time>)>,
 }
 
 impl SchedulerSProfit {
@@ -225,7 +222,6 @@ impl SchedulerSProfit {
             metrics: SchedulerSProfitMetrics::default(),
             order: Vec::new(),
             empties: Vec::new(),
-            cache: None,
         }
     }
 
@@ -365,7 +361,6 @@ impl SchedulerSProfit {
         let Some(job) = self.jobs.get_mut(id.index()).and_then(Option::take) else {
             return;
         };
-        self.cache = None;
         self.empties.clear();
         for &(s, e) in &job.ranges {
             for (st, seg) in self.plan.range_mut(s..e) {
@@ -394,8 +389,7 @@ impl SchedulerSProfit {
     }
 
     /// The full allocation decision: retire past runs, rank the current
-    /// run's population (density desc, id asc), fill greedily, and record
-    /// the cached-replay interval.
+    /// run's population (density desc, id asc) and fill greedily.
     fn decide(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         self.retire(view.now);
         out.clear();
@@ -420,11 +414,6 @@ impl SchedulerSProfit {
                 }
             }
         }
-        let until = match segment_at(&self.plan, now) {
-            Some(seg) => Some(seg.end),
-            None => next_start_after(&self.plan, now),
-        };
-        self.cache = Some((now, until));
     }
 }
 
@@ -434,7 +423,6 @@ impl OnlineScheduler for SchedulerSProfit {
     }
 
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        self.cache = None;
         let w = info.work.as_f64();
         let l = info.span.as_f64();
         let brent = AlgoParams::brent_time(w, l, self.m);
@@ -520,26 +508,6 @@ impl OnlineScheduler for SchedulerSProfit {
         self.decide(view, out);
     }
 
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        // Cached replay: no hook fired, no ready count moved, and `now` is
-        // still inside the interval the last decision is constant on — the
-        // previous contents of `out` are byte-identical to a recompute.
-        if delta.is_empty() {
-            if let Some((from, until)) = self.cache {
-                if view.now >= from && until.is_none_or(|u| view.now < u) {
-                    return true;
-                }
-            }
-        }
-        self.decide(view, out);
-        true
-    }
-
     fn allocation_stable_between_events(&self) -> bool {
         // The slot plan is keyed on absolute time, so the allocation is NOT
         // constant between events — but it IS piecewise constant, which is
@@ -572,7 +540,6 @@ impl OnlineScheduler for SchedulerSProfit {
         self.metrics = SchedulerSProfitMetrics::default();
         self.order.clear();
         self.empties.clear();
-        self.cache = None;
         true
     }
 }
@@ -732,44 +699,6 @@ mod tests {
         assert_eq!(s.stable_until(Time(0)), Some(Time(5)));
         // Past every run: no further boundary.
         assert_eq!(s.stable_until(end), None);
-    }
-
-    #[test]
-    fn allocate_delta_replays_on_empty_delta_within_the_run() {
-        let m = 8u32;
-        let mut s = SchedulerSProfit::with_epsilon(m, 1.0);
-        s.on_arrival(
-            &info(0, 0, 64, 4, StepProfitFn::deadline(Time(40), 10)),
-            Time(0),
-        );
-        let jobs = [(JobId(0), 8u32)];
-        let empty = ViewDelta::default();
-        let mut out = Allocation::new();
-        let view0 = TickView::new(m, Time(0), &jobs);
-        assert!(s.allocate_delta(&empty, &view0, &mut out));
-        let first = out.clone();
-        assert!(!first.is_empty(), "lone job runs in its first slot");
-        let until = s.stable_until(Time(0)).expect("inside the first run");
-        // Replay inside the run: `out` is left untouched (poison it to
-        // prove the fast path never writes).
-        out.push((JobId(99), 1));
-        let view1 = TickView::new(m, Time(1), &jobs);
-        assert!(until > Time(1), "run is longer than one tick");
-        assert!(s.allocate_delta(&empty, &view1, &mut out));
-        assert_eq!(out.last(), Some(&(JobId(99), 1)), "replay left out alone");
-        out.pop();
-        assert_eq!(out, first);
-        // Past the boundary: recomputed (and identical to allocate_into).
-        let view2 = TickView::new(m, until, &jobs);
-        assert!(s.allocate_delta(&empty, &view2, &mut out));
-        let mut fresh = Allocation::new();
-        let mut twin = SchedulerSProfit::with_epsilon(m, 1.0);
-        twin.on_arrival(
-            &info(0, 0, 64, 4, StepProfitFn::deadline(Time(40), 10)),
-            Time(0),
-        );
-        twin.allocate_into(&TickView::new(m, until, &jobs), &mut fresh);
-        assert_eq!(out, fresh);
     }
 
     mod properties {

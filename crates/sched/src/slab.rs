@@ -14,10 +14,9 @@
 //!   per slot.
 //! * [`DenseU32Map`] — a scratch `JobId → u32` map with O(1) set/get and
 //!   O(touched) [`clear`](DenseU32Map::clear), for per-call indices such as
-//!   ready counts and allocation-slot positions.
+//!   allocation-slot positions.
 
 use dagsched_core::JobId;
-use dagsched_engine::ViewDelta;
 
 /// Dense `JobId`-keyed storage (see module docs).
 #[derive(Debug, Clone)]
@@ -103,8 +102,8 @@ impl<T> JobSlab<T> {
 /// Scratch `JobId → u32` map with O(touched) clearing (see module docs).
 ///
 /// Values are stored as `v + 1` so 0 means "absent"; `u32::MAX` is therefore
-/// not storable, which no caller needs (ready counts and slot positions are
-/// bounded by `m` and the allocation length).
+/// not storable, which no caller needs (slot positions are bounded by the
+/// allocation length).
 #[derive(Debug, Clone, Default)]
 pub struct DenseU32Map {
     vals: Vec<u32>,
@@ -143,37 +142,6 @@ impl DenseU32Map {
         match self.vals.get(id.index()) {
             Some(&raw) if raw != 0 => Some(raw - 1),
             _ => None,
-        }
-    }
-
-    /// Unmap `id` (no-op if absent). The touched list keeps the stale
-    /// entry — [`clear`](DenseU32Map::clear) zeroing an already-zero slot
-    /// is harmless, and a later re-`set` of the same id just records it
-    /// again. Growth stays bounded for the schedulers' persistent luts
-    /// because the engine never recycles job ids within a run, so each id
-    /// transitions absent→present O(1) times.
-    pub fn remove(&mut self, id: JobId) {
-        if let Some(v) = self.vals.get_mut(id.index()) {
-            *v = 0;
-        }
-    }
-
-    /// Patch a *persistent* ready-count lut with one step's view changes,
-    /// in the delta contract's apply order (admitted → ready_changed →
-    /// removed) so a job admitted and expired within the same step nets out
-    /// to absent. After this the lut's content equals a fresh rebuild from
-    /// the tick view — which is exactly what the naive-vs-fast
-    /// `stream_equiv` suite pins (the naive path rebuilds the view and
-    /// never offers a delta).
-    pub fn apply_view_delta(&mut self, delta: &ViewDelta) {
-        for &(id, r) in &delta.admitted {
-            self.set(id, r);
-        }
-        for &(id, r) in &delta.ready_changed {
-            self.set(id, r);
-        }
-        for &id in &delta.removed {
-            self.remove(id);
         }
     }
 }
@@ -225,44 +193,5 @@ mod tests {
         // Reuse after clear.
         m.set(JobId(4), 2);
         assert_eq!(m.get(JobId(4)), Some(2));
-    }
-
-    #[test]
-    fn dense_map_remove_then_reset_and_clear() {
-        let mut m = DenseU32Map::new();
-        m.set(JobId(2), 5);
-        m.set(JobId(6), 1);
-        m.remove(JobId(2));
-        assert_eq!(m.get(JobId(2)), None, "removed entry is absent");
-        assert_eq!(m.get(JobId(6)), Some(1), "others untouched");
-        m.remove(JobId(2)); // double remove is a no-op
-        m.remove(JobId(99)); // out-of-range remove is a no-op
-        m.set(JobId(2), 8);
-        assert_eq!(m.get(JobId(2)), Some(8), "re-set after remove");
-        m.clear();
-        assert_eq!(m.get(JobId(2)), None);
-        assert_eq!(m.get(JobId(6)), None);
-    }
-
-    #[test]
-    fn apply_view_delta_matches_a_fresh_rebuild() {
-        let mut m = DenseU32Map::new();
-        m.set(JobId(0), 3);
-        m.set(JobId(1), 1);
-        let mut d = ViewDelta::default();
-        d.admitted.push((JobId(2), 2));
-        d.admitted.push((JobId(3), 1)); // admitted, then expired same step
-        d.ready_changed.push((JobId(0), 4));
-        d.removed.push(JobId(1));
-        d.removed.push(JobId(3));
-        m.apply_view_delta(&d);
-        assert_eq!(m.get(JobId(0)), Some(4));
-        assert_eq!(m.get(JobId(1)), None);
-        assert_eq!(m.get(JobId(2)), Some(2));
-        assert_eq!(
-            m.get(JobId(3)),
-            None,
-            "same-step admit+expire nets to absent"
-        );
     }
 }

@@ -2,7 +2,8 @@
 //! stable run the event path with `stable_until`-capped windows, schedulers
 //! with no stability claim at all stay on the reference path, and trace
 //! recording must force the reference path for everyone. On a parked
-//! slot plan, SProfit's step and tick counts are pinned exactly.
+//! slot plan, SProfit's step, tick and fresh-allocation counts are pinned
+//! exactly.
 //!
 //! On the reference path every simulated tick is one engine step, so
 //! `steps_executed == ticks_simulated` is the observable signature that no
@@ -12,7 +13,9 @@
 
 use dagsched_core::{JobId, Speed, Time};
 use dagsched_dag::gen;
-use dagsched_engine::{simulate, OnlineScheduler, SimConfig};
+use dagsched_engine::{
+    simulate, Allocation, JobInfo, NodePick, OnlineScheduler, SimConfig, TickView,
+};
 use dagsched_sched::{RandomOrder, SchedulerS, SchedulerSProfit};
 use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
 
@@ -152,6 +155,74 @@ fn general_profit_step_counts_are_pinned_on_parked_plans() {
             (steps, ticks),
             "n {n}"
         );
+    }
+}
+
+/// SProfit behind a wrapper that counts the engine's `allocate_into`
+/// calls.
+struct AskCount {
+    s: SchedulerSProfit,
+    asks: u64,
+}
+
+impl OnlineScheduler for AskCount {
+    fn name(&self) -> String {
+        self.s.name()
+    }
+    fn on_arrival(&mut self, info: &JobInfo, now: Time) {
+        self.s.on_arrival(info, now);
+    }
+    fn on_completion(&mut self, id: JobId, now: Time) {
+        self.s.on_completion(id, now);
+    }
+    fn on_expiry(&mut self, id: JobId, now: Time) {
+        self.s.on_expiry(id, now);
+    }
+    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+        self.s.allocate(view)
+    }
+    fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
+        self.asks += 1;
+        self.s.allocate_into(view, out);
+    }
+    fn bounded_stability(&self) -> bool {
+        self.s.bounded_stability()
+    }
+    fn stable_until(&self, now: Time) -> Option<Time> {
+        self.s.stable_until(now)
+    }
+}
+
+/// The engine replays SProfit's allocation while the view is unchanged and
+/// `now` is inside the run (or gap) it was decided in. Exact ask counts on
+/// the slot plans above, the same with bulk windows (74 and 194 steps) and
+/// with a random pick that turns them off (50,001 steps): replays carry
+/// every other step. The naive path asks every tick.
+#[test]
+fn general_profit_replays_within_slot_runs() {
+    for (n, fresh) in [(40, 42), (160, 102)] {
+        let inst = profit_instance(n, 50_000);
+        let run = |fast_forward, pick| {
+            let cfg = SimConfig {
+                fast_forward,
+                pick,
+                ..SimConfig::default()
+            };
+            let mut s = AskCount {
+                s: SchedulerSProfit::with_epsilon(4, 1.0),
+                asks: 0,
+            };
+            let r = simulate(&inst, &mut s, &cfg).expect("runs");
+            (r, s.asks)
+        };
+        let (naive, naive_asks) = run(false, NodePick::Fifo);
+        assert_eq!(naive_asks, naive.ticks_simulated, "n {n}");
+        for pick in [NodePick::Fifo, NodePick::Random(5)] {
+            let (fast, asks) = run(true, pick);
+            assert!(fast.same_outcome(&naive), "n {n}");
+            assert_eq!(asks, fresh, "n {n}, {} steps", fast.steps_executed);
+            assert!(asks < fast.steps_executed, "n {n}");
+        }
     }
 }
 

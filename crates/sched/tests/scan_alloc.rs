@@ -1,27 +1,29 @@
-//! Zero heap allocations per completion scan once S is warm.
+//! Zero heap allocations per completion scan once S is warm, and per
+//! `allocate_into` once any shipped scheduler is warm.
 //!
 //! This binary installs a counting global allocator (test-only — each
 //! integration test file is its own binary, so the counter never leaks into
-//! other suites) and runs scheduler S on a parked set: background jobs
+//! other suites) and runs schedulers on a parked set: background jobs
 //! parked behind the band capacity, and a foreground stream of tiny
-//! tight-deadline jobs. A wrapper counts the allocator calls inside every
-//! `on_completion`, which is where S's completion scan runs. After a
-//! warm-up run lets the candidate and expired-key scratch lists reach
-//! their high-water marks, every scan of a second run, foreground and
-//! background band alike, must not touch the allocator: candidates are
-//! copied into hoisted scratch, and blocked stretches are skipped by
-//! binary search. A scan that allocated per call, even one small `Vec`,
-//! fails here.
+//! tight-deadline jobs. Wrappers count the allocator calls inside every
+//! `on_completion`, which is where S's completion scan runs, and inside
+//! every `allocate_into`. After a warm-up run lets each scratch list reach
+//! its high-water mark, a second run must not touch the allocator in
+//! either: S copies candidates into hoisted scratch and skips blocked
+//! stretches by binary search, and every scheduler's allocation walk reads
+//! ready counts from the view instead of building a lookup table. A hook
+//! that allocated per call, even one small `Vec`, fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dagsched_core::{JobId, Rng64, Time};
+use dagsched_core::{AlgoParams, JobId, Rng64, Time};
 use dagsched_dag::gen;
-use dagsched_engine::{
-    simulate, Allocation, JobInfo, OnlineScheduler, SimConfig, TickView, ViewDelta,
+use dagsched_engine::{simulate, Allocation, JobInfo, OnlineScheduler, SimConfig, TickView};
+use dagsched_sched::{
+    Edf, EdfAc, EquiPartition, Fifo, GreedyDensity, LeastLaxity, MoldableList, SNoAdmission,
+    SchedulerS, SchedulerSProfit,
 };
-use dagsched_sched::SchedulerS;
 use dagsched_workload::{Instance, JobSpec, StepProfitFn};
 
 /// Counts every allocator entry (alloc and realloc) on top of [`System`],
@@ -91,16 +93,64 @@ impl OnlineScheduler for ScanLog {
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         self.s.allocate_into(view, out);
     }
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        self.s.allocate_delta(delta, view, out)
+    fn allocation_stable_between_events(&self) -> bool {
+        self.s.allocation_stable_between_events()
+    }
+}
+
+/// Any scheduler behind a wrapper that counts its `allocate_into` calls
+/// and those that touched the allocator. The scheduler writes into a
+/// buffer the wrapper keeps across runs, as the engine keeps its own
+/// across the steps of one run; the copy into the engine's buffer is not
+/// measured.
+struct AllocateLog {
+    s: Box<dyn OnlineScheduler>,
+    buf: Allocation,
+    asks: u64,
+    allocating: u64,
+}
+
+impl OnlineScheduler for AllocateLog {
+    fn name(&self) -> String {
+        self.s.name()
+    }
+    fn on_arrival(&mut self, info: &JobInfo, now: Time) {
+        self.s.on_arrival(info, now);
+    }
+    fn on_completion(&mut self, id: JobId, now: Time) {
+        self.s.on_completion(id, now);
+    }
+    fn on_expiry(&mut self, id: JobId, now: Time) {
+        self.s.on_expiry(id, now);
+    }
+    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+        self.s.allocate(view)
+    }
+    fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
+        let before = allocations();
+        self.s.allocate_into(view, &mut self.buf);
+        if allocations() != before {
+            self.allocating += 1;
+        }
+        self.asks += 1;
+        out.clone_from(&self.buf);
     }
     fn allocation_stable_between_events(&self) -> bool {
         self.s.allocation_stable_between_events()
+    }
+    fn bounded_stability(&self) -> bool {
+        self.s.bounded_stability()
+    }
+    fn stable_until(&self, now: Time) -> Option<Time> {
+        self.s.stable_until(now)
+    }
+    fn group_aware(&self) -> bool {
+        self.s.group_aware()
+    }
+    fn reset(&mut self) -> bool {
+        self.asks = 0;
+        self.allocating = 0;
+        self.s.reset()
     }
 }
 
@@ -160,6 +210,52 @@ fn warm_completion_scans_do_not_allocate() {
         assert_eq!(
             calls, 0,
             "the scan at the completion of {id:?} ({probes} probes) made {calls} allocator calls"
+        );
+    }
+}
+
+#[test]
+fn warm_allocations_do_not_allocate() {
+    let n = 200u32;
+    let inst = parked_instance(n);
+    let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
+    let scheds: Vec<Box<dyn OnlineScheduler>> = vec![
+        Box::new(SchedulerS::new(4, params)),
+        Box::new(SchedulerS::new(4, params).work_conserving()),
+        Box::new(SNoAdmission::new(4, params)),
+        Box::new(Edf::new(4)),
+        Box::new(EdfAc::new(4)),
+        Box::new(Fifo::new(4)),
+        Box::new(GreedyDensity::new(4)),
+        Box::new(LeastLaxity::new(4)),
+        Box::new(MoldableList::new(4)),
+        Box::new(EquiPartition::new(4)),
+        Box::new(SchedulerSProfit::new(4, params)),
+    ];
+    for s in scheds {
+        let mut log = AllocateLog {
+            s,
+            buf: Allocation::new(),
+            asks: 0,
+            allocating: 0,
+        };
+        simulate(&inst, &mut log, &SimConfig::default()).expect("warm-up runs");
+        assert!(log.reset(), "{} resets", log.name());
+        let r = simulate(&inst, &mut log, &SimConfig::default()).expect("measured run");
+        assert!(r.total_profit > 0, "{} earned nothing", log.name());
+        assert!(
+            log.asks > 100,
+            "{} was asked {} times",
+            log.name(),
+            log.asks
+        );
+        assert_eq!(
+            log.allocating,
+            0,
+            "{}: {} of {} warm allocate_into calls touched the allocator",
+            log.name(),
+            log.allocating,
+            log.asks
         );
     }
 }

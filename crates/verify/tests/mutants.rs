@@ -9,8 +9,8 @@
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_dag::gen;
 use dagsched_engine::{
-    simulate_observed, AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler,
-    SimConfig, SimObserver, TickView, ViewDelta,
+    simulate, simulate_observed, AdmissionDecision, AdmissionEvent, Allocation, JobInfo, NodePick,
+    OnlineScheduler, SimConfig, SimObserver, TickView,
 };
 use dagsched_sched::SNoAdmission;
 use dagsched_verify::{
@@ -426,20 +426,18 @@ fn fuzz_kills_over_allocating_mutant() {
     assert_killed(subject, 0xBEEF, "sim-error", "");
 }
 
-/// A stale-delta mutant: a greedy arrival-order scheduler whose
-/// `allocate_delta` replays its cached allocation even when the delta is
-/// *not* empty. It only drops the jobs the delta removed, so the engine
-/// still accepts every allocation; arrivals and ready-count changes are
-/// ignored until the cache empties. Its `allocate_into` is correct, so the
-/// naive reference path (which never calls `allocate_delta`) schedules
-/// correctly and only a naive-vs-fast comparison can tell.
-struct StaleDeltaMutant {
-    cached: bool,
-}
+/// A now-reading mutant: a greedy arrival-order scheduler whose
+/// `allocate_into` reverses its fill on odd ticks, yet declares
+/// `allocation_stable_between_events`. The naive reference path asks it
+/// every tick and so alternates; the production path trusts the
+/// declaration and replays its last allocation until the view changes.
+/// Every allocation it makes is valid, so only a naive-vs-fast comparison
+/// can tell.
+struct NowReadingMutant;
 
-impl OnlineScheduler for StaleDeltaMutant {
+impl OnlineScheduler for NowReadingMutant {
     fn name(&self) -> String {
-        "stale-delta-mutant".into()
+        "now-reading-mutant".into()
     }
     fn on_arrival(&mut self, _info: &JobInfo, _now: Time) {}
     fn on_completion(&mut self, _id: JobId, _now: Time) {}
@@ -447,45 +445,73 @@ impl OnlineScheduler for StaleDeltaMutant {
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut left = view.m;
         let mut out = Vec::new();
-        for &(id, ready) in view.jobs() {
+        let mut fill = |&(id, ready): &(JobId, u32)| {
             let k = ready.min(left);
             if k > 0 {
                 out.push((id, k));
                 left -= k;
             }
+        };
+        if view.now.ticks() % 2 == 1 {
+            view.jobs().iter().rev().for_each(&mut fill);
+        } else {
+            view.jobs().iter().for_each(&mut fill);
         }
         out
-    }
-    fn allocate_delta(
-        &mut self,
-        delta: &ViewDelta,
-        view: &TickView<'_>,
-        out: &mut Allocation,
-    ) -> bool {
-        if self.cached && !out.is_empty() {
-            out.retain(|(id, _)| !delta.removed.contains(id));
-        } else {
-            self.allocate_into(view, out);
-        }
-        self.cached = true;
-        true
     }
     fn allocation_stable_between_events(&self) -> bool {
         true
     }
 }
 
-/// The stale-delta mutant violates no invariant the suite can see on its
+/// The now-reading mutant violates no invariant the suite can see on its
 /// own run, so with the invariant head off the naive-vs-fast head must
 /// kill it.
 #[test]
-fn fuzz_kills_stale_delta_mutant_via_naive_vs_fast() {
-    let subject = Subject::new("stale-delta", InvariantProfile::Off, |_m| {
-        Box::new(StaleDeltaMutant { cached: false })
+fn fuzz_kills_now_reading_mutant_via_naive_vs_fast() {
+    let subject = Subject::new("now-reading", InvariantProfile::Off, |_m| {
+        Box::new(NowReadingMutant)
     });
     let naive_diff = OracleSet {
         naive_diff: true,
         ..OracleSet::NONE
     };
     assert_killed_by(subject, naive_diff, 0xBEEF, "naive-vs-fast", "");
+}
+
+/// The engine's replay alone freezes the mutant: a random pick policy
+/// turns bulk windows off, so the production path runs one tick per step
+/// like the naive path, and still the two schedules differ.
+#[test]
+fn engine_replay_freezes_the_now_reading_mutant() {
+    // Two chains on one processor: asked every tick, the mutant alternates
+    // between them; replayed, it runs the first to completion.
+    let jobs: Vec<JobSpec> = (0..2)
+        .map(|i| {
+            JobSpec::new(
+                JobId(i),
+                Time(0),
+                gen::chain(4, 3).into_shared(),
+                StepProfitFn::deadline(Time(100), 1),
+            )
+        })
+        .collect();
+    let inst = Instance::new(1, jobs).expect("valid instance");
+    let run = |fast_forward| {
+        let cfg = SimConfig {
+            pick: NodePick::Random(3),
+            fast_forward,
+            ..SimConfig::default()
+        };
+        simulate(&inst, &mut NowReadingMutant, &cfg).expect("runs")
+    };
+    let (fast, naive) = (run(true), run(false));
+    assert_eq!(
+        fast.steps_executed, fast.ticks_simulated,
+        "no bulk window was taken"
+    );
+    assert!(
+        !fast.same_outcome(&naive),
+        "production replay must freeze the mutant's odd-tick reversal"
+    );
 }

@@ -10,14 +10,16 @@
 //!
 //! The naive path shares no event or handoff code with the production
 //! path: it scans for expiries where production pops the event kernel, and
-//! rebuilds the view for a full `allocate_into` where production hands the
-//! scheduler a delta. So one comparison checks the kernel's windows and
-//! expiry batches and every scheduler's `allocate_delta` at once. Beyond
-//! the standard and overload corpus, the inputs aim at both: a hand-built
-//! triple tie (arrival, expiry and completion on one tick, on a window
-//! edge) and pauses exactly on tie instants, collision-dense proptest
-//! instances, a parked majority where cached delta replay carries the run,
-//! and the corpus again under a multi-thread harness. Step counts differ
+//! rebuilds the view and asks for an allocation every tick where
+//! production maintains the view and replays the last allocation until the
+//! view changes or its stability window ends. So one comparison checks the
+//! kernel's windows and expiry batches, the engine's replay and every
+//! scheduler's stability declaration at once. Beyond the standard and
+//! overload corpus, the inputs aim at both: a hand-built triple tie
+//! (arrival, expiry and completion on one tick, on a window edge) and
+//! pauses exactly on tie instants, collision-dense proptest instances, a
+//! parked majority where replay carries the run, and the corpus again
+//! under a multi-thread harness. Step counts differ
 //! between the paths by design; the golden digests in
 //! `tests/golden_outputs.rs` pin the production path's.
 
@@ -60,8 +62,8 @@ fn factories(m: u32) -> Vec<(&'static str, SchedFactory)> {
         ("LLF", Box::new(move || Box::new(LeastLaxity::new(m)) as _)),
         ("EDF-AC", Box::new(move || Box::new(EdfAc::new(m)) as _)),
         (
-            // Declines `allocate_delta`: pins the production fallback,
-            // where the maintained view feeds a full `allocate_into`.
+            // Single-tick stability: the production path asks it every
+            // step, on the maintained view.
             "RANDOM",
             Box::new(move || Box::new(RandomOrder::new(m, 42)) as _),
         ),
@@ -252,9 +254,9 @@ fn simultaneous_arrival_expiry_completion_tie() {
 }
 
 /// A parked majority: most jobs sit alive-but-idle for the whole run, so
-/// almost every production step's delta is empty (or a handful of ready
-/// patches) and the cached-replay branch of every `allocate_delta` carries
-/// the run, while the naive path rebuilds and re-allocates every tick.
+/// almost every production step sees an unchanged view (or a handful of
+/// ready patches) and the engine's replay carries the run, while the naive
+/// path rebuilds and re-allocates every tick.
 #[test]
 fn event_streams_identical_with_a_parked_majority() {
     use dagsched_dag::gen;
@@ -470,7 +472,7 @@ mod properties {
     /// admit+expire, multi-removal batches and window-edge coincidences are
     /// the norm, not the exception. With `wide`, jobs are blocks and
     /// diamonds instead of singles and chains, so many nodes turn ready or
-    /// finish on one tick and each step's delta carries dense ready churn.
+    /// finish on one tick and each step changes many ready counts.
     fn collision_instance(seed: u64, n: usize, m: u32, wide: bool) -> Instance {
         use dagsched_dag::gen;
         let mut rng = dagsched_core::Rng64::seed_from(seed);
@@ -535,7 +537,8 @@ mod properties {
         }
 
         /// Naive == fast on collision-dense instances of wide jobs: the
-        /// delta must carry many ready and finished nodes per step.
+        /// maintained view must take many ready and finished nodes per
+        /// step.
         #[test]
         fn event_streams_identical_under_adversarial_ready_churn(
             seed in 0u64..2000,
@@ -574,8 +577,8 @@ mod properties {
         }
 
         /// Pausing on collision-dense instances of wide jobs, where pause
-        /// instants often land on ties: the delta carried across a
-        /// `run_until` boundary loses and duplicates no change.
+        /// instants often land on ties: a view change made just before a
+        /// `run_until` boundary is not lost to a replay after it.
         #[test]
         fn paused_collision_runs_match_one_shot_naive(
             seed in 0u64..2000,

@@ -351,4 +351,34 @@ end
         }
         assert!(matches!(decode(max_nodes), Err(SchedError::Codec(_))));
     }
+
+    #[test]
+    fn machine_counts_above_the_bound_are_rejected() {
+        // The engine lays out one entry per processor, so an unbounded `m`
+        // is an unbounded allocation.
+        let text = |m: &str| {
+            format!(
+                "\
+dagsched-instance v1
+m {m}
+jobs 1
+job 0
+arrival 0
+profit 1 0
+seg 10 1
+nodes 1
+work 1
+edges 0
+end
+"
+            )
+        };
+        assert!(decode(&text("65536")).is_ok());
+        for m in ["65537", "4294967295"] {
+            assert!(
+                matches!(decode(&text(m)), Err(SchedError::InvalidInstance(_))),
+                "m {m}"
+            );
+        }
+    }
 }

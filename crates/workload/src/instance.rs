@@ -1,7 +1,7 @@
 //! A complete online problem instance.
 
 use crate::job::JobSpec;
-use dagsched_core::{Result, SchedError, Time, Work};
+use dagsched_core::{Result, SchedError, Time, Work, MAX_PROCESSORS};
 
 /// A machine size plus jobs sorted by arrival time.
 #[derive(Debug, Clone)]
@@ -34,13 +34,18 @@ impl Instance {
     /// Validate and build an instance.
     ///
     /// # Errors
-    /// * `m == 0`,
+    /// * `m == 0` or `m >` [`MAX_PROCESSORS`],
     /// * no jobs,
     /// * job ids not dense in order (`jobs[i].id.index() == i`),
     /// * arrivals not sorted non-decreasingly.
     pub fn new(m: u32, jobs: Vec<JobSpec>) -> Result<Instance> {
         if m == 0 {
             return Err(SchedError::InvalidInstance("m must be positive".into()));
+        }
+        if m > MAX_PROCESSORS {
+            return Err(SchedError::InvalidInstance(format!(
+                "m must be at most {MAX_PROCESSORS}"
+            )));
         }
         if jobs.is_empty() {
             return Err(SchedError::InvalidInstance("no jobs".into()));
