@@ -74,9 +74,9 @@ impl Clock {
 
     /// Jump over an idle gap (nothing alive, next arrival at `t`). Charges
     /// no ticks — the reference path never iterates idle gaps either. The
-    /// driver reads the target from the arrival cursor on the scan path and
-    /// from the [`EventKernel`](crate::events::EventKernel)'s armed arrival
-    /// entry on the kernel path; both are the same time by construction.
+    /// driver reads the target from the arrival list on the scan path and
+    /// from the [`EventKernel`](crate::events::EventKernel)'s arrival
+    /// cursor on the kernel path; both are the same time by construction.
     #[inline]
     pub(crate) fn skip_idle_to(&mut self, t: Time) {
         self.now = t;

@@ -112,12 +112,24 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     /// `scratch.alloc` is what the scheduler would decide at every tick
     /// before this one, so it is replayed instead of asked for again.
     replay_before: Time,
+    /// The last bulk window ended one tick before its earliest claimed
+    /// completion, and `scratch.claimed` is still marked busy: if this
+    /// step replays, those claims are exactly what the claim pass would
+    /// pick again, and one of them finishes this tick.
+    held: bool,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
     done: bool,
     poisoned: bool,
     scratch: StepScratch,
+    /// Number of claim passes run, for tests that pin what held claims
+    /// save.
+    #[cfg(test)]
+    claim_passes: u64,
+    /// Number of held claim sets released by a fresh ask instead of run.
+    #[cfg(test)]
+    held_released: u64,
 }
 
 impl<'a> SimDriver<'a, NullObserver> {
@@ -140,9 +152,13 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
     ///
     /// # Panics
     /// When the platform configuration is inconsistent with the instance
-    /// (group total ≠ `m`). [`simulate`](crate::simulate) and
-    /// [`simulate_observed`](crate::simulate_observed) pre-validate via
-    /// [`SimConfig::resolve_groups`] and surface this as an error instead.
+    /// (group total ≠ `m`), and — when that job arrives — when a job's work
+    /// scaled by the platform's work scale overflows `u64` ("scaled work
+    /// overflows u64"). [`simulate`](crate::simulate) and
+    /// [`simulate_observed`](crate::simulate_observed) pre-validate both
+    /// (via [`SimConfig::resolve_groups`] and
+    /// [`scale_work`](dagsched_core::scale_work) on the instance's total
+    /// work) and surface them as errors instead.
     pub fn with_observer(
         inst: &'a Instance,
         sched: &'a mut dyn OnlineScheduler,
@@ -181,9 +197,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             && trace.is_none()
             && cfg.pick.fast_forward_safe()
             && stability != Stability::PerTick;
-        let mut kernel = EventKernel::new(n);
+        let mut kernel = EventKernel::new(n, horizon);
         if cfg.fast_forward {
-            kernel.arm_horizon(horizon);
             kernel.arm_arrival(jobs[0].arrival);
         }
         SimDriver {
@@ -196,10 +211,15 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             fast_forward,
             stability,
             replay_before: Time(0),
+            held: false,
             observing,
             done: false,
             poisoned: false,
             scratch: StepScratch::default(),
+            #[cfg(test)]
+            claim_passes: 0,
+            #[cfg(test)]
+            held_released: 0,
             inst,
             sched,
             cfg,
@@ -342,20 +362,30 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // patched). If it has not changed since the last fresh allocation
         // and `t` is still inside that allocation's stability window, the
         // scheduler would decide the same again, so `scratch.alloc` (which
-        // nothing writes between steps) is replayed. Otherwise ask for a
-        // fresh allocation and open its window. Reference: rebuild the view
-        // from scratch into the hoisted buffer and ask every tick.
+        // nothing writes between steps) is replayed. Otherwise release any
+        // claims the last window held, ask for a fresh allocation and open
+        // its window. Reference: rebuild the view from scratch into the
+        // hoisted buffer and ask every tick.
         //
         // `fresh_until` keeps `stable_until(t)` when this step asked a
         // bounded scheduler afresh, so the window cap in phase 5 need not
         // ask again.
+        let mut fresh = !production;
         let mut fresh_until = None;
         if production {
             if self.life.view_changed || t >= self.replay_before {
+                if std::mem::take(&mut self.held) {
+                    self.release_claims();
+                    #[cfg(test)]
+                    {
+                        self.held_released += 1;
+                    }
+                }
                 let view = TickView::new(self.platform.m(), t, self.life.view())
                     .with_groups(self.platform.groups());
                 self.sched.allocate_into(&view, &mut self.scratch.alloc);
                 self.life.view_changed = false;
+                fresh = true;
                 self.replay_before = match self.stability {
                     Stability::PerTick => t,
                     Stability::Bounded => {
@@ -375,8 +405,12 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             );
         }
 
-        // 4. Validate.
-        {
+        // 4. Validate a fresh allocation. A replayed one is the same
+        // `scratch.alloc` that already passed against the same alive set
+        // (any arrival, expiry or completion sets `view_changed`, which
+        // forces a fresh ask) on the same machine, so it cannot fail now.
+        // The reference path validates every tick.
+        if fresh {
             let life = &self.life;
             if let Err(e) = self
                 .platform
@@ -398,37 +432,16 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // out — find the widest window in which no claimed node can
         // finish and no arrival / expiry / horizon boundary falls, and
         // advance the whole window in one engine step.
+        //
+        // A window that ends one tick before its earliest claimed
+        // completion keeps its claims (`held`). Picks are a pure function
+        // of each job's ready list and busy set, and no node completes
+        // inside a window, so if the next step replays, the claim pass
+        // would pick the same nodes again — and one of them finishes that
+        // tick (`s == 0`). That step runs the tick on the held claims
+        // directly; a step that asks afresh released them in phase 3.
         if self.fast_forward {
             let sc = &mut self.scratch;
-            sc.claimed.clear();
-            // Minimum over claimed nodes of the ticks until completion,
-            // ceil(remaining / units): within `min_q - 1` ticks no claimed
-            // node finishes, so the ready sets — and with them every pick
-            // and every allocation — are frozen.
-            let mut min_q = u64::MAX;
-            let mut cursor = 0usize;
-            for &(id, k) in &sc.alloc {
-                let l = self.life.live[id.index()]
-                    .as_mut()
-                    .expect("validated alive");
-                self.picker
-                    .pick_into(&l.state, &l.busy, k as usize, &mut sc.picked);
-                for (i, &node) in sc.picked.iter().enumerate() {
-                    l.busy[node.index()] = true;
-                    l.dirty.push(node.0);
-                    // The i-th picked node binds to the i-th processor the
-                    // entry consumes — the same pairing the execution
-                    // round's per-processor loop realizes.
-                    let pu = match uniform_units {
-                        Some(u) => u,
-                        None => self.platform.proc_units()[cursor + i],
-                    };
-                    let rem = l.state.node_remaining(node).units();
-                    min_q = min_q.min(ticks_to_complete(rem, pu));
-                    sc.claimed.push((id, node, pu));
-                }
-                cursor += k as usize;
-            }
             // Bounded stability: the plan may change at the scheduler's
             // next boundary even with no job event in between, so every
             // window is additionally capped at `stable_until`. `None`
@@ -445,6 +458,62 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             } else {
                 u64::MAX
             };
+            // Held claims: one of them finishes this tick.
+            let mut min_q = 1;
+            if !std::mem::take(&mut self.held) {
+                #[cfg(test)]
+                {
+                    self.claim_passes += 1;
+                }
+                sc.claimed.clear();
+                // Ticks until the earliest claimed completion,
+                // ceil(remaining / units): within `min_q - 1` ticks no
+                // claimed node finishes, so the ready sets — and with them
+                // every pick and every allocation — are frozen. A uniform
+                // platform folds the smallest remaining work and divides
+                // once; a heterogeneous one divides per node by its
+                // processor's rate.
+                min_q = u64::MAX;
+                let mut min_rem = u64::MAX;
+                let mut cursor = 0usize;
+                for &(id, k) in &sc.alloc {
+                    let l = self.life.live[id.index()]
+                        .as_mut()
+                        .expect("validated alive");
+                    self.picker
+                        .pick_into(&l.state, &l.busy, k as usize, &mut sc.picked);
+                    for (i, &node) in sc.picked.iter().enumerate() {
+                        l.busy[node.index()] = true;
+                        l.dirty.push(node.0);
+                        let rem = l.state.node_remaining(node).units();
+                        // The i-th picked node binds to the i-th processor
+                        // the entry consumes — the same pairing the
+                        // execution round's per-processor loop realizes.
+                        let pu = match uniform_units {
+                            Some(u) => {
+                                min_rem = min_rem.min(rem);
+                                u
+                            }
+                            None => {
+                                let pu = self.platform.proc_units()[cursor + i];
+                                min_q = min_q.min(ticks_to_complete(rem, pu));
+                                pu
+                            }
+                        };
+                        sc.claimed.push((id, node, pu));
+                    }
+                    cursor += k as usize;
+                }
+                if let Some(u) = uniform_units {
+                    if min_rem != u64::MAX {
+                        min_q = if min_rem <= u {
+                            1
+                        } else {
+                            ticks_to_complete(min_rem, u)
+                        };
+                    }
+                }
+            }
             // Window width in ticks. Every cap is ≥ 1 (after the idle
             // skip the next arrival is strictly in the future, after step 2
             // every zero-tail job is strictly before its expiry boundary,
@@ -491,11 +560,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                         self.obs
                             .on_window(t, s, self.life.view(), &sc.alloc, &sc.progress);
                     }
-                    for &(id, _) in &sc.alloc {
-                        self.life.live[id.index()]
-                            .as_mut()
-                            .expect("validated alive")
-                            .release_claims();
+                    if s == min_q - 1 {
+                        self.held = true;
+                    } else {
+                        self.release_claims();
                     }
                     self.clock.advance_window(s);
                     return Ok(true);
@@ -684,6 +752,17 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         self.clock.advance_tick();
         Ok(true)
+    }
+
+    /// Unmark the claims of every job in `scratch.alloc` — the claims a
+    /// bulk window made, or held past its end. A job that expired since
+    /// is skipped: its pooled slot is reset when it is reused.
+    fn release_claims(&mut self) {
+        for &(id, _) in &self.scratch.alloc {
+            if let Some(l) = self.life.live[id.index()].as_mut() {
+                l.release_claims();
+            }
+        }
     }
 
     /// Drain the scheduler's recorded admission decisions and forward them
@@ -1014,9 +1093,344 @@ mod tests {
         }
     }
 
-    /// The kernel holds only arrival, expiry and horizon keys: after every
-    /// step of a real run its heap stays within twice the armed keys plus
-    /// the compaction slack.
+    /// Records every observer callback as one line: the event stream a
+    /// JSONL writer serializes, in order.
+    #[derive(Default)]
+    struct Lines(Vec<String>);
+
+    impl SimObserver for Lines {
+        fn on_start(&mut self, m: u32, speed: dagsched_core::Speed, horizon: Time) {
+            self.0.push(format!("start {m} {speed:?} {horizon:?}"));
+        }
+        fn on_job_arrival(&mut self, now: Time, info: &JobInfo) {
+            self.0.push(format!("arrival {now:?} {:?}", info.id));
+        }
+        fn on_admission(&mut self, now: Time, event: AdmissionEvent) {
+            self.0.push(format!("admission {now:?} {event:?}"));
+        }
+        fn on_window(
+            &mut self,
+            at: Time,
+            ticks: u64,
+            jobs: &[(JobId, u32)],
+            alloc: &[(JobId, u32)],
+            progress: &[(JobId, u64)],
+        ) {
+            self.0.push(format!(
+                "window {at:?} {ticks} {jobs:?} {alloc:?} {progress:?}"
+            ));
+        }
+        fn on_node_complete(&mut self, at: Time, job: JobId, node: NodeId) {
+            self.0.push(format!("node {at:?} {job:?} {node:?}"));
+        }
+        fn on_job_complete(&mut self, at: Time, job: JobId, profit: u64) {
+            self.0.push(format!("complete {at:?} {job:?} {profit}"));
+        }
+        fn on_job_expired(&mut self, at: Time, job: JobId) {
+            self.0.push(format!("expired {at:?} {job:?}"));
+        }
+        fn on_end(&mut self, at: Time) {
+            self.0.push(format!("end {at:?}"));
+        }
+    }
+
+    /// A one-node job of `work` arriving at `at`, due `deadline` after it.
+    fn one_node(id: u32, at: u64, work: u64, deadline: u64) -> dagsched_workload::JobSpec {
+        dagsched_workload::JobSpec::new(
+            JobId(id),
+            Time(at),
+            dagsched_dag::gen::single(work).into_shared(),
+            dagsched_workload::StepProfitFn::deadline(Time(deadline), 1),
+        )
+    }
+
+    /// What a run on the production path did with held claims.
+    struct HeldRun {
+        /// Times at which a bulk window ended holding its claims.
+        held_ends: Vec<Time>,
+        claim_passes: u64,
+        held_released: u64,
+        result: SimResult,
+    }
+
+    /// Drive `inst` step by step on the production path, recording where
+    /// windows held their claims, and check the run against everything it
+    /// must equal: the naive path's outcome, and a one-shot run's
+    /// `steps_executed` and event stream — both for the step-by-step run
+    /// and for one paused with `run_until` at every target in `pauses`.
+    fn check_held_run(
+        inst: &Instance,
+        mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
+        pauses: &[Time],
+    ) -> HeldRun {
+        check_held_run_on(inst, mk, pauses, &SimConfig::default())
+    }
+
+    /// [`check_held_run`] under `cfg`.
+    fn check_held_run_on(
+        inst: &Instance,
+        mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
+        pauses: &[Time],
+        cfg: &SimConfig,
+    ) -> HeldRun {
+        let mut one_shot_lines = Lines::default();
+        let one_shot = {
+            let mut s = mk();
+            let obs: &mut dyn SimObserver = &mut one_shot_lines;
+            SimDriver::with_observer(inst, &mut *s, cfg, obs)
+                .finish()
+                .unwrap()
+        };
+        let naive = simulate(
+            inst,
+            &mut *mk(),
+            &SimConfig {
+                fast_forward: false,
+                ..cfg.clone()
+            },
+        )
+        .unwrap();
+        assert!(one_shot.same_outcome(&naive), "production path != naive");
+
+        let mut stepped_lines = Lines::default();
+        let mut s = mk();
+        let obs: &mut dyn SimObserver = &mut stepped_lines;
+        let mut drv = SimDriver::with_observer(inst, &mut *s, cfg, obs);
+        let mut held_ends = Vec::new();
+        while drv.step().unwrap() {
+            if drv.held {
+                held_ends.push(drv.now());
+            }
+        }
+        let (claim_passes, held_released) = (drv.claim_passes, drv.held_released);
+        let stepped = drv.finish().unwrap();
+        full_eq(&stepped, &one_shot);
+        assert_eq!(stepped_lines.0, one_shot_lines.0, "stepped event stream");
+
+        let mut paused_lines = Lines::default();
+        let mut s = mk();
+        let obs: &mut dyn SimObserver = &mut paused_lines;
+        let mut drv = SimDriver::with_observer(inst, &mut *s, cfg, obs);
+        for &target in pauses {
+            drv.run_until(target).unwrap();
+        }
+        let paused = drv.finish().unwrap();
+        full_eq(&paused, &one_shot);
+        assert_eq!(paused_lines.0, one_shot_lines.0, "paused event stream");
+
+        HeldRun {
+            held_ends,
+            claim_passes,
+            held_released,
+            result: one_shot,
+        }
+    }
+
+    /// A chain of `n` nodes of 10 ticks each on one processor: every node
+    /// runs as one 9-tick window that ends a tick before the node finishes
+    /// and holds its claim, then one completion tick that reuses it. The
+    /// successor leaves the ready count at 1, so the next window replays
+    /// without a fresh ask. Held claims save one claim pass per node:
+    /// `n` passes for `2n` steps instead of `2n`. At speed 3/2 a node of
+    /// 20 scaled units takes ceil(20 / 3) = 7 ticks (and carryover moves
+    /// the leftover unit of each completion tick into the successor), so
+    /// the windows are no longer 9 ticks but the count is the same.
+    #[test]
+    fn held_claims_save_one_claim_pass_per_completion_tick() {
+        for speed in [
+            dagsched_core::Speed::ONE,
+            dagsched_core::Speed::new(3, 2).unwrap(),
+        ] {
+            let cfg = SimConfig::at_speed(speed);
+            for n in [1u32, 3, 8] {
+                let inst = Instance::new(
+                    1,
+                    vec![dagsched_workload::JobSpec::new(
+                        JobId(0),
+                        Time(0),
+                        dagsched_dag::gen::chain(n, 10).into_shared(),
+                        dagsched_workload::StepProfitFn::deadline(Time(1000), 1),
+                    )],
+                )
+                .unwrap();
+                let run = check_held_run_on(&inst, &|| Box::new(Greedy), &[], &cfg);
+                let n = u64::from(n);
+                assert_eq!(run.result.steps_executed, 2 * n, "{speed:?}");
+                assert_eq!(run.claim_passes, n, "one claim pass per node, not two");
+                assert_eq!(run.held_released, 0);
+                assert_eq!(run.held_ends.len() as u64, n);
+                if speed == dagsched_core::Speed::ONE {
+                    let ends: Vec<Time> = (0..n).map(|i| Time(10 * i + 9)).collect();
+                    assert_eq!(run.held_ends, ends);
+                }
+            }
+        }
+    }
+
+    /// Arrivals cap two windows. The one at t = 4 falls before the running
+    /// node's last tick, so that window releases its claim; the one at
+    /// t = 9 lands on a held window's end and preempts the held job, so
+    /// the fresh ask must release the held claim (the preempted job would
+    /// otherwise keep its node busy and never finish).
+    #[test]
+    fn arrival_at_a_held_window_end_releases_the_claims() {
+        let inst = Instance::new(
+            1,
+            vec![
+                one_node(0, 0, 10, 1000),
+                one_node(1, 4, 3, 1000),
+                one_node(2, 9, 5, 1000),
+            ],
+        )
+        .unwrap();
+        let mk = || -> Box<dyn OnlineScheduler> {
+            Box::new(Pinned {
+                select: vec![2, 0, 1],
+                place: vec![2, 0, 1],
+            })
+        };
+        let run = check_held_run(&inst, &mk, &[Time(4), Time(9)]);
+        assert_eq!(run.held_ends, vec![Time(9), Time(13), Time(17)]);
+        assert_eq!(
+            run.held_released, 1,
+            "only the arrival at t = 9 meets held claims"
+        );
+        assert_eq!(
+            run.result.outcomes[0],
+            JobStatus::Completed {
+                at: Time(15),
+                profit: 1
+            }
+        );
+    }
+
+    /// Expiries cap two windows. Job 1, never run, expires at t = 5, before
+    /// job 0's node is due, so that window releases its claim. Job 0 itself
+    /// expires at t = 9, the end of a held window: its claim stays in the
+    /// pooled slot, which job 2 reuses at t = 12. Admission resets the
+    /// slot's busy map, so job 2 runs normally.
+    #[test]
+    fn expiry_at_a_held_window_end_drops_the_claims_with_the_job() {
+        let inst = Instance::new(
+            1,
+            vec![
+                one_node(0, 0, 10, 9),
+                one_node(1, 0, 1, 5),
+                one_node(2, 12, 4, 1000),
+            ],
+        )
+        .unwrap();
+        let run = check_held_run(&inst, &|| Box::new(Greedy), &[Time(5), Time(9)]);
+        assert_eq!(run.held_ends, vec![Time(9), Time(15)]);
+        assert_eq!(
+            run.held_released, 1,
+            "only the expiry at t = 9 meets held claims"
+        );
+        assert_eq!(run.result.outcomes[0], JobStatus::Expired { at: Time(9) });
+        assert_eq!(run.result.outcomes[1], JobStatus::Expired { at: Time(5) });
+        assert_eq!(
+            run.result.outcomes[2],
+            JobStatus::Completed {
+                at: Time(16),
+                profit: 1
+            }
+        );
+    }
+
+    /// Boundedly stable test scheduler: arrival order in even shifts of
+    /// `period` ticks, reverse arrival order in odd ones, one processor per
+    /// ready node. `stable_until` is the end of the current shift, as
+    /// S-profit's is the end of the current slot run.
+    struct Shifts {
+        period: u64,
+    }
+
+    impl OnlineScheduler for Shifts {
+        fn name(&self) -> String {
+            "shifts-test".into()
+        }
+        fn on_arrival(&mut self, _job: &JobInfo, _now: Time) {}
+        fn on_completion(&mut self, _id: JobId, _now: Time) {}
+        fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+        fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+            let mut jobs: Vec<(JobId, u32)> = view.jobs().to_vec();
+            if (view.now.0 / self.period) % 2 == 1 {
+                jobs.reverse();
+            }
+            let mut left = view.m;
+            let mut out = Vec::new();
+            for (id, ready) in jobs {
+                let k = ready.min(left);
+                if k > 0 {
+                    out.push((id, k));
+                    left -= k;
+                }
+            }
+            out
+        }
+        fn bounded_stability(&self) -> bool {
+            true
+        }
+        fn stable_until(&self, now: Time) -> Option<Time> {
+            Some(Time((now.0 / self.period + 1) * self.period))
+        }
+    }
+
+    /// A `stable_until` boundary lands on a held window's end: the shift
+    /// change at t = 9 asks afresh and hands the processor to the other
+    /// job, so the held claim must be released there. The shift changes at
+    /// t = 18, 27 and 36 cap windows that end before any node is due, so
+    /// those windows release their claims; the window from t = 36 ends a
+    /// tick before job 1 finishes and holds.
+    #[test]
+    fn stable_until_boundary_at_a_held_window_end_releases_the_claims() {
+        let inst =
+            Instance::new(1, vec![one_node(0, 0, 10, 1000), one_node(1, 0, 30, 1000)]).unwrap();
+        let run = check_held_run(
+            &inst,
+            &|| Box::new(Shifts { period: 9 }),
+            &[Time(9), Time(18)],
+        );
+        assert_eq!(run.held_ends, vec![Time(9), Time(39)]);
+        assert_eq!(
+            run.held_released, 1,
+            "only the shift change at t = 9 meets held claims"
+        );
+        assert_eq!(
+            run.result.outcomes,
+            vec![
+                JobStatus::Completed {
+                    at: Time(19),
+                    profit: 1
+                },
+                JobStatus::Completed {
+                    at: Time(40),
+                    profit: 1
+                },
+            ]
+        );
+    }
+
+    /// `run_until` pauses exactly at each held window's end: the claims
+    /// stay held across the pause and the resumed run is the one-shot run.
+    #[test]
+    fn run_until_pause_at_a_held_window_end_keeps_the_claims() {
+        let inst = WorkloadGen::standard(4, 30, 5).generate().unwrap();
+        let probe = check_held_run(&inst, &|| Box::new(Greedy), &[]);
+        assert!(
+            probe.held_ends.len() > 10,
+            "the workload must hold claims often"
+        );
+        let run = check_held_run(&inst, &|| Box::new(Greedy), &probe.held_ends);
+        assert_eq!(run.held_ends, probe.held_ends);
+        assert_eq!(run.claim_passes, probe.claim_passes);
+    }
+
+    /// The kernel's heap holds expiry keys only (the arrival cursor and the
+    /// horizon are plain fields): after every step of a real run it stays
+    /// within twice the armed expiries plus the compaction slack. A step's
+    /// completions (at most `m = 4` here) disarm keys after its last
+    /// compaction check, hence the `+ 4`.
     #[test]
     fn kernel_heap_stays_bounded_by_armed_keys() {
         use crate::events::COMPACT_MIN_STALE;
@@ -1039,7 +1453,7 @@ mod tests {
             while drv.step().unwrap() {
                 let (len, armed) = (drv.kernel.len(), drv.kernel.armed_keys());
                 assert!(
-                    len <= 2 * armed + COMPACT_MIN_STALE + 2,
+                    len <= 2 * (armed + 4) + COMPACT_MIN_STALE,
                     "seed {seed} t={}: heap holds {len} entries for {armed} armed keys",
                     drv.now().0
                 );

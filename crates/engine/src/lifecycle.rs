@@ -33,8 +33,10 @@ const NO_SLOT: u32 = u32::MAX;
 pub(crate) struct Live {
     /// Unfolded DAG execution state.
     pub(crate) state: UnfoldState,
-    /// Nodes claimed by a processor in the current tick (dense by node id);
-    /// cleared via `dirty` after the tick.
+    /// Nodes claimed by a processor in the current step (dense by node id);
+    /// cleared via `dirty` after the step — or, when a bulk window ends a
+    /// tick before a claimed node finishes, after the next step, which may
+    /// run on the same claims (the driver's held claims).
     pub(crate) busy: Vec<bool>,
     pub(crate) dirty: Vec<u32>,
 }

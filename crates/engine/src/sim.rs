@@ -43,7 +43,7 @@ use crate::observe::SimObserver;
 use crate::pick::NodePick;
 use crate::result::SimResult;
 use crate::sched_api::OnlineScheduler;
-use dagsched_core::{MachineGroups, Result, SchedError, Speed, Time};
+use dagsched_core::{scale_work, MachineGroups, Result, SchedError, Speed, Time};
 use dagsched_workload::Instance;
 
 /// Engine configuration.
@@ -137,15 +137,26 @@ impl SimConfig {
 /// scheduler ever over-subscribes processors, allocates to a job that is not
 /// alive, allocates zero processors, or repeats a job within one tick.
 /// [`SchedError::InvalidInstance`] if the configured platform is
-/// inconsistent with the instance (see [`SimConfig::resolve_groups`]).
+/// inconsistent with the instance (see [`SimConfig::resolve_groups`]), or
+/// if the instance's total work scaled to the platform overflows `u64`.
 /// Engine-model violations are bugs and surface as panics, not errors.
 pub fn simulate(
     inst: &Instance,
     sched: &mut dyn OnlineScheduler,
     cfg: &SimConfig,
 ) -> Result<SimResult> {
-    cfg.resolve_groups(inst.m())?;
+    check_platform(inst, cfg)?;
     SimDriver::new(inst, sched, cfg).finish()
+}
+
+/// The two ways a driver's construction can panic on a valid instance,
+/// surfaced as errors: a platform inconsistent with `m`, and scaled work
+/// overflowing `u64` (each job's work is scaled when it arrives; checking
+/// the instance total covers every job).
+fn check_platform(inst: &Instance, cfg: &SimConfig) -> Result<()> {
+    let groups = cfg.resolve_groups(inst.m())?;
+    scale_work(inst.total_work().units(), groups.work_scale())?;
+    Ok(())
 }
 
 /// Run `sched` on `inst` under `cfg` with `obs` receiving the event stream.
@@ -167,7 +178,7 @@ pub fn simulate_observed(
     cfg: &SimConfig,
     obs: &mut dyn SimObserver,
 ) -> Result<SimResult> {
-    cfg.resolve_groups(inst.m())?;
+    check_platform(inst, cfg)?;
     SimDriver::with_observer(inst, sched, cfg, obs).finish()
 }
 
@@ -681,6 +692,34 @@ mod tests {
                 MachineGroups::uniform(m, speed).unwrap()
             );
         }
+    }
+
+    /// One job of work `u64::MAX / 2 + 1` at speed 3/2 (work scale 2): a
+    /// valid instance whose scaled work overflows `u64`. Both entry points
+    /// return `InvalidInstance` instead of panicking when the job arrives;
+    /// one unit less still runs.
+    #[test]
+    fn scaled_work_overflow_is_an_error_not_a_panic() {
+        let inst = |work: u64| {
+            Instance::new(
+                1,
+                vec![JobSpec::new(
+                    JobId(0),
+                    Time(0),
+                    gen::single(work).into_shared(),
+                    StepProfitFn::deadline(Time(5), 1),
+                )],
+            )
+            .unwrap()
+        };
+        let cfg = SimConfig::at_speed(Speed::new(3, 2).unwrap());
+        let over = inst(u64::MAX / 2 + 1);
+        let r = simulate(&over, &mut Greedy, &cfg);
+        assert!(matches!(r, Err(SchedError::InvalidInstance(_))), "{r:?}");
+        let r = simulate_observed(&over, &mut Greedy, &cfg, &mut crate::NullObserver);
+        assert!(matches!(r, Err(SchedError::InvalidInstance(_))), "{r:?}");
+        let fits = simulate(&inst(u64::MAX / 2), &mut Greedy, &cfg).unwrap();
+        assert_eq!(fits.outcomes[0], JobStatus::Expired { at: Time(5) });
     }
 
     #[test]

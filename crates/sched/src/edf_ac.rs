@@ -21,10 +21,10 @@
 //! it can reject admissible jobs but never over-promises because of stale
 //! optimism.
 //!
-//! Admitted-job records live in a dense [`JobSlab`], the arrival test runs
-//! over a hoisted scratch vector, and the hooks keep the admitted jobs in
-//! EDF order, so the steady-state paths do not allocate and the per-tick
-//! fill never sorts.
+//! Admitted-job records live in a dense [`JobSlab`] and the hooks keep the
+//! admitted jobs in EDF order, so the steady-state paths do not allocate,
+//! the per-tick fill never sorts, and the arrival test is one linear
+//! prefix-sum walk.
 
 use crate::slab::JobSlab;
 use dagsched_core::{JobId, Time, Work};
@@ -50,8 +50,6 @@ pub struct EdfAc {
     /// Rejected-at-arrival count (reporting).
     rejected: usize,
     report: Option<Vec<AdmissionEvent>>,
-    /// Scratch: the sorted-deduped deadline horizon of the admission test.
-    deadline_scratch: Vec<Time>,
     /// Admitted jobs kept sorted by `(deadline, seq)` — the EDF walk order
     /// — maintained incrementally in the hooks. `(deadline, seq)` is a
     /// unique key, so this order equals a per-tick sort of the admitted
@@ -69,7 +67,6 @@ impl EdfAc {
             seq: 0,
             rejected: 0,
             report: None,
-            deadline_scratch: Vec::new(),
             live_order: Vec::new(),
         }
     }
@@ -82,8 +79,16 @@ impl EdfAc {
     /// The admission test: with the candidate included, is every admitted
     /// deadline's demand within `m · (d − now)`? Returns the rejection
     /// reason, or `None` when the candidate passes.
+    ///
+    /// One prefix-sum walk over `live_order` (already in `(deadline, seq)`
+    /// order) with the candidate merged in at its place: its `seq` is the
+    /// largest yet, so it goes after every admitted job due no later. The
+    /// bound is checked after every job, not only after the last of each
+    /// run of equal deadlines; that is the same test, since a partial sum
+    /// over a window it overflows means the whole run's sum overflows it
+    /// too. O(admitted), against one re-sum per distinct deadline.
     fn admission_failure(
-        &mut self,
+        &self,
         cand: &AdmJob,
         cand_span: Work,
         now: Time,
@@ -92,33 +97,33 @@ impl EdfAc {
         if cand.abs_deadline.since(now) < cand_span.units() {
             return Some(AdmissionReason::SpanInfeasible);
         }
-        // Demand bound at every admitted deadline ≥ the candidate's
-        // relevant horizon (jobs due later don't constrain earlier ones
-        // under EDF).
-        let mut deadlines = std::mem::take(&mut self.deadline_scratch);
-        deadlines.clear();
-        deadlines.extend(self.admitted.iter().map(|(_, j)| j.abs_deadline));
-        deadlines.push(cand.abs_deadline);
-        deadlines.sort_unstable();
-        deadlines.dedup();
-        let mut failure = None;
-        for &d in &deadlines {
-            let window = d.since(now) as u128 * self.m as u128;
-            let demand: u128 = self
+        let m = u128::from(self.m);
+        let mut demand = 0u128;
+        let mut within = |work: Work, d: Time| {
+            demand += u128::from(work.units());
+            demand <= u128::from(d.since(now)) * m
+        };
+        let mut cand_pending = true;
+        for &(d, _, id) in &self.live_order {
+            if cand_pending && cand.abs_deadline < d {
+                cand_pending = false;
+                if !within(cand.work, cand.abs_deadline) {
+                    return Some(AdmissionReason::DemandBound);
+                }
+            }
+            let work = self
                 .admitted
-                .iter()
-                .map(|(_, j)| j)
-                .chain(std::iter::once(cand))
-                .filter(|j| j.abs_deadline <= d)
-                .map(|j| j.work.units() as u128)
-                .sum();
-            if demand > window {
-                failure = Some(AdmissionReason::DemandBound);
-                break;
+                .get(id)
+                .expect("ordered jobs are admitted")
+                .work;
+            if !within(work, d) {
+                return Some(AdmissionReason::DemandBound);
             }
         }
-        self.deadline_scratch = deadlines;
-        failure
+        if cand_pending && !within(cand.work, cand.abs_deadline) {
+            return Some(AdmissionReason::DemandBound);
+        }
+        None
     }
 
     /// Forget an admitted job (completion or expiry). The record is taken
@@ -283,6 +288,91 @@ mod tests {
         let mut s = EdfAc::new(8);
         s.on_arrival(&info(0, 0, 20, 15, 10), Time(0)); // L = 15 > D = 10
         assert_eq!(s.rejected(), 1);
+    }
+
+    /// The demand-bound test written out by brute force: span feasibility,
+    /// then for every deadline `d` of an admitted job or the candidate,
+    /// Σ work of the jobs due by `d` ≤ `m · (d − now)`.
+    fn brute_force_decision(
+        m: u32,
+        now: Time,
+        admitted: &[(Time, u64)],
+        cand: (Time, u64),
+        cand_span: u64,
+    ) -> AdmissionDecision {
+        if cand.0.since(now) < cand_span {
+            return AdmissionDecision::Rejected(AdmissionReason::SpanInfeasible);
+        }
+        let all: Vec<(Time, u64)> = admitted.iter().copied().chain([cand]).collect();
+        for &(d, _) in &all {
+            let demand: u128 = all
+                .iter()
+                .filter(|&&(e, _)| e <= d)
+                .map(|&(_, w)| u128::from(w))
+                .sum();
+            if demand > u128::from(d.since(now)) * u128::from(m) {
+                return AdmissionDecision::Rejected(AdmissionReason::DemandBound);
+            }
+        }
+        AdmissionDecision::Admitted
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random arrival, completion and expiry sequences through `EdfAc`:
+        /// every admission decision equals the brute-force demand-bound
+        /// test over the jobs admitted and not yet retired.
+        #[test]
+        fn admission_matches_a_brute_force_demand_bound(
+            m in 1u32..5,
+            ops in proptest::collection::vec(
+                (0u8..4, 1u64..40, 0u64..40, 1u64..60, 0u64..4, 0usize..64),
+                1..80,
+            )
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mut s = EdfAc::new(m);
+            s.enable_admission_reporting();
+            // Model: the admitted, unretired jobs; and every alive job
+            // (admitted or not), which completions and expiries pick from.
+            let mut admitted: Vec<(JobId, Time, u64)> = Vec::new();
+            let mut alive: Vec<JobId> = Vec::new();
+            let mut now = 0u64;
+            let mut next_id = 0u32;
+            let mut events = Vec::new();
+            for &(sel, work, span_raw, rel_deadline, dt, pick) in &ops {
+                now += dt;
+                let t = Time(now);
+                if sel < 2 || alive.is_empty() {
+                    let id = next_id;
+                    next_id += 1;
+                    let span = 1 + span_raw % work;
+                    let deadline = Time(now + rel_deadline);
+                    let rest: Vec<(Time, u64)> =
+                        admitted.iter().map(|&(_, d, w)| (d, w)).collect();
+                    let expect = brute_force_decision(m, t, &rest, (deadline, work), span);
+                    s.on_arrival(&info(id, now, work, span, rel_deadline), t);
+                    s.drain_admission_events(&mut events);
+                    prop_assert_eq!(events.len(), 1);
+                    let ev = events.pop().expect("one decision per arrival");
+                    prop_assert_eq!(ev.job, JobId(id));
+                    prop_assert_eq!(ev.decision, expect, "job {} at t={}", id, now);
+                    if expect == AdmissionDecision::Admitted {
+                        admitted.push((JobId(id), deadline, work));
+                    }
+                    alive.push(JobId(id));
+                } else {
+                    let id = alive.remove(pick % alive.len());
+                    admitted.retain(|&(a, _, _)| a != id);
+                    if sel == 2 {
+                        s.on_completion(id, t);
+                    } else {
+                        s.on_expiry(id, t);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -352,6 +352,46 @@ end
         assert!(matches!(decode(max_nodes), Err(SchedError::Codec(_))));
     }
 
+    /// Work totals that overflow `u64` across jobs are an error on decode
+    /// (each job alone is valid); one unit less round-trips.
+    #[test]
+    fn work_totals_overflowing_u64_are_rejected() {
+        let text = |second: u64| {
+            format!(
+                "\
+dagsched-instance v1
+m 1
+jobs 2
+job 0
+arrival 0
+profit 1 0
+seg 10 1
+nodes 1
+work 9223372036854775808
+edges 0
+end
+job 1
+arrival 0
+profit 1 0
+seg 10 1
+nodes 1
+work {second}
+edges 0
+end
+"
+            )
+        };
+        let over = decode(&text(1 << 63));
+        assert!(
+            matches!(over, Err(SchedError::InvalidInstance(_))),
+            "{over:?}"
+        );
+        let fits = text((1 << 63) - 1);
+        let inst = decode(&fits).unwrap();
+        assert_eq!(inst.total_work(), Work(u64::MAX));
+        assert_eq!(encode(&inst), fits);
+    }
+
     #[test]
     fn machine_counts_above_the_bound_are_rejected() {
         // The engine lays out one entry per processor, so an unbounded `m`

@@ -8,6 +8,8 @@ use dagsched_core::{Result, SchedError, Time, Work, MAX_PROCESSORS};
 pub struct Instance {
     m: u32,
     jobs: Vec<JobSpec>,
+    /// Σ W_i, checked against `u64` overflow at construction.
+    total_work: Work,
 }
 
 /// Aggregate facts about an instance, for experiment reporting.
@@ -37,7 +39,8 @@ impl Instance {
     /// * `m == 0` or `m >` [`MAX_PROCESSORS`],
     /// * no jobs,
     /// * job ids not dense in order (`jobs[i].id.index() == i`),
-    /// * arrivals not sorted non-decreasingly.
+    /// * arrivals not sorted non-decreasingly,
+    /// * total work or total max profit overflowing `u64`.
     pub fn new(m: u32, jobs: Vec<JobSpec>) -> Result<Instance> {
         if m == 0 {
             return Err(SchedError::InvalidInstance("m must be positive".into()));
@@ -63,7 +66,20 @@ impl Instance {
                 "jobs must be sorted by arrival".into(),
             ));
         }
-        Ok(Instance { m, jobs })
+        let (mut work, mut profit) = (0u64, 0u64);
+        for j in &jobs {
+            work = work
+                .checked_add(j.work().units())
+                .ok_or_else(|| SchedError::InvalidInstance("total work overflows u64".into()))?;
+            profit = profit.checked_add(j.max_profit()).ok_or_else(|| {
+                SchedError::InvalidInstance("total max profit overflows u64".into())
+            })?;
+        }
+        Ok(Instance {
+            m,
+            jobs,
+            total_work: Work(work),
+        })
     }
 
     /// Number of processors.
@@ -90,10 +106,16 @@ impl Instance {
         self.jobs.is_empty()
     }
 
+    /// Σ W_i over every job (fits `u64`: [`new`](Self::new) checks it).
+    #[inline]
+    pub fn total_work(&self) -> Work {
+        self.total_work
+    }
+
     /// Compute aggregate statistics.
     pub fn stats(&self) -> InstanceStats {
         let n_jobs = self.jobs.len();
-        let total_work: Work = self.jobs.iter().map(|j| j.work()).sum();
+        let total_work = self.total_work;
         let total_profit: u64 = self.jobs.iter().map(|j| j.max_profit()).sum();
         let first_arrival = self.jobs.first().map(|j| j.arrival).unwrap_or(Time::ZERO);
         let horizon = self
@@ -163,6 +185,35 @@ mod tests {
             Instance::new(2, vec![job(0, 9, 1, 5, 1), job(1, 3, 1, 5, 1)]).is_err(),
             "unsorted arrivals"
         );
+    }
+
+    /// Two jobs of work 2^63 each: every job is valid on its own, but the
+    /// instance total overflows, which `stats` (and the engine's automatic
+    /// horizon through it) would sum. Likewise for the max-profit total.
+    #[test]
+    fn totals_overflowing_u64_are_rejected() {
+        let huge = |id: u32, work: u64, profit: u64| {
+            JobSpec::new(
+                JobId(id),
+                Time(0),
+                gen::single(work).into_shared(),
+                StepProfitFn::deadline(Time(10), profit),
+            )
+        };
+        let work = Instance::new(1, vec![huge(0, 1 << 63, 1), huge(1, 1 << 63, 1)]);
+        assert!(
+            matches!(work, Err(SchedError::InvalidInstance(ref e)) if e.contains("work")),
+            "{work:?}"
+        );
+        let profit = Instance::new(1, vec![huge(0, 1, u64::MAX), huge(1, 1, 1)]);
+        assert!(
+            matches!(profit, Err(SchedError::InvalidInstance(ref e)) if e.contains("profit")),
+            "{profit:?}"
+        );
+        // One short of overflowing is still an instance.
+        let edge = Instance::new(1, vec![huge(0, 1 << 63, 1), huge(1, (1 << 63) - 1, 1)]).unwrap();
+        assert_eq!(edge.total_work(), Work(u64::MAX));
+        assert_eq!(edge.stats().total_work, Work(u64::MAX));
     }
 
     #[test]
