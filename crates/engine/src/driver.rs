@@ -447,16 +447,20 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // window is additionally capped at `stable_until`. `None`
             // means no further boundary (stable to the next event, like a
             // fully stable scheduler); a boundary at or before `t` means a
-            // single-tick window.
+            // single-tick window. The cap is computed only where a window
+            // can open — not on a step where a claimed node finishes this
+            // tick — so such a step asks `stable_until` nothing.
             let bounded = self.stability == Stability::Bounded;
-            let bound_cap = if bounded {
-                match fresh_until.unwrap_or_else(|| self.sched.stable_until(t)) {
+            let sched = &self.sched;
+            let bound_cap = || {
+                if !bounded {
+                    return u64::MAX;
+                }
+                match fresh_until.unwrap_or_else(|| sched.stable_until(t)) {
                     Some(until) if until > t => until.since(t),
                     Some(_) => 1,
                     None => u64::MAX,
                 }
-            } else {
-                u64::MAX
             };
             // Held claims: one of them finishes this tick.
             let mut min_q = 1;
@@ -528,7 +532,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 let s = if min_q == 1 {
                     0
                 } else {
-                    (min_q - 1).min(self.kernel.window(t)).min(bound_cap)
+                    (min_q - 1).min(self.kernel.window(t)).min(bound_cap())
                 };
                 if s > 0 {
                     // No claimed node completes within the window: each
@@ -582,7 +586,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 // step's own event phases the window has no job boundary
                 // left to cap it — fall through to the single tick the
                 // naive path charges before its run guard ends the run.
-                let s = self.kernel.window(t).min(bound_cap);
+                let s = self.kernel.window(t).min(bound_cap());
                 if s > 0 {
                     if self.observing {
                         sc.progress.clear();

@@ -14,17 +14,118 @@
 //! * end-time and peak-alive-set buckets.
 //!
 //! A candidate that produces any feature id the corpus has not produced
-//! before is retained. The feature space is a few hundred ids, so the
-//! corpus saturates quickly on boring mutations and only structurally new
-//! behavior survives — which is the point.
+//! before is retained. Every id is below 232, so a run's features and the
+//! corpus-wide map are fixed 256-bit sets ([`FeatureSet`]) and a merge is
+//! four ORs and popcounts. The corpus saturates quickly on boring
+//! mutations and only structurally new behavior survives — which is the
+//! point.
 
 use dagsched_core::{JobId, NodeId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, AdmissionReason, JobInfo, SimObserver};
-use std::collections::BTreeSet;
+
+/// A set of feature ids below [`FeatureSet::CAPACITY`], one bit each.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FeatureSet([u64; 4]);
+
+impl FeatureSet {
+    /// One more than the largest id the set can hold.
+    pub const CAPACITY: u32 = 256;
+
+    /// The empty set.
+    pub fn new() -> FeatureSet {
+        FeatureSet::default()
+    }
+
+    /// Add `id`. Panics if `id >= CAPACITY`.
+    pub fn insert(&mut self, id: u32) {
+        self.0[(id / 64) as usize] |= 1 << (id % 64);
+    }
+
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: u32) -> bool {
+        id < Self::CAPACITY && self.0[(id / 64) as usize] & (1 << (id % 64)) != 0
+    }
+
+    /// The number of ids in the set.
+    pub fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..Self::CAPACITY).filter(|&id| self.contains(id))
+    }
+
+    /// Add every id of `other`; returns how many were new.
+    pub fn union_with(&mut self, other: &FeatureSet) -> usize {
+        let mut new = 0;
+        for (w, o) in self.0.iter_mut().zip(other.0) {
+            new += (o & !*w).count_ones() as usize;
+            *w |= o;
+        }
+        new
+    }
+}
+
+impl FromIterator<u32> for FeatureSet {
+    fn from_iter<I: IntoIterator<Item = u32>>(ids: I) -> FeatureSet {
+        let mut set = FeatureSet::new();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
 
 /// `floor(log2(x)) + 1` for x > 0, else 0 — a stable small bucket index.
 fn log2_bucket(x: u64) -> u32 {
     64 - x.leading_zeros()
+}
+
+/// Feature block 0..24: verdict × reason.
+fn verdict_feature(decision: AdmissionDecision) -> u32 {
+    match decision {
+        AdmissionDecision::Admitted => 7,
+        AdmissionDecision::Deferred(r) => 8 + reason_index(r),
+        AdmissionDecision::Rejected(r) => 16 + reason_index(r),
+    }
+}
+
+/// Feature block 32..96: the density band `floor(log_c v)` an admitted
+/// job occupies, clamped to ±31.
+fn band_feature(v: f64, c: f64) -> u32 {
+    let band = (v.ln() / c.ln()).floor().clamp(-31.0, 32.0) as i32;
+    32 + (band + 31) as u32
+}
+
+/// Feature block 96..112: expiry-batch size buckets.
+fn expiry_batch_feature(run: u64) -> u32 {
+    96 + log2_bucket(run).min(15)
+}
+
+/// Feature block 112..152: window-width buckets.
+fn window_feature(ticks: u64) -> u32 {
+    112 + log2_bucket(ticks).min(39)
+}
+
+/// Feature block 152..160: event kinds colliding on one tick.
+fn collision_feature(mask: u8) -> u32 {
+    152 + mask as u32
+}
+
+/// Feature block 160..200: end-time buckets.
+fn end_feature(at: u64) -> u32 {
+    160 + log2_bucket(at).min(39)
+}
+
+/// Feature block 200..232: alive-set size buckets.
+fn alive_feature(jobs: usize) -> u32 {
+    200 + log2_bucket(jobs as u64).min(31)
 }
 
 fn reason_index(r: AdmissionReason) -> u32 {
@@ -50,7 +151,7 @@ pub struct CoverageObserver {
     c: f64,
     /// Density per job id, recorded at arrival.
     density: Vec<f64>,
-    features: BTreeSet<u32>,
+    features: FeatureSet,
     // Per-tick collision mask state.
     cur_t: u64,
     cur_mask: u8,
@@ -65,7 +166,7 @@ impl CoverageObserver {
         CoverageObserver {
             c,
             density: Vec::new(),
-            features: BTreeSet::new(),
+            features: FeatureSet::new(),
             cur_t: u64::MAX,
             cur_mask: 0,
             expiry_t: u64::MAX,
@@ -75,28 +176,25 @@ impl CoverageObserver {
 
     /// The feature ids this run produced. Call after the run (flushing of
     /// per-tick state happens in [`SimObserver::on_end`]).
-    pub fn features(&self) -> &BTreeSet<u32> {
+    pub fn features(&self) -> &FeatureSet {
         &self.features
     }
 
     /// Consume the observer, returning its feature set.
-    pub fn into_features(self) -> BTreeSet<u32> {
+    pub fn into_features(self) -> FeatureSet {
         self.features
     }
 
     fn flush_tick(&mut self) {
         if self.cur_mask.count_ones() >= 2 {
-            // Feature block 152..160: event kinds colliding on one tick.
-            self.features.insert(152 + self.cur_mask as u32);
+            self.features.insert(collision_feature(self.cur_mask));
         }
         self.cur_mask = 0;
     }
 
     fn flush_expiry_run(&mut self) {
         if self.expiry_run > 0 {
-            // Feature block 96..112: expiry-batch size buckets.
-            self.features
-                .insert(96 + log2_bucket(self.expiry_run).min(15));
+            self.features.insert(expiry_batch_feature(self.expiry_run));
             self.expiry_run = 0;
         }
     }
@@ -121,24 +219,15 @@ impl SimObserver for CoverageObserver {
     }
 
     fn on_admission(&mut self, _now: Time, event: AdmissionEvent) {
-        // Feature block 0..24: verdict × reason.
-        let id = match event.decision {
-            AdmissionDecision::Admitted => 7,
-            AdmissionDecision::Deferred(r) => 8 + reason_index(r),
-            AdmissionDecision::Rejected(r) => 16 + reason_index(r),
-        };
-        self.features.insert(id);
+        self.features.insert(verdict_feature(event.decision));
         if matches!(event.decision, AdmissionDecision::Admitted) {
-            // Feature block 32..96: the density band the admitted job
-            // occupies, `floor(log_c v)` clamped to ±31.
             let v = self
                 .density
                 .get(event.job.index())
                 .copied()
                 .unwrap_or(1.0)
                 .max(f64::MIN_POSITIVE);
-            let band = (v.ln() / self.c.ln()).floor().clamp(-31.0, 32.0) as i32;
-            self.features.insert(32 + (band + 31) as u32);
+            self.features.insert(band_feature(v, self.c));
         }
     }
 
@@ -150,11 +239,8 @@ impl SimObserver for CoverageObserver {
         _alloc: &[(JobId, u32)],
         _progress: &[(JobId, u64)],
     ) {
-        // Feature block 112..152: window-width buckets.
-        self.features.insert(112 + log2_bucket(ticks).min(39));
-        // Feature block 200..232: alive-set size buckets.
-        self.features
-            .insert(200 + log2_bucket(jobs.len() as u64).min(31));
+        self.features.insert(window_feature(ticks));
+        self.features.insert(alive_feature(jobs.len()));
         self.flush_expiry_run();
     }
 
@@ -180,8 +266,7 @@ impl SimObserver for CoverageObserver {
     fn on_end(&mut self, at: Time) {
         self.flush_tick();
         self.flush_expiry_run();
-        // Feature block 160..200: end-time buckets.
-        self.features.insert(160 + log2_bucket(at.ticks()).min(39));
+        self.features.insert(end_feature(at.ticks()));
     }
 
     fn on_start(&mut self, _m: u32, _speed: Speed, _horizon: Time) {}
@@ -190,7 +275,7 @@ impl SimObserver for CoverageObserver {
 /// The accumulated corpus-wide feature set.
 #[derive(Debug, Default)]
 pub struct CoverageMap {
-    seen: BTreeSet<u32>,
+    seen: FeatureSet,
 }
 
 impl CoverageMap {
@@ -200,10 +285,8 @@ impl CoverageMap {
     }
 
     /// Merge one run's features; returns how many were new.
-    pub fn merge(&mut self, features: &BTreeSet<u32>) -> usize {
-        let before = self.seen.len();
-        self.seen.extend(features.iter().copied());
-        self.seen.len() - before
+    pub fn merge(&mut self, features: &FeatureSet) -> usize {
+        self.seen.union_with(features)
     }
 
     /// Total distinct features observed so far.
@@ -233,10 +316,8 @@ mod tests {
         cov.on_job_complete(Time(5), JobId(3), 1);
         cov.on_end(Time(6));
         // Batch of 3 -> bucket 2; expiry+completion collided at t=5.
-        assert!(cov.features().contains(&(96 + 2)));
-        assert!(cov
-            .features()
-            .contains(&(152 + (EXPIRED | COMPLETED) as u32)));
+        assert!(cov.features().contains(96 + 2));
+        assert!(cov.features().contains(152 + (EXPIRED | COMPLETED) as u32));
     }
 
     #[test]
@@ -252,18 +333,104 @@ mod tests {
         assert!(!f.is_empty());
         assert_eq!(f, run(), "features are deterministic");
         // At least one admission verdict and one window width fired.
-        assert!(f.iter().any(|&id| id < 24));
-        assert!(f.iter().any(|&id| (112..152).contains(&id)));
+        assert!(f.iter().any(|id| id < 24));
+        assert!(f.iter().any(|id| (112..152).contains(&id)));
     }
 
     #[test]
     fn coverage_map_counts_new_features_only() {
         let mut map = CoverageMap::new();
-        let a: BTreeSet<u32> = [1, 2, 3].into_iter().collect();
-        let b: BTreeSet<u32> = [3, 4].into_iter().collect();
+        let a: FeatureSet = [1, 2, 3].into_iter().collect();
+        let b: FeatureSet = [3, 4, 255].into_iter().collect();
         assert_eq!(map.merge(&a), 3);
-        assert_eq!(map.merge(&b), 1);
+        assert_eq!(map.merge(&b), 2);
         assert_eq!(map.merge(&b), 0);
-        assert_eq!(map.len(), 4);
+        assert_eq!(map.len(), 5);
+    }
+
+    #[test]
+    fn feature_set_iterates_in_order() {
+        let set: FeatureSet = [200, 0, 63, 64, 255, 63].into_iter().collect();
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 64, 200, 255]);
+        assert_eq!(set.len(), 5);
+        assert!(!set.contains(1) && !set.contains(FeatureSet::CAPACITY));
+        assert!(FeatureSet::new().is_empty());
+    }
+
+    /// Every block's largest id, at its extreme input, is below the
+    /// bitset's capacity; the largest of all is the alive-set block's 231.
+    #[test]
+    fn highest_feature_id_fits_the_bitset() {
+        let reasons = [
+            AdmissionReason::BandCapacity,
+            AdmissionReason::NotDeltaGood,
+            AdmissionReason::Infeasible,
+            AdmissionReason::DemandBound,
+            AdmissionReason::SpanInfeasible,
+            AdmissionReason::DeadlinePassed,
+            AdmissionReason::Unconditional,
+        ];
+        let verdicts = reasons.iter().flat_map(|&r| {
+            [
+                AdmissionDecision::Deferred(r),
+                AdmissionDecision::Rejected(r),
+            ]
+        });
+        let mut ids: Vec<u32> = verdicts
+            .chain([AdmissionDecision::Admitted])
+            .map(verdict_feature)
+            .collect();
+        for c in [1.0 + 1e-9, 1.5, 1e9] {
+            for v in [f64::MIN_POSITIVE, 1.0, f64::MAX] {
+                ids.push(band_feature(v, c));
+            }
+        }
+        ids.extend([
+            expiry_batch_feature(u64::MAX),
+            window_feature(u64::MAX),
+            collision_feature(ARRIVED | EXPIRED | COMPLETED),
+            end_feature(u64::MAX),
+            alive_feature(usize::MAX),
+        ]);
+        assert_eq!(ids.iter().max(), Some(&231));
+        assert!(ids.iter().all(|&id| id < FeatureSet::CAPACITY));
+    }
+
+    /// One judged run per seed-corpus entry yields exactly the features the
+    /// `BTreeSet<u32>` observer this bitset replaced produced (recorded on
+    /// that code, one line per entry; entry 4 runs the S-profit subject).
+    #[test]
+    fn seed_corpus_features_are_pinned() {
+        use crate::oracle::{run_exec_with, OracleSet, Subject};
+        let pinned: [&[u32]; 6] = [
+            &[7, 8, 10, 62, 63, 97, 113, 114, 116, 155, 164, 201, 202],
+            &[
+                7, 8, 10, 21, 62, 63, 97, 113, 155, 158, 164, 200, 201, 202, 203,
+            ],
+            &[10, 97, 113, 165, 200, 201, 202],
+            &[10, 99, 113, 164, 200, 203],
+            &[97, 113, 115, 117, 119, 167, 201, 202],
+            &[7, 8, 63, 97, 113, 114, 115, 169, 201, 202],
+        ];
+        let corpus = crate::corpus::seed_corpus();
+        assert_eq!(corpus.len(), pinned.len());
+        for (i, (fi, want)) in corpus.iter().zip(pinned).enumerate() {
+            let subject = if fi.sprofit_subject {
+                Subject::scheduler_s_profit()
+            } else {
+                Subject::scheduler_s()
+            };
+            let inst = fi.to_instance().expect("seed corpus is valid");
+            let out = run_exec_with(
+                &inst,
+                &subject,
+                &OracleSet::default(),
+                0,
+                None,
+                &fi.base_config(),
+            );
+            assert!(out.failure.is_none(), "entry {i}: {:?}", out.failure);
+            assert_eq!(out.features.iter().collect::<Vec<_>>(), want, "entry {i}");
+        }
     }
 }

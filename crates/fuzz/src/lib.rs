@@ -39,7 +39,7 @@ pub mod oracle;
 pub mod run;
 
 pub use corpus::{collision_instances, seed_corpus};
-pub use coverage::{CoverageMap, CoverageObserver};
+pub use coverage::{CoverageMap, CoverageObserver, FeatureSet};
 pub use ir::{FuzzInstance, FuzzJob};
 pub use minimize::minimize;
 pub use mutate::{mutate, Mutator};

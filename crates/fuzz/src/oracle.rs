@@ -10,16 +10,21 @@
 //!    than unwinding; under the `verify-strict` feature the semantics are
 //!    identical, only the failure transport differs. An [`EventLog`] rides
 //!    in the same observer fan, so this run also supplies the fast-path
-//!    outcome and JSONL stream the other two heads compare against.
+//!    outcome and event log the other two heads compare against.
 //! 2. **Naive vs fast** — the run repeated on the naive per-tick reference
 //!    path ([`SimConfig::fast_forward`] off: expiry scan, rebuilt view,
-//!    full `allocate_into` every tick) must produce the same outcome and a
-//!    byte-identical JSONL stream. Step counts legitimately differ; the
-//!    golden digests in `tests/golden_outputs.rs` pin the fast path's.
+//!    full `allocate_into` every tick) must produce the same outcome and an
+//!    equal event log. Step counts legitimately differ; the golden digests
+//!    in `tests/golden_outputs.rs` pin the fast path's.
 //! 3. **Paused vs one-shot** — a [`SimDriver`] paused at several
-//!    deterministically-derived horizons must finish byte-identical to
-//!    head 1's one-shot run, step count included (the pacing-invisibility
-//!    contract).
+//!    deterministically-derived horizons must finish identical to head 1's
+//!    one-shot run, step count and event log included (the
+//!    pacing-invisibility contract).
+//!
+//! Heads 2 and 3 compare the logs by value: equal logs are exactly the ones
+//! that render the same JSONL (see [`EventLog`]), and a passing exec renders
+//! no text at all. Only a failing head renders both of its logs, to name
+//! the first differing line in [`OracleFailure::detail`].
 //!
 //! A simulation error from any head is itself a failure (`sim-error`) —
 //! that is how scheduler mutants that emit invalid allocations are caught.
@@ -33,7 +38,7 @@
 //! mutated carry-over / pick / platform axis; head 2 overrides only
 //! `fast_forward`.
 
-use crate::coverage::CoverageObserver;
+use crate::coverage::{CoverageObserver, FeatureSet};
 use dagsched_core::{AlgoParams, Rng64, Time};
 use dagsched_engine::{
     simulate_observed, Observers, OnlineScheduler, SimConfig, SimDriver, SimObserver,
@@ -41,7 +46,6 @@ use dagsched_engine::{
 use dagsched_sched::{SchedulerS, SchedulerSProfit};
 use dagsched_verify::{EventLog, InvariantSuite, WorkConservationChecker};
 use dagsched_workload::Instance;
-use std::collections::BTreeSet;
 
 /// Which invariant checkers apply to a subject scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +95,7 @@ impl Subject {
     /// The general-profit subject: S-profit at ε = 1. Its slot-assignment
     /// admission deliberately breaks S's exact-allotment discipline, so only
     /// the universal work-conservation invariant applies; the differential
-    /// heads (naive-vs-fast, paused) carry the byte-equality burden —
+    /// heads (naive-vs-fast, paused) carry the log-equality burden —
     /// which is exactly where the slot-plan fast path would show a crack.
     pub fn scheduler_s_profit() -> Subject {
         Subject::new("S-profit", InvariantProfile::WorkOnly, |m| {
@@ -116,9 +120,9 @@ impl Subject {
 pub struct OracleSet {
     /// Head 1: the invariant suite.
     pub invariants: bool,
-    /// Head 2: naive-vs-fast byte equality.
+    /// Head 2: naive-vs-fast log equality.
     pub naive_diff: bool,
-    /// Head 3: paused-vs-one-shot byte equality.
+    /// Head 3: paused-vs-one-shot log equality.
     pub pause_diff: bool,
 }
 
@@ -155,12 +159,14 @@ pub struct OracleFailure {
 #[derive(Debug)]
 pub struct ExecOutcome {
     /// Feature ids from the invariant head's run.
-    pub features: BTreeSet<u32>,
+    pub features: FeatureSet,
     /// The first failing oracle head, if any.
     pub failure: Option<OracleFailure>,
 }
 
-fn first_diff(label: &str, a: &str, b: &str) -> String {
+/// Render both logs and describe their first differing line.
+fn first_diff(label: &str, a: &EventLog, b: &EventLog) -> String {
+    let (a, b) = (a.to_jsonl(), b.to_jsonl());
     for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
         if la != lb {
             return format!("{label}: line {i}: {la:.120} != {lb:.120}");
@@ -242,7 +248,7 @@ fn judge(
     cov: &mut CoverageObserver,
 ) -> Result<(), OracleFailure> {
     // Head 1 (always simulated — it carries the coverage signal and the
-    // fast-path stream).
+    // fast-path event log).
     let (fast, fast_log) = {
         let mut log = EventLog::new();
         let mut sched = subject.instantiate(inst.m());
@@ -279,11 +285,11 @@ fn judge(
                 detail: violations.join("; "),
             });
         }
-        (r, log.into_jsonl())
+        (r, log)
     };
 
     // Head 2: the naive reference path must match the fast path's outcome
-    // and stream.
+    // and event log.
     if set.naive_diff {
         let naive_cfg = SimConfig {
             fast_forward: false,
@@ -302,17 +308,16 @@ fn judge(
                 ),
             });
         }
-        let naive_log = log.into_jsonl();
-        if naive_log != fast_log {
+        if log != fast_log {
             return Err(OracleFailure {
                 oracle: "naive-vs-fast",
-                detail: first_diff("fast != naive", &fast_log, &naive_log),
+                detail: first_diff("fast != naive", &fast_log, &log),
             });
         }
     }
 
-    // Head 3: a paused driver must finish byte-identical to head 1's
-    // one-shot run.
+    // Head 3: a paused driver must finish identical to head 1's one-shot
+    // run.
     if set.pause_diff {
         let span = inst.stats().horizon.ticks() + 8;
         let mut prng = Rng64::seed_from(pause_salt);
@@ -327,14 +332,13 @@ fn judge(
                 .map_err(|e| sim_error("paused run", e))?;
         }
         let paused = driver.finish().map_err(|e| sim_error("paused finish", e))?;
-        let jsonl = log.into_jsonl();
         if !paused.same_outcome(&fast)
             || paused.steps_executed != fast.steps_executed
-            || jsonl != fast_log
+            || log != fast_log
         {
             return Err(OracleFailure {
                 oracle: "paused-vs-oneshot",
-                detail: first_diff("paused != one-shot", &jsonl, &fast_log),
+                detail: first_diff("paused != one-shot", &log, &fast_log),
             });
         }
     }

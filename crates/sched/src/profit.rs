@@ -438,7 +438,7 @@ impl OnlineScheduler for SchedulerSProfit {
         let x = AlgoParams::x_time(w, l, allot);
         let k_needed = ((self.params.fresh_factor() * x).ceil() as usize).max(1);
         let xn = x * allot as f64;
-        let min_d_floor = ((1.0 + self.params.epsilon()) * l).floor() as u64 + 1;
+        let min_d_floor = (((1.0 + self.params.epsilon()) * l).floor() as u64).saturating_add(1);
 
         // Candidate deadlines: one per profit segment, in decreasing-profit
         // order, plus the tail if it pays.

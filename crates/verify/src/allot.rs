@@ -1,10 +1,9 @@
 //! Lemma 1 and the allocation discipline as continuously-checked invariants.
 
-use crate::model::{job_model, JobModel};
+use crate::model::{job_model, Models};
 use crate::violation::{Recorder, Violation};
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
-use std::collections::HashMap;
 
 /// Checks scheduler S's allocation discipline on every window:
 ///
@@ -25,7 +24,7 @@ pub struct AllotmentChecker {
     speed_hint: f64,
     m: u32,
     backfill: bool,
-    models: HashMap<JobId, JobModel>,
+    models: Models,
     started: Vec<JobId>,
     rec: Recorder,
 }
@@ -38,7 +37,7 @@ impl AllotmentChecker {
             speed_hint: 1.0,
             m: 0,
             backfill: false,
-            models: HashMap::new(),
+            models: Models::default(),
             started: Vec::new(),
             rec: Recorder::new("allotment"),
         }
@@ -90,7 +89,7 @@ impl SimObserver for AllotmentChecker {
         }
         // Lemma 1 (with integrality slack): an admitted job's allotment is
         // at most b²m + 1.
-        if let Some(jm) = self.models.get(&event.job) {
+        if let Some(jm) = self.models.get(event.job) {
             let bound = self.params.b().powi(2) * self.m as f64 + 1.0;
             if jm.allot as f64 > bound {
                 self.rec.flag(
@@ -133,7 +132,7 @@ impl SimObserver for AllotmentChecker {
                 );
                 continue;
             }
-            if let Some(jm) = self.models.get(&id) {
+            if let Some(jm) = self.models.get(id) {
                 if k != jm.allot {
                     self.rec.flag(
                         at,
@@ -147,11 +146,11 @@ impl SimObserver for AllotmentChecker {
 
     fn on_job_complete(&mut self, _at: Time, job: JobId, _profit: u64) {
         self.started.retain(|&j| j != job);
-        self.models.remove(&job);
+        self.models.remove(job);
     }
 
     fn on_job_expired(&mut self, _at: Time, job: JobId) {
         self.started.retain(|&j| j != job);
-        self.models.remove(&job);
+        self.models.remove(job);
     }
 }

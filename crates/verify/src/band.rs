@@ -1,10 +1,9 @@
 //! Observation 3 as a continuously-checked invariant.
 
-use crate::model::{job_model, JobModel};
+use crate::model::{job_model, Models};
 use crate::violation::{Recorder, Violation};
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
-use std::collections::HashMap;
 
 /// Is any density band over capacity? Pure population check shared with the
 /// `DensityBands` agreement tests: for every anchor `(v_j, ·)` in `members`,
@@ -40,8 +39,10 @@ pub struct BandCapacityChecker {
     params: AlgoParams,
     speed_hint: f64,
     m: u32,
-    models: HashMap<JobId, JobModel>,
+    models: Models,
     started: Vec<JobId>,
+    /// `(density, allotment)` of every started job, rebuilt per check.
+    members: Vec<(f64, u32)>,
     rec: Recorder,
 }
 
@@ -52,8 +53,9 @@ impl BandCapacityChecker {
             params,
             speed_hint: 1.0,
             m: 0,
-            models: HashMap::new(),
+            models: Models::default(),
             started: Vec::new(),
+            members: Vec::new(),
             rec: Recorder::new("band-capacity"),
         }
     }
@@ -82,13 +84,14 @@ impl BandCapacityChecker {
     }
 
     fn verify(&mut self, at: Time) {
-        let members: Vec<(f64, u32)> = self
-            .started
-            .iter()
-            .filter_map(|id| self.models.get(id).map(|jm| (jm.density, jm.allot)))
-            .collect();
+        self.members.clear();
+        self.members.extend(
+            self.started
+                .iter()
+                .filter_map(|&id| self.models.get(id).map(|jm| (jm.density, jm.allot))),
+        );
         let capacity = self.params.b() * self.m as f64;
-        if let Some((anchor, load)) = band_overload(&members, self.params.c(), capacity) {
+        if let Some((anchor, load)) = band_overload(&self.members, self.params.c(), capacity) {
             self.rec.flag(
                 at,
                 None,
@@ -127,13 +130,13 @@ impl SimObserver for BandCapacityChecker {
 
     fn on_job_complete(&mut self, at: Time, job: JobId, _profit: u64) {
         self.started.retain(|&j| j != job);
-        self.models.remove(&job);
+        self.models.remove(job);
         self.verify(at);
     }
 
     fn on_job_expired(&mut self, at: Time, job: JobId) {
         self.started.retain(|&j| j != job);
-        self.models.remove(&job);
+        self.models.remove(job);
         self.verify(at);
     }
 }

@@ -1,10 +1,9 @@
 //! δ-goodness and δ-freshness of every admission, checked at the decision.
 
-use crate::model::{job_model, JobModel};
+use crate::model::{job_model, Models};
 use crate::violation::{Recorder, Violation};
-use dagsched_core::{AlgoParams, JobId, Speed, Time};
+use dagsched_core::{AlgoParams, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, AdmissionReason, JobInfo, SimObserver};
-use std::collections::HashMap;
 
 /// Checks that every job the scheduler starts deserved it:
 ///
@@ -21,7 +20,7 @@ pub struct DeltaGoodChecker {
     params: AlgoParams,
     speed_hint: f64,
     m: u32,
-    models: HashMap<JobId, JobModel>,
+    models: Models,
     rec: Recorder,
 }
 
@@ -32,7 +31,7 @@ impl DeltaGoodChecker {
             params,
             speed_hint: 1.0,
             m: 0,
-            models: HashMap::new(),
+            models: Models::default(),
             rec: Recorder::new("delta-good"),
         }
     }
@@ -69,7 +68,7 @@ impl SimObserver for DeltaGoodChecker {
     }
 
     fn on_admission(&mut self, now: Time, event: AdmissionEvent) {
-        let Some(jm) = self.models.get(&event.job) else {
+        let Some(jm) = self.models.get(event.job) else {
             self.rec
                 .flag(now, Some(event.job), "decision for an unknown job".into());
             return;

@@ -15,8 +15,9 @@
 //! * [`AllotmentChecker`] — Lemma 1 and the exact-allotment discipline;
 //! * [`DeltaGoodChecker`] — δ-goodness / δ-freshness of every admission;
 //! * [`WorkConservationChecker`] — exact scaled-unit work accounting;
-//! * [`EventLog`] — the full stream as JSONL, window-coalesced so that the
-//!   reference and fast-forward engine paths serialize byte-identically;
+//! * [`EventLog`] — the full stream as compact tokens, rendered as JSONL on
+//!   demand, window-coalesced so that the reference and fast-forward
+//!   engine paths record equal logs (and so serialize byte-identically);
 //! * [`InvariantSuite`] — all four checkers bundled for scheduler S.
 //!
 //! With the `verify-strict` cargo feature, any violation panics at the

@@ -8,7 +8,7 @@
 //! bookkeeping drifts from the paper's definitions is then caught by the
 //! disagreement, which is the whole point of an independent oracle.
 
-use dagsched_core::{AlgoParams, Time};
+use dagsched_core::{AlgoParams, JobId, Time};
 use dagsched_engine::JobInfo;
 
 /// The paper's per-job quantities, recomputed from first principles.
@@ -32,6 +32,32 @@ pub struct JobModel {
     pub admissible: bool,
     /// δ-good: admissible and `D_i ≥ (1+2δ)·x_i`.
     pub delta_good: bool,
+}
+
+/// A checker's job models, indexed by [`JobId::index`] like the engine's
+/// own per-job state: ids are dense, so a vector grown at arrival replaces
+/// a hash map.
+#[derive(Debug, Default)]
+pub(crate) struct Models(Vec<Option<JobModel>>);
+
+impl Models {
+    pub(crate) fn insert(&mut self, id: JobId, model: JobModel) {
+        let i = id.index();
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(model);
+    }
+
+    pub(crate) fn get(&self, id: JobId) -> Option<&JobModel> {
+        self.0.get(id.index())?.as_ref()
+    }
+
+    pub(crate) fn remove(&mut self, id: JobId) {
+        if let Some(slot) = self.0.get_mut(id.index()) {
+            *slot = None;
+        }
+    }
 }
 
 /// Recompute S's arrival-time quantities for one job.

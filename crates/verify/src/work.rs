@@ -8,7 +8,6 @@
 use crate::violation::{Recorder, Violation};
 use dagsched_core::{JobId, MachineGroups, Speed, Time};
 use dagsched_engine::{JobInfo, SimObserver};
-use std::collections::HashMap;
 
 /// Per-window work-conservation oracle (scaled-unit exact, no floats).
 #[derive(Debug)]
@@ -17,8 +16,9 @@ pub struct WorkConservationChecker {
     units: u64,
     /// Work scale (`speed.den`): a job's scaled total is `W · scale`.
     scale: u64,
-    total: HashMap<JobId, u64>,
-    done: HashMap<JobId, u64>,
+    /// `(total, done)` scaled units per job, indexed by [`JobId::index`];
+    /// a job that never arrived, or has completed or expired, reads `(0, 0)`.
+    work: Vec<(u64, u64)>,
     rec: Recorder,
 }
 
@@ -34,8 +34,7 @@ impl WorkConservationChecker {
         WorkConservationChecker {
             units: 0,
             scale: 0,
-            total: HashMap::new(),
-            done: HashMap::new(),
+            work: Vec::new(),
             rec: Recorder::new("work-conservation"),
         }
     }
@@ -49,6 +48,19 @@ impl WorkConservationChecker {
     /// Violations recorded so far.
     pub fn violations(&self) -> &[Violation] {
         self.rec.violations()
+    }
+
+    fn slot(&mut self, id: JobId) -> &mut (u64, u64) {
+        let i = id.index();
+        if self.work.len() <= i {
+            self.work.resize(i + 1, (0, 0));
+        }
+        &mut self.work[i]
+    }
+
+    /// Reset `id`'s accounting, returning its `(total, done)`.
+    fn take(&mut self, id: JobId) -> (u64, u64) {
+        self.work.get_mut(id.index()).map_or((0, 0), std::mem::take)
     }
 }
 
@@ -67,8 +79,8 @@ impl SimObserver for WorkConservationChecker {
     }
 
     fn on_job_arrival(&mut self, _now: Time, info: &JobInfo) {
-        self.total.insert(info.id, info.work.units() * self.scale);
-        self.done.insert(info.id, 0);
+        let total = info.work.units() * self.scale;
+        *self.slot(info.id) = (total, 0);
     }
 
     fn on_window(
@@ -81,12 +93,13 @@ impl SimObserver for WorkConservationChecker {
     ) {
         for (i, &(id, delta)) in progress.iter().enumerate() {
             // The window's capacity for this job: its processors × ticks ×
-            // per-tick units. `progress` is aligned with `alloc` by contract.
+            // per-tick units (saturated: a capacity past `u64::MAX` bounds
+            // no `u64` delta). `progress` is aligned with `alloc` by contract.
             let k = alloc.get(i).map_or(0, |&(aid, k)| {
                 debug_assert_eq!(aid, id, "progress misaligned with alloc");
                 k as u64
             });
-            let cap = k * ticks * self.units;
+            let cap = k.saturating_mul(ticks).saturating_mul(self.units);
             if delta > cap {
                 self.rec.flag(
                     at,
@@ -98,11 +111,10 @@ impl SimObserver for WorkConservationChecker {
                     ),
                 );
             }
-            let done = self.done.entry(id).or_insert(0);
+            let (total, done) = self.slot(id);
             *done += delta;
-            let total = self.total.get(&id).copied().unwrap_or(0);
-            if *done > total {
-                let d = *done;
+            let (total, d) = (*total, *done);
+            if d > total {
                 self.rec.flag(
                     at,
                     Some(id),
@@ -113,8 +125,7 @@ impl SimObserver for WorkConservationChecker {
     }
 
     fn on_job_complete(&mut self, at: Time, job: JobId, _profit: u64) {
-        let done = self.done.remove(&job).unwrap_or(0);
-        let total = self.total.remove(&job).unwrap_or(0);
+        let (total, done) = self.take(job);
         if done != total {
             self.rec.flag(
                 at,
@@ -125,8 +136,7 @@ impl SimObserver for WorkConservationChecker {
     }
 
     fn on_job_expired(&mut self, at: Time, job: JobId) {
-        let done = self.done.remove(&job).unwrap_or(0);
-        let total = self.total.remove(&job).unwrap_or(0);
+        let (total, done) = self.take(job);
         if done >= total && total > 0 {
             self.rec.flag(
                 at,

@@ -49,10 +49,10 @@ fn one_shot(
     inst: &Instance,
     mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
     cfg: &SimConfig,
-) -> (SimResult, String) {
+) -> (SimResult, EventLog) {
     let mut log = EventLog::new();
     let r = simulate_observed(inst, mk().as_mut(), cfg, &mut log).expect("one-shot runs");
-    (r, log.to_jsonl())
+    (r, log)
 }
 
 /// Drive the run one `step()` at a time.
@@ -60,14 +60,14 @@ fn stepped(
     inst: &Instance,
     mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
     cfg: &SimConfig,
-) -> (SimResult, String) {
+) -> (SimResult, EventLog) {
     let mut log = EventLog::new();
     let mut sched = mk();
     let mut driver =
         SimDriver::with_observer(inst, sched.as_mut(), cfg, &mut log as &mut dyn SimObserver);
     while driver.step().expect("step runs") {}
     let r = driver.finish().expect("finish after completion");
-    (r, log.to_jsonl())
+    (r, log)
 }
 
 /// Drive the run in `run_until` bursts at the given horizons (ascending or
@@ -77,7 +77,7 @@ fn paused(
     mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
     cfg: &SimConfig,
     horizons: &[Time],
-) -> (SimResult, String) {
+) -> (SimResult, EventLog) {
     let mut log = EventLog::new();
     let mut sched = mk();
     let mut driver =
@@ -86,10 +86,10 @@ fn paused(
         driver.run_until(h).expect("run_until runs");
     }
     let r = driver.finish().expect("finish runs");
-    (r, log.to_jsonl())
+    (r, log)
 }
 
-fn assert_matches(label: &str, got: (SimResult, String), want: &(SimResult, String)) {
+fn assert_matches(label: &str, got: (SimResult, EventLog), want: &(SimResult, EventLog)) {
     assert!(
         got.0.same_outcome(&want.0),
         "{label}: outcome diverges from one-shot\n\
@@ -104,13 +104,14 @@ fn assert_matches(label: &str, got: (SimResult, String), want: &(SimResult, Stri
         "{label}: step count diverges"
     );
     if got.1 != want.1 {
-        for (i, (g, w)) in got.1.lines().zip(want.1.lines()).enumerate() {
+        let (got, want) = (got.1.to_jsonl(), want.1.to_jsonl());
+        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
             assert_eq!(g, w, "{label}: event streams diverge at line {i}");
         }
         panic!(
             "{label}: streams are a prefix of each other ({} vs {} lines)",
-            got.1.lines().count(),
-            want.1.lines().count()
+            got.lines().count(),
+            want.lines().count()
         );
     }
 }

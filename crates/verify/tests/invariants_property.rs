@@ -78,7 +78,8 @@ fn run_universal(inst: &Instance, sched: &mut dyn OnlineScheduler, cfg: &SimConf
         work.violations()
     );
     assert!(
-        log.lines()
+        log.to_jsonl()
+            .lines()
             .last()
             .expect("stream nonempty")
             .contains(r#""ev":"end""#),

@@ -35,6 +35,7 @@ use dagsched_verify::EventLog;
 use dagsched_workload::{
     ArrivalProcess, DeadlinePolicy, Instance, JobSpec, StepProfitFn, WorkloadGen,
 };
+use std::path::{Path, PathBuf};
 
 type SchedFactory = Box<dyn Fn() -> Box<dyn OnlineScheduler> + Sync>;
 
@@ -70,12 +71,12 @@ fn factories(m: u32) -> Vec<(&'static str, SchedFactory)> {
     ]
 }
 
-/// Run both paths with an `EventLog` attached; return the two JSONL dumps.
+/// Run both paths with an `EventLog` attached; return the two logs.
 fn log_pair(
     inst: &Instance,
     mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
     cfg: &SimConfig,
-) -> (String, String) {
+) -> (EventLog, EventLog) {
     let mut fast_log = EventLog::new();
     let fast = simulate_observed(inst, mk().as_mut(), cfg, &mut fast_log).expect("fast path runs");
     let naive_cfg = SimConfig {
@@ -89,25 +90,43 @@ fn log_pair(
         fast.same_outcome(&naive),
         "outcome diverged before stream check"
     );
-    (fast_log.to_jsonl(), naive_log.to_jsonl())
+    (fast_log, naive_log)
 }
 
-/// Point at the first differing line so a failure is debuggable, and dump
-/// both logs to `target/tmp/` so CI can upload them as artifacts.
-fn assert_identical(fast: &str, naive: &str, label: &str) {
+/// Write both logs, rendered as JSONL, to `dir` as `<label>.fast.jsonl`
+/// and `<label>.naive.jsonl` (non-alphanumerics in `label` become `-`).
+fn dump_pair(
+    dir: &Path,
+    label: &str,
+    fast: &EventLog,
+    naive: &EventLog,
+) -> std::io::Result<[PathBuf; 2]> {
+    std::fs::create_dir_all(dir)?;
+    let slug: String = label
+        .chars()
+        .map(|c| if c.is_alphanumeric() { c } else { '-' })
+        .collect();
+    let paths = [
+        dir.join(format!("{slug}.fast.jsonl")),
+        dir.join(format!("{slug}.naive.jsonl")),
+    ];
+    std::fs::write(&paths[0], fast.to_jsonl())?;
+    std::fs::write(&paths[1], naive.to_jsonl())?;
+    Ok(paths)
+}
+
+/// Compare the logs by value. On a mismatch, dump both rendered logs to
+/// `target/tmp/event-logs/` so CI can upload them as artifacts, and point
+/// at the first differing line so the failure is debuggable.
+fn assert_identical(fast: &EventLog, naive: &EventLog, label: &str) {
     if fast == naive {
         return;
     }
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("event-logs");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let slug: String = label
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '-' })
-            .collect();
-        let _ = std::fs::write(dir.join(format!("{slug}.fast.jsonl")), fast);
-        let _ = std::fs::write(dir.join(format!("{slug}.naive.jsonl")), naive);
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("event-logs");
+    if dump_pair(&dir, label, fast, naive).is_ok() {
         eprintln!("{label}: diverging JSONL logs dumped to {}", dir.display());
     }
+    let (fast, naive) = (fast.to_jsonl(), naive.to_jsonl());
     for (i, (f, n)) in fast.lines().zip(naive.lines()).enumerate() {
         assert_eq!(f, n, "{label}: streams diverge at line {i}");
     }
@@ -115,6 +134,76 @@ fn assert_identical(fast: &str, naive: &str, label: &str) {
         "{label}: streams are a prefix of each other ({} vs {} lines)",
         fast.lines().count(),
         naive.lines().count()
+    );
+}
+
+#[test]
+fn dump_helper_writes_rendered_jsonl() {
+    let inst = triple_tie_instance();
+    let (fast, naive) = log_pair(
+        &inst,
+        &|| Box::new(SchedulerS::with_epsilon(2, 1.0)),
+        &SimConfig::default(),
+    );
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("dump-pair-selftest");
+    let [f, n] = dump_pair(&dir, "triple tie: S", &fast, &naive).expect("dump writes");
+    assert!(f.ends_with("triple-tie--S.fast.jsonl"), "{}", f.display());
+    let (f, n) = (
+        std::fs::read_to_string(f).expect("fast dump"),
+        std::fs::read_to_string(n).expect("naive dump"),
+    );
+    assert_eq!(f, fast.to_jsonl());
+    assert_eq!(n, naive.to_jsonl());
+    assert!(
+        f.starts_with(r#"{"ev":"start""#) && f.ends_with("}\n"),
+        "{f}"
+    );
+}
+
+/// Log equality is rendered-text equality: over the corpus on both paths,
+/// and across schedulers and speeds (where most pairs differ), two logs
+/// compare equal exactly when their JSONL does.
+#[test]
+fn log_equality_is_rendered_equality_on_the_corpus() {
+    let mut logs = Vec::new();
+    let groups: dagsched_core::MachineGroups = "2x1,2x3/2".parse().expect("valid groups");
+    for seed in [7u64, 2024] {
+        let inst = WorkloadGen::standard(4, 12, seed)
+            .generate()
+            .expect("valid");
+        for cfg in [
+            SimConfig::default(),
+            SimConfig {
+                speed: Speed::new(3, 2).expect("positive"),
+                ..SimConfig::default()
+            },
+            SimConfig {
+                groups: Some(groups.clone()),
+                ..SimConfig::default()
+            },
+        ] {
+            for (_, mk) in &factories(4) {
+                let (fast, naive) = log_pair(&inst, mk, &cfg);
+                logs.push(fast);
+                logs.push(naive);
+            }
+        }
+    }
+    let text: Vec<String> = logs.iter().map(EventLog::to_jsonl).collect();
+    let (mut equal, mut unequal) = (0, 0);
+    for (a, ta) in logs.iter().zip(&text) {
+        for (b, tb) in logs.iter().zip(&text) {
+            assert_eq!(a == b, ta == tb);
+            if a == b {
+                equal += 1;
+            } else {
+                unequal += 1;
+            }
+        }
+    }
+    assert!(
+        equal > logs.len() && unequal > logs.len(),
+        "{equal} / {unequal}"
     );
 }
 
@@ -198,7 +287,8 @@ fn logged_stream_is_well_formed() {
     let mut log = EventLog::new();
     let mut s = SchedulerS::with_epsilon(m, 1.0);
     simulate_observed(&inst, &mut s, &SimConfig::default(), &mut log).expect("runs");
-    let lines: Vec<&str> = log.lines().collect();
+    let text = log.to_jsonl();
+    let lines: Vec<&str> = text.lines().collect();
     assert!(lines.first().expect("nonempty").contains(r#""ev":"start""#));
     assert!(lines.last().expect("nonempty").contains(r#""ev":"end""#));
     let count = |kind: &str| {
@@ -347,7 +437,7 @@ fn run_paused(
     mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
     cfg: &SimConfig,
     pauses: &[Time],
-) -> (SimResult, String) {
+) -> (SimResult, EventLog) {
     let mut log = EventLog::new();
     let mut sched = mk();
     let mut driver =
@@ -356,7 +446,7 @@ fn run_paused(
         driver.run_until(p).expect("run_until runs");
     }
     let r = driver.finish().expect("finish runs");
-    (r, log.to_jsonl())
+    (r, log)
 }
 
 /// A paused run on either path must match the one-shot naive run's outcome
@@ -373,7 +463,7 @@ fn check_paused(
     };
     let mut log = EventLog::new();
     let naive = simulate_observed(inst, mk().as_mut(), &naive_cfg, &mut log).expect("naive runs");
-    let naive_log = log.to_jsonl();
+    let naive_log = log;
     for cfg in [SimConfig::default(), naive_cfg.clone()] {
         let (r, paused_log) = run_paused(inst, mk, &cfg, pauses);
         let label = format!("{label} ff {}", cfg.fast_forward);

@@ -172,7 +172,7 @@ fn pick_matrix_runs_are_golden() {
                 "{:?} {} {}\n",
                 r.outcomes, r.ticks_simulated, r.steps_executed
             ));
-            all.push_str(log.as_str());
+            all.push_str(&log.to_jsonl());
         };
     for pick in [
         NodePick::Fifo,
@@ -300,7 +300,15 @@ fn parked_baseline_runs_are_golden() {
                 r.total_profit,
                 r.ticks_simulated,
                 r.steps_executed,
-                fnv1a(log.as_str().as_bytes()),
+                // An unlogged run's digest covers the empty string.
+                fnv1a(
+                    if logged {
+                        log.to_jsonl()
+                    } else {
+                        String::new()
+                    }
+                    .as_bytes()
+                ),
             ));
         }
     }
@@ -510,7 +518,7 @@ fn promoted_fixture_runs_are_golden() {
                 "{name} {} {:#x} {:#x}\n",
                 kind.label(),
                 fnv1a(format!("{r:?}").as_bytes()),
-                fnv1a(log.as_str().as_bytes()),
+                fnv1a(log.to_jsonl().as_bytes()),
             ));
         }
     }
