@@ -46,7 +46,6 @@ use crate::platform::Platform;
 use crate::result::SimResult;
 use crate::sched_api::{Allocation, OnlineScheduler, TickView};
 use crate::sim::SimConfig;
-use crate::trace::Trace;
 use dagsched_core::{ticks_to_complete, JobId, NodeId, Result, SchedError, Time};
 use dagsched_workload::Instance;
 
@@ -96,10 +95,9 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     picker: Picker,
     /// Next-event index; armed and read on the production path only.
     kernel: EventKernel,
-    trace: Option<Trace>,
     /// Whether bulk fast-forward windows are engaged (pinned at
     /// construction: production path, scheduler opt-in, deterministic
-    /// pick, no trace).
+    /// pick).
     fast_forward: bool,
     /// The scheduler's stability. On the production path it bounds how
     /// long `scratch.alloc` is replayed; with bulk windows engaged,
@@ -169,7 +167,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         let jobs = inst.jobs();
         let n = jobs.len();
         let horizon = cfg.horizon.unwrap_or_else(|| auto_horizon(inst));
-        let trace = cfg.record_trace.then(Trace::new);
         let observing = obs.is_active();
         if observing {
             sched.enable_admission_reporting();
@@ -185,7 +182,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // The fast-forward path needs every source of per-tick variation
         // pinned down: a scheduler whose allocation is stable between
         // events (fully, or boundedly with `stable_until` capping every
-        // window), a deterministic pick policy, and no per-tick trace.
+        // window) and a deterministic pick policy.
         let stability = if sched.allocation_stable_between_events() {
             Stability::Full
         } else if sched.bounded_stability() {
@@ -193,10 +190,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         } else {
             Stability::PerTick
         };
-        let fast_forward = cfg.fast_forward
-            && trace.is_none()
-            && cfg.pick.fast_forward_safe()
-            && stability != Stability::PerTick;
+        let fast_forward =
+            cfg.fast_forward && cfg.pick.fast_forward_safe() && stability != Stability::PerTick;
         let mut kernel = EventKernel::new(n, horizon);
         if cfg.fast_forward {
             kernel.arm_arrival(jobs[0].arrival);
@@ -207,7 +202,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             life: Lifecycle::new(n),
             picker: Picker::new(cfg.pick.clone()),
             kernel,
-            trace,
             fast_forward,
             stability,
             replay_before: Time(0),
@@ -420,10 +414,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 self.done = true;
                 return Err(e);
             }
-        }
-
-        if let Some(tr) = self.trace.as_mut() {
-            tr.push(t, &self.scratch.alloc);
         }
 
         // 5. Fast-forward: with a stable scheduler and a deterministic
@@ -815,7 +805,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             ticks_simulated: self.clock.ticks_simulated(),
             steps_executed: self.clock.steps_executed(),
             end_time: self.clock.now(),
-            trace: self.trace,
         })
     }
 }

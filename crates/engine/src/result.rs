@@ -1,6 +1,5 @@
 //! Simulation outcomes and accounting.
 
-use crate::trace::Trace;
 use dagsched_core::Time;
 
 /// Terminal (or non-terminal, at horizon) state of one job.
@@ -62,9 +61,6 @@ pub struct SimResult {
     pub steps_executed: u64,
     /// Last tick index the engine looked at, plus one.
     pub end_time: Time,
-    /// Per-tick allocation record, when
-    /// [`SimConfig::record_trace`](crate::SimConfig) was set.
-    pub trace: Option<Trace>,
 }
 
 impl SimResult {
@@ -95,18 +91,6 @@ impl SimResult {
         self.scaled_units_processed / self.work_scale
     }
 
-    /// `(job, completion time)` pairs, for [`Trace::stats`](crate::trace::Trace::stats).
-    pub fn completions(&self) -> Vec<(dagsched_core::JobId, Time)> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| match o {
-                JobStatus::Completed { at, .. } => Some((dagsched_core::JobId(i as u32), *at)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// True iff two runs produced the same observable result: everything
     /// except `steps_executed`, which measures engine effort rather than
     /// schedule outcome. The fast-forward equivalence tests assert this
@@ -119,7 +103,6 @@ impl SimResult {
             && self.work_scale == other.work_scale
             && self.ticks_simulated == other.ticks_simulated
             && self.end_time == other.end_time
-            && self.trace == other.trace
     }
 
     /// Completion time of the last completed job, if any.
@@ -159,7 +142,6 @@ mod tests {
             ticks_simulated: 9,
             steps_executed: 9,
             end_time: Time(9),
-            trace: None,
         }
     }
 

@@ -16,9 +16,8 @@
 //!   scheduler opts in via
 //!   [`OnlineScheduler::allocation_stable_between_events`] or
 //!   [`OnlineScheduler::bounded_stability`]; bulk windows also need a
-//!   deterministic pick policy ([`NodePick::fast_forward_safe`]) and
-//!   tracing off, and otherwise the production path runs one tick per
-//!   step;
+//!   deterministic pick policy ([`NodePick::fast_forward_safe`]), and
+//!   otherwise the production path runs one tick per step;
 //! * the **naive reference path** (`false`) is the direct transcription of
 //!   the paper's per-tick model, kept as ground truth. It steps one tick at
 //!   a time, skips idle gaps from the arrival list, finds expiries by
@@ -68,10 +67,6 @@ pub struct SimConfig {
     /// Hard stop; `None` derives a bound that any work-conserving schedule
     /// fits in (last useful time + total work + 1).
     pub horizon: Option<Time>,
-    /// Record every tick's allocation into [`SimResult::trace`]. Costs
-    /// memory proportional to simulated ticks; off by default. Disables
-    /// bulk windows (a trace is inherently per-tick).
-    pub record_trace: bool,
     /// Run the production path (on by default): the event kernel, the
     /// maintained view with allocation replay, and bulk fast-forward
     /// windows when the scheduler and pick policy allow them. Turn off for
@@ -88,7 +83,6 @@ impl Default for SimConfig {
             pick: NodePick::Fifo,
             carryover: true,
             horizon: None,
-            record_trace: false,
             fast_forward: true,
         }
     }

@@ -760,7 +760,7 @@ mod tests {
     use super::*;
     use dagsched_core::{Speed, Work};
     use dagsched_dag::gen;
-    use dagsched_engine::{simulate, JobStatus, NodePick, SimConfig};
+    use dagsched_engine::{simulate, simulate_observed, JobStatus, NodePick, SimConfig, Trace};
     use dagsched_workload::{
         DeadlinePolicy, Instance, JobSpec, ProfitPolicy, StepProfitFn, WorkloadGen,
     };
@@ -1124,7 +1124,9 @@ mod tests {
         // refills the band; the other ~1,420 in-band candidates then sit in
         // one blocked stretch. Probing them one by one cost 254,006 probes.
         // Invariant checks replay the full walk against every skip; they do
-        // not change the probe count.
+        // not change the probe count. A `Trace` observer changes nothing
+        // about how the run steps: the traced run takes the untraced 4,069
+        // steps over 500,001 ticks, in at most one trace window per step.
         let n = 1_500u32;
         let mut rng = dagsched_core::Rng64::seed_from(1).child(0);
         let mut jobs: Vec<JobSpec> = (0..n)
@@ -1155,6 +1157,15 @@ mod tests {
         assert_eq!(metrics.admitted_from_p, 1_295);
         assert_eq!(metrics.started_count, 1_302);
         assert_eq!(r.total_profit, 3_598);
+        assert_eq!(r.steps_executed, 4_069);
+
+        let mut trace = Trace::new();
+        let mut s = SchedulerS::with_epsilon(4, 1.0);
+        let traced = simulate_observed(&inst, &mut s, &SimConfig::default(), &mut trace).unwrap();
+        assert!(traced.same_outcome(&r));
+        assert_eq!(traced.steps_executed, r.steps_executed);
+        assert_eq!(trace.ticks(), 500_001);
+        assert!(trace.windows().len() as u64 <= traced.steps_executed);
     }
 
     #[test]

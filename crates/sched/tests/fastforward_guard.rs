@@ -1,8 +1,8 @@
 //! Guards on the fast-forward opt-in: schedulers that are *boundedly*
 //! stable run the event path with `stable_until`-capped windows, schedulers
-//! with no stability claim at all stay on the reference path, and trace
-//! recording must force the reference path for everyone. On a parked
-//! slot plan, SProfit's step, tick and fresh-allocation counts are pinned
+//! with no stability claim at all stay on the reference path, and a
+//! [`Trace`] observer changes no scheduler's step count. On a parked slot
+//! plan, SProfit's step, tick and fresh-allocation counts are pinned
 //! exactly.
 //!
 //! On the reference path every simulated tick is one engine step, so
@@ -14,7 +14,8 @@
 use dagsched_core::{JobId, Speed, Time};
 use dagsched_dag::gen;
 use dagsched_engine::{
-    simulate, Allocation, JobInfo, NodePick, OnlineScheduler, SimConfig, TickView,
+    simulate, simulate_observed, Allocation, JobInfo, NodePick, OnlineScheduler, SimConfig,
+    TickView, Trace,
 };
 use dagsched_sched::{RandomOrder, SchedulerS, SchedulerSProfit};
 use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
@@ -226,64 +227,35 @@ fn general_profit_replays_within_slot_runs() {
     }
 }
 
-#[test]
-fn trace_recording_forces_reference_path() {
-    let m = 5;
-    let inst = workload(m, 11);
-    // SchedulerS *is* stable: without a trace the engine fast-forwards...
-    let plain = simulate(
-        &inst,
-        &mut SchedulerS::with_epsilon(m, 1.0),
-        &SimConfig::default(),
-    )
-    .expect("runs");
+/// Runs a scheduler untraced and its twin with a [`Trace`] observer on a
+/// workload with fast-forwardable stretches: the traced run must reach the
+/// same outcome in the same steps, and its trace must cover every simulated
+/// tick in at most one window per step.
+fn assert_tracing_keeps_steps(plain: &mut dyn OnlineScheduler, traced: &mut dyn OnlineScheduler) {
+    let inst = workload(5, 11);
+    let r = simulate(&inst, plain, &SimConfig::default()).expect("runs");
     assert!(
-        plain.steps_executed < plain.ticks_simulated,
-        "precondition: this workload has fast-forwardable stretches"
+        r.steps_executed < r.ticks_simulated,
+        "precondition: bulk windows engage"
     );
-    // ...but a trace needs every tick, so recording must disable it.
-    let cfg = SimConfig {
-        record_trace: true,
-        ..SimConfig::default()
-    };
-    let traced = simulate(&inst, &mut SchedulerS::with_epsilon(m, 1.0), &cfg).expect("runs");
-    assert_eq!(traced.steps_executed, traced.ticks_simulated);
-    let trace = traced.trace.as_ref().expect("trace recorded");
-    assert_eq!(
-        trace.len() as u64,
-        traced.ticks_simulated,
-        "one trace record per simulated tick"
-    );
-    // (`same_outcome` also compares the trace field itself, which only the
-    // traced run carries — compare the schedule-relevant fields directly.)
-    assert_eq!(
-        plain.outcomes, traced.outcomes,
-        "path choice changed the schedule"
-    );
-    assert_eq!(plain.total_profit, traced.total_profit);
-    assert_eq!(plain.ticks_simulated, traced.ticks_simulated);
-    assert_eq!(plain.end_time, traced.end_time);
+    let mut trace = Trace::new();
+    let t = simulate_observed(&inst, traced, &SimConfig::default(), &mut trace).expect("runs");
+    assert!(t.same_outcome(&r), "tracing changed the schedule");
+    assert_eq!(t.steps_executed, r.steps_executed);
+    assert_eq!(trace.ticks(), t.ticks_simulated);
+    assert!(trace.windows().len() as u64 <= t.steps_executed);
 }
 
 #[test]
-fn trace_recording_forces_reference_path_for_bounded_schedulers() {
-    let m = 5;
-    let inst = workload(m, 11);
-    let cfg = SimConfig {
-        record_trace: true,
-        ..SimConfig::default()
-    };
-    let traced = simulate(&inst, &mut SchedulerSProfit::with_epsilon(m, 1.0), &cfg).expect("runs");
-    assert_eq!(traced.steps_executed, traced.ticks_simulated);
-    let plain = simulate(
-        &inst,
-        &mut SchedulerSProfit::with_epsilon(m, 1.0),
-        &SimConfig::default(),
-    )
-    .expect("runs");
-    assert_eq!(plain.outcomes, traced.outcomes);
-    assert_eq!(plain.total_profit, traced.total_profit);
-    assert_eq!(plain.ticks_simulated, traced.ticks_simulated);
+fn traced_runs_keep_the_untraced_step_count() {
+    let s = || SchedulerS::with_epsilon(5, 1.0);
+    assert_tracing_keeps_steps(&mut s(), &mut s());
+}
+
+#[test]
+fn traced_runs_keep_the_untraced_step_count_for_bounded_schedulers() {
+    let s = || SchedulerSProfit::with_epsilon(5, 1.0);
+    assert_tracing_keeps_steps(&mut s(), &mut s());
 }
 
 #[test]

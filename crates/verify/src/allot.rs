@@ -1,6 +1,6 @@
 //! Lemma 1 and the allocation discipline as continuously-checked invariants.
 
-use crate::model::{job_model, Models};
+use crate::model::Models;
 use crate::violation::{Recorder, Violation};
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
@@ -20,11 +20,8 @@ use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
 /// Σ ≤ m and Lemma 1 checks but drops the exact-allotment discipline.
 #[derive(Debug)]
 pub struct AllotmentChecker {
-    params: AlgoParams,
-    speed_hint: f64,
-    m: u32,
     backfill: bool,
-    models: Models,
+    pub(crate) models: Models,
     started: Vec<JobId>,
     rec: Recorder,
 }
@@ -33,11 +30,8 @@ impl AllotmentChecker {
     /// Create the checker; `params` must match the scheduler's.
     pub fn new(params: AlgoParams) -> AllotmentChecker {
         AllotmentChecker {
-            params,
-            speed_hint: 1.0,
-            m: 0,
             backfill: false,
-            models: Models::default(),
+            models: Models::new(params),
             started: Vec::new(),
             rec: Recorder::new("allotment"),
         }
@@ -45,8 +39,7 @@ impl AllotmentChecker {
 
     /// Mirror the scheduler's speed hint.
     pub fn with_speed_hint(mut self, s: f64) -> AllotmentChecker {
-        assert!(s.is_finite() && s > 0.0);
-        self.speed_hint = s;
+        self.models.set_speed_hint(s);
         self
     }
 
@@ -70,14 +63,11 @@ impl AllotmentChecker {
 
 impl SimObserver for AllotmentChecker {
     fn on_start(&mut self, m: u32, _speed: Speed, _horizon: Time) {
-        self.m = m;
+        self.models.m = m;
     }
 
     fn on_job_arrival(&mut self, _now: Time, info: &JobInfo) {
-        self.models.insert(
-            info.id,
-            job_model(info, &self.params, self.m, self.speed_hint),
-        );
+        self.models.insert(info.id, self.models.derive(info));
     }
 
     fn on_admission(&mut self, now: Time, event: AdmissionEvent) {
@@ -90,7 +80,7 @@ impl SimObserver for AllotmentChecker {
         // Lemma 1 (with integrality slack): an admitted job's allotment is
         // at most b²m + 1.
         if let Some(jm) = self.models.get(event.job) {
-            let bound = self.params.b().powi(2) * self.m as f64 + 1.0;
+            let bound = self.models.params.b().powi(2) * self.models.m as f64 + 1.0;
             if jm.allot as f64 > bound {
                 self.rec.flag(
                     now,
@@ -113,11 +103,14 @@ impl SimObserver for AllotmentChecker {
         _progress: &[(JobId, u64)],
     ) {
         let total: u64 = alloc.iter().map(|&(_, k)| k as u64).sum();
-        if total > self.m as u64 {
+        if total > self.models.m as u64 {
             self.rec.flag(
                 at,
                 None,
-                format!("{total} processors allocated on an m = {} machine", self.m),
+                format!(
+                    "{total} processors allocated on an m = {} machine",
+                    self.models.m
+                ),
             );
         }
         if self.backfill {

@@ -1,6 +1,6 @@
 //! Observation 3 as a continuously-checked invariant.
 
-use crate::model::{job_model, Models};
+use crate::model::Models;
 use crate::violation::{Recorder, Violation};
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
@@ -31,15 +31,13 @@ pub fn band_overload(members: &[(f64, u32)], c: f64, capacity: f64) -> Option<(f
 /// The checker tracks its own started set `Q` (jobs with an
 /// [`Admitted`](AdmissionDecision::Admitted) decision that have not
 /// completed or expired) and recomputes each job's density and allotment
-/// from the paper's formulas ([`job_model`]). Attach it only to schedulers
-/// that promise Observation 3 — S and S-wc; the no-admission ablation
-/// violates it by design (which the mutant tests use as a fixture).
+/// from the paper's formulas ([`job_model`](crate::job_model)). Attach it
+/// only to schedulers that promise Observation 3 — S and S-wc; the
+/// no-admission ablation violates it by design (which the mutant tests use
+/// as a fixture).
 #[derive(Debug)]
 pub struct BandCapacityChecker {
-    params: AlgoParams,
-    speed_hint: f64,
-    m: u32,
-    models: Models,
+    pub(crate) models: Models,
     started: Vec<JobId>,
     /// `(density, allotment)` of every started job, rebuilt per check.
     members: Vec<(f64, u32)>,
@@ -50,10 +48,7 @@ impl BandCapacityChecker {
     /// Create the checker; `params` must match the scheduler's.
     pub fn new(params: AlgoParams) -> BandCapacityChecker {
         BandCapacityChecker {
-            params,
-            speed_hint: 1.0,
-            m: 0,
-            models: Models::default(),
+            models: Models::new(params),
             started: Vec::new(),
             members: Vec::new(),
             rec: Recorder::new("band-capacity"),
@@ -62,8 +57,7 @@ impl BandCapacityChecker {
 
     /// Mirror the scheduler's speed hint (see `SchedulerS::with_speed_hint`).
     pub fn with_speed_hint(mut self, s: f64) -> BandCapacityChecker {
-        assert!(s.is_finite() && s > 0.0);
-        self.speed_hint = s;
+        self.models.set_speed_hint(s);
         self
     }
 
@@ -90,15 +84,16 @@ impl BandCapacityChecker {
                 .iter()
                 .filter_map(|&id| self.models.get(id).map(|jm| (jm.density, jm.allot))),
         );
-        let capacity = self.params.b() * self.m as f64;
-        if let Some((anchor, load)) = band_overload(&self.members, self.params.c(), capacity) {
+        let c = self.models.params.c();
+        let capacity = self.models.params.b() * self.models.m as f64;
+        if let Some((anchor, load)) = band_overload(&self.members, c, capacity) {
             self.rec.flag(
                 at,
                 None,
                 format!(
                     "Observation 3 violated: band [{anchor:.6}, {:.6}) holds \
                      {load} processors > capacity {capacity:.4}",
-                    self.params.c() * anchor
+                    c * anchor
                 ),
             );
         }
@@ -107,14 +102,11 @@ impl BandCapacityChecker {
 
 impl SimObserver for BandCapacityChecker {
     fn on_start(&mut self, m: u32, _speed: Speed, _horizon: Time) {
-        self.m = m;
+        self.models.m = m;
     }
 
     fn on_job_arrival(&mut self, _now: Time, info: &JobInfo) {
-        self.models.insert(
-            info.id,
-            job_model(info, &self.params, self.m, self.speed_hint),
-        );
+        self.models.insert(info.id, self.models.derive(info));
     }
 
     fn on_admission(&mut self, now: Time, event: AdmissionEvent) {

@@ -1,6 +1,6 @@
 //! δ-goodness and δ-freshness of every admission, checked at the decision.
 
-use crate::model::{job_model, Models};
+use crate::model::Models;
 use crate::violation::{Recorder, Violation};
 use dagsched_core::{AlgoParams, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, AdmissionReason, JobInfo, SimObserver};
@@ -17,10 +17,7 @@ use dagsched_engine::{AdmissionDecision, AdmissionEvent, AdmissionReason, JobInf
 ///   is also flagged — the reasons are part of the observable contract.
 #[derive(Debug)]
 pub struct DeltaGoodChecker {
-    params: AlgoParams,
-    speed_hint: f64,
-    m: u32,
-    models: Models,
+    pub(crate) models: Models,
     rec: Recorder,
 }
 
@@ -28,18 +25,14 @@ impl DeltaGoodChecker {
     /// Create the checker; `params` must match the scheduler's.
     pub fn new(params: AlgoParams) -> DeltaGoodChecker {
         DeltaGoodChecker {
-            params,
-            speed_hint: 1.0,
-            m: 0,
-            models: Models::default(),
+            models: Models::new(params),
             rec: Recorder::new("delta-good"),
         }
     }
 
     /// Mirror the scheduler's speed hint.
     pub fn with_speed_hint(mut self, s: f64) -> DeltaGoodChecker {
-        assert!(s.is_finite() && s > 0.0);
-        self.speed_hint = s;
+        self.models.set_speed_hint(s);
         self
     }
 
@@ -57,14 +50,11 @@ impl DeltaGoodChecker {
 
 impl SimObserver for DeltaGoodChecker {
     fn on_start(&mut self, m: u32, _speed: Speed, _horizon: Time) {
-        self.m = m;
+        self.models.m = m;
     }
 
     fn on_job_arrival(&mut self, _now: Time, info: &JobInfo) {
-        self.models.insert(
-            info.id,
-            job_model(info, &self.params, self.m, self.speed_hint),
-        );
+        self.models.insert(info.id, self.models.derive(info));
     }
 
     fn on_admission(&mut self, now: Time, event: AdmissionEvent) {
@@ -89,7 +79,7 @@ impl SimObserver for DeltaGoodChecker {
                             format!(
                                 "started at arrival but not δ-good: D = {} < (1+2δ)x = {:.4}",
                                 jm.rel_deadline,
-                                self.params.good_factor() * jm.x
+                                self.models.params.good_factor() * jm.x
                             ),
                         );
                     }
@@ -98,7 +88,7 @@ impl SimObserver for DeltaGoodChecker {
                     // (Float subtraction: a mutant may admit past the
                     // deadline, where integer `since` would underflow.)
                     let slack = jm.abs_deadline.as_f64() - now.as_f64();
-                    let need = self.params.fresh_factor() * jm.x;
+                    let need = self.models.params.fresh_factor() * jm.x;
                     if slack < need {
                         self.rec.flag(
                             now,

@@ -144,9 +144,16 @@ impl SimObserver for InvariantSuite {
     }
     fn on_job_arrival(&mut self, now: Time, info: &JobInfo) {
         context::bump_event_index();
-        self.band.on_job_arrival(now, info);
-        self.allot.on_job_arrival(now, info);
-        self.good.on_job_arrival(now, info);
+        // The model-based checkers share one configuration (every builder
+        // above sets it on all three), so derive the model once.
+        let model = self.band.models.derive(info);
+        for models in [
+            &mut self.band.models,
+            &mut self.allot.models,
+            &mut self.good.models,
+        ] {
+            models.insert(info.id, model);
+        }
         self.work.on_job_arrival(now, info);
     }
     fn on_admission(&mut self, now: Time, event: AdmissionEvent) {
@@ -205,6 +212,28 @@ mod tests {
     use super::*;
     use dagsched_core::Work;
     use dagsched_workload::StepProfitFn;
+
+    /// The suite derives each arrival's model once and hands it to all
+    /// three model-based checkers, under the machine size of `on_start`.
+    #[test]
+    fn suite_hands_every_model_checker_the_arrival_model() {
+        let params = AlgoParams::from_epsilon(1.0).unwrap();
+        let mut suite = InvariantSuite::for_scheduler_s(params);
+        suite.on_start(4, Speed::ONE, Time(100));
+        let info = JobInfo {
+            id: JobId(3),
+            arrival: Time(0),
+            work: Work(40),
+            span: Work(4),
+            profit: StepProfitFn::deadline(Time(50), 1),
+        };
+        suite.on_job_arrival(Time(0), &info);
+        let want = job_model(&info, &params, 4, 1.0);
+        for models in [&suite.band.models, &suite.allot.models, &suite.good.models] {
+            let got = models.get(JobId(3)).expect("model handed over");
+            assert_eq!((got.allot, got.density), (want.allot, want.density));
+        }
+    }
 
     /// Regression: the suite must forward `on_platform` to its members.
     /// When it was swallowed, the work checker kept the reporting speed's

@@ -34,27 +34,57 @@ pub struct JobModel {
     pub delta_good: bool,
 }
 
-/// A checker's job models, indexed by [`JobId::index`] like the engine's
-/// own per-job state: ids are dense, so a vector grown at arrival replaces
-/// a hash map.
-#[derive(Debug, Default)]
-pub(crate) struct Models(Vec<Option<JobModel>>);
+/// A model-based checker's job models and the configuration it derives
+/// them under: the scheduler's constants, its speed hint and the machine
+/// size. Models are indexed by [`JobId::index`] like the engine's own
+/// per-job state: ids are dense, so a vector grown at arrival replaces a
+/// hash map.
+#[derive(Debug)]
+pub(crate) struct Models {
+    pub(crate) params: AlgoParams,
+    speed_hint: f64,
+    pub(crate) m: u32,
+    table: Vec<Option<JobModel>>,
+}
 
 impl Models {
+    pub(crate) fn new(params: AlgoParams) -> Models {
+        Models {
+            params,
+            speed_hint: 1.0,
+            m: 0,
+            table: Vec::new(),
+        }
+    }
+
+    pub(crate) fn set_speed_hint(&mut self, s: f64) {
+        assert!(s.is_finite() && s > 0.0);
+        self.speed_hint = s;
+    }
+
+    /// The model of an arriving job under this configuration.
+    pub(crate) fn derive(&self, info: &JobInfo) -> JobModel {
+        job_model(info, &self.params, self.m, self.speed_hint)
+    }
+
+    /// Record an arriving job's model: each checker's `on_job_arrival`
+    /// passes its own [`derive`](Self::derive), while
+    /// [`InvariantSuite`](crate::InvariantSuite) derives once and hands the
+    /// model to all three model-based checkers.
     pub(crate) fn insert(&mut self, id: JobId, model: JobModel) {
         let i = id.index();
-        if self.0.len() <= i {
-            self.0.resize(i + 1, None);
+        if self.table.len() <= i {
+            self.table.resize(i + 1, None);
         }
-        self.0[i] = Some(model);
+        self.table[i] = Some(model);
     }
 
     pub(crate) fn get(&self, id: JobId) -> Option<&JobModel> {
-        self.0.get(id.index())?.as_ref()
+        self.table.get(id.index())?.as_ref()
     }
 
     pub(crate) fn remove(&mut self, id: JobId) {
-        if let Some(slot) = self.0.get_mut(id.index()) {
+        if let Some(slot) = self.table.get_mut(id.index()) {
             *slot = None;
         }
     }

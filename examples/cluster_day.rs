@@ -1,8 +1,9 @@
 //! A day on a shared cluster: diurnal arrivals, heavy-tailed job sizes and
 //! three job classes (interactive / pipeline / batch), scheduled by the
-//! paper's S, its work-conserving extension, and HDF — with execution
-//! traces turned on so we can compare utilization and preemption behaviour
-//! (the axis the paper's future-work section highlights).
+//! paper's S, its work-conserving extension, and HDF — with a `Trace`
+//! observer attached to each run so we can compare utilization and
+//! preemption behaviour (the axis the paper's future-work section
+//! highlights).
 //!
 //! ```sh
 //! cargo run --example cluster_day
@@ -24,19 +25,21 @@ fn main() {
         gen.day_ticks
     );
 
-    let cfg = SimConfig {
-        record_trace: true,
-        ..SimConfig::default()
-    };
     let ub = fractional_ub(&instance, Speed::ONE);
 
     println!(
         "\n{:<12} {:>8} {:>7} {:>10} {:>12} {:>12}",
         "policy", "profit", "of UB", "completed", "utilization", "preemptions"
     );
-    let report = |r: &SimResult| {
-        let trace = r.trace.as_ref().expect("trace recorded");
-        let ts = trace.stats(m, &r.completions());
+    // A `Trace` is an observer: it records the run's allocation windows.
+    let run = |sched: &mut dyn OnlineScheduler| {
+        let mut trace = Trace::new();
+        let r = simulate_observed(&instance, sched, &SimConfig::default(), &mut trace)
+            .expect("valid run");
+        (r, trace)
+    };
+    let report = |(r, trace): (SimResult, Trace)| {
+        let ts = trace.stats();
         println!(
             "{:<12} {:>8} {:>6.1}% {:>10} {:>11.1}% {:>12}",
             r.scheduler,
@@ -49,11 +52,11 @@ fn main() {
     };
 
     let mut s = SchedulerS::with_epsilon(m, 1.0);
-    report(&simulate(&instance, &mut s, &cfg).expect("valid run"));
+    report(run(&mut s));
     let mut swc = SchedulerS::with_epsilon(m, 1.0).work_conserving();
-    report(&simulate(&instance, &mut swc, &cfg).expect("valid run"));
+    report(run(&mut swc));
     let mut hdf = GreedyDensity::new(m);
-    report(&simulate(&instance, &mut hdf, &cfg).expect("valid run"));
+    report(run(&mut hdf));
 
     println!(
         "\nS leaves capacity idle by design (band reservations); the \
@@ -62,6 +65,5 @@ fn main() {
          work. First 5 trace ticks of S-wc:"
     );
     let mut swc = SchedulerS::with_epsilon(m, 1.0).work_conserving();
-    let r = simulate(&instance, &mut swc, &cfg).expect("valid run");
-    print!("{}", r.trace.expect("trace recorded").render(5));
+    print!("{}", run(&mut swc).1.render(5));
 }

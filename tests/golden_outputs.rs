@@ -26,6 +26,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A `SimResult`'s `Debug` text in the layout its digests below were
+/// recorded in: the derived `Debug` of the result type when it still had a
+/// last field `trace`, which was `None` on every run digested here. Tracing
+/// moved to the `Trace` observer; the digests stay as recorded.
+fn result_text(r: &dagsched_engine::SimResult) -> String {
+    let text = format!("{r:?}");
+    let body = text
+        .strip_suffix(" }")
+        .expect("a derived Debug ends with a brace");
+    format!("{body}, trace: None }}")
+}
+
 fn argv(args: &[&str]) -> Vec<String> {
     args.iter().map(|a| a.to_string()).collect()
 }
@@ -437,7 +449,7 @@ fn stream_equiv_corpus_runs_are_golden() {
                 let one_shot =
                     dagsched_engine::simulate_observed(inst, sched.as_mut(), cfg, &mut log)
                         .expect("run succeeds");
-                let one_shot = (format!("{one_shot:?}"), log.to_jsonl());
+                let one_shot = (result_text(&one_shot), log.to_jsonl());
 
                 let mut log = dagsched_verify::EventLog::new();
                 let mut sched = kind.build(inst.m());
@@ -452,7 +464,7 @@ fn stream_equiv_corpus_runs_are_golden() {
                     target = target.after(13);
                 }
                 let paused = drv.finish().expect("paused run finishes");
-                let paused = (format!("{paused:?}"), log.to_jsonl());
+                let paused = (result_text(&paused), log.to_jsonl());
                 assert_eq!(
                     paused,
                     one_shot,
@@ -517,11 +529,109 @@ fn promoted_fixture_runs_are_golden() {
             all.push_str(&format!(
                 "{name} {} {:#x} {:#x}\n",
                 kind.label(),
-                fnv1a(format!("{r:?}").as_bytes()),
+                fnv1a(result_text(&r).as_bytes()),
                 fnv1a(log.to_jsonl().as_bytes()),
             ));
         }
     }
     assert_eq!(all.len(), 893);
     assert_eq!(fnv1a(all.as_bytes()), 0xff1e_02ca_1dd3_db7d);
+}
+
+/// Every traced run of `tests/trace_cluster.rs`, `tests/trace_recount.rs`
+/// and `examples/cluster_day.rs`: each run's `TraceStats` fields (the mean
+/// utilisation to ten decimals) and the length and digest of its full
+/// per-tick `render`. Recorded with the engine's earlier per-tick trace
+/// recorder, which stepped every tick; the `Trace` observer must reproduce
+/// every value from its run-length windows. The utilisation is rounded
+/// because it is now one division instead of a per-tick float sum.
+#[test]
+fn trace_runs_are_golden() {
+    use dagsched_engine::{simulate_observed, OnlineScheduler, SimConfig, Trace};
+    use dagsched_sched::{Edf, GreedyDensity, LeastLaxity, SchedulerS, SchedulerSProfit};
+    use dagsched_workload::{
+        ArrivalProcess, ClusterTraceGen, DeadlinePolicy, Instance, WorkloadGen,
+    };
+
+    type Build = fn(u32) -> Box<dyn OnlineScheduler>;
+    let s: Build = |m| Box::new(SchedulerS::with_epsilon(m, 1.0));
+    let swc: Build = |m| Box::new(SchedulerS::with_epsilon(m, 1.0).work_conserving());
+    let sprofit: Build = |m| Box::new(SchedulerSProfit::with_epsilon(m, 1.0));
+    let greedy: Build = |m| Box::new(GreedyDensity::new(m));
+    let llf: Build = |m| Box::new(LeastLaxity::new(m));
+    let edf: Build = |m| Box::new(Edf::new(m));
+
+    let mut all = String::new();
+    let mut pin = |label: &str, inst: Instance, cfg: &SimConfig, builds: &[Build]| {
+        for build in builds {
+            let mut trace = Trace::new();
+            let r = simulate_observed(&inst, build(inst.m()).as_mut(), cfg, &mut trace)
+                .expect("run succeeds");
+            let (st, text) = (trace.stats(), trace.render(usize::MAX));
+            all.push_str(&format!(
+                "{label} {} busy={} pt={} util={:.10} pre={} resize={} jobs={} render={} {:#x}\n",
+                r.scheduler,
+                st.busy_ticks,
+                st.processor_ticks,
+                st.mean_utilization,
+                st.preemptions,
+                st.resize_events,
+                st.jobs_run,
+                text.len(),
+                fnv1a(text.as_bytes()),
+            ));
+        }
+    };
+    let uniform = SimConfig::default();
+    let standard = |m, n, seed| WorkloadGen::standard(m, n, seed).generate().unwrap();
+    let cluster = |m, n, seed| ClusterTraceGen::new(m, n, seed).generate().unwrap();
+    pin("standard-8-60-11", standard(8, 60, 11), &uniform, &[greedy]);
+    let batch = WorkloadGen {
+        arrivals: ArrivalProcess::AllAtOnce,
+        ..WorkloadGen::standard(8, 40, 5)
+    };
+    pin("batch-8-40-5", batch.generate().unwrap(), &uniform, &[s]);
+    for seed in [1u64, 2, 3] {
+        let label = format!("cluster-16-150-{seed}");
+        pin(&label, cluster(16, 150, seed), &uniform, &[s, swc]);
+    }
+    pin("cluster-8-80-4", cluster(8, 80, 4), &uniform, &[swc]);
+    for seed in [3u64, 58, 477, 901] {
+        let m = 3 + (seed % 6) as u32;
+        let label = format!("standard-{m}-30-{seed}");
+        pin(
+            &label,
+            standard(m, 30, seed),
+            &uniform,
+            &[s, swc, greedy, llf, sprofit],
+        );
+    }
+    let overload = WorkloadGen {
+        arrivals: ArrivalProcess::poisson_for_load(5.0, 40.0, 4),
+        deadlines: DeadlinePolicy::SlackFactor(1.1),
+        ..WorkloadGen::standard(4, 60, 31)
+    };
+    let overload = overload.generate().unwrap();
+    pin(
+        "overload-4-60-31",
+        overload,
+        &uniform,
+        &[llf, edf, s, sprofit],
+    );
+    let grouped = SimConfig::on_groups("2x1,2x3/2".parse().expect("valid shape"));
+    let builds = [s, swc, sprofit, greedy, llf];
+    pin(
+        "standard-4-30-17-2x1,2x3/2",
+        standard(4, 30, 17),
+        &grouped,
+        &builds,
+    );
+    pin(
+        "cluster-day-16-250-2024",
+        cluster(16, 250, 2024),
+        &uniform,
+        &[s, swc, greedy],
+    );
+    assert_eq!(all.len(), 4876);
+    assert_eq!(fnv1a(all.as_bytes()), 0xe17f_44e9_893d_651c);
 }

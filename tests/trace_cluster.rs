@@ -4,21 +4,20 @@
 use dagsched::prelude::*;
 use dagsched::workload::ClusterTraceGen;
 
-fn traced() -> SimConfig {
-    SimConfig {
-        record_trace: true,
-        ..SimConfig::default()
-    }
+/// `sched` on `inst` with a [`Trace`] observer attached.
+fn traced(inst: &Instance, sched: &mut dyn OnlineScheduler) -> (SimResult, Trace) {
+    let mut trace = Trace::new();
+    let r = simulate_observed(inst, sched, &SimConfig::default(), &mut trace).unwrap();
+    (r, trace)
 }
 
 #[test]
 fn trace_accounting_matches_sim_result() {
     let inst = WorkloadGen::standard(8, 60, 11).generate().unwrap();
     let mut s = GreedyDensity::new(8);
-    let r = simulate(&inst, &mut s, &traced()).unwrap();
-    let trace = r.trace.as_ref().expect("trace recorded");
-    assert_eq!(trace.len() as u64, r.ticks_simulated);
-    let ts = trace.stats(8, &r.completions());
+    let (r, trace) = traced(&inst, &mut s);
+    assert_eq!(trace.ticks(), r.ticks_simulated);
+    let ts = trace.stats();
     // Granted processor-ticks bound actual work: at unit speed a granted
     // processor does at most 1 unit (it may idle if the job has fewer ready
     // nodes than granted processors).
@@ -26,7 +25,12 @@ fn trace_accounting_matches_sim_result() {
     assert!(ts.mean_utilization > 0.0 && ts.mean_utilization <= 1.0);
     // Every completed job appears in the trace and its granted
     // processor-ticks cover its work.
-    for (id, _) in r.completions() {
+    let completed = r
+        .outcomes
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| o.is_completed());
+    for id in completed.map(|(i, _)| JobId(i as u32)) {
         assert!(trace.first_start(id).is_some(), "{id} never ran?");
         let w = inst.jobs()[id.index()].work().units();
         assert!(
@@ -50,8 +54,7 @@ fn scheduler_s_never_preempts_scheduled_jobs_on_batch_arrivals() {
     .generate()
     .unwrap();
     let mut s = SchedulerS::with_epsilon(8, 1.0);
-    let r = simulate(&inst, &mut s, &traced()).unwrap();
-    let ts = r.trace.as_ref().unwrap().stats(8, &r.completions());
+    let ts = traced(&inst, &mut s).1.stats();
     assert_eq!(ts.preemptions, 0, "S preempted under batch arrivals");
 }
 
@@ -60,9 +63,9 @@ fn work_conserving_s_dominates_plain_s_on_cluster_days() {
     for seed in [1u64, 2, 3] {
         let inst = ClusterTraceGen::new(16, 150, seed).generate().unwrap();
         let mut plain = SchedulerS::with_epsilon(16, 1.0);
-        let p = simulate(&inst, &mut plain, &traced()).unwrap();
+        let (p, p_trace) = traced(&inst, &mut plain);
         let mut wc = SchedulerS::with_epsilon(16, 1.0).work_conserving();
-        let w = simulate(&inst, &mut wc, &traced()).unwrap();
+        let (w, w_trace) = traced(&inst, &mut wc);
         assert!(
             w.total_profit >= p.total_profit,
             "seed {seed}: wc {} < plain {}",
@@ -70,18 +73,8 @@ fn work_conserving_s_dominates_plain_s_on_cluster_days() {
             p.total_profit
         );
         // And it uses the machine at least as much.
-        let up = p
-            .trace
-            .as_ref()
-            .unwrap()
-            .stats(16, &p.completions())
-            .processor_ticks;
-        let uw = w
-            .trace
-            .as_ref()
-            .unwrap()
-            .stats(16, &w.completions())
-            .processor_ticks;
+        let up = p_trace.stats().processor_ticks;
+        let uw = w_trace.stats().processor_ticks;
         assert!(uw >= up, "seed {seed}: wc used fewer processor-ticks");
     }
 }
@@ -108,13 +101,7 @@ fn trace_is_identical_across_reruns() {
     let inst = ClusterTraceGen::new(8, 80, 4).generate().unwrap();
     let run = || {
         let mut s = SchedulerS::with_epsilon(8, 1.0).work_conserving();
-        simulate(&inst, &mut s, &traced()).unwrap()
+        traced(&inst, &mut s).1
     };
-    let a = run();
-    let b = run();
-    assert_eq!(
-        a.trace.as_ref().unwrap().ticks(),
-        b.trace.as_ref().unwrap().ticks(),
-        "traces must be bit-identical"
-    );
+    assert_eq!(run(), run(), "traces must be bit-identical");
 }

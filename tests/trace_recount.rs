@@ -2,32 +2,44 @@
 //!
 //! The unit tests in `crates/engine/src/trace.rs` pin the counting rules on
 //! hand-built traces; this test re-derives every aggregate from scratch —
-//! by a deliberately naive quadratic scan — on traces produced by actual
-//! simulations, where completions, expiries, idle gaps and allotment
-//! changes occur in combinations nobody hand-writes.
+//! by a deliberately naive quadratic scan over the trace expanded back to
+//! one record per tick — on traces produced by actual simulations, where
+//! completions, expiries, idle gaps, plan gaps and allotment changes occur
+//! in combinations nobody hand-writes. Every input runs on both engine
+//! paths: the naive path reports one window per tick, the production path
+//! whole stable windows, and the two traces must be equal.
 
 use dagsched::prelude::*;
 
+/// One tick of an expanded trace: `(tick, alloc)`.
+type Tick = (Time, Vec<(JobId, u32)>);
+
+/// The trace with every window expanded to one record per tick.
+fn expand(trace: &Trace) -> Vec<Tick> {
+    trace
+        .windows()
+        .iter()
+        .flat_map(|w| (0..w.ticks).map(move |t| (w.at.after(t), w.alloc.clone())))
+        .collect()
+}
+
 /// Quadratic, obviously-correct recount of every `TraceStats` field.
-fn recount(trace: &Trace, m: u32, completions: &[(JobId, Time)]) -> TraceStats {
-    let ticks = trace.ticks();
-    let granted_to = |tick: &dagsched::engine::trace::TraceTick, id: JobId| -> Option<u32> {
-        tick.alloc.iter().find(|&&(j, _)| j == id).map(|&(_, k)| k)
+fn recount(ticks: &[Tick], m: u32, completions: &[(JobId, Time)]) -> TraceStats {
+    let granted_to = |alloc: &[(JobId, u32)], id: JobId| -> Option<u32> {
+        alloc.iter().find(|&&(j, _)| j == id).map(|&(_, k)| k)
     };
     let completed_at = |id: JobId| completions.iter().find(|&&(j, _)| j == id).map(|&(_, t)| t);
 
     let mut busy_ticks = 0u64;
     let mut processor_ticks = 0u64;
-    let mut util_sum = 0.0f64;
     let mut jobs: Vec<JobId> = Vec::new();
-    for t in ticks {
-        let granted: u64 = t.alloc.iter().map(|&(_, k)| k as u64).sum();
+    for (_, alloc) in ticks {
+        let granted: u64 = alloc.iter().map(|&(_, k)| k as u64).sum();
         processor_ticks += granted;
         if granted > 0 {
             busy_ticks += 1;
-            util_sum += granted as f64 / m as f64;
         }
-        for &(id, _) in &t.alloc {
+        for &(id, _) in alloc {
             if !jobs.contains(&id) {
                 jobs.push(id);
             }
@@ -37,14 +49,14 @@ fn recount(trace: &Trace, m: u32, completions: &[(JobId, Time)]) -> TraceStats {
     let mut preemptions = 0u64;
     let mut resize_events = 0u64;
     for pair in ticks.windows(2) {
-        let (prev, cur) = (&pair[0], &pair[1]);
-        if prev.at.after(1) != cur.at {
+        let ((prev_at, prev), (cur_at, cur)) = (&pair[0], &pair[1]);
+        if prev_at.after(1) != *cur_at {
             continue; // idle gap: ticks are not adjacent in simulated time
         }
-        for &(id, k_prev) in &prev.alloc {
+        for &(id, k_prev) in prev {
             match granted_to(cur, id) {
                 None => {
-                    if completed_at(id) != Some(cur.at) {
+                    if completed_at(id) != Some(*cur_at) {
                         preemptions += 1;
                     }
                 }
@@ -58,7 +70,7 @@ fn recount(trace: &Trace, m: u32, completions: &[(JobId, Time)]) -> TraceStats {
         busy_ticks,
         processor_ticks,
         mean_utilization: if busy_ticks > 0 {
-            util_sum / busy_ticks as f64
+            processor_ticks as f64 / (busy_ticks as f64 * m as f64)
         } else {
             0.0
         },
@@ -68,32 +80,57 @@ fn recount(trace: &Trace, m: u32, completions: &[(JobId, Time)]) -> TraceStats {
     }
 }
 
-fn check(inst: &Instance, sched: &mut dyn OnlineScheduler, m: u32, label: &str) {
-    let cfg = SimConfig {
-        record_trace: true,
-        ..SimConfig::default()
+type Build = fn(u32) -> Box<dyn OnlineScheduler>;
+const S: Build = |m| Box::new(SchedulerS::with_epsilon(m, 1.0));
+const S_WC: Build = |m| Box::new(SchedulerS::with_epsilon(m, 1.0).work_conserving());
+/// S-profit's bounded plan gaps run as wide empty-allocation windows on the
+/// production path.
+const S_PROFIT: Build = |m| Box::new(SchedulerSProfit::with_epsilon(m, 1.0));
+const GREEDY: Build = |m| Box::new(GreedyDensity::new(m));
+const LLF: Build = |m| Box::new(LeastLaxity::new(m));
+const EDF: Build = |m| Box::new(Edf::new(m));
+
+/// Runs each scheduler on `inst` under `cfg` on both engine paths, asserts
+/// equal traces, and recounts the statistics from the expanded ticks.
+fn check(inst: &Instance, builds: &[Build], cfg: &SimConfig, tag: &str) {
+    let completions = |r: &SimResult| -> Vec<(JobId, Time)> {
+        let done = r.outcomes.iter().enumerate().filter_map(|(i, o)| match *o {
+            JobStatus::Completed { at, .. } => Some((JobId(i as u32), at)),
+            _ => None,
+        });
+        done.collect()
     };
-    let r = simulate(inst, sched, &cfg).expect("simulation runs");
-    let trace = r.trace.as_ref().expect("trace recorded");
-    let completions = r.completions();
-    let got = trace.stats(m, &completions);
-    let want = recount(trace, m, &completions);
-    assert_eq!(
-        got, want,
-        "{label}: stats disagree with brute-force recount"
-    );
-    // Cross-check against the engine's own accounting.
-    assert_eq!(
-        got.processor_ticks,
-        trace
-            .ticks()
-            .iter()
-            .flat_map(|t| t.alloc.iter())
-            .map(|&(_, k)| k as u64)
-            .sum::<u64>(),
-        "{label}: processor-tick total"
-    );
-    assert!(got.jobs_run <= inst.len(), "{label}: phantom jobs in trace");
+    for build in builds {
+        let run = |fast_forward| {
+            let mut trace = Trace::new();
+            let cfg = SimConfig {
+                fast_forward,
+                ..cfg.clone()
+            };
+            let r = simulate_observed(inst, build(inst.m()).as_mut(), &cfg, &mut trace)
+                .expect("simulation runs");
+            (r, trace)
+        };
+        let ((r, trace), (naive, naive_trace)) = (run(true), run(false));
+        let label = format!("{} {tag}", r.scheduler);
+        assert!(r.same_outcome(&naive), "{label}: paths disagree");
+        assert_eq!(trace, naive_trace, "{label}: paths record different traces");
+        for pair in trace.windows().windows(2) {
+            assert!(
+                pair[0].at.after(pair[0].ticks) != pair[1].at || pair[0].alloc != pair[1].alloc,
+                "{label}: adjacent equal windows were not merged"
+            );
+        }
+        let ticks = expand(&trace);
+        assert_eq!(ticks.len() as u64, r.ticks_simulated, "{label}: tick count");
+        let got = trace.stats();
+        let want = recount(&ticks, inst.m(), &completions(&r));
+        assert_eq!(
+            got, want,
+            "{label}: stats disagree with brute-force recount"
+        );
+        assert!(got.jobs_run <= inst.len(), "{label}: phantom jobs in trace");
+    }
 }
 
 #[test]
@@ -103,15 +140,13 @@ fn stats_match_recount_on_random_instances() {
         let inst = WorkloadGen::standard(m, 30, seed)
             .generate()
             .expect("valid workload");
-        check(&inst, &mut SchedulerS::with_epsilon(m, 1.0), m, "S");
+        let builds = [S, S_WC, GREEDY, LLF, S_PROFIT];
         check(
             &inst,
-            &mut SchedulerS::with_epsilon(m, 1.0).work_conserving(),
-            m,
-            "S-wc",
+            &builds,
+            &SimConfig::default(),
+            &format!("seed {seed}"),
         );
-        check(&inst, &mut GreedyDensity::new(m), m, "GREEDY-DENSITY");
-        check(&inst, &mut LeastLaxity::new(m), m, "LLF");
     }
 }
 
@@ -127,12 +162,19 @@ fn stats_match_recount_under_preemption_heavy_overload() {
     }
     .generate()
     .expect("valid workload");
-    check(&inst, &mut LeastLaxity::new(m), m, "LLF overload");
-    check(&inst, &mut Edf::new(m), m, "EDF overload");
     check(
         &inst,
-        &mut SchedulerS::with_epsilon(m, 1.0),
-        m,
-        "S overload",
+        &[LLF, EDF, S, S_PROFIT],
+        &SimConfig::default(),
+        "overload",
     );
+}
+
+#[test]
+fn stats_match_recount_on_related_machines() {
+    let inst = WorkloadGen::standard(4, 30, 17)
+        .generate()
+        .expect("valid workload");
+    let cfg = SimConfig::on_groups("2x1,2x3/2".parse().expect("valid shape"));
+    check(&inst, &[S, S_WC, S_PROFIT, GREEDY, LLF], &cfg, "2x1,2x3/2");
 }
