@@ -326,6 +326,13 @@ mod tests {
     }
 
     #[test]
+    fn cluster_gen_on_zero_processors_is_an_error() {
+        let cmd = parse(&argv("gen --kind cluster --m 0")).unwrap();
+        let err = execute(&cmd, "").unwrap_err();
+        assert_eq!(err.to_string(), "invalid instance: m must be positive");
+    }
+
+    #[test]
     fn run_rejects_garbage_input() {
         let cmd = parse(&argv("run")).unwrap();
         assert!(execute(&cmd, "not an instance").is_err());

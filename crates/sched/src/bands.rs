@@ -14,10 +14,10 @@
 //! candidate at density `d` changes exactly the windows of anchors with
 //! `v ≤ d < c·v` — a contiguous density range — both the query and the
 //! update are O(log |Q|) range operations (range-max with pending-add tags,
-//! and a lazy range-add), instead of the O(|Q|) sliding-window sweep the
-//! seed implementation performed per call. That sweep is retained verbatim
-//! as [`reference::ReferenceBands`], the oracle the differential proptests
-//! compare against.
+//! and a lazy range-add), instead of an O(|Q|) sliding-window sweep per
+//! call. That sweep is [`reference::ReferenceBands`], which the
+//! differential proptests compare against and [`PaperS`](crate::PaperS)
+//! checks condition (2) with.
 //!
 //! Observation 3 — the bound holds at all times — is exactly the invariant
 //! that insertions are only performed after a successful
@@ -755,9 +755,9 @@ impl DensityBands {
 }
 
 pub mod reference {
-    //! The seed implementation — a sorted `Vec` with an O(n) sliding-window
-    //! sweep per query — retained as the behavioral oracle for the
-    //! incremental [`DensityBands`](super::DensityBands). The differential
+    //! The direct form of condition (2) — a sorted `Vec` with an O(n)
+    //! sliding-window sweep per query — kept as the behavioral reference
+    //! for the incremental [`DensityBands`](super::DensityBands). The differential
     //! proptests (`tests/bands_differential.rs`) replay every operation
     //! against both structures and demand identical answers.
 
@@ -771,7 +771,7 @@ pub mod reference {
         id: JobId,
     }
 
-    /// The legacy O(n)-per-query density-band structure.
+    /// The O(n)-per-query density-band structure.
     #[derive(Debug, Clone)]
     pub struct ReferenceBands {
         /// Sorted ascending by (density, id).

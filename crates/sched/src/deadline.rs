@@ -35,9 +35,9 @@
 //! every stretch of them the band cannot take (see
 //! [`admit_from_p`](SchedulerS)). A completion costs one copy of its
 //! candidates plus O(probes · log |Q| + removals · log |P|), rather than a
-//! probe of every job in `P`. The pre-refactor implementation
-//! survives as [`OracleSchedulerS`](crate::oracle::OracleSchedulerS), which
-//! the differential tests hold this one byte-identical to.
+//! probe of every job in `P`. [`PaperS`](crate::PaperS) transcribes
+//! Section 3 with the full scan, and the differential tests hold this
+//! scheduler byte-identical to it.
 
 use crate::bands::{DensityBands, BAND_SLACK};
 use crate::ord::OrdF64;

@@ -17,8 +17,9 @@
 //!   related-work real-time substrate), with its schedulability test;
 //! * [`slab`] — dense `JobId`-indexed storage used by the allocation-free
 //!   scheduler hot paths;
-//! * [`oracle`] — frozen pre-optimization reference schedulers, kept only
-//!   for differential testing of the hot-path rewrites.
+//! * [`paper`] — [`PaperS`] and [`PaperSProfit`]: S and S-profit
+//!   transcribed rule by rule from Sections 3 and 5, unoptimised, which the
+//!   differential suites hold the production schedulers byte-identical to.
 //!
 //! All schedulers implement
 //! [`OnlineScheduler`](dagsched_engine::OnlineScheduler) and are therefore
@@ -32,8 +33,8 @@ pub mod baselines;
 pub mod deadline;
 pub mod edf_ac;
 pub mod federated;
-pub mod oracle;
 mod ord;
+pub mod paper;
 pub mod profit;
 pub mod slab;
 
@@ -44,4 +45,5 @@ pub use baselines::{
 pub use deadline::{SchedulerS, SchedulerSMetrics};
 pub use edf_ac::EdfAc;
 pub use federated::{federated_assignment, FederatedAssignment, FederatedScheduler};
+pub use paper::{PaperS, PaperSProfit};
 pub use profit::SchedulerSProfit;

@@ -33,9 +33,9 @@
 //! this scheduler between slot boundaries. Runs are
 //! split on insert, never merged; past runs are retired incrementally at
 //! each allocate (amortized `O(1)`, replacing the old per-call
-//! `split_off` rebuild). The pre-rewrite per-tick implementation is frozen
-//! as [`OracleSProfit`](crate::oracle::OracleSProfit) and the
-//! `profit_differential` suite holds the two byte-identical.
+//! `split_off` rebuild). [`PaperSProfit`](crate::PaperSProfit) transcribes
+//! Section 5 with per-tick populations, and the `profit_differential`
+//! suite holds the two byte-identical.
 //!
 //! Deviations from the paper text, documented per DESIGN.md:
 //!
@@ -252,9 +252,9 @@ impl SchedulerSProfit {
     /// `D ≤ bound`; `min_d` enforces both the `(1+ε)L` floor and the
     /// previous segment's bound (for profit-value consistency). The scan
     /// walks whole runs and gaps — one band check per run — and returns the
-    /// accepted ticks as ranges; tick for tick it accepts exactly what the
-    /// per-tick oracle accepts, because every tick of a run shares its
-    /// population (and every gap tick trivially fits once
+    /// accepted ticks as ranges; tick for tick it accepts exactly what
+    /// `PaperSProfit`'s per-tick scan accepts, because every tick of a run
+    /// shares its population (and every gap tick trivially fits once
     /// `allot ≤ capacity`).
     fn search_segment(
         &self,
@@ -452,7 +452,7 @@ impl OnlineScheduler for SchedulerSProfit {
             // The tail pays forever; cap the scan generously past both the
             // current assignment horizon and the slots we need. (The last
             // run's final tick is the plan's largest assigned tick, exactly
-            // the seed implementation's largest slot key.)
+            // `PaperSProfit`'s largest slot key.)
             let horizon = self
                 .plan
                 .iter()

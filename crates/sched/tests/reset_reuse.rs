@@ -132,8 +132,8 @@ fn reset_disables_admission_reporting() {
 
 #[test]
 fn default_reset_declines() {
-    // The frozen oracle twins keep the default: reset() refuses, telling
+    // The paper transcription keeps the default: reset() refuses, telling
     // sweep runners to build fresh.
-    let mut o = dagsched_sched::oracle::OracleSchedulerS::with_epsilon(4, 1.0);
+    let mut o = dagsched_sched::PaperS::with_epsilon(4, 1.0);
     assert!(!OnlineScheduler::reset(&mut o));
 }

@@ -1,15 +1,16 @@
-//! Hot-path rewrite oracle: the optimized schedulers must be
-//! **byte-identical** to their frozen pre-rewrite implementations.
+//! Differential suite for scheduler S: the production [`SchedulerS`] and
+//! S-wc must be **byte-identical** to [`PaperS`], the Section 3
+//! transcription.
 //!
-//! The allocation-free rework (incremental treap band index, slab job
-//! state, sorted-`Vec` queues, `allocate_into`) and S's targeted completion
-//! scan claim to change *nothing* observable: same admissions in the same
-//! order, same allocations, same event stream. This file holds them to that
-//! claim. Each optimized scheduler runs side by side with its retained
-//! legacy twin from `dagsched_sched::oracle` on the stream-equivalence
-//! corpus (standard and overload workloads, multiple speeds and node-pick
-//! policies, both engine paths) and on hand-built instances aimed at the
-//! targeted scan's skip rules, and the comparison is on
+//! The production scheduler's incremental treap band index, slab job
+//! state, sorted-`Vec` queues, `allocate_into` and targeted completion scan
+//! claim to change *nothing* observable: same admissions in the same order,
+//! same allocations, same event stream. This file holds them to that claim.
+//! Each production scheduler runs side by side with the transcription on
+//! the stream-equivalence corpus (standard and overload workloads, multiple
+//! speeds and node-pick policies, both engine paths) and on hand-built
+//! instances aimed at the targeted scan's skip rules, and the comparison is
+//! on
 //!
 //! * [`SimResult`] equality — outcome per job, profit, end time, step and
 //!   tick counters — and
@@ -19,13 +20,17 @@
 //!
 //! S and S-wc run `with_invariant_checks()`, so each completion scan also
 //! replays the full walk and checks every job it passed over, whether
-//! untouched since its last check or inside a blocked stretch.
+//! untouched since its last check or inside a blocked stretch. On a
+//! mismatch both logs are dumped to `target/tmp/event-logs/`.
+//!
+//! S-noadmit and EDF-AC are not in the paper. Their runs on the same inputs
+//! and configs are pinned by golden digests (FNV-1a of the `SimResult`
+//! `Debug` text and of the JSONL log, recorded at `50cc33e`).
 
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_dag::{gen, DagJobSpec};
 use dagsched_engine::{simulate_observed, NodePick, OnlineScheduler, SimConfig};
-use dagsched_sched::oracle::{OracleEdfAc, OracleSNoAdmission, OracleSchedulerS};
-use dagsched_sched::{EdfAc, SNoAdmission, SchedulerS};
+use dagsched_sched::{EdfAc, PaperS, SNoAdmission, SchedulerS};
 use dagsched_verify::EventLog;
 use dagsched_workload::{
     ArrivalProcess, DeadlinePolicy, Instance, JobSpec, StepProfitFn, WorkloadGen,
@@ -48,28 +53,28 @@ fn run_logged(
 }
 
 /// Point at the first differing line so a failure is debuggable, and dump
-/// both logs to `target/tmp/` so CI can upload them as artifacts.
-fn assert_identical(new: &str, legacy: &str, label: &str) {
-    if new == legacy {
+/// both logs to `target/tmp/event-logs/`, where CI picks them up.
+fn assert_identical(production: &str, paper: &str, label: &str) {
+    if production == paper {
         return;
     }
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("legacy-diff-logs");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("event-logs");
     if std::fs::create_dir_all(&dir).is_ok() {
         let slug: String = label
             .chars()
             .map(|c| if c.is_alphanumeric() { c } else { '-' })
             .collect();
-        let _ = std::fs::write(dir.join(format!("{slug}.new.jsonl")), new);
-        let _ = std::fs::write(dir.join(format!("{slug}.legacy.jsonl")), legacy);
+        let _ = std::fs::write(dir.join(format!("{slug}.production.jsonl")), production);
+        let _ = std::fs::write(dir.join(format!("{slug}.paper.jsonl")), paper);
         eprintln!("{label}: diverging logs dumped to {}", dir.display());
     }
-    for (i, (a, b)) in new.lines().zip(legacy.lines()).enumerate() {
-        assert_eq!(a, b, "{label}: new vs legacy diverge at line {i}");
+    for (i, (a, b)) in production.lines().zip(paper.lines()).enumerate() {
+        assert_eq!(a, b, "{label}: production vs paper diverge at line {i}");
     }
     panic!(
         "{label}: one stream is a prefix of the other ({} vs {} lines)",
-        new.lines().count(),
-        legacy.lines().count()
+        production.lines().count(),
+        paper.lines().count()
     );
 }
 
@@ -78,18 +83,13 @@ fn eps1() -> AlgoParams {
     AlgoParams::from_epsilon(1.0).expect("valid epsilon")
 }
 
-/// The optimized/legacy pairs under differential test.
+/// The production/paper pairs under differential test.
 fn pairs(m: u32, params: AlgoParams) -> Vec<(&'static str, SchedFactory, SchedFactory)> {
     vec![
         (
             "S",
-            Box::new(move || {
-                Box::new(SchedulerS::new(m, params).with_invariant_checks())
-                    as Box<dyn OnlineScheduler>
-            }),
-            Box::new(move || {
-                Box::new(OracleSchedulerS::new(m, params)) as Box<dyn OnlineScheduler>
-            }),
+            Box::new(move || Box::new(SchedulerS::new(m, params).with_invariant_checks())),
+            Box::new(move || Box::new(PaperS::new(m, params))),
         ),
         (
             "S-wc",
@@ -98,24 +98,9 @@ fn pairs(m: u32, params: AlgoParams) -> Vec<(&'static str, SchedFactory, SchedFa
                     SchedulerS::new(m, params)
                         .work_conserving()
                         .with_invariant_checks(),
-                ) as Box<dyn OnlineScheduler>
+                )
             }),
-            Box::new(move || {
-                Box::new(OracleSchedulerS::new(m, params).work_conserving())
-                    as Box<dyn OnlineScheduler>
-            }),
-        ),
-        (
-            "S-noadmit",
-            Box::new(move || Box::new(SNoAdmission::new(m, params)) as Box<dyn OnlineScheduler>),
-            Box::new(move || {
-                Box::new(OracleSNoAdmission::new(m, params)) as Box<dyn OnlineScheduler>
-            }),
-        ),
-        (
-            "EDF-AC",
-            Box::new(move || Box::new(EdfAc::new(m)) as Box<dyn OnlineScheduler>),
-            Box::new(move || Box::new(OracleEdfAc::new(m)) as Box<dyn OnlineScheduler>),
+            Box::new(move || Box::new(PaperS::new(m, params).work_conserving())),
         ),
     ]
 }
@@ -130,8 +115,8 @@ fn configs() -> Vec<SimConfig> {
     ] {
         for pick in [NodePick::Fifo, NodePick::CriticalPathFirst] {
             // Both engine paths: the naive tick loop calls allocate_into
-            // every tick, the fast-forward path once per event — the legacy
-            // twins only override `allocate`, so this also proves the
+            // every tick, the fast-forward path once per event — the paper
+            // transcription only overrides `allocate`, so this also proves the
             // default `allocate_into` bridge is faithful.
             for fast_forward in [true, false] {
                 out.push(SimConfig {
@@ -148,43 +133,104 @@ fn configs() -> Vec<SimConfig> {
 
 fn check_all(inst: &Instance, m: u32, params: AlgoParams, label: &str) {
     for cfg in configs() {
-        for (name, mk_new, mk_legacy) in &pairs(m, params) {
-            let (res_new, log_new) = run_logged(inst, mk_new().as_mut(), &cfg);
-            let (res_legacy, log_legacy) = run_logged(inst, mk_legacy().as_mut(), &cfg);
+        for (name, mk_production, mk_paper) in &pairs(m, params) {
+            let (res_production, log_production) = run_logged(inst, mk_production().as_mut(), &cfg);
+            let (res_paper, log_paper) = run_logged(inst, mk_paper().as_mut(), &cfg);
             let tag = format!(
                 "{label}: {name} speed {:?} pick {:?} ff {}",
                 cfg.speed, cfg.pick, cfg.fast_forward
             );
-            assert_eq!(res_new, res_legacy, "{tag}: SimResult diverged");
-            assert_identical(&log_new, &log_legacy, &tag);
+            assert_eq!(res_production, res_paper, "{tag}: SimResult diverged");
+            assert_identical(&log_production, &log_paper, &tag);
         }
     }
 }
 
-#[test]
-fn optimized_schedulers_match_legacy_on_standard_workloads() {
-    for seed in [7u64, 191, 2024] {
-        let m = 4 + (seed % 5) as u32;
-        let inst = WorkloadGen::standard(m, 30, seed)
-            .generate()
-            .expect("valid workload");
-        check_all(&inst, m, eps1(), &format!("standard seed {seed}"));
+/// FNV-1a, 64-bit, as `tests/golden_outputs.rs` digests.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Appends one line per baseline × config to `all`: the digests of the
+/// run's `SimResult` `Debug` text and JSONL event log. S-noadmit and EDF-AC
+/// are not in the paper, so they are pinned by these digests rather than
+/// against a second implementation.
+fn digest_baselines(inst: &Instance, params: AlgoParams, label: &str, all: &mut String) {
+    let m = inst.m();
+    for cfg in configs() {
+        let baselines: [Box<dyn OnlineScheduler>; 2] = [
+            Box::new(SNoAdmission::new(m, params)),
+            Box::new(EdfAc::new(m)),
+        ];
+        for mut sched in baselines {
+            let (res, log) = run_logged(inst, sched.as_mut(), &cfg);
+            all.push_str(&format!(
+                "{label} {} {:?} {:?} {} {:#x} {:#x}\n",
+                sched.name(),
+                cfg.speed,
+                cfg.pick,
+                cfg.fast_forward,
+                fnv1a(res.as_bytes()),
+                fnv1a(log.as_bytes()),
+            ));
+        }
     }
 }
 
-#[test]
-fn optimized_schedulers_match_legacy_under_overload() {
-    // Overload maximizes admission churn: band rejections, P-queue scans on
-    // every completion, expiries — the paths the rewrite touched hardest.
+/// The standard workloads: three seeds of the default generator.
+fn standard_workloads() -> Vec<(String, Instance)> {
+    [7u64, 191, 2024]
+        .into_iter()
+        .map(|seed| {
+            let m = 4 + (seed % 5) as u32;
+            let inst = WorkloadGen::standard(m, 30, seed)
+                .generate()
+                .expect("valid workload");
+            (format!("standard seed {seed}"), inst)
+        })
+        .collect()
+}
+
+/// Overload maximizes admission churn: band rejections, P-queue scans on
+/// every completion, expiries.
+fn overload_workload() -> Instance {
     let m = 6;
-    let inst = WorkloadGen {
+    WorkloadGen {
         arrivals: ArrivalProcess::poisson_for_load(4.0, 60.0, m),
         deadlines: DeadlinePolicy::SlackFactor(1.2),
         ..WorkloadGen::standard(m, 50, 99)
     }
     .generate()
-    .expect("valid workload");
-    check_all(&inst, m, eps1(), "overload");
+    .expect("valid workload")
+}
+
+#[test]
+fn optimized_schedulers_match_legacy_on_standard_workloads() {
+    for (label, inst) in standard_workloads() {
+        check_all(&inst, inst.m(), eps1(), &label);
+    }
+}
+
+#[test]
+fn optimized_schedulers_match_legacy_under_overload() {
+    let inst = overload_workload();
+    check_all(&inst, inst.m(), eps1(), "overload");
+}
+
+#[test]
+fn baselines_are_golden_on_standard_workloads_and_overload() {
+    let mut all = String::new();
+    for (label, inst) in standard_workloads() {
+        digest_baselines(&inst, eps1(), &label, &mut all);
+    }
+    digest_baselines(&overload_workload(), eps1(), "overload", &mut all);
+    assert_eq!(all.len(), 9975);
+    assert_eq!(fnv1a(all.as_bytes()), 0x22f4_84b1_d945_3c6a);
 }
 
 // ------------------------------------------------- targeted-scan inputs
@@ -436,6 +482,16 @@ fn optimized_schedulers_match_legacy_on_targeted_scan_inputs() {
 }
 
 #[test]
+fn baselines_are_golden_on_targeted_scan_inputs() {
+    let mut all = String::new();
+    for (label, inst, params) in targeted_scan_inputs() {
+        digest_baselines(&inst, params, label, &mut all);
+    }
+    assert_eq!(all.len(), 21004);
+    assert_eq!(fnv1a(all.as_bytes()), 0x27d9_f513_b40b_cb95);
+}
+
+#[test]
 fn targeted_scan_inputs_reach_their_cases() {
     // Each input must actually exercise the rule it aims at; read it off
     // S's own event stream on the default configuration.
@@ -530,8 +586,36 @@ fn targeted_scan_inputs_reach_their_cases() {
     );
 }
 
+/// Three started jobs in three density bands on m = 4: the densest
+/// (density 1,000) takes three processors, the next (density 1) needs
+/// three more and is passed over, and the last (density 0.01) runs on the
+/// remaining processor. Highest-density-first execution skips a job that
+/// does not fit rather than stopping at it.
 #[test]
-fn reset_reused_s_matches_fresh_legacy() {
+fn execution_passes_over_a_job_that_does_not_fit() {
+    let inst = instance(vec![
+        (0, gen::block(4, 10), 30, 60_000),
+        (0, gen::block(4, 10), 30, 60),
+        (0, gen::single(100), 200, 1),
+    ]);
+    check_all(&inst, M, eps1(), "pass over a misfit");
+    let mut s = SchedulerS::with_epsilon(M, 1.0);
+    let log = run_logged(&inst, &mut s, &SimConfig::default()).1;
+    for job in 0..3 {
+        assert!(log.contains(&format!(
+            r#"{{"ev":"admission","t":0,"job":{job},"decision":"admitted"}}"#
+        )));
+    }
+    assert!(
+        log.contains(
+            r#"{"ev":"window","t":0,"ticks":10,"jobs":[[0,4],[1,4],[2,1]],"alloc":[[0,3],[2,1]]"#
+        ),
+        "job 2 did not run beside job 0"
+    );
+}
+
+#[test]
+fn reset_reused_s_matches_fresh_paper_s() {
     // One S and one S-wc value serve every input in turn, reset between
     // runs: the scan's since-last-scan logs and deadline heap must not
     // leak from one run into the next.
@@ -551,7 +635,7 @@ fn reset_reused_s_matches_fresh_legacy() {
     let cfg = SimConfig::default();
     for wc in [false, true] {
         let mut s = SchedulerS::with_epsilon(M, 1.0);
-        let legacy = || OracleSchedulerS::with_epsilon(M, 1.0);
+        let paper = || PaperS::with_epsilon(M, 1.0);
         if wc {
             s = s.work_conserving();
         }
@@ -560,15 +644,15 @@ fn reset_reused_s_matches_fresh_legacy() {
             if i > 0 {
                 assert!(s.reset());
             }
-            let (res_new, log_new) = run_logged(inst, &mut s, &cfg);
-            let mut oracle = legacy();
+            let (res_production, log_production) = run_logged(inst, &mut s, &cfg);
+            let mut reference = paper();
             if wc {
-                oracle = oracle.work_conserving();
+                reference = reference.work_conserving();
             }
-            let (res_legacy, log_legacy) = run_logged(inst, &mut oracle, &cfg);
+            let (res_paper, log_paper) = run_logged(inst, &mut reference, &cfg);
             let tag = format!("reset-reused run {i} ({label}) wc {wc}");
-            assert_eq!(res_new, res_legacy, "{tag}: SimResult diverged");
-            assert_identical(&log_new, &log_legacy, &tag);
+            assert_eq!(res_production, res_paper, "{tag}: SimResult diverged");
+            assert_identical(&log_production, &log_paper, &tag);
         }
     }
 }

@@ -18,7 +18,7 @@
 use crate::instance::Instance;
 use crate::job::JobSpec;
 use crate::profit::StepProfitFn;
-use dagsched_core::{JobId, Result, Rng64, Time};
+use dagsched_core::{JobId, Result, Rng64, SchedError, Time};
 use dagsched_dag::gen as dgen;
 
 /// Per-class shape knobs (see module docs).
@@ -95,8 +95,28 @@ impl ClusterTraceGen {
     }
 
     /// Generate the instance.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::InvalidInstance`] if `m` is zero, the peak rate is not
+    /// positive and finite, or the trough ratio is outside `(0, 1]`.
     pub fn generate(&self) -> Result<Instance> {
-        assert!(self.peak_rate > 0.0 && self.trough_ratio > 0.0 && self.trough_ratio <= 1.0);
+        let invalid = |msg: String| Err(SchedError::InvalidInstance(msg));
+        if self.m == 0 {
+            return invalid("m must be positive".into());
+        }
+        if !(self.peak_rate.is_finite() && self.peak_rate > 0.0) {
+            return invalid(format!(
+                "peak arrival rate must be positive and finite, got {}",
+                self.peak_rate
+            ));
+        }
+        if !(self.trough_ratio > 0.0 && self.trough_ratio <= 1.0) {
+            return invalid(format!(
+                "trough ratio must be in (0, 1], got {}",
+                self.trough_ratio
+            ));
+        }
         let mut rng = Rng64::seed_from(self.seed);
         let mut jobs = Vec::with_capacity(self.n_jobs);
         // Thinning: candidate events at the peak rate, accepted with
@@ -262,5 +282,30 @@ mod tests {
         assert_eq!(stats.n_jobs, 100);
         assert!(stats.load_factor > 0.0);
         let _ = Speed::ONE; // engine-side integration lives in root tests
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_errors() {
+        let base = ClusterTraceGen::new(8, 10, 1);
+        for gen in [
+            ClusterTraceGen::new(0, 10, 1),
+            ClusterTraceGen {
+                peak_rate: f64::INFINITY,
+                ..base.clone()
+            },
+            ClusterTraceGen {
+                trough_ratio: 0.0,
+                ..base.clone()
+            },
+            ClusterTraceGen {
+                trough_ratio: 1.5,
+                ..base
+            },
+        ] {
+            assert!(
+                matches!(gen.generate(), Err(SchedError::InvalidInstance(_))),
+                "{gen:?}"
+            );
+        }
     }
 }

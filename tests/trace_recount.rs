@@ -92,7 +92,9 @@ const EDF: Build = |m| Box::new(Edf::new(m));
 
 /// Runs each scheduler on `inst` under `cfg` on both engine paths, asserts
 /// equal traces, and recounts the statistics from the expanded ticks.
-fn check(inst: &Instance, builds: &[Build], cfg: &SimConfig, tag: &str) {
+/// Returns each scheduler's statistics, in `builds` order.
+fn check(inst: &Instance, builds: &[Build], cfg: &SimConfig, tag: &str) -> Vec<TraceStats> {
+    let mut all = Vec::new();
     let completions = |r: &SimResult| -> Vec<(JobId, Time)> {
         let done = r.outcomes.iter().enumerate().filter_map(|(i, o)| match *o {
             JobStatus::Completed { at, .. } => Some((JobId(i as u32), at)),
@@ -130,7 +132,9 @@ fn check(inst: &Instance, builds: &[Build], cfg: &SimConfig, tag: &str) {
             "{label}: stats disagree with brute-force recount"
         );
         assert!(got.jobs_run <= inst.len(), "{label}: phantom jobs in trace");
+        all.push(got);
     }
+    all
 }
 
 #[test]
@@ -168,6 +172,25 @@ fn stats_match_recount_under_preemption_heavy_overload() {
         &SimConfig::default(),
         "overload",
     );
+
+    // At slack 1.1 no job is δ-good, so S and S-profit run nothing above.
+    // At slack 2 both run jobs under the same overload.
+    let inst = WorkloadGen {
+        arrivals: ArrivalProcess::poisson_for_load(5.0, 40.0, m),
+        deadlines: DeadlinePolicy::SlackFactor(2.0),
+        ..WorkloadGen::standard(m, 60, 31)
+    }
+    .generate()
+    .expect("valid workload");
+    let stats = check(
+        &inst,
+        &[S, S_PROFIT],
+        &SimConfig::default(),
+        "overload at slack 2",
+    );
+    for (name, got) in ["S", "S-profit"].iter().zip(&stats) {
+        assert!(got.busy_ticks > 0, "{name} ran nothing at slack 2");
+    }
 }
 
 #[test]
