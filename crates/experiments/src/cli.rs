@@ -333,6 +333,23 @@ mod tests {
     }
 
     #[test]
+    fn gen_beyond_the_job_id_range_is_an_error() {
+        for kind in ["standard", "cluster --m 1"] {
+            let cmd = parse(&argv(&format!(
+                "gen --kind {kind} --n 18446744073709551615"
+            )))
+            .unwrap();
+            let err = execute(&cmd, "").unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid instance: 18446744073709551615 jobs exceed the job id range \
+                 (at most 4294967295)",
+                "--kind {kind}"
+            );
+        }
+    }
+
+    #[test]
     fn run_rejects_garbage_input() {
         let cmd = parse(&argv("run")).unwrap();
         assert!(execute(&cmd, "not an instance").is_err());

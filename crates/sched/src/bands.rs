@@ -6,68 +6,47 @@
 //!
 //! > `N(Q ∪ {J_i}, v_j, c·v_j) ≤ b·m` for all `J_j ∈ Q ∪ {J_i}`.
 //!
-//! [`DensityBands`] maintains the multiset of `(density, allotment)` pairs of
-//! queued jobs and answers the admission question *incrementally*: the jobs
-//! live in a balanced tree (a treap keyed by `(density, id)`) where every
-//! node caches its own window load `N(Q, v, c·v)` and every subtree caches
-//! the maximum cached load and the total allotment below it. Because a
-//! candidate at density `d` changes exactly the windows of anchors with
-//! `v ≤ d < c·v` — a contiguous density range — both the query and the
-//! update are O(log |Q|) range operations (range-max with pending-add tags,
-//! and a lazy range-add), instead of an O(|Q|) sliding-window sweep per
-//! call. That sweep is [`reference::ReferenceBands`], which the
-//! differential proptests compare against and [`PaperS`](crate::PaperS)
-//! checks condition (2) with.
+//! Section 5 applies the same rule to each time slot's population.
+//! [`DensityBands`] holds one such population: its jobs, sorted by
+//! `(density, id)` in a `Vec`, with every query a direct scan. S keeps `Q`
+//! in one and walks it for execution; S-profit keeps one per run of slots.
+//! Linear scans suit the populations the rule allows: with `b < 1` and
+//! `c ≥ 18.8` for `ε ≤ 2`, bands are wide and shallow, so a population
+//! holds a handful of jobs (`SchedulerSMetrics::max_q_len` is pinned at 6
+//! on the seed-1 `parked-dense` instance).
 //!
 //! Observation 3 — the bound holds at all times — is exactly the invariant
 //! that insertions are only performed after a successful
 //! [`DensityBands::fits`] check; [`DensityBands::check_invariant`]
-//! re-verifies it from scratch for tests.
+//! re-verifies it from scratch. [`fits_population`] writes condition (2)
+//! out over an unsorted population: it is the independent reference the
+//! paper transcriptions ([`PaperS`](crate::PaperS),
+//! [`PaperSProfit`](crate::PaperSProfit)) and the tests check against.
 
-use dagsched_core::{JobId, Rng64};
-use std::collections::HashMap;
+use dagsched_core::JobId;
 
-/// Null link in the node arena.
-const NIL: u32 = u32::MAX;
-
-/// One queued job, stored as a treap node.
-///
-/// `wl`, `max_wl` and `add` follow the classic lazy-tag convention: a node's
-/// stored `wl`/`max_wl` are correct *relative to its ancestors' pending
-/// `add` tags* (the true value is the stored value plus the sum of `add`
-/// over all strict ancestors). `max_wl` aggregates the node's own `wl` and
-/// both children's `max_wl` shifted by this node's `add`.
+/// One member of a population.
 #[derive(Debug, Clone, Copy)]
-struct Node {
+struct Entry {
     density: f64,
-    allot: u32,
     id: JobId,
-    /// Treap heap priority (drawn from a deterministic stream).
-    prio: u64,
-    left: u32,
-    right: u32,
-    /// Total allotment in this subtree (tag-independent).
-    sum: u64,
-    /// Cached window load of this anchor: `N(Q, v, c·v)`, self included.
-    wl: u64,
-    /// Max window load over this subtree (see struct docs for tag math).
-    max_wl: u64,
-    /// Pending delta for both children's subtrees.
-    add: i64,
+    allot: u32,
 }
 
-/// Multiset of queued jobs ordered by density, supporting the paper's
-/// band-capacity queries in O(log n).
+impl Entry {
+    /// The sort key; densities are finite and non-negative, so the tuple
+    /// comparison is a total order.
+    fn key(&self) -> (f64, u32) {
+        (self.density, self.id.0)
+    }
+}
+
+/// A population of jobs ordered by density, answering the paper's
+/// band-capacity queries.
 #[derive(Debug, Clone)]
 pub struct DensityBands {
-    nodes: Vec<Node>,
-    /// Free slots in `nodes`, reused before growing.
-    free: Vec<u32>,
-    /// Job id → node slot (slots are stable across rotations).
-    index: HashMap<JobId, u32>,
-    root: u32,
-    /// Deterministic priority stream (bit-reproducible across runs).
-    prio_rng: Rng64,
+    /// Sorted ascending by `(density, id)`.
+    entries: Vec<Entry>,
     /// Band width `c > 1`.
     c: f64,
     /// Capacity `b·m`.
@@ -82,99 +61,90 @@ pub struct DensityBands {
 /// probes the full scan would also no-op.
 pub(crate) const BAND_SLACK: f64 = 1e-9;
 
-/// Seed of the deterministic treap-priority stream (also replayed by
-/// [`DensityBands::clear`] so a cleared structure rebuilds the exact shapes
-/// a new one would).
-const PRIO_SEED: u64 = 0x8BAD_F00D_0B57_AC1E;
-
 impl DensityBands {
     /// Create a structure with band width `c` and capacity `b·m`.
     pub fn new(c: f64, capacity: f64) -> DensityBands {
         assert!(c > 1.0, "band width c must exceed 1");
         assert!(capacity > 0.0, "capacity must be positive");
         DensityBands {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            root: NIL,
-            prio_rng: Rng64::seed_from(PRIO_SEED),
+            entries: Vec::new(),
             c,
             capacity,
         }
     }
 
-    /// Return to the freshly-constructed state (same `c` and capacity),
-    /// keeping allocated storage. The priority stream restarts from
-    /// a fixed seed, so subsequent inserts replay exactly what a new
-    /// structure would build.
+    /// Remove every job, keeping allocated storage.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.index.clear();
-        self.root = NIL;
-        self.prio_rng = Rng64::seed_from(PRIO_SEED);
+        self.entries.clear();
     }
 
-    /// Number of queued jobs.
+    /// Number of jobs.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
-    /// True iff no jobs are queued.
+    /// True iff there are no jobs.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Total allotment of queued jobs with density in `[lo, hi)` —
-    /// the paper's `N(Q, lo, hi)`. O(log n).
+    /// Total allotment of jobs with density in `[lo, hi)` — the paper's
+    /// `N(Q, lo, hi)`.
     pub fn band_load(&self, lo: f64, hi: f64) -> u64 {
-        self.sum_range(self.root, lo, hi)
-    }
-
-    /// `N(Q, v, ∞)`: total allotment of `v`-dense queued jobs. O(log n).
-    pub fn dense_load(&self, v: f64) -> u64 {
-        self.sum_ge(self.root, v)
+        self.entries
+            .iter()
+            .skip_while(|e| e.density < lo)
+            .take_while(|e| e.density < hi)
+            .map(|e| e.allot as u64)
+            .sum()
     }
 
     /// Would adding `(density, allot)` keep every band within capacity?
     ///
-    /// Checks `N(Q ∪ {J_i}, v_j, c·v_j) ≤ b·m` for every anchor `v_j` in the
-    /// union, in O(log n): the candidate inflates exactly the anchors whose
-    /// window `[v, c·v)` contains `density` — the contiguous range
-    /// `v ≤ density < c·v` — so the answer is three range-max queries (the
-    /// affected range shifted by `allot`, the two unaffected flanks as-is)
-    /// plus the candidate's own window sum. Anchors are never approximated:
-    /// like the reference sweep, an already-over-capacity population makes
-    /// `fits` return false for any candidate.
+    /// One sliding-window sweep over the population with the candidate
+    /// merged in at its sorted place (after equal-density members): the
+    /// window of anchor `i` holds the entries from `i` up to the first one
+    /// at or above `c·v_i`. Every anchor of the union is checked, so an
+    /// already-over-capacity population rejects any candidate.
     pub fn fits(&self, density: f64, allot: u32) -> bool {
-        debug_assert!(density.is_finite() && density > 0.0);
-        let a = allot as u64;
-        // The candidate's own anchor: existing load in [v, c·v) plus itself.
-        // (With equal-density members present this equals the load of their
-        // shared first anchor, which dominates the per-duplicate windows the
-        // reference sweep also examines — the maxima coincide exactly.)
-        let own = self.sum_range(self.root, density, self.c * density) + a;
-        if own as f64 > self.capacity {
-            return false;
-        }
-        // Affected anchors (v ≤ d < c·v) each gain `a`. An empty range
-        // yields 0, and 0 + a ≤ own ≤ capacity — no false rejection.
-        if (self.max_affected(self.root, 0, density) + a) as f64 > self.capacity {
-            return false;
-        }
-        // Unaffected anchors keep their load but are still quantified over.
-        if self.max_cv_le(self.root, 0, density) as f64 > self.capacity {
-            return false;
-        }
-        if self.max_v_gt(self.root, 0, density) as f64 > self.capacity {
-            return false;
+        debug_assert!(density.is_finite() && density >= 0.0);
+        let cand = Entry {
+            density,
+            id: JobId(u32::MAX),
+            allot,
+        };
+        let pos = self.entries.partition_point(|e| e.key() < cand.key());
+        let get = |i: usize| match i.cmp(&pos) {
+            std::cmp::Ordering::Less => self.entries[i],
+            std::cmp::Ordering::Equal => cand,
+            std::cmp::Ordering::Greater => self.entries[i - 1],
+        };
+        let n = self.entries.len() + 1;
+        // `window` is the load of the entries `[i, j)`.
+        let (mut j, mut window) = (0usize, 0u64);
+        for i in 0..n {
+            if j <= i {
+                // Only a zero-density anchor, whose band `[0, 0)` is
+                // empty, leaves the window behind.
+                (j, window) = (i, 0);
+            } else {
+                window -= get(i - 1).allot as u64;
+            }
+            let hi = self.c * get(i).density;
+            while j < n && get(j).density < hi {
+                window += get(j).allot as u64;
+                j += 1;
+            }
+            if window as f64 > self.capacity {
+                return false;
+            }
         }
         true
     }
 
     /// The lowest density `lo ≤ d` such that an allotment-1 candidate fits
     /// nowhere in `[lo, d]`, found from two window families; `None` if
-    /// neither blocks `d` itself. O(log n).
+    /// neither blocks `d` itself.
     ///
     /// * **Anchor window.** A member anchor `v ≤ d < c·v` whose load is
     ///   above `b·m − 1` rejects every candidate in `[v, d]`: its window
@@ -189,361 +159,41 @@ impl DensityBands {
     /// blocked. Both families hold for every allotment, because a larger
     /// allotment only adds load.
     pub fn blocked_stretch(&self, d: f64) -> Option<f64> {
-        debug_assert!(d.is_finite() && d > 0.0);
-        let anchor = self.first_full_affected(self.root, 0, d);
+        debug_assert!(d.is_finite() && d >= 0.0);
+        let anchor = self
+            .entries
+            .iter()
+            .take_while(|e| e.density <= d)
+            .find(|e| {
+                let hi = self.c * e.density;
+                hi > d && self.full(self.band_load(e.density, hi))
+            })
+            .map(|e| e.density);
         let own = if self.full(0) {
             // Not even an empty window takes one processor.
             Some(0.0)
         } else {
             // `capacity.floor()` is the least load `full` accepts.
-            let target = self.sum_lt(self.root, d) + self.capacity.floor() as u64;
-            self.select_by_sum(self.root, 0, target).and_then(|v_j| {
-                // `c·d'` rounds monotonically in `d'`, so checking the
-                // bottom keeps every `d' ∈ [lo, d]` above `v_j`.
-                let lo = v_j / self.c * (1.0 + BAND_SLACK);
-                (lo <= d && self.c * lo > v_j).then_some(lo)
-            })
+            let need = self.capacity.floor() as u64;
+            let mut load = 0u64;
+            self.entries
+                .iter()
+                .skip_while(|e| e.density < d)
+                .find(|e| {
+                    load += e.allot as u64;
+                    load >= need
+                })
+                .and_then(|e| {
+                    let v_j = e.density;
+                    // `c·d'` rounds monotonically in `d'`, so checking the
+                    // bottom keeps every `d' ∈ [lo, d]` above `v_j`.
+                    let lo = v_j / self.c * (1.0 + BAND_SLACK);
+                    (lo <= d && self.c * lo > v_j).then_some(lo)
+                })
         };
         match (anchor, own) {
             (Some(a), Some(o)) => Some(a.min(o)),
             (a, o) => a.or(o),
-        }
-    }
-
-    /// Insert a job (caller has already verified [`fits`](Self::fits) when
-    /// enforcing the paper's admission rule; insertion itself does not
-    /// check, because Observation 3 is the *caller's* invariant).
-    ///
-    /// O(log n): one window-sum query for the new anchor's cached load, one
-    /// lazy range-add over the anchors whose windows absorb the newcomer,
-    /// one keyed treap split + two merges to link the node.
-    pub fn insert(&mut self, id: JobId, density: f64, allot: u32) {
-        assert!(density.is_finite() && density > 0.0, "bad density");
-        assert!(allot >= 1, "allotment must be at least 1");
-        debug_assert!(
-            !self.index.contains_key(&id),
-            "job {id:?} inserted twice into DensityBands"
-        );
-        let own = self.sum_range(self.root, density, self.c * density) + allot as u64;
-        let root = self.root;
-        self.range_add(root, density, allot as i64);
-        let idx = self.alloc_node(id, density, allot, own);
-        let (l, r) = self.split_key(root, (density, id.0), false);
-        let merged = self.merge(l, idx);
-        self.root = self.merge(merged, r);
-        self.index.insert(id, idx);
-    }
-
-    /// Remove a job by id; returns true if it was present. O(log n).
-    pub fn remove(&mut self, id: JobId) -> bool {
-        let Some(idx) = self.index.remove(&id) else {
-            return false;
-        };
-        let (density, allot) = {
-            let n = &self.nodes[idx as usize];
-            (n.density, n.allot)
-        };
-        let root = self.root;
-        let (l, rest) = self.split_key(root, (density, id.0), false);
-        let (mid, r) = self.split_key(rest, (density, id.0), true);
-        debug_assert_eq!(mid, idx, "split isolated the wrong node");
-        self.free.push(mid);
-        self.root = self.merge(l, r);
-        let root = self.root;
-        self.range_add(root, density, -(allot as i64));
-        true
-    }
-
-    /// Re-verify Observation 3 from scratch: every band anchored at a member
-    /// density is within capacity. O(n log n); for tests and debug
-    /// assertions.
-    pub fn check_invariant(&self) -> bool {
-        self.collect()
-            .iter()
-            .all(|&(_, d, _, _)| self.band_load(d, self.c * d) as f64 <= self.capacity)
-    }
-
-    /// Iterate `(id, density, allot)` ascending by `(density, id)`.
-    pub fn iter(&self) -> impl Iterator<Item = (JobId, f64, u32)> + '_ {
-        self.collect().into_iter().map(|(id, d, a, _)| (id, d, a))
-    }
-
-    /// Every cached per-anchor window load must equal a fresh
-    /// `band_load(v, c·v)` recomputation. Test hook for the differential
-    /// suite; not part of the public contract.
-    #[doc(hidden)]
-    pub fn cache_coherent(&self) -> bool {
-        self.collect()
-            .iter()
-            .all(|&(_, d, _, wl)| wl == self.band_load(d, self.c * d))
-    }
-
-    /// In-order `(id, density, allot, true window load)` snapshot.
-    fn collect(&self) -> Vec<(JobId, f64, u32, u64)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.visit(self.root, 0, &mut out);
-        out
-    }
-
-    fn visit(&self, t: u32, acc: i64, out: &mut Vec<(JobId, f64, u32, u64)>) {
-        if t == NIL {
-            return;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        self.visit(n.left, child_acc, out);
-        out.push((n.id, n.density, n.allot, n.wl.wrapping_add_signed(acc)));
-        self.visit(n.right, child_acc, out);
-    }
-
-    // ----- node arena -----
-
-    fn alloc_node(&mut self, id: JobId, density: f64, allot: u32, wl: u64) -> u32 {
-        let node = Node {
-            density,
-            allot,
-            id,
-            prio: self.prio_rng.next_u64(),
-            left: NIL,
-            right: NIL,
-            sum: allot as u64,
-            wl,
-            max_wl: wl,
-            add: 0,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
-
-    // ----- lazy-tag plumbing -----
-
-    /// Shift a whole subtree's window loads by `delta` (lazily).
-    fn apply(&mut self, t: u32, delta: i64) {
-        if t == NIL {
-            return;
-        }
-        let n = &mut self.nodes[t as usize];
-        n.wl = n.wl.wrapping_add_signed(delta);
-        n.max_wl = n.max_wl.wrapping_add_signed(delta);
-        n.add += delta;
-    }
-
-    /// Move a node's pending tag down to its children.
-    fn push_down(&mut self, t: u32) {
-        let add = self.nodes[t as usize].add;
-        if add != 0 {
-            let (l, r) = {
-                let n = &self.nodes[t as usize];
-                (n.left, n.right)
-            };
-            self.apply(l, add);
-            self.apply(r, add);
-            self.nodes[t as usize].add = 0;
-        }
-    }
-
-    /// Recompute `sum` and `max_wl` from the children (tag-aware).
-    fn pull(&mut self, t: u32) {
-        let (l, r, add, allot, wl) = {
-            let n = &self.nodes[t as usize];
-            (n.left, n.right, n.add, n.allot, n.wl)
-        };
-        let mut sum = allot as u64;
-        let mut mx = wl;
-        if l != NIL {
-            let c = &self.nodes[l as usize];
-            sum += c.sum;
-            mx = mx.max(c.max_wl.wrapping_add_signed(add));
-        }
-        if r != NIL {
-            let c = &self.nodes[r as usize];
-            sum += c.sum;
-            mx = mx.max(c.max_wl.wrapping_add_signed(add));
-        }
-        let n = &mut self.nodes[t as usize];
-        n.sum = sum;
-        n.max_wl = mx;
-    }
-
-    // ----- treap structure -----
-
-    /// Split by key: left side holds `(density, id)` strictly below `key`
-    /// (or `≤ key` when `inclusive`). The tuple comparison mirrors the
-    /// reference sweep's `(density, id.0)` ordering bit-for-bit.
-    fn split_key(&mut self, t: u32, key: (f64, u32), inclusive: bool) -> (u32, u32) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        self.push_down(t);
-        let nk = {
-            let n = &self.nodes[t as usize];
-            (n.density, n.id.0)
-        };
-        let goes_left = if inclusive { nk <= key } else { nk < key };
-        if goes_left {
-            let r = self.nodes[t as usize].right;
-            let (a, b) = self.split_key(r, key, inclusive);
-            self.nodes[t as usize].right = a;
-            self.pull(t);
-            (t, b)
-        } else {
-            let l = self.nodes[t as usize].left;
-            let (a, b) = self.split_key(l, key, inclusive);
-            self.nodes[t as usize].left = b;
-            self.pull(t);
-            (a, t)
-        }
-    }
-
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.nodes[a as usize].prio >= self.nodes[b as usize].prio {
-            self.push_down(a);
-            let r = self.nodes[a as usize].right;
-            let nr = self.merge(r, b);
-            self.nodes[a as usize].right = nr;
-            self.pull(a);
-            a
-        } else {
-            self.push_down(b);
-            let l = self.nodes[b as usize].left;
-            let nl = self.merge(a, l);
-            self.nodes[b as usize].left = nl;
-            self.pull(b);
-            b
-        }
-    }
-
-    // ----- range add (tree shape untouched; aggregates rebuilt on the path) -----
-
-    /// Add `delta` to the cached window of every anchor whose window
-    /// contains `at`: `v ≤ at && c·v > at`.
-    fn range_add(&mut self, t: u32, at: f64, delta: i64) {
-        if t == NIL {
-            return;
-        }
-        let v = self.nodes[t as usize].density;
-        if v > at {
-            let l = self.nodes[t as usize].left;
-            self.range_add(l, at, delta);
-        } else if self.c * v <= at {
-            let r = self.nodes[t as usize].right;
-            self.range_add(r, at, delta);
-        } else {
-            self.nodes[t as usize].wl = self.nodes[t as usize].wl.wrapping_add_signed(delta);
-            let (l, r) = {
-                let n = &self.nodes[t as usize];
-                (n.left, n.right)
-            };
-            self.add_where_cv_gt(l, at, delta);
-            self.add_where_v_le(r, at, delta);
-        }
-        self.pull(t);
-    }
-
-    /// All nodes here have `v ≤ at`; add `delta` where `c·v > at`.
-    fn add_where_cv_gt(&mut self, t: u32, at: f64, delta: i64) {
-        if t == NIL {
-            return;
-        }
-        let v = self.nodes[t as usize].density;
-        if self.c * v > at {
-            self.nodes[t as usize].wl = self.nodes[t as usize].wl.wrapping_add_signed(delta);
-            let (l, r) = {
-                let n = &self.nodes[t as usize];
-                (n.left, n.right)
-            };
-            self.apply(r, delta);
-            self.add_where_cv_gt(l, at, delta);
-        } else {
-            let r = self.nodes[t as usize].right;
-            self.add_where_cv_gt(r, at, delta);
-        }
-        self.pull(t);
-    }
-
-    /// All nodes here have `c·v > at`; add `delta` where `v ≤ at`.
-    fn add_where_v_le(&mut self, t: u32, at: f64, delta: i64) {
-        if t == NIL {
-            return;
-        }
-        let v = self.nodes[t as usize].density;
-        if v <= at {
-            self.nodes[t as usize].wl = self.nodes[t as usize].wl.wrapping_add_signed(delta);
-            let (l, r) = {
-                let n = &self.nodes[t as usize];
-                (n.left, n.right)
-            };
-            self.apply(l, delta);
-            self.add_where_v_le(r, at, delta);
-        } else {
-            let l = self.nodes[t as usize].left;
-            self.add_where_v_le(l, at, delta);
-        }
-        self.pull(t);
-    }
-
-    // ----- read-only range queries (`acc` carries pending ancestor tags) -----
-
-    /// Total allotment with density in `[lo, hi)`.
-    fn sum_range(&self, t: u32, lo: f64, hi: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        if n.density < lo {
-            self.sum_range(n.right, lo, hi)
-        } else if n.density >= hi {
-            self.sum_range(n.left, lo, hi)
-        } else {
-            n.allot as u64 + self.sum_ge(n.left, lo) + self.sum_lt(n.right, hi)
-        }
-    }
-
-    fn sum_ge(&self, t: u32, lo: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        if n.density >= lo {
-            let right = if n.right == NIL {
-                0
-            } else {
-                self.nodes[n.right as usize].sum
-            };
-            n.allot as u64 + right + self.sum_ge(n.left, lo)
-        } else {
-            self.sum_ge(n.right, lo)
-        }
-    }
-
-    fn sum_lt(&self, t: u32, hi: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        if n.density < hi {
-            let left = if n.left == NIL {
-                0
-            } else {
-                self.nodes[n.left as usize].sum
-            };
-            n.allot as u64 + left + self.sum_lt(n.right, hi)
-        } else {
-            self.sum_lt(n.left, hi)
         }
     }
 
@@ -552,353 +202,47 @@ impl DensityBands {
         (load + 1) as f64 > self.capacity
     }
 
-    /// `n`'s density if its own window is full (`acc` as in the queries
-    /// below).
-    fn full_at(&self, n: &Node, acc: i64) -> Option<f64> {
-        self.full(n.wl.wrapping_add_signed(acc))
-            .then_some(n.density)
+    /// Insert a job. Insertion does not check [`fits`](Self::fits):
+    /// Observation 3 is the caller's invariant.
+    pub fn insert(&mut self, id: JobId, density: f64, allot: u32) {
+        assert!(density.is_finite() && density >= 0.0, "bad density");
+        assert!(allot >= 1, "allotment must be at least 1");
+        debug_assert!(
+            self.entries.iter().all(|e| e.id != id),
+            "job {id:?} inserted twice into DensityBands"
+        );
+        let e = Entry { density, id, allot };
+        let at = self.entries.partition_point(|x| x.key() < e.key());
+        self.entries.insert(at, e);
     }
 
-    /// Density of the lowest anchor with `v ≤ d && c·v > d` whose window
-    /// is [`full`](Self::full).
-    fn first_full_affected(&self, t: u32, acc: i64, d: f64) -> Option<f64> {
-        if t == NIL {
-            return None;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if n.density > d {
-            self.first_full_affected(n.left, child_acc, d)
-        } else if self.c * n.density <= d {
-            self.first_full_affected(n.right, child_acc, d)
-        } else {
-            self.first_full_cv_gt(n.left, child_acc, d)
-                .or_else(|| self.full_at(n, acc))
-                .or_else(|| self.first_full_v_le(n.right, child_acc, d))
-        }
-    }
-
-    /// All nodes here have `v ≤ d`; the lowest full anchor with `c·v > d`.
-    fn first_full_cv_gt(&self, t: u32, acc: i64, d: f64) -> Option<f64> {
-        if t == NIL {
-            return None;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if self.c * n.density > d {
-            self.first_full_cv_gt(n.left, child_acc, d)
-                .or_else(|| self.full_at(n, acc))
-                .or_else(|| self.first_full(n.right, child_acc))
-        } else {
-            self.first_full_cv_gt(n.right, child_acc, d)
-        }
-    }
-
-    /// All nodes here have `c·v > d`; the lowest full anchor with `v ≤ d`.
-    fn first_full_v_le(&self, t: u32, acc: i64, d: f64) -> Option<f64> {
-        if t == NIL {
-            return None;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if n.density <= d {
-            self.first_full(n.left, child_acc)
-                .or_else(|| self.full_at(n, acc))
-                .or_else(|| self.first_full_v_le(n.right, child_acc, d))
-        } else {
-            self.first_full_v_le(n.left, child_acc, d)
-        }
-    }
-
-    /// The lowest full anchor of a whole subtree; the `max_wl` guard keeps
-    /// the descent on one path.
-    fn first_full(&self, t: u32, acc: i64) -> Option<f64> {
-        if t == NIL {
-            return None;
-        }
-        let n = &self.nodes[t as usize];
-        if !self.full(n.max_wl.wrapping_add_signed(acc)) {
-            return None;
-        }
-        let child_acc = acc + n.add;
-        self.first_full(n.left, child_acc)
-            .or_else(|| self.full_at(n, acc))
-            .or_else(|| self.first_full(n.right, child_acc))
-    }
-
-    /// Density of the first member, in order, at which the running
-    /// allotment total reaches `target`; `None` if the total falls short.
-    fn select_by_sum(&self, t: u32, below: u64, target: u64) -> Option<f64> {
-        if t == NIL {
-            return None;
-        }
-        let n = &self.nodes[t as usize];
-        let left = if n.left == NIL {
-            0
-        } else {
-            self.nodes[n.left as usize].sum
-        };
-        if below + left >= target {
-            self.select_by_sum(n.left, below, target)
-        } else if below + left + n.allot as u64 >= target {
-            Some(n.density)
-        } else {
-            self.select_by_sum(n.right, below + left + n.allot as u64, target)
-        }
-    }
-
-    /// Max cached window over anchors with `v ≤ d && c·v > d`.
-    fn max_affected(&self, t: u32, acc: i64, d: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if n.density > d {
-            self.max_affected(n.left, child_acc, d)
-        } else if self.c * n.density <= d {
-            self.max_affected(n.right, child_acc, d)
-        } else {
-            let mut mx = n.wl.wrapping_add_signed(acc);
-            mx = mx.max(self.max_suffix_cv_gt(n.left, child_acc, d));
-            mx.max(self.max_prefix_v_le(n.right, child_acc, d))
-        }
-    }
-
-    /// All nodes here have `v ≤ d`; max window where `c·v > d`.
-    fn max_suffix_cv_gt(&self, t: u32, acc: i64, d: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if self.c * n.density > d {
-            let mut mx = n.wl.wrapping_add_signed(acc);
-            if n.right != NIL {
-                mx = mx.max(
-                    self.nodes[n.right as usize]
-                        .max_wl
-                        .wrapping_add_signed(child_acc),
-                );
+    /// Remove a job by id; returns true if it was present.
+    pub fn remove(&mut self, id: JobId) -> bool {
+        match self.entries.iter().position(|e| e.id == id) {
+            Some(at) => {
+                self.entries.remove(at);
+                true
             }
-            mx.max(self.max_suffix_cv_gt(n.left, child_acc, d))
-        } else {
-            self.max_suffix_cv_gt(n.right, child_acc, d)
+            None => false,
         }
     }
 
-    /// All nodes here have `c·v > d`; max window where `v ≤ d`.
-    fn max_prefix_v_le(&self, t: u32, acc: i64, d: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if n.density <= d {
-            let mut mx = n.wl.wrapping_add_signed(acc);
-            if n.left != NIL {
-                mx = mx.max(
-                    self.nodes[n.left as usize]
-                        .max_wl
-                        .wrapping_add_signed(child_acc),
-                );
-            }
-            mx.max(self.max_prefix_v_le(n.right, child_acc, d))
-        } else {
-            self.max_prefix_v_le(n.left, child_acc, d)
-        }
+    /// Re-verify Observation 3 from scratch: every band anchored at a member
+    /// density is within capacity.
+    pub fn check_invariant(&self) -> bool {
+        self.entries
+            .iter()
+            .all(|e| self.band_load(e.density, self.c * e.density) as f64 <= self.capacity)
     }
 
-    /// Max cached window over anchors with `c·v ≤ d` (low flank).
-    fn max_cv_le(&self, t: u32, acc: i64, d: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if self.c * n.density <= d {
-            let mut mx = n.wl.wrapping_add_signed(acc);
-            if n.left != NIL {
-                mx = mx.max(
-                    self.nodes[n.left as usize]
-                        .max_wl
-                        .wrapping_add_signed(child_acc),
-                );
-            }
-            mx.max(self.max_cv_le(n.right, child_acc, d))
-        } else {
-            self.max_cv_le(n.left, child_acc, d)
-        }
-    }
-
-    /// Max cached window over anchors with `v > d` (high flank).
-    fn max_v_gt(&self, t: u32, acc: i64, d: f64) -> u64 {
-        if t == NIL {
-            return 0;
-        }
-        let n = &self.nodes[t as usize];
-        let child_acc = acc + n.add;
-        if n.density > d {
-            let mut mx = n.wl.wrapping_add_signed(acc);
-            if n.right != NIL {
-                mx = mx.max(
-                    self.nodes[n.right as usize]
-                        .max_wl
-                        .wrapping_add_signed(child_acc),
-                );
-            }
-            mx.max(self.max_v_gt(n.left, child_acc, d))
-        } else {
-            self.max_v_gt(n.right, child_acc, d)
-        }
+    /// Iterate `(id, density, allot)` ascending by `(density, id)`.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (JobId, f64, u32)> + '_ {
+        self.entries.iter().map(|e| (e.id, e.density, e.allot))
     }
 }
 
-pub mod reference {
-    //! The direct form of condition (2) — a sorted `Vec` with an O(n)
-    //! sliding-window sweep per query — kept as the behavioral reference
-    //! for the incremental [`DensityBands`](super::DensityBands). The differential
-    //! proptests (`tests/bands_differential.rs`) replay every operation
-    //! against both structures and demand identical answers.
-
-    use dagsched_core::JobId;
-
-    /// An entry of the structure: one queued job.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Entry {
-        density: f64,
-        allot: u32,
-        id: JobId,
-    }
-
-    /// The O(n)-per-query density-band structure.
-    #[derive(Debug, Clone)]
-    pub struct ReferenceBands {
-        /// Sorted ascending by (density, id).
-        entries: Vec<Entry>,
-        c: f64,
-        capacity: f64,
-    }
-
-    impl ReferenceBands {
-        /// Create a structure with band width `c` and capacity `b·m`.
-        pub fn new(c: f64, capacity: f64) -> ReferenceBands {
-            assert!(c > 1.0, "band width c must exceed 1");
-            assert!(capacity > 0.0, "capacity must be positive");
-            ReferenceBands {
-                entries: Vec::new(),
-                c,
-                capacity,
-            }
-        }
-
-        /// Number of queued jobs.
-        pub fn len(&self) -> usize {
-            self.entries.len()
-        }
-
-        /// True iff no jobs are queued.
-        pub fn is_empty(&self) -> bool {
-            self.entries.is_empty()
-        }
-
-        /// Total allotment of queued jobs with density in `[lo, hi)`.
-        pub fn band_load(&self, lo: f64, hi: f64) -> u64 {
-            self.entries
-                .iter()
-                .filter(|e| e.density >= lo && e.density < hi)
-                .map(|e| e.allot as u64)
-                .sum()
-        }
-
-        /// `N(Q, v, ∞)`: total allotment of `v`-dense queued jobs.
-        pub fn dense_load(&self, v: f64) -> u64 {
-            self.entries
-                .iter()
-                .filter(|e| e.density >= v)
-                .map(|e| e.allot as u64)
-                .sum()
-        }
-
-        /// Would adding `(density, allot)` keep every band within capacity?
-        /// One O(n) merged sliding-window sweep.
-        pub fn fits(&self, density: f64, allot: u32) -> bool {
-            debug_assert!(density.is_finite() && density > 0.0);
-            let cand = Entry {
-                density,
-                allot,
-                id: JobId(u32::MAX),
-            };
-            let pos = self
-                .entries
-                .partition_point(|e| (e.density, e.id.0) < (cand.density, cand.id.0));
-            let get = |i: usize| -> Entry {
-                match i.cmp(&pos) {
-                    std::cmp::Ordering::Less => self.entries[i],
-                    std::cmp::Ordering::Equal => cand,
-                    std::cmp::Ordering::Greater => self.entries[i - 1],
-                }
-            };
-            let n = self.entries.len() + 1;
-            let mut j = 0usize;
-            let mut window: u64 = 0;
-            for i in 0..n {
-                if i > 0 {
-                    window -= get(i - 1).allot as u64;
-                }
-                while j < n && get(j).density < self.c * get(i).density {
-                    window += get(j).allot as u64;
-                    j += 1;
-                }
-                if window as f64 > self.capacity {
-                    return false;
-                }
-            }
-            true
-        }
-
-        /// Insert a job (no fits check — Observation 3 is the caller's
-        /// invariant).
-        pub fn insert(&mut self, id: JobId, density: f64, allot: u32) {
-            assert!(density.is_finite() && density > 0.0, "bad density");
-            assert!(allot >= 1, "allotment must be at least 1");
-            let e = Entry { density, allot, id };
-            let pos = self
-                .entries
-                .partition_point(|x| (x.density, x.id.0) < (e.density, e.id.0));
-            self.entries.insert(pos, e);
-        }
-
-        /// Remove a job by id; returns true if it was present.
-        pub fn remove(&mut self, id: JobId) -> bool {
-            match self.entries.iter().position(|e| e.id == id) {
-                Some(i) => {
-                    self.entries.remove(i);
-                    true
-                }
-                None => false,
-            }
-        }
-
-        /// Re-verify Observation 3 from scratch (O(n²)).
-        pub fn check_invariant(&self) -> bool {
-            self.entries
-                .iter()
-                .all(|e| self.band_load(e.density, self.c * e.density) as f64 <= self.capacity)
-        }
-
-        /// Iterate `(id, density, allot)` ascending by density.
-        pub fn iter(&self) -> impl Iterator<Item = (JobId, f64, u32)> + '_ {
-            self.entries.iter().map(|e| (e.id, e.density, e.allot))
-        }
-    }
-}
-
-/// Standalone band check over an arbitrary slot population (used by the
-/// general-profit scheduler, whose per-tick populations `J(t)` are not kept
-/// in a persistent [`DensityBands`]).
-///
-/// Returns true iff adding `(density, allot)` to `members` keeps
+/// Condition (2) written out over an arbitrary population: true iff adding
+/// `(density, allot)` to `members` keeps
 /// `N(members ∪ {cand}, v_j, c·v_j) ≤ capacity` for every anchor in the
 /// union. `members` need not be sorted.
 pub fn fits_population(
@@ -929,11 +273,14 @@ pub fn fits_population(
 
 #[cfg(test)]
 mod tests {
-    use super::reference::ReferenceBands;
     use super::*;
 
     fn bands(c: f64, cap: f64) -> DensityBands {
         DensityBands::new(c, cap)
+    }
+
+    fn members(b: &DensityBands) -> Vec<(f64, u32)> {
+        b.iter().map(|(_, d, a)| (d, a)).collect()
     }
 
     #[test]
@@ -945,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn band_load_and_dense_load() {
+    fn band_load_sums_the_half_open_window() {
         let mut b = bands(4.0, 100.0);
         b.insert(JobId(0), 1.0, 5);
         b.insert(JobId(1), 2.0, 7);
@@ -953,8 +300,8 @@ mod tests {
         assert_eq!(b.band_load(1.0, 4.0), 12, "[1, 4) holds densities 1, 2");
         assert_eq!(b.band_load(2.0, 10.0), 7);
         assert_eq!(b.band_load(2.0, 10.1), 10, "upper bound exclusive");
-        assert_eq!(b.dense_load(2.0), 10);
-        assert_eq!(b.dense_load(0.5), 15);
+        assert_eq!(b.band_load(0.5, f64::INFINITY), 15);
+        assert_eq!(b.band_load(4.0, 2.0), 0, "an inverted window is empty");
         assert_eq!(b.len(), 3);
     }
 
@@ -1043,44 +390,34 @@ mod tests {
     }
 
     #[test]
+    fn zero_density_members_sit_in_no_band() {
+        // A zero-profit job has density 0: its band `[0, 0)` is empty and
+        // no positive anchor's band reaches down to it.
+        let mut b = bands(2.0, 4.0);
+        b.insert(JobId(0), 0.0, 4);
+        b.insert(JobId(1), 0.0, 3);
+        b.insert(JobId(2), 1.0, 4);
+        assert!(b.check_invariant());
+        for (d, a) in [(0.0, 5u32), (0.0, 1), (0.6, 1), (2.0, 4), (1.5, 1)] {
+            assert_eq!(
+                b.fits(d, a),
+                fits_population(&members(&b), d, a, 2.0, 4.0),
+                "disagreement at ({d}, {a})"
+            );
+        }
+        assert!(!b.fits(0.6, 1), "band [0.6, 1.2) would hold 5");
+    }
+
+    #[test]
     #[should_panic(expected = "band width")]
     fn rejects_c_not_above_one() {
         let _ = DensityBands::new(1.0, 5.0);
     }
 
     #[test]
-    #[should_panic(expected = "band width")]
-    fn reference_rejects_c_not_above_one() {
-        let _ = ReferenceBands::new(1.0, 5.0);
-    }
-
-    #[test]
-    fn window_cache_survives_interleaved_updates() {
-        // Exercise the lazy-tag machinery: interleave inserts and removes
-        // across overlapping bands, then demand the cached per-anchor
-        // windows equal fresh recomputations.
-        let mut b = bands(2.0, 1e9);
-        let mut rng = Rng64::seed_from(11);
-        let mut live: Vec<u32> = Vec::new();
-        for i in 0..200u32 {
-            if !live.is_empty() && rng.gen_bool(0.4) {
-                let k = rng.gen_range(live.len() as u64) as usize;
-                assert!(b.remove(JobId(live.swap_remove(k))));
-            } else {
-                let d = 10f64.powf(rng.gen_f64_range(-2.0, 2.0));
-                b.insert(JobId(i), d, 1 + rng.gen_range(8) as u32);
-                live.push(i);
-            }
-            assert!(b.cache_coherent(), "cache diverged after op {i}");
-        }
-        assert_eq!(b.len(), live.len());
-    }
-
-    #[test]
     fn agrees_with_reference_on_a_fixed_script() {
         let (c, cap) = (3.0, 9.0);
-        let mut fast = DensityBands::new(c, cap);
-        let mut slow = ReferenceBands::new(c, cap);
+        let mut b = DensityBands::new(c, cap);
         let script = [
             (0u32, 1.0, 3u32),
             (1, 1.0, 2), // equal-density tie
@@ -1089,20 +426,25 @@ mod tests {
             (4, 1.5, 1),
         ];
         for &(i, d, a) in &script {
-            assert_eq!(fast.fits(d, a), slow.fits(d, a), "fits({d}, {a})");
-            fast.insert(JobId(i), d, a);
-            slow.insert(JobId(i), d, a);
+            assert_eq!(
+                b.fits(d, a),
+                fits_population(&members(&b), d, a, c, cap),
+                "fits({d}, {a})"
+            );
+            b.insert(JobId(i), d, a);
         }
-        for &(lo, hi) in &[(0.5, 1.5), (1.0, 3.0), (1.0, 3.1), (0.0, f64::INFINITY)] {
-            assert_eq!(fast.band_load(lo, hi), slow.band_load(lo, hi));
+        for &(lo, hi, load) in &[(0.5, 1.5, 6), (1.0, 3.0, 6), (1.0, 3.1, 8)] {
+            assert_eq!(b.band_load(lo, hi), load, "[{lo}, {hi})");
         }
-        fast.remove(JobId(1));
-        slow.remove(JobId(1));
+        b.remove(JobId(1));
         for probe in [0.4f64, 0.5, 1.0, 1.5, 2.9, 3.0, 9.0] {
-            assert_eq!(fast.fits(probe, 4), slow.fits(probe, 4), "fits({probe})");
-            assert_eq!(fast.dense_load(probe), slow.dense_load(probe));
+            assert_eq!(
+                b.fits(probe, 4),
+                fits_population(&members(&b), probe, 4, c, cap),
+                "fits({probe})"
+            );
         }
-        assert_eq!(fast.check_invariant(), slow.check_invariant());
+        assert!(b.check_invariant());
     }
 
     mod properties {
@@ -1137,8 +479,8 @@ mod tests {
                 prop_assert_eq!(fits, b2.check_invariant());
             }
 
-            /// fits_population agrees with the incremental structure for
-            /// arbitrary populations.
+            /// fits_population agrees with the structure for arbitrary
+            /// populations.
             #[test]
             fn population_check_agrees(
                 jobs in arb_jobs(),

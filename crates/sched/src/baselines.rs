@@ -662,8 +662,8 @@ mod tests {
         }
     }
 
-    /// The insertion-sorted `Vec` the alive sets replaced, kept as a model:
-    /// `(key, seq, id)` entries placed by binary search under `cmp` on the
+    /// An insertion-sorted `Vec` model of the alive set: `(key, seq, id)`
+    /// entries placed by binary search under `cmp` on the
     /// keys, then ascending `seq`, and removed with `retain`.
     struct SortedVecModel {
         alive: Vec<(f64, u64, JobId)>,
@@ -692,9 +692,9 @@ mod tests {
 
     /// Random interleavings of insert, remove (of alive and of unknown
     /// ids) and clear, over a key pool full of ties, signed zeros,
-    /// infinities and NaNs. The set must iterate exactly like the old
+    /// infinities and NaNs. The set must iterate exactly like the model's
     /// ascending list (FIFO, EDF, HDF, LLF, RANDOM, MOLD-LIST, EQUI) and,
-    /// keyed by `-density`, exactly like S-noadmit's old descending list.
+    /// keyed by `-density`, exactly like S-noadmit's descending order.
     #[test]
     fn alive_set_iterates_like_the_insertion_sorted_vec() {
         const POOL: [f64; 12] = [
@@ -807,7 +807,7 @@ mod tests {
     fn equal_keys_break_ties_by_arrival_order() {
         // Three identical jobs under EDF, announced out of id order: the
         // maintained sorted list must keep them in the order the hooks saw
-        // them, like the stable sort it replaced — not in id (view) order.
+        // them, like a stable sort by key — not in id (view) order.
         let mut s = Edf::new(8);
         for id in [2, 0, 1] {
             s.on_arrival(&info(id, 0, 10, 1, 50, 1), Time(0));

@@ -14,8 +14,8 @@
 //!
 //! Jobs are *started* (admitted to queue `Q`) only if they are `δ`-good
 //! (`D_i ≥ (1+2δ)x_i`) and every density band `[v_j, c·v_j)` stays within
-//! `b·m` processors (condition (2), maintained by
-//! [`DensityBands`] structure). Everything else waits in
+//! `b·m` processors (condition (2), checked by the [`DensityBands`] that
+//! holds `Q`). Everything else waits in
 //! queue `P`; at each job completion, `δ`-fresh jobs from `P` that now pass
 //! the band check are started. Execution is greedy highest-density-first,
 //! granting each scheduled job its full allotment.
@@ -25,17 +25,17 @@
 //! The per-event path (completion → [`admit_from_p`](SchedulerS) scan;
 //! window → [`allocate_into`](OnlineScheduler::allocate_into) + backfill)
 //! is allocation-free after warm-up: job records live in a dense
-//! [`JobSlab`] indexed by `JobId`, the density-ordered queues `Q` and `P`
-//! are sorted `Vec`s, the band condition is answered in O(log |Q|) by the
-//! incremental [`DensityBands`], ready counts are read from the view, and
-//! every per-call index (grant slots, the admission candidate list) is a
-//! hoisted scratch buffer.
+//! [`JobSlab`] indexed by `JobId`, `Q` is a [`DensityBands`] population
+//! and `P` a sorted `Vec`, both in density order, the band condition is
+//! one O(|Q|) sweep, ready counts are read from the view, and every
+//! per-call index (grant slots, the admission candidate list) is a hoisted
+//! scratch buffer.
 //! The completion scan is *targeted*: it re-checks only the parked jobs
 //! whose outcome can have changed since the previous scan, and jumps over
 //! every stretch of them the band cannot take (see
 //! [`admit_from_p`](SchedulerS)). A completion costs one copy of its
-//! candidates plus O(probes · log |Q| + removals · log |P|), rather than a
-//! probe of every job in `P`. [`PaperS`](crate::PaperS) transcribes
+//! candidates plus O(probes · |Q| + removals · |P|), rather than a probe of
+//! every job in `P`. [`PaperS`](crate::PaperS) transcribes
 //! Section 3 with the full scan, and the differential tests hold this
 //! scheduler byte-identical to it.
 
@@ -50,11 +50,10 @@ use dagsched_engine::{
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A sorted-`Vec` ordered set of `(density, id)` keys: the `BTreeSet` it
-/// replaces allocated a node per insert, which put the queues on the
-/// per-event allocation budget. Binary-search insert/remove keep the exact
-/// iteration order `BTreeSet` had (ascending by `(OrdF64, JobId)`), and a
-/// warmed-up queue reuses its backing storage forever.
+/// The waiting queue `P`: a sorted-`Vec` set of `(density, id)` keys,
+/// ascending by `(OrdF64, JobId)`, with binary-search insert and remove. A
+/// warmed-up queue reuses its backing storage, so the per-event paths do
+/// not allocate.
 #[derive(Debug, Clone, Default)]
 struct DensityQueue {
     items: Vec<(OrdF64, JobId)>,
@@ -142,12 +141,11 @@ pub struct SchedulerS {
     params: AlgoParams,
     m: u32,
     jobs: JobSlab<SJob>,
-    /// Started jobs, ordered by (density, id) ascending; iterated in reverse
-    /// for highest-density-first.
-    q: DensityQueue,
-    /// Waiting jobs, same order.
+    /// `Q`: the started jobs, ascending by (density, id); walked in reverse
+    /// for highest-density-first, and the population condition (2) checks.
+    q: DensityBands,
+    /// `P`: the waiting jobs, same order.
     p: DensityQueue,
-    bands: DensityBands,
     metrics: SchedulerSMetrics,
     check_invariants: bool,
     /// Corollary 1's transformation: when the engine runs S at speed `s`,
@@ -187,9 +185,8 @@ impl SchedulerS {
             params,
             m,
             jobs: JobSlab::new(),
-            q: DensityQueue::default(),
+            q: DensityBands::new(params.c(), capacity),
             p: DensityQueue::default(),
-            bands: DensityBands::new(params.c(), capacity),
             metrics: SchedulerSMetrics::default(),
             check_invariants: false,
             speed_hint: 1.0,
@@ -230,10 +227,10 @@ impl SchedulerS {
     }
 
     /// Enable Observation-3 re-verification after every queue mutation
-    /// (O(|Q| log |Q|) per event), and replay the full walk on every
-    /// completion scan: each `P` job the scan passes over, whether
-    /// untouched since its last check or inside a blocked stretch, is
-    /// re-probed to prove the skip sound (O(|P| log |Q|) per completion).
+    /// (O(|Q|²) per event), and replay the full walk on every completion
+    /// scan: each `P` job the scan passes over, whether untouched since its
+    /// last check or inside a blocked stretch, is re-probed to prove the
+    /// skip sound (O(|P| · |Q|) per completion).
     /// For tests.
     pub fn with_invariant_checks(mut self) -> SchedulerS {
         self.check_invariants = true;
@@ -270,7 +267,7 @@ impl SchedulerS {
     fn assert_invariant(&self) {
         if self.check_invariants {
             assert!(
-                self.bands.check_invariant(),
+                self.q.check_invariant(),
                 "Observation 3 violated: a density band exceeds b*m"
             );
         }
@@ -288,8 +285,7 @@ impl SchedulerS {
         } else {
             self.metrics.admitted_at_arrival += 1;
         }
-        self.q.insert(key);
-        self.bands.insert(id, density, allot);
+        self.q.insert(id, density, allot);
         self.metrics.started_profit += profit;
         self.metrics.started_count += 1;
         self.metrics.max_q_len = self.metrics.max_q_len.max(self.q.len());
@@ -300,15 +296,13 @@ impl SchedulerS {
     /// Drop a job from whichever queue holds it.
     fn forget(&mut self, id: JobId) {
         if let Some(job) = self.jobs.remove(id) {
-            let key = (OrdF64(job.density), id);
             if job.in_q {
-                self.q.remove(&key);
-                self.bands.remove(id);
+                self.q.remove(id);
                 let (v, c) = (job.density, self.params.c());
                 self.recheck_bands
                     .push((v / c * (1.0 - BAND_SLACK), v * c * (1.0 + BAND_SLACK)));
             } else {
-                self.p.remove(&key);
+                self.p.remove(&(OrdF64(job.density), id));
             }
         }
         self.assert_invariant();
@@ -325,14 +319,13 @@ impl SchedulerS {
     fn standard_pass(&self, m: u32, out: &mut Allocation) -> u32 {
         out.clear();
         let mut left = m;
-        for &(_, id) in self.q.iter().rev() {
+        for (id, _, allot) in self.q.iter().rev() {
             if left == 0 {
                 break;
             }
-            let job = self.jobs.get(id).expect("queued job is known");
-            if job.allot <= left {
-                out.push((id, job.allot));
-                left -= job.allot;
+            if allot <= left {
+                out.push((id, allot));
+                left -= allot;
             }
         }
         left
@@ -360,7 +353,7 @@ impl SchedulerS {
             self.slot_lut.set(id, slot as u32);
         }
         // Stage 1 + 2: walk Q by density again.
-        for &(_, id) in self.q.iter().rev() {
+        for (id, ..) in self.q.iter().rev() {
             if left == 0 {
                 return;
             }
@@ -454,9 +447,9 @@ impl SchedulerS {
     /// The candidates are walked in descending `(density, id)` order with
     /// the full scan's per-candidate body ([`probe`](Self::probe)), so
     /// admissions and rejections come out in the same order. Cost: one
-    /// copy of the candidates, plus O(probes · log |Q| + removals ·
-    /// log |P|); a probe that fails on `fits` alone adds one stretch query
-    /// and two binary searches.
+    /// copy of the candidates, plus O(probes · |Q| + removals · |P|); a
+    /// probe that fails on `fits` alone adds one stretch query and two
+    /// binary searches.
     fn admit_from_p(&mut self, now: Time) {
         let mut candidates = std::mem::take(&mut self.admit_scratch);
         let mut expired = std::mem::take(&mut self.expired_scratch);
@@ -476,7 +469,7 @@ impl SchedulerS {
             if !self.probe(key.1, now) {
                 continue;
             }
-            let Some(lo) = self.bands.blocked_stretch(key.0 .0) else {
+            let Some(lo) = self.q.blocked_stretch(key.0 .0) else {
                 continue;
             };
             let bottom = candidates[..i].partition_point(|k| k.0 .0 < lo);
@@ -572,7 +565,7 @@ impl SchedulerS {
         if !job.admissible || self.stale(&job, now) {
             return false;
         }
-        if self.bands.fits(job.density, job.allot) {
+        if self.q.fits(job.density, job.allot) {
             self.start_job(id, true);
             return false;
         }
@@ -615,7 +608,7 @@ impl SchedulerS {
             "completion scan skipped {id:?}, whose deadline has passed"
         );
         assert!(
-            !(job.admissible && !self.stale(&job, now) && self.bands.fits(job.density, job.allot)),
+            !(job.admissible && !self.stale(&job, now) && self.q.fits(job.density, job.allot)),
             "completion scan skipped {id:?}, which the full scan would start"
         );
     }
@@ -671,7 +664,7 @@ impl OnlineScheduler for SchedulerS {
             self.metrics.inadmissible += 1;
         }
 
-        if delta_good && self.bands.fits(density, allot) {
+        if delta_good && self.q.fits(density, allot) {
             self.start_job(info.id, false);
         } else {
             if delta_good {
@@ -740,15 +733,13 @@ impl OnlineScheduler for SchedulerS {
     fn reset(&mut self) -> bool {
         // Everything run-dependent goes; the construction parameters
         // (params, m, speed_hint, work_conserving, check_invariants) and the
-        // scratch buffers stay. `bands.clear()` restarts its priority
-        // stream, so queue shapes replay identically.
+        // scratch buffers stay.
         self.jobs.clear();
         self.q.clear();
         self.p.clear();
         self.recheck_bands.clear();
         self.deferred_since_scan.clear();
         self.p_deadlines.clear();
-        self.bands.clear();
         self.metrics = SchedulerSMetrics::default();
         self.report = None;
         true
@@ -1156,6 +1147,10 @@ mod tests {
         assert!(metrics.admission_probes <= 254_006 / 5);
         assert_eq!(metrics.admitted_from_p, 1_295);
         assert_eq!(metrics.started_count, 1_302);
+        // `Q` stays this small, which is what makes linear band scans the
+        // right structure; a workload that grows it far past this should
+        // revisit `DensityBands`.
+        assert_eq!(metrics.max_q_len, 6);
         assert_eq!(r.total_profit, 3_598);
         assert_eq!(r.steps_executed, 4_069);
 

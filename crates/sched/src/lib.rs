@@ -3,10 +3,12 @@
 //! The paper's contribution — scheduler **S** — plus the baselines it is
 //! compared against.
 //!
-//! * [`bands`] — the density-band admission structure implementing
-//!   condition (2): for every job `J_j` in the running queue, the total
-//!   allotment of jobs with density in `[v_j, c·v_j)` stays ≤ `b·m`
-//!   (Observation 3 is an invariant of this structure);
+//! * [`bands`] — the density-band population implementing condition (2):
+//!   for every job `J_j` in the population, the total allotment of jobs
+//!   with density in `[v_j, c·v_j)` stays ≤ `b·m` (Observation 3 is an
+//!   invariant of this structure). It holds S's running queue and each of
+//!   S-profit's slot populations; `fits_population` is the condition
+//!   written out, the reference both are tested against;
 //! * [`deadline`] — [`SchedulerS`]: the throughput algorithm of Section 3
 //!   (jobs with deadlines and fixed profits);
 //! * [`profit`] — [`SchedulerSProfit`]: the general-profit algorithm of

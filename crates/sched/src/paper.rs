@@ -3,9 +3,10 @@
 //! [`PaperS`] is scheduler S of Section 3 and [`PaperSProfit`] the
 //! general-profit scheduler of Section 5. Each reads next to its section:
 //! one comment per rule, plain maps, sorted scans, and every quantity
-//! computed where the paper defines it. Condition (2) is checked by the
-//! O(n) sweeps: [`ReferenceBands`] for S, [`fits_population`] per slot for
-//! S-profit. Nothing here is indexed or incremental; that is the work of
+//! computed where the paper defines it. Condition (2) is checked by
+//! [`fits_population`], over `Q` for S and over each slot's population for
+//! S-profit, so the transcriptions share no band code with production.
+//! Nothing here is indexed or incremental; that is the work of
 //! [`SchedulerS`](crate::SchedulerS) and
 //! [`SchedulerSProfit`](crate::SchedulerSProfit).
 //!
@@ -15,7 +16,7 @@
 //! `profit_differential` suites of `dagsched-verify` demand exactly that,
 //! run for run, on both engine paths.
 
-use crate::bands::{fits_population, reference::ReferenceBands};
+use crate::bands::fits_population;
 use dagsched_core::{AlgoParams, JobId, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
@@ -48,8 +49,6 @@ pub struct PaperS {
     m: u32,
     /// Every alive job S has seen: `Q` is the started ones, `P` the rest.
     jobs: HashMap<JobId, SJob>,
-    /// The allotments of `Q` by density, for condition (2).
-    bands: ReferenceBands,
     work_conserving: bool,
     report: Option<Vec<AdmissionEvent>>,
 }
@@ -62,7 +61,6 @@ impl PaperS {
             params,
             m,
             jobs: HashMap::new(),
-            bands: ReferenceBands::new(params.c(), params.b() * m as f64),
             work_conserving: false,
             report: None,
         }
@@ -98,20 +96,22 @@ impl PaperS {
         keyed.into_iter().map(|(_, id)| id).collect()
     }
 
-    fn start(&mut self, id: JobId) {
-        let job = self.jobs.get_mut(&id).expect("known job");
-        job.started = true;
-        let (density, allot) = (job.density, job.allot);
-        self.bands.insert(id, density, allot);
-        self.record(id, AdmissionDecision::Admitted);
+    /// Condition (2) for `job`: N(Q ∪ {J_i}, v_j, c·v_j) ≤ b·m for every
+    /// anchor `v_j`, the candidate's own density included.
+    fn fits(&self, job: &SJob) -> bool {
+        let q: Vec<(f64, u32)> = self
+            .jobs
+            .values()
+            .filter(|j| j.started)
+            .map(|j| (j.density, j.allot))
+            .collect();
+        let capacity = self.params.b() * self.m as f64;
+        fits_population(&q, job.density, job.allot, self.params.c(), capacity)
     }
 
-    fn forget(&mut self, id: JobId) {
-        if let Some(job) = self.jobs.remove(&id) {
-            if job.started {
-                self.bands.remove(id);
-            }
-        }
+    fn start(&mut self, id: JobId) {
+        self.jobs.get_mut(&id).expect("known job").started = true;
+        self.record(id, AdmissionDecision::Admitted);
     }
 
     /// S-wc's backfill: the processors left over go to ready nodes, topping
@@ -176,21 +176,18 @@ impl OnlineScheduler for PaperS {
         // δ-good: D_i ≥ (1+2δ) x_i.
         let delta_good = admissible && d >= self.params.good_factor() * x;
 
-        self.jobs.insert(
-            info.id,
-            SJob {
-                allot,
-                x,
-                density,
-                deadline: info.arrival.saturating_add(d_rel.ticks()),
-                admissible,
-                started: false,
-            },
-        );
-        // Band admission: start J_i now if it is δ-good and condition (2),
-        // N(Q ∪ {J_i}, v_j, c·v_j) ≤ b·m for every anchor, still holds.
-        // Otherwise it waits in P.
-        if delta_good && self.bands.fits(density, allot) {
+        let job = SJob {
+            allot,
+            x,
+            density,
+            deadline: info.arrival.saturating_add(d_rel.ticks()),
+            admissible,
+            started: false,
+        };
+        self.jobs.insert(info.id, job);
+        // Band admission: start J_i now if it is δ-good and condition (2)
+        // still holds with it. Otherwise it waits in P.
+        if delta_good && self.fits(&job) {
             self.start(info.id);
         } else {
             let reason = if !admissible {
@@ -205,14 +202,14 @@ impl OnlineScheduler for PaperS {
     }
 
     fn on_completion(&mut self, id: JobId, now: Time) {
-        self.forget(id);
+        self.jobs.remove(&id);
         // At each completion, walk P highest density first and start every
         // job that is δ-fresh (d_i − t ≥ (1+δ) x_i) and passes condition
         // (2). A parked job whose deadline has come is dropped.
         for id in self.by_density(false) {
             let job = self.jobs[&id];
             if job.deadline <= now {
-                self.forget(id);
+                self.jobs.remove(&id);
                 self.record(
                     id,
                     AdmissionDecision::Rejected(AdmissionReason::DeadlinePassed),
@@ -221,14 +218,14 @@ impl OnlineScheduler for PaperS {
             }
             let fresh = job.admissible
                 && job.deadline.since(now) as f64 >= self.params.fresh_factor() * job.x;
-            if fresh && self.bands.fits(job.density, job.allot) {
+            if fresh && self.fits(&job) {
                 self.start(id);
             }
         }
     }
 
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.forget(id);
+        self.jobs.remove(&id);
     }
 
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {

@@ -20,22 +20,20 @@
 //!
 //! The plan is stored as maximal runs of consecutive ticks sharing one
 //! population — a [`BTreeMap`] from run start to `Segment`, each holding
-//! its population sorted by density with a prefix-sum table of allotments.
-//! Within a run every tick has the same population, so the admission scan
-//! checks each run **once** (per-band loads by prefix-sum subtraction,
-//! `O(log)` per band) instead of rebuilding a population `Vec` per tick,
-//! and the per-tick allocation is *piecewise constant*: it can only change
-//! at a run boundary or a job event. That is exactly the engine's
+//! its population in a [`DensityBands`]. Within a run every tick has the
+//! same population, so the admission scan checks each run **once** (one
+//! [`DensityBands::fits`] sweep) instead of rebuilding a population per
+//! tick, and the per-tick allocation is *piecewise constant*: it can only
+//! change at a run boundary or a job event. That is exactly the engine's
 //! bounded-stability contract
 //! ([`bounded_stability`](OnlineScheduler::bounded_stability) /
 //! [`stable_until`](OnlineScheduler::stable_until)), so the engine replays
 //! each decision until the next run boundary or event and bulk-advances
-//! this scheduler between slot boundaries. Runs are
-//! split on insert, never merged; past runs are retired incrementally at
-//! each allocate (amortized `O(1)`, replacing the old per-call
-//! `split_off` rebuild). [`PaperSProfit`](crate::PaperSProfit) transcribes
-//! Section 5 with per-tick populations, and the `profit_differential`
-//! suite holds the two byte-identical.
+//! this scheduler between slot boundaries. Runs are split on insert, never
+//! merged; past runs are retired incrementally at each allocate (amortized
+//! `O(1)`). [`PaperSProfit`](crate::PaperSProfit) transcribes Section 5
+//! with per-tick populations, and the `profit_differential` suite holds the
+//! two byte-identical.
 //!
 //! Deviations from the paper text, documented per DESIGN.md:
 //!
@@ -46,112 +44,21 @@
 //! * a job whose profit reaches zero before any valid deadline is rejected
 //!   outright (it could never earn anything anyway).
 
+use crate::bands::DensityBands;
 use dagsched_core::{AlgoParams, JobId, Time};
 use dagsched_engine::{Allocation, JobInfo, OnlineScheduler, TickView};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
-/// One job's presence in one run of time slots.
-#[derive(Debug, Clone, Copy)]
-struct SlotEntry {
-    density: f64,
-    allot: u32,
-    id: JobId,
-}
-
 /// A maximal run of consecutive ticks sharing one slot population.
 ///
-/// The run's start is its key in the plan map; `end` is exclusive. The
-/// population is kept sorted ascending by `(density, id)` with a parallel
-/// prefix-sum table of allotments, so any band load `Σ allot` over a
-/// density range `[lo, hi)` is two binary searches and a subtraction.
+/// The run's start is its key in the plan map; `end` is exclusive.
 #[derive(Debug, Clone)]
 struct Segment {
     /// Exclusive end of the run.
     end: Time,
-    /// Population, sorted ascending by `(density, id)`.
-    entries: Vec<SlotEntry>,
-    /// `prefix[i]` = Σ allot over `entries[..i]`; `len == entries.len()+1`.
-    prefix: Vec<u64>,
-}
-
-impl Segment {
-    fn single(end: Time, e: SlotEntry) -> Segment {
-        Segment {
-            end,
-            entries: vec![e],
-            prefix: vec![0, e.allot as u64],
-        }
-    }
-
-    fn rebuild_prefix(&mut self) {
-        self.prefix.clear();
-        self.prefix.push(0);
-        let mut acc = 0u64;
-        for e in &self.entries {
-            acc += e.allot as u64;
-            self.prefix.push(acc);
-        }
-    }
-
-    fn insert(&mut self, e: SlotEntry) {
-        let at = self.entries.partition_point(|x| {
-            x.density
-                .total_cmp(&e.density)
-                .then(x.id.0.cmp(&e.id.0))
-                .is_lt()
-        });
-        self.entries.insert(at, e);
-        self.rebuild_prefix();
-    }
-
-    fn remove(&mut self, id: JobId) {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.id != id);
-        if self.entries.len() != before {
-            self.rebuild_prefix();
-        }
-    }
-
-    /// Σ allot over entries with density in `[lo, hi)` (plain `f64`
-    /// comparisons, exactly as [`fits_population`]'s scan).
-    ///
-    /// [`fits_population`]: crate::bands::fits_population
-    fn band_load(&self, lo: f64, hi: f64) -> u64 {
-        let a = self.entries.partition_point(|e| e.density < lo);
-        let b = self.entries.partition_point(|e| e.density < hi);
-        self.prefix[b] - self.prefix[a]
-    }
-}
-
-/// Verdict of [`fits_population`](crate::bands::fits_population) for adding
-/// `(v, allot)` to this run's population, computed incrementally.
-///
-/// Only bands that *gain* the candidate can newly exceed capacity — the
-/// population already satisfies every band by the insert-only-after-fits
-/// invariant (Lemma 15). Those are the candidate's own band `[v, c·v)` and
-/// the bands of distinct member anchors `α < v` with `v < c·α`, walked
-/// downward from `v` (the product `c·α` is monotone in `α`, so the walk
-/// stops at the first anchor whose band misses `v`). Duplicate anchors are
-/// subsumed by their first occurrence, whose band load is maximal.
-fn seg_fits(seg: &Segment, v: f64, allot: u32, c: f64, capacity: f64) -> bool {
-    let load = seg.band_load(v, c * v) + allot as u64;
-    if load as f64 > capacity {
-        return false;
-    }
-    let mut i = seg.entries.partition_point(|e| e.density < v);
-    while i > 0 {
-        let anchor = seg.entries[i - 1].density;
-        if v >= c * anchor {
-            break;
-        }
-        let load = seg.band_load(anchor, c * anchor) + allot as u64;
-        if load as f64 > capacity {
-            return false;
-        }
-        i = seg.entries.partition_point(|e| e.density < anchor);
-    }
-    true
+    /// The jobs assigned every tick of the run.
+    pop: DensityBands,
 }
 
 /// The run containing tick `t`, if any.
@@ -171,7 +78,8 @@ fn next_start_after(plan: &BTreeMap<Time, Segment>, t: Time) -> Option<Time> {
 
 /// Assignment state for one job: the slot ranges `I_i` it may run in, as
 /// disjoint ascending half-open intervals. The deadline and slot count live
-/// in `history`; the per-slot density/allotment live in the run entries.
+/// in `history`; the per-slot density/allotment live in the runs'
+/// populations.
 #[derive(Debug, Clone)]
 struct PJob {
     ranges: Vec<(Time, Time)>,
@@ -204,7 +112,7 @@ pub struct SchedulerSProfit {
     history: HashMap<JobId, (Time, usize)>,
     metrics: SchedulerSProfitMetrics,
     /// Allocate-order scratch (density desc, id asc).
-    order: Vec<SlotEntry>,
+    order: Vec<(JobId, f64, u32)>,
     /// Release scratch: starts of runs emptied by the removal.
     empties: Vec<Time>,
 }
@@ -273,14 +181,13 @@ impl SchedulerSProfit {
         if allot as f64 > capacity {
             return None;
         }
-        let c = self.params.c();
         let mut found: Vec<(Time, Time)> = Vec::new();
         let mut count = 0usize;
         let mut t = arrival;
         let end = arrival.saturating_add(bound);
         while t < end && count < k_needed {
             let (stop, usable) = match segment_at(&self.plan, t) {
-                Some(seg) => (seg.end.min(end), seg_fits(seg, v, allot, c, capacity)),
+                Some(seg) => (seg.end.min(end), seg.pop.fits(v, allot)),
                 None => (
                     next_start_after(&self.plan, t).unwrap_or(end).min(end),
                     true,
@@ -317,11 +224,7 @@ impl SchedulerSProfit {
         if seg.end <= at {
             return;
         }
-        let tail = Segment {
-            end: seg.end,
-            entries: seg.entries.clone(),
-            prefix: seg.prefix.clone(),
-        };
+        let tail = seg.clone();
         self.plan.get_mut(&start).expect("just found").end = at;
         self.plan.insert(at, tail);
     }
@@ -330,7 +233,6 @@ impl SchedulerSProfit {
     /// boundary runs, extend the covered runs, and materialize runs for the
     /// covered gap portions.
     fn insert_ranges(&mut self, ranges: &[(Time, Time)], density: f64, allot: u32, id: JobId) {
-        let e = SlotEntry { density, allot, id };
         for &(s, end) in ranges {
             self.split_at(s);
             self.split_at(end);
@@ -338,7 +240,8 @@ impl SchedulerSProfit {
             while cur < end {
                 match self.plan.range(cur..).next().map(|(st, sg)| (*st, sg.end)) {
                     Some((st, seg_end)) if st == cur => {
-                        self.plan.get_mut(&st).expect("just seen").insert(e);
+                        let seg = self.plan.get_mut(&st).expect("just seen");
+                        seg.pop.insert(id, density, allot);
                         cur = seg_end;
                     }
                     next => {
@@ -346,7 +249,10 @@ impl SchedulerSProfit {
                             Some((st, _)) => st.min(end),
                             None => end,
                         };
-                        self.plan.insert(cur, Segment::single(gap_end, e));
+                        let capacity = self.params.b() * self.m as f64;
+                        let mut pop = DensityBands::new(self.params.c(), capacity);
+                        pop.insert(id, density, allot);
+                        self.plan.insert(cur, Segment { end: gap_end, pop });
                         cur = gap_end;
                     }
                 }
@@ -364,8 +270,8 @@ impl SchedulerSProfit {
         self.empties.clear();
         for &(s, e) in &job.ranges {
             for (st, seg) in self.plan.range_mut(s..e) {
-                seg.remove(id);
-                if seg.entries.is_empty() {
+                seg.pop.remove(id);
+                if seg.pop.is_empty() {
                     self.empties.push(*st);
                 }
             }
@@ -377,8 +283,7 @@ impl SchedulerSProfit {
 
     /// Drop runs that ended at or before `now` — nothing before `now` can
     /// execute anymore. Each run is removed exactly once over the whole
-    /// simulation, so this is amortized O(1) per allocate (the seed
-    /// implementation rebuilt the map via `split_off` on every call).
+    /// simulation, so this is amortized O(1) per allocate.
     fn retire(&mut self, now: Time) {
         while let Some((&start, seg)) = self.plan.iter().next() {
             if seg.end > now {
@@ -398,19 +303,19 @@ impl SchedulerSProfit {
         let order = &mut self.order;
         order.clear();
         if let Some(seg) = segment_at(plan, now) {
-            order.extend(seg.entries.iter().copied());
-            order.sort_by(|a, b| b.density.total_cmp(&a.density).then(a.id.0.cmp(&b.id.0)));
+            order.extend(seg.pop.iter());
+            order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             let mut left = view.m;
-            for e in order.iter() {
+            for &(id, _, allot) in order.iter() {
                 if left == 0 {
                     break;
                 }
-                if view.ready_count(e.id).is_none() {
+                if view.ready_count(id).is_none() {
                     continue;
                 }
-                if e.allot <= left {
-                    out.push((e.id, e.allot));
-                    left -= e.allot;
+                if allot <= left {
+                    out.push((id, allot));
+                    left -= allot;
                 }
             }
         }
@@ -663,6 +568,36 @@ mod tests {
     }
 
     #[test]
+    fn zero_profit_jobs_run_like_the_paper_transcription() {
+        // A zero-profit job has density 0, whose band `[0, 0)` is empty;
+        // runs holding such jobs must still admit and execute exactly as
+        // `PaperSProfit`, whose slot check is `fits_population`.
+        let jobs: Vec<JobSpec> = (0..6u32)
+            .map(|i| {
+                let profit = if i % 2 == 0 { 0 } else { 10 };
+                JobSpec::new(
+                    JobId(i),
+                    Time(i as u64),
+                    gen::block(12, 2).into_shared(),
+                    StepProfitFn::deadline(Time(30), profit),
+                )
+            })
+            .collect();
+        let inst = Instance::new(4, jobs).unwrap();
+        let cfg = SimConfig::default();
+        let mut s = SchedulerSProfit::with_epsilon(4, 1.0);
+        let r = simulate(&inst, &mut s, &cfg).unwrap();
+        let mut paper = crate::PaperSProfit::with_epsilon(4, 1.0);
+        assert!(r.same_outcome(&simulate(&inst, &mut paper, &cfg).unwrap()));
+        assert!(
+            r.outcomes.iter().step_by(2).any(|o| o.is_completed()),
+            "a zero-profit job ran: {:?}",
+            r.outcomes
+        );
+        assert!(r.total_profit > 0);
+    }
+
+    #[test]
     fn staircase_workload_earns_planned_or_better_per_job_count() {
         let gen = WorkloadGen {
             shape: ProfitShape::SteppedDecay {
@@ -735,31 +670,22 @@ mod tests {
                 let c = s.params.c();
                 for (start, seg) in &s.plan {
                     prop_assert!(seg.end > *start, "runs are non-empty");
-                    prop_assert!(!seg.entries.is_empty(), "empty runs are dropped");
-                    for anchor in &seg.entries {
+                    prop_assert!(!seg.pop.is_empty(), "empty runs are dropped");
+                    for (_, anchor, _) in seg.pop.iter() {
                         let band: u64 = seg
-                            .entries
+                            .pop
                             .iter()
-                            .filter(|e| {
-                                e.density >= anchor.density
-                                    && e.density < c * anchor.density
-                            })
-                            .map(|e| e.allot as u64)
+                            .filter(|&(_, d, _)| d >= anchor && d < c * anchor)
+                            .map(|(_, _, a)| a as u64)
                             .sum();
                         prop_assert!(
                             band as f64 <= capacity + 1e-9,
                             "run at {start}: band at {} holds {band} > b*m = {capacity}",
-                            anchor.density
+                            anchor
                         );
-                        // The prefix-sum band load agrees with the scan.
-                        prop_assert_eq!(
-                            seg.band_load(anchor.density, c * anchor.density),
-                            band
-                        );
+                        // The structure's band load agrees with the scan.
+                        prop_assert_eq!(seg.pop.band_load(anchor, c * anchor), band);
                     }
-                    // Prefix table is consistent with the entries.
-                    let total: u64 = seg.entries.iter().map(|e| e.allot as u64).sum();
-                    prop_assert_eq!(*seg.prefix.last().unwrap(), total);
                 }
                 // Runs are disjoint and ordered.
                 let mut prev_end = Time(0);

@@ -1,25 +1,64 @@
-//! Differential proptests: the incremental (treap) [`DensityBands`] against
-//! the retained pre-optimization sweep, [`reference::ReferenceBands`].
+//! Differential proptests: [`DensityBands`] against a brute-force model of
+//! its population.
 //!
-//! The reference is the O(|Q|) sorted-`Vec` implementation the scheduler
-//! shipped with; the treap replaces it on the hot path with O(log |Q|)
-//! operations. These tests replay random interleaved
-//! `insert`/`remove`/`fits`/`band_load`/`dense_load` scripts on both and
-//! demand bit-identical answers after every step — with the adversarial
-//! density patterns that break naive window code:
+//! The model is a plain `Vec` of `(id, density, allotment)`: `fits` is
+//! [`fits_population`] (condition (2) written out), `band_load` a
+//! filter-sum, and the invariant a per-anchor check of every member's band.
+//! These tests replay random interleaved `insert`/`remove`/`fits`/
+//! `band_load` scripts on both and demand identical answers after every
+//! step — with the adversarial density patterns that break window code:
 //!
 //! * **equal-density ties** (duplicated base densities, so candidate order
 //!   against existing members matters),
 //! * **exact `c·v` band edges** (densities drawn as `base · c^k`, landing
 //!   precisely on the exclusive upper boundary of other members' bands).
 //!
-//! The stretch query [`DensityBands::blocked_stretch`] has no reference
-//! twin; it is held to its contract instead: every density of a returned
-//! stretch must reject allotment 1 on the reference sweep.
+//! The stretch query [`DensityBands::blocked_stretch`] is held to its
+//! contract: every density of a returned stretch must reject allotment 1
+//! by [`fits_population`].
 
 use dagsched_core::JobId;
-use dagsched_sched::bands::{reference::ReferenceBands, DensityBands};
+use dagsched_sched::bands::{fits_population, DensityBands};
 use proptest::prelude::*;
+
+/// The brute-force population.
+#[derive(Debug, Clone, Default)]
+struct Model {
+    members: Vec<(JobId, f64, u32)>,
+}
+
+impl Model {
+    fn pairs(&self) -> Vec<(f64, u32)> {
+        self.members.iter().map(|&(_, d, a)| (d, a)).collect()
+    }
+
+    fn band_load(&self, lo: f64, hi: f64) -> u64 {
+        self.members
+            .iter()
+            .filter(|&&(_, d, _)| d >= lo && d < hi)
+            .map(|&(_, _, a)| a as u64)
+            .sum()
+    }
+
+    fn check_invariant(&self, c: f64, cap: f64) -> bool {
+        self.members
+            .iter()
+            .all(|&(_, v, _)| self.band_load(v, c * v) as f64 <= cap)
+    }
+
+    fn remove(&mut self, id: JobId) -> bool {
+        let before = self.members.len();
+        self.members.retain(|&(j, _, _)| j != id);
+        self.members.len() != before
+    }
+
+    /// Members ascending by `(density, id)`.
+    fn sorted(&self) -> Vec<(JobId, f64, u32)> {
+        let mut v = self.members.clone();
+        v.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        v
+    }
+}
 
 /// One scripted operation. `which` selects insert/remove/fits/band_load;
 /// the payload indices pick densities and victims deterministically.
@@ -55,25 +94,26 @@ fn neighbour(x: f64, step: i64) -> f64 {
     f64::from_bits(x.to_bits().wrapping_add_signed(step))
 }
 
-/// If `fast` reports a blocked stretch `[lo, d]`, the reference must
+/// If `bands` reports a blocked stretch `[lo, d]`, condition (2) must
 /// reject allotment 1 at its ends, at every member density inside it, at
 /// every `v/c` and `c·v` breakpoint inside it, and one float to either
 /// side of each of those.
-fn check_stretch(fast: &DensityBands, slow: &ReferenceBands, c: f64, d: f64) {
-    let Some(lo) = fast.blocked_stretch(d) else {
+fn check_stretch(bands: &DensityBands, model: &Model, c: f64, cap: f64, d: f64) {
+    let Some(lo) = bands.blocked_stretch(d) else {
         return;
     };
     prop_assert!(lo <= d, "stretch [{}, {}] is empty", lo, d);
-    prop_assert!(!fast.fits(d, 1), "{} fits, yet starts a stretch", d);
+    prop_assert!(!bands.fits(d, 1), "{} fits, yet starts a stretch", d);
+    let members = model.pairs();
     let mut points = vec![lo, d];
-    for (_, v, _) in slow.iter() {
+    for &(v, _) in &members {
         points.extend([v, v / c, c * v]);
     }
     for x in points {
         for y in [neighbour(x, -1), x, neighbour(x, 1)] {
             if lo <= y && y <= d && y > 0.0 {
                 prop_assert!(
-                    !slow.fits(y, 1),
+                    !fits_population(&members, y, 1, c, cap),
                     "{} in the stretch [{}, {}] fits allotment 1",
                     y,
                     lo,
@@ -85,8 +125,8 @@ fn check_stretch(fast: &DensityBands, slow: &ReferenceBands, c: f64, d: f64) {
 }
 
 fn run_script(pool: &[f64], c: f64, cap: f64, ops: &[Op]) {
-    let mut fast = DensityBands::new(c, cap);
-    let mut slow = ReferenceBands::new(c, cap);
+    let mut bands = DensityBands::new(c, cap);
+    let mut model = Model::default();
     let mut live: Vec<JobId> = Vec::new();
     let mut next_id = 0u32;
     for (step, op) in ops.iter().enumerate() {
@@ -97,49 +137,47 @@ fn run_script(pool: &[f64], c: f64, cap: f64, ops: &[Op]) {
                 // is tested on polluted populations too.
                 let id = JobId(next_id);
                 next_id += 1;
-                fast.insert(id, d, op.allot);
-                slow.insert(id, d, op.allot);
+                bands.insert(id, d, op.allot);
+                model.members.push((id, d, op.allot));
                 live.push(id);
             }
             1 => {
                 if !live.is_empty() {
                     let id = live.swap_remove(op.victim as usize % live.len());
-                    prop_assert_eq!(fast.remove(id), slow.remove(id));
-                    prop_assert!(!fast.remove(id), "double remove must be false");
+                    prop_assert_eq!(bands.remove(id), model.remove(id));
+                    prop_assert!(!bands.remove(id), "double remove must be false");
                 }
             }
             2 => {
                 prop_assert_eq!(
-                    fast.fits(d, op.allot),
-                    slow.fits(d, op.allot),
+                    bands.fits(d, op.allot),
+                    fits_population(&model.pairs(), d, op.allot, c, cap),
                     "fits({}, {}) diverged at step {}",
                     d,
                     op.allot,
                     step
                 );
-                check_stretch(&fast, &slow, c, d);
+                check_stretch(&bands, &model, c, cap, d);
             }
             _ => {
                 prop_assert_eq!(
-                    fast.band_load(d, c * d),
-                    slow.band_load(d, c * d),
+                    bands.band_load(d, c * d),
+                    model.band_load(d, c * d),
                     "band_load diverged at step {}",
                     step
                 );
-                prop_assert_eq!(fast.dense_load(d), slow.dense_load(d));
             }
         }
         // Structural agreement after every mutation or query.
-        prop_assert_eq!(fast.len(), slow.len());
-        prop_assert_eq!(fast.check_invariant(), slow.check_invariant());
-        prop_assert!(
-            fast.cache_coherent(),
-            "stale cached window at step {}",
+        prop_assert_eq!(bands.len(), model.members.len());
+        prop_assert_eq!(bands.check_invariant(), model.check_invariant(c, cap));
+        let a: Vec<_> = bands.iter().collect();
+        prop_assert_eq!(
+            a,
+            model.sorted(),
+            "membership snapshots diverged at step {}",
             step
         );
-        let a: Vec<_> = fast.iter().collect();
-        let b: Vec<_> = slow.iter().collect();
-        prop_assert_eq!(a, b, "membership snapshots diverged at step {}", step);
     }
 }
 
@@ -148,7 +186,7 @@ proptest! {
 
     /// Random interleavings over a log-uniform density pool.
     #[test]
-    fn treap_matches_reference_on_random_scripts(
+    fn bands_match_model_on_random_scripts(
         raw_pool in proptest::collection::vec(0.01f64..100.0, 2..6),
         c in 1.2f64..5.0,
         cap in 2.0f64..20.0,
@@ -160,7 +198,7 @@ proptest! {
     /// A pool of a single base density: maximal tie pressure (every job
     /// shares a density or sits exactly `c^k` away).
     #[test]
-    fn treap_matches_reference_under_equal_density_ties(
+    fn bands_match_model_under_equal_density_ties(
         base in 0.1f64..10.0,
         c in 1.2f64..4.0,
         cap in 2.0f64..12.0,
@@ -179,23 +217,26 @@ proptest! {
         cap in 2.0f64..12.0,
     ) {
         let pool = [0.5, 1.0, 7.3];
-        let mut fast = DensityBands::new(c, cap);
-        let mut slow = ReferenceBands::new(c, cap);
+        let mut bands = DensityBands::new(c, cap);
+        let mut model = Model::default();
         for (i, &(dens_idx, allot)) in jobs.iter().enumerate() {
             let d = density(&pool, c, dens_idx);
-            let ff = fast.fits(d, allot);
-            let sf = slow.fits(d, allot);
-            prop_assert_eq!(ff, sf, "admission diverged on job {}", i);
-            if ff {
-                fast.insert(JobId(i as u32), d, allot);
-                slow.insert(JobId(i as u32), d, allot);
+            let fits = bands.fits(d, allot);
+            prop_assert_eq!(
+                fits,
+                fits_population(&model.pairs(), d, allot, c, cap),
+                "admission diverged on job {}",
+                i
+            );
+            if fits {
+                bands.insert(JobId(i as u32), d, allot);
+                model.members.push((JobId(i as u32), d, allot));
             }
         }
-        prop_assert!(fast.check_invariant());
-        prop_assert!(fast.cache_coherent());
-        let a: Vec<_> = fast.iter().collect();
-        let b: Vec<_> = slow.iter().collect();
-        prop_assert_eq!(a, b);
+        prop_assert!(bands.check_invariant());
+        prop_assert!(model.check_invariant(c, cap));
+        let a: Vec<_> = bands.iter().collect();
+        prop_assert_eq!(a, model.sorted());
     }
 
     /// Greedy builds dense enough to fill their bands, queried at every
@@ -207,20 +248,20 @@ proptest! {
         c in 1.2f64..6.0,
         cap in 1.0f64..10.0,
     ) {
-        let mut fast = DensityBands::new(c, cap);
-        let mut slow = ReferenceBands::new(c, cap);
+        let mut bands = DensityBands::new(c, cap);
+        let mut model = Model::default();
         for (i, &(dens_idx, allot)) in jobs.iter().enumerate() {
             let d = density(&raw_pool, c, dens_idx);
-            if fast.fits(d, allot) {
-                fast.insert(JobId(i as u32), d, allot);
-                slow.insert(JobId(i as u32), d, allot);
+            if bands.fits(d, allot) {
+                bands.insert(JobId(i as u32), d, allot);
+                model.members.push((JobId(i as u32), d, allot));
             }
         }
         for idx in 0..=255u8 {
             let d = density(&raw_pool, c, idx);
-            check_stretch(&fast, &slow, c, d);
-            check_stretch(&fast, &slow, c, d * 1.01);
-            check_stretch(&fast, &slow, c, d / 1.01);
+            check_stretch(&bands, &model, c, cap, d);
+            check_stretch(&bands, &model, c, cap, d * 1.01);
+            check_stretch(&bands, &model, c, cap, d / 1.01);
         }
     }
 }

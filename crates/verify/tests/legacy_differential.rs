@@ -2,8 +2,8 @@
 //! S-wc must be **byte-identical** to [`PaperS`], the Section 3
 //! transcription.
 //!
-//! The production scheduler's incremental treap band index, slab job
-//! state, sorted-`Vec` queues, `allocate_into` and targeted completion scan
+//! The production scheduler's `DensityBands` queue with its blocked-stretch
+//! query, slab job state, `allocate_into` and targeted completion scan
 //! claim to change *nothing* observable: same admissions in the same order,
 //! same allocations, same event stream. This file holds them to that claim.
 //! Each production scheduler runs side by side with the transcription on

@@ -15,6 +15,7 @@
 //! All knobs have defaults chosen so `ClusterTraceGen::new(m, n, seed)`
 //! produces something recognizably trace-shaped out of the box.
 
+use crate::gen::check_job_count;
 use crate::instance::Instance;
 use crate::job::JobSpec;
 use crate::profit::StepProfitFn;
@@ -98,13 +99,15 @@ impl ClusterTraceGen {
     ///
     /// # Errors
     ///
-    /// [`SchedError::InvalidInstance`] if `m` is zero, the peak rate is not
-    /// positive and finite, or the trough ratio is outside `(0, 1]`.
+    /// [`SchedError::InvalidInstance`] if `m` is zero, `n_jobs` exceeds
+    /// the [`JobId`] range, the peak rate is not positive and finite, or
+    /// the trough ratio is outside `(0, 1]`.
     pub fn generate(&self) -> Result<Instance> {
         let invalid = |msg: String| Err(SchedError::InvalidInstance(msg));
         if self.m == 0 {
             return invalid("m must be positive".into());
         }
+        check_job_count(self.n_jobs)?;
         if !(self.peak_rate.is_finite() && self.peak_rate > 0.0) {
             return invalid(format!(
                 "peak arrival rate must be positive and finite, got {}",
@@ -118,7 +121,7 @@ impl ClusterTraceGen {
             ));
         }
         let mut rng = Rng64::seed_from(self.seed);
-        let mut jobs = Vec::with_capacity(self.n_jobs);
+        let mut jobs = Vec::new();
         // Thinning: candidate events at the peak rate, accepted with
         // probability rate(t)/peak.
         let mut t = 0.0f64;
@@ -282,6 +285,17 @@ mod tests {
         assert_eq!(stats.n_jobs, 100);
         assert!(stats.load_factor > 0.0);
         let _ = Speed::ONE; // engine-side integration lives in root tests
+    }
+
+    #[test]
+    fn job_counts_beyond_the_job_id_range_are_errors() {
+        for n in [u32::MAX as usize + 1, usize::MAX] {
+            let gen = ClusterTraceGen::new(1, n, 1);
+            assert!(
+                matches!(gen.generate(), Err(SchedError::InvalidInstance(ref e)) if e.contains("job id")),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

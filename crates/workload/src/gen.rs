@@ -18,7 +18,7 @@
 use crate::instance::Instance;
 use crate::job::JobSpec;
 use crate::profit::StepProfitFn;
-use dagsched_core::{JobId, Result, Rng64, Time};
+use dagsched_core::{JobId, Result, Rng64, SchedError, Time};
 use dagsched_dag::{gen as dgen, DagJobSpec};
 
 /// When jobs arrive.
@@ -51,7 +51,7 @@ pub enum ArrivalProcess {
 impl ArrivalProcess {
     /// Generate `n` non-decreasing arrival times.
     fn arrivals(&self, n: usize, rng: &mut Rng64) -> Vec<Time> {
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::new();
         match *self {
             ArrivalProcess::AllAtOnce => out.resize(n, Time::ZERO),
             ArrivalProcess::Poisson { rate } => {
@@ -441,10 +441,16 @@ impl WorkloadGen {
     }
 
     /// Generate the instance.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::InvalidInstance`] if `n_jobs` exceeds the [`JobId`]
+    /// range, or if [`Instance::new`] rejects the result.
     pub fn generate(&self) -> Result<Instance> {
+        check_job_count(self.n_jobs)?;
         let mut rng = Rng64::seed_from(self.seed);
         let arrivals = self.arrivals.arrivals(self.n_jobs, &mut rng);
-        let mut jobs = Vec::with_capacity(self.n_jobs);
+        let mut jobs = Vec::new();
         for (i, arrival) in arrivals.into_iter().enumerate() {
             let dag = self.family.sample(&mut rng).into_shared();
             let brent = {
@@ -461,9 +467,32 @@ impl WorkloadGen {
     }
 }
 
+/// A generator numbers its jobs `0..n`: refuse an `n` whose ids would not
+/// fit a [`JobId`].
+pub(crate) fn check_job_count(n: usize) -> Result<()> {
+    if u32::try_from(n).is_err() {
+        return Err(SchedError::InvalidInstance(format!(
+            "{n} jobs exceed the job id range (at most {})",
+            u32::MAX
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_counts_beyond_the_job_id_range_are_errors() {
+        for n in [u32::MAX as usize + 1, usize::MAX] {
+            let gen = WorkloadGen::standard(8, n, 1);
+            assert!(
+                matches!(gen.generate(), Err(SchedError::InvalidInstance(ref e)) if e.contains("job id")),
+                "n = {n}"
+            );
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {
