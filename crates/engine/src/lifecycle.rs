@@ -26,9 +26,6 @@ use dagsched_core::{JobId, Time};
 use dagsched_dag::UnfoldState;
 use dagsched_workload::JobSpec;
 
-/// Sentinel slot index for "not in the view".
-const NO_SLOT: u32 = u32::MAX;
-
 /// Per-alive-job engine bookkeeping.
 pub(crate) struct Live {
     /// Unfolded DAG execution state.
@@ -71,8 +68,13 @@ pub struct Lifecycle {
     /// completions. The reference path ignores it and calls
     /// [`rebuild_view`](Lifecycle::rebuild_view) every tick instead.
     view: Vec<(JobId, u32)>,
-    /// Dense id → view/alive position map (`NO_SLOT` = not in the view).
-    slot: Vec<u32>,
+    /// Dense id → position hint into `view` and `alive`, meaningful only
+    /// for alive jobs. Arrivals append and removals compact, so a job's
+    /// position only ever moves left: the hint (written at arrival and
+    /// refreshed by each [`position`](Self::position) lookup) is an upper
+    /// bound on the true position, never rewritten for the tail behind a
+    /// removal.
+    pos_hint: Vec<u32>,
     /// Whether the maintained view changed (a job entered or left it, or a
     /// ready count moved) since the driver last cleared the flag. The
     /// production path clears it at each fresh allocation and replays the
@@ -99,7 +101,7 @@ impl Lifecycle {
             outcomes: vec![JobStatus::Unfinished; n],
             alive: Vec::new(),
             view: Vec::new(),
-            slot: vec![NO_SLOT; n],
+            pos_hint: vec![0; n],
             view_changed: false,
             next_arrival: 0,
             total_profit: 0,
@@ -148,53 +150,39 @@ impl Lifecycle {
     pub(crate) fn patch_ready(&mut self, id: JobId) {
         let l = self.live[id.index()].as_ref().expect("patched job is live");
         let rc = l.state.ready_count() as u32;
-        let pos = self.slot[id.index()] as usize;
-        debug_assert!(pos != NO_SLOT as usize, "patched job is in the view");
+        let pos = self.position(id);
+        self.pos_hint[id.index()] = pos as u32;
         if self.view[pos].1 != rc {
             self.view[pos].1 = rc;
             self.view_changed = true;
         }
     }
 
-    /// Remove `id` from the maintained view by ordered compaction (the
-    /// entries behind it shift left one slot). O(tail behind the removed
-    /// position).
-    fn remove_from_view(&mut self, id: JobId) {
-        let pos = self.slot[id.index()] as usize;
-        debug_assert_eq!(self.view[pos].0, id, "slot map points at its job");
-        self.view.remove(pos);
-        self.slot[id.index()] = NO_SLOT;
-        for j in pos..self.view.len() {
-            self.slot[self.view[j].0.index()] = j as u32;
+    /// The position of alive `id` in `view` (and `alive`): its hint if the
+    /// hint still points at it, else a binary search of the ascending ids
+    /// below the hint. O(1) while no earlier job has left since the hint
+    /// was written, O(log alive) otherwise.
+    fn position(&self, id: JobId) -> usize {
+        let hint = self.pos_hint[id.index()] as usize;
+        match self.view.get(hint) {
+            Some(&(at, _)) if at == id => hint,
+            _ => self.view[..hint.min(self.view.len())]
+                .binary_search_by_key(&id, |e| e.0)
+                .expect("alive job is in the view"),
         }
-        self.view_changed = true;
     }
 
-    /// Remove an ascending batch of ids from the maintained view in one
-    /// compaction pass (the batched form of
-    /// [`remove_from_view`](Self::remove_from_view), used by the expiry
-    /// transitions which already collect their batch sorted).
+    /// Remove an ascending batch of alive ids from the maintained view in
+    /// one ordered compaction pass that starts at the first removed
+    /// position (used by the expiry transitions, which collect their batch
+    /// sorted).
     fn remove_batch_from_view(&mut self, removed: &[JobId]) {
-        if removed.is_empty() {
+        let Some(&first) = removed.first() else {
             return;
-        }
+        };
         self.view_changed = true;
-        let first = self.slot[removed[0].index()] as usize;
-        let mut next = 0;
-        let mut w = first;
-        for r in first..self.view.len() {
-            let (id, rc) = self.view[r];
-            if next < removed.len() && removed[next] == id {
-                next += 1;
-                self.slot[id.index()] = NO_SLOT;
-            } else {
-                self.slot[id.index()] = w as u32;
-                self.view[w] = (id, rc);
-                w += 1;
-            }
-        }
-        debug_assert_eq!(next, removed.len(), "every removed id was in the view");
-        self.view.truncate(w);
+        let from = self.position(first);
+        compact(&mut self.view, from, removed, |&(id, _)| id);
     }
 
     /// Profit earned so far.
@@ -248,7 +236,7 @@ impl Lifecycle {
             let ready0 = slot.state.ready_count() as u32;
             self.live[job.id.index()] = Some(slot);
             self.alive.push(job.id);
-            self.slot[job.id.index()] = self.view.len() as u32;
+            self.pos_hint[job.id.index()] = self.view.len() as u32;
             self.view.push((job.id, ready0));
             self.view_changed = true;
             let info = JobInfo {
@@ -324,17 +312,11 @@ impl Lifecycle {
         if expired.is_empty() {
             return false;
         }
-        // `alive` and `expired` are both ascending: one merge pass.
-        let mut next = 0;
-        self.alive.retain(|&id| {
-            if next < expired.len() && expired[next] == id {
-                next += 1;
-                false
-            } else {
-                true
-            }
-        });
-        debug_assert_eq!(next, expired.len(), "every due expiry must be alive");
+        // `alive` and `expired` are both ascending, and `alive` runs
+        // parallel to the view: one merge pass from the first expired
+        // position.
+        let from = self.position(expired[0]);
+        compact(&mut self.alive, from, expired, |&id| id);
         self.remove_batch_from_view(expired);
         for &id in expired.iter() {
             self.outcomes[id.index()] = JobStatus::Expired { at: t };
@@ -368,16 +350,34 @@ impl Lifecycle {
             if let Some(slot) = self.live[id.index()].take() {
                 self.pool.push(slot);
             }
-            // `alive` and `view` are parallel, so the slot map gives the
-            // position in both: an O(tail) positional remove where the old
-            // `retain(|&a| a != id)` rescanned the whole alive list.
-            let pos = self.slot[id.index()] as usize;
+            // `alive` and `view` are parallel, so one lookup gives the
+            // position in both: two memmoves of the tail behind it.
+            let pos = self.position(id);
             self.alive.remove(pos);
-            self.remove_from_view(id);
+            self.view.remove(pos);
+            self.view_changed = true;
             sched.on_completion(id, t_done);
             obs.on_job_complete(t_done, id, profit);
         }
     }
+}
+
+/// Drop the ascending `removed` ids from `list[from..]`, keeping the order
+/// of the rest; every removed id must be there.
+fn compact<T: Copy>(list: &mut Vec<T>, from: usize, removed: &[JobId], id: impl Fn(&T) -> JobId) {
+    let mut next = 0;
+    let mut w = from;
+    for r in from..list.len() {
+        let e = list[r];
+        if next < removed.len() && removed[next] == id(&e) {
+            next += 1;
+        } else {
+            list[w] = e;
+            w += 1;
+        }
+    }
+    debug_assert_eq!(next, removed.len(), "every removed id was in the list");
+    list.truncate(w);
 }
 
 #[cfg(test)]
@@ -472,7 +472,7 @@ mod tests {
         lc.view_changed = false;
 
         // Remove the middle job: ordered compaction, not swap-remove — the
-        // tail keeps arrival order, and the slot map follows it.
+        // tail keeps arrival order.
         lc.complete(&jobs, Time(1), &[JobId(1)], &mut sched, &mut obs);
         assert_eq!(
             lc.view(),

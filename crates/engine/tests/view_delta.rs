@@ -15,9 +15,10 @@
 use dagsched_core::{JobId, Time};
 use dagsched_dag::gen;
 use dagsched_engine::{
-    simulate, Allocation, JobInfo, NodePick, OnlineScheduler, SimConfig, SimDriver, TickView,
-    ViewDelta,
+    simulate, Allocation, JobInfo, JobStatus, NodePick, OnlineScheduler, SimConfig, SimDriver,
+    SimResult, TickView, ViewDelta,
 };
+use dagsched_sched::{Edf, SchedulerS};
 use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
 
 /// Greedy arrival-order scheduler that counts its `allocate_into` calls.
@@ -86,8 +87,8 @@ impl OnlineScheduler for CountingGreedy {
 }
 
 /// Step `inst` to completion under `cfg`, asserting after every step that
-/// the maintained view equals a fresh rebuild. Returns (profit, steps).
-fn run_pinned(inst: &Instance, cfg: &SimConfig, sched: &mut dyn OnlineScheduler) -> (u64, u64) {
+/// the maintained view equals a fresh rebuild.
+fn run_pinned(inst: &Instance, cfg: &SimConfig, sched: &mut dyn OnlineScheduler) -> SimResult {
     let mut driver = SimDriver::new(inst, sched, cfg);
     let mut rebuilt: Vec<(JobId, u32)> = Vec::new();
     loop {
@@ -103,8 +104,7 @@ fn run_pinned(inst: &Instance, cfg: &SimConfig, sched: &mut dyn OnlineScheduler)
             break;
         }
     }
-    let r = driver.finish().expect("finish succeeds");
-    (r.total_profit, r.steps_executed)
+    driver.finish().expect("finish succeeds")
 }
 
 /// Both engine paths: production and naive reference.
@@ -128,12 +128,12 @@ fn maintained_view_equals_rebuild_on_standard_workloads() {
         let mut outcomes = Vec::new();
         for cfg in knob_grid() {
             let mut s = CountingGreedy::new();
-            outcomes.push(run_pinned(&inst, &cfg, &mut s));
+            outcomes.push(run_pinned(&inst, &cfg, &mut s).total_profit);
         }
         // Both paths also agree on profit (steps legitimately differ
         // between fast-forward and naive pacing).
         assert!(
-            outcomes.windows(2).all(|w| w[0].0 == w[1].0),
+            outcomes.windows(2).all(|w| w[0] == w[1]),
             "seed {seed}: profits diverge across knobs: {outcomes:?}"
         );
     }
@@ -250,8 +250,87 @@ fn same_step_admit_and_expire_nets_out_of_the_view() {
     let inst = Instance::new(2, jobs).expect("valid instance");
     for cfg in knob_grid() {
         let mut s = CountingGreedy::new();
-        let (profit, _) = run_pinned(&inst, &cfg, &mut s);
-        assert_eq!(profit, 2, "only job 0 can earn");
+        let r = run_pinned(&inst, &cfg, &mut s);
+        assert_eq!(r.total_profit, 2, "only job 0 can earn");
+    }
+}
+
+/// A large alive set in the `parked-dense` style on `m = 4`: 1,500
+/// background jobs at `t = 0` (the front of the view), a foreground stream
+/// behind them, completions at the front, expiries mid-view and two
+/// expiry waves.
+///
+/// * Every 50th background job is short (work 30, deadline 1,000): the
+///   processor the foreground leaves spare finishes them one by one at the
+///   front of the view, so the stored positions of every job behind go
+///   stale.
+/// * The rest are long (work 5,000) and cannot finish: the even ones
+///   expire in one wave at `t = 200`, a merge that starts at the front
+///   and keeps every odd one, while the foreground still runs 750
+///   positions further back; the odd ones go at `t = 600`.
+/// * The foreground is one job per tick for 300 ticks (work 3, deadline
+///   10); every seventh is hopeless (work 50, deadline 2) and expires in
+///   the middle of the view.
+fn large_alive_instance() -> Instance {
+    let n = 1_500u32;
+    let mut jobs: Vec<JobSpec> = (0..n)
+        .map(|i| {
+            let (work, deadline) = match i {
+                _ if i % 50 == 0 => (30, 1_000),
+                _ if i % 2 == 0 => (5_000, 200),
+                _ => (5_000, 600),
+            };
+            JobSpec::new(
+                JobId(i),
+                Time(0),
+                gen::single(work).into_shared(),
+                StepProfitFn::deadline(Time(deadline), 1),
+            )
+        })
+        .collect();
+    for i in 0..300u32 {
+        let (work, deadline) = if i % 7 == 3 { (50, 2) } else { (3, 10) };
+        jobs.push(JobSpec::new(
+            JobId(n + i),
+            Time(u64::from(i)),
+            gen::single(work).into_shared(),
+            StepProfitFn::deadline(Time(deadline), 3),
+        ));
+    }
+    Instance::new(4, jobs).expect("valid large-alive instance")
+}
+
+#[test]
+fn maintained_view_equals_rebuild_with_a_large_alive_set() {
+    let inst = large_alive_instance();
+    for cfg in knob_grid() {
+        let mut edf = Edf::new(4);
+        let mut s = SchedulerS::with_epsilon(4, 1.0);
+        let scheds: [&mut dyn OnlineScheduler; 2] = [&mut edf, &mut s];
+        for sched in scheds {
+            let name = sched.name();
+            let r = run_pinned(&inst, &cfg, sched);
+            // The shape the test relies on: front completions, mid-view
+            // expiries and both waves all happen.
+            let (background, foreground) = r.outcomes.split_at(1_500);
+            assert!(
+                background.iter().step_by(50).any(|o| o.is_completed()),
+                "{name}: no completion at the front"
+            );
+            assert!(
+                foreground
+                    .iter()
+                    .any(|o| matches!(o, JobStatus::Expired { .. })),
+                "{name}: no mid-view expiry"
+            );
+            for (i, at) in [(2, 200), (1, 600)] {
+                assert_eq!(
+                    background[i],
+                    JobStatus::Expired { at: Time(at) },
+                    "{name}: job {i} leaves in its wave"
+                );
+            }
+        }
     }
 }
 
@@ -308,7 +387,7 @@ mod properties {
                 } else {
                     CountingGreedy::per_tick()
                 };
-                profits.push(run_pinned(&inst, &cfg, &mut s).0);
+                profits.push(run_pinned(&inst, &cfg, &mut s).total_profit);
             }
             prop_assert_eq!(
                 profits[0], profits[1],

@@ -239,6 +239,16 @@ impl DensityBands {
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = (JobId, f64, u32)> + '_ {
         self.entries.iter().map(|e| (e.id, e.density, e.allot))
     }
+
+    /// Iterate `(id, density, allot)` descending by density and, among
+    /// equal densities, ascending by id: S-profit's execution order.
+    pub(crate) fn iter_ranked(&self) -> impl Iterator<Item = (JobId, f64, u32)> + '_ {
+        self.entries
+            .chunk_by(|a, b| a.density == b.density)
+            .rev()
+            .flatten()
+            .map(|e| (e.id, e.density, e.allot))
+    }
 }
 
 /// Condition (2) written out over an arbitrary population: true iff adding

@@ -33,11 +33,11 @@
 //! The completion scan is *targeted*: it re-checks only the parked jobs
 //! whose outcome can have changed since the previous scan, and jumps over
 //! every stretch of them the band cannot take (see
-//! [`admit_from_p`](SchedulerS)). A completion costs one copy of its
-//! candidates plus O(probes · |Q| + removals · |P|), rather than a probe of
-//! every job in `P`. [`PaperS`](crate::PaperS) transcribes
-//! Section 3 with the full scan, and the differential tests hold this
-//! scheduler byte-identical to it.
+//! [`admit_from_p`](SchedulerS)). It walks `P` in place: a completion costs
+//! O(probes · |Q| + removals · |P|) plus a few binary searches per re-check
+//! interval and per jump, rather than a probe of every job in `P`.
+//! [`PaperS`](crate::PaperS) transcribes Section 3 with the full scan, and
+//! the differential tests hold this scheduler byte-identical to it.
 
 use crate::bands::{DensityBands, BAND_SLACK};
 use crate::ord::OrdF64;
@@ -81,13 +81,6 @@ impl DensityQueue {
 
     fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// The keys with density in `[lo, hi]` (`lo ≤ hi`), ascending.
-    fn density_range(&self, lo: f64, hi: f64) -> &[(OrdF64, JobId)] {
-        let start = self.items.partition_point(|(d, _)| d.0 < lo);
-        let end = self.items.partition_point(|(d, _)| d.0 <= hi);
-        &self.items[start..end]
     }
 
     /// Iterate ascending by `(density, id)`.
@@ -160,14 +153,16 @@ pub struct SchedulerS {
     /// (`None` = reporting off, the default: zero cost when unobserved).
     report: Option<Vec<AdmissionEvent>>,
     /// Density intervals `[v/c, c·v]` (widened by [`BAND_SLACK`]) around
-    /// every `v` removed from `Q` since the last completion scan.
+    /// every `v` removed from `Q` since the last completion scan; the scan
+    /// merges them in place.
     recheck_bands: Vec<(f64, f64)>,
     /// Jobs parked in `P` since the last completion scan.
     deferred_since_scan: Vec<JobId>,
     /// `(abs_deadline, id)` of every job parked in `P`, earliest first. Lazy
     /// deletion: entries of jobs that since left `P` are dropped when popped.
     p_deadlines: BinaryHeap<Reverse<(Time, JobId)>>,
-    /// Scratch: the completion scan's candidate keys, ascending.
+    /// Scratch: the completion scan's set-(b) and set-(c) keys outside
+    /// every re-check interval, ascending.
     admit_scratch: Vec<(OrdF64, JobId)>,
     /// Scratch: the candidates whose deadline has passed (set (c) of
     /// [`admit_from_p`](Self::admit_from_p)), ascending.
@@ -446,14 +441,17 @@ impl SchedulerS {
     ///
     /// The candidates are walked in descending `(density, id)` order with
     /// the full scan's per-candidate body ([`probe`](Self::probe)), so
-    /// admissions and rejections come out in the same order. Cost: one
-    /// copy of the candidates, plus O(probes · |Q| + removals · |P|); a
-    /// probe that fails on `fits` alone adds one stretch query and two
-    /// binary searches.
+    /// admissions and rejections come out in the same order. The walk reads
+    /// `P` in place: set (a) as index ranges of `P`, one per merged
+    /// interval, merged with the sets (b) and (c) keys that lie outside
+    /// every interval. Cost: O(probes · |Q| + removals · |P|), plus two
+    /// binary searches per interval; a probe that fails on `fits` alone
+    /// adds one stretch query and three binary searches.
     fn admit_from_p(&mut self, now: Time) {
-        let mut candidates = std::mem::take(&mut self.admit_scratch);
+        let mut bands = std::mem::take(&mut self.recheck_bands);
+        let mut extra = std::mem::take(&mut self.admit_scratch);
         let mut expired = std::mem::take(&mut self.expired_scratch);
-        self.collect_candidates(now, &mut candidates, &mut expired);
+        self.collect_candidates(now, &mut bands, &mut extra, &mut expired);
         // Invariant mode replays the full walk over a snapshot of `P`.
         let replay: Vec<(OrdF64, JobId)> = if self.check_invariants {
             self.p.iter().copied().collect()
@@ -461,71 +459,101 @@ impl SchedulerS {
             Vec::new()
         };
         let mut unwalked = replay.as_slice();
-        let mut i = candidates.len();
-        while i > 0 {
-            i -= 1;
-            let key = candidates[i];
+        // The walk's state: `P` indices `[lo, hi)` of the current interval
+        // not yet walked, the intervals `bands[..b]` not yet entered, the
+        // keys `extra[..e]`, and `floor`, the density every key walked from
+        // here on lies below. A probe removes only its own key, at or above
+        // the cursor, so the indices below it stay valid.
+        let (mut lo, mut hi, mut b, mut e) = (0, 0, bands.len(), extra.len());
+        let mut floor = f64::INFINITY;
+        loop {
+            while lo == hi && b > 0 {
+                b -= 1;
+                let (v_lo, v_hi) = bands[b];
+                lo = self.p.items.partition_point(|k| k.0 .0 < v_lo);
+                hi = self
+                    .p
+                    .items
+                    .partition_point(|k| k.0 .0 <= v_hi && k.0 .0 < floor)
+                    .max(lo);
+            }
+            let key = match (lo < hi, e > 0) {
+                (true, true) if extra[e - 1] > self.p.items[hi - 1] => {
+                    e -= 1;
+                    extra[e]
+                }
+                (true, _) => {
+                    hi -= 1;
+                    self.p.items[hi]
+                }
+                (false, true) => {
+                    e -= 1;
+                    extra[e]
+                }
+                (false, false) => break,
+            };
             self.replay_to(&mut unwalked, key, now);
             if !self.probe(key.1, now) {
                 continue;
             }
-            let Some(lo) = self.q.blocked_stretch(key.0 .0) else {
+            let Some(stretch) = self.q.blocked_stretch(key.0 .0) else {
                 continue;
             };
-            let bottom = candidates[..i].partition_point(|k| k.0 .0 < lo);
-            let from = expired.partition_point(|k| k.0 .0 < lo);
+            // Jump below the stretch, probing only its set-(c) keys. Every
+            // key still to be walked lies below `stretch`, so removing them
+            // shifts none of the indices left to walk. (A spent range's
+            // indices may be stale; they are not read again.)
+            floor = stretch;
+            if lo < hi {
+                hi = lo + self.p.items[lo..hi].partition_point(|k| k.0 .0 < stretch);
+            }
+            e = extra[..e].partition_point(|k| k.0 .0 < stretch);
+            let from = expired.partition_point(|k| k.0 .0 < stretch);
             let to = expired.partition_point(|k| *k < key);
             for &k in expired[from..to].iter().rev() {
                 self.replay_to(&mut unwalked, k, now);
                 self.probe(k.1, now);
             }
-            i = bottom;
         }
         // Invariant mode: the `P` jobs below the last probe were passed
         // over too. (Outside it, `unwalked` is empty.)
         for &(_, id) in unwalked.iter().rev() {
             self.assert_skip_sound(id, now);
         }
-        self.admit_scratch = candidates;
+        bands.clear();
+        self.recheck_bands = bands;
+        self.admit_scratch = extra;
         self.expired_scratch = expired;
     }
 
-    /// Gather the sets (a)–(c) of [`admit_from_p`](Self::admit_from_p) into
-    /// `out`, ascending by `(density, id)` without duplicates, with set (c)
-    /// also in `expired`, same order; and reset the since-last-scan logs.
+    /// Gather the sets (a)–(c) of [`admit_from_p`](Self::admit_from_p):
+    /// `bands` becomes the disjoint union of the re-check intervals,
+    /// ascending; `extra` the keys of sets (b) and (c) outside every such
+    /// interval, and `expired` those of set (c), each ascending by
+    /// `(density, id)` without duplicates. Resets the since-last-scan logs.
     fn collect_candidates(
         &mut self,
         now: Time,
-        out: &mut Vec<(OrdF64, JobId)>,
+        bands: &mut Vec<(f64, f64)>,
+        extra: &mut Vec<(OrdF64, JobId)>,
         expired: &mut Vec<(OrdF64, JobId)>,
     ) {
-        out.clear();
+        extra.clear();
         expired.clear();
-        // (a): merge the re-check intervals, then copy each `P` slice once;
-        // disjoint intervals taken in order give sorted, distinct keys.
-        self.recheck_bands
-            .sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
-        let mut merged: Option<(f64, f64)> = None;
-        for (lo, hi) in self.recheck_bands.drain(..) {
-            match merged {
-                Some((cur_lo, cur_hi)) if lo <= cur_hi => merged = Some((cur_lo, cur_hi.max(hi))),
-                _ => {
-                    if let Some((cur_lo, cur_hi)) = merged {
-                        out.extend_from_slice(self.p.density_range(cur_lo, cur_hi));
-                    }
-                    merged = Some((lo, hi));
-                }
+        // (a): merge the re-check intervals in place.
+        bands.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
+        bands.dedup_by(|next, cur| {
+            let overlaps = next.0 <= cur.1;
+            if overlaps {
+                cur.1 = cur.1.max(next.1);
             }
-        }
-        if let Some((cur_lo, cur_hi)) = merged {
-            out.extend_from_slice(self.p.density_range(cur_lo, cur_hi));
-        }
-        let in_band = out.len();
+            overlaps
+        });
 
         // (b) and (c), restricted to jobs still parked.
         for id in self.deferred_since_scan.drain(..) {
             if let Some(job) = self.jobs.get(id).filter(|j| !j.in_q) {
-                out.push((OrdF64(job.density), id));
+                extra.push((OrdF64(job.density), id));
             }
         }
         while let Some(&Reverse((deadline, id))) = self.p_deadlines.peek() {
@@ -534,14 +562,18 @@ impl SchedulerS {
             }
             self.p_deadlines.pop();
             if let Some(job) = self.parked(id) {
-                out.push((OrdF64(job.density), id));
+                extra.push((OrdF64(job.density), id));
                 expired.push((OrdF64(job.density), id));
             }
         }
-        if out.len() > in_band {
-            out.sort_unstable();
-            out.dedup();
-        }
+        extra.sort_unstable();
+        extra.dedup();
+        // A key inside an interval is walked with the interval's `P` slice.
+        extra.retain(|k| {
+            let d = k.0 .0;
+            let at = bands.partition_point(|&(lo, _)| lo <= d);
+            at == 0 || d > bands[at - 1].1
+        });
         expired.sort_unstable();
     }
 

@@ -111,8 +111,6 @@ pub struct SchedulerSProfit {
     /// Persistent record of every assignment made: `(abs deadline, |I_i|)`.
     history: HashMap<JobId, (Time, usize)>,
     metrics: SchedulerSProfitMetrics,
-    /// Allocate-order scratch (density desc, id asc).
-    order: Vec<(JobId, f64, u32)>,
     /// Release scratch: starts of runs emptied by the removal.
     empties: Vec<Time>,
 }
@@ -128,7 +126,6 @@ impl SchedulerSProfit {
             jobs: Vec::new(),
             history: HashMap::new(),
             metrics: SchedulerSProfitMetrics::default(),
-            order: Vec::new(),
             empties: Vec::new(),
         }
     }
@@ -293,20 +290,15 @@ impl SchedulerSProfit {
         }
     }
 
-    /// The full allocation decision: retire past runs, rank the current
-    /// run's population (density desc, id asc) and fill greedily.
+    /// The full allocation decision: retire past runs, then walk the
+    /// current run's population in place (density desc, id asc) and fill
+    /// greedily.
     fn decide(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         self.retire(view.now);
         out.clear();
-        let now = view.now;
-        let plan = &self.plan;
-        let order = &mut self.order;
-        order.clear();
-        if let Some(seg) = segment_at(plan, now) {
-            order.extend(seg.pop.iter());
-            order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        if let Some(seg) = segment_at(&self.plan, view.now) {
             let mut left = view.m;
-            for &(id, _, allot) in order.iter() {
+            for (id, _, allot) in seg.pop.iter_ranked() {
                 if left == 0 {
                     break;
                 }
@@ -443,7 +435,6 @@ impl OnlineScheduler for SchedulerSProfit {
         self.jobs.clear();
         self.history.clear();
         self.metrics = SchedulerSProfitMetrics::default();
-        self.order.clear();
         self.empties.clear();
         true
     }
@@ -540,6 +531,29 @@ mod tests {
         }
         assert_eq!(s.metrics().scheduled, 6);
         assert_eq!(s.metrics().rejected, 0);
+    }
+
+    #[test]
+    fn equal_density_jobs_run_in_ascending_id_order() {
+        // Three identical jobs share slot 0 at one density, below a denser
+        // fourth; the fill takes the denser job first, then the tied ones
+        // by ascending id, whatever order they arrived in.
+        let mut s = SchedulerSProfit::with_epsilon(8, 1.0);
+        for id in [2, 0, 1] {
+            let f = StepProfitFn::deadline(Time(40), 10);
+            s.on_arrival(&info(id, 0, 8, 4, f), Time(0));
+        }
+        s.on_arrival(
+            &info(3, 0, 8, 4, StepProfitFn::deadline(Time(40), 20)),
+            Time(0),
+        );
+        let jobs: Vec<(JobId, u32)> = (0..4).map(|i| (JobId(i), 1)).collect();
+        let mut out = Vec::new();
+        s.allocate_into(&TickView::new(8, Time(0), &jobs), &mut out);
+        assert_eq!(
+            out,
+            [(JobId(3), 1), (JobId(0), 1), (JobId(1), 1), (JobId(2), 1)]
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use dagsched_core::{AlgoParams, JobId, Speed, Time};
 use dagsched_dag::{gen, DagJobSpec};
-use dagsched_engine::{simulate_observed, NodePick, OnlineScheduler, SimConfig};
+use dagsched_engine::{simulate_observed, NodePick, OnlineScheduler, SimConfig, SimDriver};
 use dagsched_sched::{EdfAc, PaperS, SNoAdmission, SchedulerS};
 use dagsched_verify::EventLog;
 use dagsched_workload::{
@@ -583,6 +583,163 @@ fn targeted_scan_inputs_reach_their_cases() {
     assert!(
         log.contains(r#"{"ev":"complete","t":5,"job":4,"#),
         "the parked job did not complete through backfill"
+    );
+}
+
+/// Set-(b) and set-(c) keys on both sides of, and inside, the completion
+/// scan's one re-check interval. Three density-2,000 `Q` jobs and job 3
+/// (density 12) hold the processors; jobs 3–5 fill the band anchored at
+/// 10, so job 9 (10) parks, and jobs 6–8 (0.1) the one job 10 (0.005)
+/// would join. Job 3 completes at t = 50, and its interval `(0.23, 632)`
+/// holds jobs 9, 12 (15, deadline 50) and 15 (20, parked at t = 49): the
+/// scan takes 12 and 15 with the interval's `P` slice, not a second time
+/// from the since-last-scan logs. Jobs 11 (1,000), 14 and 13 (infeasible,
+/// 0.025 and 0.0125), all with deadline 50, and job 10 lie outside it,
+/// above and below. The walk rejects 11, starts 15, rejects 12, fails on
+/// 9 and jumps to the stretch's bottom (0.38), rejects 14 and 13 (each
+/// removal shifts `P` below the spent interval) and fails on 10, whose
+/// stretch is empty of keys.
+fn extras_around_an_interval() -> Instance {
+    let one = gen::single;
+    instance(vec![
+        (0, one(500), 2_000, 1_000_000),
+        (0, one(500), 2_000, 1_000_000),
+        (0, one(500), 2_000, 1_000_000),
+        (0, one(50), 1_000, 600),
+        (0, one(500), 2_000, 5_000),
+        (0, one(500), 2_000, 5_000),
+        (0, one(500), 2_000, 50),
+        (0, one(500), 2_000, 50),
+        (0, one(500), 2_000, 50),
+        (0, one(100), 1_000, 1_000),
+        (0, one(200), 2_000, 1),
+        (40, one(4), 10, 4_000),
+        (40, one(4), 10, 60),
+        (40, one(20), 10, 1),
+        (40, one(20), 10, 2),
+        (49, one(10), 1_000, 200),
+    ])
+}
+
+/// A blocked-stretch jump from one re-check interval into a lower one.
+/// Job 0 (density 1, allotment 3) is starved by jobs 1 (100,000) and 2
+/// (2,200) and expires at t = 30, leaving the interval `(0.019, 52.7)`
+/// without a scan; job 1 completes at t = 40, adding `(1,897, 5.3·10⁶)`.
+/// Jobs 4–6 (densities 40, 1,000, 1,000; t = 31) fill the band anchored at
+/// 40. At t = 40 job 7 (2,000) fails on that anchor, whose band reaches past
+/// it, so the walk jumps to 40: inside the lower interval it rejects job 9
+/// (48, deadline 40), passes over job 8 (45) and starts job 3 (10), parked
+/// at t = 5 behind job 0.
+fn jump_into_a_lower_interval() -> Instance {
+    let one = gen::single;
+    instance(vec![
+        (0, gen::block(4, 10), 30, 60),
+        (0, one(40), 100, 4_000_000),
+        (0, one(1_000), 3_000, 2_200_000),
+        (5, one(100), 1_000, 1_000),
+        (31, one(1_000), 3_000, 40_000),
+        (31, one(1_000), 3_000, 1_000_000),
+        (31, one(1_000), 3_000, 1_000_000),
+        (32, one(100), 1_000, 200_000),
+        (32, one(100), 1_000, 4_500),
+        (32, one(4), 8, 192),
+    ])
+}
+
+#[test]
+fn optimized_schedulers_match_legacy_on_scan_walk_inputs() {
+    check_all(
+        &extras_around_an_interval(),
+        M,
+        eps1(),
+        "extras-around-an-interval",
+    );
+    check_all(
+        &jump_into_a_lower_interval(),
+        M,
+        eps1(),
+        "jump-into-a-lower-interval",
+    );
+}
+
+#[test]
+fn scan_walk_inputs_reach_their_cases() {
+    let cfg = SimConfig::default();
+    let rejected = |t: u64, job: u32| {
+        format!(
+            r#"{{"ev":"admission","t":{t},"job":{job},"decision":"rejected","reason":"deadline-passed"}}"#
+        )
+    };
+    let admitted = |t: u64, job: u32| {
+        format!(r#"{{"ev":"admission","t":{t},"job":{job},"decision":"admitted"}}"#)
+    };
+
+    let log_of = |inst: &Instance| {
+        let mut s = SchedulerS::with_epsilon(M, 1.0).with_invariant_checks();
+        run_logged(inst, &mut s, &cfg).1
+    };
+
+    let log = log_of(&extras_around_an_interval());
+    assert!(log.contains(r#"{"ev":"complete","t":50,"job":3,"#));
+    let walk = [
+        rejected(50, 11),
+        admitted(50, 15),
+        rejected(50, 12),
+        rejected(50, 14),
+        rejected(50, 13),
+    ];
+    let at: Vec<usize> = walk
+        .iter()
+        .map(|ev| {
+            log.find(ev.as_str())
+                .unwrap_or_else(|| panic!("missing {ev}"))
+        })
+        .collect();
+    assert!(
+        at.windows(2).all(|w| w[0] < w[1]),
+        "the scan at t = 50 walked out of order"
+    );
+    for job in [9, 10] {
+        assert!(
+            !log.contains(&format!(r#""t":50,"job":{job},"#)),
+            "job {job} was started"
+        );
+    }
+
+    let log = log_of(&jump_into_a_lower_interval());
+    assert!(log.contains(r#"{"ev":"expire","t":30,"job":0}"#));
+    assert!(log.contains(r#"{"ev":"complete","t":40,"job":1,"#));
+    let dropped = log
+        .find(&rejected(40, 9))
+        .expect("job 9 was not dropped at t = 40");
+    let started = log
+        .find(&admitted(40, 3))
+        .expect("job 3 was not started at t = 40");
+    assert!(dropped < started, "the jump's rejection lost its place");
+    for job in [7, 8] {
+        assert!(
+            !log.contains(&format!(r#""t":40,"job":{job},"#)),
+            "job {job}, inside the blocked stretch, has an event at t = 40"
+        );
+    }
+    // The scan under test is each run's first, and it probes exactly the
+    // keys above: jobs 11, 15, 12, 9, 14, 13, 10 at t = 50 and 7, 9, 3 at
+    // t = 40. A key walked twice, or one of the passed-over stretch, would
+    // add one.
+    let probes_until = |inst: &Instance, t: u64| {
+        let mut s = SchedulerS::with_epsilon(M, 1.0);
+        SimDriver::new(inst, &mut s, &cfg)
+            .run_until(Time(t))
+            .expect("run_until runs");
+        s.metrics().admission_probes
+    };
+    assert_eq!(
+        (
+            probes_until(&extras_around_an_interval(), 51),
+            probes_until(&jump_into_a_lower_interval(), 41)
+        ),
+        (7, 3),
+        "probes of the scan under test"
     );
 }
 

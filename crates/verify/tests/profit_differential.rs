@@ -249,6 +249,46 @@ fn random_is_golden_on_standard_workloads_and_overload() {
     assert_eq!(fnv1a(all.as_bytes()), 0xbab1_c014_3642_63bf);
 }
 
+/// Lone single-node jobs whose profit pays 10 up to tick 1 and 5 forever
+/// after, so only the tail step can hold a deadline, and the `(1+ε)L`
+/// floor (`2L + 1` at `ε = 1`) sets it. The tail step ends
+/// `horizon − r + k + 2` ticks past the last bound, `k = ⌈1.25 L⌉` slots.
+///
+/// * Job 0 (`L = 3`, `k = 4`, empty plan) needs `D = 7`, the cap's last
+///   tick; its slots `[0, 4)` make the plan's horizon 3.
+/// * Job 1 (`L = 7`, `k = 9`, `r = 1`) needs `D = 15`, a tick past the
+///   cap (`1 + 2 + 9 + 2`): it is rejected.
+/// * Job 2 (`L = 6`, `k = 8`, `r = 1`) needs `D = 13`, the cap's last
+///   tick against that horizon.
+fn tail_cap_instance() -> Instance {
+    use dagsched_dag::gen;
+    let profit = StepProfitFn::steps(vec![(Time(1), 10)], 5).expect("valid profit");
+    let jobs = [(0, 3), (1, 7), (1, 6)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (r, work))| {
+            JobSpec::new(
+                JobId(i as u32),
+                Time(r),
+                gen::single(work).into_shared(),
+                profit.clone(),
+            )
+        })
+        .collect();
+    Instance::new(4, jobs).expect("valid tail-cap instance")
+}
+
+#[test]
+fn tail_step_cap_is_pinned() {
+    let inst = tail_cap_instance();
+    check_all(&inst, "tail cap");
+    let mut s = SchedulerSProfit::with_epsilon(4, 1.0);
+    let r = dagsched_engine::simulate(&inst, &mut s, &SimConfig::default()).expect("run succeeds");
+    let deadlines: Vec<Option<Time>> = (0..3).map(|i| s.assigned_deadline(JobId(i))).collect();
+    assert_eq!(deadlines, [Some(Time(7)), None, Some(Time(14))]);
+    assert_eq!(r.total_profit, 10, "jobs 0 and 2 earn the tail");
+}
+
 /// 40 long background jobs (work 5,000) arrive at `t = 0` behind a brief
 /// wave of 20 chain jobs, one every other tick. Most background jobs are
 /// rejected at admission (band conflicts) and wait out their profit

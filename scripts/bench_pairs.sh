@@ -9,12 +9,19 @@
 # `--workload <workload> --seconds <seconds> --seed <seed>` (defaults: 10 s,
 # seed 1), alternating which side runs first, and prints every run's gated
 # metrics and failed-op count. At the end it prints, per gated metric, each
-# side's median and quartiles and how many pairs the change won (ties count
-# for neither side).
+# side's median and quartiles, how many pairs the change won (ties count
+# for neither side) and a verdict, reading each metric's direction and
+# bound from BENCHMARK.json:
 #
-# A gain holds when the change wins at least nine tenths of the pairs and
-# the medians differ by more than the parent's interquartile range; run at
-# least ten pairs, and confirm on a seed not used while writing the change.
+#   gain        the change wins at least nine tenths of the pairs and the
+#               medians differ, in its favour, by more than the parent's
+#               interquartile range;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's bound (a fraction of the parent's);
+#   unresolved  anything else.
+#
+# Run at least ten pairs for a gain, and confirm it on a seed not used
+# while writing the change.
 #
 # Build trees and outputs go to $BENCH_PAIRS_DIR, by default a new
 # directory under ${TMPDIR:-/tmp}; it is kept so that a rerun with the same
@@ -87,27 +94,42 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-# Median and quartiles (linear interpolation) of the numbers on stdin.
-summary() {
+# First quartile, median and third quartile (linear interpolation) of the
+# numbers on stdin, on one line.
+quartiles() {
     sort -g | awk '
         { v[NR] = $1 }
         function q(p,   h, lo) {
             h = (NR - 1) * p + 1; lo = int(h)
             return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
         }
-        END { printf "%.4f (%.4f-%.4f)", q(0.5), q(0.25), q(0.75) }'
+        END { printf "%.10g %.10g %.10g\n", q(0.25), q(0.5), q(0.75) }'
 }
 
 echo
-printf '%-20s %-36s %-36s %s\n' metric "parent median (q1-q3)" "change median (q1-q3)" "change wins"
+printf '%-20s %-36s %-36s %-28s %s\n' metric "parent median (q1-q3)" "change median (q1-q3)" \
+    "change wins" verdict
 for m in "${metrics[@]}"; do
     mapfile -t p < <(while read -r l; do value "$m" "$l"; done <"$work/parent.jsonl")
     mapfile -t c < <(while read -r l; do value "$m" "$l"; done <"$work/change.jsonl")
-    better=lower
-    [[ $m == items_per_s_refhost ]] && better=higher
+    read -r pq1 pmed pq3 < <(printf '%s\n' "${p[@]}" | quartiles)
+    read -r cq1 cmed cq3 < <(printf '%s\n' "${c[@]}" | quartiles)
+    # The metric's direction and bound, as BENCHMARK.json declares them.
+    read -r better bound < <(sed -nE \
+        "s/.*\"name\": \"$m\",.*\"better\": \"([a-z]+)\", \"bound\": ([0-9.]+).*/\1 \2/p" \
+        "$repo/BENCHMARK.json")
     wins=$(paste -d ' ' <(printf '%s\n' "${p[@]}") <(printf '%s\n' "${c[@]}") |
         awk -v b="$better" '(b == "lower" && $2 < $1) || (b == "higher" && $2 > $1) { n++ } END { print n + 0 }')
-    printf '%-20s %-36s %-36s %s/%s (%s is better)\n' "$m" \
-        "$(printf '%s\n' "${p[@]}" | summary)" "$(printf '%s\n' "${c[@]}" | summary)" \
-        "$wins" "$pairs" "$better"
+    verdict=$(awk -v b="$better" -v bound="$bound" -v w="$wins" -v n="$pairs" \
+        -v pm="$pmed" -v q1="$pq1" -v q3="$pq3" -v cm="$cmed" '
+        BEGIN {
+            gap = b == "lower" ? pm - cm : cm - pm
+            if (10 * w >= 9 * n && gap > q3 - q1) print "gain"
+            else if (b == "lower" ? cm > pm * (1 + bound) : cm < pm * (1 - bound)) print "worse"
+            else print "unresolved"
+        }')
+    printf '%-20s %-36s %-36s %-28s %s\n' "$m" \
+        "$(printf '%.4f (%.4f-%.4f)' "$pmed" "$pq1" "$pq3")" \
+        "$(printf '%.4f (%.4f-%.4f)' "$cmed" "$cq1" "$cq3")" \
+        "$wins/$pairs ($better is better)" "$verdict"
 done
