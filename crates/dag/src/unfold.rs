@@ -7,6 +7,12 @@
 //! (remaining work/span) that *clairvoyant* components — the adversarial
 //! node picker and the offline bounds — are allowed to use.
 //!
+//! Every per-node field — remaining work, unfinished-predecessor count, the
+//! ready list's links and membership, and the engine's per-tick *claim*
+//! bit — lives in one cell per node, so a job's whole runtime state is a
+//! single vector: one allocation for a fresh state, none for a pooled one
+//! reset within its capacity.
+//!
 //! Work here is in **engine-scaled units**: the engine multiplies node works
 //! by [`Speed::work_scale`](dagsched_core::Speed::work_scale) so rational
 //! speeds stay exact; [`UnfoldState::new`] applies that scale.
@@ -17,116 +23,92 @@ use std::sync::Arc;
 
 const NIL: u32 = u32::MAX;
 
+/// The runtime state of one node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    /// Remaining scaled work.
+    remaining: Work,
+    /// Unfinished-predecessor count.
+    waiting: u32,
+    /// Ready-list links (`NIL` at either end).
+    next: u32,
+    prev: u32,
+    /// Ready-list membership (a node enters at most once, but guard misuse).
+    ready: bool,
+    /// Claimed by a processor in the engine's current step.
+    claimed: bool,
+}
+
 /// An intrusive doubly-linked list over node ids, preserving insertion (FIFO)
 /// order with O(1) insert/remove — the ready set can be huge (a parallel
 /// block has `W − L` simultaneously-ready nodes) and nodes leave it from
-/// arbitrary positions as they complete.
-#[derive(Debug, Clone)]
+/// arbitrary positions as they complete. The links live in the cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReadyList {
-    next: Vec<u32>,
-    prev: Vec<u32>,
     head: u32,
     tail: u32,
     len: usize,
-    /// Membership flags (a node enters at most once, but guard misuse).
-    member: Vec<bool>,
 }
 
 impl ReadyList {
-    fn new(capacity: usize) -> ReadyList {
-        ReadyList {
-            next: vec![NIL; capacity],
-            prev: vec![NIL; capacity],
-            head: NIL,
-            tail: NIL,
-            len: 0,
-            member: vec![false; capacity],
-        }
-    }
+    const EMPTY: ReadyList = ReadyList {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
 
-    /// Restore the empty state for a (possibly different) node count,
-    /// reusing the link/membership vectors. `clear` + `resize` never
-    /// shrinks capacity, so a pooled list reaches its high-water mark once
-    /// and then resets allocation-free.
-    fn reset(&mut self, capacity: usize) {
-        self.next.clear();
-        self.next.resize(capacity, NIL);
-        self.prev.clear();
-        self.prev.resize(capacity, NIL);
-        self.member.clear();
-        self.member.resize(capacity, false);
-        self.head = NIL;
-        self.tail = NIL;
-        self.len = 0;
-    }
-
-    fn push_back(&mut self, v: NodeId) {
+    fn push_back(&mut self, cells: &mut [Cell], v: NodeId) {
         let i = v.0;
-        debug_assert!(!self.member[i as usize], "node already in ready list");
-        self.member[i as usize] = true;
-        self.prev[i as usize] = self.tail;
-        self.next[i as usize] = NIL;
+        let c = &mut cells[i as usize];
+        debug_assert!(!c.ready, "node already in ready list");
+        c.ready = true;
+        c.prev = self.tail;
+        c.next = NIL;
         if self.tail == NIL {
             self.head = i;
         } else {
-            self.next[self.tail as usize] = i;
+            cells[self.tail as usize].next = i;
         }
         self.tail = i;
         self.len += 1;
     }
 
-    fn remove(&mut self, v: NodeId) {
-        let i = v.0;
-        debug_assert!(self.member[i as usize], "node not in ready list");
-        self.member[i as usize] = false;
-        let (p, n) = (self.prev[i as usize], self.next[i as usize]);
+    fn remove(&mut self, cells: &mut [Cell], v: NodeId) {
+        let c = &mut cells[v.index()];
+        debug_assert!(c.ready, "node not in ready list");
+        c.ready = false;
+        let (p, n) = (c.prev, c.next);
         if p == NIL {
             self.head = n;
         } else {
-            self.next[p as usize] = n;
+            cells[p as usize].next = n;
         }
         if n == NIL {
             self.tail = p;
         } else {
-            self.prev[n as usize] = p;
+            cells[n as usize].prev = p;
         }
         self.len -= 1;
     }
-
-    fn contains(&self, v: NodeId) -> bool {
-        self.member[v.index()]
-    }
-
-    fn iter(&self) -> ReadyIter<'_> {
-        ReadyIter {
-            links: &self.next,
-            cur: self.head,
-        }
-    }
-
-    fn iter_rev(&self) -> ReadyIter<'_> {
-        ReadyIter {
-            links: &self.prev,
-            cur: self.tail,
-        }
-    }
 }
 
-/// A walk along one direction of the list: the `next` links from the head
-/// (readiness order) or the `prev` links from the tail (newest first).
-struct ReadyIter<'a> {
-    links: &'a [u32],
+/// A walk along one direction of the ready list: the `next` links from the
+/// head (readiness order, `FORWARD`) or the `prev` links from the tail
+/// (newest first).
+struct ReadyIter<'a, const FORWARD: bool> {
+    cells: &'a [Cell],
     cur: u32,
 }
 
-impl Iterator for ReadyIter<'_> {
+impl<const FORWARD: bool> Iterator for ReadyIter<'_, FORWARD> {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
         if self.cur == NIL {
             return None;
         }
         let v = NodeId(self.cur);
-        self.cur = self.links[self.cur as usize];
+        let c = &self.cells[self.cur as usize];
+        self.cur = if FORWARD { c.next } else { c.prev };
         Some(v)
     }
 }
@@ -135,10 +117,8 @@ impl Iterator for ReadyIter<'_> {
 #[derive(Debug, Clone)]
 pub struct UnfoldState {
     spec: Arc<DagJobSpec>,
-    /// Remaining scaled work per node.
-    remaining: Vec<Work>,
-    /// Unfinished-predecessor counts.
-    waiting_preds: Vec<u32>,
+    /// Per-node state, dense by node id.
+    cells: Vec<Cell>,
     ready: ReadyList,
     completed_nodes: usize,
     /// Total remaining scaled work across all nodes.
@@ -155,9 +135,8 @@ impl UnfoldState {
     pub fn new(spec: Arc<DagJobSpec>, scale: u64) -> UnfoldState {
         let mut st = UnfoldState {
             spec: spec.clone(),
-            remaining: Vec::new(),
-            waiting_preds: Vec::new(),
-            ready: ReadyList::new(0),
+            cells: Vec::new(),
+            ready: ReadyList::EMPTY,
             completed_nodes: 0,
             remaining_total: Work::ZERO,
             scale: 1,
@@ -167,35 +146,40 @@ impl UnfoldState {
     }
 
     /// Reinitialize this state to execute `spec` at `scale`, exactly as
-    /// [`new`](Self::new) would — but reusing the `remaining`,
-    /// `waiting_preds` and ready-list vectors. The engine's job pool calls
-    /// this on recycled slots so arrival storms are allocation-free once
-    /// every buffer has reached its high-water node count.
+    /// [`new`](Self::new) would — but reusing the cell vector. The engine's
+    /// job pool calls this on recycled states so arrival storms are
+    /// allocation-free once the vector has reached its high-water node
+    /// count.
     ///
     /// Observational identity with a fresh state is pinned by
     /// `tests/pooled_reset.rs`; determinism is unaffected because every
     /// observable field (per-node remaining work, waiting-predecessor
     /// counts, the FIFO ready order seeded from `spec.sources()` in id
-    /// order, counters) is overwritten, never carried over.
+    /// order, claims, counters) is overwritten, never carried over.
     ///
     /// # Panics
     /// If any scaled work overflows `u64`.
     pub fn reset_from(&mut self, spec: Arc<DagJobSpec>, scale: u64) {
         assert!(scale >= 1, "scale must be at least 1");
         let n = spec.num_nodes();
-        self.remaining.clear();
-        self.remaining.extend(
-            spec.node_works()
-                .iter()
-                .map(|w| w.checked_scale(scale).expect("scaled work overflows u64")),
-        );
-        self.remaining_total = Work(self.remaining.iter().map(|w| w.units()).sum());
-        self.waiting_preds.clear();
-        self.waiting_preds
-            .extend((0..n as u32).map(|i| spec.pred_count(NodeId(i))));
-        self.ready.reset(n);
+        let works = spec.node_works();
+        self.cells.clear();
+        self.cells.extend((0..n).map(|i| {
+            Cell {
+                remaining: works[i]
+                    .checked_scale(scale)
+                    .expect("scaled work overflows u64"),
+                waiting: spec.pred_count(NodeId(i as u32)),
+                next: NIL,
+                prev: NIL,
+                ready: false,
+                claimed: false,
+            }
+        }));
+        self.remaining_total = Work(self.cells.iter().map(|c| c.remaining.units()).sum());
+        self.ready = ReadyList::EMPTY;
         for &s in spec.sources() {
-            self.ready.push_back(s);
+            self.ready.push_back(&mut self.cells, s);
         }
         self.completed_nodes = 0;
         self.scale = scale;
@@ -222,19 +206,25 @@ impl UnfoldState {
 
     /// Iterate ready nodes in FIFO (readiness) order.
     pub fn ready_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ready.iter()
+        ReadyIter::<'_, true> {
+            cells: &self.cells,
+            cur: self.ready.head,
+        }
     }
 
     /// Iterate ready nodes newest-first: exactly the reverse of
     /// [`ready_iter`](Self::ready_iter), lazily, so taking a short prefix
     /// costs O(prefix) rather than O(ready).
     pub fn ready_iter_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ready.iter_rev()
+        ReadyIter::<'_, false> {
+            cells: &self.cells,
+            cur: self.ready.tail,
+        }
     }
 
     /// First `k` ready nodes in FIFO order (fewer if not that many).
     pub fn ready_prefix(&self, k: usize) -> Vec<NodeId> {
-        self.ready.iter().take(k).collect()
+        self.ready_iter().take(k).collect()
     }
 
     /// Buffer-reusing variant of [`ready_prefix`](Self::ready_prefix):
@@ -243,19 +233,54 @@ impl UnfoldState {
     /// buffer has grown to its high-water mark.
     pub fn ready_prefix_into(&self, k: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        out.extend(self.ready.iter().take(k));
+        out.extend(self.ready_iter().take(k));
     }
 
     /// Is the node currently ready?
     #[inline]
     pub fn is_ready(&self, node: NodeId) -> bool {
-        self.ready.contains(node)
+        self.cells[node.index()].ready
+    }
+
+    /// Is the node claimed by a processor in the engine's current step?
+    /// Claims are the engine's per-tick scratch: they never change the
+    /// unfold, and [`reset_from`](Self::reset_from) clears them all.
+    #[inline]
+    pub fn is_claimed(&self, node: NodeId) -> bool {
+        self.cells[node.index()].claimed
+    }
+
+    /// Claim an unclaimed node.
+    #[inline]
+    pub fn claim(&mut self, node: NodeId) {
+        let c = &mut self.cells[node.index()];
+        debug_assert!(!c.claimed, "node {node} already claimed");
+        c.claimed = true;
+    }
+
+    /// Release a claim (a no-op on an unclaimed node).
+    #[inline]
+    pub fn release(&mut self, node: NodeId) {
+        self.cells[node.index()].claimed = false;
+    }
+
+    /// Claim every ready, unclaimed successor of `node`, in successor-id
+    /// order, calling `f` on each — how the engine locks the nodes a
+    /// completion just unlocked for the rest of the tick.
+    pub fn claim_ready_successors(&mut self, node: NodeId, mut f: impl FnMut(NodeId)) {
+        for &s in self.spec.successors(node) {
+            let c = &mut self.cells[s.index()];
+            if c.ready && !c.claimed {
+                c.claimed = true;
+                f(s);
+            }
+        }
     }
 
     /// Remaining scaled work of one node.
     #[inline]
     pub fn node_remaining(&self, node: NodeId) -> Work {
-        self.remaining[node.index()]
+        self.cells[node.index()].remaining
     }
 
     /// Total remaining scaled work of the job.
@@ -286,27 +311,24 @@ impl UnfoldState {
     /// If `node` is not ready (engine bug: scheduling a non-ready or
     /// finished node would violate the model).
     pub fn advance(&mut self, node: NodeId, budget: u64) -> (u64, bool) {
-        assert!(
-            self.ready.contains(node),
-            "advance() on non-ready node {node}"
-        );
-        let consumed = self.remaining[node.index()].deplete(budget);
+        let c = &mut self.cells[node.index()];
+        assert!(c.ready, "advance() on non-ready node {node}");
+        let consumed = c.remaining.deplete(budget);
+        let finished = c.remaining.is_zero();
         self.remaining_total -= Work(consumed);
-        if self.remaining[node.index()].is_zero() {
-            self.ready.remove(node);
+        if finished {
+            self.ready.remove(&mut self.cells, node);
             self.completed_nodes += 1;
             for &s in self.spec.successors(node) {
-                let w = &mut self.waiting_preds[s.index()];
+                let w = &mut self.cells[s.index()].waiting;
                 debug_assert!(*w > 0);
                 *w -= 1;
                 if *w == 0 {
-                    self.ready.push_back(s);
+                    self.ready.push_back(&mut self.cells, s);
                 }
             }
-            (consumed, true)
-        } else {
-            (consumed, false)
         }
+        (consumed, finished)
     }
 
     /// Execute `budget` scaled work units of a **ready** node that is known
@@ -323,16 +345,14 @@ impl UnfoldState {
     /// (completions must go through [`advance`](Self::advance) so successors
     /// unlock and the ready list stays consistent).
     pub fn advance_bulk(&mut self, node: NodeId, budget: u64) {
-        assert!(
-            self.ready.contains(node),
-            "advance_bulk() on non-ready node {node}"
-        );
-        let rem = self.remaining[node.index()].units();
+        let c = &mut self.cells[node.index()];
+        assert!(c.ready, "advance_bulk() on non-ready node {node}");
+        let rem = c.remaining.units();
         assert!(
             budget < rem,
             "advance_bulk() budget {budget} would complete node {node} (remaining {rem})"
         );
-        let consumed = self.remaining[node.index()].deplete(budget);
+        let consumed = c.remaining.deplete(budget);
         debug_assert_eq!(consumed, budget);
         self.remaining_total -= Work(consumed);
     }
@@ -351,7 +371,7 @@ impl UnfoldState {
                 .iter()
                 .map(|s| best[s.index()])
                 .max();
-            let h = self.remaining[v.index()].units() + tail.unwrap_or(0);
+            let h = self.cells[v.index()].remaining.units() + tail.unwrap_or(0);
             best[v.index()] = h;
             span = span.max(h);
         }
@@ -580,18 +600,21 @@ mod tests {
 
     #[test]
     fn reset_from_matches_fresh_and_reuses_buffers() {
-        // Dirty a state on one spec, reset onto a different (smaller) one:
-        // every observable must equal a fresh state's, with no reallocation
-        // once capacities cover the new spec.
+        // Dirty a state on one spec (with claims held), reset onto a
+        // different (smaller) one: every cell must equal a fresh state's,
+        // with no claim surviving and no reallocation once capacity covers
+        // the new spec.
         let mut pooled = UnfoldState::new(diamond(), 3);
         pooled.advance(NodeId(0), 3);
+        pooled.claim(NodeId(1));
+        pooled.claim(NodeId(2));
         pooled.advance(NodeId(1), 5);
         let small = chain(&[4, 2]);
-        let remaining_ptr = pooled.remaining.as_ptr();
+        let cells_ptr = pooled.cells.as_ptr();
         pooled.reset_from(small.clone(), 2);
         let mut fresh = UnfoldState::new(small, 2);
-        assert_eq!(pooled.remaining, fresh.remaining);
-        assert_eq!(pooled.waiting_preds, fresh.waiting_preds);
+        assert_eq!(pooled.cells, fresh.cells);
+        assert_eq!(pooled.ready, fresh.ready);
         assert_eq!(pooled.remaining_total(), fresh.remaining_total());
         assert_eq!(pooled.scale(), fresh.scale());
         assert_eq!(pooled.completed_nodes(), 0);
@@ -601,8 +624,8 @@ mod tests {
             "FIFO ready order must match a fresh unfold"
         );
         assert_eq!(
-            pooled.remaining.as_ptr(),
-            remaining_ptr,
+            pooled.cells.as_ptr(),
+            cells_ptr,
             "reset within capacity must not reallocate"
         );
         // The reset state unfolds exactly like the fresh one.
@@ -613,6 +636,28 @@ mod tests {
             assert_eq!(pooled.advance(a, 3), fresh.advance(b, 3));
         }
         assert!(pooled.is_complete());
+    }
+
+    #[test]
+    fn claim_ready_successors_claims_ready_unclaimed_in_id_order() {
+        // Source 0 feeds 1..=4; node 4 also waits on source 5.
+        let mut b = DagBuilder::new();
+        let v: Vec<_> = (0..6).map(|_| b.add_node(Work(1))).collect();
+        for &t in &v[1..5] {
+            b.add_edge(v[0], t).unwrap();
+        }
+        b.add_edge(v[5], v[4]).unwrap();
+        let mut st = UnfoldState::new(b.build().unwrap().into_shared(), 1);
+        st.advance(v[0], 1);
+        // 1, 2 and 3 are ready, 4 is not, and 2 is already claimed.
+        st.claim(v[2]);
+        let mut got = Vec::new();
+        st.claim_ready_successors(v[0], |s| got.push(s));
+        assert_eq!(got, vec![v[1], v[3]]);
+        assert!((1..4).all(|i| st.is_claimed(v[i])) && !st.is_claimed(v[4]));
+        st.release(v[3]);
+        st.claim_ready_successors(v[0], |s| got.push(s));
+        assert_eq!(got, vec![v[1], v[3], v[3]], "only the released node again");
     }
 
     #[test]

@@ -101,11 +101,10 @@ impl Clock {
 
 /// A horizon every work-conserving schedule fits in: after the last useful
 /// moment of any job, one processor could still drain all remaining work.
+/// O(1): both terms are cached on the instance.
 pub fn auto_horizon(inst: &Instance) -> Time {
-    let stats = inst.stats();
-    stats
-        .horizon
-        .saturating_add(stats.total_work.as_ticks())
+    inst.horizon()
+        .saturating_add(inst.total_work().as_ticks())
         .saturating_add(1)
 }
 

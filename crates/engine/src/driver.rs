@@ -52,7 +52,8 @@ use dagsched_workload::Instance;
 /// Scratch buffers reused across every step (no per-tick allocation):
 /// the reference path's rebuilt tick view, validation output, expired ids,
 /// the pick batch, per-processor continuations, the fast-forward claim
-/// list, and the observation payload builders.
+/// list, the run-wide list of claimed nodes, and the observation payload
+/// builders.
 #[derive(Default)]
 struct StepScratch {
     view_jobs: Vec<(JobId, u32)>,
@@ -64,6 +65,10 @@ struct StepScratch {
     /// Fast-forward claim list: `(job, node, units)` with the per-tick rate
     /// of the processor each node is bound to.
     claimed: Vec<(JobId, NodeId, u64)>,
+    /// Every node whose claim bit is set, in claim order: released after
+    /// the execution round, or — for a held window — when the next step
+    /// asks afresh.
+    claims: Vec<(JobId, NodeId)>,
     adm_events: Vec<AdmissionEvent>,
     node_done: Vec<(JobId, NodeId)>,
     progress: Vec<(JobId, u64)>,
@@ -111,7 +116,7 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     /// before this one, so it is replayed instead of asked for again.
     replay_before: Time,
     /// The last bulk window ended one tick before its earliest claimed
-    /// completion, and `scratch.claimed` is still marked busy: if this
+    /// completion, and `scratch.claimed` is still claimed: if this
     /// step replays, those claims are exactly what the claim pass would
     /// pick again, and one of them finishes this tick.
     held: bool,
@@ -369,7 +374,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         if production {
             if self.life.view_changed || t >= self.replay_before {
                 if std::mem::take(&mut self.held) {
-                    self.release_claims();
+                    self.life.release_claims(&mut self.scratch.claims);
                     #[cfg(test)]
                     {
                         self.held_released += 1;
@@ -425,7 +430,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         //
         // A window that ends one tick before its earliest claimed
         // completion keeps its claims (`held`). Picks are a pure function
-        // of each job's ready list and busy set, and no node completes
+        // of each job's ready list and claim bits, and no node completes
         // inside a window, so if the next step replays, the claim pass
         // would pick the same nodes again — and one of them finishes that
         // tick (`s == 0`). That step runs the tick on the held claims
@@ -471,15 +476,14 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 let mut min_rem = u64::MAX;
                 let mut cursor = 0usize;
                 for &(id, k) in &sc.alloc {
-                    let l = self.life.live[id.index()]
+                    let st = self.life.live[id.index()]
                         .as_mut()
                         .expect("validated alive");
-                    self.picker
-                        .pick_into(&l.state, &l.busy, k as usize, &mut sc.picked);
+                    self.picker.pick_into(st, k as usize, &mut sc.picked);
                     for (i, &node) in sc.picked.iter().enumerate() {
-                        l.busy[node.index()] = true;
-                        l.dirty.push(node.0);
-                        let rem = l.state.node_remaining(node).units();
+                        st.claim(node);
+                        sc.claims.push((id, node));
+                        let rem = st.node_remaining(node).units();
                         // The i-th picked node binds to the i-th processor
                         // the entry consumes — the same pairing the
                         // execution round's per-processor loop realizes.
@@ -532,10 +536,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     // completion or hook can fire.
                     let mut total = 0u64;
                     for &(id, node, pu) in &sc.claimed {
-                        let l = self.life.live[id.index()]
+                        self.life.live[id.index()]
                             .as_mut()
-                            .expect("claimed implies live");
-                        l.state.advance_bulk(node, s * pu);
+                            .expect("claimed implies live")
+                            .advance_bulk(node, s * pu);
                         total += s * pu;
                     }
                     self.platform.record_units(total);
@@ -557,7 +561,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     if s == min_q - 1 {
                         self.held = true;
                     } else {
-                        self.release_claims();
+                        self.life.release_claims(&mut sc.claims);
                     }
                     self.clock.advance_window(s);
                     return Ok(true);
@@ -589,7 +593,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             }
             // A completion is due this tick (or nothing was claimed): run
             // the single-tick round below, which hands out the claimed
-            // nodes (still marked busy) as each entry's first batch and
+            // nodes (still claimed) as each entry's first batch and
             // handles completion, carryover and unlocking.
         }
 
@@ -597,8 +601,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         //
         // Each entry's fresh nodes come from a batch of up to `batch_k`
         // nodes in the picker's order. Within one tick the entry's eligible
-        // set (ready and not busy) only shrinks: a handed-out node stays
-        // busy, and every node a completion unlocks is marked busy below
+        // set (ready and unclaimed) only shrinks: a handed-out node stays
+        // claimed, and every node a completion unlocks is claimed below
         // before any later pick can see it. For a deterministic policy the
         // nodes one-node picks would return are therefore successive
         // prefixes of one policy order over the tick-start eligible set, so
@@ -619,7 +623,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         let mut claimed = sc.claimed.as_slice();
         let mut cursor = 0usize;
         for &(id, k) in &sc.alloc {
-            let l = self.life.live[id.index()]
+            let st = self.life.live[id.index()]
                 .as_mut()
                 .expect("validated alive");
             let mut entry_units = 0u64;
@@ -634,7 +638,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // Nodes that become ready *during* this tick may only be
             // continued by the processor whose completion unlocked them —
             // any other processor has already spent this tick's time.
-            // They are marked busy globally and kept in a per-processor
+            // They are claimed for the tick and kept in a per-processor
             // continuation list.
             for j in 0..k {
                 let mut budget = match uniform_units {
@@ -650,11 +654,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                                 if drained {
                                     break;
                                 }
-                                self.picker
-                                    .pick_into(&l.state, &l.busy, batch_k, &mut sc.picked);
+                                self.picker.pick_into(st, batch_k, &mut sc.picked);
                                 for &n in &sc.picked {
-                                    l.busy[n.index()] = true;
-                                    l.dirty.push(n.0);
+                                    st.claim(n);
+                                    sc.claims.push((id, n));
                                 }
                                 next = 0;
                                 drained = sc.picked.len() < batch_k;
@@ -666,7 +669,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                             sc.picked[next - 1]
                         }
                     };
-                    let (consumed, node_finished) = l.state.advance(node, budget);
+                    let (consumed, node_finished) = st.advance(node, budget);
                     self.platform.record_units(consumed);
                     entry_units += consumed;
                     budget -= consumed;
@@ -678,32 +681,30 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     }
                     // Lock newly-ready successors for the rest of the tick;
                     // this processor may continue into them if allowed.
-                    // (Disjoint field borrows: the spec is read through
-                    // `l.state` while `l.busy`/`l.dirty` mutate — no Arc
-                    // clone per completed node.)
-                    for &succ in l.state.spec().successors(node) {
-                        if l.state.is_ready(succ) && !l.busy[succ.index()] {
-                            l.busy[succ.index()] = true;
-                            l.dirty.push(succ.0);
-                            if self.cfg.carryover {
-                                sc.continuations.push(succ);
-                            }
+                    let carryover = self.cfg.carryover;
+                    st.claim_ready_successors(node, |succ| {
+                        sc.claims.push((id, succ));
+                        if carryover {
+                            sc.continuations.push(succ);
                         }
-                    }
+                    });
                     if !self.cfg.carryover {
                         break;
                     }
                 }
             }
-            l.release_claims();
             if self.observing {
                 sc.progress.push((id, entry_units));
             }
-            if l.state.is_complete() {
+            if st.is_complete() {
                 sc.completions.push(id);
             }
             cursor += k as usize;
         }
+        // Entries name distinct jobs (validation rejects duplicates), so
+        // releasing every claim after the round equals releasing each
+        // entry's claims after the entry.
+        self.life.release_claims(&mut sc.claims);
         if self.observing {
             let vj: &[(JobId, u32)] = if production {
                 self.life.view()
@@ -722,10 +723,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // — their removal in phase 7 covers it. (After the observer call:
         // the window payload carries the view the *scheduler* saw.)
         for &(id, _) in &sc.alloc {
-            let l = self.life.live[id.index()]
+            let st = self.life.live[id.index()]
                 .as_ref()
                 .expect("validated alive");
-            if !l.state.is_complete() {
+            if !st.is_complete() {
                 self.life.patch_ready(id);
             }
         }
@@ -746,17 +747,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         self.clock.advance_tick();
         Ok(true)
-    }
-
-    /// Unmark the claims of every job in `scratch.alloc` — the claims a
-    /// bulk window made, or held past its end. A job that expired since
-    /// is skipped: its pooled slot is reset when it is reused.
-    fn release_claims(&mut self) {
-        for &(id, _) in &self.scratch.alloc {
-            if let Some(l) = self.life.live[id.index()].as_mut() {
-                l.release_claims();
-            }
-        }
     }
 
     /// Drain the scheduler's recorded admission decisions and forward them
@@ -1264,7 +1254,7 @@ mod tests {
     /// node's last tick, so that window releases its claim; the one at
     /// t = 9 lands on a held window's end and preempts the held job, so
     /// the fresh ask must release the held claim (the preempted job would
-    /// otherwise keep its node busy and never finish).
+    /// otherwise keep its node claimed and never finish).
     #[test]
     fn arrival_at_a_held_window_end_releases_the_claims() {
         let inst = Instance::new(
@@ -1299,9 +1289,9 @@ mod tests {
 
     /// Expiries cap two windows. Job 1, never run, expires at t = 5, before
     /// job 0's node is due, so that window releases its claim. Job 0 itself
-    /// expires at t = 9, the end of a held window: its claim stays in the
-    /// pooled slot, which job 2 reuses at t = 12. Admission resets the
-    /// slot's busy map, so job 2 runs normally.
+    /// expires at t = 9, the end of a held window: its claim bit stays set
+    /// in the pooled state, which job 2 reuses at t = 12. Admission resets
+    /// every claim bit, so job 2 runs normally.
     #[test]
     fn expiry_at_a_held_window_end_drops_the_claims_with_the_job() {
         let inst = Instance::new(

@@ -1,9 +1,10 @@
 //! The lifecycle layer: the arrival → (expiry | completion) state machine.
 //!
 //! A [`Lifecycle`] owns every per-job state the engine keeps — the dense
-//! slab of unfolded DAG states (`Live`), the arrival cursor, the alive
-//! list (always in arrival order), terminal outcomes, and earned profit —
-//! and the three transitions a job can make:
+//! slab of unfolded DAG states (one [`UnfoldState`] per alive job, whose
+//! single cell vector also carries the execution round's node claims), the
+//! arrival cursor, the alive list (always in arrival order), terminal
+//! outcomes, and earned profit — and the three transitions a job can make:
 //!
 //! * `admit_arrivals` materializes every job
 //!   with `arrival ≤ t` and runs the scheduler's and observer's arrival
@@ -22,38 +23,15 @@
 use crate::observe::SimObserver;
 use crate::result::JobStatus;
 use crate::sched_api::{JobInfo, OnlineScheduler};
-use dagsched_core::{JobId, Time};
+use dagsched_core::{JobId, NodeId, Time};
 use dagsched_dag::UnfoldState;
 use dagsched_workload::JobSpec;
 
-/// Per-alive-job engine bookkeeping.
-pub(crate) struct Live {
-    /// Unfolded DAG execution state.
-    pub(crate) state: UnfoldState,
-    /// Nodes claimed by a processor in the current step (dense by node id);
-    /// cleared via `dirty` after the step — or, when a bulk window ends a
-    /// tick before a claimed node finishes, after the next step, which may
-    /// run on the same claims (the driver's held claims).
-    pub(crate) busy: Vec<bool>,
-    pub(crate) dirty: Vec<u32>,
-}
-
-impl Live {
-    /// Release every node claimed this tick (the single place the
-    /// busy/dirty scratch pair is unwound).
-    #[inline]
-    pub(crate) fn release_claims(&mut self) {
-        for d in self.dirty.drain(..) {
-            self.busy[d as usize] = false;
-        }
-    }
-}
-
 /// The per-job state machine of one run. See the [module docs](self).
 pub struct Lifecycle {
-    /// Live execution state, dense by job index (`None` = not arrived or
-    /// already terminal).
-    pub(crate) live: Vec<Option<Live>>,
+    /// Unfolded DAG execution state, dense by job index (`None` = not
+    /// arrived or already terminal).
+    pub(crate) live: Vec<Option<UnfoldState>>,
     /// Terminal (or at-horizon) outcome per job.
     pub(crate) outcomes: Vec<JobStatus>,
     /// Arrived, unfinished, unexpired jobs — in arrival order.
@@ -84,17 +62,19 @@ pub struct Lifecycle {
     pub(crate) next_arrival: usize,
     /// Σ profit of completed jobs.
     pub(crate) total_profit: u64,
-    /// Free list of retired [`Live`] slots. Terminal transitions push here
-    /// instead of dropping, and `admit_arrivals` pops + `reset_from`s, so an
-    /// arrival storm is allocation-free once the pool reaches the high-water
-    /// mark of concurrently alive jobs.
-    pool: Vec<Live>,
+    /// Free list of retired unfold states. Terminal transitions push here
+    /// instead of dropping, and `admit_arrivals` pops + `reset_from`s (which
+    /// also clears any claim a held window left), so an arrival storm is
+    /// allocation-free once the pool reaches the high-water mark of
+    /// concurrently alive jobs. A cold arrival allocates the one cell
+    /// vector.
+    pool: Vec<UnfoldState>,
 }
 
 impl Lifecycle {
     /// Fresh state for an instance of `n` jobs.
     pub(crate) fn new(n: usize) -> Lifecycle {
-        let mut live: Vec<Option<Live>> = Vec::with_capacity(n);
+        let mut live: Vec<Option<UnfoldState>> = Vec::with_capacity(n);
         live.resize_with(n, || None);
         Lifecycle {
             live,
@@ -136,8 +116,8 @@ impl Lifecycle {
     pub fn rebuild_view(&self, out: &mut Vec<(JobId, u32)>) {
         out.clear();
         for &id in &self.alive {
-            let l = self.live[id.index()].as_ref().expect("alive implies live");
-            out.push((id, l.state.ready_count() as u32));
+            let st = self.live[id.index()].as_ref().expect("alive implies live");
+            out.push((id, st.ready_count() as u32));
         }
     }
 
@@ -148,8 +128,8 @@ impl Lifecycle {
     /// bulk fast-forward windows never complete a node, so they never need
     /// a patch.
     pub(crate) fn patch_ready(&mut self, id: JobId) {
-        let l = self.live[id.index()].as_ref().expect("patched job is live");
-        let rc = l.state.ready_count() as u32;
+        let st = self.live[id.index()].as_ref().expect("patched job is live");
+        let rc = st.ready_count() as u32;
         let pos = self.position(id);
         self.pos_hint[id.index()] = pos as u32;
         if self.view[pos].1 != rc {
@@ -218,23 +198,15 @@ impl Lifecycle {
         let first = self.next_arrival;
         while self.next_arrival < jobs.len() && jobs[self.next_arrival].arrival <= t {
             let job = &jobs[self.next_arrival];
-            let mut slot = match self.pool.pop() {
+            let state = match self.pool.pop() {
                 Some(mut recycled) => {
-                    recycled.state.reset_from(job.dag.clone(), scale);
+                    recycled.reset_from(job.dag.clone(), scale);
                     recycled
                 }
-                None => Live {
-                    state: UnfoldState::new(job.dag.clone(), scale),
-                    busy: Vec::new(),
-                    dirty: Vec::new(),
-                },
+                None => UnfoldState::new(job.dag.clone(), scale),
             };
-            let nodes = slot.state.spec().num_nodes();
-            slot.busy.clear();
-            slot.busy.resize(nodes, false);
-            slot.dirty.clear();
-            let ready0 = slot.state.ready_count() as u32;
-            self.live[job.id.index()] = Some(slot);
+            let ready0 = state.ready_count() as u32;
+            self.live[job.id.index()] = Some(state);
             self.alive.push(job.id);
             self.pos_hint[job.id.index()] = self.view.len() as u32;
             self.view.push((job.id, ready0));
@@ -331,6 +303,17 @@ impl Lifecycle {
         true
     }
 
+    /// Release every claim in `claims` (the driver's run-wide claim list),
+    /// leaving it empty. A job that expired since its nodes were claimed is
+    /// skipped: its pooled state clears every claim when it is reset.
+    pub(crate) fn release_claims(&mut self, claims: &mut Vec<(JobId, NodeId)>) {
+        for (id, node) in claims.drain(..) {
+            if let Some(st) = self.live[id.index()].as_mut() {
+                st.release(node);
+            }
+        }
+    }
+
     /// Retire `completions` at `t_done`, paying each job's profit function
     /// at its relative completion time and running the completion hooks.
     pub(crate) fn complete<O: SimObserver + ?Sized>(
@@ -385,7 +368,6 @@ mod tests {
     use super::*;
     use crate::observe::NullObserver;
     use crate::sched_api::{Allocation, TickView};
-    use dagsched_core::{JobId, Time};
     use dagsched_dag::gen;
     use dagsched_workload::StepProfitFn;
 
@@ -424,19 +406,22 @@ mod tests {
         assert!(lc.admit_arrivals(&jobs, Time(1), 1, &mut sched, &mut obs));
         assert_eq!(lc.pool_len(), 0);
 
-        // Complete job 0: its slot must land in the pool, not be dropped.
+        // Complete job 0 while its head node is still claimed (as a job
+        // expiring inside a held window leaves its state): the slot must
+        // land in the pool, not be dropped.
+        lc.live[0].as_mut().expect("job 0 alive").claim(NodeId(0));
         lc.complete(&jobs, Time(1), &[JobId(0)], &mut sched, &mut obs);
         assert_eq!(lc.pool_len(), 1);
 
-        // Job 2 arrives and must consume the pooled slot.
+        // Job 2 arrives and must consume the pooled slot, with no claim
+        // surviving the reset.
         assert!(lc.admit_arrivals(&jobs, Time(2), 1, &mut sched, &mut obs));
         assert_eq!(lc.pool_len(), 0);
-        let l = lc.live[2].as_ref().expect("job 2 alive");
-        assert_eq!(l.busy.len(), 3);
-        assert!(l.busy.iter().all(|&b| !b));
-        assert!(l.dirty.is_empty());
-        assert_eq!(l.state.ready_count(), 1);
-        assert_eq!(l.state.remaining_total(), dag.total_work());
+        let st = lc.live[2].as_ref().expect("job 2 alive");
+        assert_eq!(st.spec().num_nodes(), 3);
+        assert!((0..3).all(|v| !st.is_claimed(NodeId(v))));
+        assert_eq!(st.ready_count(), 1);
+        assert_eq!(st.remaining_total(), dag.total_work());
 
         // Deadline 1 relative to arrival: by a late enough tick every alive
         // job (1 and 2) is hopeless; both slots return to the pool.

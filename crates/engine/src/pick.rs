@@ -16,7 +16,7 @@
 //!   (longest-path-first list scheduling), used by the offline baselines.
 //!
 //! Every policy but `Random` is a fixed order over the eligible (ready,
-//! not busy) nodes, so `k` successive one-node picks within a tick return
+//! unclaimed) nodes, so `k` successive one-node picks within a tick return
 //! what one `k`-node pick returns, and the engine picks each allocation
 //! entry's nodes once per tick (see [`NodePick::fast_forward_safe`]; the
 //! driver's execution phase gives the argument).
@@ -43,7 +43,7 @@ pub enum NodePick {
 }
 
 impl NodePick {
-    /// Whether repeated picks over an unchanged ready/busy state return the
+    /// Whether repeated picks over an unchanged ready/claim state return the
     /// same nodes without consuming per-call state — the property the
     /// engine's event-driven fast-forward path relies on.
     ///
@@ -93,25 +93,17 @@ impl Picker {
         }
     }
 
-    /// Choose up to `k` distinct ready nodes of `state`, excluding any in
-    /// `busy` (nodes already claimed by another processor this tick).
-    ///
-    /// `busy` is a dense bool map indexed by node id.
-    pub fn pick(&mut self, state: &UnfoldState, busy: &[bool], k: usize) -> Vec<NodeId> {
+    /// Choose up to `k` distinct ready nodes of `state`, excluding any
+    /// [claimed](UnfoldState::is_claimed) by another processor this tick.
+    pub fn pick(&mut self, state: &UnfoldState, k: usize) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.pick_into(state, busy, k, &mut out);
+        self.pick_into(state, k, &mut out);
         out
     }
 
     /// Like [`pick`](Self::pick), but writes into a caller-provided buffer
     /// (cleared first) so the engine's hot loop allocates nothing per call.
-    pub fn pick_into(
-        &mut self,
-        state: &UnfoldState,
-        busy: &[bool],
-        k: usize,
-        out: &mut Vec<NodeId>,
-    ) {
+    pub fn pick_into(&mut self, state: &UnfoldState, k: usize, out: &mut Vec<NodeId>) {
         #[cfg(test)]
         {
             self.calls += 1;
@@ -120,19 +112,20 @@ impl Picker {
         if k == 0 {
             return;
         }
+        let free = |n: &NodeId| !state.is_claimed(*n);
         match self.policy {
             NodePick::Fifo => {
                 // One pass, stops after k: no full ready-set scan.
-                out.extend(state.ready_iter().filter(|n| !busy[n.index()]).take(k));
+                out.extend(state.ready_iter().filter(free).take(k));
             }
             NodePick::Lifo => {
                 // Newest-first walk: stops after k, like Fifo.
-                out.extend(state.ready_iter_rev().filter(|n| !busy[n.index()]).take(k));
+                out.extend(state.ready_iter_rev().filter(free).take(k));
             }
             NodePick::Random(_) => {
                 // Reservoir sample of size k over the eligible nodes, then
                 // restore a deterministic order (by reservoir fill order).
-                for (i, n) in state.ready_iter().filter(|n| !busy[n.index()]).enumerate() {
+                for (i, n) in state.ready_iter().filter(free).enumerate() {
                     if i < k {
                         out.push(n);
                     } else {
@@ -145,7 +138,7 @@ impl Picker {
             }
             NodePick::AdversarialLowHeight | NodePick::CriticalPathFirst => {
                 let rank = self.rank_for(state.spec());
-                out.extend(state.ready_iter().filter(|n| !busy[n.index()]));
+                out.extend(state.ready_iter().filter(free));
                 // The precomputed rank is a total order consistent with the
                 // policy's (height, id) key, so "k smallest ranks, in rank
                 // order" reproduces the old sort-and-truncate exactly —
@@ -194,15 +187,10 @@ mod tests {
         UnfoldState::new(gen::fig1(2, 4, 1).into_shared(), 1)
     }
 
-    fn no_busy(state: &UnfoldState) -> Vec<bool> {
-        vec![false; state.spec().num_nodes()]
-    }
-
     #[test]
     fn fifo_takes_readiness_order() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 3);
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 3);
         // Initial ready set: chain head (0) then block nodes (4, 5, ...).
         assert_eq!(picked, vec![NodeId(0), NodeId(4), NodeId(5)]);
     }
@@ -210,29 +198,27 @@ mod tests {
     #[test]
     fn lifo_takes_reverse_order() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 2);
+        let picked = Picker::new(NodePick::Lifo).pick(&st, 2);
         assert_eq!(picked, vec![NodeId(7), NodeId(6)]);
     }
 
     #[test]
     fn lifo_skips_busy_nodes_at_the_tail() {
-        let st = fig1ish();
-        let mut busy = no_busy(&st);
+        let mut st = fig1ish();
         // Ready order is 0, 4, 5, 6, 7: the newest two are taken.
-        busy[7] = true;
-        busy[6] = true;
-        let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 2);
+        st.claim(NodeId(7));
+        st.claim(NodeId(6));
+        let picked = Picker::new(NodePick::Lifo).pick(&st, 2);
         assert_eq!(picked, vec![NodeId(5), NodeId(4)]);
         // Asking for more than are free returns every free node, newest
         // first.
-        busy[4] = true;
-        let picked = Picker::new(NodePick::Lifo).pick(&st, &busy, 5);
+        st.claim(NodeId(4));
+        let picked = Picker::new(NodePick::Lifo).pick(&st, 5);
         assert_eq!(picked, vec![NodeId(5), NodeId(0)]);
     }
 
     /// The prefix property batching relies on: for every deterministic
-    /// policy, `k` one-node picks that each mark their node busy return
+    /// policy, `k` one-node picks that each claim their node return
     /// the same nodes, in the same order, as one `k`-node pick.
     #[test]
     fn one_k_pick_equals_k_one_node_picks() {
@@ -246,12 +232,12 @@ mod tests {
             assert!(policy.fast_forward_safe());
             let mut picker = Picker::new(policy.clone());
             for k in 0..=6 {
-                let batch = picker.pick(&st, &no_busy(&st), k);
-                let mut busy = no_busy(&st);
+                let batch = picker.pick(&st, k);
+                let mut claimed = st.clone();
                 let mut singles = Vec::new();
                 for _ in 0..k {
-                    if let Some(&n) = picker.pick(&st, &busy, 1).first() {
-                        busy[n.index()] = true;
+                    if let Some(&n) = picker.pick(&claimed, 1).first() {
+                        claimed.claim(n);
                         singles.push(n);
                     }
                 }
@@ -263,8 +249,7 @@ mod tests {
     #[test]
     fn adversary_avoids_the_chain() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::AdversarialLowHeight).pick(&st, &busy, 4);
+        let picked = Picker::new(NodePick::AdversarialLowHeight).pick(&st, 4);
         // Chain head has height 4; block nodes height 1 — adversary takes
         // blocks first.
         assert!(!picked.contains(&NodeId(0)), "{picked:?}");
@@ -274,18 +259,16 @@ mod tests {
     #[test]
     fn critical_path_first_takes_the_chain_head() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let picked = Picker::new(NodePick::CriticalPathFirst).pick(&st, &busy, 1);
+        let picked = Picker::new(NodePick::CriticalPathFirst).pick(&st, 1);
         assert_eq!(picked, vec![NodeId(0)]);
     }
 
     #[test]
     fn busy_nodes_are_excluded() {
-        let st = fig1ish();
-        let mut busy = no_busy(&st);
-        busy[0] = true;
-        busy[4] = true;
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 2);
+        let mut st = fig1ish();
+        st.claim(NodeId(0));
+        st.claim(NodeId(4));
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 2);
         assert_eq!(picked, vec![NodeId(5), NodeId(6)]);
     }
 
@@ -295,19 +278,17 @@ mod tests {
         b.add_node(Work(1));
         b.add_node(Work(1));
         let st = UnfoldState::new(b.build().unwrap().into_shared(), 1);
-        let busy = vec![false; 2];
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 10);
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 10);
         assert_eq!(picked.len(), 2);
-        let picked = Picker::new(NodePick::Fifo).pick(&st, &busy, 0);
+        let picked = Picker::new(NodePick::Fifo).pick(&st, 0);
         assert!(picked.is_empty());
     }
 
     #[test]
     fn random_is_seed_deterministic_and_distinct() {
         let st = fig1ish();
-        let busy = no_busy(&st);
-        let a = Picker::new(NodePick::Random(9)).pick(&st, &busy, 3);
-        let b = Picker::new(NodePick::Random(9)).pick(&st, &busy, 3);
+        let a = Picker::new(NodePick::Random(9)).pick(&st, 3);
+        let b = Picker::new(NodePick::Random(9)).pick(&st, 3);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         let mut dedup = a.clone();

@@ -1,13 +1,16 @@
-//! Zero heap allocations per arrival once the lifecycle pool is warm.
+//! Heap allocations per arrival: one for a cold arrival, zero once the
+//! lifecycle pool is warm.
 //!
 //! This binary installs a counting global allocator (test-only — each
 //! integration test file is its own binary, so the counter never leaks into
-//! other suites) and drives an arrival storm of identical small jobs through
-//! the real `SimDriver`. After a warm-up prefix lets the pool reach its
-//! high-water mark, the remaining hundreds of arrivals, completions, and
-//! ticks must not touch the allocator at all: `Live` slots come from the
-//! pool, `reset_from` reuses its vectors, the `JobInfo` profit clone is an
-//! `Arc` bump, and the scheduler's `allocate_into` writes into the hoisted
+//! other suites) and drives the real `SimDriver`. A job's whole runtime
+//! state is one `UnfoldState` whose single cell vector holds every per-node
+//! field, the engine's claim bits included, so a cold arrival costs that
+//! one vector. After a warm-up prefix lets the pool reach its high-water
+//! mark, the remaining hundreds of arrivals, completions, and ticks must
+//! not touch the allocator at all: states come from the pool, `reset_from`
+//! refills the cell vector in place, the `JobInfo` profit clone is an `Arc`
+//! bump, and the scheduler's `allocate_into` writes into the hoisted
 //! buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -144,4 +147,42 @@ fn warm_pool_arrivals_do_not_allocate() {
     // completed with its profit.
     let result = driver.finish().expect("finish runs");
     assert_eq!(result.total_profit, 600);
+}
+
+/// Upper bound on the allocations of the arrival step that are not per
+/// job: amortized doubling of the alive list, the maintained view and the
+/// expiry heap (about log2(n) each), and the first growth of the step's
+/// scratch buffers.
+const STEP_SLACK: u64 = 64;
+
+#[test]
+fn cold_arrivals_allocate_once_each() {
+    // `n` single-node jobs, all arriving at t = 0 with nothing pooled. Each
+    // node runs 50 ticks, so the first step is the arrival step: admit
+    // every job, allocate, claim and open a bulk window.
+    const N: u32 = 1_000;
+    let dag = gen::chain(1, 50).into_shared();
+    let jobs: Vec<JobSpec> = (0..N)
+        .map(|i| {
+            JobSpec::new(
+                JobId(i),
+                Time(0),
+                dag.clone(),
+                StepProfitFn::deadline(Time(1_000_000), 1),
+            )
+        })
+        .collect();
+    let inst = Instance::new(4, jobs).expect("valid instance");
+    let cfg = SimConfig::default();
+    let mut sched = LeanGreedy;
+    let mut driver = SimDriver::new(&inst, &mut sched, &cfg);
+
+    let before = allocations();
+    assert!(driver.step().expect("arrival step runs"));
+    let delta = allocations() - before;
+    assert_eq!(driver.lifecycle().alive().len(), N as usize);
+    assert!(
+        delta <= u64::from(N) + STEP_SLACK,
+        "expected at most one allocation per cold arrival ({N} + {STEP_SLACK}), got {delta}"
+    );
 }

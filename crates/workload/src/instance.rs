@@ -10,6 +10,9 @@ pub struct Instance {
     jobs: Vec<JobSpec>,
     /// Σ W_i, checked against `u64` overflow at construction.
     total_work: Work,
+    /// Max over jobs of [`JobSpec::last_useful_abs`], computed at
+    /// construction.
+    horizon: Time,
 }
 
 /// Aggregate facts about an instance, for experiment reporting.
@@ -66,8 +69,9 @@ impl Instance {
                 "jobs must be sorted by arrival".into(),
             ));
         }
-        let (mut work, mut profit) = (0u64, 0u64);
+        let (mut work, mut profit, mut horizon) = (0u64, 0u64, Time::ZERO);
         for j in &jobs {
+            horizon = horizon.max(j.last_useful_abs());
             work = work
                 .checked_add(j.work().units())
                 .ok_or_else(|| SchedError::InvalidInstance("total work overflows u64".into()))?;
@@ -79,6 +83,7 @@ impl Instance {
             m,
             jobs,
             total_work: Work(work),
+            horizon,
         })
     }
 
@@ -112,18 +117,20 @@ impl Instance {
         self.total_work
     }
 
+    /// Last "useful" time: max over jobs of arrival + last profit bound.
+    /// O(1): [`new`](Self::new) computes it.
+    #[inline]
+    pub fn horizon(&self) -> Time {
+        self.horizon
+    }
+
     /// Compute aggregate statistics.
     pub fn stats(&self) -> InstanceStats {
         let n_jobs = self.jobs.len();
         let total_work = self.total_work;
         let total_profit: u64 = self.jobs.iter().map(|j| j.max_profit()).sum();
         let first_arrival = self.jobs.first().map(|j| j.arrival).unwrap_or(Time::ZERO);
-        let horizon = self
-            .jobs
-            .iter()
-            .map(|j| j.last_useful_abs())
-            .max()
-            .unwrap_or(Time::ZERO);
+        let horizon = self.horizon;
         let window = horizon.since(first_arrival).max(1);
         let load_factor = total_work.as_f64() / (self.m as f64 * window as f64);
         let mean_parallelism =
