@@ -11,6 +11,8 @@
 //! (Poisson-process inter-arrivals), Poisson counts, log-normal (heavy-tailed
 //! node works), Zipf (skewed profit densities) and Fisher–Yates shuffling.
 
+use std::borrow::Borrow;
+
 /// SplitMix64 step: used for seeding and as a simple standalone stream.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
@@ -193,22 +195,31 @@ impl Rng64 {
         }
     }
 
-    /// Sample an index proportionally to non-negative `weights`.
+    /// Sample an index proportionally to non-negative `weights` (a slice,
+    /// or any cloneable iterator, so callers need not collect one).
     /// Panics if the weights sum to zero or contain negatives.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+    pub fn weighted_index<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator,
+        I::Item: Borrow<f64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter().map(|w| *w.borrow());
+        let total: f64 = weights.clone().sum();
         assert!(
-            total > 0.0 && weights.iter().all(|w| *w >= 0.0),
+            total > 0.0 && weights.clone().all(|w| w >= 0.0),
             "weights must be non-negative and sum to a positive value"
         );
         let mut target = self.gen_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
+        let mut last = 0;
+        for (i, w) in weights.enumerate() {
             target -= w;
             if target <= 0.0 {
                 return i;
             }
+            last = i;
         }
-        weights.len() - 1
+        last
     }
 }
 
@@ -385,7 +396,7 @@ mod tests {
         // Weighted: index 1 has 90% of the mass.
         let mut ones = 0;
         for _ in 0..10_000 {
-            if rng.weighted_index(&[1.0, 9.0]) == 1 {
+            if rng.weighted_index([1.0, 9.0]) == 1 {
                 ones += 1;
             }
         }
@@ -395,6 +406,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn weighted_index_rejects_zero_total() {
-        Rng64::seed_from(0).weighted_index(&[0.0, 0.0]);
+        Rng64::seed_from(0).weighted_index([0.0, 0.0]);
     }
 }

@@ -23,7 +23,7 @@ use dagsched_core::{NodeId, Rng64, Work};
 
 /// One node of the given work (a purely sequential, minimal job).
 pub fn single(work: u64) -> DagJobSpec {
-    let mut b = DagBuilder::new();
+    let mut b = DagBuilder::with_capacity(1, 0);
     b.add_node(Work(work));
     b.build().expect("single node is always valid")
 }
@@ -58,11 +58,13 @@ pub fn diamond(width: u32, node_work: u64) -> DagJobSpec {
     assert!(width >= 1 && node_work >= 1);
     let mut b = DagBuilder::with_capacity(width as usize + 2, 2 * width as usize);
     let s = b.add_node(Work(1));
-    let mids: Vec<NodeId> = (0..width).map(|_| b.add_node(Work(node_work))).collect();
+    for _ in 0..width {
+        b.add_node(Work(node_work));
+    }
     let t = b.add_node(Work(1));
-    for &m in &mids {
-        b.add_edge(s, m).unwrap();
-        b.add_edge(m, t).unwrap();
+    for m in 1..=width {
+        b.add_edge(s, NodeId(m)).unwrap();
+        b.add_edge(NodeId(m), t).unwrap();
     }
     b.build().expect("diamond is always valid")
 }
@@ -130,20 +132,26 @@ pub fn fig2(chain_len: u32, block_width: u32, grain: u64) -> DagJobSpec {
 
 /// `segments` sequential fork-join segments: each is one fork node, `width`
 /// parallel child nodes, then a join node feeding the next segment.
+///
+/// `segments·(width + 2)` nodes and `2·segments·width + segments − 1` edges.
 pub fn fork_join(segments: u32, width: u32, node_work: u64) -> DagJobSpec {
     assert!(segments >= 1 && width >= 1 && node_work >= 1);
-    let mut b = DagBuilder::new();
+    let (s, w) = (segments as usize, width as usize);
+    let mut b = DagBuilder::with_capacity(s * (w + 2), 2 * s * w + s - 1);
     let mut join: Option<NodeId> = None;
     for _ in 0..segments {
         let fork = b.add_node(Work(node_work));
         if let Some(j) = join {
             b.add_edge(j, fork).unwrap();
         }
-        let kids: Vec<NodeId> = (0..width).map(|_| b.add_node(Work(node_work))).collect();
+        for _ in 0..width {
+            b.add_node(Work(node_work));
+        }
         let j = b.add_node(Work(node_work));
-        for &k in &kids {
-            b.add_edge(fork, k).unwrap();
-            b.add_edge(k, j).unwrap();
+        // The children are the ids between the fork and the join.
+        for k in fork.0 + 1..j.0 {
+            b.add_edge(fork, NodeId(k)).unwrap();
+            b.add_edge(NodeId(k), j).unwrap();
         }
         join = Some(j);
     }
@@ -163,26 +171,35 @@ pub fn layered_random(
 ) -> DagJobSpec {
     assert!(layers >= 1 && width_lo >= 1 && width_lo <= width_hi);
     assert!(work_lo >= 1 && work_lo <= work_hi);
-    let mut b = DagBuilder::new();
-    let mut prev_layer: Vec<NodeId> = Vec::new();
-    for layer in 0..layers {
+    // Room for every layer at its widest; edges sized for the mean width,
+    // one anchor plus `p_edge` of the rest of the previous layer per node.
+    let (layers_n, hi) = (layers as usize, width_hi as usize);
+    let mean_width = f64::from(width_lo + width_hi) / 2.0;
+    let per_node = 1.0 + p_edge.clamp(0.0, 1.0) * (mean_width - 1.0);
+    let edges = (layers_n - 1) as f64 * mean_width * per_node;
+    let mut b = DagBuilder::with_capacity(layers_n * hi, edges.ceil() as usize);
+    // Each layer is a contiguous id range; the previous one is `prev`.
+    let mut prev = 0..0;
+    for _ in 0..layers {
         let width = rng.gen_range_inclusive(width_lo as u64, width_hi as u64) as u32;
-        let nodes: Vec<NodeId> = (0..width)
-            .map(|_| b.add_node(Work(rng.gen_range_inclusive(work_lo, work_hi))))
-            .collect();
-        if layer > 0 {
-            for &v in &nodes {
+        let first = b.num_nodes() as u32;
+        for _ in 0..width {
+            b.add_node(Work(rng.gen_range_inclusive(work_lo, work_hi)));
+        }
+        let layer = first..first + width;
+        if !prev.is_empty() {
+            for v in layer.clone() {
                 // A guaranteed predecessor keeps layers genuinely dependent.
-                let anchor = *rng.choose(&prev_layer).expect("non-empty layer");
-                b.add_edge(anchor, v).unwrap();
-                for &p in &prev_layer {
+                let anchor = prev.start + rng.gen_range(u64::from(prev.end - prev.start)) as u32;
+                b.add_edge(NodeId(anchor), NodeId(v)).unwrap();
+                for p in prev.clone() {
                     if p != anchor && rng.gen_bool(p_edge) {
-                        b.add_edge(p, v).unwrap();
+                        b.add_edge(NodeId(p), NodeId(v)).unwrap();
                     }
                 }
             }
         }
-        prev_layer = nodes;
+        prev = layer;
     }
     b.build().expect("layered DAG is acyclic by construction")
 }
@@ -196,7 +213,10 @@ pub fn series_parallel(
     (work_lo, work_hi): (u64, u64),
 ) -> DagJobSpec {
     assert!(target_nodes >= 1 && work_lo >= 1 && work_lo <= work_hi);
-    let mut b = DagBuilder::new();
+    // `target_nodes` leaves and at most `target_nodes − 1` compositions,
+    // each adding at most two nodes and four edges.
+    let t = target_nodes as usize;
+    let mut b = DagBuilder::with_capacity(3 * t - 2, 4 * (t - 1));
     // Returns (source, sink) terminals of the generated component.
     fn go(b: &mut DagBuilder, rng: &mut Rng64, budget: u32, works: (u64, u64)) -> (NodeId, NodeId) {
         if budget <= 1 {
@@ -231,14 +251,16 @@ pub fn series_parallel(
 /// `(i, j)` with `i < j` becoming an edge with probability `p`.
 pub fn random_dag(rng: &mut Rng64, n: u32, p: f64, (work_lo, work_hi): (u64, u64)) -> DagJobSpec {
     assert!(n >= 1 && work_lo >= 1 && work_lo <= work_hi);
-    let mut b = DagBuilder::new();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|_| b.add_node(Work(rng.gen_range_inclusive(work_lo, work_hi))))
-        .collect();
-    for i in 0..n as usize {
-        for j in (i + 1)..n as usize {
+    // Edges sized for the expected count `p·n(n−1)/2`.
+    let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
+    let mut b = DagBuilder::with_capacity(n as usize, (p.clamp(0.0, 1.0) * pairs).ceil() as usize);
+    for _ in 0..n {
+        b.add_node(Work(rng.gen_range_inclusive(work_lo, work_hi)));
+    }
+    for i in 0..n {
+        for j in (i + 1)..n {
             if rng.gen_bool(p) {
-                b.add_edge(ids[i], ids[j]).unwrap();
+                b.add_edge(NodeId(i), NodeId(j)).unwrap();
             }
         }
     }

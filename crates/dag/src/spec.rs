@@ -8,30 +8,44 @@ use std::sync::Arc;
 ///
 /// Immutable by design — the engine shares one spec (via [`Arc`]) across the
 /// algorithm run, the optimal-bound computation, and any number of replays.
+///
+/// Three heap buffers hold everything: the builder's node works, one
+/// [`NodeId`] array holding the successor lists then the topological order,
+/// and one row per node for its successor offset, predecessor count and
+/// height.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagJobSpec {
     node_work: Vec<Work>,
-    /// Successor adjacency in compressed-sparse-row form: node `v`'s
-    /// successors are `succ_flat[succ_off[v] .. succ_off[v+1]]`, sorted per
-    /// node. One flat allocation instead of one `Vec` per node keeps every
-    /// successor walk on a single contiguous cache line stream.
-    succ_flat: Vec<NodeId>,
-    /// CSR row offsets, length `n + 1`.
-    succ_off: Vec<u32>,
-    /// Number of predecessors per node.
-    pred_count: Vec<u32>,
-    /// Nodes with no predecessors, in id order (the initial ready set).
-    sources: Vec<NodeId>,
+    /// `[successors | topological order]`. The first `num_edges` entries are
+    /// the successor adjacency in compressed-sparse-row form, sorted per
+    /// node; the last `n` are Kahn's FIFO order, whose first `num_sources`
+    /// entries are the sources in id order (Kahn's queue starts with them).
+    order: Vec<NodeId>,
+    /// `n + 1` rows: node `v`'s row is `rows[v + 1]`, and `rows[0]` is a
+    /// sentinel whose `succ_end` is 0, so `v`'s successors are
+    /// `order[rows[v].succ_end .. rows[v + 1].succ_end]`.
+    rows: Vec<NodeRow>,
+    /// Number of nodes with no predecessors.
+    num_sources: u32,
     /// Total work `W` = Σ node works.
     total_work: Work,
     /// Critical-path length `L` (work-weighted longest path).
     span: Work,
-    /// A topological order of all nodes.
-    topo: Vec<NodeId>,
-    /// `height[v]` = work-weighted longest path starting at `v` (inclusive).
-    /// A node is on a critical path iff its *depth + height* equals `L`;
-    /// the adversarial node-pick policy prefers low heights.
-    heights: Vec<Work>,
+}
+
+/// One node's derived fields (see `DagJobSpec::rows`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct NodeRow {
+    /// End of this node's successor list in `order`.
+    succ_end: u32,
+    /// Number of predecessors.
+    preds: u32,
+    /// Work-weighted longest path starting at the node (inclusive). A node
+    /// is on a critical path iff its *depth + height* equals `L`; the
+    /// adversarial node-pick policy prefers low heights. During
+    /// `DagBuilder::build` it first holds the fill cursor of the node's
+    /// successor list, then its remaining in-degree for Kahn's algorithm.
+    height: u64,
 }
 
 impl DagJobSpec {
@@ -74,25 +88,26 @@ impl DagJobSpec {
     #[inline]
     pub fn successors(&self, node: NodeId) -> &[NodeId] {
         let i = node.index();
-        &self.succ_flat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+        &self.order[self.rows[i].succ_end as usize..self.rows[i + 1].succ_end as usize]
     }
 
     /// Number of predecessors of a node.
     #[inline]
     pub fn pred_count(&self, node: NodeId) -> u32 {
-        self.pred_count[node.index()]
+        self.rows[node.index() + 1].preds
     }
 
-    /// A topological order over all nodes.
+    /// A topological order over all nodes: Kahn's FIFO order, starting
+    /// from the sources in id order.
     #[inline]
     pub fn topo_order(&self) -> &[NodeId] {
-        &self.topo
+        &self.order[self.num_edges()..]
     }
 
     /// Longest work-weighted path starting at `node` (inclusive of its work).
     #[inline]
     pub fn height(&self, node: NodeId) -> Work {
-        self.heights[node.index()]
+        Work(self.rows[node.index() + 1].height)
     }
 
     /// Nodes with no predecessors, in id order (the initial ready set).
@@ -101,13 +116,14 @@ impl DagJobSpec {
     /// fresh allocation.
     #[inline]
     pub fn sources(&self) -> &[NodeId] {
-        &self.sources
+        let start = self.num_edges();
+        &self.order[start..start + self.num_sources as usize]
     }
 
     /// Number of edges (the CSR flat length; no rescan).
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.succ_flat.len()
+        self.order.len() - self.node_work.len()
     }
 
     /// Wrap in an [`Arc`] for sharing with the engine.
@@ -202,79 +218,92 @@ impl DagBuilder {
         if let Some(i) = self.node_work.iter().position(|w| w.is_zero()) {
             return Err(SchedError::InvalidDag(format!("node n{i} has zero work")));
         }
-        if u32::try_from(self.edges.len()).is_err() {
+        let m = self.edges.len();
+        if u32::try_from(m).is_err() {
             return Err(SchedError::InvalidDag(format!(
-                "too many edges for CSR offsets: {}",
-                self.edges.len()
+                "too many edges for CSR offsets: {m}"
             )));
         }
-        // CSR adjacency: sorting the edge list by (from, to) puts each
-        // node's successors contiguously (and sorted), so the flat array and
-        // the row offsets fall out of one pass.
-        let mut sorted = self.edges;
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            return Err(SchedError::InvalidDag("duplicate edge".into()));
+        // CSR adjacency by counting sort: out-degrees, then prefix sums
+        // give each node's row end, then every edge lands at its source's
+        // fill cursor, and each row is sorted in place.
+        let mut rows = vec![NodeRow::default(); n + 1];
+        for &(from, to) in &self.edges {
+            rows[from.index() + 1].succ_end += 1;
+            rows[to.index() + 1].preds += 1;
         }
-        let mut succ_flat: Vec<NodeId> = Vec::with_capacity(sorted.len());
-        let mut succ_off: Vec<u32> = vec![0; n + 1];
-        let mut pred_count = vec![0u32; n];
-        for &(from, to) in &sorted {
-            succ_off[from.index() + 1] += 1;
-            pred_count[to.index()] += 1;
-            succ_flat.push(to);
+        for i in 1..=n {
+            rows[i].succ_end += rows[i - 1].succ_end;
+            rows[i].height = u64::from(rows[i - 1].succ_end);
         }
-        for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
+        let mut order = vec![NodeId(0); m + n];
+        let (succ, topo) = order.split_at_mut(m);
+        for &(from, to) in &self.edges {
+            let cursor = &mut rows[from.index() + 1].height;
+            succ[*cursor as usize] = to;
+            *cursor += 1;
         }
-        let succs_of = |v: NodeId| -> &[NodeId] {
-            &succ_flat[succ_off[v.index()] as usize..succ_off[v.index() + 1] as usize]
-        };
-        let sources: Vec<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|v| pred_count[v.index()] == 0)
-            .collect();
+        let row =
+            |rows: &[NodeRow], v: usize| rows[v].succ_end as usize..rows[v + 1].succ_end as usize;
+        for v in 0..n {
+            let list = &mut succ[row(&rows, v)];
+            list.sort_unstable();
+            if list.windows(2).any(|w| w[0] == w[1]) {
+                return Err(SchedError::InvalidDag("duplicate edge".into()));
+            }
+        }
 
-        // Kahn's algorithm: topological order + cycle detection.
-        let mut indeg = pred_count.clone();
-        let mut queue: Vec<NodeId> = sources.clone();
-        let mut topo = Vec::with_capacity(n);
+        // Kahn's algorithm: the queue is the topological order. Sources
+        // enter in id order; `height` holds each node's remaining in-degree.
+        let mut tail = 0;
+        for v in 0..n {
+            let r = &mut rows[v + 1];
+            r.height = u64::from(r.preds);
+            if r.preds == 0 {
+                topo[tail] = NodeId(v as u32);
+                tail += 1;
+            }
+        }
+        let num_sources = tail as u32;
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while head < tail {
+            let v = topo[head].index();
             head += 1;
-            topo.push(v);
-            for &s in succs_of(v) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
+            for &s in &succ[row(&rows, v)] {
+                let indeg = &mut rows[s.index() + 1].height;
+                *indeg -= 1;
+                if *indeg == 0 {
+                    topo[tail] = s;
+                    tail += 1;
                 }
             }
         }
-        if topo.len() != n {
-            let witness = (0..n).find(|&i| indeg[i] > 0).unwrap();
+        if tail != n {
+            let witness = (0..n).find(|&i| rows[i + 1].height > 0).unwrap();
             return Err(SchedError::InvalidDag(format!(
                 "cycle detected (through n{witness})"
             )));
         }
 
         // Heights (longest path from node, inclusive) in reverse topo order;
-        // span = max height. u64 work sums cannot overflow for realistic
-        // instances but we use checked adds to fail loudly.
-        let mut heights = vec![Work::ZERO; n];
+        // every in-degree is 0 by now, and a node's successors come after
+        // it, so each height is written before it is read. span = max
+        // height. u64 work sums cannot overflow for realistic instances but
+        // we use checked adds to fail loudly.
+        let mut span = 0;
         for &v in topo.iter().rev() {
-            let best_succ = succs_of(v)
+            let best_succ = succ[row(&rows, v.index())]
                 .iter()
-                .map(|s| heights[s.index()].units())
+                .map(|s| rows[s.index() + 1].height)
                 .max()
                 .unwrap_or(0);
             let h = self.node_work[v.index()]
                 .units()
                 .checked_add(best_succ)
                 .ok_or_else(|| SchedError::InvalidDag("work overflow on path".into()))?;
-            heights[v.index()] = Work(h);
+            rows[v.index() + 1].height = h;
+            span = span.max(h);
         }
-        let span = Work(heights.iter().map(|h| h.units()).max().unwrap_or(0));
         let total = self
             .node_work
             .iter()
@@ -283,14 +312,11 @@ impl DagBuilder {
 
         Ok(DagJobSpec {
             node_work: self.node_work,
-            succ_flat,
-            succ_off,
-            pred_count,
-            sources,
+            order,
+            rows,
+            num_sources,
             total_work: Work(total),
-            span,
-            topo,
-            heights,
+            span: Work(span),
         })
     }
 }
@@ -461,6 +487,140 @@ mod tests {
             }
             for v in 0..n {
                 assert_eq!(pred_recount[v as usize], d.pred_count(NodeId(v)));
+            }
+        }
+    }
+
+    /// What [`DagBuilder::build`] must return for `works` and `edges`,
+    /// derived the slow way: the same errors in the same order, else every
+    /// accessor's answer (`topo` is Kahn's FIFO order from the sources in
+    /// id order, following each node's sorted successors).
+    struct Model {
+        succ: Vec<Vec<NodeId>>,
+        preds: Vec<u32>,
+        sources: Vec<NodeId>,
+        topo: Vec<NodeId>,
+        heights: Vec<Work>,
+        span: Work,
+        total: Work,
+    }
+
+    fn model(works: &[u64], edges: &[(u32, u32)]) -> std::result::Result<Model, SchedError> {
+        let invalid = |m: String| Err(SchedError::InvalidDag(m));
+        let n = works.len();
+        if n == 0 {
+            return invalid("a job needs at least one node".into());
+        }
+        if let Some(i) = works.iter().position(|&w| w == 0) {
+            return invalid(format!("node n{i} has zero work"));
+        }
+        let mut succ = vec![Vec::new(); n];
+        let mut preds = vec![0u32; n];
+        for &(a, b) in edges {
+            if succ[a as usize].contains(&NodeId(b)) {
+                return invalid("duplicate edge".into());
+            }
+            succ[a as usize].push(NodeId(b));
+            preds[b as usize] += 1;
+        }
+        for list in &mut succ {
+            list.sort();
+        }
+        let sources: Vec<NodeId> = (0..n as u32)
+            .map(NodeId)
+            .filter(|v| preds[v.index()] == 0)
+            .collect();
+        let mut indeg = preds.clone();
+        let mut queue: std::collections::VecDeque<NodeId> = sources.iter().copied().collect();
+        let mut topo = Vec::new();
+        while let Some(v) = queue.pop_front() {
+            topo.push(v);
+            for &s in &succ[v.index()] {
+                indeg[s.index()] -= 1;
+                if indeg[s.index()] == 0 {
+                    queue.push_back(s);
+                }
+            }
+        }
+        if let Some(w) = indeg.iter().position(|&d| d > 0) {
+            return invalid(format!("cycle detected (through n{w})"));
+        }
+        // Longest path from each node by exhaustive recursion (the graph is
+        // acyclic here).
+        fn longest(v: usize, works: &[u64], succ: &[Vec<NodeId>]) -> u64 {
+            let tail = succ[v].iter().map(|s| longest(s.index(), works, succ));
+            works[v] + tail.max().unwrap_or(0)
+        }
+        let heights: Vec<Work> = (0..n).map(|v| Work(longest(v, works, &succ))).collect();
+        Ok(Model {
+            span: *heights.iter().max().unwrap(),
+            total: Work(works.iter().sum()),
+            succ,
+            preds,
+            sources,
+            topo,
+            heights,
+        })
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// `build` agrees with the model on random edge lists: forward
+            /// edges only (always acyclic) half the time, any direction
+            /// otherwise (cycles), with duplicate edges and zero-work nodes
+            /// drawn now and then.
+            #[test]
+            fn build_matches_the_model(
+                raw_works in collection::vec(0u64..48, 0..13),
+                raw_edges in collection::vec((0u32..64, 0u32..64), 0..16),
+                mode in 0u8..4,
+            ) {
+                let works: Vec<u64> = raw_works.iter().map(|&w| w / 2).collect();
+                let n = works.len() as u32;
+                let edges: Vec<(u32, u32)> = if n == 0 {
+                    Vec::new()
+                } else {
+                    raw_edges
+                        .iter()
+                        .map(|&(a, b)| (a % n, b % n))
+                        .filter(|(a, b)| a != b)
+                        .map(|(a, b)| if mode < 2 { (a.min(b), a.max(b)) } else { (a, b) })
+                        .collect()
+                };
+                let mut b = DagBuilder::new();
+                for &w in &works {
+                    b.add_node(Work(w));
+                }
+                for &(from, to) in &edges {
+                    b.add_edge(NodeId(from), NodeId(to)).unwrap();
+                }
+                match (b.build(), model(&works, &edges)) {
+                    (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                    (Ok(d), Ok(want)) => {
+                        for v in 0..n {
+                            let v = NodeId(v);
+                            prop_assert_eq!(d.successors(v), &want.succ[v.index()][..]);
+                            prop_assert_eq!(d.pred_count(v), want.preds[v.index()]);
+                            prop_assert_eq!(d.height(v), want.heights[v.index()]);
+                            prop_assert_eq!(d.node_work(v), Work(works[v.index()]));
+                        }
+                        prop_assert_eq!(d.sources(), &want.sources[..]);
+                        prop_assert_eq!(d.topo_order(), &want.topo[..]);
+                        prop_assert_eq!(d.span(), want.span);
+                        prop_assert_eq!(d.total_work(), want.total);
+                        prop_assert_eq!(d.num_edges(), edges.len());
+                    }
+                    (got, want) => panic!(
+                        "build gave {:?}, the model {:?}",
+                        got.map(|_| ()),
+                        want.map(|_| ())
+                    ),
+                }
             }
         }
     }

@@ -1449,4 +1449,115 @@ mod tests {
             full_eq(&drv.finish().unwrap(), &one_shot);
         }
     }
+
+    /// Earliest-deadline-first test scheduler: alive jobs by absolute
+    /// deadline (then id), each given as many processors as it has ready
+    /// nodes.
+    #[derive(Default)]
+    struct DeadlineFirst {
+        deadline: Vec<Time>,
+    }
+
+    impl OnlineScheduler for DeadlineFirst {
+        fn name(&self) -> String {
+            "edf-test".into()
+        }
+        fn on_arrival(&mut self, job: &JobInfo, _now: Time) {
+            let i = job.id.index();
+            if self.deadline.len() <= i {
+                self.deadline.resize(i + 1, Time::MAX);
+            }
+            self.deadline[i] = job.abs_deadline().unwrap_or(Time::MAX);
+        }
+        fn on_completion(&mut self, _id: JobId, _now: Time) {}
+        fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+        fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+            let mut order = view.jobs().to_vec();
+            order.sort_by_key(|&(id, _)| (self.deadline[id.index()], id));
+            let mut left = view.m;
+            let mut out = Vec::new();
+            for (id, ready) in order {
+                let k = ready.min(left);
+                if k > 0 {
+                    out.push((id, k));
+                    left -= k;
+                }
+            }
+            out
+        }
+        fn allocation_stable_between_events(&self) -> bool {
+            true
+        }
+    }
+
+    /// The large-alive shape of the `parked-dense` benchmark (as copied in
+    /// `tests/golden_outputs.rs`): `n` background jobs (work 9,500–10,500)
+    /// at `t = 0` with deadline `far`, and `n` tiny foreground jobs with
+    /// deadline 60 saturating `m = 4`, two single nodes or one 2-node chain
+    /// per tick.
+    fn parked_instance(n: usize, chains: bool, seed: u64, far: u64) -> Instance {
+        use dagsched_workload::{JobSpec, StepProfitFn};
+        let mut rng = dagsched_core::Rng64::seed_from(seed).child(chains as u64);
+        let mut jobs: Vec<JobSpec> = (0..n)
+            .map(|i| {
+                JobSpec::new(
+                    JobId(i as u32),
+                    Time(0),
+                    dagsched_dag::gen::single(9_500 + rng.gen_range(1_001)).into_shared(),
+                    StepProfitFn::deadline(Time(far), 1),
+                )
+            })
+            .collect();
+        let per_tick = if chains { 1 } else { 2 };
+        for i in 0..n {
+            let dag = if chains {
+                dagsched_dag::gen::chain(2, 2)
+            } else {
+                dagsched_dag::gen::single(2)
+            };
+            jobs.push(JobSpec::new(
+                JobId((n + i) as u32),
+                Time((i / per_tick) as u64),
+                dag.into_shared(),
+                StepProfitFn::deadline(Time(60), 3),
+            ));
+        }
+        Instance::new(4, jobs).unwrap()
+    }
+
+    /// How the expiry heap's pops split between due expiries and stale
+    /// keys left by completions, under EDF. On the parked shape the
+    /// foreground jobs complete and leave their keys behind, the background
+    /// survivors expire in one wave, and about half the pops are stale; on
+    /// a standard instance every job completes, so every pop is stale.
+    /// Compaction drops few keys: most stale keys surface first. The split
+    /// is pinned so a change to the index shows in these numbers.
+    #[test]
+    fn expiry_heap_pops_split_live_and_stale() {
+        use crate::events::HeapCounts;
+        let run = |inst: &Instance| {
+            let cfg = SimConfig::default();
+            let mut sched = DeadlineFirst::default();
+            let mut drv = SimDriver::new(inst, &mut sched, &cfg);
+            while drv.step().unwrap() {}
+            let counts = drv.kernel.counts;
+            let r = drv.finish().unwrap();
+            (counts, r.expired())
+        };
+        let counts = |live_pops, stale_pops, compactions, compacted| HeapCounts {
+            live_pops,
+            stale_pops,
+            compactions,
+            compacted,
+        };
+        for (chains, want, expired) in [
+            (false, counts(995, 887, 1, 118), 995),
+            (true, counts(996, 947, 1, 57), 996),
+        ] {
+            let inst = parked_instance(1_000, chains, 3, 20_000);
+            assert_eq!(run(&inst), (want, expired), "chains = {chains}");
+        }
+        let inst = WorkloadGen::standard(8, 400, 7).generate().unwrap();
+        assert_eq!(run(&inst), (counts(0, 389, 6, 10), 0));
+    }
 }

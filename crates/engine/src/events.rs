@@ -78,6 +78,22 @@ struct ExpiryKey {
 /// below it the heap is too small for lazy corpses to matter.
 pub(crate) const COMPACT_MIN_STALE: usize = 64;
 
+/// What the expiry heap did over a run, for tests that pin how much of its
+/// work is on stale keys.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct HeapCounts {
+    /// Entries popped as due expiries.
+    pub(crate) live_pops: u64,
+    /// Entries popped as stale, by [`EventKernel::window`] or
+    /// [`EventKernel::pop_due_expiries`].
+    pub(crate) stale_pops: u64,
+    /// Compactions run.
+    pub(crate) compactions: u64,
+    /// Stale entries the compactions dropped.
+    pub(crate) compacted: u64,
+}
+
 /// The driver's next-event index and the lifecycle's expiry index. See
 /// the [module docs](self).
 pub struct EventKernel {
@@ -93,6 +109,8 @@ pub struct EventKernel {
     /// decremented — naturally-popped corpses just make the next
     /// compaction earlier).
     stale_hint: usize,
+    #[cfg(test)]
+    pub(crate) counts: HeapCounts,
 }
 
 impl EventKernel {
@@ -106,6 +124,8 @@ impl EventKernel {
             armed_arrival: None,
             horizon,
             stale_hint: 0,
+            #[cfg(test)]
+            counts: HeapCounts::default(),
         }
     }
 
@@ -166,6 +186,10 @@ impl EventKernel {
                 break;
             }
             self.heap.pop();
+            #[cfg(test)]
+            {
+                self.counts.stale_pops += 1;
+            }
         }
         next.since(t)
     }
@@ -179,9 +203,16 @@ impl EventKernel {
         while self.heap.peek().is_some_and(|&Reverse(top)| top.time <= t) {
             let Reverse(e) = self.heap.pop().expect("just peeked");
             let slot = &mut self.armed_expiry[e.job as usize];
-            if *slot == e.time {
+            let due = *slot == e.time;
+            if due {
                 *slot = Time::MAX;
                 out.push(JobId(e.job));
+            }
+            #[cfg(test)]
+            if due {
+                self.counts.live_pops += 1;
+            } else {
+                self.counts.stale_pops += 1;
             }
         }
         out.sort_unstable();
@@ -194,10 +225,17 @@ impl EventKernel {
         if self.stale_hint < COMPACT_MIN_STALE || self.stale_hint * 2 < self.heap.len() {
             return;
         }
+        #[cfg(test)]
+        let before = self.heap.len();
         let armed = &self.armed_expiry;
         self.heap
             .retain(|&Reverse(e)| armed[e.job as usize] == e.time);
         self.stale_hint = 0;
+        #[cfg(test)]
+        {
+            self.counts.compactions += 1;
+            self.counts.compacted += (before - self.heap.len()) as u64;
+        }
     }
 
     /// Heap length (diagnostics / tests).

@@ -77,12 +77,21 @@ pub fn run(quick: bool) -> Vec<Table> {
             "expired (mean)",
         ],
     );
-    for kind in variants(eps) {
-        let rows = over_seeds(&seed_list, |seed| {
-            let inst = instance(m, n_jobs, load, seed);
-            let r = run_on(&inst, &kind);
-            (r.total_profit, r.completed(), r.expired())
-        });
+    // Seeds outermost: each seed's instance is generated once and every
+    // variant runs on it. A row sums over seeds in seed order.
+    let kinds = variants(eps);
+    let per_seed = over_seeds(&seed_list, |seed| {
+        let inst = instance(m, n_jobs, load, seed);
+        kinds
+            .iter()
+            .map(|kind| {
+                let r = run_on(&inst, kind);
+                (r.total_profit, r.completed(), r.expired())
+            })
+            .collect::<Vec<_>>()
+    });
+    for (k, kind) in kinds.iter().enumerate() {
+        let rows: Vec<_> = per_seed.iter().map(|runs| runs[k]).collect();
         let n = rows.len() as f64;
         t.row(vec![
             kind.label(),

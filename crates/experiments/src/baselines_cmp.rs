@@ -78,22 +78,24 @@ pub fn run(quick: bool) -> Vec<Table> {
             "expired",
         ],
     );
+    let kinds = lineup();
     for &load in &loads {
-        let cases: Vec<(dagsched_workload::Instance, u64)> = seed_list
-            .iter()
-            .map(|&seed| {
-                let inst = instance(m, n_jobs, load, seed);
-                let ub = fractional_ub(&inst, Speed::ONE);
-                (inst, ub)
-            })
-            .collect();
-        for kind in lineup() {
-            let rows = over_seeds(&seed_list, |seed| {
-                let idx = seed_list.iter().position(|&x| x == seed).unwrap();
-                let (inst, ub) = &cases[idx];
-                let r = run_on(inst, &kind);
-                (r.total_profit, *ub, r.completed(), r.expired())
-            });
+        // Seeds outermost: each seed's instance and bound are computed once,
+        // on a worker, and every scheduler runs on it. A row sums over seeds
+        // in seed order.
+        let per_seed = over_seeds(&seed_list, |seed| {
+            let inst = instance(m, n_jobs, load, seed);
+            let ub = fractional_ub(&inst, Speed::ONE);
+            kinds
+                .iter()
+                .map(|kind| {
+                    let r = run_on(&inst, kind);
+                    (r.total_profit, ub, r.completed(), r.expired())
+                })
+                .collect::<Vec<_>>()
+        });
+        for (k, kind) in kinds.iter().enumerate() {
+            let rows: Vec<_> = per_seed.iter().map(|runs| runs[k]).collect();
             let n = rows.len() as f64;
             t.row(vec![
                 f(load, 1),

@@ -90,25 +90,34 @@ pub fn run(quick: bool) -> Vec<Table> {
             "HDF completed",
         ],
     );
-    for (name, pick) in policies() {
-        let cfg = SimConfig {
-            pick: pick.clone(),
-            ..SimConfig::default()
-        };
-        let rows = over_seeds(&seed_list, |seed| {
-            let inst = instance(m, n_jobs, seed);
-            let rs = run_on_cfg(&inst, &SchedKind::S { epsilon: 1.0 }, &cfg);
-            let rh = run_on_cfg(&inst, &SchedKind::Hdf, &cfg);
-            (
-                rs.total_profit,
-                rs.completed(),
-                rh.total_profit,
-                rh.completed(),
-            )
-        });
+    // Seeds outermost: each seed's instance is generated once and every
+    // policy runs on it. A row sums over seeds in seed order.
+    let policies = policies();
+    let per_seed = over_seeds(&seed_list, |seed| {
+        let inst = instance(m, n_jobs, seed);
+        policies
+            .iter()
+            .map(|(_, pick)| {
+                let cfg = SimConfig {
+                    pick: pick.clone(),
+                    ..SimConfig::default()
+                };
+                let rs = run_on_cfg(&inst, &SchedKind::S { epsilon: 1.0 }, &cfg);
+                let rh = run_on_cfg(&inst, &SchedKind::Hdf, &cfg);
+                (
+                    rs.total_profit,
+                    rs.completed(),
+                    rh.total_profit,
+                    rh.completed(),
+                )
+            })
+            .collect::<Vec<_>>()
+    });
+    for (k, (name, _)) in policies.iter().enumerate() {
+        let rows: Vec<_> = per_seed.iter().map(|runs| runs[k]).collect();
         let n = rows.len() as f64;
         t.row(vec![
-            name.into(),
+            (*name).into(),
             f(rows.iter().map(|r| r.0 as f64).sum::<f64>() / n, 1),
             f(rows.iter().map(|r| r.1 as f64).sum::<f64>() / n, 1),
             f(rows.iter().map(|r| r.2 as f64).sum::<f64>() / n, 1),

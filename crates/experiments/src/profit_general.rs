@@ -64,29 +64,33 @@ pub fn run(quick: bool) -> Vec<Table> {
         ],
     );
 
-    // Per-seed instances and bounds.
-    let cases: Vec<(dagsched_workload::Instance, u64)> = seed_list
-        .iter()
-        .map(|&seed| {
-            let inst = instance(m, n_jobs, eps, seed);
-            let ub = fractional_ub(&inst, Speed::ONE);
-            (inst, ub)
-        })
-        .collect();
-
-    // S-profit, with its extra metrics.
-    let sp_rows = over_seeds(&seed_list, |seed| {
-        let idx = seed_list.iter().position(|&x| x == seed).unwrap();
-        let (inst, ub) = &cases[idx];
+    // Seeds outermost: each seed's instance and bound are computed once, on
+    // a worker, and every scheduler runs on it. A row sums over seeds in
+    // seed order.
+    let kinds = [SchedKind::S { epsilon: eps }, SchedKind::Hdf];
+    let per_seed = over_seeds(&seed_list, |seed| {
+        let inst = instance(m, n_jobs, eps, seed);
+        let ub = fractional_ub(&inst, Speed::ONE);
+        // S-profit, with its extra metrics.
         let mut s = SchedulerSProfit::with_epsilon(m, eps);
-        let r = simulate(inst, &mut s, &SimConfig::default()).expect("valid run");
+        let r = simulate(&inst, &mut s, &SimConfig::default()).expect("valid run");
         let stretch = if s.metrics().scheduled > 0 {
             s.metrics().stretch_sum / s.metrics().scheduled as f64
         } else {
             0.0
         };
-        (r.total_profit, *ub, r.completed(), stretch)
+        let sprofit = (r.total_profit, ub, r.completed(), stretch);
+        let plain: Vec<_> = kinds
+            .iter()
+            .map(|kind| {
+                let r = run_on(&inst, kind);
+                (r.total_profit, ub, r.completed())
+            })
+            .collect();
+        (sprofit, plain)
     });
+
+    let sp_rows: Vec<_> = per_seed.iter().map(|(sprofit, _)| *sprofit).collect();
     let n = sp_rows.len() as f64;
     t.row(vec![
         "S-profit".into(),
@@ -105,13 +109,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     ]);
 
     // Plain S and HDF.
-    for kind in [SchedKind::S { epsilon: eps }, SchedKind::Hdf] {
-        let rows = over_seeds(&seed_list, |seed| {
-            let idx = seed_list.iter().position(|&x| x == seed).unwrap();
-            let (inst, ub) = &cases[idx];
-            let r = run_on(inst, &kind);
-            (r.total_profit, *ub, r.completed())
-        });
+    for (k, kind) in kinds.iter().enumerate() {
+        let rows: Vec<_> = per_seed.iter().map(|(_, plain)| plain[k]).collect();
         t.row(vec![
             kind.label(),
             f(rows.iter().map(|r| r.0 as f64).sum::<f64>() / n, 1),

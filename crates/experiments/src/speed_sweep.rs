@@ -77,29 +77,31 @@ pub fn run(quick: bool) -> Vec<Table> {
             "completed (mean)",
         ],
     );
-    // Per-seed UBs are speed-independent: compute once.
-    let base: Vec<(dagsched_workload::Instance, u64)> = seed_list
-        .iter()
-        .map(|&seed| {
-            let inst = instance(m, n_jobs, seed);
-            let ub = exact_subset_ub(&inst, Speed::ONE, 24).expect("small n");
-            (inst, ub)
-        })
-        .collect();
+    // Seeds outermost: each seed's instance and its speed-independent bound
+    // are computed once, on a worker, and S runs on it at every speed. A
+    // row sums over seeds in seed order.
+    let speeds = speed_grid(quick);
+    let per_seed = over_seeds(&seed_list, |seed| {
+        let inst = instance(m, n_jobs, seed);
+        let ub = exact_subset_ub(&inst, Speed::ONE, 24).expect("small n");
+        speeds
+            .iter()
+            .map(|&s| {
+                let r = run_at_speed(
+                    &inst,
+                    &SchedKind::SHinted {
+                        epsilon: 1.0,
+                        hint: s.as_f64(),
+                    },
+                    s,
+                );
+                (r.total_profit, ub, r.completed())
+            })
+            .collect::<Vec<_>>()
+    });
 
-    for s in speed_grid(quick) {
-        let rows = over_seeds(&seed_list, |seed| {
-            let (inst, ub) = &base[seed_list.iter().position(|&x| x == seed).unwrap()];
-            let r = run_at_speed(
-                inst,
-                &SchedKind::SHinted {
-                    epsilon: 1.0,
-                    hint: s.as_f64(),
-                },
-                s,
-            );
-            (r.total_profit, *ub, r.completed())
-        });
+    for (k, &s) in speeds.iter().enumerate() {
+        let rows: Vec<_> = per_seed.iter().map(|runs| runs[k]).collect();
         let profits: Vec<f64> = rows.iter().map(|(p, _, _)| *p as f64).collect();
         let fracs: Vec<f64> = rows
             .iter()

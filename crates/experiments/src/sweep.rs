@@ -345,7 +345,8 @@ impl SweepGrid {
     /// Workers pull cell indices from a shared cursor and return
     /// `(index, result)` pairs; the merge writes them into a grid-ordered
     /// vector, so the returned [`SweepResult`] is byte-identical for every
-    /// thread count.
+    /// thread count. One worker runs on the calling thread, as
+    /// [`parallel_map`](dagsched_engine::parallel_map) does.
     pub fn run(&self, threads: usize) -> SweepResult {
         let platforms = self.platform_axis();
         let (n_totals, total_of) = SweepGrid::total_index(&platforms);
@@ -360,39 +361,43 @@ impl SweepGrid {
             .map(|_| OnceLock::new())
             .collect();
         let generated = AtomicUsize::new(0);
-        let mut merged: Vec<Option<CellResult>> = vec![None; cells.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scheds: Vec<Option<Box<dyn OnlineScheduler>>> =
-                            (0..self.scheds.len() * n_totals).map(|_| None).collect();
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(cell) = cells.get(i) else { break };
-                            local.push((
-                                i,
-                                self.run_cell(
-                                    cell,
-                                    &platforms,
-                                    n_totals,
-                                    &instances,
-                                    &generated,
-                                    &mut scheds,
-                                ),
-                            ));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("sweep worker panicked") {
-                    merged[i] = Some(r);
-                }
+        let work = || {
+            let mut scheds: Vec<Option<Box<dyn OnlineScheduler>>> =
+                (0..self.scheds.len() * n_totals).map(|_| None).collect();
+            let mut local = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                local.push((
+                    i,
+                    self.run_cell(
+                        cell,
+                        &platforms,
+                        n_totals,
+                        &instances,
+                        &generated,
+                        &mut scheds,
+                    ),
+                ));
             }
-        });
+            local
+        };
+        let mut merged: Vec<Option<CellResult>> = vec![None; cells.len()];
+        let mut merge = |local: Vec<(usize, CellResult)>| {
+            for (i, r) in local {
+                merged[i] = Some(r);
+            }
+        };
+        if workers == 1 {
+            merge(work());
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                for h in handles {
+                    merge(h.join().expect("sweep worker panicked"));
+                }
+            });
+        }
         SweepResult {
             grid: self.name.clone(),
             cells: merged

@@ -121,7 +121,7 @@ impl ClusterTraceGen {
             ));
         }
         let mut rng = Rng64::seed_from(self.seed);
-        let mut jobs = Vec::new();
+        let mut jobs = Vec::with_capacity(self.n_jobs);
         // Thinning: candidate events at the peak rate, accepted with
         // probability rate(t)/peak.
         let mut t = 0.0f64;
@@ -157,7 +157,7 @@ impl ClusterTraceGen {
             self.pipeline.weight,
             self.batch.weight,
         ];
-        let class_idx = rng.weighted_index(&weights);
+        let class_idx = rng.weighted_index(weights);
         // Log-normal size multiplier, clamped to keep instances laptop-scale.
         let mult = rng.log_normal(0.0, self.size_sigma).clamp(0.2, 20.0);
         let scale = |base: u32| ((base as f64 * mult).round() as u32).max(1);

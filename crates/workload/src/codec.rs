@@ -343,6 +343,22 @@ work 1
 edges 0
 end
 ";
+        // The edge count only bounds the `edge` lines read; nothing is
+        // reserved for it, so it runs out of input.
+        let huge_edges = "\
+dagsched-instance v1
+m 4
+jobs 1
+job 0
+arrival 0
+profit 1 0
+seg 10 1
+nodes 2
+work 1 1
+edges 99999999999
+edge 0 1
+end
+";
         for text in [huge_profit, huge_jobs] {
             assert!(
                 matches!(decode(text), Err(SchedError::InvalidInstance(_))),
@@ -350,6 +366,7 @@ end
             );
         }
         assert!(matches!(decode(max_nodes), Err(SchedError::Codec(_))));
+        assert!(matches!(decode(huge_edges), Err(SchedError::Codec(_))));
     }
 
     /// Work totals that overflow `u64` across jobs are an error on decode

@@ -51,7 +51,7 @@ pub enum ArrivalProcess {
 impl ArrivalProcess {
     /// Generate `n` non-decreasing arrival times.
     fn arrivals(&self, n: usize, rng: &mut Rng64) -> Vec<Time> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(n);
         match *self {
             ArrivalProcess::AllAtOnce => out.resize(n, Time::ZERO),
             ArrivalProcess::Poisson { rate } => {
@@ -217,8 +217,7 @@ impl DagFamily {
             } => dgen::fig1(*m, r32(rng, *chain_len), *grain),
             DagFamily::Mixed(parts) => {
                 assert!(!parts.is_empty(), "mixture needs at least one family");
-                let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
-                let idx = rng.weighted_index(&weights);
+                let idx = rng.weighted_index(parts.iter().map(|(w, _)| *w));
                 parts[idx].1.sample(rng)
             }
         }
@@ -450,7 +449,7 @@ impl WorkloadGen {
         check_job_count(self.n_jobs)?;
         let mut rng = Rng64::seed_from(self.seed);
         let arrivals = self.arrivals.arrivals(self.n_jobs, &mut rng);
-        let mut jobs = Vec::new();
+        let mut jobs = Vec::with_capacity(self.n_jobs);
         for (i, arrival) in arrivals.into_iter().enumerate() {
             let dag = self.family.sample(&mut rng).into_shared();
             let brent = {

@@ -27,6 +27,17 @@
 #
 # Run the benchmark binary from the repository root, and compare shares of
 # the total, not raw seconds, between runs.
+#
+# Threads: on some hosts gprofng records no samples from threads the
+# program spawns, only from its main thread. The script warns when the
+# sampled total is under half the wall time. `dagsched sweep --threads 1`
+# and the `sweep-steady` benchmark op run on the calling thread. The
+# experiment pipeline (`run_all`, the `all` binary, the `tables-full`
+# workload) sizes its worker pool from the CPUs it may run on, so pin it
+# to one CPU to keep its work on the main thread:
+#
+#   taskset -c 0 bash scripts/profile.sh \
+#       benchmark/target/release/dagsched-perf --workload tables-full --seconds 60
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
@@ -44,12 +55,22 @@ mkdir -p "$dir"
 exp=$dir/run.er
 rm -rf "$exp"
 
+start=$(date +%s.%N)
 gprofng collect app -p lo -O "$exp" "$@" >"$dir/stdout.txt"
+wall=$(awk -v a="$start" -v b="$(date +%s.%N)" 'BEGIN { printf "%.1f", b - a }')
 echo "experiment $exp; program output in $dir/stdout.txt"
 
 echo
 echo "== top 30 functions by exclusive time =="
-gprofng display text -limit 30 -functions "$exp"
+gprofng display text -limit 30 -functions "$exp" | tee "$dir/functions.txt"
+
+# The <Total> row's first column is the sampled CPU time in seconds.
+sampled=$(awk '$NF == "<Total>" { print $1; exit }' "$dir/functions.txt")
+if [[ -n $sampled ]] && awk -v s="$sampled" -v w="$wall" 'BEGIN { exit !(s < w / 2) }'; then
+    echo
+    echo "warning: sampled ${sampled} s of ${wall} s wall time; spawned threads" \
+        "are probably unsampled (see the header: taskset -c 0)" >&2
+fi
 
 if ((${#func[@]})); then
     echo

@@ -635,3 +635,82 @@ fn trace_runs_are_golden() {
     assert_eq!(all.len(), 4876);
     assert_eq!(fnv1a(all.as_bytes()), 0xe17f_44e9_893d_651c);
 }
+
+/// Every table `charging::run(false)` renders: E5's measured `‖C‖/‖R‖`
+/// next to Lemma 5's margin.
+#[test]
+fn charging_tables_are_golden() {
+    let mut all = String::new();
+    for t in dagsched_experiments::charging::run(false) {
+        all.push_str(&t.render());
+    }
+    assert_eq!(all.len(), 1042);
+    assert_eq!(fnv1a(all.as_bytes()), 0xf8c5_d436_560a_f5e1);
+}
+
+/// The E8 ablation table, whose variants share each seed's instance.
+#[test]
+fn ablation_table_is_golden() {
+    let mut all = String::new();
+    for t in dagsched_experiments::ablation::run(true) {
+        all.push_str(&t.render());
+    }
+    assert_eq!(all.len(), 1014);
+    assert_eq!(fnv1a(all.as_bytes()), 0x471d_4417_a280_99c1);
+}
+
+/// One DAG's derived structure: its topological order and every node's
+/// height, in id order.
+fn dag_text(dag: &dagsched_dag::DagJobSpec) -> String {
+    use dagsched_core::NodeId;
+    let topo: Vec<String> = dag.topo_order().iter().map(|v| v.0.to_string()).collect();
+    let heights: Vec<String> = (0..dag.num_nodes() as u32)
+        .map(|v| dag.height(NodeId(v)).units().to_string())
+        .collect();
+    format!("topo {}\nheights {}\n", topo.join(" "), heights.join(" "))
+}
+
+/// What the instance generators build: the codec text of standard
+/// workloads, of E9's Fig. 1 / fork-join / layered mix and of cluster
+/// traces, each job's topological order and heights, and the DAG and HPC
+/// task-graph generators called directly.
+#[test]
+fn generated_instances_are_golden() {
+    use dagsched_core::Rng64;
+    use dagsched_dag::{gen, hpc};
+    use dagsched_workload::{codec, ClusterTraceGen, Instance, WorkloadGen};
+
+    let mut all = String::new();
+    let mut pin = |inst: Instance| {
+        all.push_str(&codec::encode(&inst));
+        for job in inst.jobs() {
+            all.push_str(&dag_text(&job.dag));
+        }
+    };
+    for seed in [1u64, 7, 2024] {
+        pin(WorkloadGen::standard(8, 120, seed).generate().unwrap());
+        pin(dagsched_experiments::node_pick::instance(8, 60, seed));
+        pin(ClusterTraceGen::new(16, 80, seed).generate().unwrap());
+    }
+    let mut rng = Rng64::seed_from(0x6E4);
+    for dag in [
+        gen::single(3),
+        gen::chain(5, 2),
+        gen::block(4, 3),
+        gen::diamond(5, 2),
+        gen::fig1(4, 6, 2),
+        gen::fig2(3, 5, 1),
+        gen::fork_join(3, 4, 2),
+        gen::layered_random(&mut rng, 5, (1, 6), (1, 9), 0.35),
+        gen::series_parallel(&mut rng, 30, (1, 5)),
+        gen::random_dag(&mut rng, 25, 0.2, (1, 7)),
+        hpc::cholesky(4, hpc::KernelCosts::default()),
+        hpc::lu(4, hpc::KernelCosts::default()),
+        hpc::stencil(5, 4, 2),
+        hpc::wavefront(4, 5, 1),
+    ] {
+        all.push_str(&dag_text(&dag));
+    }
+    assert_eq!(all.len(), 355888);
+    assert_eq!(fnv1a(all.as_bytes()), 0x8642_3321_c506_1644);
+}
