@@ -18,6 +18,9 @@
 //!   processors sharing a speed), with the exact lcm-scaled arithmetic that
 //!   keeps heterogeneous progress integral.
 //! * [`JobId`] / [`NodeId`] — lightweight identifiers.
+//! * [`Density`], [`Dyadic`] and [`cmp_products`] — exact arithmetic for
+//!   the paper's decisions: densities as integer ratios, the `f64`
+//!   constants as the dyadic rationals they are.
 //! * [`AlgoParams`] — the constants of the paper's Tables 1–3
 //!   (`ε, δ, c, b, a`) together with the derived competitive-ratio constant,
 //!   validated at construction.
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod exact;
 pub mod groups;
 pub mod ids;
 pub mod params;
@@ -35,6 +39,7 @@ pub mod speed;
 pub mod time;
 
 pub use error::SchedError;
+pub use exact::{cmp_products, least, BandBottom, BandTop, Density, Dyadic};
 pub use groups::{scale_work, ticks_to_complete, MachineGroup, MachineGroups, MAX_PROCESSORS};
 pub use ids::{JobId, NodeId};
 pub use params::AlgoParams;

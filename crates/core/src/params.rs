@@ -24,6 +24,7 @@
 //! which keeps every downstream bound positive for all `ε ∈ (0, 2]`.
 
 use crate::error::SchedError;
+use crate::exact::{cmp_products, least, Dyadic};
 
 /// Validated constants `(ε, δ, c)` with the derived `b` and `a`.
 ///
@@ -157,6 +158,23 @@ impl AlgoParams {
     /// Lemma 22 competitive ratio for general profit functions (Theorem 3).
     pub fn profit_competitive_ratio(&self) -> f64 {
         self.profit_opt_vs_started() / self.charge_margin()
+    }
+
+    /// Condition (2)'s capacity `⌊b·m⌋`, exactly: the largest `k` with
+    /// `k²·(1+ε) ≤ (1+2δ)·m²`, since `b² = (1+2δ)/(1+ε)`, reading both
+    /// factors as the `f64` constants they are. Band loads are integers, so
+    /// `load ≤ b·m ⇔ load ≤ ⌊b·m⌋`.
+    pub fn band_capacity(&self, m: u32) -> u64 {
+        let (g, e) = (
+            Dyadic::new(self.good_factor()),
+            Dyadic::new(1.0 + self.epsilon),
+        );
+        let m2 = (m as u128).pow(2);
+        let over = |k: u64| {
+            cmp_products((k as u128).pow(2), e.mant(), e.exp(), m2, g.mant(), g.exp()).is_gt()
+        };
+        // `b < 1`, so `k = m + 1` is always over.
+        least(self.b * m as f64 + 1.0, m as u64 + 1, over).expect("b ≤ 1") - 1
     }
 
     /// `δ`-good threshold: a job is δ-good iff `D_i ≥ (1+2δ) x_i`.
@@ -370,6 +388,23 @@ mod tests {
         assert_eq!(AlgoParams::x_time(100.0, 10.0, 5), 28.0);
         // With allotment 1, x = W.
         assert_eq!(AlgoParams::x_time(100.0, 10.0, 1), 100.0);
+    }
+
+    #[test]
+    fn band_capacity_is_the_floor_of_b_m() {
+        let p = params(1.0);
+        // b = √(1.5/2) ≈ 0.866.
+        assert_eq!(p.band_capacity(1), 0);
+        assert_eq!(p.band_capacity(4), 3);
+        assert_eq!(p.band_capacity(8), 6);
+        // b·m is irrational here, so the float floor is right too.
+        for m in [2u32, 3, 16, 64, 1000, 65_536] {
+            assert_eq!(
+                p.band_capacity(m),
+                (p.b() * m as f64).floor() as u64,
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

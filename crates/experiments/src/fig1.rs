@@ -12,6 +12,7 @@
 
 use dagsched_core::Speed;
 use dagsched_dag::gen;
+use dagsched_engine::{parallel_map, runner::default_threads};
 use dagsched_metrics::{plot, table::f, Series, Table};
 use dagsched_opt::{adversarial_makespan, lpf_makespan};
 
@@ -40,12 +41,15 @@ pub fn run(quick: bool) -> Vec<Table> {
             "theory 2-1/m",
         ],
     );
-    for m in m_grid(quick) {
+    // One run per `m` (and per speed below), in parallel; rows keep order.
+    let runs = parallel_map(m_grid(quick), default_threads(), |&m| {
         let dag = gen::fig1(m, chain_len, 1).into_shared();
-        let w = dag.total_work().units();
-        let l = dag.span().units();
+        let (w, l) = (dag.total_work().units(), dag.span().units());
         let friendly = lpf_makespan(dag.clone(), m, Speed::ONE).expect("valid run");
         let adv = adversarial_makespan(dag, m, Speed::ONE).expect("valid run");
+        (m, w, l, friendly, adv)
+    });
+    for (m, w, l, friendly, adv) in runs {
         gap.row(vec![
             m.to_string(),
             w.to_string(),
@@ -72,9 +76,15 @@ pub fn run(quick: bool) -> Vec<Table> {
         ],
     );
     let theory = 2.0 - 1.0 / m as f64;
-    for (num, den) in [(1u32, 1u32), (5, 4), (3, 2), (7, 4), (15, 8), (2, 1)] {
-        let s = Speed::new(num, den).expect("positive");
-        let adv = adversarial_makespan(dag.clone(), m, s).expect("valid run");
+    let speeds = [(1u32, 1u32), (5, 4), (3, 2), (7, 4), (15, 8), (2, 1)]
+        .map(|(num, den)| Speed::new(num, den).expect("positive"));
+    let runs = parallel_map(speeds.to_vec(), default_threads(), |&s| {
+        (
+            s,
+            adversarial_makespan(dag.clone(), m, s).expect("valid run"),
+        )
+    });
+    for (s, adv) in runs {
         sweep.row(vec![
             format!("{:.3}", s.as_f64()),
             adv.to_string(),

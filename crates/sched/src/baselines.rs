@@ -35,29 +35,47 @@
 //! expiry each cost O(log n) in the alive count, and the per-tick path (a
 //! walk that reads ready counts from the view) allocates nothing.
 
-use crate::ord::OrdF64;
+use crate::model::{JobModel, Rules};
 use crate::slab::JobSlab;
-use dagsched_core::{AlgoParams, JobId, Rng64, Time};
+use dagsched_core::{AlgoParams, Density, JobId, Rng64, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, Allocation, JobInfo, OnlineScheduler, TickView,
 };
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
+/// An `f64` ordered by [`f64::total_cmp`], so it can key an `AliveSet`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OrdF64(f64);
+
+impl Eq for OrdF64 {}
+impl PartialOrd for OrdF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for OrdF64 {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
 /// A baseline's alive jobs, in ascending `(key, seq)` order, each carrying
-/// a value `V` fixed at arrival (an allotment, or nothing).
+/// a value `V` fixed at arrival (an allotment, or nothing). Keys are `f64`
+/// priorities, except S-noadmit's exact densities.
 ///
 /// `key` is the owner's priority, computed once at arrival; `seq` counts
 /// arrivals, so equal keys keep arrival order. `keys` remembers each alive
 /// job's map key, so removal by id is a lookup plus one O(log n) map
 /// removal rather than a scan.
 #[derive(Debug)]
-struct AliveSet<V> {
-    order: BTreeMap<(OrdF64, u64), (JobId, V)>,
-    keys: JobSlab<(OrdF64, u64)>,
+struct AliveSet<V, K = OrdF64> {
+    order: BTreeMap<(K, u64), (JobId, V)>,
+    keys: JobSlab<(K, u64)>,
     seq: u64,
 }
 
-impl<V> Default for AliveSet<V> {
+impl<V, K> Default for AliveSet<V, K> {
     fn default() -> Self {
         AliveSet {
             order: BTreeMap::new(),
@@ -67,11 +85,11 @@ impl<V> Default for AliveSet<V> {
     }
 }
 
-impl<V: Copy> AliveSet<V> {
+impl<V: Copy, K: Ord + Copy> AliveSet<V, K> {
     /// Add job `id` under priority `key`; it sorts after every alive job
     /// with an equal key.
-    fn insert(&mut self, id: JobId, key: f64, value: V) {
-        let k = (OrdF64(key), self.seq);
+    fn insert(&mut self, id: JobId, key: impl Into<K>, value: V) {
+        let k = (key.into(), self.seq);
         self.seq += 1;
         let old = self.keys.insert(id, k);
         debug_assert!(old.is_none(), "job {id:?} arrived twice");
@@ -102,6 +120,12 @@ impl<V: Copy> AliveSet<V> {
 
     fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
         self.order.values().map(|&(id, _)| id)
+    }
+}
+
+impl From<f64> for OrdF64 {
+    fn from(x: f64) -> OrdF64 {
+        OrdF64(x)
     }
 }
 
@@ -301,11 +325,10 @@ impl OnlineScheduler for RandomOrder {
 /// control — every arriving job goes straight to the running queue.
 #[derive(Debug)]
 pub struct SNoAdmission {
-    m: u32,
-    params: AlgoParams,
-    /// Alive jobs and their allotments, keyed by `-density`: density
-    /// descending, then arrival order — the allocate order.
-    alive: AliveSet<u32>,
+    rules: Rules,
+    /// Alive jobs and their allotments, by density descending, then
+    /// arrival order — the allocate order.
+    alive: AliveSet<u32, Reverse<Density>>,
     report: Option<Vec<AdmissionEvent>>,
 }
 
@@ -313,8 +336,7 @@ impl SNoAdmission {
     /// Create the ablated scheduler.
     pub fn new(m: u32, params: AlgoParams) -> SNoAdmission {
         SNoAdmission {
-            m,
-            params,
+            rules: Rules::new(m, &params, 1.0),
             alive: AliveSet::default(),
             report: None,
         }
@@ -326,19 +348,8 @@ impl OnlineScheduler for SNoAdmission {
         "S-noadmit".into()
     }
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        let (d_rel, profit) = info
-            .profit
-            .as_deadline()
-            .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
-        let w = info.work.as_f64();
-        let l = info.span.as_f64();
-        let allot = match self.params.raw_allotment(w, l, d_rel.as_f64()) {
-            Some(frac) => ((frac.ceil() as u32).max(1)).min(self.m),
-            None => self.m,
-        };
-        let x = AlgoParams::x_time(w, l, allot);
-        let density = profit as f64 / (x * allot as f64);
-        self.alive.insert(info.id, -density, allot);
+        let job = JobModel::derive(info, &self.rules);
+        self.alive.insert(info.id, Reverse(job.density), job.allot);
         if let Some(buf) = self.report.as_mut() {
             // The ablation's whole point: every job is admitted.
             buf.push(AdmissionEvent {
@@ -694,7 +705,7 @@ mod tests {
     /// ids) and clear, over a key pool full of ties, signed zeros,
     /// infinities and NaNs. The set must iterate exactly like the model's
     /// ascending list (FIFO, EDF, HDF, LLF, RANDOM, MOLD-LIST, EQUI) and,
-    /// keyed by `-density`, exactly like S-noadmit's descending order.
+    /// keyed by `-key`, exactly like the model's descending list.
     #[test]
     fn alive_set_iterates_like_the_insertion_sorted_vec() {
         const POOL: [f64; 12] = [

@@ -12,10 +12,12 @@
 //! * budget `x_i = (W_i−L_i)/n_i + L_i`;
 //! * density `v_i = p_i/(x_i·n_i)` — potential profit per processor step.
 //!
-//! Jobs are *started* (admitted to queue `Q`) only if they are `δ`-good
-//! (`D_i ≥ (1+2δ)x_i`) and every density band `[v_j, c·v_j)` stays within
-//! `b·m` processors (condition (2), checked by the [`DensityBands`] that
-//! holds `Q`). Everything else waits in
+//! `JobModel::derive` computes all three exactly, as integers and integer
+//! ratios. Jobs are *started* (admitted to queue `Q`) only if they are
+//! `δ`-good (`D_i ≥ (1+2δ)x_i`, which the exact rounded-up allotment
+//! guarantees for every admissible job) and every density band
+//! `[v_j, c·v_j)` stays within `b·m` processors (condition (2), checked by
+//! the [`DensityBands`] that holds `Q`). Everything else waits in
 //! queue `P`; at each job completion, `δ`-fresh jobs from `P` that now pass
 //! the band check are started. Execution is greedy highest-density-first,
 //! granting each scheduled job its full allotment.
@@ -35,14 +37,15 @@
 //! every stretch of them the band cannot take (see
 //! [`admit_from_p`](SchedulerS)). It walks `P` in place: a completion costs
 //! O(probes · |Q| + removals · |P|) plus a few binary searches per re-check
-//! interval and per jump, rather than a probe of every job in `P`.
+//! interval and per jump, rather than a probe of every job in `P`. Every
+//! bound it compares against is an exact density, so it needs no slack.
 //! [`PaperS`](crate::PaperS) transcribes Section 3 with the full scan, and
 //! the differential tests hold this scheduler byte-identical to it.
 
-use crate::bands::{DensityBands, BAND_SLACK};
-use crate::ord::OrdF64;
+use crate::bands::{DensityBands, Stretch};
+use crate::model::{JobModel, Rules};
 use crate::slab::{DenseU32Map, JobSlab};
-use dagsched_core::{AlgoParams, JobId, Time};
+use dagsched_core::{AlgoParams, Density, Dyadic, JobId, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
     TickView,
@@ -50,56 +53,68 @@ use dagsched_engine::{
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The waiting queue `P`: a sorted-`Vec` set of `(density, id)` keys,
-/// ascending by `(OrdF64, JobId)`, with binary-search insert and remove. A
-/// warmed-up queue reuses its backing storage, so the per-event paths do
-/// not allocate.
+/// The waiting queue `P`: a `Vec` set of `(density, id)` keys, sorted
+/// ascending when read. Inserts append, and the next read sorts the
+/// appended keys and merges them in from the back, moving each old key at
+/// most once: the thousands of jobs parked in one tick cost one sort, not
+/// one shift each. A warmed-up queue reuses its backing storage, so the
+/// per-event paths do not allocate.
 #[derive(Debug, Clone, Default)]
 struct DensityQueue {
-    items: Vec<(OrdF64, JobId)>,
+    /// Sorted up to `sorted`; the keys after it are appended since.
+    items: Vec<(Density, JobId)>,
+    sorted: usize,
+    /// Scratch: the appended keys while they are merged in.
+    merge: Vec<(Density, JobId)>,
 }
 
 impl DensityQueue {
-    fn insert(&mut self, key: (OrdF64, JobId)) {
-        let at = self.items.partition_point(|e| e < &key);
-        self.items.insert(at, key);
+    fn insert(&mut self, key: (Density, JobId)) {
+        self.items.push(key);
     }
 
-    fn remove(&mut self, key: &(OrdF64, JobId)) -> bool {
-        match self.items.binary_search(key) {
-            Ok(at) => {
-                self.items.remove(at);
-                true
+    /// The keys, ascending.
+    fn keys(&mut self) -> &[(Density, JobId)] {
+        if self.sorted < self.items.len() {
+            self.merge.clear();
+            self.merge.extend_from_slice(&self.items[self.sorted..]);
+            self.merge.sort_unstable();
+            let (mut hi, mut end) = (self.sorted, self.items.len());
+            for &key in self.merge.iter().rev() {
+                let at = self.items[..hi].partition_point(|e| *e < key);
+                self.items.copy_within(at..hi, end - (hi - at));
+                end -= hi - at + 1;
+                hi = at;
+                self.items[end] = key;
             }
-            Err(_) => false,
+            self.sorted = self.items.len();
+        }
+        &self.items
+    }
+
+    fn remove(&mut self, key: &(Density, JobId)) {
+        if let Ok(at) = self.keys().binary_search(key) {
+            self.items.remove(at);
+            self.sorted -= 1;
         }
     }
 
     fn clear(&mut self) {
         self.items.clear();
+        self.sorted = 0;
     }
 
     fn len(&self) -> usize {
         self.items.len()
     }
-
-    /// Iterate ascending by `(density, id)`.
-    fn iter(&self) -> std::slice::Iter<'_, (OrdF64, JobId)> {
-        self.items.iter()
-    }
 }
 
-/// Per-job quantities S computes at arrival.
+/// A job S has seen: what it computed at arrival, and where the job is.
+/// Inadmissible jobs (not δ-good even at `n = m`) park in `P` and are
+/// never started.
 #[derive(Debug, Clone, Copy)]
 struct SJob {
-    allot: u32,
-    x: f64,
-    density: f64,
-    profit: u64,
-    abs_deadline: Time,
-    /// False if the deadline is too tight for any allotment (not δ-good
-    /// even at `n = m`); such jobs park in `P` and are never started.
-    admissible: bool,
+    model: JobModel,
     in_q: bool,
 }
 
@@ -141,10 +156,11 @@ pub struct SchedulerS {
     p: DensityQueue,
     metrics: SchedulerSMetrics,
     check_invariants: bool,
+    /// The arrival-time derivation's constants. Its speed hint is
     /// Corollary 1's transformation: when the engine runs S at speed `s`,
     /// every node's work is effectively scaled by `1/s`, so arrival-time
     /// computations divide `W` and `L` by this hint (default 1).
-    speed_hint: f64,
+    rules: Rules,
     /// Work-conserving extension (the paper's future-work item): backfill
     /// processors left idle by the standard pass. Admission, allotments and
     /// priorities are untouched — only spare capacity is used.
@@ -152,10 +168,11 @@ pub struct SchedulerS {
     /// Admission-decision buffer for the engine's observer plumbing
     /// (`None` = reporting off, the default: zero cost when unobserved).
     report: Option<Vec<AdmissionEvent>>,
-    /// Density intervals `[v/c, c·v]` (widened by [`BAND_SLACK`]) around
-    /// every `v` removed from `Q` since the last completion scan; the scan
-    /// merges them in place.
-    recheck_bands: Vec<(f64, f64)>,
+    /// The band width `c`.
+    c: Dyadic,
+    /// Every density removed from `Q` since the last completion scan: the
+    /// centres of the scan's re-check intervals `(v/c, c·v)`.
+    removed: Vec<Density>,
     /// Jobs parked in `P` since the last completion scan.
     deferred_since_scan: Vec<JobId>,
     /// `(abs_deadline, id)` of every job parked in `P`, earliest first. Lazy
@@ -163,10 +180,10 @@ pub struct SchedulerS {
     p_deadlines: BinaryHeap<Reverse<(Time, JobId)>>,
     /// Scratch: the completion scan's set-(b) and set-(c) keys outside
     /// every re-check interval, ascending.
-    admit_scratch: Vec<(OrdF64, JobId)>,
+    admit_scratch: Vec<(Density, JobId)>,
     /// Scratch: the candidates whose deadline has passed (set (c) of
     /// [`admit_from_p`](Self::admit_from_p)), ascending.
-    expired_scratch: Vec<(OrdF64, JobId)>,
+    expired_scratch: Vec<(Density, JobId)>,
     /// Scratch: job → slot position in the allocation being built.
     slot_lut: DenseU32Map,
 }
@@ -175,19 +192,20 @@ impl SchedulerS {
     /// Create S for `m` processors with the given constants.
     pub fn new(m: u32, params: AlgoParams) -> SchedulerS {
         assert!(m >= 1);
-        let capacity = params.b() * m as f64;
+        let c = Dyadic::new(params.c());
         SchedulerS {
             params,
             m,
             jobs: JobSlab::new(),
-            q: DensityBands::new(params.c(), capacity),
+            q: DensityBands::new(c, params.band_capacity(m)),
             p: DensityQueue::default(),
             metrics: SchedulerSMetrics::default(),
             check_invariants: false,
-            speed_hint: 1.0,
+            rules: Rules::new(m, &params, 1.0),
             work_conserving: false,
             report: None,
-            recheck_bands: Vec::new(),
+            c,
+            removed: Vec::new(),
             deferred_since_scan: Vec::new(),
             p_deadlines: BinaryHeap::new(),
             admit_scratch: Vec::new(),
@@ -201,7 +219,7 @@ impl SchedulerS {
     /// allotments, budgets and densities then use `W/s` and `L/s`.
     pub fn with_speed_hint(mut self, s: f64) -> SchedulerS {
         assert!(s.is_finite() && s > 0.0, "speed hint must be positive");
-        self.speed_hint = s;
+        self.rules = Rules::new(self.m, &self.params, s);
         self
     }
 
@@ -272,10 +290,14 @@ impl SchedulerS {
     fn start_job(&mut self, id: JobId, from_p: bool) {
         let job = self.jobs.get_mut(id).expect("known job");
         job.in_q = true;
-        let key = (OrdF64(job.density), id);
-        let (density, allot, profit) = (job.density, job.allot, job.profit);
+        let JobModel {
+            density,
+            allot,
+            profit,
+            ..
+        } = job.model;
         if from_p {
-            self.p.remove(&key);
+            self.p.remove(&(density, id));
             self.metrics.admitted_from_p += 1;
         } else {
             self.metrics.admitted_at_arrival += 1;
@@ -293,19 +315,17 @@ impl SchedulerS {
         if let Some(job) = self.jobs.remove(id) {
             if job.in_q {
                 self.q.remove(id);
-                let (v, c) = (job.density, self.params.c());
-                self.recheck_bands
-                    .push((v / c * (1.0 - BAND_SLACK), v * c * (1.0 + BAND_SLACK)));
+                self.removed.push(job.model.density);
             } else {
-                self.p.remove(&(OrdF64(job.density), id));
+                self.p.remove(&(job.model.density, id));
             }
         }
         self.assert_invariant();
     }
 
-    /// The job's record, if it is parked in `P`.
-    fn parked(&self, id: JobId) -> Option<SJob> {
-        self.jobs.get(id).filter(|j| !j.in_q).copied()
+    /// The job's model, if it is parked in `P`.
+    fn parked(&self, id: JobId) -> Option<JobModel> {
+        self.jobs.get(id).filter(|j| !j.in_q).map(|j| j.model)
     }
 
     /// The standard pass: walk `Q` highest-density-first, granting each
@@ -371,7 +391,7 @@ impl SchedulerS {
             }
         }
         // Stage 3: waiting jobs by density.
-        for &(_, id) in self.p.iter().rev() {
+        for &(_, id) in self.p.keys().iter().rev() {
             if left == 0 {
                 return;
             }
@@ -413,11 +433,11 @@ impl SchedulerS {
     /// So the candidates are the union of three sets:
     ///
     /// * **(a)** `P` jobs in `(v/c, c·v)` for each density `v` removed from
-    ///   `Q` since the last scan, by a completion or a `Q`-job expiry. The
-    ///   interval is widened by [`BAND_SLACK`] against float rounding:
-    ///   visiting too many is harmless, skipping one would not be.
-    /// * **(b)** `P` jobs deferred since the last scan. Their arrival check
-    ///   is not a scan's: a `NotDeltaGood` deferral may be δ-fresh and fit.
+    ///   `Q` since the last scan, by a completion or a `Q`-job expiry.
+    /// * **(b)** `P` jobs deferred since the last scan. An admissible job
+    ///   is δ-good at arrival, so its arrival check failed on `fits` alone
+    ///   and only a removal in its band, set (a), can change that; they
+    ///   are probed all the same, and counted in `admission_probes`.
     /// * **(c)** `P` jobs with `abs_deadline <= now`, from the deadline
     ///   heap, so their `Rejected(DeadlinePassed)` events still fire.
     ///
@@ -442,39 +462,49 @@ impl SchedulerS {
     /// The candidates are walked in descending `(density, id)` order with
     /// the full scan's per-candidate body ([`probe`](Self::probe)), so
     /// admissions and rejections come out in the same order. The walk reads
-    /// `P` in place: set (a) as index ranges of `P`, one per merged
-    /// interval, merged with the sets (b) and (c) keys that lie outside
-    /// every interval. Cost: O(probes · |Q| + removals · |P|), plus two
-    /// binary searches per interval; a probe that fails on `fits` alone
-    /// adds one stretch query and three binary searches.
+    /// `P` in place: set (a) as index ranges of `P`, one per removed
+    /// density (found when the walk reaches it, below every key walked so
+    /// far), merged with the sets (b) and (c) keys that lie outside every
+    /// interval. Cost: O(probes · |Q| + removals · |P|), plus two binary
+    /// searches per interval; a probe that fails on `fits` alone adds one
+    /// stretch query and three binary searches.
     fn admit_from_p(&mut self, now: Time) {
-        let mut bands = std::mem::take(&mut self.recheck_bands);
         let mut extra = std::mem::take(&mut self.admit_scratch);
         let mut expired = std::mem::take(&mut self.expired_scratch);
-        self.collect_candidates(now, &mut bands, &mut extra, &mut expired);
+        self.collect_candidates(now, &mut extra, &mut expired);
+        let removed = std::mem::take(&mut self.removed);
+        // The walk reads `P`'s keys in place, sorted from here on.
+        self.p.keys();
         // Invariant mode replays the full walk over a snapshot of `P`.
-        let replay: Vec<(OrdF64, JobId)> = if self.check_invariants {
-            self.p.iter().copied().collect()
+        let replay: Vec<(Density, JobId)> = if self.check_invariants {
+            self.p.items.clone()
         } else {
             Vec::new()
         };
         let mut unwalked = replay.as_slice();
         // The walk's state: `P` indices `[lo, hi)` of the current interval
-        // not yet walked, the intervals `bands[..b]` not yet entered, the
-        // keys `extra[..e]`, and `floor`, the density every key walked from
-        // here on lies below. A probe removes only its own key, at or above
-        // the cursor, so the indices below it stay valid.
-        let (mut lo, mut hi, mut b, mut e) = (0, 0, bands.len(), extra.len());
-        let mut floor = f64::INFINITY;
+        // not yet walked, the intervals around `removed[..r]` not yet
+        // entered, the keys `extra[..e]`, the last key walked and the last
+        // stretch jumped, below both of which every key still to be walked
+        // lies. A probe removes only its own key, at or above the cursor,
+        // so the indices below it stay valid.
+        let (mut lo, mut hi, mut r, mut e) = (0, 0, removed.len(), extra.len());
+        let (mut last, mut floor): (Option<(Density, JobId)>, Option<Stretch>) = (None, None);
+        let c = self.c;
         loop {
-            while lo == hi && b > 0 {
-                b -= 1;
-                let (v_lo, v_hi) = bands[b];
-                lo = self.p.items.partition_point(|k| k.0 .0 < v_lo);
+            while lo == hi && r > 0 {
+                r -= 1;
+                let v = removed[r];
+                let (bottom, top) = (v.band_bottom(c), v.band_top(c));
+                lo = self.p.items.partition_point(|k| !bottom.under(k.0));
                 hi = self
                     .p
                     .items
-                    .partition_point(|k| k.0 .0 <= v_hi && k.0 .0 < floor)
+                    .partition_point(|k| {
+                        top.covers(k.0)
+                            && last.is_none_or(|l| *k < l)
+                            && floor.is_none_or(|s| !self.q.in_stretch(s, k.0))
+                    })
                     .max(lo);
             }
             let key = match (lo < hi, e > 0) {
@@ -492,23 +522,24 @@ impl SchedulerS {
                 }
                 (false, false) => break,
             };
+            last = Some(key);
             self.replay_to(&mut unwalked, key, now);
             if !self.probe(key.1, now) {
                 continue;
             }
-            let Some(stretch) = self.q.blocked_stretch(key.0 .0) else {
+            let Some(stretch) = self.q.blocked_stretch(key.0) else {
                 continue;
             };
             // Jump below the stretch, probing only its set-(c) keys. Every
-            // key still to be walked lies below `stretch`, so removing them
-            // shifts none of the indices left to walk. (A spent range's
-            // indices may be stale; they are not read again.)
-            floor = stretch;
+            // key still to be walked lies below the stretch, so removing
+            // them shifts none of the indices left to walk.
+            floor = Some(stretch);
+            let below = |k: &(Density, JobId)| !self.q.in_stretch(stretch, k.0);
             if lo < hi {
-                hi = lo + self.p.items[lo..hi].partition_point(|k| k.0 .0 < stretch);
+                hi = lo + self.p.items[lo..hi].partition_point(below);
             }
-            e = extra[..e].partition_point(|k| k.0 .0 < stretch);
-            let from = expired.partition_point(|k| k.0 .0 < stretch);
+            e = extra[..e].partition_point(below);
+            let from = expired.partition_point(below);
             let to = expired.partition_point(|k| *k < key);
             for &k in expired[from..to].iter().rev() {
                 self.replay_to(&mut unwalked, k, now);
@@ -520,40 +551,32 @@ impl SchedulerS {
         for &(_, id) in unwalked.iter().rev() {
             self.assert_skip_sound(id, now);
         }
-        bands.clear();
-        self.recheck_bands = bands;
+        self.removed = removed;
+        self.removed.clear();
         self.admit_scratch = extra;
         self.expired_scratch = expired;
     }
 
     /// Gather the sets (a)–(c) of [`admit_from_p`](Self::admit_from_p):
-    /// `bands` becomes the disjoint union of the re-check intervals,
-    /// ascending; `extra` the keys of sets (b) and (c) outside every such
-    /// interval, and `expired` those of set (c), each ascending by
-    /// `(density, id)` without duplicates. Resets the since-last-scan logs.
+    /// `removed` sorted ascending without duplicates; `extra` the keys of
+    /// sets (b) and (c) outside every re-check interval, and `expired`
+    /// those of set (c), each ascending by `(density, id)` without
+    /// duplicates. Resets the since-last-scan deferral log.
     fn collect_candidates(
         &mut self,
         now: Time,
-        bands: &mut Vec<(f64, f64)>,
-        extra: &mut Vec<(OrdF64, JobId)>,
-        expired: &mut Vec<(OrdF64, JobId)>,
+        extra: &mut Vec<(Density, JobId)>,
+        expired: &mut Vec<(Density, JobId)>,
     ) {
         extra.clear();
         expired.clear();
-        // (a): merge the re-check intervals in place.
-        bands.sort_unstable_by(|x, y| x.0.total_cmp(&y.0));
-        bands.dedup_by(|next, cur| {
-            let overlaps = next.0 <= cur.1;
-            if overlaps {
-                cur.1 = cur.1.max(next.1);
-            }
-            overlaps
-        });
+        self.removed.sort_unstable();
+        self.removed.dedup();
 
         // (b) and (c), restricted to jobs still parked.
         for id in self.deferred_since_scan.drain(..) {
             if let Some(job) = self.jobs.get(id).filter(|j| !j.in_q) {
-                extra.push((OrdF64(job.density), id));
+                extra.push((job.model.density, id));
             }
         }
         while let Some(&Reverse((deadline, id))) = self.p_deadlines.peek() {
@@ -562,17 +585,19 @@ impl SchedulerS {
             }
             self.p_deadlines.pop();
             if let Some(job) = self.parked(id) {
-                extra.push((OrdF64(job.density), id));
-                expired.push((OrdF64(job.density), id));
+                extra.push((job.density, id));
+                expired.push((job.density, id));
             }
         }
         extra.sort_unstable();
         extra.dedup();
         // A key inside an interval is walked with the interval's `P` slice.
-        extra.retain(|k| {
-            let d = k.0 .0;
-            let at = bands.partition_point(|&(lo, _)| lo <= d);
-            at == 0 || d > bands[at - 1].1
+        // `d ∈ (v/c, c·v)` iff `v ∈ (d/c, c·d)`, so the least removed `v`
+        // with `c·v > d` decides.
+        let (removed, c) = (&self.removed, self.c);
+        extra.retain(|&(d, _)| {
+            let at = removed.partition_point(|&v| !d.lt_scaled(v, c));
+            at == removed.len() || !removed[at].lt_scaled(d, c)
         });
         expired.sort_unstable();
     }
@@ -582,7 +607,7 @@ impl SchedulerS {
     /// the probe; returns true iff the job failed on `fits` alone.
     fn probe(&mut self, id: JobId, now: Time) -> bool {
         self.metrics.admission_probes += 1;
-        let Some(job) = self.jobs.get(id).copied() else {
+        let Some(job) = self.jobs.get(id).map(|j| j.model) else {
             return false;
         };
         // Remove jobs whose absolute deadline has passed.
@@ -594,7 +619,7 @@ impl SchedulerS {
             );
             return false;
         }
-        if !job.admissible || self.stale(&job, now) {
+        if !job.admissible || Self::stale(&job, now) {
             return false;
         }
         if self.q.fits(job.density, job.allot) {
@@ -604,17 +629,16 @@ impl SchedulerS {
         true
     }
 
-    /// Not δ-fresh: `d_i − t < (1+δ)x_i`.
-    fn stale(&self, job: &SJob, now: Time) -> bool {
-        let slack = job.abs_deadline.since(now) as f64;
-        slack < self.params.fresh_factor() * job.x
+    /// Not δ-fresh: `d_i − t < (1+δ)x_i`, i.e. `d_i − t < ⌈(1+δ)x_i⌉`.
+    fn stale(job: &JobModel, now: Time) -> bool {
+        job.abs_deadline.since(now) < job.fresh_slack
     }
 
     /// Invariant mode's replay of the full walk, advanced to the probe of
     /// `key`: every `P` key above it in `unwalked` (ascending) was passed
     /// over, by either skip rule, and must be one the full scan would leave
     /// alone at this point of the walk. No-op outside invariant mode.
-    fn replay_to(&self, unwalked: &mut &[(OrdF64, JobId)], key: (OrdF64, JobId), now: Time) {
+    fn replay_to(&self, unwalked: &mut &[(Density, JobId)], key: (Density, JobId), now: Time) {
         if !self.check_invariants {
             return;
         }
@@ -640,7 +664,7 @@ impl SchedulerS {
             "completion scan skipped {id:?}, whose deadline has passed"
         );
         assert!(
-            !(job.admissible && !self.stale(&job, now) && self.q.fits(job.density, job.allot)),
+            !(job.admissible && !Self::stale(&job, now) && self.q.fits(job.density, job.allot)),
             "completion scan skipped {id:?}, which the full scan would start"
         );
     }
@@ -658,61 +682,26 @@ impl OnlineScheduler for SchedulerS {
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
         // S targets deadline jobs; a general profit function is treated via
         // its flat prefix (deadline = x*, profit = the flat value).
-        let (d_rel, profit) = info
-            .profit
-            .as_deadline()
-            .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
-        let w = info.work.as_f64() / self.speed_hint;
-        let l = info.span.as_f64() / self.speed_hint;
-        let d = d_rel.as_f64();
-
-        // Fractional allotment; None means the deadline is infeasible under
-        // the (1+2δ) contraction even with unbounded parallelism.
-        let (allot, admissible) = match self.params.raw_allotment(w, l, d) {
-            Some(frac) => {
-                let n = (frac.ceil() as u32).max(1);
-                (n.min(self.m), n <= self.m)
-            }
-            None => (self.m, false),
-        };
-        let x = AlgoParams::x_time(w, l, allot);
-        let density = profit as f64 / (x * allot as f64);
-        let abs_deadline = info.arrival.saturating_add(d_rel.ticks());
-        let delta_good = admissible && d >= self.params.good_factor() * x;
-
-        self.jobs.insert(
-            info.id,
-            SJob {
-                allot,
-                x,
-                density,
-                profit,
-                abs_deadline,
-                admissible,
-                in_q: false,
-            },
-        );
-        if !admissible {
+        let model = JobModel::derive(info, &self.rules);
+        self.jobs.insert(info.id, SJob { model, in_q: false });
+        if !model.admissible {
             self.metrics.inadmissible += 1;
         }
-
-        if delta_good && self.q.fits(density, allot) {
+        // An admissible job is δ-good at its allotment.
+        if model.admissible && self.q.fits(model.density, model.allot) {
             self.start_job(info.id, false);
         } else {
-            if delta_good {
+            let reason = if model.admissible {
                 self.metrics.band_rejections += 1;
-            }
-            let reason = if !admissible {
-                AdmissionReason::Infeasible
-            } else if !delta_good {
-                AdmissionReason::NotDeltaGood
-            } else {
                 AdmissionReason::BandCapacity
+            } else {
+                AdmissionReason::Infeasible
             };
             self.record(info.id, AdmissionDecision::Deferred(reason));
-            self.p.insert((OrdF64(density), info.id));
+            self.p.insert((model.density, info.id));
             self.deferred_since_scan.push(info.id);
-            self.p_deadlines.push(Reverse((abs_deadline, info.id)));
+            self.p_deadlines
+                .push(Reverse((model.abs_deadline, info.id)));
         }
     }
 
@@ -764,12 +753,12 @@ impl OnlineScheduler for SchedulerS {
 
     fn reset(&mut self) -> bool {
         // Everything run-dependent goes; the construction parameters
-        // (params, m, speed_hint, work_conserving, check_invariants) and the
+        // (params, m, rules, work_conserving, check_invariants) and the
         // scratch buffers stay.
         self.jobs.clear();
         self.q.clear();
         self.p.clear();
-        self.recheck_bands.clear();
+        self.removed.clear();
         self.deferred_since_scan.clear();
         self.p_deadlines.clear();
         self.metrics = SchedulerSMetrics::default();
@@ -781,7 +770,7 @@ impl OnlineScheduler for SchedulerS {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagsched_core::{Speed, Work};
+    use dagsched_core::{cmp_products, Speed, Work};
     use dagsched_dag::gen;
     use dagsched_engine::{simulate, simulate_observed, JobStatus, NodePick, SimConfig, Trace};
     use dagsched_workload::{
@@ -1197,8 +1186,8 @@ mod tests {
 
     #[test]
     fn admitted_jobs_satisfy_lemma_bounds() {
-        // Run a batch and check Lemma 1 / Lemma 2 / Lemma 3 on every job S
-        // actually computed parameters for.
+        // Run a batch and check Lemma 1 / Lemma 2 / Lemma 3 exactly on every
+        // job S computes parameters for.
         let gen = WorkloadGen {
             deadlines: DeadlinePolicy::SlackFactor(2.0),
             ..WorkloadGen::standard(12, 80, 11)
@@ -1206,22 +1195,31 @@ mod tests {
         let inst = gen.generate().unwrap();
         let params = AlgoParams::from_epsilon(1.0).unwrap();
         let m = 12u32;
+        let [g, e, a] = [params.good_factor(), 1.0 + params.epsilon(), params.a()].map(Dyadic::new);
         for j in inst.jobs() {
-            let w = j.work().as_f64();
-            let l = j.span().as_f64();
-            let d = j.rel_deadline().unwrap().as_f64();
-            let Some(frac) = params.raw_allotment(w, l, d) else {
-                panic!("Theorem-2 slack deadlines are always feasible");
+            let info = JobInfo {
+                id: j.id,
+                arrival: j.arrival,
+                work: j.work(),
+                span: j.span(),
+                profit: j.profit.clone(),
             };
-            let n = (frac.ceil() as u32).max(1);
-            // Lemma 1 with integrality slack.
-            assert!(n as f64 <= params.b().powi(2) * m as f64 + 1.0);
-            let x = AlgoParams::x_time(w, l, n);
-            // Lemma 2: δ-good (rounding n *up* only shrinks x).
-            assert!(x * params.good_factor() <= d + 1e-9);
+            let model = JobModel::derive(&info, &Rules::new(m, &params, 1.0));
+            assert!(
+                model.admissible,
+                "Theorem-2 slack deadlines are always feasible"
+            );
+            let (n, xn) = (model.allot as u128, model.density.xn());
+            let w = j.work().units() as u128;
+            let d = j.rel_deadline().unwrap().ticks() as u128;
+            // Lemma 1 with integrality slack: n ≤ ⌊b²m⌋ + 1, i.e.
+            // (n − 1)·(1+ε) ≤ (1+2δ)·m.
+            assert!(cmp_products(n - 1, e.mant(), e.exp(), m as u128, g.mant(), g.exp()).is_le());
+            // Lemma 2: δ-good, D·n ≥ (1+2δ)·x·n.
+            assert!(cmp_products(d * n, 1, 0, g.mant(), xn, g.exp()).is_ge());
             // Lemma 3 with integrality slack: x·n ≤ aW + x (one extra
-            // processor for at most x steps).
-            assert!(x * n as f64 <= params.a() * w + x + 1e-9);
+            // processor for at most x steps), i.e. x·n·(n − 1) ≤ a·W·n.
+            assert!(cmp_products(xn, n - 1, 0, a.mant(), w * n, a.exp()).is_le());
         }
     }
 }

@@ -35,7 +35,7 @@ pub mod baselines;
 pub mod deadline;
 pub mod edf_ac;
 pub mod federated;
-mod ord;
+mod model;
 pub mod paper;
 pub mod profit;
 pub mod slab;

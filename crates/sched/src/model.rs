@@ -1,0 +1,190 @@
+//! What scheduler S computes for a job at arrival, in exact arithmetic.
+//!
+//! [`JobModel::derive`] is the one derivation [`SchedulerS`](crate::SchedulerS),
+//! S-wc and [`SNoAdmission`](crate::SNoAdmission) share, and
+//! [`SchedulerSProfit`](crate::SchedulerSProfit) builds on its helpers.
+//! With `s` the speed hint and `g = 1+2δ`, a job of work `W`, span `L`
+//! and relative deadline `D` run on `n` processors has budget
+//! `x = (W − L + L·n)/(s·n)` (Observation 2 on `W/s`, `L/s`), so
+//!
+//! * the allotment `n_i = ⌈(W−L)·g/(D·s − L·g)⌉` is the least `n ≥ 1` with
+//!   `n·D·s ≥ g·(W − L + L·n)`, which is δ-goodness `D ≥ g·x` at `n`: an
+//!   admissible job (`D·s > L·g`, `n_i ≤ m`) is always δ-good;
+//! * the density is `p/(x·n) = s·p/(W − L + L·n)`, a [`Density`] once the
+//!   common factor `s` is dropped;
+//! * the job is δ-fresh at `t` iff `d − t ≥ (1+δ)·x`, i.e. iff the integer
+//!   slack `d − t` is at least `⌈(1+δ)·x⌉`.
+
+use dagsched_core::{cmp_products, least, AlgoParams, Density, Dyadic, Time};
+use dagsched_engine::JobInfo;
+
+/// The constants the derivation reads, as exact dyadics: `1+2δ`, `1+δ`,
+/// `1+ε` and the speed hint, with the machine size.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rules {
+    pub(crate) m: u32,
+    pub(crate) good: Dyadic,
+    pub(crate) fresh: Dyadic,
+    pub(crate) one_eps: Dyadic,
+    pub(crate) speed: Dyadic,
+}
+
+impl Rules {
+    pub(crate) fn new(m: u32, params: &AlgoParams, speed: f64) -> Rules {
+        Rules {
+            m,
+            good: Dyadic::new(params.good_factor()),
+            fresh: Dyadic::new(params.fresh_factor()),
+            one_eps: Dyadic::new(1.0 + params.epsilon()),
+            speed: Dyadic::new(speed),
+        }
+    }
+}
+
+/// S's arrival-time quantities for one job.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobModel {
+    /// The allotment `n_i`, at most `m`.
+    pub(crate) allot: u32,
+    /// `n_i ≤ m` and `D·s > L·g`: the job can ever be started.
+    pub(crate) admissible: bool,
+    /// The density `v_i`.
+    pub(crate) density: Density,
+    /// `⌈(1+δ)·x_i⌉`: the least slack `d_i − t` at which the job is δ-fresh.
+    pub(crate) fresh_slack: u64,
+    /// The profit `p_i`.
+    pub(crate) profit: u64,
+    /// The absolute deadline `r_i + D_i`.
+    pub(crate) abs_deadline: Time,
+}
+
+impl JobModel {
+    /// Derive the model of `info` under `rules`. A general profit function
+    /// is read through its flat prefix: deadline `x*`, profit the flat
+    /// value.
+    pub(crate) fn derive(info: &JobInfo, rules: &Rules) -> JobModel {
+        let (d_rel, profit) = info
+            .profit
+            .as_deadline()
+            .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
+        let (w, l, d) = (info.work.units(), info.span.units(), d_rel.ticks());
+        let Rules {
+            m,
+            good: g,
+            speed: s,
+            ..
+        } = *rules;
+        let feasible = cmp_products(d as u128, s.mant(), s.exp(), l as u128, g.mant(), g.exp());
+        let n = if !feasible.is_gt() {
+            None
+        } else if w == l {
+            // A chain is δ-good on one processor whenever it is feasible.
+            Some(1)
+        } else {
+            let (gf, sf) = (g.value(), s.value());
+            let guess = (w - l) as f64 * gf / (d as f64 * sf - l as f64 * gf);
+            least(guess, m as u64 + 1, |n| {
+                let lhs = n as u128 * d as u128;
+                cmp_products(lhs, s.mant(), s.exp(), g.mant(), xn(w, l, n), g.exp()).is_ge()
+            })
+        };
+        let (allot, admissible) = match n {
+            Some(n) if n <= m as u64 => (n as u32, true),
+            _ => (m, false),
+        };
+        let xn = xn(w, l, allot as u64);
+        JobModel {
+            allot,
+            admissible,
+            density: Density::new(profit, xn),
+            fresh_slack: ceil_budget(rules.fresh, xn, allot, s),
+            profit,
+            abs_deadline: info.arrival.saturating_add(d),
+        }
+    }
+}
+
+/// `x·n·s = W − L + L·n`, in work units.
+pub(crate) fn xn(w: u64, l: u64, n: u64) -> u128 {
+    (w - l) as u128 + l as u128 * n as u128
+}
+
+/// `⌈f·x⌉` for the budget `x = xn/(s·n)`: the least integer `t` with
+/// `t·s·n ≥ f·xn`, saturating at `u64::MAX`.
+pub(crate) fn ceil_budget(f: Dyadic, xn: u128, n: u32, s: Dyadic) -> u64 {
+    let guess = f.value() * xn as f64 / (s.value() * n as f64);
+    least(guess, u64::MAX, |t| {
+        let lhs = t as u128 * n as u128;
+        cmp_products(lhs, s.mant(), s.exp(), f.mant(), xn, f.exp()).is_ge()
+    })
+    .unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dagsched_core::{JobId, Work};
+    use dagsched_workload::StepProfitFn;
+
+    fn info(w: u64, l: u64, d: u64, p: u64) -> JobInfo {
+        JobInfo {
+            id: JobId(0),
+            arrival: Time(5),
+            work: Work(w),
+            span: Work(l),
+            profit: StepProfitFn::deadline(Time(d), p),
+        }
+    }
+
+    fn eps1() -> AlgoParams {
+        AlgoParams::from_epsilon(1.0).unwrap()
+    }
+
+    #[test]
+    fn allotment_is_the_exact_ceiling() {
+        // g = 1.5: n = ⌈59·1.5/(24 − 1.5)⌉ = ⌈3.93⌉ = 4, x·n = 59 + 4.
+        let j = JobModel::derive(&info(60, 1, 24, 60), &Rules::new(8, &eps1(), 1.0));
+        assert_eq!((j.allot, j.admissible), (4, true));
+        assert_eq!(j.density, Density::new(60, 63));
+        // x = 63/4 = 15.75, so ⌈1.25·x⌉ = ⌈19.6875⌉ = 20.
+        assert_eq!(j.fresh_slack, 20);
+        assert_eq!(j.abs_deadline, Time(29));
+        // 28·1.5/(35 − 21) = 3 exactly: the ceiling is 3. In f64,
+        // 35/1.5 − 14 rounds down to 9.333333333333332 and the quotient up
+        // to 3.0000000000000004, whose ceiling was 4.
+        let j = JobModel::derive(&info(42, 14, 35, 9), &Rules::new(8, &eps1(), 1.0));
+        assert_eq!((j.allot, j.density), (3, Density::new(9, 28 + 42)));
+        // Under ε = 0.7 the f64 1+2δ = 1.35 lies just above 27/20, so
+        // n = 1 misses D = 243 with x = 180 by a hair: n = 2.
+        let eps07 = AlgoParams::from_epsilon(0.7).unwrap();
+        let j = JobModel::derive(&info(180, 3, 243, 1), &Rules::new(8, &eps07, 1.0));
+        assert_eq!((j.allot, j.admissible), (2, true));
+        // D·s = L·g leaves no allotment: inadmissible, at n = m.
+        let j = JobModel::derive(&info(30, 20, 30, 9), &Rules::new(8, &eps1(), 1.0));
+        assert_eq!((j.allot, j.admissible), (8, false));
+        // More than m processors needed.
+        let j = JobModel::derive(&info(1000, 1, 4, 9), &Rules::new(8, &eps1(), 1.0));
+        assert_eq!((j.allot, j.admissible), (8, false));
+    }
+
+    #[test]
+    fn fresh_slack_is_the_exact_ceiling() {
+        // ε = 0.5: n = 3 and x = 7/3 + 3 = 16/3, so (1+δ)·x = 1.125·16/3
+        // = 6 exactly. In f64 the product rounded above 6, to a ceiling 7.
+        let eps05 = AlgoParams::from_epsilon(0.5).unwrap();
+        let j = JobModel::derive(&info(10, 3, 8, 1), &Rules::new(8, &eps05, 1.0));
+        assert_eq!((j.allot, j.fresh_slack), (3, 6));
+    }
+
+    #[test]
+    fn speed_hint_scales_the_budget_not_the_density_order() {
+        // At s = 2 the same job needs n = ⌈59·1.5/(48 − 1.5)⌉ = 2.
+        let j = JobModel::derive(&info(60, 1, 24, 60), &Rules::new(8, &eps1(), 2.0));
+        assert_eq!(j.allot, 2);
+        assert_eq!(j.density, Density::new(60, 61));
+        // x = 61/(2·2) = 15.25, ⌈1.25·15.25⌉ = ⌈19.06⌉ = 20.
+        assert_eq!(j.fresh_slack, 20);
+        let (f, s) = (Dyadic::new(1.25), Dyadic::new(2.0));
+        assert_eq!(ceil_budget(f, 64, 2, s), 20, "1.25·16 is exact");
+    }
+}

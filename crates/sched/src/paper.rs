@@ -8,7 +8,10 @@
 //! S-profit, so the transcriptions share no band code with production.
 //! Nothing here is indexed or incremental; that is the work of
 //! [`SchedulerS`](crate::SchedulerS) and
-//! [`SchedulerSProfit`](crate::SchedulerSProfit).
+//! [`SchedulerSProfit`](crate::SchedulerSProfit). Every rule is decided
+//! exactly, with the `f64` constants read as the dyadic rationals they are
+//! and `x_i·n_i = W_i − L_i + L_i·n_i` kept as an integer, and derived here
+//! rather than taken from the production model.
 //!
 //! The transcriptions report the production `name()` strings, so their
 //! `SimResult`s and `dagsched-verify` JSONL event logs compare equal to the
@@ -17,7 +20,7 @@
 //! run for run, on both engine paths.
 
 use crate::bands::fits_population;
-use dagsched_core::{AlgoParams, JobId, Time};
+use dagsched_core::{cmp_products, least, AlgoParams, Density, Dyadic, JobId, Time};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
     TickView,
@@ -29,10 +32,10 @@ use std::collections::{BTreeMap, HashMap};
 struct SJob {
     /// The allotment `n_i`, at most `m`.
     allot: u32,
-    /// The budget `x_i`.
-    x: f64,
-    /// The density `v_i`.
-    density: f64,
+    /// The budget times the allotment, `x_i·n_i = W_i − L_i + L_i·n_i`.
+    xn: u128,
+    /// The density `v_i = p_i/(x_i·n_i)`.
+    density: Density,
     /// The absolute deadline `r_i + D_i`.
     deadline: Time,
     /// `n_i ≤ m`: the job can run at its allotment at all.
@@ -86,27 +89,30 @@ impl PaperS {
     /// The ids of `Q` (`started`) or of `P`, highest density first; equal
     /// densities in descending id order.
     fn by_density(&self, started: bool) -> Vec<JobId> {
-        let mut keyed: Vec<(f64, JobId)> = self
+        let mut keyed: Vec<(Density, JobId)> = self
             .jobs
             .iter()
             .filter(|(_, job)| job.started == started)
             .map(|(&id, job)| (job.density, id))
             .collect();
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+        keyed.sort_by(|a, b| b.cmp(a));
         keyed.into_iter().map(|(_, id)| id).collect()
     }
 
     /// Condition (2) for `job`: N(Q ∪ {J_i}, v_j, c·v_j) ≤ b·m for every
     /// anchor `v_j`, the candidate's own density included.
     fn fits(&self, job: &SJob) -> bool {
-        let q: Vec<(f64, u32)> = self
+        let q: Vec<(Density, u32)> = self
             .jobs
             .values()
             .filter(|j| j.started)
             .map(|j| (j.density, j.allot))
             .collect();
-        let capacity = self.params.b() * self.m as f64;
-        fits_population(&q, job.density, job.allot, self.params.c(), capacity)
+        let (c, capacity) = (
+            Dyadic::new(self.params.c()),
+            self.params.band_capacity(self.m),
+        );
+        fits_population(&q, job.density, job.allot, c, capacity)
     }
 
     fn start(&mut self, id: JobId) {
@@ -158,27 +164,30 @@ impl OnlineScheduler for PaperS {
             .profit
             .as_deadline()
             .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
-        let (w, l, d) = (info.work.as_f64(), info.span.as_f64(), d_rel.as_f64());
+        let (w, l, d) = (info.work.units(), info.span.units(), d_rel.ticks());
+        let g = Dyadic::new(self.params.good_factor());
+        // Budget x_i = (W_i − L_i)/n_i + L_i, so x_i·n_i = W_i − L_i + L_i·n_i.
+        let xn = |n: u32| (w - l) as u128 + l as u128 * n as u128;
+        // δ-good at n: D_i ≥ (1+2δ) x_i, i.e. D_i·n ≥ (1+2δ)·x_i·n.
+        let good =
+            |n: u32| cmp_products(d as u128 * n as u128, 1, 0, g.mant(), xn(n), g.exp()).is_ge();
 
         // Allotment: n_i = (W_i − L_i)/(D_i/(1+2δ) − L_i), rounded up to
-        // at least one processor. A job that needs more than m processors,
-        // or whose D_i/(1+2δ) does not exceed L_i, is never admissible.
-        let (allot, admissible) = match self.params.raw_allotment(w, l, d) {
-            Some(frac) => {
-                let n = (frac.ceil() as u32).max(1);
-                (n.min(self.m), n <= self.m)
-            }
-            None => (self.m, false),
-        };
-        // Budget x_i = (W_i − L_i)/n_i + L_i; density v_i = p_i/(x_i n_i).
-        let x = AlgoParams::x_time(w, l, allot);
-        let density = profit as f64 / (x * allot as f64);
-        // δ-good: D_i ≥ (1+2δ) x_i.
-        let delta_good = admissible && d >= self.params.good_factor() * x;
+        // at least one processor: the least n ≥ 1 at which J_i is δ-good.
+        // A job that needs more than m processors, or whose D_i/(1+2δ)
+        // does not exceed L_i, is never admissible.
+        let exceeds = cmp_products(d as u128, 1, 0, g.mant(), l as u128, g.exp()).is_gt();
+        let n = exceeds
+            .then(|| least(1.0, self.m as u64, |n| good(n as u32)))
+            .flatten();
+        let (allot, admissible) = n.map_or((self.m, false), |n| (n as u32, true));
+        // Density v_i = p_i/(x_i n_i).
+        let density = Density::new(profit, xn(allot));
+        let delta_good = admissible && good(allot);
 
         let job = SJob {
             allot,
-            x,
+            xn: xn(allot),
             density,
             deadline: info.arrival.saturating_add(d_rel.ticks()),
             admissible,
@@ -216,8 +225,10 @@ impl OnlineScheduler for PaperS {
                 );
                 continue;
             }
-            let fresh = job.admissible
-                && job.deadline.since(now) as f64 >= self.params.fresh_factor() * job.x;
+            let f = Dyadic::new(self.params.fresh_factor());
+            let slack = job.deadline.since(now) as u128 * job.allot as u128;
+            let fresh =
+                job.admissible && cmp_products(slack, 1, 0, f.mant(), job.xn, f.exp()).is_ge();
             if fresh && self.fits(&job) {
                 self.start(id);
             }
@@ -267,7 +278,7 @@ impl OnlineScheduler for PaperS {
 #[derive(Debug, Clone, Copy)]
 struct Assigned {
     id: JobId,
-    density: f64,
+    density: Density,
     allot: u32,
 }
 
@@ -301,7 +312,7 @@ impl PaperSProfit {
     }
 
     /// `J(t)` as `(density, allotment)` pairs.
-    fn population(&self, t: Time) -> Vec<(f64, u32)> {
+    fn population(&self, t: Time) -> Vec<(Density, u32)> {
         self.plan.get(&t).map_or_else(Vec::new, |members| {
             members.iter().map(|a| (a.density, a.allot)).collect()
         })
@@ -314,13 +325,16 @@ impl PaperSProfit {
         arrival: Time,
         min_d: u64,
         bound: u64,
-        v: f64,
+        v: Density,
         allot: u32,
         k: usize,
     ) -> Option<Vec<Time>> {
-        let capacity = self.params.b() * self.m as f64;
+        let (c, capacity) = (
+            Dyadic::new(self.params.c()),
+            self.params.band_capacity(self.m),
+        );
         // A job wider than b·m fits no slot.
-        if min_d > bound || allot as f64 > capacity {
+        if min_d > bound || allot as u64 > capacity {
             return None;
         }
         let mut found = Vec::new();
@@ -329,7 +343,7 @@ impl PaperSProfit {
         while t < end && found.len() < k {
             // Slot condition: J(t) ∪ {J_i} keeps every band [v_j, c·v_j)
             // within b·m processors.
-            if fits_population(&self.population(t), v, allot, self.params.c(), capacity) {
+            if fits_population(&self.population(t), v, allot, c, capacity) {
                 found.push(t);
             }
             t = t.after(1);
@@ -355,23 +369,38 @@ impl OnlineScheduler for PaperSProfit {
     }
 
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        let (w, l) = (info.work.as_f64(), info.span.as_f64());
-        let eps = self.params.epsilon();
+        let (w, l) = (info.work.units(), info.span.units());
+        let (m, flat) = (self.m as u128, info.profit.flat_until().ticks() as u128);
+        let g = Dyadic::new(self.params.good_factor());
+        let one_eps = Dyadic::new(1.0 + self.params.epsilon());
+        // x_i·n_i = W_i − L_i + L_i·n_i for the budget x_i = (W_i − L_i)/n_i + L_i.
+        let xn = |n: u128| (w - l) as u128 + l as u128 * n;
         // x_i* is where p_i stops being flat; where the input breaks
-        // Theorem 3's assumption it is raised to (1+ε)((W_i − L_i)/m + L_i).
-        let x_star = info
-            .profit
-            .flat_until()
-            .as_f64()
-            .max((1.0 + eps) * AlgoParams::brent_time(w, l, self.m));
-        // Allotment: n_i = (W_i − L_i)/(x_i*/(1+2δ) − L_i), rounded up, at
-        // least one processor and at most m.
-        let denom = x_star / self.params.good_factor() - l;
-        let allot = ((((w - l) / denom).ceil() as u32).max(1)).min(self.m);
-        // Budget x_i = (W_i − L_i)/n_i + L_i; a valid deadline needs
-        // |I_i| = ⌈(1+δ) x_i⌉ slots.
-        let x = AlgoParams::x_time(w, l, allot);
-        let k = ((self.params.fresh_factor() * x).ceil() as usize).max(1);
+        // Theorem 3's assumption it is raised to (1+ε)((W_i − L_i)/m + L_i)
+        // = (1+ε)·xn(m)/m. Allotment: n_i = (W_i − L_i)/(x_i*/(1+2δ) − L_i),
+        // rounded up, at least one processor and at most m: the least n
+        // with n·x_i* ≥ (1+2δ)·x_i·n, for either candidate of the max.
+        let covers = |n: u64| {
+            let n = n as u128;
+            cmp_products(n * flat, 1, 0, g.mant(), xn(n), g.exp()).is_ge()
+                || cmp_products(
+                    n * xn(m),
+                    one_eps.mant(),
+                    one_eps.exp(),
+                    g.mant() * m,
+                    xn(n),
+                    g.exp(),
+                )
+                .is_ge()
+        };
+        let allot = least(1.0, self.m as u64, covers).unwrap_or(self.m as u64) as u128;
+        // A valid deadline needs |I_i| = ⌈(1+δ) x_i⌉ slots: the least k
+        // with k·n_i ≥ (1+δ)·x_i·n_i.
+        let f = Dyadic::new(self.params.fresh_factor());
+        let k = least(1.0, u64::MAX, |k| {
+            cmp_products(k as u128 * allot, 1, 0, f.mant(), xn(allot), f.exp()).is_ge()
+        })
+        .unwrap_or(u64::MAX) as usize;
 
         // Candidate deadlines: the profit steps in order, each as
         // (last tick it covers, value). The profit is constant within a
@@ -384,23 +413,26 @@ impl OnlineScheduler for PaperSProfit {
             .iter()
             .map(|(b, v)| (b.ticks(), *v))
             .collect();
+        // Smallest valid deadline: the first step holding a D > (1+ε)L_i
+        // with k slots of [r_i, r_i + D) that take J_i at density
+        // v = p_i(D)/(x_i n_i). Slot assignment: I_i is those k slots.
+        let min_d_floor =
+            (one_eps.mul_floor(l as u128).min(u64::MAX as u128) as u64).saturating_add(1);
         if info.profit.tail_value() > 0 {
+            // The tail step starts past the later of the last step and
+            // the deadline floor.
             let r = info.arrival.ticks();
             let horizon = self.plan.keys().next_back().map_or(0, |t| t.ticks()).max(r);
-            let last = steps.last().map_or(0, |&(b, _)| b);
+            let last = steps.last().map_or(0, |&(b, _)| b).max(min_d_floor);
             steps.push((
                 last + (horizon - r + k as u64 + 2),
                 info.profit.tail_value(),
             ));
         }
-
-        // Smallest valid deadline: the first step holding a D > (1+ε)L_i
-        // with k slots of [r_i, r_i + D) that take J_i at density
-        // v = p_i(D)/(x_i n_i). Slot assignment: I_i is those k slots.
-        let min_d_floor = (((1.0 + eps) * l).floor() as u64).saturating_add(1);
+        let allot = allot as u32;
         let mut prev = 0u64;
         for (bound, value) in steps {
-            let v = value as f64 / (x * allot as f64);
+            let v = Density::new(value, xn(allot as u128));
             let min_d = min_d_floor.max(prev + 1);
             if let Some(slots) = self.fitting_slots(info.arrival, min_d, bound, v, allot, k) {
                 for &t in &slots {
@@ -434,7 +466,7 @@ impl OnlineScheduler for PaperSProfit {
         // first (equal densities by ascending id), each at its allotment
         // n_i while that many processors are left.
         let mut members = self.plan.get(&view.now).cloned().unwrap_or_default();
-        members.sort_by(|a, b| b.density.total_cmp(&a.density).then(a.id.cmp(&b.id)));
+        members.sort_by(|a, b| b.density.cmp(&a.density).then(a.id.cmp(&b.id)));
         let mut left = view.m;
         let mut out = Vec::new();
         for a in members {

@@ -35,6 +35,11 @@
 //! with per-tick populations, and the `profit_differential` suite holds the
 //! two byte-identical.
 //!
+//! Allotments, budgets, slot counts and densities are exact, with the
+//! helpers of S's `JobModel`: `x·n = W − L + L·n`,
+//! `|I_i| = ⌈(1+δ)x⌉`, and the `(1+ε)L` floor read with `1+ε` as the
+//! dyadic rational its `f64` value is.
+//!
 //! Deviations from the paper text, documented per DESIGN.md:
 //!
 //! * `x_i*` is clamped up to `(1+ε)((W−L)/m + L)` when the input violates
@@ -45,7 +50,8 @@
 //!   outright (it could never earn anything anyway).
 
 use crate::bands::DensityBands;
-use dagsched_core::{AlgoParams, JobId, Time};
+use crate::model::{ceil_budget, xn, Rules};
+use dagsched_core::{cmp_products, least, AlgoParams, Density, Dyadic, JobId, Time};
 use dagsched_engine::{Allocation, JobInfo, OnlineScheduler, TickView};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -104,6 +110,12 @@ pub struct SchedulerSProfitMetrics {
 pub struct SchedulerSProfit {
     params: AlgoParams,
     m: u32,
+    /// Every slot's band capacity `⌊b·m⌋`.
+    capacity: u64,
+    /// The band width `c`.
+    c: Dyadic,
+    /// The exact constants of the arrival-time derivation.
+    rules: Rules,
     /// The segment slot plan: run start → run.
     plan: BTreeMap<Time, Segment>,
     /// Slab of per-job slot ranges, indexed by `JobId`.
@@ -122,6 +134,9 @@ impl SchedulerSProfit {
         SchedulerSProfit {
             params,
             m,
+            capacity: params.band_capacity(m),
+            c: Dyadic::new(params.c()),
+            rules: Rules::new(m, &params, 1.0),
             plan: BTreeMap::new(),
             jobs: Vec::new(),
             history: HashMap::new(),
@@ -150,6 +165,37 @@ impl SchedulerSProfit {
         self.history.get(&id).map(|(_, k)| *k)
     }
 
+    /// `x_i*`: where the profit stops being flat, clamped up to
+    /// `(1+ε)((W−L)/m + L)` (the deadline-stretch metric's denominator).
+    fn x_star(&self, w: u64, l: u64, flat: u64) -> f64 {
+        let brent = AlgoParams::brent_time(w as f64, l as f64, self.m);
+        (flat as f64).max((1.0 + self.params.epsilon()) * brent)
+    }
+
+    /// `n_i = ⌈(W−L)/(x*/(1+2δ) − L)⌉` in `1..=m`, exactly: the least `n`
+    /// with `n·x* ≥ (1+2δ)·(W − L + L·n)`. With
+    /// `x* = max(D, (1+ε)·B/m)` for the flat prefix `D` and
+    /// `B = W − L + L·m`, that is `n·D ≥ g·xn` or `n·(1+ε)·B ≥ g·m·xn`.
+    /// If no `n ≤ m` qualifies (an `x*` at or below `(1+2δ)·L`, possible
+    /// only when `1+ε` and `1+2δ` round together), the allotment is `m`.
+    fn allotment(&self, w: u64, l: u64, flat: u64) -> u32 {
+        let Rules {
+            good: g,
+            one_eps: e,
+            ..
+        } = self.rules;
+        let (m, b) = (self.m as u128, xn(w, l, self.m as u64));
+        let good = |n: u64| {
+            let xn = xn(w, l, n);
+            let n = n as u128;
+            cmp_products(n * flat as u128, 1, 0, g.mant(), xn, g.exp()).is_ge()
+                || cmp_products(n * b, e.mant(), e.exp(), g.mant() * m, xn, g.exp()).is_ge()
+        };
+        let x_star = self.x_star(w, l, flat);
+        let guess = (w - l) as f64 / (x_star / g.value() - l as f64);
+        least(guess, self.m as u64, good).map_or(self.m, |n| n as u32)
+    }
+
     /// Try to find the smallest valid deadline for density `v` and segment
     /// bound `bound` (relative): returns `(D, ranges)` on success.
     ///
@@ -166,16 +212,12 @@ impl SchedulerSProfit {
         arrival: Time,
         bound: u64,
         min_d: u64,
-        v: f64,
+        v: Density,
         allot: u32,
         k_needed: usize,
     ) -> Option<(u64, Vec<(Time, Time)>)> {
-        if min_d > bound {
-            return None;
-        }
-        let capacity = self.params.b() * self.m as f64;
         // Even an empty slot must accommodate the allotment.
-        if allot as f64 > capacity {
+        if min_d > bound || allot as u64 > self.capacity {
             return None;
         }
         let mut found: Vec<(Time, Time)> = Vec::new();
@@ -229,7 +271,7 @@ impl SchedulerSProfit {
     /// Add `(density, allot, id)` to every tick of `ranges`: split the
     /// boundary runs, extend the covered runs, and materialize runs for the
     /// covered gap portions.
-    fn insert_ranges(&mut self, ranges: &[(Time, Time)], density: f64, allot: u32, id: JobId) {
+    fn insert_ranges(&mut self, ranges: &[(Time, Time)], density: Density, allot: u32, id: JobId) {
         for &(s, end) in ranges {
             self.split_at(s);
             self.split_at(end);
@@ -246,8 +288,7 @@ impl SchedulerSProfit {
                             Some((st, _)) => st.min(end),
                             None => end,
                         };
-                        let capacity = self.params.b() * self.m as f64;
-                        let mut pop = DensityBands::new(self.params.c(), capacity);
+                        let mut pop = DensityBands::new(self.c, self.capacity);
                         pop.insert(id, density, allot);
                         self.plan.insert(cur, Segment { end: gap_end, pop });
                         cur = gap_end;
@@ -320,22 +361,18 @@ impl OnlineScheduler for SchedulerSProfit {
     }
 
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        let w = info.work.as_f64();
-        let l = info.span.as_f64();
-        let brent = AlgoParams::brent_time(w, l, self.m);
-        // Theorem 3's assumption, clamped if the input violates it.
-        let x_star = info
-            .profit
-            .flat_until()
-            .as_f64()
-            .max((1.0 + self.params.epsilon()) * brent);
-        let denom = x_star / self.params.good_factor() - l;
-        debug_assert!(denom > 0.0, "x* >= (1+eps)L makes the denominator positive");
-        let allot = ((((w - l) / denom).ceil() as u32).max(1)).min(self.m);
-        let x = AlgoParams::x_time(w, l, allot);
-        let k_needed = ((self.params.fresh_factor() * x).ceil() as usize).max(1);
-        let xn = x * allot as f64;
-        let min_d_floor = (((1.0 + self.params.epsilon()) * l).floor() as u64).saturating_add(1);
+        let (w, l) = (info.work.units(), info.span.units());
+        let allot = self.allotment(w, l, info.profit.flat_until().ticks());
+        let xn = xn(w, l, allot as u64);
+        let Rules {
+            fresh,
+            one_eps,
+            speed,
+            ..
+        } = self.rules;
+        let k_needed = ceil_budget(fresh, xn, allot, speed).max(1) as usize;
+        let min_d_floor =
+            (one_eps.mul_floor(l as u128).min(u64::MAX as u128) as u64).saturating_add(1);
 
         // Candidate deadlines: one per profit segment, in decreasing-profit
         // order, plus the tail if it pays.
@@ -357,14 +394,16 @@ impl OnlineScheduler for SchedulerSProfit {
                 .map(|(_, seg)| seg.end.ticks() - 1)
                 .unwrap_or(0)
                 .max(info.arrival.ticks());
+            // Measured from the deadline floor when that lies further out,
+            // so a long job's tail step still holds a valid deadline.
             let cap = horizon - info.arrival.ticks().min(horizon) + k_needed as u64 + 2;
             let last = candidates.last().map(|(b, _)| *b).unwrap_or(0);
-            candidates.push((last + cap, info.profit.tail_value()));
+            candidates.push((last.max(min_d_floor) + cap, info.profit.tail_value()));
         }
 
         let mut prev_bound = 0u64;
         for (bound, value) in candidates {
-            let v = value as f64 / xn;
+            let v = Density::new(value, xn);
             let min_d = min_d_floor.max(prev_bound + 1);
             if let Some((d, ranges)) =
                 self.search_segment(info.arrival, bound, min_d, v, allot, k_needed)
@@ -379,7 +418,8 @@ impl OnlineScheduler for SchedulerSProfit {
                 self.history.insert(info.id, (abs_deadline, k_needed));
                 self.metrics.scheduled += 1;
                 self.metrics.planned_profit += info.profit.eval(Time(d));
-                self.metrics.stretch_sum += d as f64 / x_star;
+                self.metrics.stretch_sum +=
+                    d as f64 / self.x_star(w, l, info.profit.flat_until().ticks());
                 return;
             }
             prev_bound = bound;
@@ -493,6 +533,18 @@ mod tests {
     }
 
     #[test]
+    fn slot_count_is_the_exact_ceiling() {
+        // ε = 0.5, W = 10, L = 3, x* = 8: n = 3 and x = 16/3, so
+        // |I| = ⌈1.125 · 16/3⌉ = 6 (the f64 product rounded above 6).
+        let mut s = SchedulerSProfit::with_epsilon(8, 0.5);
+        s.on_arrival(
+            &info(0, 0, 10, 3, StepProfitFn::deadline(Time(8), 10)),
+            Time(0),
+        );
+        assert_eq!(s.assigned_slots(JobId(0)), Some(6));
+    }
+
+    #[test]
     fn impossible_profit_window_is_rejected() {
         let mut s = SchedulerSProfit::with_epsilon(4, 1.0);
         // Profit window shorter than (1+eps)L: no potential deadline.
@@ -582,33 +634,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_profit_jobs_run_like_the_paper_transcription() {
-        // A zero-profit job has density 0, whose band `[0, 0)` is empty;
-        // runs holding such jobs must still admit and execute exactly as
-        // `PaperSProfit`, whose slot check is `fits_population`.
-        let jobs: Vec<JobSpec> = (0..6u32)
-            .map(|i| {
-                let profit = if i % 2 == 0 { 0 } else { 10 };
-                JobSpec::new(
-                    JobId(i),
-                    Time(i as u64),
-                    gen::block(12, 2).into_shared(),
-                    StepProfitFn::deadline(Time(30), profit),
-                )
-            })
-            .collect();
-        let inst = Instance::new(4, jobs).unwrap();
-        let cfg = SimConfig::default();
-        let mut s = SchedulerSProfit::with_epsilon(4, 1.0);
-        let r = simulate(&inst, &mut s, &cfg).unwrap();
-        let mut paper = crate::PaperSProfit::with_epsilon(4, 1.0);
-        assert!(r.same_outcome(&simulate(&inst, &mut paper, &cfg).unwrap()));
-        assert!(
-            r.outcomes.iter().step_by(2).any(|o| o.is_completed()),
-            "a zero-profit job ran: {:?}",
-            r.outcomes
+    fn zero_profit_jobs_are_rejected_as_input() {
+        // Every density is positive: a job whose maximum profit is 0 is not
+        // an instance, whether built through the library or the codec.
+        let job = JobSpec::new(
+            JobId(0),
+            Time(0),
+            gen::block(12, 2).into_shared(),
+            StepProfitFn::deadline(Time(30), 0),
         );
-        assert!(r.total_profit > 0);
+        assert!(Instance::new(4, vec![job]).is_err());
+        let fixture = |profit: u64| {
+            format!(
+                "dagsched-instance v1\nm 4\njobs 1\njob 0\narrival 0\nprofit 1 0\n\
+                 seg 30 {profit}\nnodes 1\nwork 5\nedges 0\nend\n"
+            )
+        };
+        assert!(dagsched_workload::codec::decode(&fixture(1)).is_ok());
+        assert!(dagsched_workload::codec::decode(&fixture(0)).is_err());
     }
 
     #[test]
@@ -680,8 +723,8 @@ mod tests {
                         Time(t),
                     );
                 }
-                let capacity = s.params.b() * m as f64;
-                let c = s.params.c();
+                let capacity = s.params.band_capacity(m);
+                let c = Dyadic::new(s.params.c());
                 for (start, seg) in &s.plan {
                     prop_assert!(seg.end > *start, "runs are non-empty");
                     prop_assert!(!seg.pop.is_empty(), "empty runs are dropped");
@@ -689,16 +732,15 @@ mod tests {
                         let band: u64 = seg
                             .pop
                             .iter()
-                            .filter(|&(_, d, _)| d >= anchor && d < c * anchor)
+                            .filter(|&(_, d, _)| d.in_band(anchor, c))
                             .map(|(_, _, a)| a as u64)
                             .sum();
                         prop_assert!(
-                            band as f64 <= capacity + 1e-9,
-                            "run at {start}: band at {} holds {band} > b*m = {capacity}",
-                            anchor
+                            band <= capacity,
+                            "run at {start}: band at {anchor:?} holds {band} > ⌊b·m⌋ = {capacity}"
                         );
                         // The structure's band load agrees with the scan.
-                        prop_assert_eq!(seg.pop.band_load(anchor, c * anchor), band);
+                        prop_assert_eq!(seg.pop.band_load(anchor), band);
                     }
                 }
                 // Runs are disjoint and ordered.

@@ -2,7 +2,7 @@
 
 use crate::model::Models;
 use crate::violation::{Recorder, Violation};
-use dagsched_core::{AlgoParams, JobId, Speed, Time};
+use dagsched_core::{cmp_products, AlgoParams, Dyadic, JobId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
 
 /// Checks scheduler S's allocation discipline on every window:
@@ -80,14 +80,20 @@ impl SimObserver for AllotmentChecker {
         // Lemma 1 (with integrality slack): an admitted job's allotment is
         // at most b²m + 1.
         if let Some(jm) = self.models.get(event.job) {
-            let bound = self.models.params.b().powi(2) * self.models.m as f64 + 1.0;
-            if jm.allot as f64 > bound {
+            // n ≤ ⌊b²m⌋ + 1 ⇔ (n − 1)·(1+ε) ≤ (1+2δ)·m, as b² = (1+2δ)/(1+ε).
+            let params = &self.models.params;
+            let (g, e) = (
+                Dyadic::new(params.good_factor()),
+                Dyadic::new(1.0 + params.epsilon()),
+            );
+            let (n, m) = (jm.allot as u128, self.models.m as u128);
+            if cmp_products(n - 1, e.mant(), e.exp(), m, g.mant(), g.exp()).is_gt() {
                 self.rec.flag(
                     now,
                     Some(event.job),
                     format!(
-                        "Lemma 1 violated: allotment {} > b²m+1 = {bound:.3}",
-                        jm.allot
+                        "Lemma 1 violated: allotment {n} > b²m+1 = {:.3}",
+                        params.b().powi(2) * m as f64 + 1.0
                     ),
                 );
             }

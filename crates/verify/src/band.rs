@@ -2,22 +2,26 @@
 
 use crate::model::Models;
 use crate::violation::{Recorder, Violation};
-use dagsched_core::{AlgoParams, JobId, Speed, Time};
+use dagsched_core::{AlgoParams, Density, Dyadic, JobId, Speed, Time};
 use dagsched_engine::{AdmissionDecision, AdmissionEvent, JobInfo, SimObserver};
 
 /// Is any density band over capacity? Pure population check shared with the
 /// `DensityBands` agreement tests: for every anchor `(v_j, ·)` in `members`,
 /// the total allotment of members with density in `[v_j, c·v_j)` must stay
 /// within `capacity`. Returns the first violating `(anchor_density, load)`.
-pub fn band_overload(members: &[(f64, u32)], c: f64, capacity: f64) -> Option<(f64, u64)> {
+pub fn band_overload(
+    members: &[(Density, u32)],
+    c: Dyadic,
+    capacity: u64,
+) -> Option<(Density, u64)> {
     for &(anchor, _) in members {
-        let hi = c * anchor;
+        let top = anchor.band_top(c);
         let load: u64 = members
             .iter()
-            .filter(|(d, _)| *d >= anchor && *d < hi)
+            .filter(|&&(d, _)| d >= anchor && top.covers(d))
             .map(|(_, a)| *a as u64)
             .sum();
-        if load as f64 > capacity {
+        if load > capacity {
             return Some((anchor, load));
         }
     }
@@ -40,7 +44,9 @@ pub struct BandCapacityChecker {
     pub(crate) models: Models,
     started: Vec<JobId>,
     /// `(density, allotment)` of every started job, rebuilt per check.
-    members: Vec<(f64, u32)>,
+    members: Vec<(Density, u32)>,
+    /// The capacity `⌊b·m⌋`, set at the run's start.
+    capacity: u64,
     rec: Recorder,
 }
 
@@ -51,6 +57,7 @@ impl BandCapacityChecker {
             models: Models::new(params),
             started: Vec::new(),
             members: Vec::new(),
+            capacity: 0,
             rec: Recorder::new("band-capacity"),
         }
     }
@@ -84,16 +91,14 @@ impl BandCapacityChecker {
                 .iter()
                 .filter_map(|&id| self.models.get(id).map(|jm| (jm.density, jm.allot))),
         );
-        let c = self.models.params.c();
-        let capacity = self.models.params.b() * self.models.m as f64;
-        if let Some((anchor, load)) = band_overload(&self.members, c, capacity) {
+        let (c, capacity) = (self.models.params.c(), self.capacity);
+        if let Some((anchor, load)) = band_overload(&self.members, Dyadic::new(c), capacity) {
             self.rec.flag(
                 at,
                 None,
                 format!(
-                    "Observation 3 violated: band [{anchor:.6}, {:.6}) holds \
-                     {load} processors > capacity {capacity:.4}",
-                    c * anchor
+                    "Observation 3 violated: band [{anchor:?}, {c}·{anchor:?}) holds \
+                     {load} processors > capacity ⌊b·m⌋ = {capacity}"
                 ),
             );
         }
@@ -103,6 +108,7 @@ impl BandCapacityChecker {
 impl SimObserver for BandCapacityChecker {
     fn on_start(&mut self, m: u32, _speed: Speed, _horizon: Time) {
         self.models.m = m;
+        self.capacity = self.models.params.band_capacity(m);
     }
 
     fn on_job_arrival(&mut self, _now: Time, info: &JobInfo) {
@@ -137,28 +143,29 @@ impl SimObserver for BandCapacityChecker {
 mod tests {
     use super::*;
 
+    fn two() -> Dyadic {
+        Dyadic::new(2.0)
+    }
+
     #[test]
     fn overload_detects_anchor_band_excess() {
-        // c = 2, capacity = 6: three allot-3 members at the same density
-        // load the anchor band with 9.
-        let members = [(1.0, 3u32), (1.0, 3), (1.0, 3)];
-        let (anchor, load) = band_overload(&members, 2.0, 6.0).unwrap();
-        assert_eq!(anchor, 1.0);
+        let one = Density::new(1, 1);
+        let members = [(one, 3u32), (one, 3), (Density::new(2, 2), 3)];
+        let (anchor, load) = band_overload(&members, two(), 6).unwrap();
+        assert_eq!(anchor, one);
         assert_eq!(load, 9);
     }
 
     #[test]
     fn overload_respects_half_open_upper_bound() {
-        // Member exactly at c·v is outside the anchor's band.
-        let members = [(1.0, 4u32), (2.0, 4)];
-        assert!(band_overload(&members, 2.0, 5.0).is_none());
-        // Just inside the band it counts.
-        let members = [(1.0, 4u32), (1.999, 4)];
-        assert!(band_overload(&members, 2.0, 5.0).is_some());
+        let members = [(Density::new(1, 1), 4u32), (Density::new(2, 1), 4)];
+        assert!(band_overload(&members, two(), 5).is_none());
+        let members = [(Density::new(1, 1), 4u32), (Density::new(1999, 1000), 4)];
+        assert!(band_overload(&members, two(), 5).is_some());
     }
 
     #[test]
     fn empty_population_never_overloads() {
-        assert!(band_overload(&[], 2.0, 1.0).is_none());
+        assert!(band_overload(&[], two(), 1).is_none());
     }
 }

@@ -79,21 +79,26 @@ impl SimObserver for DeltaGoodChecker {
                             format!(
                                 "started at arrival but not δ-good: D = {} < (1+2δ)x = {:.4}",
                                 jm.rel_deadline,
-                                self.models.params.good_factor() * jm.x
+                                self.models.params.good_factor() * jm.x()
                             ),
                         );
                     }
                 } else {
-                    // Late admission must be δ-fresh at the decision time.
-                    // (Float subtraction: a mutant may admit past the
-                    // deadline, where integer `since` would underflow.)
-                    let slack = jm.abs_deadline.as_f64() - now.as_f64();
-                    let need = self.models.params.fresh_factor() * jm.x;
-                    if slack < need {
+                    // Late admission must be δ-fresh at the decision time:
+                    // `d − t ≥ (1+δ)x`. A mutant may admit past the
+                    // deadline, where the slack is negative.
+                    let fresh = self.models.params.fresh_factor();
+                    let stale =
+                        now > jm.abs_deadline || !jm.covers(jm.abs_deadline.since(now), fresh);
+                    if stale {
+                        let slack = jm.abs_deadline.as_f64() - now.as_f64();
                         self.rec.flag(
                             now,
                             Some(event.job),
-                            format!("started stale: slack {slack} < (1+δ)x = {need:.4}"),
+                            format!(
+                                "started stale: slack {slack} < (1+δ)x = {:.4}",
+                                fresh * jm.x()
+                            ),
                         );
                     }
                 }

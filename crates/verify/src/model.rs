@@ -2,13 +2,15 @@
 //!
 //! The checkers deliberately do **not** ask the scheduler what it computed —
 //! they recompute allotment, budget, density and δ-goodness from the same
-//! [`JobInfo`] the scheduler saw, with the same formulas, in the same
-//! floating-point operation order (so the derived values are bit-identical
-//! and band-boundary comparisons cannot diverge). A scheduler whose internal
-//! bookkeeping drifts from the paper's definitions is then caught by the
-//! disagreement, which is the whole point of an independent oracle.
+//! [`JobInfo`] the scheduler saw, from the paper's definitions. Every
+//! quantity is exact: `x_i·n_i = W − L + L·n_i` is an integer, the density
+//! an integer ratio ([`Density`]), and the constants `1+2δ`, `1+δ` and the
+//! speed hint the dyadic rationals their `f64` values are, so band-boundary
+//! and deadline-boundary comparisons have one answer. A scheduler whose
+//! internal bookkeeping drifts from the paper's definitions is then caught
+//! by the disagreement, which is the whole point of an independent oracle.
 
-use dagsched_core::{AlgoParams, JobId, Time};
+use dagsched_core::{cmp_products, least, AlgoParams, Density, Dyadic, JobId, Time};
 use dagsched_engine::JobInfo;
 
 /// The paper's per-job quantities, recomputed from first principles.
@@ -16,22 +18,46 @@ use dagsched_engine::JobInfo;
 pub struct JobModel {
     /// Allotment `n_i` (rounded up, floored at 1, capped at `m`).
     pub allot: u32,
-    /// Budget `x_i = (W−L)/n_i + L` (speed-hint-scaled).
-    pub x: f64,
-    /// Density `v_i = p_i / (x_i · n_i)`.
-    pub density: f64,
+    /// `s·x_i·n_i = W − L + L·n_i`, the budget times the allotment in work
+    /// units (at speed hint `s`).
+    pub xn: u128,
+    /// The speed hint `s` the model was derived under.
+    pub speed: Dyadic,
+    /// Density `v_i = p_i / (x_i · n_i)`, up to the common factor `s`.
+    pub density: Density,
     /// Maximum profit `p_i` (the flat prefix value for non-deadline jobs).
     pub profit: u64,
     /// Release time `r_i`.
     pub arrival: Time,
-    /// Relative deadline `D_i` as a float.
-    pub rel_deadline: f64,
+    /// Relative deadline `D_i`.
+    pub rel_deadline: u64,
     /// Absolute deadline `r_i + D_i`.
     pub abs_deadline: Time,
     /// Whether any allotment `≤ m` meets the `(1+2δ)` contraction.
     pub admissible: bool,
     /// δ-good: admissible and `D_i ≥ (1+2δ)·x_i`.
     pub delta_good: bool,
+}
+
+impl JobModel {
+    /// Does a span of `ticks` cover `factor · x_i`? With
+    /// `x_i = xn/(s·n_i)`: `ticks·s·n_i ≥ factor·xn`, exactly.
+    pub fn covers(&self, ticks: u64, factor: f64) -> bool {
+        covers(ticks, factor, self.xn, self.allot as u64, self.speed)
+    }
+
+    /// The budget `x_i`, approximately, for messages.
+    pub fn x(&self) -> f64 {
+        self.xn as f64
+            / (self.allot as f64 * self.speed.mant() as f64 * 2f64.powi(self.speed.exp()))
+    }
+}
+
+/// `ticks·s·n ≥ factor·xn`.
+fn covers(ticks: u64, factor: f64, xn: u128, n: u64, s: Dyadic) -> bool {
+    let f = Dyadic::new(factor);
+    let lhs = ticks as u128 * n as u128;
+    cmp_products(lhs, s.mant(), s.exp(), f.mant(), xn, f.exp()).is_ge()
 }
 
 /// A model-based checker's job models and the configuration it derives
@@ -94,7 +120,7 @@ impl Models {
 ///
 /// `speed_hint` mirrors [`SchedulerS::with_speed_hint`]: when S was told it
 /// runs on `s`-speed processors, the checker must scale `W` and `L` the same
-/// way or every density diverges.
+/// way or every allotment diverges.
 ///
 /// [`SchedulerS::with_speed_hint`]: https://docs.rs/dagsched-sched
 pub fn job_model(info: &JobInfo, params: &AlgoParams, m: u32, speed_hint: f64) -> JobModel {
@@ -102,32 +128,35 @@ pub fn job_model(info: &JobInfo, params: &AlgoParams, m: u32, speed_hint: f64) -
         .profit
         .as_deadline()
         .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
-    let w = info.work.as_f64() / speed_hint;
-    let l = info.span.as_f64() / speed_hint;
-    let d = d_rel.as_f64();
+    let (w, l, d) = (info.work.units(), info.span.units(), d_rel.ticks());
+    let s = Dyadic::new(speed_hint);
+    let xn = |n: u64| (w - l) as u128 + l as u128 * n as u128;
+    let good = |n: u64| covers(d, params.good_factor(), xn(n), n, s);
 
-    let (allot, admissible) = match params.raw_allotment(w, l, d) {
-        Some(frac) => {
-            let n = (frac.ceil() as u32).max(1);
-            (n.min(m), n <= m)
-        }
+    // n_i = (W−L)/s / (D/(1+2δ) − L/s) needs D/(1+2δ) > L/s, i.e. D·s > (1+2δ)·L;
+    // rounded up, it is the least n ≥ 1 with D ≥ (1+2δ)·x_i(n).
+    let g = Dyadic::new(params.good_factor());
+    let positive = cmp_products(d as u128, s.mant(), s.exp(), l as u128, g.mant(), g.exp()).is_gt();
+    // The fractional allotment is a close first guess for the search.
+    let (gf, w_l) = (params.good_factor(), (w - l) as f64 / speed_hint);
+    let guess = w_l / (d as f64 / gf - l as f64 / speed_hint);
+    let n = positive.then(|| least(guess, m as u64, good)).flatten();
+    let (allot, admissible) = match n {
+        Some(n) => (n as u32, true),
         None => (m, false),
     };
-    let x = AlgoParams::x_time(w, l, allot);
-    let density = profit as f64 / (x * allot as f64);
-    let abs_deadline = info.arrival.saturating_add(d_rel.ticks());
-    let delta_good = admissible && d >= params.good_factor() * x;
 
     JobModel {
         allot,
-        x,
-        density,
+        xn: xn(allot as u64),
+        speed: s,
+        density: Density::new(profit, xn(allot as u64)),
         profit,
         arrival: info.arrival,
         rel_deadline: d,
-        abs_deadline,
+        abs_deadline: info.arrival.saturating_add(d),
         admissible,
-        delta_good,
+        delta_good: admissible && good(allot as u64),
     }
 }
 
@@ -150,15 +179,20 @@ mod tests {
     #[test]
     fn slack_job_is_delta_good_with_small_allotment() {
         let params = AlgoParams::from_epsilon(1.0).unwrap();
-        // W=64, L=4, D=23 on m=8 (same numbers as the SchedulerS unit test).
+        // W=64, L=4, D=23 on m=8 (same numbers as the SchedulerS unit test):
+        // n = ⌈60·1.5/(23 − 6)⌉ = ⌈5.29⌉ = 6, x·n = 60 + 24.
         let m = job_model(&info(64, 4, 23, 10), &params, 8, 1.0);
         assert!(m.admissible);
         assert!(m.delta_good);
-        assert!(m.allot >= 1 && m.allot <= 8);
+        assert_eq!((m.allot, m.xn), (6, 84));
         assert_eq!(m.abs_deadline, Time(28));
-        assert!(m.density > 0.0);
+        assert_eq!(m.density, Density::new(10, 84));
         // x at the rounded allotment obeys δ-goodness directly.
-        assert!(m.rel_deadline >= params.good_factor() * m.x);
+        assert!(m.covers(m.rel_deadline, params.good_factor()));
+        assert!(
+            !m.covers(m.rel_deadline - 3, params.good_factor()),
+            "1.5·14 = 21"
+        );
     }
 
     #[test]
@@ -168,6 +202,9 @@ mod tests {
         assert!(!m.admissible);
         assert!(!m.delta_good);
         assert_eq!(m.allot, 8, "inadmissible jobs fall back to n = m");
+        // D = (1+2δ)·L exactly leaves no allotment either.
+        let m = job_model(&info(64, 16, 24, 10), &params, 8, 1.0);
+        assert!(!m.admissible);
     }
 
     #[test]
@@ -177,6 +214,6 @@ mod tests {
         let fast = job_model(&info(64, 4, 23, 10), &params, 8, 2.0);
         // Halving effective work can only shrink the allotment and budget.
         assert!(fast.allot <= base.allot);
-        assert!(fast.x <= base.x);
+        assert!(fast.x() <= base.x());
     }
 }

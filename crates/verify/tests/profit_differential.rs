@@ -252,14 +252,15 @@ fn random_is_golden_on_standard_workloads_and_overload() {
 /// Lone single-node jobs whose profit pays 10 up to tick 1 and 5 forever
 /// after, so only the tail step can hold a deadline, and the `(1+ε)L`
 /// floor (`2L + 1` at `ε = 1`) sets it. The tail step ends
-/// `horizon − r + k + 2` ticks past the last bound, `k = ⌈1.25 L⌉` slots.
+/// `horizon − r + k + 2` ticks past the later of the last bound and that
+/// floor, `k = ⌈1.25 L⌉` slots.
 ///
-/// * Job 0 (`L = 3`, `k = 4`, empty plan) needs `D = 7`, the cap's last
-///   tick; its slots `[0, 4)` make the plan's horizon 3.
-/// * Job 1 (`L = 7`, `k = 9`, `r = 1`) needs `D = 15`, a tick past the
-///   cap (`1 + 2 + 9 + 2`): it is rejected.
-/// * Job 2 (`L = 6`, `k = 8`, `r = 1`) needs `D = 13`, the cap's last
-///   tick against that horizon.
+/// * Job 0 (`L = 3`, `k = 4`, empty plan) needs `D = 7`; its slots
+///   `[0, 4)` make the plan's horizon 3.
+/// * Job 1 (`L = 7`, `k = 9`, `r = 1`) needs `D = 15`, the floor. Measured
+///   from the last bound, the cap (`1 + 2 + 9 + 2 = 14`) would end a tick
+///   before it and reject the job; measured from the floor it ends at 28.
+/// * Job 2 (`L = 6`, `k = 8`, `r = 1`) needs `D = 13`.
 fn tail_cap_instance() -> Instance {
     use dagsched_dag::gen;
     let profit = StepProfitFn::steps(vec![(Time(1), 10)], 5).expect("valid profit");
@@ -285,8 +286,8 @@ fn tail_step_cap_is_pinned() {
     let mut s = SchedulerSProfit::with_epsilon(4, 1.0);
     let r = dagsched_engine::simulate(&inst, &mut s, &SimConfig::default()).expect("run succeeds");
     let deadlines: Vec<Option<Time>> = (0..3).map(|i| s.assigned_deadline(JobId(i))).collect();
-    assert_eq!(deadlines, [Some(Time(7)), None, Some(Time(14))]);
-    assert_eq!(r.total_profit, 10, "jobs 0 and 2 earn the tail");
+    assert_eq!(deadlines, [Some(Time(7)), Some(Time(16)), Some(Time(14))]);
+    assert_eq!(r.total_profit, 15, "every job earns the tail");
 }
 
 /// 40 long background jobs (work 5,000) arrive at `t = 0` behind a brief

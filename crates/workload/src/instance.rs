@@ -57,6 +57,11 @@ impl Instance {
             return Err(SchedError::InvalidInstance("no jobs".into()));
         }
         for (i, j) in jobs.iter().enumerate() {
+            if j.max_profit() == 0 {
+                return Err(SchedError::InvalidInstance(format!(
+                    "job {i} has maximum profit 0; profits must be positive"
+                )));
+            }
             if j.id.index() != i {
                 return Err(SchedError::InvalidInstance(format!(
                     "job at position {i} has id {}; ids must be dense and ordered",

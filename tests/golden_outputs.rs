@@ -51,14 +51,14 @@ fn sweep(args: &[&str]) -> String {
 fn sweep_b1_uniform_csv_is_golden() {
     let out = sweep(&["--grid", "b1", "--threads", "2"]);
     assert_eq!(out.len(), 9734);
-    assert_eq!(fnv1a(out.as_bytes()), 0xbffb_b16f_3842_0643);
+    assert_eq!(fnv1a(out.as_bytes()), 0x39e1_4e69_e29f_d394);
 }
 
 #[test]
 fn sweep_b1_grouped_csv_is_golden() {
     let out = sweep(&["--grid", "b1", "--threads", "2", "--groups", "4x1,2x2;3x1"]);
     assert_eq!(out.len(), 20279);
-    assert_eq!(fnv1a(out.as_bytes()), 0xf2f5_4030_a1d3_af79);
+    assert_eq!(fnv1a(out.as_bytes()), 0x1aa1_1084_8195_2514);
 }
 
 #[test]
@@ -67,7 +67,7 @@ fn fuzz_json_report_is_golden() {
     let cmd = dagsched_fuzz::cli::parse(&args).expect("valid fuzz args");
     let out = dagsched_fuzz::cli::execute(&cmd).expect("campaign finds no failures");
     assert_eq!(out.len(), 158);
-    assert_eq!(fnv1a(out.as_bytes()), 0x91a6_b247_f46c_29bb);
+    assert_eq!(fnv1a(out.as_bytes()), 0xa664_265a_9953_8849);
 }
 
 /// The `EventLog` JSONL of one run.
@@ -98,8 +98,8 @@ fn seed_corpus_event_logs_are_golden() {
         let mut sched = subject.instantiate(inst.m());
         all.push_str(&jsonl(&inst, sched.as_mut(), &fi.base_config()));
     }
-    assert_eq!(all.len(), 21775);
-    assert_eq!(fnv1a(all.as_bytes()), 0x346f_2024_0204_cc03);
+    assert_eq!(all.len(), 21957);
+    assert_eq!(fnv1a(all.as_bytes()), 0x7689_1305_6f68_3799);
 }
 
 /// A standard workload under S, S-wc, S-profit and EDF, on the uniform
@@ -485,7 +485,7 @@ fn stream_equiv_corpus_runs_are_golden() {
         }
     }
     assert_eq!(all.len(), 9594);
-    assert_eq!(fnv1a(all.as_bytes()), 0x6253_8a29_9077_9b8d);
+    assert_eq!(fnv1a(all.as_bytes()), 0x24af_1077_f266_5c8d);
 }
 
 /// Every promoted fuzz fixture (`crates/verify/tests/fixtures/`) under
@@ -535,7 +535,7 @@ fn promoted_fixture_runs_are_golden() {
         }
     }
     assert_eq!(all.len(), 893);
-    assert_eq!(fnv1a(all.as_bytes()), 0xff1e_02ca_1dd3_db7d);
+    assert_eq!(fnv1a(all.as_bytes()), 0xb525_9bc7_b9b7_9614);
 }
 
 /// Every traced run of `tests/trace_cluster.rs`, `tests/trace_recount.rs`
@@ -632,8 +632,8 @@ fn trace_runs_are_golden() {
         &uniform,
         &[s, swc, greedy],
     );
-    assert_eq!(all.len(), 4876);
-    assert_eq!(fnv1a(all.as_bytes()), 0xe17f_44e9_893d_651c);
+    assert_eq!(all.len(), 4875);
+    assert_eq!(fnv1a(all.as_bytes()), 0x1c76_52af_2716_65ca);
 }
 
 /// Every table `charging::run(false)` renders: E5's measured `‖C‖/‖R‖`
@@ -645,7 +645,7 @@ fn charging_tables_are_golden() {
         all.push_str(&t.render());
     }
     assert_eq!(all.len(), 1042);
-    assert_eq!(fnv1a(all.as_bytes()), 0xf8c5_d436_560a_f5e1);
+    assert_eq!(fnv1a(all.as_bytes()), 0xd79e_cef6_27eb_05c8);
 }
 
 /// The E8 ablation table, whose variants share each seed's instance.
