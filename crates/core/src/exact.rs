@@ -16,6 +16,10 @@
 //! approximations whenever the two sides differ by more than a relative
 //! `2^-40`, a margin far above their rounding error (see
 //! [`Density::lt_scaled`]); only near-ties pay for the integer comparison.
+//! Two densities whose terms are all below `2^53` (every job of a realistic
+//! instance) are ordered by their approximations alone unless these are
+//! equal: each is then the correctly rounded quotient of exact operands,
+//! and rounding is monotone.
 
 use std::cmp::Ordering;
 
@@ -209,7 +213,9 @@ pub fn least(guess: f64, max: u64, pred: impl Fn(u64) -> bool) -> Option<u64> {
 /// Ordered exactly: equal ratios compare equal whatever their terms. It
 /// keeps the `f64` approximation `fl(fl(p)/fl(x·n))` too, which decides
 /// every comparison whose sides it separates by more than a relative
-/// `2^-40` (see [`Density::lt_scaled`]).
+/// `2^-40` (see [`Density::lt_scaled`]), and, when all four terms of an
+/// order comparison lie below `2^53`, every one whose approximations
+/// differ at all.
 #[derive(Clone, Copy)]
 #[repr(C, packed(4))]
 pub struct Density {
@@ -369,10 +375,27 @@ impl BandBottom {
 }
 
 impl Ord for Density {
+    /// With every term below `2^53`, each approximation is the correctly
+    /// rounded quotient of exact operands, and rounding is monotone: two
+    /// distinct approximations are ordered as their densities, and only
+    /// equal ones need the integers. Larger terms take the margin filter.
     #[inline]
     fn cmp(&self, other: &Density) -> Ordering {
-        if let Some(order) = settle(self.approx, other.approx) {
+        let small = (self.p | other.p | self.xn_lo | other.xn_lo) >> 53 == 0
+            && (self.xn_hi | other.xn_hi) == 0;
+        if small {
+            if self.approx != other.approx {
+                return if self.approx < other.approx {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                };
+            }
+        } else if let Some(order) = settle(self.approx, other.approx) {
             return order;
+        }
+        if (self.p, self.xn_lo, self.xn_hi) == (other.p, other.xn_lo, other.xn_hi) {
+            return Ordering::Equal;
         }
         let (p, q) = (self.p as u128, other.p as u128);
         if (self.xn_hi, other.xn_hi) == (0, 0) {
@@ -518,5 +541,44 @@ mod tests {
                 }
             }
         }
+        // Near-ties at `2^52` scale, where `cmp` trusts distinct
+        // approximations: neighbouring terms whose quotients often round
+        // to the same `f64` although the densities differ, and equal
+        // densities written with different terms, on both sides of `2^53`.
+        let wide = |a: Density, b: Density| {
+            cmp_wide(
+                product(a.p as u128, b.xn()),
+                0,
+                product(b.p as u128, a.xn()),
+                0,
+            )
+        };
+        let mut same_approx = 0;
+        for _ in 0..20_000 {
+            let (p, xn) = ((1 << 52) + draw(52), (1 << 52) + draw(52) as u128);
+            let a = Density::new(p, xn);
+            for b in [
+                Density::new(p + 1, xn + 1),
+                Density::new(p, xn + 1),
+                Density::new(p - 1, xn - 1),
+                Density::new(p + 1, xn),
+            ] {
+                same_approx += (a.approx == b.approx && wide(a, b).is_ne()) as u32;
+                assert_eq!(a.cmp(&b), wide(a, b), "{a:?} vs {b:?}");
+                assert_eq!(b.cmp(&a), wide(b, a), "{b:?} vs {a:?}");
+            }
+            let k = draw(12) + 2;
+            let (q, yn) = (draw(36) + 1, draw(36) as u128 + 1);
+            for scale in [1, k, 1 << 13, k << 13] {
+                let twin = Density::new(q * scale, yn * scale as u128);
+                assert_eq!(
+                    Density::new(q, yn).cmp(&twin),
+                    Ordering::Equal,
+                    "{q}/{yn}·{scale}"
+                );
+            }
+        }
+        assert!(same_approx > 1_000, "only {same_approx} near-ties");
+        assert_eq!(Density::new(1, 2).cmp(&Density::new(3, 6)), Ordering::Equal);
     }
 }

@@ -189,40 +189,11 @@ impl AlgoParams {
         1.0 + self.delta
     }
 
-    /// The paper's fractional allotment
-    /// `n_i = (W_i − L_i) / (D_i/(1+2δ) − L_i)`.
-    ///
-    /// Returns `None` if the denominator is non-positive, i.e. the deadline is
-    /// too tight even for infinite parallelism under the (1+2δ) contraction —
-    /// such a job cannot be δ-good and is rejected by the scheduler.
-    /// A fully sequential job (`W == L`) yields `Some(0.0)`; callers allocate
-    /// `max(1, ceil(n))` actual processors.
-    pub fn raw_allotment(&self, work: f64, span: f64, rel_deadline: f64) -> Option<f64> {
-        let denom = rel_deadline / self.good_factor() - span;
-        if denom <= 0.0 {
-            return None;
-        }
-        Some((work - span) / denom)
-    }
-
-    /// Budgeted execution time `x_i = (W_i − L_i)/n_i + L_i` for an integral
-    /// allotment `n_i ≥ 1` (Observation 2: `n_i` dedicated processors finish
-    /// the job within `x_i` ticks regardless of node order).
-    pub fn x_time(work: f64, span: f64, allotment: u32) -> f64 {
-        debug_assert!(allotment >= 1);
-        (work - span) / allotment as f64 + span
-    }
-
     /// Lower bound on any 1-speed schedule's completion time for a DAG job:
     /// `max{L, W/m}` — and the paper's stronger per-job benchmark
     /// `(W−L)/m + L` which any greedy (work-conserving) schedule achieves.
     pub fn brent_time(work: f64, span: f64, m: u32) -> f64 {
         (work - span) / m as f64 + span
-    }
-
-    /// Theorem 2's deadline condition: `D_i ≥ (1+ε)((W−L)/m + L)`.
-    pub fn theorem2_min_deadline(&self, work: f64, span: f64, m: u32) -> f64 {
-        (1.0 + self.epsilon) * Self::brent_time(work, span, m)
     }
 }
 
@@ -308,86 +279,12 @@ mod tests {
         }
     }
 
-    /// Lemma 1: if `D ≥ (1+ε)((W−L)/m + L)` then `n_i ≤ b²m` (as a real).
     #[test]
-    fn lemma1_allotment_bound() {
-        let p = params(0.5);
-        for m in [2u32, 4, 16, 64] {
-            for (w, l) in [
-                (1000.0, 10.0),
-                (1000.0, 999.0),
-                (64.0, 1.0),
-                (5000.0, 2500.0),
-            ] {
-                let d = p.theorem2_min_deadline(w, l, m);
-                let n = p.raw_allotment(w, l, d).expect("deadline is feasible");
-                assert!(
-                    n <= p.b() * p.b() * m as f64 + 1e-9,
-                    "n={n} > b^2 m={} for W={w} L={l} m={m}",
-                    p.b() * p.b() * m as f64
-                );
-            }
-        }
-    }
-
-    /// Lemma 2: every job with the Theorem-2 deadline is δ-good,
-    /// i.e. `x_i (1+2δ) ≤ D_i`, using the *fractional* allotment.
-    #[test]
-    fn lemma2_delta_good() {
-        let p = params(1.0);
-        for m in [2u32, 8, 32] {
-            for (w, l) in [(300.0, 3.0), (100.0, 50.0), (10.0, 9.0)] {
-                let d = p.theorem2_min_deadline(w, l, m);
-                let n = p.raw_allotment(w, l, d).unwrap();
-                // fractional x = (W-L)/n + L (guard n=0 for sequential jobs)
-                let x = if n > 0.0 { (w - l) / n + l } else { l };
-                assert!(
-                    x * p.good_factor() <= d + 1e-6,
-                    "x(1+2δ)={} > D={d}",
-                    x * p.good_factor()
-                );
-            }
-        }
-    }
-
-    /// Lemma 3: `x_i n_i ≤ a W_i` with the fractional allotment.
-    #[test]
-    fn lemma3_processor_step_inflation() {
-        let p = params(0.75);
-        for m in [4u32, 12] {
-            for (w, l) in [(400.0, 4.0), (400.0, 100.0), (400.0, 399.0)] {
-                let d = p.theorem2_min_deadline(w, l, m);
-                let n = p.raw_allotment(w, l, d).unwrap();
-                let xn = if n > 0.0 { (w - l) + n * l } else { l };
-                assert!(
-                    xn <= p.a() * w + 1e-6,
-                    "x*n = {xn} exceeds aW = {}",
-                    p.a() * w
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn raw_allotment_edge_cases() {
-        let p = params(0.5);
-        // Deadline too tight: denominator <= 0.
-        assert_eq!(p.raw_allotment(100.0, 50.0, 50.0), None);
-        // Fully sequential job: zero fractional allotment.
-        let d = p.theorem2_min_deadline(50.0, 50.0, 8);
-        assert_eq!(p.raw_allotment(50.0, 50.0, d), Some(0.0));
-        // Embarrassingly parallel job gets close to b^2 m.
-        let d = p.theorem2_min_deadline(1000.0, 1.0, 10);
-        let n = p.raw_allotment(1000.0, 1.0, d).unwrap();
-        assert!(n > 1.0);
-    }
-
-    #[test]
-    fn brent_time_and_x_time() {
+    fn brent_time_is_the_greedy_bound() {
         assert_eq!(AlgoParams::brent_time(100.0, 10.0, 10), 19.0);
-        assert_eq!(AlgoParams::x_time(100.0, 10.0, 5), 28.0);
-        // With allotment 1, x = W.
-        assert_eq!(AlgoParams::x_time(100.0, 10.0, 1), 100.0);
+        // A chain takes its span, a flat job its work over m.
+        assert_eq!(AlgoParams::brent_time(10.0, 10.0, 4), 10.0);
+        assert_eq!(AlgoParams::brent_time(64.0, 0.0, 8), 8.0);
     }
 
     #[test]

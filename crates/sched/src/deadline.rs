@@ -33,9 +33,14 @@
 //! per-call index (grant slots, the admission candidate list) is a hoisted
 //! scratch buffer.
 //! The completion scan is *targeted*: it re-checks only the parked jobs
-//! whose outcome can have changed since the previous scan, and jumps over
+//! whose outcome can have changed since their last check, and jumps over
 //! every stretch of them the band cannot take (see
-//! [`admit_from_p`](SchedulerS)). It walks `P` in place: a completion costs
+//! [`admit_from_p`](SchedulerS)). Those are two sets: the jobs within a
+//! band `(v/c, c·v)` of a density `v` that left `Q` since the previous
+//! scan, and the jobs whose deadline has passed. A job deferred at arrival
+//! is not a third: being δ-good, it was δ-fresh then and failed on the band
+//! alone, so only a removal in its band can start it. The scan walks `P`
+//! in place, removing a key it reached by index: a completion costs
 //! O(probes · |Q| + removals · |P|) plus a few binary searches per re-check
 //! interval and per jump, rather than a probe of every job in `P`. Every
 //! bound it compares against is an exact density, so it needs no slack.
@@ -54,10 +59,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The waiting queue `P`: a `Vec` set of `(density, id)` keys, sorted
-/// ascending when read. Inserts append, and the next read sorts the
-/// appended keys and merges them in from the back, moving each old key at
-/// most once: the thousands of jobs parked in one tick cost one sort, not
-/// one shift each. A warmed-up queue reuses its backing storage, so the
+/// ascending when read. Inserts append. The next read keeps an appended
+/// tail that is already ascending and starts above the last sorted key as
+/// it is, the common case of equal-density arrivals in id order; any other
+/// tail is sorted and merged in from the back, moving each old key at most
+/// once: the thousands of jobs parked in one tick cost one sort, not one
+/// shift each. A warmed-up queue reuses its backing storage, so the
 /// per-event paths do not allocate.
 #[derive(Debug, Clone, Default)]
 struct DensityQueue {
@@ -76,27 +83,42 @@ impl DensityQueue {
     /// The keys, ascending.
     fn keys(&mut self) -> &[(Density, JobId)] {
         if self.sorted < self.items.len() {
-            self.merge.clear();
-            self.merge.extend_from_slice(&self.items[self.sorted..]);
-            self.merge.sort_unstable();
-            let (mut hi, mut end) = (self.sorted, self.items.len());
-            for &key in self.merge.iter().rev() {
-                let at = self.items[..hi].partition_point(|e| *e < key);
-                self.items.copy_within(at..hi, end - (hi - at));
-                end -= hi - at + 1;
-                hi = at;
-                self.items[end] = key;
+            let from = self.sorted.saturating_sub(1);
+            if !self.items[from..].is_sorted() {
+                self.merge_tail();
             }
             self.sorted = self.items.len();
         }
         &self.items
     }
 
+    /// Sort the appended keys and merge them in from the back.
+    fn merge_tail(&mut self) {
+        self.merge.clear();
+        self.merge.extend_from_slice(&self.items[self.sorted..]);
+        self.merge.sort_unstable();
+        let (mut hi, mut end) = (self.sorted, self.items.len());
+        for &key in self.merge.iter().rev() {
+            let at = self.items[..hi].partition_point(|e| *e < key);
+            self.items.copy_within(at..hi, end - (hi - at));
+            end -= hi - at + 1;
+            hi = at;
+            self.items[end] = key;
+        }
+    }
+
     fn remove(&mut self, key: &(Density, JobId)) {
         if let Ok(at) = self.keys().binary_search(key) {
-            self.items.remove(at);
-            self.sorted -= 1;
+            self.remove_at(at);
         }
+    }
+
+    /// Remove the key at index `at` of [`keys`](Self::keys), read since the
+    /// last insert.
+    fn remove_at(&mut self, at: usize) {
+        debug_assert!(at < self.sorted && self.sorted == self.items.len());
+        self.items.remove(at);
+        self.sorted -= 1;
     }
 
     fn clear(&mut self) {
@@ -173,15 +195,13 @@ pub struct SchedulerS {
     /// Every density removed from `Q` since the last completion scan: the
     /// centres of the scan's re-check intervals `(v/c, c·v)`.
     removed: Vec<Density>,
-    /// Jobs parked in `P` since the last completion scan.
-    deferred_since_scan: Vec<JobId>,
     /// `(abs_deadline, id)` of every job parked in `P`, earliest first. Lazy
     /// deletion: entries of jobs that since left `P` are dropped when popped.
     p_deadlines: BinaryHeap<Reverse<(Time, JobId)>>,
-    /// Scratch: the completion scan's set-(b) and set-(c) keys outside
-    /// every re-check interval, ascending.
+    /// Scratch: the completion scan's due keys outside every re-check
+    /// interval, ascending.
     admit_scratch: Vec<(Density, JobId)>,
-    /// Scratch: the candidates whose deadline has passed (set (c) of
+    /// Scratch: the candidates whose deadline has passed (the due keys of
     /// [`admit_from_p`](Self::admit_from_p)), ascending.
     expired_scratch: Vec<(Density, JobId)>,
     /// Scratch: job → slot position in the allocation being built.
@@ -206,7 +226,6 @@ impl SchedulerS {
             report: None,
             c,
             removed: Vec::new(),
-            deferred_since_scan: Vec::new(),
             p_deadlines: BinaryHeap::new(),
             admit_scratch: Vec::new(),
             expired_scratch: Vec::new(),
@@ -286,7 +305,8 @@ impl SchedulerS {
         }
     }
 
-    /// Admit into Q (caller verified the conditions).
+    /// Admit into Q (caller verified the conditions, and took a parked
+    /// job's key out of `P`).
     fn start_job(&mut self, id: JobId, from_p: bool) {
         let job = self.jobs.get_mut(id).expect("known job");
         job.in_q = true;
@@ -297,7 +317,6 @@ impl SchedulerS {
             ..
         } = job.model;
         if from_p {
-            self.p.remove(&(density, id));
             self.metrics.admitted_from_p += 1;
         } else {
             self.metrics.admitted_at_arrival += 1;
@@ -310,17 +329,31 @@ impl SchedulerS {
         self.assert_invariant();
     }
 
-    /// Drop a job from whichever queue holds it.
-    fn forget(&mut self, id: JobId) {
+    /// Drop a job from whichever queue holds it. `at` is its index in
+    /// [`DensityQueue::keys`], if the caller knows it.
+    fn forget(&mut self, id: JobId, at: Option<usize>) {
         if let Some(job) = self.jobs.remove(id) {
+            let key = (job.model.density, id);
             if job.in_q {
                 self.q.remove(id);
-                self.removed.push(job.model.density);
+                self.removed.push(key.0);
             } else {
-                self.p.remove(&(job.model.density, id));
+                self.unpark(key, at);
             }
         }
         self.assert_invariant();
+    }
+
+    /// Take a parked job's key out of `P`; `at` is its index in
+    /// [`DensityQueue::keys`], if the caller knows it.
+    fn unpark(&mut self, key: (Density, JobId), at: Option<usize>) {
+        match at {
+            Some(at) => {
+                debug_assert_eq!(self.p.items[at], key);
+                self.p.remove_at(at);
+            }
+            None => self.p.remove(&key),
+        }
     }
 
     /// The job's model, if it is parked in `P`.
@@ -415,9 +448,13 @@ impl SchedulerS {
     /// last check, and jumps over stretches the band rules out; the rest
     /// would be no-ops.
     ///
-    /// Why skipping a job untouched since its last check is exact. A job
-    /// `j` at density `d` that is still in `P` after its last check (an
-    /// earlier scan, or its arrival) failed for a reason that persists:
+    /// Why skipping a job untouched since its last check is exact. A job's
+    /// last check is an earlier scan or its arrival, and the arrival check
+    /// is a scan's check: an admissible job is δ-good at its allotment,
+    /// `D ≥ (1+2δ)·x`, so its integer slack `D` is at least `⌈(1+δ)·x⌉` and
+    /// it is δ-fresh at arrival. A job `j` at density `d` that is still in
+    /// `P` after its last check therefore failed for a reason that
+    /// persists:
     ///
     /// * `!admissible` never changes.
     /// * Not δ-fresh: the slack `d_j − t` only shrinks, so a job that stops
@@ -430,16 +467,16 @@ impl SchedulerS {
     ///   so it turns true again only after a `Q` job in that interval
     ///   leaves.
     ///
-    /// So the candidates are the union of three sets:
+    /// So the candidates are the union of two sets:
     ///
-    /// * **(a)** `P` jobs in `(v/c, c·v)` for each density `v` removed from
-    ///   `Q` since the last scan, by a completion or a `Q`-job expiry.
-    /// * **(b)** `P` jobs deferred since the last scan. An admissible job
-    ///   is δ-good at arrival, so its arrival check failed on `fits` alone
-    ///   and only a removal in its band, set (a), can change that; they
-    ///   are probed all the same, and counted in `admission_probes`.
-    /// * **(c)** `P` jobs with `abs_deadline <= now`, from the deadline
-    ///   heap, so their `Rejected(DeadlinePassed)` events still fire.
+    /// * **Interval keys:** the `P` jobs in `(v/c, c·v)` for each density
+    ///   `v` removed from `Q` since the last scan, by a completion or a
+    ///   `Q`-job expiry. A job deferred since the last scan is one of them
+    ///   whenever a removal in its band, the one thing that can turn its
+    ///   failed `fits` around, has happened since its arrival check.
+    /// * **Due keys:** the `P` jobs with `abs_deadline <= now`, from the
+    ///   deadline heap, so their `Rejected(DeadlinePassed)` events still
+    ///   fire.
     ///
     /// Within a scan `Q` only grows, so the full walk would meet every
     /// skipped job with a `Q` at least as large on its interval as at its
@@ -449,23 +486,24 @@ impl SchedulerS {
     /// `fits` alone, [`DensityBands::blocked_stretch`] gives the lowest
     /// `lo` such that an allotment-1 job fits nowhere in `[lo, d]`, and
     /// the walk jumps to the candidates below `lo`, probing on the way
-    /// only the set-(c) keys in the stretch. Why the jump is exact:
+    /// only the due keys in the stretch. Why the jump is exact:
     ///
     /// * Within one scan `Q` only grows, so a stretch that cannot take one
     ///   processor cannot take any allotment for the rest of the scan.
-    /// * Every job skipped this way has `abs_deadline > now` (set (c)
-    ///   holds every parked job whose deadline has passed), so the full
-    ///   scan would do nothing for it. The set-(c) keys are probed in
-    ///   descending order, so each `Rejected(DeadlinePassed)` event keeps
-    ///   its position.
+    /// * Every job skipped this way has `abs_deadline > now` (the due keys
+    ///   are every parked job whose deadline has passed), so the full scan
+    ///   would do nothing for it. The due keys are probed in descending
+    ///   order, so each `Rejected(DeadlinePassed)` event keeps its
+    ///   position.
     ///
     /// The candidates are walked in descending `(density, id)` order with
     /// the full scan's per-candidate body ([`probe`](Self::probe)), so
     /// admissions and rejections come out in the same order. The walk reads
-    /// `P` in place: set (a) as index ranges of `P`, one per removed
-    /// density (found when the walk reaches it, below every key walked so
-    /// far), merged with the sets (b) and (c) keys that lie outside every
-    /// interval. Cost: O(probes · |Q| + removals · |P|), plus two binary
+    /// `P` in place: the interval keys as index ranges of `P`, one per
+    /// removed density (found when the walk reaches it, below every key
+    /// walked so far), merged with the due keys that lie outside every
+    /// interval. A probe removes a key it reached through an index range by
+    /// that index. Cost: O(probes · |Q| + removals · |P|), plus two binary
     /// searches per interval; a probe that fails on `fits` alone adds one
     /// stretch query and three binary searches.
     fn admit_from_p(&mut self, now: Time) {
@@ -507,32 +545,32 @@ impl SchedulerS {
                     })
                     .max(lo);
             }
-            let key = match (lo < hi, e > 0) {
+            let (key, at) = match (lo < hi, e > 0) {
                 (true, true) if extra[e - 1] > self.p.items[hi - 1] => {
                     e -= 1;
-                    extra[e]
+                    (extra[e], None)
                 }
                 (true, _) => {
                     hi -= 1;
-                    self.p.items[hi]
+                    (self.p.items[hi], Some(hi))
                 }
                 (false, true) => {
                     e -= 1;
-                    extra[e]
+                    (extra[e], None)
                 }
                 (false, false) => break,
             };
             last = Some(key);
             self.replay_to(&mut unwalked, key, now);
-            if !self.probe(key.1, now) {
+            if !self.probe(key.1, at, now) {
                 continue;
             }
             let Some(stretch) = self.q.blocked_stretch(key.0) else {
                 continue;
             };
-            // Jump below the stretch, probing only its set-(c) keys. Every
-            // key still to be walked lies below the stretch, so removing
-            // them shifts none of the indices left to walk.
+            // Jump below the stretch, probing only its due keys. Every key
+            // still to be walked lies below the stretch, so removing them
+            // shifts none of the indices left to walk.
             floor = Some(stretch);
             let below = |k: &(Density, JobId)| !self.q.in_stretch(stretch, k.0);
             if lo < hi {
@@ -543,7 +581,7 @@ impl SchedulerS {
             let to = expired.partition_point(|k| *k < key);
             for &k in expired[from..to].iter().rev() {
                 self.replay_to(&mut unwalked, k, now);
-                self.probe(k.1, now);
+                self.probe(k.1, None, now);
             }
         }
         // Invariant mode: the `P` jobs below the last probe were passed
@@ -557,11 +595,10 @@ impl SchedulerS {
         self.expired_scratch = expired;
     }
 
-    /// Gather the sets (a)–(c) of [`admit_from_p`](Self::admit_from_p):
-    /// `removed` sorted ascending without duplicates; `extra` the keys of
-    /// sets (b) and (c) outside every re-check interval, and `expired`
-    /// those of set (c), each ascending by `(density, id)` without
-    /// duplicates. Resets the since-last-scan deferral log.
+    /// Gather the candidates of [`admit_from_p`](Self::admit_from_p):
+    /// `removed` sorted ascending without duplicates; `expired` the due
+    /// keys, and `extra` those of them outside every re-check interval,
+    /// each ascending by `(density, id)`.
     fn collect_candidates(
         &mut self,
         now: Time,
@@ -573,46 +610,39 @@ impl SchedulerS {
         self.removed.sort_unstable();
         self.removed.dedup();
 
-        // (b) and (c), restricted to jobs still parked.
-        for id in self.deferred_since_scan.drain(..) {
-            if let Some(job) = self.jobs.get(id).filter(|j| !j.in_q) {
-                extra.push((job.model.density, id));
-            }
-        }
+        // Each job parks once, so its deadline entry is popped once.
         while let Some(&Reverse((deadline, id))) = self.p_deadlines.peek() {
             if deadline > now {
                 break;
             }
             self.p_deadlines.pop();
             if let Some(job) = self.parked(id) {
-                extra.push((job.density, id));
                 expired.push((job.density, id));
             }
         }
-        extra.sort_unstable();
-        extra.dedup();
+        expired.sort_unstable();
         // A key inside an interval is walked with the interval's `P` slice.
         // `d ∈ (v/c, c·v)` iff `v ∈ (d/c, c·d)`, so the least removed `v`
         // with `c·v > d` decides.
         let (removed, c) = (&self.removed, self.c);
-        extra.retain(|&(d, _)| {
+        extra.extend(expired.iter().filter(|&&(d, _)| {
             let at = removed.partition_point(|&v| !d.lt_scaled(v, c));
             at == removed.len() || !removed[at].lt_scaled(d, c)
-        });
-        expired.sort_unstable();
+        }));
     }
 
     /// The full scan's per-candidate body: drop the job if its deadline has
-    /// passed, else start it if it is admissible, δ-fresh and fits. Counts
-    /// the probe; returns true iff the job failed on `fits` alone.
-    fn probe(&mut self, id: JobId, now: Time) -> bool {
+    /// passed, else start it if it is admissible, δ-fresh and fits. `at` is
+    /// the job's index in [`DensityQueue::keys`], if the walk knows it.
+    /// Counts the probe; returns true iff the job failed on `fits` alone.
+    fn probe(&mut self, id: JobId, at: Option<usize>, now: Time) -> bool {
         self.metrics.admission_probes += 1;
         let Some(job) = self.jobs.get(id).map(|j| j.model) else {
             return false;
         };
         // Remove jobs whose absolute deadline has passed.
         if job.abs_deadline <= now {
-            self.forget(id);
+            self.forget(id, at);
             self.record(
                 id,
                 AdmissionDecision::Rejected(AdmissionReason::DeadlinePassed),
@@ -623,6 +653,7 @@ impl SchedulerS {
             return false;
         }
         if self.q.fits(job.density, job.allot) {
+            self.unpark((job.density, id), at);
             self.start_job(id, true);
             return false;
         }
@@ -699,19 +730,18 @@ impl OnlineScheduler for SchedulerS {
             };
             self.record(info.id, AdmissionDecision::Deferred(reason));
             self.p.insert((model.density, info.id));
-            self.deferred_since_scan.push(info.id);
             self.p_deadlines
                 .push(Reverse((model.abs_deadline, info.id)));
         }
     }
 
     fn on_completion(&mut self, id: JobId, now: Time) {
-        self.forget(id);
+        self.forget(id, None);
         self.admit_from_p(now);
     }
 
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.forget(id);
+        self.forget(id, None);
     }
 
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
@@ -759,7 +789,6 @@ impl OnlineScheduler for SchedulerS {
         self.q.clear();
         self.p.clear();
         self.removed.clear();
-        self.deferred_since_scan.clear();
         self.p_deadlines.clear();
         self.metrics = SchedulerSMetrics::default();
         self.report = None;
@@ -1109,13 +1138,13 @@ mod tests {
             foreground.len() > n as usize / 2,
             "foreground completions ran"
         );
-        // The first scan checks every deferral once, background included.
-        // After it, a foreground completion re-checks only the parked
-        // foreground jobs in its band, a population the arrival rate and
-        // the 60-tick deadline bound independently of n, while the full
-        // scan probed all of P, background included.
+        // A foreground completion re-checks only the parked foreground
+        // jobs in its band, a population the arrival rate and the 60-tick
+        // deadline bound independently of n, while the full scan probed
+        // all of P, background included. The background deferrals are
+        // probed by no foreground scan, the first one included.
         const BAND_BOUND: u64 = 64;
-        for &&(id, probes, p_len) in &foreground[1..] {
+        for &&(id, probes, p_len) in &foreground {
             assert!(
                 probes <= BAND_BOUND,
                 "completion of {id:?} probed {probes} of |P| = {p_len}"
@@ -1164,7 +1193,7 @@ mod tests {
         let r = simulate(&inst, &mut s, &SimConfig::default()).unwrap();
 
         let metrics = s.metrics();
-        assert_eq!(metrics.admission_probes, 6_982);
+        assert_eq!(metrics.admission_probes, 6_980);
         assert!(metrics.admission_probes <= 254_006 / 5);
         assert_eq!(metrics.admitted_from_p, 1_295);
         assert_eq!(metrics.started_count, 1_302);
@@ -1182,6 +1211,85 @@ mod tests {
         assert_eq!(traced.steps_executed, r.steps_executed);
         assert_eq!(trace.ticks(), 500_001);
         assert!(trace.windows().len() as u64 <= traced.steps_executed);
+    }
+
+    /// `DensityQueue` against a `BTreeSet` of the same keys, over random
+    /// runs of in-order appends (equal densities, ascending ids),
+    /// out-of-order bursts with ties written in different terms, reads,
+    /// removals by key (present or not) and removals by index.
+    #[test]
+    fn density_queue_matches_a_sorted_set() {
+        let mut rng = dagsched_core::Rng64::seed_from(30);
+        let mut queue = DensityQueue::default();
+        let mut model = std::collections::BTreeSet::new();
+        let mut next = 0u32;
+        let density = |rng: &mut dagsched_core::Rng64| {
+            let k = rng.gen_range(3) + 1;
+            Density::new(
+                (rng.gen_range(4) + 1) * k,
+                (rng.gen_range(4) + 1) as u128 * k as u128,
+            )
+        };
+        for _ in 0..3_000 {
+            match rng.gen_range(6) {
+                0 | 1 => {
+                    // Half the runs sit above every key (density 5): these
+                    // appends need no merge.
+                    let d = match rng.gen_range(2) {
+                        0 => Density::new(5, 1),
+                        _ => density(&mut rng),
+                    };
+                    for _ in 0..rng.gen_range(6) {
+                        queue.insert((d, JobId(next)));
+                        model.insert((d, JobId(next)));
+                        next += 1;
+                    }
+                }
+                2 => {
+                    let mut burst: Vec<_> = (0..rng.gen_range(6) as u32)
+                        .map(|i| (density(&mut rng), JobId(next + i)))
+                        .collect();
+                    next += burst.len() as u32;
+                    rng.shuffle(&mut burst);
+                    for key in burst {
+                        queue.insert(key);
+                        model.insert(key);
+                    }
+                }
+                3 => {
+                    // A key in the set, or one most likely not.
+                    let key = match rng.gen_range(2) {
+                        0 if !model.is_empty() => {
+                            let at = rng.gen_range(model.len() as u64) as usize;
+                            *model.iter().nth(at).expect("in range")
+                        }
+                        _ => (
+                            density(&mut rng),
+                            JobId(rng.gen_range(next as u64 + 1) as u32),
+                        ),
+                    };
+                    queue.remove(&key);
+                    model.remove(&key);
+                }
+                4 if !model.is_empty() => {
+                    let at = rng.gen_range(model.len() as u64) as usize;
+                    let key = queue.keys()[at];
+                    queue.remove_at(at);
+                    assert!(model.remove(&key), "{key:?} is not in the set");
+                }
+                _ => {}
+            }
+            let want: Vec<_> = model.iter().copied().collect();
+            assert_eq!(queue.len(), want.len());
+            if rng.gen_range(3) == 0 {
+                assert_eq!(queue.keys(), want.as_slice());
+            }
+        }
+        assert_eq!(
+            queue.keys(),
+            model.iter().copied().collect::<Vec<_>>().as_slice()
+        );
+        assert!(next > 2_000, "{next} keys inserted");
     }
 
     #[test]

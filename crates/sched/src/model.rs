@@ -165,6 +165,12 @@ mod tests {
         // More than m processors needed.
         let j = JobModel::derive(&info(1000, 1, 4, 9), &Rules::new(8, &eps1(), 1.0));
         assert_eq!((j.allot, j.admissible), (8, false));
+        // A chain runs on one processor once `D > (1+2δ)·L = 75`.
+        let j = JobModel::derive(&info(50, 50, 76, 9), &Rules::new(8, &eps1(), 1.0));
+        assert_eq!(
+            (j.allot, j.admissible, j.density),
+            (1, true, Density::new(9, 50))
+        );
     }
 
     #[test]
@@ -174,6 +180,75 @@ mod tests {
         let eps05 = AlgoParams::from_epsilon(0.5).unwrap();
         let j = JobModel::derive(&info(10, 3, 8, 1), &Rules::new(8, &eps05, 1.0));
         assert_eq!((j.allot, j.fresh_slack), (3, 6));
+    }
+
+    /// The model of a job `(W, L)` on `m` processors with Theorem 2's
+    /// deadline `D = ⌈(1+ε)·((W − L)/m + L)⌉`, exactly the least integer
+    /// with `D·m ≥ (1+ε)·(W − L + L·m)`; and that deadline.
+    fn theorem2_job(params: &AlgoParams, w: u64, l: u64, m: u32) -> (JobModel, u128) {
+        let one_eps = Dyadic::new(1.0 + params.epsilon());
+        let d = ceil_budget(one_eps, xn(w, l, m as u64), m, Dyadic::new(1.0));
+        let j = JobModel::derive(&info(w, l, d, 1), &Rules::new(m, params, 1.0));
+        assert!(
+            j.admissible,
+            "W = {w}, L = {l}, m = {m}: D = {d} is feasible"
+        );
+        (j, d as u128)
+    }
+
+    /// Lemma 1: with a Theorem-2 deadline, `n_i ≤ b²m`. The integral
+    /// allotment keeps `AllotmentChecker`'s +1 slack: `n ≤ b²m + 1`, i.e.
+    /// `(n − 1)·(1+ε) ≤ (1+2δ)·m`, since `b² = (1+2δ)/(1+ε)`.
+    #[test]
+    fn lemma1_allotment_bound() {
+        let p = AlgoParams::from_epsilon(0.5).unwrap();
+        let [g, e] = [p.good_factor(), 1.0 + p.epsilon()].map(Dyadic::new);
+        for m in [2u32, 4, 16, 64] {
+            for (w, l) in [(1000, 10), (1000, 999), (64, 1), (5000, 2500)] {
+                let n = theorem2_job(&p, w, l, m).0.allot as u128;
+                assert!(
+                    cmp_products(n - 1, e.mant(), e.exp(), m as u128, g.mant(), g.exp()).is_le(),
+                    "n = {n} > b²m + 1 for W = {w}, L = {l}, m = {m}"
+                );
+            }
+        }
+    }
+
+    /// Lemma 2: every job with a Theorem-2 deadline is δ-good at its
+    /// allotment, `D ≥ (1+2δ)·x`, i.e. `D·n ≥ (1+2δ)·x·n`.
+    #[test]
+    fn lemma2_delta_good() {
+        let p = AlgoParams::from_epsilon(1.0).unwrap();
+        let g = Dyadic::new(p.good_factor());
+        for m in [2u32, 8, 32] {
+            for (w, l) in [(300, 3), (100, 50), (10, 9)] {
+                let (j, d) = theorem2_job(&p, w, l, m);
+                let (n, xn) = (j.allot as u128, j.density.xn());
+                assert!(
+                    cmp_products(d * n, 1, 0, g.mant(), xn, g.exp()).is_ge(),
+                    "x·(1+2δ) > D = {d} for W = {w}, L = {l}, m = {m}"
+                );
+            }
+        }
+    }
+
+    /// Lemma 3: `x_i·n_i ≤ a·W_i`. The integral allotment keeps a slack of
+    /// one extra processor for `x` steps: `x·n ≤ a·W + x`, i.e.
+    /// `x·n·(n − 1) ≤ a·W·n`.
+    #[test]
+    fn lemma3_processor_step_inflation() {
+        let p = AlgoParams::from_epsilon(0.75).unwrap();
+        let a = Dyadic::new(p.a());
+        for m in [4u32, 12] {
+            for (w, l) in [(400, 4), (400, 100), (400, 399)] {
+                let j = theorem2_job(&p, w, l, m).0;
+                let (n, xn) = (j.allot as u128, j.density.xn());
+                assert!(
+                    cmp_products(xn, n - 1, 0, a.mant(), w as u128 * n, a.exp()).is_le(),
+                    "x·n = {xn} exceeds a·W + x for W = {w}, L = {l}, m = {m}"
+                );
+            }
+        }
     }
 
     #[test]

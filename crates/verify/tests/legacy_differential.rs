@@ -427,8 +427,9 @@ fn wc_parked_completes() -> Instance {
 ///   anchor stretch, and job 12 (0.55) is passed over.
 ///
 /// Jobs 13 and 14 park at t = 112, inside the own-window stretch; the
-/// completion at t = 113 is far outside their band, probes job 13 and
-/// passes over job 14, deferred since the last scan.
+/// completion at t = 113 is far outside their band, so its scan passes
+/// over both: a job deferred since the last scan is probed only inside a
+/// re-check interval.
 fn blocked_stretches() -> Instance {
     let one = gen::single;
     instance(vec![
@@ -567,17 +568,18 @@ fn targeted_scan_inputs_reach_their_cases() {
         "the expired job's rejection lost its place in the walk"
     );
     assert!(log.contains(r#""job":14,"decision":"deferred","reason":"band-capacity""#));
-    for (t, job) in [(100, 7), (100, 9), (100, 12), (113, 14)] {
+    for (t, job) in [(100, 7), (100, 9), (100, 12), (113, 13), (113, 14)] {
         assert!(
             !log.contains(&format!(r#""t":{t},"job":{job},"#)),
             "job {job}, inside a blocked stretch, has an event at t = {t}"
         );
     }
     // Probing every candidate, as the scan did before it skipped blocked
-    // stretches, takes 36 probes on this run.
+    // stretches and the deferrals outside every re-check interval, takes
+    // 36 probes on this run.
     assert_eq!(
         stretched.metrics().admission_probes,
-        20,
+        19,
         "the scans did not pass over the blocked stretches"
     );
 
@@ -589,19 +591,20 @@ fn targeted_scan_inputs_reach_their_cases() {
     );
 }
 
-/// Set-(b) and set-(c) keys on both sides of, and inside, the completion
-/// scan's one re-check interval. Three density-2,000 `Q` jobs and job 3
-/// (density 12) hold the processors; jobs 3–5 fill the band anchored at
-/// 10, so job 9 (10) parks, and jobs 6–8 (0.1) the one job 10 (0.005)
-/// would join. Job 3 completes at t = 50, and its interval `(0.23, 632)`
-/// holds jobs 9, 12 (15, deadline 50) and 15 (20, parked at t = 49): the
-/// scan takes 12 and 15 with the interval's `P` slice, not a second time
-/// from the since-last-scan logs. Jobs 11 (1,000), 14 and 13 (infeasible,
-/// 0.025 and 0.0125), all with deadline 50, and job 10 lie outside it,
-/// above and below. The walk rejects 11, starts 15, rejects 12, fails on
-/// 9 and jumps to the stretch's bottom (0.38), rejects 14 and 13 (each
-/// removal shifts `P` below the spent interval) and fails on 10, whose
-/// stretch is empty of keys.
+/// Due keys (deadline passed) on both sides of, and inside, the completion
+/// scan's one re-check interval, and deferrals inside and outside it.
+/// Three density-2,000 `Q` jobs and job 3 (density 12) hold the
+/// processors; jobs 3–5 fill the band anchored at 10, so job 9 (10) parks,
+/// and jobs 6–8 (0.1) the one job 10 (0.005) would join. Job 3 completes
+/// at t = 50, and its interval `(0.23, 632)` holds jobs 9, 12 (15, deadline
+/// 50) and 15 (20, parked at t = 49): the scan takes the due key 12 with
+/// the interval's `P` slice, not a second time from the due list, and the
+/// deferral 15 as an interval key. Jobs 11 (1,000), 14 and 13 (infeasible,
+/// 0.025 and 0.0125), all with deadline 50, lie outside it, above and
+/// below, and so does job 10, deferred at t = 0 and never probed. The walk
+/// rejects 11, starts 15, rejects 12, fails on 9 and jumps to the
+/// stretch's bottom (0.38), then rejects 14 and 13 (each removal shifts
+/// `P` below the spent interval).
 fn extras_around_an_interval() -> Instance {
     let one = gen::single;
     instance(vec![
@@ -726,9 +729,9 @@ fn scan_walk_inputs_reach_their_cases() {
         );
     }
     // The scan under test is each run's first, and it probes exactly the
-    // keys above: jobs 11, 15, 12, 9, 14, 13, 10 at t = 50 and 7, 9, 3 at
-    // t = 40. A key walked twice, or one of the passed-over stretch, would
-    // add one.
+    // keys above: jobs 11, 15, 12, 9, 14, 13 at t = 50 and 7, 9, 3 at
+    // t = 40. A key walked twice, one of the passed-over stretch, or a
+    // deferral outside every interval (job 10) would add one.
     let probes_until = |inst: &Instance, t: u64| {
         let mut s = SchedulerS::with_epsilon(M, 1.0);
         SimDriver::new(inst, &mut s, &cfg)
@@ -741,7 +744,7 @@ fn scan_walk_inputs_reach_their_cases() {
             probes_until(&extras_around_an_interval(), 51),
             probes_until(&jump_into_a_lower_interval(), 41)
         ),
-        (7, 3),
+        (6, 3),
         "probes of the scan under test"
     );
 }

@@ -38,6 +38,12 @@
 #
 #   taskset -c 0 bash scripts/profile.sh \
 #       benchmark/target/release/dagsched-perf --workload tables-full --seconds 60
+#
+# Scheduler S's hooks are too short for 10 samples a second to resolve.
+# `examples/hook_times.rs` times them directly on the seed's parked
+# instance and prints the best of N runs per hook, in ms:
+#
+#   cargo run --release --offline -q --example hook_times -- 200 1
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
