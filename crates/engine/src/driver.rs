@@ -34,8 +34,8 @@
 //!
 //! Driving the same schedule stepped or one-shot produces the same
 //! [`SimResult`] *including* `steps_executed` and the same event stream —
-//! the `driver_differential` suite in `crates/verify` holds this
-//! byte-identical over the stream-equivalence corpus.
+//! the `stream_equiv` suite in `crates/verify` holds this
+//! byte-identical for every production scheduler.
 
 use crate::clock::{auto_horizon, Clock};
 use crate::events::EventKernel;

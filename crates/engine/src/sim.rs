@@ -27,9 +27,8 @@
 //!   or handoff code with the production path.
 //!
 //! Opting in is therefore always safe for correctness *checking*: the
-//! naive-vs-fast suites (`crates/engine/tests/fastforward.rs`,
-//! `crates/verify/tests/stream_equiv.rs`) hold the two paths
-//! byte-identical.
+//! naive-vs-fast suite (`crates/verify/tests/stream_equiv.rs`) holds the
+//! two paths byte-identical.
 //!
 //! Both entry points are thin wrappers over the layered, resumable
 //! [`SimDriver`]: [`simulate`] drives it with the

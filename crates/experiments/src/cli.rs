@@ -12,7 +12,7 @@
 //! wrapper.
 
 use crate::common::SchedKind;
-use dagsched_core::{SchedError, Speed};
+use dagsched_core::{AlgoParams, SchedError, Speed};
 use dagsched_engine::{simulate, SimConfig};
 use dagsched_opt::fractional_ub;
 use dagsched_sched::SchedulerS;
@@ -127,6 +127,7 @@ pub fn parse(args: &[String]) -> Result<Command, SchedError> {
                 .unwrap_or("1.0")
                 .parse()
                 .map_err(|_| SchedError::Unsupported("--eps expects a float".into()))?;
+            AlgoParams::from_epsilon(eps)?;
             let sched = match take_val(args, "--sched").unwrap_or("S") {
                 "S" => SchedKind::S { epsilon: eps },
                 "S-profit" => SchedKind::SProfit { epsilon: eps },
@@ -270,6 +271,19 @@ mod tests {
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("gen --kind nope")).is_err());
         assert!(parse(&argv("run --speed x/y")).is_err());
+    }
+
+    #[test]
+    fn run_rejects_an_invalid_epsilon() {
+        for eps in ["0", "-1", "nan", "inf"] {
+            for extra in ["", "--wc", "--sched S-profit"] {
+                let args = argv(&format!("run --eps {eps} {extra}"));
+                assert!(
+                    matches!(parse(&args), Err(SchedError::InvalidParams(_))),
+                    "{args:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -164,21 +164,6 @@ pub struct ExecOutcome {
     pub failure: Option<OracleFailure>,
 }
 
-/// Render both logs and describe their first differing line.
-fn first_diff(label: &str, a: &EventLog, b: &EventLog) -> String {
-    let (a, b) = (a.to_jsonl(), b.to_jsonl());
-    for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-        if la != lb {
-            return format!("{label}: line {i}: {la:.120} != {lb:.120}");
-        }
-    }
-    format!(
-        "{label}: streams are a prefix of each other ({} vs {} lines)",
-        a.lines().count(),
-        b.lines().count()
-    )
-}
-
 /// Run one candidate through the enabled oracle heads under the default
 /// [`SimConfig`]. See [`run_exec_with`].
 pub fn run_exec(
@@ -311,7 +296,7 @@ fn judge(
         if log != fast_log {
             return Err(OracleFailure {
                 oracle: "naive-vs-fast",
-                detail: first_diff("fast != naive", &fast_log, &log),
+                detail: format!("fast != naive: {}", fast_log.first_diff(&log)),
             });
         }
     }
@@ -338,7 +323,7 @@ fn judge(
         {
             return Err(OracleFailure {
                 oracle: "paused-vs-oneshot",
-                detail: first_diff("paused != one-shot", &log, &fast_log),
+                detail: format!("paused != one-shot: {}", log.first_diff(&fast_log)),
             });
         }
     }

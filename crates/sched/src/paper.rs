@@ -15,8 +15,8 @@
 //!
 //! The transcriptions report the production `name()` strings, so their
 //! `SimResult`s and `dagsched-verify` JSONL event logs compare equal to the
-//! production schedulers'. The `legacy_differential` and
-//! `profit_differential` suites of `dagsched-verify` demand exactly that,
+//! production schedulers'. The production-vs-paper suite of
+//! `dagsched-verify` (`tests/legacy_differential.rs`) demands exactly that,
 //! run for run, on both engine paths.
 
 use crate::bands::fits_population;

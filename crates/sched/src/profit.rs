@@ -32,8 +32,8 @@
 //! this scheduler between slot boundaries. Runs are split on insert, never
 //! merged; past runs are retired incrementally at each allocate (amortized
 //! `O(1)`). [`PaperSProfit`](crate::PaperSProfit) transcribes Section 5
-//! with per-tick populations, and the `profit_differential` suite holds the
-//! two byte-identical.
+//! with per-tick populations, and the production-vs-paper suite of
+//! `dagsched-verify` holds the two byte-identical.
 //!
 //! Allotments, budgets, slot counts and densities are exact, with the
 //! helpers of S's `JobModel`: `x·n = W − L + L·n`,

@@ -262,6 +262,24 @@ impl EventLog {
         self.to_jsonl()
     }
 
+    /// Describe where this log's JSONL first differs from `other`'s: the
+    /// line index and both lines (each cut at 120 characters), or, when one
+    /// rendering is a prefix of the other, both line counts. Renders both
+    /// logs: it is meant for failure reports.
+    pub fn first_diff(&self, other: &EventLog) -> String {
+        let (a, b) = (self.to_jsonl(), other.to_jsonl());
+        for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
+            if la != lb {
+                return format!("line {i}: {la:.120} != {lb:.120}");
+            }
+        }
+        format!(
+            "streams are a prefix of each other ({} vs {} lines)",
+            a.lines().count(),
+            b.lines().count()
+        )
+    }
+
     fn flush_window(&mut self) {
         if self.window.open {
             flush_into(&mut self.tokens, &mut self.window);
@@ -775,6 +793,25 @@ mod tests {
         // Closing the window leaves nothing of it pending.
         b.on_end(Time(2));
         assert_eq!(b.window, PendingWindow::default());
+    }
+
+    #[test]
+    fn first_diff_names_the_line_or_the_line_counts() {
+        let mut a = EventLog::new();
+        a.on_start(2, Speed::ONE, Time(10));
+        let mut b = a.clone();
+        a.on_end(Time(3));
+        b.on_end(Time(4));
+        assert_eq!(
+            a.first_diff(&b),
+            r#"line 1: {"ev":"end","t":3} != {"ev":"end","t":4}"#
+        );
+        let mut prefix = EventLog::new();
+        prefix.on_start(2, Speed::ONE, Time(10));
+        assert_eq!(
+            prefix.first_diff(&a),
+            "streams are a prefix of each other (1 vs 2 lines)"
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! universal work-conservation checker and the event log attach to every
 //! scheduler, baselines and EDF-AC included.
 
+mod support;
+
 use dagsched_core::{AlgoParams, Speed};
 use dagsched_engine::{simulate_observed, Observers, OnlineScheduler, SimConfig};
-use dagsched_sched::{Edf, EdfAc, Fifo, GreedyDensity, LeastLaxity, SNoAdmission, SchedulerS};
+use dagsched_sched::SchedulerS;
 use dagsched_verify::{EventLog, InvariantSuite, WorkConservationChecker};
 use dagsched_workload::{ArrivalProcess, DeadlinePolicy, Instance, WorkloadGen};
 use proptest::prelude::*;
@@ -119,21 +121,8 @@ proptest! {
     fn all_schedulers_conserve_work(cfg in arb_cfg()) {
         let inst = build(&cfg);
         let sim = sim_cfg(&cfg);
-        let m = cfg.m;
-        let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
-
-        let mut scheds: Vec<(&str, Box<dyn OnlineScheduler>)> = vec![
-            ("S", Box::new(SchedulerS::with_epsilon(m, 1.0))),
-            ("S-wc", Box::new(SchedulerS::with_epsilon(m, 1.0).work_conserving())),
-            ("S-noadmit", Box::new(SNoAdmission::new(m, params))),
-            ("FIFO", Box::new(Fifo::new(m))),
-            ("EDF", Box::new(Edf::new(m))),
-            ("GREEDY-DENSITY", Box::new(GreedyDensity::new(m))),
-            ("LLF", Box::new(LeastLaxity::new(m))),
-            ("EDF-AC", Box::new(EdfAc::new(m))),
-        ];
-        for (name, sched) in scheds.iter_mut() {
-            run_universal(&inst, sched.as_mut(), &sim, name);
+        for e in &support::ROSTER {
+            run_universal(&inst, (e.make)(cfg.m, support::eps1()).as_mut(), &sim, e.name);
         }
     }
 }

@@ -1,236 +1,172 @@
-//! Differential suite for scheduler S: the production [`SchedulerS`] and
-//! S-wc must be **byte-identical** to [`PaperS`], the Section 3
-//! transcription.
+//! Production vs paper: [`SchedulerS`], S-wc and [`SchedulerSProfit`] must
+//! be **byte-identical** to [`PaperS`] (Section 3) and [`PaperSProfit`]
+//! (Section 5), the transcriptions of `dagsched_sched::paper`.
 //!
-//! The production scheduler's `DensityBands` queue with its blocked-stretch
-//! query, slab job state, `allocate_into` and targeted completion scan
+//! The production schedulers' band queues, slab job state, `allocate_into`,
+//! targeted completion scan, segment plan and bounded-stability windows
 //! claim to change *nothing* observable: same admissions in the same order,
-//! same allocations, same event stream. This file holds them to that claim.
-//! Each production scheduler runs side by side with the transcription on
-//! the stream-equivalence corpus (standard and overload workloads, multiple
-//! speeds and node-pick policies, both engine paths) and on hand-built
-//! instances aimed at the targeted scan's skip rules, and the comparison is
-//! on
+//! same allocations, same event stream. This file holds them to that claim,
+//! run for run, through [`assert_same_run`]: the same outcome and the same
+//! JSONL event log, every arrival, admission decision, execution window,
+//! node completion, completion and expiry serialized to the same bytes. S
+//! and S-wc also take exactly the transcription's steps; `PaperSProfit`
+//! claims no stability, so the engine asks it every tick and S-profit's
+//! step count is not compared.
 //!
-//! * [`SimResult`] equality — outcome per job, profit, end time, step and
-//!   tick counters — and
-//! * the full JSONL [`EventLog`] — every arrival, admission decision,
-//!   execution window, node completion, completion and expiry must
-//!   serialize to the same bytes.
-//!
+//! Corpus: the standard and overload workloads under every speed × node
+//! pick × engine path; hand-built instances aimed at S's targeted scan and
+//! its skip rules (S and S-wc), with the production S reset and reused
+//! across them; the tail-step cap, a parked majority and a parked slot plan
+//! (S-profit); the fuzzer's collision family; and proptest-driven paused
+//! `run_until` runs at random horizons. The corpus runs go to two worker
+//! threads, and the standard instances' default-config runs once more to
+//! four, interleaved, so byte-identity also holds with runs on concurrent
+//! threads.
 //! S and S-wc run `with_invariant_checks()`, so each completion scan also
-//! replays the full walk and checks every job it passed over, whether
-//! untouched since its last check or inside a blocked stretch. On a
-//! mismatch both logs are dumped to `target/tmp/event-logs/`.
+//! replays the full walk and checks every job it passed over.
 //!
-//! S-noadmit and EDF-AC are not in the paper. Their runs on the same inputs
-//! and configs are pinned by golden digests (FNV-1a of the `SimResult`
-//! `Debug` text and of the JSONL log, recorded at `50cc33e`).
+//! S-noadmit, EDF-AC and RANDOM are not in the paper. Their runs on the same
+//! inputs and configs are pinned by golden digests (FNV-1a of the
+//! `SimResult` `Debug` text and of the JSONL log, recorded at `50cc33e`),
+//! and RANDOM's production path is also held to its own naive per-tick run.
 
-use dagsched_core::{AlgoParams, JobId, Speed, Time};
+mod support;
+
+use dagsched_core::{AlgoParams, JobId, Time};
 use dagsched_dag::{gen, DagJobSpec};
-use dagsched_engine::{simulate_observed, NodePick, OnlineScheduler, SimConfig, SimDriver};
-use dagsched_sched::{EdfAc, PaperS, SNoAdmission, SchedulerS};
-use dagsched_verify::EventLog;
-use dagsched_workload::{
-    ArrivalProcess, DeadlinePolicy, Instance, JobSpec, StepProfitFn, WorkloadGen,
+use dagsched_engine::{NodePick, OnlineScheduler, SimConfig, SimDriver, SimResult};
+use dagsched_fuzz::ir::fnv1a;
+use dagsched_sched::{PaperS, SchedulerS, SchedulerSProfit};
+use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
+use support::{
+    assert_same_run, check_corpus, entry, eps1, matrix, naive, overload, run_logged, run_paced,
+    Against, Steps,
 };
 
-type SchedFactory = Box<dyn Fn() -> Box<dyn OnlineScheduler>>;
+/// Speeds 1, 3/2 and 2: S and S-wc, the standard and overload corpus.
+const TO_2: &[(u32, u32)] = &[(1, 1), (3, 2), (2, 1)];
+/// Speeds 1 and 3/2: S-profit's own inputs and RANDOM's digests.
+const TO_3_2: &[(u32, u32)] = &[(1, 1), (3, 2)];
 
-/// Run one scheduler with an `EventLog`; return the log plus outcome facts.
-fn run_logged(
+/// Every speed in `speeds` × {FIFO, critical-path-first} picks × both
+/// engine paths. The naive tick loop calls `allocate_into` every tick, the
+/// fast-forward path once per event; the transcriptions override only
+/// `allocate`, so this also proves the default `allocate_into` bridge
+/// faithful, and the production schedulers must be byte-faithful on the
+/// path where they are asked every tick like the transcriptions.
+fn configs(speeds: &[(u32, u32)]) -> Vec<SimConfig> {
+    let picks = [NodePick::Fifo, NodePick::CriticalPathFirst];
+    matrix(speeds, &picks, &[true, false], &[true])
+}
+
+/// The roster entries with a transcription.
+const PAIRED: Against = Against::Paper(&["S", "S-wc", "S-profit"]);
+/// Scheduler S, plain and work-conserving.
+const S_PAIRS: Against = Against::Paper(&["S", "S-wc"]);
+/// The general-profit scheduler.
+const S_PROFIT: Against = Against::Paper(&["S-profit"]);
+
+/// Appends one line per config × scheduler in `which` to `all`: `prefix`
+/// of the run, its config, and the digests of its `SimResult` `Debug` text
+/// and JSONL event log.
+fn digest(
     inst: &Instance,
-    sched: &mut dyn OnlineScheduler,
-    cfg: &SimConfig,
-) -> (String, String) {
-    let mut log = EventLog::new();
-    let r = simulate_observed(inst, sched, cfg, &mut log).expect("simulation runs");
-    // SimResult has no Eq; its Debug form covers every field (scheduler
-    // name, per-job outcomes, profit, end, tick/step counters), so equal
-    // Debug strings mean equal results.
-    (format!("{r:?}"), log.to_jsonl())
-}
-
-/// Point at the first differing line so a failure is debuggable, and dump
-/// both logs to `target/tmp/event-logs/`, where CI picks them up.
-fn assert_identical(production: &str, paper: &str, label: &str) {
-    if production == paper {
-        return;
-    }
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("event-logs");
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let slug: String = label
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '-' })
-            .collect();
-        let _ = std::fs::write(dir.join(format!("{slug}.production.jsonl")), production);
-        let _ = std::fs::write(dir.join(format!("{slug}.paper.jsonl")), paper);
-        eprintln!("{label}: diverging logs dumped to {}", dir.display());
-    }
-    for (i, (a, b)) in production.lines().zip(paper.lines()).enumerate() {
-        assert_eq!(a, b, "{label}: production vs paper diverge at line {i}");
-    }
-    panic!(
-        "{label}: one stream is a prefix of the other ({} vs {} lines)",
-        production.lines().count(),
-        paper.lines().count()
-    );
-}
-
-/// The recommended constants for `ε = 1`.
-fn eps1() -> AlgoParams {
-    AlgoParams::from_epsilon(1.0).expect("valid epsilon")
-}
-
-/// The production/paper pairs under differential test.
-fn pairs(m: u32, params: AlgoParams) -> Vec<(&'static str, SchedFactory, SchedFactory)> {
-    vec![
-        (
-            "S",
-            Box::new(move || Box::new(SchedulerS::new(m, params).with_invariant_checks())),
-            Box::new(move || Box::new(PaperS::new(m, params))),
-        ),
-        (
-            "S-wc",
-            Box::new(move || {
-                Box::new(
-                    SchedulerS::new(m, params)
-                        .work_conserving()
-                        .with_invariant_checks(),
-                )
-            }),
-            Box::new(move || Box::new(PaperS::new(m, params).work_conserving())),
-        ),
-    ]
-}
-
-/// Every speed × node pick × engine path the comparison covers.
-fn configs() -> Vec<SimConfig> {
-    let mut out = Vec::new();
-    for speed in [
-        Speed::ONE,
-        Speed::new(3, 2).expect("positive"),
-        Speed::integer(2).expect("positive"),
-    ] {
-        for pick in [NodePick::Fifo, NodePick::CriticalPathFirst] {
-            // Both engine paths: the naive tick loop calls allocate_into
-            // every tick, the fast-forward path once per event — the paper
-            // transcription only overrides `allocate`, so this also proves the
-            // default `allocate_into` bridge is faithful.
-            for fast_forward in [true, false] {
-                out.push(SimConfig {
-                    speed,
-                    pick: pick.clone(),
-                    fast_forward,
-                    ..SimConfig::default()
-                });
-            }
-        }
-    }
-    out
-}
-
-fn check_all(inst: &Instance, m: u32, params: AlgoParams, label: &str) {
-    for cfg in configs() {
-        for (name, mk_production, mk_paper) in &pairs(m, params) {
-            let (res_production, log_production) = run_logged(inst, mk_production().as_mut(), &cfg);
-            let (res_paper, log_paper) = run_logged(inst, mk_paper().as_mut(), &cfg);
-            let tag = format!(
-                "{label}: {name} speed {:?} pick {:?} ff {}",
-                cfg.speed, cfg.pick, cfg.fast_forward
-            );
-            assert_eq!(res_production, res_paper, "{tag}: SimResult diverged");
-            assert_identical(&log_production, &log_paper, &tag);
-        }
-    }
-}
-
-/// FNV-1a, 64-bit, as `tests/golden_outputs.rs` digests.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Appends one line per baseline × config to `all`: the digests of the
-/// run's `SimResult` `Debug` text and JSONL event log. S-noadmit and EDF-AC
-/// are not in the paper, so they are pinned by these digests rather than
-/// against a second implementation.
-fn digest_baselines(inst: &Instance, params: AlgoParams, label: &str, all: &mut String) {
-    let m = inst.m();
-    for cfg in configs() {
-        let baselines: [Box<dyn OnlineScheduler>; 2] = [
-            Box::new(SNoAdmission::new(m, params)),
-            Box::new(EdfAc::new(m)),
-        ];
-        for mut sched in baselines {
-            let (res, log) = run_logged(inst, sched.as_mut(), &cfg);
+    params: AlgoParams,
+    cfgs: &[SimConfig],
+    which: &[&str],
+    prefix: impl Fn(&SimResult) -> String,
+    all: &mut String,
+) {
+    for cfg in cfgs {
+        for name in which {
+            let (res, log) = run_logged(inst, (entry(name).make)(inst.m(), params).as_mut(), cfg);
             all.push_str(&format!(
-                "{label} {} {:?} {:?} {} {:#x} {:#x}\n",
-                sched.name(),
+                "{} {:?} {:?} {} {:#x} {:#x}\n",
+                prefix(&res),
                 cfg.speed,
                 cfg.pick,
                 cfg.fast_forward,
-                fnv1a(res.as_bytes()),
-                fnv1a(log.as_bytes()),
+                fnv1a(format!("{res:?}").as_bytes()),
+                fnv1a(log.to_jsonl().as_bytes()),
             ));
         }
     }
 }
 
-/// The standard workloads: three seeds of the default generator.
-fn standard_workloads() -> Vec<(String, Instance)> {
-    [7u64, 191, 2024]
-        .into_iter()
-        .map(|seed| {
-            let m = 4 + (seed % 5) as u32;
-            let inst = WorkloadGen::standard(m, 30, seed)
-                .generate()
-                .expect("valid workload");
-            (format!("standard seed {seed}"), inst)
-        })
-        .collect()
+/// S-noadmit's and EDF-AC's digest lines, each led by the scheduler name.
+fn digest_baselines(inst: &Instance, params: AlgoParams, label: &str, all: &mut String) {
+    let named = |r: &SimResult| format!("{label} {}", r.scheduler);
+    let cfgs = configs(TO_2);
+    digest(inst, params, &cfgs, &["S-noadmit", "EDF-AC"], named, all);
 }
 
-/// Overload maximizes admission churn: band rejections, P-queue scans on
-/// every completion, expiries.
-fn overload_workload() -> Instance {
-    let m = 6;
-    WorkloadGen {
-        arrivals: ArrivalProcess::poisson_for_load(4.0, 60.0, m),
-        deadlines: DeadlinePolicy::SlackFactor(1.2),
-        ..WorkloadGen::standard(m, 50, 99)
-    }
-    .generate()
-    .expect("valid workload")
+/// RANDOM's digest lines.
+fn digest_random(inst: &Instance, label: &str, all: &mut String) {
+    let cfgs = configs(TO_3_2);
+    digest(inst, eps1(), &cfgs, &["RANDOM"], |_| label.into(), all);
 }
 
 #[test]
 fn optimized_schedulers_match_legacy_on_standard_workloads() {
-    for (label, inst) in standard_workloads() {
-        check_all(&inst, inst.m(), eps1(), &label);
+    for (label, inst) in support::standard_instances() {
+        check_corpus(&inst, eps1(), &configs(TO_2), S_PAIRS, &label);
     }
 }
 
 #[test]
+fn rewrites_match_oracles_on_standard_workloads() {
+    for (label, inst) in support::standard_instances() {
+        check_corpus(&inst, eps1(), &configs(TO_2), S_PROFIT, &label);
+    }
+}
+
+#[test]
+fn rewrites_match_oracles_across_threads() {
+    support::check_standard_across_threads(PAIRED);
+}
+
+#[test]
 fn optimized_schedulers_match_legacy_under_overload() {
-    let inst = overload_workload();
-    check_all(&inst, inst.m(), eps1(), "overload");
+    check_corpus(
+        &overload(6, 50),
+        eps1(),
+        &configs(TO_2),
+        S_PAIRS,
+        "overload",
+    );
+}
+
+#[test]
+fn rewrites_match_oracles_under_overload() {
+    check_corpus(
+        &overload(6, 50),
+        eps1(),
+        &configs(TO_2),
+        S_PROFIT,
+        "overload",
+    );
 }
 
 #[test]
 fn baselines_are_golden_on_standard_workloads_and_overload() {
     let mut all = String::new();
-    for (label, inst) in standard_workloads() {
+    for (label, inst) in support::standard_instances() {
         digest_baselines(&inst, eps1(), &label, &mut all);
     }
-    digest_baselines(&overload_workload(), eps1(), "overload", &mut all);
+    digest_baselines(&overload(6, 50), eps1(), "overload", &mut all);
     assert_eq!(all.len(), 9978);
     assert_eq!(fnv1a(all.as_bytes()), 0x6c7e_6d14_7825_5d72);
+}
+
+#[test]
+fn random_is_golden_on_standard_workloads_and_overload() {
+    let mut all = String::new();
+    for (label, inst) in support::standard_instances() {
+        digest_random(&inst, &label, &mut all);
+    }
+    digest_random(&overload(6, 50), "overload", &mut all);
+    assert_eq!(all.len(), 3054);
+    assert_eq!(fnv1a(all.as_bytes()), 0xbab1_c014_3642_63bf);
 }
 
 // ------------------------------------------------- targeted-scan inputs
@@ -478,7 +414,7 @@ fn targeted_scan_inputs() -> Vec<(&'static str, Instance, AlgoParams)> {
 #[test]
 fn optimized_schedulers_match_legacy_on_targeted_scan_inputs() {
     for (label, inst, params) in targeted_scan_inputs() {
-        check_all(&inst, M, params, label);
+        check_corpus(&inst, params, &configs(TO_2), S_PAIRS, label);
     }
 }
 
@@ -497,7 +433,7 @@ fn targeted_scan_inputs_reach_their_cases() {
     // Each input must actually exercise the rule it aims at; read it off
     // S's own event stream on the default configuration.
     let cfg = SimConfig::default();
-    let log_of = |inst: &Instance, mut s: SchedulerS| run_logged(inst, &mut s, &cfg).1;
+    let log_of = |inst: &Instance, mut s: SchedulerS| run_logged(inst, &mut s, &cfg).1.to_jsonl();
     let s = || SchedulerS::with_epsilon(M, 1.0).with_invariant_checks();
 
     let log = log_of(&deadline_on_completion(), s());
@@ -551,7 +487,9 @@ fn targeted_scan_inputs_reach_their_cases() {
     }
 
     let mut stretched = s();
-    let log = run_logged(&blocked_stretches(), &mut stretched, &cfg).1;
+    let log = run_logged(&blocked_stretches(), &mut stretched, &cfg)
+        .1
+        .to_jsonl();
     for job in [6, 7, 8, 9, 10, 11, 12] {
         assert!(log.contains(&format!(
             r#"{{"ev":"admission","t":0,"job":{job},"decision":"deferred","reason":"band-capacity"}}"#
@@ -654,18 +592,12 @@ fn jump_into_a_lower_interval() -> Instance {
 
 #[test]
 fn optimized_schedulers_match_legacy_on_scan_walk_inputs() {
-    check_all(
-        &extras_around_an_interval(),
-        M,
-        eps1(),
-        "extras-around-an-interval",
-    );
-    check_all(
-        &jump_into_a_lower_interval(),
-        M,
-        eps1(),
-        "jump-into-a-lower-interval",
-    );
+    for (label, inst) in [
+        ("extras-around-an-interval", extras_around_an_interval()),
+        ("jump-into-a-lower-interval", jump_into_a_lower_interval()),
+    ] {
+        check_corpus(&inst, eps1(), &configs(TO_2), S_PAIRS, label);
+    }
 }
 
 #[test]
@@ -682,7 +614,7 @@ fn scan_walk_inputs_reach_their_cases() {
 
     let log_of = |inst: &Instance| {
         let mut s = SchedulerS::with_epsilon(M, 1.0).with_invariant_checks();
-        run_logged(inst, &mut s, &cfg).1
+        run_logged(inst, &mut s, &cfg).1.to_jsonl()
     };
 
     let log = log_of(&extras_around_an_interval());
@@ -761,9 +693,11 @@ fn execution_passes_over_a_job_that_does_not_fit() {
         (0, gen::block(4, 10), 30, 60),
         (0, gen::single(100), 200, 1),
     ]);
-    check_all(&inst, M, eps1(), "pass over a misfit");
+    check_corpus(&inst, eps1(), &configs(TO_2), S_PAIRS, "pass over a misfit");
     let mut s = SchedulerS::with_epsilon(M, 1.0);
-    let log = run_logged(&inst, &mut s, &SimConfig::default()).1;
+    let log = run_logged(&inst, &mut s, &SimConfig::default())
+        .1
+        .to_jsonl();
     for job in 0..3 {
         assert!(log.contains(&format!(
             r#"{{"ev":"admission","t":0,"job":{job},"decision":"admitted"}}"#
@@ -782,19 +716,12 @@ fn reset_reused_s_matches_fresh_paper_s() {
     // One S and one S-wc value serve every input in turn, reset between
     // runs: the scan's since-last-scan logs and deadline heap must not
     // leak from one run into the next.
-    let overload = WorkloadGen {
-        arrivals: ArrivalProcess::poisson_for_load(4.0, 60.0, M),
-        deadlines: DeadlinePolicy::SlackFactor(1.2),
-        ..WorkloadGen::standard(M, 50, 99)
-    }
-    .generate()
-    .expect("valid workload");
     let mut inputs: Vec<(&str, Instance)> = targeted_scan_inputs()
         .into_iter()
         .filter(|(_, _, params)| params.c() == eps1().c())
         .map(|(label, inst, _)| (label, inst))
         .collect();
-    inputs.push(("overload", overload));
+    inputs.push(("overload", overload(M, 50)));
     let cfg = SimConfig::default();
     for wc in [false, true] {
         let mut s = SchedulerS::with_epsilon(M, 1.0);
@@ -807,15 +734,162 @@ fn reset_reused_s_matches_fresh_paper_s() {
             if i > 0 {
                 assert!(s.reset());
             }
-            let (res_production, log_production) = run_logged(inst, &mut s, &cfg);
+            let got = run_logged(inst, &mut s, &cfg);
             let mut reference = paper();
             if wc {
                 reference = reference.work_conserving();
             }
-            let (res_paper, log_paper) = run_logged(inst, &mut reference, &cfg);
+            let want = run_logged(inst, &mut reference, &cfg);
             let tag = format!("reset-reused run {i} ({label}) wc {wc}");
-            assert_eq!(res_production, res_paper, "{tag}: SimResult diverged");
-            assert_identical(&log_production, &log_paper, &tag);
+            assert_same_run(&tag, &got, &want, Steps::Equal);
         }
     }
+}
+
+// ------------------------------------------------------- S-profit inputs
+
+/// Lone single-node jobs whose profit pays 10 up to tick 1 and 5 forever
+/// after, so only the tail step can hold a deadline, and the `(1+ε)L`
+/// floor (`2L + 1` at `ε = 1`) sets it. The tail step ends
+/// `horizon − r + k + 2` ticks past the later of the last bound and that
+/// floor, `k = ⌈1.25 L⌉` slots.
+///
+/// * Job 0 (`L = 3`, `k = 4`, empty plan) needs `D = 7`; its slots
+///   `[0, 4)` make the plan's horizon 3.
+/// * Job 1 (`L = 7`, `k = 9`, `r = 1`) needs `D = 15`, the floor. Measured
+///   from the last bound, the cap (`1 + 2 + 9 + 2 = 14`) would end a tick
+///   before it and reject the job; measured from the floor it ends at 28.
+/// * Job 2 (`L = 6`, `k = 8`, `r = 1`) needs `D = 13`.
+fn tail_cap_instance() -> Instance {
+    let profit = StepProfitFn::steps(vec![(Time(1), 10)], 5).expect("valid profit");
+    let jobs = [(0, 3), (1, 7), (1, 6)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (r, work))| {
+            JobSpec::new(
+                JobId(i as u32),
+                Time(r),
+                gen::single(work).into_shared(),
+                profit.clone(),
+            )
+        })
+        .collect();
+    Instance::new(4, jobs).expect("valid tail-cap instance")
+}
+
+#[test]
+fn tail_step_cap_is_pinned() {
+    let inst = tail_cap_instance();
+    check_corpus(&inst, eps1(), &configs(TO_3_2), S_PROFIT, "tail cap");
+    let mut s = SchedulerSProfit::with_epsilon(4, 1.0);
+    let r = dagsched_engine::simulate(&inst, &mut s, &SimConfig::default()).expect("run succeeds");
+    let deadlines: Vec<Option<Time>> = (0..3).map(|i| s.assigned_deadline(JobId(i))).collect();
+    assert_eq!(deadlines, [Some(Time(7)), Some(Time(16)), Some(Time(14))]);
+    assert_eq!(r.total_profit, 15, "every job earns the tail");
+}
+
+/// The parked majority with plain deadlines: most background jobs are
+/// rejected at admission (band conflicts) and wait out their profit
+/// unallocated, so the run is dominated by plan gaps — exactly the
+/// stretches the bounded-stability bulk-skip fast-forwards through in one
+/// window each.
+fn parked_deadlines() -> Instance {
+    support::parked_majority(
+        StepProfitFn::deadline(Time(50_000), 1),
+        StepProfitFn::deadline(Time(40), 3),
+    )
+}
+
+#[test]
+fn rewrites_match_oracles_with_a_parked_majority() {
+    let inst = parked_deadlines();
+    check_corpus(&inst, eps1(), &configs(TO_3_2), S_PROFIT, "parked majority");
+}
+
+#[test]
+fn random_is_golden_with_a_parked_majority() {
+    let mut all = String::new();
+    digest_random(&parked_deadlines(), "parked majority", &mut all);
+    assert_eq!(all.len(), 768);
+    assert_eq!(fnv1a(all.as_bytes()), 0xe8fc_4654_5026_cf19);
+}
+
+/// The slot-plan regime of `fastforward_guard.rs` at 40 background jobs:
+/// two-step profits (background cliffs at 25,000 and 50,000, wave cliffs
+/// at 40 and 90) leave one long plan gap. It runs once, on the default
+/// config: the transcription steps every one of the 50,001 ticks.
+#[test]
+fn sprofit_matches_oracle_on_a_parked_slot_plan() {
+    let two_step = |a, pa, b, pb| StepProfitFn::steps(vec![(Time(a), pa), (Time(b), pb)], 0);
+    let inst = support::parked_majority(
+        two_step(25_000, 4, 50_000, 2).expect("valid background profit"),
+        two_step(40, 3, 90, 1).expect("valid wave profit"),
+    );
+    let cfgs = [SimConfig::default()];
+    check_corpus(&inst, eps1(), &cfgs, S_PROFIT, "parked slot plan");
+}
+
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Pausing a fast-path driver at arbitrary horizons matches the
+        /// one-shot reference run (S-profit's transcription, RANDOM's naive
+        /// path): segment-plan state, the replay cache, and the
+        /// bounded-stability windows all survive `run_until` boundaries.
+        #[test]
+        fn paused_fast_run_matches_one_shot_oracle(
+            seed in 0u64..500,
+            hseed in 0u64..500,
+            n_pauses in 1usize..12,
+            pair in 0usize..2,
+        ) {
+            let m = 4 + (seed % 5) as u32;
+            let inst = WorkloadGen::standard(m, 20, seed)
+                .generate()
+                .expect("valid workload");
+            let e = entry(["S-profit", "RANDOM"][pair]);
+            let fast = SimConfig::default();
+            let (reference, steps, cfg) = match e.paper {
+                Some((paper, steps)) => (paper, steps, fast.clone()),
+                None => (e.make, Steps::AtMost, naive(&fast)),
+            };
+            let want = run_logged(&inst, reference(m, eps1()).as_mut(), &cfg);
+            let pauses = support::random_pauses(hseed, n_pauses, inst.stats().horizon.ticks() + 8);
+            let mut sched = (e.make)(m, eps1());
+            let got = run_paced(&inst, sched.as_mut(), &fast, Some(&pauses));
+            let label = format!("paused fast seed {seed} {}", e.name);
+            assert_same_run(&label, &got, &want, steps);
+        }
+    }
+}
+
+/// The fuzzer's collision family: same-step admit+expire batches and dense
+/// ready churn through the shared generator, so this suite and the fuzzer
+/// sample the same distribution.
+#[test]
+fn rewrites_match_oracles_on_the_fuzz_collision_corpus() {
+    let cfgs = [SimConfig::default()];
+    for (ci, inst) in support::collision_corpus().iter().enumerate() {
+        check_corpus(
+            inst,
+            eps1(),
+            &cfgs,
+            PAIRED,
+            &format!("fuzz collision #{ci}"),
+        );
+    }
+}
+
+#[test]
+fn random_is_golden_on_the_fuzz_collision_corpus() {
+    let mut all = String::new();
+    for (ci, inst) in support::collision_corpus().iter().enumerate() {
+        digest_random(inst, &format!("fuzz collision #{ci}"), &mut all);
+    }
+    assert_eq!(all.len(), 12566);
+    assert_eq!(fnv1a(all.as_bytes()), 0xadfc_223b_40ef_f671);
 }

@@ -1,12 +1,7 @@
-//! Stream-level equivalence oracle: the naive reference and production
-//! engine paths must emit **byte-identical** JSONL event logs.
-//!
-//! `crates/sched/tests/fastforward_equiv.rs` compares the two paths at the
-//! outcome level (profit, end time, completion sets). This file raises the
-//! bar to the whole event stream: every arrival, admission decision,
-//! coalesced execution window, node completion, completion and expiry must
-//! serialize to the same bytes regardless of which path produced it. An
-//! outcome-equal run with a transiently different schedule cannot pass.
+//! Engine-path and pacing equivalence: the naive reference path, the
+//! production path, and a production driver paced by `step()` or
+//! `run_until` must all produce the same run, down to **byte-identical**
+//! JSONL event logs.
 //!
 //! The naive path shares no event or handoff code with the production
 //! path: it scans for expiries where production pops the event kernel, and
@@ -14,146 +9,96 @@
 //! production maintains the view and replays the last allocation until the
 //! view changes or its stability window ends. So one comparison checks the
 //! kernel's windows and expiry batches, the engine's replay and every
-//! scheduler's stability declaration at once. Beyond the standard and
-//! overload corpus, the inputs aim at both: a hand-built triple tie
-//! (arrival, expiry and completion on one tick, on a window edge) and
-//! pauses exactly on tie instants, collision-dense proptest instances, a
-//! parked majority where replay carries the run, and the corpus again
-//! under a multi-thread harness. Step counts differ
-//! between the paths by design; the golden digests in
+//! scheduler's stability declaration at once. Every comparison is
+//! [`assert_same_run`] with a step relation:
+//!
+//! * **fast vs naive** (`Steps::AtMost`): every roster scheduler on the
+//!   standard instances (carry-over on and off), the overload instance and
+//!   a hand-built triple tie (arrival, expiry and completion on one tick,
+//!   on a window edge) under every speed × deterministic pick; a parked
+//!   majority where replay carries the run; the fuzzer's collision family
+//!   and collision-dense proptest instances; and a toy greedy scheduler
+//!   over random workloads, picks (the random pick included) and
+//!   carry-over settings;
+//! * **paused vs one-shot naive** (`Steps::AtMost`): pauses exactly on tie
+//!   instants and at random horizons, on both paths;
+//! * **paced vs one-shot** (`Steps::Equal`): `step()` by `step()` and
+//!   `run_until` at random horizons, on the same config.
+//!
+//! The corpus runs go to two worker threads, and the standard instances'
+//! default-config runs once more to four, interleaved, so byte-identity
+//! also holds with runs on concurrent threads: neither path has hidden
+//! shared state.
+//! Step counts differ between the paths by design; the golden digests in
 //! `tests/golden_outputs.rs` pin the production path's.
 
-use dagsched_core::{AlgoParams, JobId, Speed, Time};
+mod support;
+
+use dagsched_core::{JobId, Speed, Time};
 use dagsched_engine::{
-    parallel_map, simulate_observed, NodePick, OnlineScheduler, SimConfig, SimDriver, SimObserver,
-    SimResult,
+    simulate_observed, Allocation, JobInfo, NodePick, OnlineScheduler, SimConfig, SimObserver,
+    TickView,
 };
-use dagsched_sched::{
-    Edf, EdfAc, Fifo, GreedyDensity, LeastLaxity, RandomOrder, SNoAdmission, SchedulerS,
-};
+use dagsched_sched::SchedulerS;
 use dagsched_verify::EventLog;
-use dagsched_workload::{
-    ArrivalProcess, DeadlinePolicy, Instance, JobSpec, StepProfitFn, WorkloadGen,
+use dagsched_workload::{DeadlinePolicy, Instance, JobSpec, StepProfitFn, WorkloadGen};
+use std::path::Path;
+use support::{
+    assert_same_run, check_corpus, describe, eps1, matrix, naive, overload, run_logged, run_paced,
+    Against, Make, Run, Steps, ROSTER,
 };
-use std::path::{Path, PathBuf};
 
-type SchedFactory = Box<dyn Fn() -> Box<dyn OnlineScheduler> + Sync>;
-
-fn factories(m: u32) -> Vec<(&'static str, SchedFactory)> {
-    let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
-    vec![
-        (
-            "S",
-            Box::new(move || Box::new(SchedulerS::with_epsilon(m, 1.0)) as _),
-        ),
-        (
-            "S-wc",
-            Box::new(move || Box::new(SchedulerS::with_epsilon(m, 1.0).work_conserving()) as _),
-        ),
-        (
-            "S-noadmit",
-            Box::new(move || Box::new(SNoAdmission::new(m, params)) as _),
-        ),
-        ("FIFO", Box::new(move || Box::new(Fifo::new(m)) as _)),
-        ("EDF", Box::new(move || Box::new(Edf::new(m)) as _)),
-        (
-            "GREEDY-DENSITY",
-            Box::new(move || Box::new(GreedyDensity::new(m)) as _),
-        ),
-        ("LLF", Box::new(move || Box::new(LeastLaxity::new(m)) as _)),
-        ("EDF-AC", Box::new(move || Box::new(EdfAc::new(m)) as _)),
-        (
-            // Single-tick stability: the production path asks it every
-            // step, on the maintained view.
-            "RANDOM",
-            Box::new(move || Box::new(RandomOrder::new(m, 42)) as _),
-        ),
-    ]
-}
-
-/// Run both paths with an `EventLog` attached; return the two logs.
-fn log_pair(
-    inst: &Instance,
-    mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
-    cfg: &SimConfig,
-) -> (EventLog, EventLog) {
-    let mut fast_log = EventLog::new();
-    let fast = simulate_observed(inst, mk().as_mut(), cfg, &mut fast_log).expect("fast path runs");
-    let naive_cfg = SimConfig {
-        fast_forward: false,
-        ..cfg.clone()
-    };
-    let mut naive_log = EventLog::new();
-    let naive = simulate_observed(inst, mk().as_mut(), &naive_cfg, &mut naive_log)
-        .expect("naive path runs");
-    assert!(
-        fast.same_outcome(&naive),
-        "outcome diverged before stream check"
-    );
-    (fast_log, naive_log)
-}
-
-/// Write both logs, rendered as JSONL, to `dir` as `<label>.fast.jsonl`
-/// and `<label>.naive.jsonl` (non-alphanumerics in `label` become `-`).
-fn dump_pair(
-    dir: &Path,
-    label: &str,
-    fast: &EventLog,
-    naive: &EventLog,
-) -> std::io::Result<[PathBuf; 2]> {
-    std::fs::create_dir_all(dir)?;
-    let slug: String = label
-        .chars()
-        .map(|c| if c.is_alphanumeric() { c } else { '-' })
-        .collect();
-    let paths = [
-        dir.join(format!("{slug}.fast.jsonl")),
-        dir.join(format!("{slug}.naive.jsonl")),
+/// Every speed × deterministic pick, on the production path. The fast path
+/// hands the reference round its claimed nodes while the naive path picks
+/// its own batch, so every deterministic pick runs here; speed 5/4 leaves
+/// carry-over budget that refills a batch.
+fn fast_configs(carryover: &[bool]) -> Vec<SimConfig> {
+    let picks = [
+        NodePick::Fifo,
+        NodePick::Lifo,
+        NodePick::CriticalPathFirst,
+        NodePick::AdversarialLowHeight,
     ];
-    std::fs::write(&paths[0], fast.to_jsonl())?;
-    std::fs::write(&paths[1], naive.to_jsonl())?;
-    Ok(paths)
+    matrix(
+        &[(1, 1), (5, 4), (3, 2), (2, 1)],
+        &picks,
+        &[true],
+        carryover,
+    )
 }
 
-/// Compare the logs by value. On a mismatch, dump both rendered logs to
-/// `target/tmp/event-logs/` so CI can upload them as artifacts, and point
-/// at the first differing line so the failure is debuggable.
-fn assert_identical(fast: &EventLog, naive: &EventLog, label: &str) {
-    if fast == naive {
-        return;
-    }
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("event-logs");
-    if dump_pair(&dir, label, fast, naive).is_ok() {
-        eprintln!("{label}: diverging JSONL logs dumped to {}", dir.display());
-    }
-    let (fast, naive) = (fast.to_jsonl(), naive.to_jsonl());
-    for (i, (f, n)) in fast.lines().zip(naive.lines()).enumerate() {
-        assert_eq!(f, n, "{label}: streams diverge at line {i}");
-    }
-    panic!(
-        "{label}: streams are a prefix of each other ({} vs {} lines)",
-        fast.lines().count(),
-        naive.lines().count()
-    );
+/// `make`'s runs under `cfg` and under its naive twin.
+fn fast_and_naive(inst: &Instance, make: Make, cfg: &SimConfig) -> (Run, Run) {
+    let run = |cfg| run_logged(inst, make(inst.m(), eps1()).as_mut(), cfg);
+    (run(cfg), run(&naive(cfg)))
+}
+
+/// `cfg`'s run against its naive run: same outcome and stream, no more
+/// steps.
+fn check_fast_vs_naive(inst: &Instance, make: Make, cfg: &SimConfig, label: &str) {
+    let (fast, slow) = fast_and_naive(inst, make, cfg);
+    assert_same_run(label, &fast, &slow, Steps::AtMost);
+}
+
+/// Every roster scheduler, fast against naive, under every config.
+fn check_all(inst: &Instance, cfgs: &[SimConfig], label: &str) {
+    check_corpus(inst, eps1(), cfgs, Against::Naive, label);
 }
 
 #[test]
 fn dump_helper_writes_rendered_jsonl() {
     let inst = triple_tie_instance();
-    let (fast, naive) = log_pair(
-        &inst,
-        &|| Box::new(SchedulerS::with_epsilon(2, 1.0)),
-        &SimConfig::default(),
-    );
+    let make: Make = |m, _| Box::new(SchedulerS::with_epsilon(m, 1.0));
+    let (fast, slow) = fast_and_naive(&inst, make, &SimConfig::default());
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("dump-pair-selftest");
-    let [f, n] = dump_pair(&dir, "triple tie: S", &fast, &naive).expect("dump writes");
-    assert!(f.ends_with("triple-tie--S.fast.jsonl"), "{}", f.display());
+    let [f, n] = support::dump(&dir, "triple tie: S", &fast.1, &slow.1).expect("dump writes");
+    assert!(f.ends_with("triple-tie--S.got.jsonl"), "{}", f.display());
     let (f, n) = (
-        std::fs::read_to_string(f).expect("fast dump"),
-        std::fs::read_to_string(n).expect("naive dump"),
+        std::fs::read_to_string(f).expect("got dump"),
+        std::fs::read_to_string(n).expect("want dump"),
     );
-    assert_eq!(f, fast.to_jsonl());
-    assert_eq!(n, naive.to_jsonl());
+    assert_eq!(f, fast.1.to_jsonl());
+    assert_eq!(n, slow.1.to_jsonl());
     assert!(
         f.starts_with(r#"{"ev":"start""#) && f.ends_with("}\n"),
         "{f}"
@@ -171,21 +116,17 @@ fn log_equality_is_rendered_equality_on_the_corpus() {
         let inst = WorkloadGen::standard(4, 12, seed)
             .generate()
             .expect("valid");
-        for cfg in [
-            SimConfig::default(),
-            SimConfig {
-                speed: Speed::new(3, 2).expect("positive"),
-                ..SimConfig::default()
-            },
-            SimConfig {
-                groups: Some(groups.clone()),
-                ..SimConfig::default()
-            },
-        ] {
-            for (_, mk) in &factories(4) {
-                let (fast, naive) = log_pair(&inst, mk, &cfg);
-                logs.push(fast);
-                logs.push(naive);
+        let mut cfgs = matrix(&[(1, 1), (3, 2)], &[NodePick::Fifo], &[true], &[true]);
+        cfgs.push(SimConfig {
+            groups: Some(groups.clone()),
+            ..SimConfig::default()
+        });
+        for cfg in &cfgs {
+            for e in &ROSTER {
+                let (fast, slow) = fast_and_naive(&inst, e.make, cfg);
+                assert!(fast.0.same_outcome(&slow.0), "{} diverged", e.name);
+                logs.push(fast.1);
+                logs.push(slow.1);
             }
         }
     }
@@ -207,75 +148,61 @@ fn log_equality_is_rendered_equality_on_the_corpus() {
     );
 }
 
-/// `log_pair` plus the stream comparison.
-fn check_pair(
-    inst: &Instance,
-    mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
-    cfg: &SimConfig,
-    label: &str,
-) {
-    let (fast, naive) = log_pair(inst, mk, cfg);
-    assert_identical(&fast, &naive, label);
+/// Whether `cfg` is one of the common configs: speed 1, 3/2 or 2 under the
+/// FIFO or critical-path-first pick, carry-over on. Each corpus below runs
+/// them in one test and the rest of its matrix in another.
+fn is_common(cfg: &SimConfig) -> bool {
+    let speeds = [(1, 1), (3, 2), (2, 1)].map(|(n, d)| Speed::new(n, d).expect("positive"));
+    cfg.carryover
+        && speeds.contains(&cfg.speed)
+        && matches!(cfg.pick, NodePick::Fifo | NodePick::CriticalPathFirst)
 }
 
-fn check_all(inst: &Instance, m: u32, label: &str) {
-    let mks = factories(m);
-    // The fast path hands the reference round its claimed nodes while the
-    // naive path picks its own batch, so every deterministic pick runs
-    // here; speed 5/4 leaves carryover budget that refills a batch.
-    for speed in [
-        Speed::ONE,
-        Speed::new(5, 4).expect("positive"),
-        Speed::new(3, 2).expect("positive"),
-        Speed::integer(2).expect("positive"),
-    ] {
-        for pick in [
-            NodePick::Fifo,
-            NodePick::Lifo,
-            NodePick::CriticalPathFirst,
-            NodePick::AdversarialLowHeight,
-        ] {
-            let cfg = SimConfig {
-                speed,
-                pick: pick.clone(),
-                ..SimConfig::default()
-            };
-            for (name, mk) in &mks {
-                check_pair(
-                    inst,
-                    mk,
-                    &cfg,
-                    &format!("{label}: {name} at speed {speed:?} pick {pick:?}"),
-                );
-            }
-        }
+/// The standard instances' configs with `is_common` equal to `common`.
+/// Carry-over spends a processor's leftover budget on another node in the
+/// same tick; at speed 1 the budget is one unit, never left over.
+fn standard_configs(common: bool) -> Vec<SimConfig> {
+    let mut cfgs = fast_configs(&[true, false]);
+    cfgs.retain(|cfg| (cfg.carryover || cfg.speed != Speed::ONE) && is_common(cfg) == common);
+    cfgs
+}
+
+/// The overload instance's configs with `is_common` equal to `common`.
+fn overload_configs(common: bool) -> Vec<SimConfig> {
+    let mut cfgs = fast_configs(&[true]);
+    cfgs.retain(|cfg| is_common(cfg) == common);
+    cfgs
+}
+
+#[test]
+fn production_schedulers_match_on_standard_workloads() {
+    let cfgs = standard_configs(true);
+    for (label, inst) in support::standard_instances() {
+        check_all(&inst, &cfgs, &label);
     }
 }
 
 #[test]
 fn event_streams_identical_on_standard_workloads() {
-    for seed in [7u64, 191, 2024] {
-        let m = 4 + (seed % 5) as u32;
-        let inst = WorkloadGen::standard(m, 30, seed)
-            .generate()
-            .expect("valid workload");
-        check_all(&inst, m, &format!("standard seed {seed}"));
+    let cfgs = standard_configs(false);
+    for (label, inst) in support::standard_instances() {
+        check_all(&inst, &cfgs, &label);
     }
 }
 
 #[test]
+fn event_streams_identical_across_threads() {
+    support::check_standard_across_threads(Against::Naive);
+}
+
+#[test]
+fn production_schedulers_match_under_overload() {
+    check_all(&overload(6, 50), &overload_configs(true), "overload");
+}
+
+#[test]
 fn event_streams_identical_under_overload() {
-    // Tight deadlines and a hot arrival process maximize admission churn,
-    // expiries and window boundaries — the hardest stream to coalesce.
-    let m = 6;
-    let inst = WorkloadGen {
-        arrivals: ArrivalProcess::poisson_for_load(4.0, 60.0, m),
-        deadlines: DeadlinePolicy::SlackFactor(1.2),
-        ..WorkloadGen::standard(m, 50, 99)
-    }
-    .generate()
-    .expect("valid workload");
-    check_all(&inst, m, "overload");
+    check_all(&overload(6, 50), &overload_configs(false), "overload");
 }
 
 /// The logged stream is self-consistent: exactly one start and one end line,
@@ -340,77 +267,23 @@ fn triple_tie_instance() -> Instance {
 
 #[test]
 fn simultaneous_arrival_expiry_completion_tie() {
-    check_all(&triple_tie_instance(), 2, "triple tie at t=10");
+    check_all(
+        &triple_tie_instance(),
+        &fast_configs(&[true]),
+        "triple tie at t=10",
+    );
 }
 
-/// A parked majority: most jobs sit alive-but-idle for the whole run, so
-/// almost every production step sees an unchanged view (or a handful of
-/// ready patches) and the engine's replay carries the run, while the naive
-/// path rebuilds and re-allocates every tick.
+/// A parked majority: almost every production step sees an unchanged view
+/// (or a handful of ready patches) and the engine's replay carries the run,
+/// while the naive path rebuilds and re-allocates every tick.
 #[test]
 fn event_streams_identical_with_a_parked_majority() {
-    use dagsched_dag::gen;
-    let mut jobs: Vec<JobSpec> = (0..40u32)
-        .map(|i| {
-            JobSpec::new(
-                JobId(i),
-                Time(0),
-                gen::single(5_000).into_shared(),
-                StepProfitFn::deadline(Time(50_000), 1),
-            )
-        })
-        .collect();
-    // Foreground churn: short chains arriving over time.
-    for i in 0..20u32 {
-        jobs.push(JobSpec::new(
-            JobId(40 + i),
-            Time(2 * i as u64),
-            gen::chain(3, 2).into_shared(),
-            StepProfitFn::deadline(Time(40), 3),
-        ));
-    }
-    let inst = Instance::new(4, jobs).expect("valid parked instance");
-    for (name, mk) in &factories(4) {
-        check_pair(
-            &inst,
-            mk,
-            &SimConfig::default(),
-            &format!("parked majority: {name}"),
-        );
-    }
-}
-
-/// The standard corpus again, driven through the multi-thread harness:
-/// each (instance, scheduler) pair runs both paths on a worker thread.
-/// Byte-identity must hold at N threads exactly as at 1 — neither path has
-/// hidden shared state.
-#[test]
-fn event_streams_identical_across_threads() {
-    let insts: Vec<(u64, Instance)> = [7u64, 191, 2024]
-        .iter()
-        .map(|&seed| {
-            let m = 4 + (seed % 5) as u32;
-            (
-                seed,
-                WorkloadGen::standard(m, 30, seed)
-                    .generate()
-                    .expect("valid workload"),
-            )
-        })
-        .collect();
-    let tasks: Vec<(usize, usize)> = (0..insts.len())
-        .flat_map(|i| (0..factories(1).len()).map(move |s| (i, s)))
-        .collect();
-    let results = parallel_map(tasks, 4, |&(i, s)| {
-        let (seed, inst) = &insts[i];
-        let mks = factories(inst.m());
-        let (name, mk) = &mks[s];
-        let (fast, naive) = log_pair(inst, mk, &SimConfig::default());
-        (format!("threaded seed {seed} {name}"), fast, naive)
-    });
-    for (label, fast, naive) in results {
-        assert_identical(&fast, &naive, &label);
-    }
+    let inst = support::parked_majority(
+        StepProfitFn::deadline(Time(50_000), 1),
+        StepProfitFn::deadline(Time(40), 3),
+    );
+    check_all(&inst, &[SimConfig::default()], "parked majority");
 }
 
 /// The fuzzer's collision family, via its shared generator: keeps this
@@ -418,57 +291,24 @@ fn event_streams_identical_across_threads() {
 /// distribution.
 #[test]
 fn event_streams_identical_on_the_fuzz_collision_corpus() {
-    let corpus = dagsched_fuzz::collision_instances(0xDE17A, 16);
-    for (ci, inst) in corpus.iter().enumerate() {
-        for (name, mk) in &factories(inst.m()) {
-            check_pair(
-                inst,
-                mk,
-                &SimConfig::default(),
-                &format!("fuzz collision #{ci} {name}"),
-            );
-        }
+    for (ci, inst) in support::collision_corpus().iter().enumerate() {
+        check_all(
+            inst,
+            &[SimConfig::default()],
+            &format!("fuzz collision #{ci}"),
+        );
     }
-}
-
-/// A run under `cfg`, paused by `run_until` at each of `pauses` in turn.
-fn run_paused(
-    inst: &Instance,
-    mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
-    cfg: &SimConfig,
-    pauses: &[Time],
-) -> (SimResult, EventLog) {
-    let mut log = EventLog::new();
-    let mut sched = mk();
-    let mut driver =
-        SimDriver::with_observer(inst, sched.as_mut(), cfg, &mut log as &mut dyn SimObserver);
-    for &p in pauses {
-        driver.run_until(p).expect("run_until runs");
-    }
-    let r = driver.finish().expect("finish runs");
-    (r, log)
 }
 
 /// A paused run on either path must match the one-shot naive run's outcome
-/// and stream.
-fn check_paused(
-    inst: &Instance,
-    mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
-    pauses: &[Time],
-    label: &str,
-) {
-    let naive_cfg = SimConfig {
-        fast_forward: false,
-        ..SimConfig::default()
-    };
-    let mut log = EventLog::new();
-    let naive = simulate_observed(inst, mk().as_mut(), &naive_cfg, &mut log).expect("naive runs");
-    let naive_log = log;
-    for cfg in [SimConfig::default(), naive_cfg.clone()] {
-        let (r, paused_log) = run_paused(inst, mk, &cfg, pauses);
+/// and stream, in no more steps.
+fn check_paused(inst: &Instance, make: Make, pauses: &[Time], label: &str) {
+    let slow_cfg = naive(&SimConfig::default());
+    let slow = run_logged(inst, make(inst.m(), eps1()).as_mut(), &slow_cfg);
+    for cfg in [SimConfig::default(), slow_cfg.clone()] {
+        let paused = run_paced(inst, make(inst.m(), eps1()).as_mut(), &cfg, Some(pauses));
         let label = format!("{label} ff {}", cfg.fast_forward);
-        assert!(r.same_outcome(&naive), "{label}: outcome diverged");
-        assert_identical(&paused_log, &naive_log, &label);
+        assert_same_run(&label, &paused, &slow, Steps::AtMost);
     }
 }
 
@@ -489,7 +329,7 @@ mod paused_at_ties {
     }
 
     impl SimObserver for TieFinder {
-        fn on_job_arrival(&mut self, now: Time, _info: &dagsched_engine::JobInfo) {
+        fn on_job_arrival(&mut self, now: Time, _info: &JobInfo) {
             *self.ticks.entry(now.0).or_default() |= 1;
         }
         fn on_job_complete(&mut self, at: Time, _job: JobId, _profit: u64) {
@@ -513,9 +353,10 @@ mod paused_at_ties {
             &[tie, tie, Time(11)],
             &[Time(9), Time(9), tie],
         ];
-        for (name, mk) in &factories(2) {
+        for e in &ROSTER {
             for (i, pauses) in schedules.iter().enumerate() {
-                check_paused(&inst, mk, pauses, &format!("triple-tie pause #{i} {name}"));
+                let label = format!("triple-tie pause #{i} {}", e.name);
+                check_paused(&inst, e.make, pauses, &label);
             }
         }
     }
@@ -531,19 +372,15 @@ mod paused_at_ties {
         let corpus = dagsched_fuzz::collision_instances(0xC0111DF, 24);
         let mut saw_triple = false;
         for (ci, inst) in corpus.iter().enumerate() {
-            let mks = factories(inst.m());
-            let (name, mk) = &mks[0]; // scheduler S
+            let s = &ROSTER[0];
             let mut finder = TieFinder::default();
-            simulate_observed(inst, mk().as_mut(), &SimConfig::default(), &mut finder)
+            let mut sched = (s.make)(inst.m(), eps1());
+            simulate_observed(inst, sched.as_mut(), &SimConfig::default(), &mut finder)
                 .expect("finder run");
             saw_triple |= finder.ticks.values().any(|&mask| mask == 7);
             for (&t, _) in finder.ticks.iter().filter(|&(_, &m)| m.count_ones() >= 2) {
-                check_paused(
-                    inst,
-                    mk,
-                    &[Time(t)],
-                    &format!("collision #{ci} pause at {t} {name}"),
-                );
+                let label = format!("collision #{ci} pause at {t} {}", s.name);
+                check_paused(inst, s.make, &[Time(t)], &label);
             }
         }
         assert!(
@@ -553,9 +390,93 @@ mod paused_at_ties {
     }
 }
 
+/// Every roster scheduler driven `step()` by `step()` against its one-shot
+/// run, on both paths at speeds 1 and 3/2 and under critical-path-first.
+fn check_stepped(inst: &Instance, label: &str) {
+    let mut cfgs = matrix(
+        &[(1, 1), (3, 2)],
+        &[NodePick::Fifo],
+        &[true, false],
+        &[true],
+    );
+    cfgs.push(SimConfig {
+        pick: NodePick::CriticalPathFirst,
+        ..SimConfig::default()
+    });
+    check_corpus(inst, eps1(), &cfgs, Against::OneShot, label);
+}
+
+#[test]
+fn stepped_drive_matches_one_shot_for_every_production_scheduler() {
+    for (seed, m) in [(7u64, 4u32), (191, 6), (2024, 8)] {
+        let inst = WorkloadGen::standard(m, 25, seed)
+            .generate()
+            .expect("valid workload");
+        check_stepped(&inst, &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn stepped_drive_matches_one_shot_under_overload() {
+    check_stepped(&overload(6, 40), "overload");
+}
+
+/// Work-conserving FIFO-by-arrival scheduler that declares its allocation
+/// stable between events: a pure function of the view, so the stability
+/// contract holds.
+struct Greedy;
+
+impl OnlineScheduler for Greedy {
+    fn name(&self) -> String {
+        "greedy-ff".into()
+    }
+    fn on_arrival(&mut self, _job: &JobInfo, _now: Time) {}
+    fn on_completion(&mut self, _id: JobId, _now: Time) {}
+    fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+        let mut left = view.m;
+        let mut out = Vec::new();
+        for &(id, ready) in view.jobs() {
+            if left == 0 {
+                break;
+            }
+            let k = ready.min(left);
+            if k > 0 {
+                out.push((id, k));
+                left -= k;
+            }
+        }
+        out
+    }
+    fn allocation_stable_between_events(&self) -> bool {
+        true
+    }
+}
+
+/// Expiring jobs mid-window, multi-job contention, and rational speeds all
+/// at once: a deterministic smoke test for the window-boundary math.
+#[test]
+fn boundaries_with_overloaded_deadlines_match() {
+    let inst = WorkloadGen {
+        deadlines: DeadlinePolicy::SlackFactor(1.1),
+        ..WorkloadGen::standard(3, 40, 42)
+    }
+    .generate()
+    .expect("valid workload");
+    for cfg in matrix(
+        &[(1, 1), (3, 2), (2, 1)],
+        &[NodePick::Fifo],
+        &[true],
+        &[true],
+    ) {
+        check_fast_vs_naive(&inst, |_, _| Box::new(Greedy), &cfg, &describe(&cfg));
+    }
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;
+    use support::random_pauses;
 
     /// Collision-dense random instances: arrivals, works, and deadlines all
     /// drawn from single-digit ranges so simultaneous events, same-step
@@ -593,16 +514,6 @@ mod properties {
         Instance::new(m, jobs).expect("valid collision instance")
     }
 
-    /// `n_pauses` sorted random pause instants in `[0, span)`.
-    fn random_pauses(hseed: u64, n_pauses: usize, span: u64) -> Vec<Time> {
-        let mut rng = dagsched_core::Rng64::seed_from(hseed);
-        let mut pauses: Vec<Time> = (0..n_pauses)
-            .map(|_| Time(rng.gen_range(span.max(1))))
-            .collect();
-        pauses.sort_unstable();
-        pauses
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -616,14 +527,9 @@ mod properties {
             sched_idx in 0usize..9,
         ) {
             let inst = collision_instance(seed, n, m, false);
-            let mks = factories(m);
-            let (name, mk) = &mks[sched_idx % mks.len()];
-            check_pair(
-                &inst,
-                mk,
-                &SimConfig::default(),
-                &format!("ties seed {seed} n {n} m {m} {name}"),
-            );
+            let e = &ROSTER[sched_idx];
+            let label = format!("ties seed {seed} n {n} m {m} {}", e.name);
+            check_fast_vs_naive(&inst, e.make, &SimConfig::default(), &label);
         }
 
         /// Naive == fast on collision-dense instances of wide jobs: the
@@ -637,14 +543,9 @@ mod properties {
             sched_idx in 0usize..9,
         ) {
             let inst = collision_instance(seed, n, m, true);
-            let mks = factories(m);
-            let (name, mk) = &mks[sched_idx % mks.len()];
-            check_pair(
-                &inst,
-                mk,
-                &SimConfig::default(),
-                &format!("churn seed {seed} n {n} m {m} {name}"),
-            );
+            let e = &ROSTER[sched_idx];
+            let label = format!("churn seed {seed} n {n} m {m} {}", e.name);
+            check_fast_vs_naive(&inst, e.make, &SimConfig::default(), &label);
         }
 
         /// Pausing a driver at arbitrary horizons on either path matches
@@ -660,10 +561,10 @@ mod properties {
             let inst = WorkloadGen::standard(m, 20, seed)
                 .generate()
                 .expect("valid workload");
-            let mks = factories(m);
-            let (name, mk) = &mks[sched_idx % mks.len()];
-            let pauses = random_pauses(hseed, n_pauses, inst.stats().horizon.ticks() + 8);
-            check_paused(&inst, mk, &pauses, &format!("paused seed {seed} {name}"));
+            let e = &ROSTER[sched_idx];
+            let mut pauses = random_pauses(hseed, n_pauses, inst.stats().horizon.ticks() + 8);
+            pauses.sort_unstable();
+            check_paused(&inst, e.make, &pauses, &format!("paused seed {seed} {}", e.name));
         }
 
         /// Pausing on collision-dense instances of wide jobs, where pause
@@ -679,15 +580,72 @@ mod properties {
             sched_idx in 0usize..9,
         ) {
             let inst = collision_instance(seed, n, m, true);
-            let mks = factories(m);
-            let (name, mk) = &mks[sched_idx % mks.len()];
-            let pauses = random_pauses(hseed, n_pauses, inst.stats().horizon.ticks() + 4);
-            check_paused(
-                &inst,
-                mk,
-                &pauses,
-                &format!("paused collision seed {seed} n {n} m {m} {name}"),
-            );
+            let e = &ROSTER[sched_idx];
+            let mut pauses = random_pauses(hseed, n_pauses, inst.stats().horizon.ticks() + 4);
+            pauses.sort_unstable();
+            let label = format!("paused collision seed {seed} n {n} m {m} {}", e.name);
+            check_paused(&inst, e.make, &pauses, &label);
+        }
+
+        /// Pausing at arbitrary horizons, in draw order, never perturbs the
+        /// run: the result, step count included, and the stream stay
+        /// identical to the one-shot run on the same path.
+        #[test]
+        fn run_until_at_random_horizons_is_invisible(
+            seed in 0u64..500,
+            hseed in 0u64..500,
+            n_pauses in 1usize..12,
+            sched_idx in 0usize..8,
+            ff in 0u8..2,
+        ) {
+            let m = 4 + (seed % 5) as u32;
+            let inst = WorkloadGen::standard(m, 20, seed)
+                .generate()
+                .expect("valid workload");
+            let cfg = SimConfig {
+                fast_forward: ff == 1,
+                ..SimConfig::default()
+            };
+            let e = &ROSTER[sched_idx];
+            // Random pause horizons across (and past) the instance window.
+            let horizons = random_pauses(hseed, n_pauses, inst.stats().horizon.ticks() + 8);
+            let want = run_logged(&inst, (e.make)(m, eps1()).as_mut(), &cfg);
+            let got = run_paced(&inst, (e.make)(m, eps1()).as_mut(), &cfg, Some(&horizons));
+            let label = format!("seed {seed} {} pauses {horizons:?}", e.name);
+            assert_same_run(&label, &got, &want, Steps::Equal);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The toy greedy scheduler over random workloads × {1, 3/2, 2}
+        /// speeds × {Fifo, Random, CriticalPathFirst} picks × carry-over
+        /// on/off. The random pick cannot fast-forward, so both runs take
+        /// the naive path: the gate itself is under test, and the step
+        /// counts must be equal.
+        #[test]
+        fn fast_forward_equals_naive(
+            seed in 0u64..500,
+            m in 1u32..9,
+            n_jobs in 1usize..25,
+            speed_idx in 0u8..3,
+            pick_idx in 0u8..3,
+            carryover in 0u8..2,
+        ) {
+            let inst = WorkloadGen::standard(m, n_jobs, seed)
+                .generate()
+                .expect("valid workload");
+            let (num, den) = [(1, 1), (3, 2), (2, 1)][speed_idx as usize];
+            let pick = [
+                NodePick::Fifo,
+                NodePick::Random(seed),
+                NodePick::CriticalPathFirst,
+            ][pick_idx as usize].clone();
+            let cfg = matrix(&[(num, den)], &[pick], &[true], &[carryover == 1]).remove(0);
+            let (fast, slow) = fast_and_naive(&inst, |_, _| Box::new(Greedy), &cfg);
+            let steps = if pick_idx == 1 { Steps::Equal } else { Steps::AtMost };
+            assert_same_run(&format!("seed {seed} m {m} {}", describe(&cfg)), &fast, &slow, steps);
         }
     }
 }

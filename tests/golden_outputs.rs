@@ -16,15 +16,7 @@
 //! `dagsched sweep --grid b1` and diff against a build of the previous
 //! commit.
 
-/// FNV-1a, 64-bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use dagsched_fuzz::ir::fnv1a;
 
 /// A `SimResult`'s `Debug` text in the layout its digests below were
 /// recorded in: the derived `Debug` of the result type when it still had a
