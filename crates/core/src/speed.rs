@@ -90,11 +90,6 @@ impl Speed {
         let rhs = other.num as u64 * self.den as u64;
         lhs.cmp(&rhs)
     }
-
-    /// True iff `self >= other` exactly.
-    pub fn at_least(self, other: Speed) -> bool {
-        self.cmp_exact(other) != Ordering::Less
-    }
 }
 
 impl Default for Speed {
@@ -168,8 +163,6 @@ mod tests {
         let a = Speed::new(3, 2).unwrap(); // 1.5
         let b = Speed::new(7, 4).unwrap(); // 1.75
         assert!(a < b);
-        assert!(b.at_least(a));
-        assert!(a.at_least(a));
         assert_eq!(a.cmp_exact(Speed::new(6, 4).unwrap()), Ordering::Equal);
     }
 

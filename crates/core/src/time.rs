@@ -99,15 +99,6 @@ impl Work {
         self.0.checked_mul(factor).map(Work)
     }
 
-    /// Ceiling division by a positive integer: the number of ticks `p`
-    /// processors (or a speed-`p` processor) need for this much perfectly
-    /// divisible work.
-    #[inline]
-    pub fn div_ceil_by(self, divisor: u64) -> u64 {
-        assert!(divisor > 0, "division by zero");
-        self.0.div_ceil(divisor)
-    }
-
     /// Lossless conversion for policy (floating point) computations.
     #[inline]
     pub fn as_f64(self) -> f64 {
@@ -228,20 +219,6 @@ mod tests {
         assert_eq!(w.deplete(100), 6, "deplete caps at remaining work");
         assert!(w.is_zero());
         assert_eq!(w.deplete(1), 0, "depleting empty work is a no-op");
-    }
-
-    #[test]
-    fn work_div_ceil() {
-        assert_eq!(Work(10).div_ceil_by(3), 4);
-        assert_eq!(Work(9).div_ceil_by(3), 3);
-        assert_eq!(Work(0).div_ceil_by(3), 0);
-        assert_eq!(Work(1).div_ceil_by(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn work_div_ceil_zero_divisor_panics() {
-        let _ = Work(10).div_ceil_by(0);
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Graphviz DOT export for DAG jobs.
 //!
-//! `dot -Tsvg job.dot > job.svg` renders the structure; the optional
-//! [`UnfoldState`] overlay colors execution progress (done / ready /
-//! waiting), which makes engine behaviour inspectable node by node.
+//! `dot -Tsvg job.dot > job.svg` renders the structure, with the critical
+//! path drawn double-bordered.
 
 use crate::spec::DagJobSpec;
-use crate::unfold::UnfoldState;
 use dagsched_core::NodeId;
 use std::fmt::Write as _;
 
@@ -41,43 +39,6 @@ pub fn to_dot(spec: &DagJobSpec, name: &str) -> String {
             "  n{i} [label=\"n{i} ({})\"{}];",
             spec.node_work(v),
             if critical { ", peripheries=2" } else { "" }
-        );
-    }
-    for u in 0..spec.num_nodes() as u32 {
-        for v in spec.successors(NodeId(u)) {
-            let _ = writeln!(out, "  n{u} -> n{};", v.0);
-        }
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Render a runtime snapshot: completed nodes gray, ready nodes green,
-/// partially-executed ready nodes orange, waiting nodes white.
-pub fn to_dot_with_state(state: &UnfoldState, name: &str) -> String {
-    let spec = state.spec();
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph {} {{", sanitize(name));
-    let _ = writeln!(out, "  rankdir=TB;");
-    let _ = writeln!(out, "  node [shape=ellipse, fontsize=10, style=filled];");
-    for i in 0..spec.num_nodes() as u32 {
-        let v = NodeId(i);
-        let total = spec.node_work(v).units() * state.scale();
-        let left = state.node_remaining(v).units();
-        let color = if left == 0 {
-            "gray80"
-        } else if state.is_ready(v) && left < total {
-            "orange"
-        } else if state.is_ready(v) {
-            "palegreen"
-        } else {
-            "white"
-        };
-        let _ = writeln!(
-            out,
-            "  n{i} [label=\"n{i} {}/{}\", fillcolor={color}];",
-            total - left,
-            total
         );
     }
     for u in 0..spec.num_nodes() as u32 {
@@ -144,18 +105,6 @@ mod tests {
         assert!(dot.contains("n1 [label=\"n1 (4)\", peripheries=2]"));
         assert!(dot.contains("n2 [label=\"n2 (1)\"]"), "{dot}");
         assert!(dot.contains("n3 [label=\"n3 (1)\", peripheries=2]"));
-    }
-
-    #[test]
-    fn state_overlay_colors_progress() {
-        let d = gen::chain(3, 2).into_shared();
-        let mut st = crate::unfold::UnfoldState::new(d, 1);
-        st.advance(dagsched_core::NodeId(0), 2); // node 0 done, node 1 ready
-        st.advance(dagsched_core::NodeId(1), 1); // node 1 partial
-        let dot = to_dot_with_state(&st, "chain");
-        assert!(dot.contains("n0 2/2\", fillcolor=gray80"));
-        assert!(dot.contains("n1 1/2\", fillcolor=orange"));
-        assert!(dot.contains("n2 0/2\", fillcolor=white"));
     }
 
     #[test]

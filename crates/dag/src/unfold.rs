@@ -227,15 +227,6 @@ impl UnfoldState {
         self.ready_iter().take(k).collect()
     }
 
-    /// Buffer-reusing variant of [`ready_prefix`](Self::ready_prefix):
-    /// clear `out` and fill it with the first `k` ready nodes in FIFO
-    /// order. Per-event callers hoist `out` and pay no allocation once the
-    /// buffer has grown to its high-water mark.
-    pub fn ready_prefix_into(&self, k: usize, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.ready_iter().take(k));
-    }
-
     /// Is the node currently ready?
     #[inline]
     pub fn is_ready(&self, node: NodeId) -> bool {
@@ -578,24 +569,6 @@ mod tests {
         st.advance(NodeId(0), 1);
         st.advance(NodeId(4), 2);
         assert_eq!(st.ready_prefix(5), vec![NodeId(1), NodeId(3)]);
-    }
-
-    #[test]
-    fn ready_prefix_into_matches_and_reuses_buffer() {
-        let mut b = DagBuilder::new();
-        for _ in 0..5 {
-            b.add_node(Work(1));
-        }
-        let st = UnfoldState::new(b.build().unwrap().into_shared(), 1);
-        let mut buf = vec![NodeId(42)]; // stale content must be replaced
-        st.ready_prefix_into(3, &mut buf);
-        assert_eq!(buf, st.ready_prefix(3));
-        let ptr = buf.as_ptr();
-        st.ready_prefix_into(2, &mut buf);
-        assert_eq!(buf, st.ready_prefix(2));
-        assert_eq!(buf.as_ptr(), ptr, "no reallocation on reuse");
-        st.ready_prefix_into(0, &mut buf);
-        assert!(buf.is_empty());
     }
 
     #[test]

@@ -94,8 +94,9 @@ impl<'a> TickView<'a> {
     /// order, and [`Instance::new`](dagsched_workload::Instance::new)
     /// guarantees ids are assigned in arrival order, so `jobs` is ascending
     /// by id ([`new`](Self::new) asserts it in debug builds). This is how
-    /// every shipped scheduler reads ready counts; none keeps a copy of
-    /// the view.
+    /// every shipped scheduler that keeps its own order reads ready
+    /// counts; the arrival-order ones walk [`jobs`](Self::jobs). None keeps
+    /// a copy of the view.
     pub fn ready_count(&self, id: JobId) -> Option<u32> {
         self.jobs
             .binary_search_by_key(&id, |&(j, _)| j)

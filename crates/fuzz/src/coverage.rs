@@ -400,7 +400,8 @@ mod tests {
     /// `BTreeSet<u32>` observer this bitset replaced produced (recorded on
     /// that code, one line per entry; entry 4 runs the S-profit subject,
     /// and was re-recorded when S-profit's allotments, slot counts and
-    /// tail-step cap became exact).
+    /// tail-step cap became exact; entry 3, the band burst of chains at
+    /// `D = (1+2δ)·L`, when such chains became δ-good on one processor).
     #[test]
     fn seed_corpus_features_are_pinned() {
         use crate::oracle::{run_exec_with, OracleSet, Subject};
@@ -410,7 +411,7 @@ mod tests {
                 7, 8, 10, 21, 62, 63, 97, 113, 155, 158, 164, 200, 201, 202, 203,
             ],
             &[10, 97, 113, 165, 200, 201, 202],
-            &[10, 99, 113, 164, 200, 203],
+            &[7, 8, 63, 99, 113, 114, 164, 200, 203],
             &[97, 113, 114, 115, 117, 166, 201, 202],
             &[7, 8, 63, 97, 113, 114, 115, 169, 201, 202],
         ];

@@ -7,12 +7,10 @@
 
 #![warn(missing_docs)]
 
-pub mod histogram;
 pub mod plot;
 pub mod stats;
 pub mod table;
 
-pub use histogram::LogHistogram;
 pub use plot::Series;
 pub use stats::{RunningStats, Summary};
 pub use table::Table;

@@ -49,12 +49,6 @@ impl Summary {
         })
     }
 
-    /// Summarize integer samples.
-    pub fn of_u64(values: &[u64]) -> Option<Summary> {
-        let v: Vec<f64> = values.iter().map(|&x| x as f64).collect();
-        Summary::of(&v)
-    }
-
     /// A `mean ± std` display string with the given precision.
     pub fn mean_pm(&self, precision: usize) -> String {
         format!("{:.p$} ± {:.p$}", self.mean, self.std_dev, p = precision)
@@ -141,17 +135,6 @@ impl RunningStats {
     }
 }
 
-/// Pairwise ratio `a[i] / b[i]`, skipping pairs with `b[i] == 0`.
-/// Used for per-seed competitive ratios (algorithm vs bound on the *same*
-/// instance — never ratio-of-means, which would mix instances).
-pub fn pairwise_ratios(num: &[f64], den: &[f64]) -> Vec<f64> {
-    num.iter()
-        .zip(den)
-        .filter(|(_, d)| **d != 0.0)
-        .map(|(n, d)| n / d)
-        .collect()
-}
-
 /// Geometric mean (for aggregating ratios); `None` on empty or non-positive
 /// input.
 pub fn geo_mean(values: &[f64]) -> Option<f64> {
@@ -194,16 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn of_u64_and_display() {
-        let s = Summary::of_u64(&[10, 20, 30]).unwrap();
+    fn mean_pm_display() {
+        let s = Summary::of(&[10.0, 20.0, 30.0]).unwrap();
         assert_eq!(s.mean, 20.0);
         assert!(s.mean_pm(1).starts_with("20.0 ± 10.0"));
-    }
-
-    #[test]
-    fn ratios_skip_zero_denominators() {
-        let r = pairwise_ratios(&[4.0, 9.0, 5.0], &[2.0, 3.0, 0.0]);
-        assert_eq!(r, vec![2.0, 3.0]);
     }
 
     #[test]

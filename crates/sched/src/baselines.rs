@@ -18,7 +18,7 @@
 //!   density order, but *every* job is admitted (no δ-good test, no band
 //!   condition). Quantifies what the admission machinery buys.
 //!
-//! Two literature baselines sit outside the work-conserving macro family:
+//! Two literature baselines are not plain work-conserving priority fills:
 //!
 //! * [`MoldableList`] — a moldable list scheduler in the style of Perotin,
 //!   Sun & Raghavan: per-job allotments fixed at arrival and capped at
@@ -27,13 +27,17 @@
 //!   Garg, Gupta, Kumar & Singla: the machine is split evenly among alive
 //!   jobs with no access to work, span, deadline, or profit.
 //!
-//! Every priority key here is fixed at arrival, so each scheduler keeps its
-//! alive jobs in one `AliveSet`: a `BTreeMap` ordered by `(key, seq)`,
-//! where `seq` is the arrival sequence. The unique ascending `seq` tiebreak
-//! makes the maintained order identical to a stable sort by key, so a fill
-//! walks the map instead of re-sorting per tick. Arrival, completion and
-//! expiry each cost O(log n) in the alive count, and the per-tick path (a
-//! walk that reads ready counts from the view) allocates nothing.
+//! Each scheduler keeps only the state its policy needs. The view lists
+//! the alive jobs in arrival order, so FIFO, RANDOM, EQUI and MOLD-LIST walk
+//! it directly (MOLD-LIST keeps just each job's allotment). The priority
+//! baselines — EDF, HDF, LLF, S-noadmit and [`EdfAc`](crate::EdfAc) — keep
+//! one `AliveSet` each: a `BTreeMap` ordered by `(key, seq)`, where the
+//! key is an exact integer or [`Density`] fixed at arrival and `seq` is the
+//! arrival sequence. The unique ascending `seq` tiebreak makes the
+//! maintained order identical to a stable sort by key, so a fill walks the
+//! map instead of re-sorting per tick. Arrival, completion and expiry each
+//! cost O(log n) in the alive count, and the per-tick path allocates
+//! nothing.
 
 use crate::model::{JobModel, Rules};
 use crate::slab::JobSlab;
@@ -44,38 +48,21 @@ use dagsched_engine::{
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// An `f64` ordered by [`f64::total_cmp`], so it can key an `AliveSet`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A baseline's alive jobs, in ascending `(key, seq)` order, each carrying
-/// a value `V` fixed at arrival (an allotment, or nothing). Keys are `f64`
-/// priorities, except S-noadmit's exact densities.
+/// A priority scheduler's alive jobs, in ascending `(key, seq)` order, each
+/// carrying a value `V` fixed at arrival (an allotment, a work, or nothing).
 ///
-/// `key` is the owner's priority, computed once at arrival; `seq` counts
-/// arrivals, so equal keys keep arrival order. `keys` remembers each alive
-/// job's map key, so removal by id is a lookup plus one O(log n) map
+/// `key` is the owner's exact priority, computed once at arrival; `seq`
+/// counts arrivals, so equal keys keep arrival order. `keys` remembers each
+/// alive job's map key, so removal by id is a lookup plus one O(log n) map
 /// removal rather than a scan.
 #[derive(Debug)]
-struct AliveSet<V, K = OrdF64> {
+pub(crate) struct AliveSet<K, V> {
     order: BTreeMap<(K, u64), (JobId, V)>,
     keys: JobSlab<(K, u64)>,
     seq: u64,
 }
 
-impl<V, K> Default for AliveSet<V, K> {
+impl<K, V> Default for AliveSet<K, V> {
     fn default() -> Self {
         AliveSet {
             order: BTreeMap::new(),
@@ -85,69 +72,63 @@ impl<V, K> Default for AliveSet<V, K> {
     }
 }
 
-impl<V: Copy, K: Ord + Copy> AliveSet<V, K> {
+impl<K: Ord + Copy, V: Copy> AliveSet<K, V> {
     /// Add job `id` under priority `key`; it sorts after every alive job
     /// with an equal key.
-    fn insert(&mut self, id: JobId, key: impl Into<K>, value: V) {
-        let k = (key.into(), self.seq);
+    pub(crate) fn insert(&mut self, id: JobId, key: K, value: V) {
+        let k = (key, self.seq);
         self.seq += 1;
         let old = self.keys.insert(id, k);
         debug_assert!(old.is_none(), "job {id:?} arrived twice");
         self.order.insert(k, (id, value));
     }
 
-    /// Drop job `id`; a no-op if it is not alive.
-    fn remove(&mut self, id: JobId) {
+    /// Drop job `id`; a no-op if it is not in the set.
+    pub(crate) fn remove(&mut self, id: JobId) {
         if let Some(k) = self.keys.remove(id) {
             self.order.remove(&k);
         }
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.order.clear();
         self.keys.clear();
         self.seq = 0;
     }
 
-    fn len(&self) -> usize {
-        self.order.len()
+    /// The jobs with their keys and values, in `(key, seq)` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (K, JobId, V)> + '_ {
+        self.order.iter().map(|(&(k, _), &(id, v))| (k, id, v))
     }
 
-    /// Alive jobs and their values, in `(key, seq)` order.
-    fn iter(&self) -> impl Iterator<Item = (JobId, V)> + '_ {
-        self.order.values().copied()
-    }
-
-    fn ids(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.order.values().map(|&(id, _)| id)
-    }
-}
-
-impl From<f64> for OrdF64 {
-    fn from(x: f64) -> OrdF64 {
-        OrdF64(x)
+    /// The jobs that are in `view`, with their ready counts, in
+    /// `(key, seq)` order.
+    pub(crate) fn ready<'a>(
+        &'a self,
+        view: &'a TickView<'a>,
+    ) -> impl Iterator<Item = (JobId, u32)> + 'a {
+        self.order
+            .values()
+            .filter_map(|&(id, _)| Some((id, view.ready_count(id)?)))
     }
 }
 
 /// A job's absolute deadline, or the last time it can still earn profit.
-fn deadline(info: &JobInfo) -> Time {
+pub(crate) fn deadline(info: &JobInfo) -> Time {
     info.abs_deadline().unwrap_or_else(|| {
         info.arrival
             .saturating_add(info.profit.last_useful_time().ticks())
     })
 }
 
-/// Work-conserving fill: walk `order`, give each job `min(ready, left)`.
-/// `out` is appended to.
-fn fill(order: impl Iterator<Item = JobId>, view: &TickView<'_>, out: &mut Allocation) {
-    let mut left = view.m;
-    for id in order {
+/// Work-conserving fill: walk `(id, ready)` in priority order and give each
+/// job `min(ready, left)` of the `m` processors. `out` is appended to.
+pub(crate) fn fill(order: impl Iterator<Item = (JobId, u32)>, m: u32, out: &mut Allocation) {
+    let mut left = m;
+    for (id, r) in order {
         if left == 0 {
             break;
         }
-        let Some(r) = view.ready_count(id) else {
-            continue;
-        };
         let k = r.min(left);
         if k > 0 {
             out.push((id, k));
@@ -156,13 +137,54 @@ fn fill(order: impl Iterator<Item = JobId>, view: &TickView<'_>, out: &mut Alloc
     }
 }
 
-macro_rules! baseline {
-    ($(#[$doc:meta])* $name:ident, $label:expr, $key:expr) => {
+/// First-come-first-served: the view's arrival order.
+#[derive(Debug)]
+pub struct Fifo;
+
+impl Fifo {
+    /// Create the scheduler (`m` comes from the view).
+    pub fn new(_m: u32) -> Fifo {
+        Fifo
+    }
+}
+
+impl OnlineScheduler for Fifo {
+    fn name(&self) -> String {
+        "FIFO".into()
+    }
+    fn on_arrival(&mut self, _info: &JobInfo, _now: Time) {}
+    fn on_completion(&mut self, _id: JobId, _now: Time) {}
+    fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+        let mut out = Vec::new();
+        self.allocate_into(view, &mut out);
+        out
+    }
+    fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
+        out.clear();
+        fill(view.jobs().iter().copied(), view.m, out);
+    }
+    fn allocation_stable_between_events(&self) -> bool {
+        // A pure function of the view.
+        true
+    }
+    fn group_aware(&self) -> bool {
+        // The fill order is priority order, so fastest-first placement puts
+        // the highest-ranked jobs on the fastest processors.
+        true
+    }
+    fn reset(&mut self) -> bool {
+        true
+    }
+}
+
+macro_rules! priority_baseline {
+    ($(#[$doc:meta])* $name:ident, $label:expr, $key:ty, $derive:expr) => {
         $(#[$doc])*
         #[derive(Debug)]
         pub struct $name {
             m: u32,
-            alive: AliveSet<()>,
+            alive: AliveSet<$key, ()>,
         }
 
         impl $name {
@@ -180,7 +202,7 @@ macro_rules! baseline {
                 $label.into()
             }
             fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-                let key: fn(&JobInfo, u32) -> f64 = $key;
+                let key: fn(&JobInfo, u32) -> $key = $derive;
                 self.alive.insert(info.id, key(info, self.m), ());
             }
             fn on_completion(&mut self, id: JobId, _now: Time) {
@@ -196,20 +218,17 @@ macro_rules! baseline {
             }
             fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
                 out.clear();
-                fill(self.alive.ids(), view, out);
+                fill(self.alive.ready(view), view.m, out);
             }
             fn allocation_stable_between_events(&self) -> bool {
-                // Every baseline orders by keys fixed at arrival (seq,
-                // absolute deadline, static density, laxity key) and fills
-                // work-conservingly from the view — a pure function of the
-                // alive set and ready counts, independent of `now`.
+                // Keys are fixed at arrival and the fill is a pure function
+                // of the alive set and ready counts, independent of `now`.
                 true
             }
             fn group_aware(&self) -> bool {
-                // On a related-machines platform the baselines want their
-                // highest-ranked jobs on the fastest processors: the fill
-                // order is already priority order, so fastest-first
-                // placement is exactly right.
+                // The fill order is priority order, so fastest-first
+                // placement puts the highest-ranked jobs on the fastest
+                // processors.
                 true
             }
             fn reset(&mut self) -> bool {
@@ -220,56 +239,49 @@ macro_rules! baseline {
     };
 }
 
-baseline!(
-    /// First-come-first-served (by arrival sequence).
-    Fifo,
-    "FIFO",
-    // One key for every job: the `seq` tiebreak alone orders the set.
-    |_, _| 0.0
-);
-
-baseline!(
+priority_baseline!(
     /// Earliest absolute deadline first.
     Edf,
     "EDF",
-    |info, _| deadline(info).as_f64()
+    Time,
+    |info, _| deadline(info)
 );
 
-baseline!(
+priority_baseline!(
     /// Highest static density `p/W` first.
     GreedyDensity,
     "HDF",
-    |info, _| -(info.profit.max_profit() as f64 / info.work.as_f64())
+    Reverse<Density>,
+    |info, _| Reverse(Density::new(info.profit.max_profit(), info.work.units().into()))
 );
 
-baseline!(
-    /// Least laxity (`d − brent`) first.
+priority_baseline!(
+    /// Least laxity `d − ((W − L)/m + L)` first, compared exactly as
+    /// `m·d − (W − L + L·m)`.
     LeastLaxity,
     "LLF",
+    i128,
     |info, m| {
-        let w = info.work.as_f64();
-        let l = info.span.as_f64();
-        deadline(info).as_f64() - ((w - l) / m as f64 + l)
+        let (w, l, m) = (info.work.units(), info.span.units(), i128::from(m));
+        m * i128::from(deadline(info).ticks()) - (i128::from(w - l) + i128::from(l) * m)
     }
 );
 
 /// Random job order each tick, from a fixed seed.
 #[derive(Debug)]
 pub struct RandomOrder {
-    alive: AliveSet<()>,
     seed: u64,
     rng: Rng64,
-    ids: Vec<JobId>,
+    jobs: Vec<(JobId, u32)>,
 }
 
 impl RandomOrder {
     /// Create the scheduler with the given seed (`m` comes from the view).
     pub fn new(_m: u32, seed: u64) -> RandomOrder {
         RandomOrder {
-            alive: AliveSet::default(),
             seed,
             rng: Rng64::seed_from(seed),
-            ids: Vec::new(),
+            jobs: Vec::new(),
         }
     }
 }
@@ -278,16 +290,9 @@ impl OnlineScheduler for RandomOrder {
     fn name(&self) -> String {
         "RANDOM".into()
     }
-    fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        // One key for every job: the pre-shuffle order is arrival order.
-        self.alive.insert(info.id, 0.0, ());
-    }
-    fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.remove(id);
-    }
-    fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.remove(id);
-    }
+    fn on_arrival(&mut self, _info: &JobInfo, _now: Time) {}
+    fn on_completion(&mut self, _id: JobId, _now: Time) {}
+    fn on_expiry(&mut self, _id: JobId, _now: Time) {}
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
         self.allocate_into(view, &mut out);
@@ -295,10 +300,11 @@ impl OnlineScheduler for RandomOrder {
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
-        self.ids.clear();
-        self.ids.extend(self.alive.ids());
-        self.rng.shuffle(&mut self.ids);
-        fill(self.ids.iter().copied(), view, out);
+        // Shuffle the view's arrival order.
+        self.jobs.clear();
+        self.jobs.extend_from_slice(view.jobs());
+        self.rng.shuffle(&mut self.jobs);
+        fill(self.jobs.iter().copied(), view.m, out);
     }
     fn allocation_stable_between_events(&self) -> bool {
         // Deliberately NOT stable: each call consumes RNG state and may
@@ -315,7 +321,6 @@ impl OnlineScheduler for RandomOrder {
         Some(now.after(1))
     }
     fn reset(&mut self) -> bool {
-        self.alive.clear();
         self.rng = Rng64::seed_from(self.seed);
         true
     }
@@ -328,7 +333,7 @@ pub struct SNoAdmission {
     rules: Rules,
     /// Alive jobs and their allotments, by density descending, then
     /// arrival order — the allocate order.
-    alive: AliveSet<u32, Reverse<Density>>,
+    alive: AliveSet<Reverse<Density>, u32>,
     report: Option<Vec<AdmissionEvent>>,
 }
 
@@ -372,7 +377,7 @@ impl OnlineScheduler for SNoAdmission {
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
         let mut left = view.m;
-        for (id, allot) in self.alive.iter() {
+        for (_, id, allot) in self.alive.iter() {
             if left == 0 {
                 break;
             }
@@ -419,8 +424,8 @@ impl OnlineScheduler for SNoAdmission {
 #[derive(Debug)]
 pub struct MoldableList {
     m: u32,
-    /// Alive jobs and their allotments in arrival order — the list.
-    alive: AliveSet<u32>,
+    /// Each alive job's allotment; the list is the view's arrival order.
+    allot: JobSlab<u32>,
 }
 
 impl MoldableList {
@@ -428,7 +433,7 @@ impl MoldableList {
     pub fn new(m: u32) -> MoldableList {
         MoldableList {
             m,
-            alive: AliveSet::default(),
+            allot: JobSlab::new(),
         }
     }
 }
@@ -438,17 +443,16 @@ impl OnlineScheduler for MoldableList {
         "MOLD-LIST".into()
     }
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        let w = info.work.as_f64();
-        let l = info.span.as_f64().max(1.0);
-        let cap = self.m.div_ceil(2).max(1);
-        let allot = ((w / l).ceil() as u32).clamp(1, cap);
-        self.alive.insert(info.id, 0.0, allot);
+        let (w, l) = (info.work.units(), info.span.units().max(1));
+        let cap = u64::from(self.m.div_ceil(2).max(1));
+        self.allot
+            .insert(info.id, w.div_ceil(l).clamp(1, cap) as u32);
     }
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.remove(id);
+        self.allot.remove(id);
     }
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.remove(id);
+        self.allot.remove(id);
     }
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
         let mut out = Vec::new();
@@ -457,20 +461,11 @@ impl OnlineScheduler for MoldableList {
     }
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
-        let mut left = view.m;
-        for (id, allot) in self.alive.iter() {
-            if left == 0 {
-                break;
-            }
-            let Some(r) = view.ready_count(id) else {
-                continue;
-            };
-            let k = r.min(allot).min(left);
-            if k > 0 {
-                out.push((id, k));
-                left -= k;
-            }
-        }
+        let capped = view
+            .jobs()
+            .iter()
+            .map(|&(id, r)| (id, self.allot.get(id).map_or(0, |&a| r.min(a))));
+        fill(capped, view.m, out);
     }
     fn allocation_stable_between_events(&self) -> bool {
         // List order and allotments are fixed at arrival; the fill is a
@@ -481,7 +476,7 @@ impl OnlineScheduler for MoldableList {
         true
     }
     fn reset(&mut self) -> bool {
-        self.alive.clear();
+        self.allot.clear();
         true
     }
 }
@@ -491,25 +486,35 @@ impl OnlineScheduler for MoldableList {
 /// is split as evenly as possible among the alive jobs, ignoring work,
 /// span, deadline, *and* profit — the scheduler sees nothing but the alive
 /// set and each job's ready width, exactly the non-clairvoyant information
-/// model. Capacity a job cannot absorb (ready width below its share) flows
-/// to later jobs in arrival order, keeping the policy work-conserving.
+/// model, and keeps no state of its own. Capacity a job cannot absorb
+/// (ready width below its share) flows to later jobs in arrival order,
+/// keeping the policy work-conserving.
 #[derive(Debug)]
-pub struct EquiPartition {
-    /// Alive jobs in arrival order.
-    alive: AliveSet<()>,
-}
+pub struct EquiPartition;
 
 impl EquiPartition {
     /// Create the scheduler (`m` comes from the view).
     pub fn new(_m: u32) -> EquiPartition {
-        EquiPartition {
-            alive: AliveSet::default(),
-        }
+        EquiPartition
     }
+}
 
-    fn fill(&self, view: &TickView<'_>, out: &mut Allocation) {
-        let m = view.m;
-        let k = self.alive.len() as u32;
+impl OnlineScheduler for EquiPartition {
+    fn name(&self) -> String {
+        "EQUI".into()
+    }
+    fn on_arrival(&mut self, _info: &JobInfo, _now: Time) {}
+    fn on_completion(&mut self, _id: JobId, _now: Time) {}
+    fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+        let mut out = Vec::new();
+        self.allocate_into(view, &mut out);
+        out
+    }
+    fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
+        out.clear();
+        let (m, jobs) = (view.m, view.jobs());
+        let k = jobs.len() as u32;
         if k == 0 {
             return;
         }
@@ -517,11 +522,8 @@ impl EquiPartition {
         // jobs), capped by its ready width.
         let (quota, rem) = (m / k, m % k);
         let mut left = m;
-        for (i, id) in self.alive.ids().enumerate() {
+        for (i, &(id, r)) in jobs.iter().enumerate() {
             let share = quota + u32::from((i as u32) < rem);
-            let Some(r) = view.ready_count(id) else {
-                continue;
-            };
             let give = r.min(share).min(left);
             if give > 0 {
                 out.push((id, give));
@@ -535,13 +537,10 @@ impl EquiPartition {
         // ready width beyond their share, in arrival order. `out` entries
         // are in arrival order too, so patching them keeps the invariant.
         let mut at = 0;
-        for id in self.alive.ids() {
+        for &(id, r) in jobs {
             if left == 0 {
                 break;
             }
-            let Some(r) = view.ready_count(id) else {
-                continue;
-            };
             match out.get_mut(at) {
                 Some(e) if e.0 == id => {
                     let extra = (r - e.1).min(left);
@@ -550,10 +549,8 @@ impl EquiPartition {
                     at += 1;
                 }
                 _ => {
-                    // Job got nothing in pass one (share rounded to zero
-                    // while ready > 0 can't happen — shares are ≥ ⌊m/k⌋ ≥ 0
-                    // and give > 0 whenever both share and ready are — but
-                    // ready == 0 jobs are skipped, so just insert).
+                    // The job got nothing in pass one: its ready width or
+                    // its share was zero.
                     let give = r.min(left);
                     if give > 0 {
                         out.insert(at, (id, give));
@@ -564,30 +561,6 @@ impl EquiPartition {
             }
         }
     }
-}
-
-impl OnlineScheduler for EquiPartition {
-    fn name(&self) -> String {
-        "EQUI".into()
-    }
-    fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        self.alive.insert(info.id, 0.0, ());
-    }
-    fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.alive.remove(id);
-    }
-    fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.alive.remove(id);
-    }
-    fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
-        let mut out = Vec::new();
-        self.allocate_into(view, &mut out);
-        out
-    }
-    fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
-        out.clear();
-        self.fill(view, out);
-    }
     fn allocation_stable_between_events(&self) -> bool {
         // The split depends only on the alive count and ready widths.
         true
@@ -596,7 +569,6 @@ impl OnlineScheduler for EquiPartition {
         true
     }
     fn reset(&mut self) -> bool {
-        self.alive.clear();
         true
     }
 }
@@ -674,21 +646,19 @@ mod tests {
     }
 
     /// An insertion-sorted `Vec` model of the alive set: `(key, seq, id)`
-    /// entries placed by binary search under `cmp` on the
-    /// keys, then ascending `seq`, and removed with `retain`.
+    /// entries placed by binary search on `(key, seq)`, removed with
+    /// `retain`.
+    #[derive(Default)]
     struct SortedVecModel {
-        alive: Vec<(f64, u64, JobId)>,
+        alive: Vec<(i64, u64, JobId)>,
         seq: u64,
-        cmp: fn(&f64, &f64) -> std::cmp::Ordering,
     }
 
     impl SortedVecModel {
-        fn insert(&mut self, id: JobId, key: f64) {
+        fn insert(&mut self, id: JobId, key: i64) {
             let e = (key, self.seq, id);
             self.seq += 1;
-            let at = self
-                .alive
-                .partition_point(|x| (self.cmp)(&x.0, &e.0).then(x.1.cmp(&e.1)).is_lt());
+            let at = self.alive.partition_point(|x| (x.0, x.1) < (e.0, e.1));
             self.alive.insert(at, e);
         }
 
@@ -702,40 +672,17 @@ mod tests {
     }
 
     /// Random interleavings of insert, remove (of alive and of unknown
-    /// ids) and clear, over a key pool full of ties, signed zeros,
-    /// infinities and NaNs. The set must iterate exactly like the model's
-    /// ascending list (FIFO, EDF, HDF, LLF, RANDOM, MOLD-LIST, EQUI) and,
-    /// keyed by `-key`, exactly like the model's descending list.
+    /// ids) and clear, over a key pool full of ties and extremes. The set
+    /// must iterate exactly like the model's ascending list and, keyed by
+    /// `Reverse(key)`, exactly like the model of the negated keys.
     #[test]
     fn alive_set_iterates_like_the_insertion_sorted_vec() {
-        const POOL: [f64; 12] = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            2.5,
-            -2.5,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            f64::MIN_POSITIVE,
-            1e300,
-        ];
+        const POOL: [i64; 8] = [0, 1, -1, 2, -2, 7, i64::MAX, i64::MIN + 1];
         for seed in 0..200 {
             let mut rng = Rng64::seed_from(seed);
-            let mut asc = SortedVecModel {
-                alive: Vec::new(),
-                seq: 0,
-                cmp: f64::total_cmp,
-            };
-            let mut desc = SortedVecModel {
-                alive: Vec::new(),
-                seq: 0,
-                cmp: |a, b| a.total_cmp(b).reverse(),
-            };
-            let mut set: AliveSet<u32> = AliveSet::default();
-            let mut neg: AliveSet<()> = AliveSet::default();
+            let (mut asc, mut desc) = (SortedVecModel::default(), SortedVecModel::default());
+            let mut set: AliveSet<i64, u32> = AliveSet::default();
+            let mut rev: AliveSet<Reverse<i64>, ()> = AliveSet::default();
             let mut next_id = 0u32;
             for _ in 0..300 {
                 match rng.gen_range(20) {
@@ -744,9 +691,9 @@ mod tests {
                         let id = JobId(next_id);
                         next_id += 1;
                         asc.insert(id, key);
-                        desc.insert(id, key);
+                        desc.insert(id, -key);
                         set.insert(id, key, id.0 * 3);
-                        neg.insert(id, -key, ());
+                        rev.insert(id, Reverse(key), ());
                     }
                     11..=18 => {
                         // Mostly alive ids; now and then one never seen.
@@ -754,21 +701,24 @@ mod tests {
                         asc.remove(id);
                         desc.remove(id);
                         set.remove(id);
-                        neg.remove(id);
+                        rev.remove(id);
                     }
                     _ => {
-                        for m in [&mut asc, &mut desc] {
-                            m.alive.clear();
-                            m.seq = 0;
-                        }
+                        asc = SortedVecModel::default();
+                        desc = SortedVecModel::default();
                         set.clear();
-                        neg.clear();
+                        rev.clear();
                     }
                 }
-                assert_eq!(set.ids().collect::<Vec<_>>(), asc.ids(), "seed {seed}");
-                assert!(set.iter().all(|(id, v)| v == id.0 * 3), "seed {seed}");
-                assert_eq!(set.len(), asc.alive.len());
-                assert_eq!(neg.ids().collect::<Vec<_>>(), desc.ids(), "seed {seed}");
+                let got: Vec<_> = set.iter().collect();
+                let want: Vec<_> = asc
+                    .alive
+                    .iter()
+                    .map(|&(k, _, id)| (k, id, id.0 * 3))
+                    .collect();
+                assert_eq!(got, want, "seed {seed}");
+                let rev_ids: Vec<_> = rev.iter().map(|(_, id, _)| id).collect();
+                assert_eq!(rev_ids, desc.ids(), "seed {seed}");
             }
         }
     }

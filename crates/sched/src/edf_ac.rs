@@ -21,40 +21,27 @@
 //! it can reject admissible jobs but never over-promises because of stale
 //! optimism.
 //!
-//! Admitted-job records live in a dense [`JobSlab`] and the hooks keep the
-//! admitted jobs in EDF order, so the steady-state paths do not allocate,
-//! the per-tick fill never sorts, and the arrival test is one linear
-//! prefix-sum walk.
+//! The admitted jobs live in one `AliveSet` keyed by absolute deadline
+//! (ties in arrival order) and carrying each job's work, so the hooks cost
+//! O(log n), the per-tick fill walks the set without sorting, and the
+//! arrival test is one linear prefix-sum walk.
 
-use crate::slab::JobSlab;
+use crate::baselines::{deadline, fill, AliveSet};
 use dagsched_core::{JobId, Time, Work};
 use dagsched_engine::{
     AdmissionDecision, AdmissionEvent, AdmissionReason, Allocation, JobInfo, OnlineScheduler,
     TickView,
 };
 
-/// Per-admitted-job record.
-#[derive(Debug, Clone, Copy)]
-struct AdmJob {
-    abs_deadline: Time,
-    work: Work,
-    seq: u64,
-}
-
 /// EDF with a demand-bound admission test. See module docs.
 #[derive(Debug)]
 pub struct EdfAc {
     m: u32,
-    admitted: JobSlab<AdmJob>,
-    seq: u64,
+    /// Admitted, unretired jobs by `(deadline, arrival)`, with their work.
+    admitted: AliveSet<Time, Work>,
     /// Rejected-at-arrival count (reporting).
     rejected: usize,
     report: Option<Vec<AdmissionEvent>>,
-    /// Admitted jobs kept sorted by `(deadline, seq)` — the EDF walk order
-    /// — maintained incrementally in the hooks. `(deadline, seq)` is a
-    /// unique key, so this order equals a per-tick sort of the admitted
-    /// jobs.
-    live_order: Vec<(Time, u64, JobId)>,
 }
 
 impl EdfAc {
@@ -63,11 +50,9 @@ impl EdfAc {
         assert!(m >= 1);
         EdfAc {
             m,
-            admitted: JobSlab::new(),
-            seq: 0,
+            admitted: AliveSet::default(),
             rejected: 0,
             report: None,
-            live_order: Vec::new(),
         }
     }
 
@@ -76,25 +61,26 @@ impl EdfAc {
         self.rejected
     }
 
-    /// The admission test: with the candidate included, is every admitted
-    /// deadline's demand within `m · (d − now)`? Returns the rejection
-    /// reason, or `None` when the candidate passes.
+    /// The admission test: with the candidate (due `due`, of work `work`
+    /// and span `span`) included, is every admitted deadline's demand
+    /// within `m · (d − now)`? Returns the rejection reason, or `None` when
+    /// the candidate passes.
     ///
-    /// One prefix-sum walk over `live_order` (already in `(deadline, seq)`
-    /// order) with the candidate merged in at its place: its `seq` is the
-    /// largest yet, so it goes after every admitted job due no later. The
-    /// bound is checked after every job, not only after the last of each
-    /// run of equal deadlines; that is the same test, since a partial sum
-    /// over a window it overflows means the whole run's sum overflows it
-    /// too. O(admitted), against one re-sum per distinct deadline.
+    /// One prefix-sum walk over the admitted jobs in deadline order with
+    /// the candidate merged in after every job due no later. The bound is
+    /// checked after every job, not only after the last of each run of
+    /// equal deadlines; that is the same test, since a partial sum over a
+    /// window it overflows means the whole run's sum overflows it too.
+    /// O(admitted), against one re-sum per distinct deadline.
     fn admission_failure(
         &self,
-        cand: &AdmJob,
-        cand_span: Work,
+        due: Time,
+        work: Work,
+        span: Work,
         now: Time,
     ) -> Option<AdmissionReason> {
         // Span feasibility for the candidate itself.
-        if cand.abs_deadline.since(now) < cand_span.units() {
+        if due.since(now) < span.units() {
             return Some(AdmissionReason::SpanInfeasible);
         }
         let m = u128::from(self.m);
@@ -104,42 +90,21 @@ impl EdfAc {
             demand <= u128::from(d.since(now)) * m
         };
         let mut cand_pending = true;
-        for &(d, _, id) in &self.live_order {
-            if cand_pending && cand.abs_deadline < d {
+        for (d, _, w) in self.admitted.iter() {
+            if cand_pending && due < d {
                 cand_pending = false;
-                if !within(cand.work, cand.abs_deadline) {
+                if !within(work, due) {
                     return Some(AdmissionReason::DemandBound);
                 }
             }
-            let work = self
-                .admitted
-                .get(id)
-                .expect("ordered jobs are admitted")
-                .work;
-            if !within(work, d) {
+            if !within(w, d) {
                 return Some(AdmissionReason::DemandBound);
             }
         }
-        if cand_pending && !within(cand.work, cand.abs_deadline) {
+        if cand_pending && !within(work, due) {
             return Some(AdmissionReason::DemandBound);
         }
         None
-    }
-
-    /// Forget an admitted job (completion or expiry). The record is taken
-    /// out of the slab first so its `(deadline, seq)` key is available for
-    /// the ordered-list removal; expiry can fire for jobs the admission
-    /// test rejected, which were never ordered — those are a no-op.
-    fn drop_admitted(&mut self, id: JobId) {
-        if let Some(j) = self.admitted.remove(id) {
-            let key = (j.abs_deadline, j.seq, id);
-            match self.live_order.binary_search(&key) {
-                Ok(at) => {
-                    self.live_order.remove(at);
-                }
-                Err(_) => debug_assert!(false, "admitted job is in the live order"),
-            }
-        }
     }
 }
 
@@ -149,25 +114,10 @@ impl OnlineScheduler for EdfAc {
     }
 
     fn on_arrival(&mut self, info: &JobInfo, now: Time) {
-        let abs_deadline = info.abs_deadline().unwrap_or_else(|| {
-            info.arrival
-                .saturating_add(info.profit.last_useful_time().ticks())
-        });
-        let cand = AdmJob {
-            abs_deadline,
-            work: info.work,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        let decision = match self.admission_failure(&cand, info.span, now) {
+        let due = deadline(info);
+        let decision = match self.admission_failure(due, info.work, info.span, now) {
             None => {
-                self.admitted.insert(info.id, cand);
-                let key = (cand.abs_deadline, cand.seq, info.id);
-                // `seq` is fresh and strictly larger than every prior one,
-                // but earlier deadlines can arrive later — a real insert
-                // position, not always the tail.
-                let at = self.live_order.partition_point(|e| e < &key);
-                self.live_order.insert(at, key);
+                self.admitted.insert(info.id, due, info.work);
                 AdmissionDecision::Admitted
             }
             Some(reason) => {
@@ -184,11 +134,12 @@ impl OnlineScheduler for EdfAc {
     }
 
     fn on_completion(&mut self, id: JobId, _now: Time) {
-        self.drop_admitted(id);
+        self.admitted.remove(id);
     }
 
     fn on_expiry(&mut self, id: JobId, _now: Time) {
-        self.drop_admitted(id);
+        // Also fires for rejected jobs, which were never admitted: a no-op.
+        self.admitted.remove(id);
     }
 
     fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
@@ -199,32 +150,17 @@ impl OnlineScheduler for EdfAc {
 
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
-        // Walk the maintained `(deadline, seq)` order. Admitted ⊆ alive
-        // (terminal hooks always fire), so every ordered job is in the view.
-        let mut left = view.m;
-        for &(_, _, id) in &self.live_order {
-            if left == 0 {
-                break;
-            }
-            let Some(r) = view.ready_count(id) else {
-                continue;
-            };
-            let k = r.min(left);
-            if k > 0 {
-                out.push((id, k));
-                left -= k;
-            }
-        }
+        fill(self.admitted.ready(view), view.m, out);
     }
 
     fn allocation_stable_between_events(&self) -> bool {
-        // A work-conserving fill over the admitted set in (deadline, seq)
-        // order; admission happens only in the arrival hook.
+        // A work-conserving fill over the admitted set in deadline order;
+        // admission happens only in the arrival hook.
         true
     }
 
     fn group_aware(&self) -> bool {
-        // Allocation order is (deadline, seq): fastest-first placement
+        // Allocation order is deadline order: fastest-first placement
         // drives the most urgent admitted jobs on the fastest groups.
         true
     }
@@ -241,10 +177,8 @@ impl OnlineScheduler for EdfAc {
 
     fn reset(&mut self) -> bool {
         self.admitted.clear();
-        self.seq = 0;
         self.rejected = 0;
         self.report = None;
-        self.live_order.clear();
         true
     }
 }

@@ -56,15 +56,16 @@ pub fn federated_assignment(set: &SporadicTaskSet) -> Option<FederatedAssignment
     // Heavy tasks: dedicated allotments.
     for (i, task) in set.tasks.iter().enumerate() {
         if task.is_heavy() {
-            let w = task.dag.total_work().as_f64();
-            let l = task.dag.span().as_f64();
-            let d = task.rel_deadline.as_f64();
+            let w = task.dag.total_work().units();
+            let l = task.dag.span().units();
+            let d = task.rel_deadline.ticks();
             if d <= l {
                 return None; // infeasible even with unbounded parallelism
             }
-            let n = ((w - l) / (d - l)).ceil() as u32;
-            dedicated[i] = n.max(1);
-            used += dedicated[i] as u64;
+            // n_i = ⌈(W − L)/(D − L)⌉, at least one processor.
+            let n = (w - l).div_ceil(d - l).max(1);
+            used = used.saturating_add(n);
+            dedicated[i] = u32::try_from(n).unwrap_or(u32::MAX);
         }
     }
     if used > m as u64 {

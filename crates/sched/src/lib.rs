@@ -14,7 +14,10 @@
 //! * [`profit`] — [`SchedulerSProfit`]: the general-profit algorithm of
 //!   Section 5 (slot assignment + smallest valid deadline search);
 //! * [`baselines`] — EDF, highest-density-first, FIFO, least-laxity and
-//!   random work-conserving schedulers, and an admission-less ablation of S;
+//!   random work-conserving schedulers, an admission-less ablation of S,
+//!   and the literature baselines MOLD-LIST (moldable list scheduling) and
+//!   EQUI (non-clairvoyant equipartition);
+//! * [`edf_ac`] — [`EdfAc`]: EDF behind a demand-bound admission test;
 //! * [`federated`] — federated scheduling of sporadic DAG task sets (the
 //!   related-work real-time substrate), with its schedulability test;
 //! * [`slab`] — dense `JobId`-indexed storage used by the allocation-free

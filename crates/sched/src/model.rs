@@ -9,7 +9,9 @@
 //!
 //! * the allotment `n_i = ⌈(W−L)·g/(D·s − L·g)⌉` is the least `n ≥ 1` with
 //!   `n·D·s ≥ g·(W − L + L·n)`, which is δ-goodness `D ≥ g·x` at `n`: an
-//!   admissible job (`D·s > L·g`, `n_i ≤ m`) is always δ-good;
+//!   admissible job (one with such an `n ≤ m`) is always δ-good. A job
+//!   with `D·s < L·g` has none; at `D·s = L·g` only a chain (`W = L`)
+//!   does, `n = 1`;
 //! * the density is `p/(x·n) = s·p/(W − L + L·n)`, a [`Density`] once the
 //!   common factor `s` is dropped;
 //! * the job is δ-fresh at `t` iff `d − t ≥ (1+δ)·x`, i.e. iff the integer
@@ -46,7 +48,7 @@ impl Rules {
 pub(crate) struct JobModel {
     /// The allotment `n_i`, at most `m`.
     pub(crate) allot: u32,
-    /// `n_i ≤ m` and `D·s > L·g`: the job can ever be started.
+    /// Some `n ≤ m` is δ-good: the job can ever be started.
     pub(crate) admissible: bool,
     /// The density `v_i`.
     pub(crate) density: Density,
@@ -74,24 +76,16 @@ impl JobModel {
             speed: s,
             ..
         } = *rules;
-        let feasible = cmp_products(d as u128, s.mant(), s.exp(), l as u128, g.mant(), g.exp());
-        let n = if !feasible.is_gt() {
-            None
-        } else if w == l {
-            // A chain is δ-good on one processor whenever it is feasible.
-            Some(1)
-        } else {
-            let (gf, sf) = (g.value(), s.value());
-            let guess = (w - l) as f64 * gf / (d as f64 * sf - l as f64 * gf);
-            least(guess, m as u64 + 1, |n| {
-                let lhs = n as u128 * d as u128;
-                cmp_products(lhs, s.mant(), s.exp(), g.mant(), xn(w, l, n), g.exp()).is_ge()
-            })
-        };
-        let (allot, admissible) = match n {
-            Some(n) if n <= m as u64 => (n as u32, true),
-            _ => (m, false),
-        };
+        // Where `D·s ≤ g·L` the guess means nothing (negative, huge or
+        // NaN); the exact search still finds no `n`, or `n = 1` for a chain
+        // at `D·s = g·L`.
+        let (gf, sf) = (g.value(), s.value());
+        let guess = (w - l) as f64 * gf / (d as f64 * sf - l as f64 * gf);
+        let n = least(guess, m as u64, |n| {
+            let lhs = n as u128 * d as u128;
+            cmp_products(lhs, s.mant(), s.exp(), g.mant(), xn(w, l, n), g.exp()).is_ge()
+        });
+        let (allot, admissible) = n.map_or((m, false), |n| (n as u32, true));
         let xn = xn(w, l, allot as u64);
         JobModel {
             allot,
@@ -165,12 +159,14 @@ mod tests {
         // More than m processors needed.
         let j = JobModel::derive(&info(1000, 1, 4, 9), &Rules::new(8, &eps1(), 1.0));
         assert_eq!((j.allot, j.admissible), (8, false));
-        // A chain runs on one processor once `D > (1+2δ)·L = 75`.
-        let j = JobModel::derive(&info(50, 50, 76, 9), &Rules::new(8, &eps1(), 1.0));
+        // A chain runs on one processor from `D = (1+2δ)·L = 75` on.
+        let j = JobModel::derive(&info(50, 50, 75, 9), &Rules::new(8, &eps1(), 1.0));
         assert_eq!(
             (j.allot, j.admissible, j.density),
             (1, true, Density::new(9, 50))
         );
+        let j = JobModel::derive(&info(50, 50, 74, 9), &Rules::new(8, &eps1(), 1.0));
+        assert_eq!((j.allot, j.admissible), (8, false));
     }
 
     #[test]
@@ -247,6 +243,88 @@ mod tests {
                     cmp_products(xn, n - 1, 0, a.mant(), w as u128 * n, a.exp()).is_le(),
                     "x·n = {xn} exceeds a·W + x for W = {w}, L = {l}, m = {m}"
                 );
+            }
+        }
+    }
+
+    /// `x` as the exact fraction `(num, den)` it is.
+    fn frac(x: f64) -> (u128, u128) {
+        let d = Dyadic::new(x);
+        match d.exp() {
+            e if e >= 0 => (d.mant() << e, 1),
+            e => (d.mant(), 1 << -e),
+        }
+    }
+
+    /// Every derivation of S's arrival quantities against the definition,
+    /// written as brute force over exact fractions: the allotment is the
+    /// least `n ∈ 1..=m` with `n·D·s ≥ (1+2δ)(W − L + L·n)` (admissible
+    /// iff one exists, else `m`), the fresh slack the least integer `σ`
+    /// with `σ·n·s ≥ (1+δ)(W − L + L·n)`, the density `p/(W − L + L·n)`.
+    /// S-profit's allotment reads `max(D, (1+ε)(W − L + L·m)/m)` for `D`.
+    /// The grid holds every chain boundary `D·s = (1+2δ)·L` it can reach.
+    #[test]
+    fn derivations_match_the_brute_force_definition() {
+        use crate::paper::SJob;
+        use crate::SchedulerSProfit;
+        let p = 7;
+        for eps in [0.25, 0.5, 1.0, 2.0] {
+            let params = AlgoParams::from_epsilon(eps).unwrap();
+            let (g, f, e) = (
+                frac(params.good_factor()),
+                frac(params.fresh_factor()),
+                frac(1.0 + eps),
+            );
+            for m in 1..=8u32 {
+                let profit = SchedulerSProfit::new(m, params);
+                for speed in [1.0, 1.5, 2.0] {
+                    let (rules, s) = (Rules::new(m, &params, speed), frac(speed));
+                    for (w, l, d) in (1..=12u64)
+                        .flat_map(|w| (1..=w).map(move |l| (w, l)))
+                        .flat_map(|(w, l)| (1..=30u64).map(move |d| (w, l, d)))
+                    {
+                        let at = format!("W={w} L={l} D={d} m={m} eps={eps} s={speed}");
+                        let (wl, l_, d_, m_) = ((w - l) as u128, l as u128, d as u128, m as u128);
+                        let xn = |n: u128| wl + l_ * n;
+                        let n = (1..=m_).find(|&n| n * d_ * s.0 * g.1 >= g.0 * xn(n) * s.1);
+                        let (allot, admissible) = n.map_or((m_, false), |n| (n, true));
+                        let sigma = (f.0 * xn(allot) * s.1).div_ceil(f.1 * allot * s.0) as u64;
+                        let density = Density::new(p, xn(allot));
+                        let want = (allot as u32, admissible, density);
+
+                        let info = info(w, l, d, p);
+                        let j = JobModel::derive(&info, &rules);
+                        assert_eq!((j.allot, j.admissible, j.density), want, "derive {at}");
+                        assert_eq!(j.fresh_slack, sigma, "derive fresh slack {at}");
+
+                        let v = dagsched_verify::job_model(&info, &params, m, speed);
+                        assert_eq!((v.allot, v.admissible, v.density), want, "verify {at}");
+                        assert_eq!(v.delta_good, admissible, "verify δ-good {at}");
+                        let fresh = |t: u64| v.covers(t, params.fresh_factor());
+                        assert!(fresh(sigma) && !fresh(sigma - 1), "verify fresh {at}");
+
+                        if speed != 1.0 {
+                            continue;
+                        }
+                        let t = SJob::derive(&info, &params, m);
+                        assert_eq!((t.allot, t.admissible, t.density), want, "PaperS {at}");
+                        assert_eq!(t.delta_good, admissible, "PaperS δ-good {at}");
+                        let fd = Dyadic::new(params.fresh_factor());
+                        assert_eq!(
+                            (t.fresh(sigma, fd), t.fresh(sigma - 1, fd)),
+                            (admissible, false),
+                            "PaperS fresh {at}"
+                        );
+
+                        let b = xn(m_);
+                        let n = (1..=m_).find(|&n| {
+                            n * d_ * g.1 >= g.0 * xn(n)
+                                || n * b * e.0 * g.1 >= g.0 * m_ * xn(n) * e.1
+                        });
+                        let allot = n.unwrap_or(m_) as u32;
+                        assert_eq!(profit.allotment(w, l, d), allot, "S-profit {at}");
+                    }
+                }
             }
         }
     }

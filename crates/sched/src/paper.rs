@@ -29,19 +29,64 @@ use std::collections::{BTreeMap, HashMap};
 
 /// What S computes for a job when it arrives.
 #[derive(Debug, Clone, Copy)]
-struct SJob {
+pub(crate) struct SJob {
     /// The allotment `n_i`, at most `m`.
-    allot: u32,
+    pub(crate) allot: u32,
     /// The budget times the allotment, `x_i·n_i = W_i − L_i + L_i·n_i`.
-    xn: u128,
+    pub(crate) xn: u128,
     /// The density `v_i = p_i/(x_i·n_i)`.
-    density: Density,
+    pub(crate) density: Density,
     /// The absolute deadline `r_i + D_i`.
     deadline: Time,
     /// `n_i ≤ m`: the job can run at its allotment at all.
-    admissible: bool,
+    pub(crate) admissible: bool,
+    /// δ-good at arrival: `D_i ≥ (1+2δ)·x_i`.
+    pub(crate) delta_good: bool,
     /// Started (in `Q`) rather than parked (in `P`).
     started: bool,
+}
+
+impl SJob {
+    /// S's arrival rules for `info` on `m` processors.
+    pub(crate) fn derive(info: &JobInfo, params: &AlgoParams, m: u32) -> SJob {
+        // A throughput job earns p_i if it completes within D_i of r_i.
+        let (d_rel, profit) = info
+            .profit
+            .as_deadline()
+            .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
+        let (w, l, d) = (info.work.units(), info.span.units(), d_rel.ticks());
+        let g = Dyadic::new(params.good_factor());
+        // Budget x_i = (W_i − L_i)/n_i + L_i, so x_i·n_i = W_i − L_i + L_i·n_i.
+        let xn = |n: u32| (w - l) as u128 + l as u128 * n as u128;
+        // δ-good at n: D_i ≥ (1+2δ) x_i, i.e. D_i·n ≥ (1+2δ)·x_i·n.
+        let good =
+            |n: u32| cmp_products(d as u128 * n as u128, 1, 0, g.mant(), xn(n), g.exp()).is_ge();
+
+        // Allotment: n_i = (W_i − L_i)/(D_i/(1+2δ) − L_i), rounded up to
+        // at least one processor: the least n ≥ 1 at which J_i is δ-good.
+        // A job that needs more than m processors is never admissible, and
+        // no n helps when D_i/(1+2δ) < L_i; at D_i/(1+2δ) = L_i only a
+        // chain (W_i = L_i) is δ-good, on one processor.
+        let n = least(1.0, m as u64, |n| good(n as u32));
+        let (allot, admissible) = n.map_or((m, false), |n| (n as u32, true));
+        SJob {
+            allot,
+            xn: xn(allot),
+            // Density v_i = p_i/(x_i n_i).
+            density: Density::new(profit, xn(allot)),
+            deadline: info.arrival.saturating_add(d),
+            admissible,
+            delta_good: admissible && good(allot),
+            started: false,
+        }
+    }
+
+    /// δ-fresh with `slack = d_i − t` ticks left under `f = 1+δ`:
+    /// `d_i − t ≥ (1+δ) x_i`, i.e. `slack·n_i ≥ (1+δ)·x_i·n_i`.
+    pub(crate) fn fresh(&self, slack: u64, f: Dyadic) -> bool {
+        let lhs = slack as u128 * self.allot as u128;
+        self.admissible && cmp_products(lhs, 1, 0, f.mant(), self.xn, f.exp()).is_ge()
+    }
 }
 
 /// Scheduler S of Section 3; [`work_conserving`](Self::work_conserving)
@@ -159,49 +204,16 @@ impl OnlineScheduler for PaperS {
     }
 
     fn on_arrival(&mut self, info: &JobInfo, _now: Time) {
-        // A throughput job earns p_i if it completes within D_i of r_i.
-        let (d_rel, profit) = info
-            .profit
-            .as_deadline()
-            .unwrap_or((info.profit.flat_until(), info.profit.max_profit()));
-        let (w, l, d) = (info.work.units(), info.span.units(), d_rel.ticks());
-        let g = Dyadic::new(self.params.good_factor());
-        // Budget x_i = (W_i − L_i)/n_i + L_i, so x_i·n_i = W_i − L_i + L_i·n_i.
-        let xn = |n: u32| (w - l) as u128 + l as u128 * n as u128;
-        // δ-good at n: D_i ≥ (1+2δ) x_i, i.e. D_i·n ≥ (1+2δ)·x_i·n.
-        let good =
-            |n: u32| cmp_products(d as u128 * n as u128, 1, 0, g.mant(), xn(n), g.exp()).is_ge();
-
-        // Allotment: n_i = (W_i − L_i)/(D_i/(1+2δ) − L_i), rounded up to
-        // at least one processor: the least n ≥ 1 at which J_i is δ-good.
-        // A job that needs more than m processors, or whose D_i/(1+2δ)
-        // does not exceed L_i, is never admissible.
-        let exceeds = cmp_products(d as u128, 1, 0, g.mant(), l as u128, g.exp()).is_gt();
-        let n = exceeds
-            .then(|| least(1.0, self.m as u64, |n| good(n as u32)))
-            .flatten();
-        let (allot, admissible) = n.map_or((self.m, false), |n| (n as u32, true));
-        // Density v_i = p_i/(x_i n_i).
-        let density = Density::new(profit, xn(allot));
-        let delta_good = admissible && good(allot);
-
-        let job = SJob {
-            allot,
-            xn: xn(allot),
-            density,
-            deadline: info.arrival.saturating_add(d_rel.ticks()),
-            admissible,
-            started: false,
-        };
+        let job = SJob::derive(info, &self.params, self.m);
         self.jobs.insert(info.id, job);
         // Band admission: start J_i now if it is δ-good and condition (2)
         // still holds with it. Otherwise it waits in P.
-        if delta_good && self.fits(&job) {
+        if job.delta_good && self.fits(&job) {
             self.start(info.id);
         } else {
-            let reason = if !admissible {
+            let reason = if !job.admissible {
                 AdmissionReason::Infeasible
-            } else if !delta_good {
+            } else if !job.delta_good {
                 AdmissionReason::NotDeltaGood
             } else {
                 AdmissionReason::BandCapacity
@@ -226,10 +238,7 @@ impl OnlineScheduler for PaperS {
                 continue;
             }
             let f = Dyadic::new(self.params.fresh_factor());
-            let slack = job.deadline.since(now) as u128 * job.allot as u128;
-            let fresh =
-                job.admissible && cmp_products(slack, 1, 0, f.mant(), job.xn, f.exp()).is_ge();
-            if fresh && self.fits(&job) {
+            if job.fresh(job.deadline.since(now), f) && self.fits(&job) {
                 self.start(id);
             }
         }

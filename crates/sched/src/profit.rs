@@ -178,7 +178,7 @@ impl SchedulerSProfit {
     /// `B = W − L + L·m`, that is `n·D ≥ g·xn` or `n·(1+ε)·B ≥ g·m·xn`.
     /// If no `n ≤ m` qualifies (an `x*` at or below `(1+2δ)·L`, possible
     /// only when `1+ε` and `1+2δ` round together), the allotment is `m`.
-    fn allotment(&self, w: u64, l: u64, flat: u64) -> u32 {
+    pub(crate) fn allotment(&self, w: u64, l: u64, flat: u64) -> u32 {
         let Rules {
             good: g,
             one_eps: e,

@@ -133,14 +133,13 @@ pub fn job_model(info: &JobInfo, params: &AlgoParams, m: u32, speed_hint: f64) -
     let xn = |n: u64| (w - l) as u128 + l as u128 * n as u128;
     let good = |n: u64| covers(d, params.good_factor(), xn(n), n, s);
 
-    // n_i = (W−L)/s / (D/(1+2δ) − L/s) needs D/(1+2δ) > L/s, i.e. D·s > (1+2δ)·L;
-    // rounded up, it is the least n ≥ 1 with D ≥ (1+2δ)·x_i(n).
-    let g = Dyadic::new(params.good_factor());
-    let positive = cmp_products(d as u128, s.mant(), s.exp(), l as u128, g.mant(), g.exp()).is_gt();
-    // The fractional allotment is a close first guess for the search.
+    // n_i = (W−L)/s / (D/(1+2δ) − L/s), rounded up: the least n ≥ 1 with
+    // D ≥ (1+2δ)·x_i(n). None exists when D·s < (1+2δ)·L; at equality only
+    // a chain (W = L) qualifies, with n = 1. The fractional allotment is a
+    // first guess for the search; at those edges it means nothing.
     let (gf, w_l) = (params.good_factor(), (w - l) as f64 / speed_hint);
     let guess = w_l / (d as f64 / gf - l as f64 / speed_hint);
-    let n = positive.then(|| least(guess, m as u64, good)).flatten();
+    let n = least(guess, m as u64, good);
     let (allot, admissible) = match n {
         Some(n) => (n as u32, true),
         None => (m, false),

@@ -3,7 +3,8 @@
 //! Each fixture under `tests/fixtures/` is a hand-minimized near-miss from
 //! the adversarial families (triple-tie instants, Figure 1 DAGs at the
 //! Brent bound, density-band burst ties, parked-majority delta churn,
-//! carry-over-sensitive chains, pick-sensitive forks).
+//! carry-over-sensitive chains, pick-sensitive forks, a chain at the
+//! δ-good boundary).
 //! None currently violates an oracle — the regression is that they stay
 //! green under all three heads (invariants, naive-vs-fast,
 //! paused-vs-one-shot) as the engine evolves, and that any future counterexample promoted here immediately
@@ -27,6 +28,7 @@ const FIXTURES: &[&str] = &[
     "carryover-chain.txt",
     "pick-diamond.txt",
     "profit-cliff.txt",
+    "chain-boundary.txt",
 ];
 
 fn fixture(name: &str) -> String {

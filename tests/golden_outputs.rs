@@ -90,8 +90,8 @@ fn seed_corpus_event_logs_are_golden() {
         let mut sched = subject.instantiate(inst.m());
         all.push_str(&jsonl(&inst, sched.as_mut(), &fi.base_config()));
     }
-    assert_eq!(all.len(), 21957);
-    assert_eq!(fnv1a(all.as_bytes()), 0x7689_1305_6f68_3799);
+    assert_eq!(all.len(), 22109);
+    assert_eq!(fnv1a(all.as_bytes()), 0xa01f_9a79_39ec_4b71);
 }
 
 /// A standard workload under S, S-wc, S-profit and EDF, on the uniform
@@ -500,7 +500,7 @@ fn promoted_fixture_runs_are_golden() {
         .filter(|n| n.ends_with(".txt"))
         .collect();
     names.sort();
-    assert_eq!(names.len(), 7);
+    assert_eq!(names.len(), 8);
     let mut all = String::new();
     for name in &names {
         let text = std::fs::read_to_string(dir.join(name)).expect("fixture reads");
@@ -526,8 +526,8 @@ fn promoted_fixture_runs_are_golden() {
             ));
         }
     }
-    assert_eq!(all.len(), 893);
-    assert_eq!(fnv1a(all.as_bytes()), 0xb525_9bc7_b9b7_9614);
+    assert_eq!(all.len(), 1027);
+    assert_eq!(fnv1a(all.as_bytes()), 0x794d_e612_cddb_c6e7);
 }
 
 /// Every traced run of `tests/trace_cluster.rs`, `tests/trace_recount.rs`
