@@ -77,6 +77,8 @@ impl Clock {
     /// driver reads the target from the arrival list on the scan path and
     /// from the [`EventKernel`](crate::events::EventKernel)'s arrival
     /// cursor on the kernel path; both are the same time by construction.
+    /// Every job that arrived before the gap is terminal, so the jump
+    /// passes no pending expiry: the kernel's expiry cursor relies on it.
     #[inline]
     pub(crate) fn skip_idle_to(&mut self, t: Time) {
         self.now = t;

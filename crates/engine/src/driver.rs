@@ -197,7 +197,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         };
         let fast_forward =
             cfg.fast_forward && cfg.pick.fast_forward_safe() && stability != Stability::PerTick;
-        let mut kernel = EventKernel::new(n, horizon);
+        let mut kernel = EventKernel::new(horizon);
         if cfg.fast_forward {
             kernel.arm_arrival(jobs[0].arrival);
         }
@@ -308,7 +308,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         let uniform_units = self.platform.uniform_units();
 
         // 1. Arrivals.
-        let first_arrival = self.life.next_arrival;
         let arrived = self.life.admit_arrivals(
             jobs,
             t,
@@ -317,13 +316,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             &mut self.obs,
         );
         if arrived && production {
-            // Arm each admitted zero-tail job's expiry boundary and re-arm
-            // the arrival cursor past the admitted batch.
-            for job in &jobs[first_arrival..self.life.next_arrival] {
-                if job.profit.tail_value() == 0 {
-                    self.kernel.arm_expiry(job.id, job.last_useful_abs());
-                }
-            }
+            // Re-arm the arrival cursor past the admitted batch.
             match jobs.get(self.life.next_arrival) {
                 Some(next) => self.kernel.arm_arrival(next.arrival),
                 None => self.kernel.disarm_arrival(),
@@ -339,6 +332,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             self.life.expire_hopeless_indexed(
                 t,
                 &mut self.kernel,
+                self.inst.expiry_order(),
                 self.sched,
                 &mut self.obs,
                 &mut self.scratch.expired,
@@ -520,13 +514,17 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             // round below. An empty claim set (empty allocation) also runs
             // the single tick: the naive path counts allocation-idle ticks
             // one by one, and `ticks_simulated` must stay byte-identical.
-            // `min_q == 1` needs no heap query: a claimed node finishes this
-            // tick, so `s == 0` whatever the heap holds.
+            // `min_q == 1` needs no kernel query: a claimed node finishes
+            // this tick, so `s == 0` whatever the next boundary is.
             if !sc.claimed.is_empty() {
                 let s = if min_q == 1 {
                     0
                 } else {
-                    (min_q - 1).min(self.kernel.window(t)).min(bound_cap())
+                    let life = &self.life;
+                    let w = self
+                        .kernel
+                        .window(t, self.inst.expiry_order(), |id| life.is_terminal(id));
+                    (min_q - 1).min(w).min(bound_cap())
                 };
                 if s > 0 {
                     // No claimed node completes within the window: each
@@ -580,7 +578,11 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 // step's own event phases the window has no job boundary
                 // left to cap it — fall through to the single tick the
                 // naive path charges before its run guard ends the run.
-                let s = self.kernel.window(t).min(bound_cap());
+                let life = &self.life;
+                let w = self
+                    .kernel
+                    .window(t, self.inst.expiry_order(), |id| life.is_terminal(id));
+                let s = w.min(bound_cap());
                 if s > 0 {
                     if self.observing {
                         sc.progress.clear();
@@ -736,11 +738,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         self.life
             .complete(jobs, t_done, &sc.completions, self.sched, &mut self.obs);
         let completed_any = !sc.completions.is_empty();
-        if completed_any && production {
-            for &id in &sc.completions {
-                self.kernel.disarm_expiry(id);
-            }
-        }
         if self.observing && completed_any {
             self.forward_admissions(t_done);
         }
@@ -805,7 +802,7 @@ mod tests {
     use crate::result::JobStatus;
     use crate::sched_api::JobInfo;
     use crate::sim::{simulate, SimConfig};
-    use dagsched_workload::{ArrivalProcess, DeadlinePolicy, WorkloadGen};
+    use dagsched_workload::WorkloadGen;
 
     /// Work-conserving FIFO-by-arrival test scheduler (mirrors the one in
     /// `sim::tests`): hands each alive job as many processors as it has
@@ -1409,47 +1406,6 @@ mod tests {
         assert_eq!(run.claim_passes, probe.claim_passes);
     }
 
-    /// The kernel's heap holds expiry keys only (the arrival cursor and the
-    /// horizon are plain fields): after every step of a real run it stays
-    /// within twice the armed expiries plus the compaction slack. A step's
-    /// completions (at most `m = 4` here) disarm keys after its last
-    /// compaction check, hence the `+ 4`.
-    #[test]
-    fn kernel_heap_stays_bounded_by_armed_keys() {
-        use crate::events::COMPACT_MIN_STALE;
-        for seed in 0..3u64 {
-            // Loose deadlines: most jobs complete long before their expiry
-            // boundary, so each completion leaves a disarmed entry that
-            // only compaction can reclaim.
-            let inst = WorkloadGen {
-                arrivals: ArrivalProcess::Poisson { rate: 0.2 },
-                deadlines: DeadlinePolicy::SlackFactor(100.0),
-                ..WorkloadGen::standard(4, 400, seed)
-            }
-            .generate()
-            .unwrap();
-            let cfg = SimConfig::default();
-            let one_shot = simulate(&inst, &mut Greedy, &cfg).unwrap();
-            let mut sched = Greedy;
-            let mut drv = SimDriver::new(&inst, &mut sched, &cfg);
-            let mut peak = 0;
-            while drv.step().unwrap() {
-                let (len, armed) = (drv.kernel.len(), drv.kernel.armed_keys());
-                assert!(
-                    len <= 2 * (armed + 4) + COMPACT_MIN_STALE,
-                    "seed {seed} t={}: heap holds {len} entries for {armed} armed keys",
-                    drv.now().0
-                );
-                peak = peak.max(len);
-            }
-            assert!(
-                peak > COMPACT_MIN_STALE,
-                "seed {seed}: the heap must grow past the compaction threshold"
-            );
-            full_eq(&drv.finish().unwrap(), &one_shot);
-        }
-    }
-
     /// Earliest-deadline-first test scheduler: alive jobs by absolute
     /// deadline (then id), each given as many processors as it has ready
     /// nodes.
@@ -1525,39 +1481,39 @@ mod tests {
         Instance::new(4, jobs).unwrap()
     }
 
-    /// How the expiry heap's pops split between due expiries and stale
-    /// keys left by completions, under EDF. On the parked shape the
-    /// foreground jobs complete and leave their keys behind, the background
-    /// survivors expire in one wave, and about half the pops are stale; on
-    /// a standard instance every job completes, so every pop is stale.
-    /// Compaction drops few keys: most stale keys surface first. The split
-    /// is pinned so a change to the index shows in these numbers.
+    /// The expiry cursor's work under EDF: every key it passes is either
+    /// a due expiry or the key of a job that already completed, and no key
+    /// is passed twice. On the parked shape the foreground jobs complete
+    /// and their keys are skipped, and the background survivors expire in
+    /// one wave; on a standard instance every job completes, so every key
+    /// passed is skipped (the run ends before the last key). Pinned so a
+    /// change to the index shows here.
     #[test]
-    fn expiry_heap_pops_split_live_and_stale() {
-        use crate::events::HeapCounts;
+    fn expiry_cursor_passes_each_key_once() {
+        use crate::events::CursorCounts;
         let run = |inst: &Instance| {
             let cfg = SimConfig::default();
             let mut sched = DeadlineFirst::default();
             let mut drv = SimDriver::new(inst, &mut sched, &cfg);
             while drv.step().unwrap() {}
             let counts = drv.kernel.counts;
+            assert!(
+                (counts.due + counts.skipped) as usize <= inst.expiry_order().len(),
+                "{counts:?} passes more keys than the instance has"
+            );
             let r = drv.finish().unwrap();
             (counts, r.expired())
         };
-        let counts = |live_pops, stale_pops, compactions, compacted| HeapCounts {
-            live_pops,
-            stale_pops,
-            compactions,
-            compacted,
-        };
+        let counts = |due, skipped| CursorCounts { due, skipped };
         for (chains, want, expired) in [
-            (false, counts(995, 887, 1, 118), 995),
-            (true, counts(996, 947, 1, 57), 996),
+            (false, counts(995, 1_005), 995),
+            (true, counts(996, 1_004), 996),
         ] {
             let inst = parked_instance(1_000, chains, 3, 20_000);
+            assert_eq!(inst.expiry_order().len(), 2_000, "every key is passed");
             assert_eq!(run(&inst), (want, expired), "chains = {chains}");
         }
         let inst = WorkloadGen::standard(8, 400, 7).generate().unwrap();
-        assert_eq!(run(&inst), (counts(0, 389, 6, 10), 0));
+        assert_eq!(run(&inst), (counts(0, 399), 0));
     }
 }

@@ -9,8 +9,8 @@
 //! node finishes within `min_q - 1` ticks. The second kind is every
 //! boundary the claim pass does not see. Rescanning the alive set for
 //! them every step costs O(alive) even when nothing changed since the last
-//! step. An [`EventKernel`] answers the same question in O(log n): the
-//! window is then `min(min_q - 1, window(t))`.
+//! step. An [`EventKernel`] answers the same question in amortized O(1):
+//! the window is then `min(min_q - 1, window(t))`.
 //!
 //! The kernel belongs to the production path only. The naive reference
 //! path (`SimConfig::fast_forward` off) steps one tick at a time, skips
@@ -21,111 +21,80 @@
 //!
 //! # Source taxonomy
 //!
-//! | source                           | held in     | armed                 | re-keyed / disarmed                 |
-//! |----------------------------------|-------------|-----------------------|-------------------------------------|
-//! | arrival cursor (one global)      | a field     | at construction       | overwritten after each admission batch |
-//! | horizon (one global)             | a field     | at construction       | never                               |
-//! | expiry boundary (zero-tail job)  | the heap    | at admission          | disarmed when the job goes terminal |
+//! | source                           | held in                         | armed           | passed                                  |
+//! |----------------------------------|---------------------------------|-----------------|-----------------------------------------|
+//! | arrival cursor (one global)      | a field                         | at construction | overwritten after each admission batch  |
+//! | horizon (one global)             | a field                         | at construction | never                                   |
+//! | expiry boundary (zero-tail job)  | the instance's `expiry_order()` | by the instance | once: due, or skipped as terminal       |
 //!
-//! Only expiries are many, so only they go through the lazy-deletion
-//! binary min-heap. The two global sources are single values that a field
-//! answers in O(1), where a heap entry would cost a push and a stale pop
-//! per arrival batch. `window` folds the heap's valid top with both
-//! fields.
+//! A zero-tail job's expiry boundary `last_useful_abs()` is fixed by the
+//! instance and never moves, so
+//! [`Instance::expiry_order`](dagsched_workload::Instance::expiry_order)
+//! sorts every boundary once, as `(time, job)`, and the kernel walks that
+//! slice with one cursor. Nothing is pushed, popped or re-keyed, and each
+//! key is passed exactly once over a run.
 //!
-//! # Lazy deletion and staleness
+//! # Validity
 //!
-//! Heap entries are never removed in place. Each job records its
-//! currently-armed expiry key (`armed_expiry[job]`) and an entry is
-//! *valid* iff it matches; stale entries are discarded when they surface
-//! at the top. Discarding is safe because an expiry is armed once at
-//! admission and disarmed at the job's terminal transition — never
-//! re-armed — so a discarded key is gone for good.
+//! A key is *valid* iff its job's outcome is still unfinished; only the
+//! lifecycle's terminal transitions write outcomes, so a key turns invalid
+//! once and for good. Both queries take the key slice and a validity test
+//! (`Lifecycle::is_terminal`): `window` moves the cursor past invalid keys
+//! and stops at the first valid one; `pop_due_expiries` moves it past every
+//! key at or below `t` and emits the valid ones.
+//!
+//! A job that has not arrived yet is unfinished, so its key is valid and
+//! may bound a window. That is harmless: its key time is `arrival + last
+//! useful ≥ arrival`, and arrivals are sorted, so the key is at or after
+//! the armed arrival cursor, which already bounds the window.
 //!
 //! # Tie-break contract
 //!
-//! Heap entries order by `(time, job)`. The window width is a *minimum*
-//! over the valid entry times and the two fields, so the tie order can
-//! never change a computed window. Due expiries pop in ascending job
-//! order (= arrival order: instance ids are assigned in arrival order),
-//! which is the order the naive scan expires them in; the expiry hooks,
-//! outcomes and pool pushes follow it, so the pop sequence is part of
-//! what the golden digests in `tests/golden_outputs.rs` pin down.
-//!
-//! # Memory bound
-//!
-//! Lazy deletion alone would let the heap grow with the total number of
-//! disarmed expiries. The kernel counts them (`stale_hint`) and, once they
-//! could dominate the heap, compacts in place with `BinaryHeap::retain`,
-//! keeping only entries whose key is still armed. The backing capacity is
-//! kept, and the bound becomes O(armed expiries) — which is what keeps the
-//! engine's zero-allocation arrival-storm property intact.
+//! Keys order by `(time, job)`. No window crosses a valid key, and an idle
+//! skip happens only when every arrived job is terminal, so every valid key
+//! the cursor reaches in `pop_due_expiries` has `time == t`: due expiries
+//! come out in ascending job order (= arrival order: instance ids are
+//! assigned in arrival order), which is the order the naive scan expires
+//! them in. The expiry hooks, outcomes and pool pushes follow it, so the
+//! due sequence is part of what the golden digests in
+//! `tests/golden_outputs.rs` pin down.
 
 use dagsched_core::{JobId, Time};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// One heap entry: a zero-tail job's expiry boundary. Derived `Ord` is
-/// lexicographic over the field order, which realizes the `(time, job)`
-/// tie-break contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ExpiryKey {
-    time: Time,
-    job: u32,
-}
-
-/// Compaction fires only once at least this many keys were superseded —
-/// below it the heap is too small for lazy corpses to matter.
-pub(crate) const COMPACT_MIN_STALE: usize = 64;
-
-/// What the expiry heap did over a run, for tests that pin how much of its
-/// work is on stale keys.
+/// What the expiry cursor did over a run, for tests that pin the kernel's
+/// work.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct HeapCounts {
-    /// Entries popped as due expiries.
-    pub(crate) live_pops: u64,
-    /// Entries popped as stale, by [`EventKernel::window`] or
-    /// [`EventKernel::pop_due_expiries`].
-    pub(crate) stale_pops: u64,
-    /// Compactions run.
-    pub(crate) compactions: u64,
-    /// Stale entries the compactions dropped.
-    pub(crate) compacted: u64,
+pub(crate) struct CursorCounts {
+    /// Keys passed as due expiries.
+    pub(crate) due: u64,
+    /// Keys passed because their job was already terminal.
+    pub(crate) skipped: u64,
 }
 
 /// The driver's next-event index and the lifecycle's expiry index. See
 /// the [module docs](self).
 pub struct EventKernel {
-    /// Min-heap over [`ExpiryKey`] (`Reverse`: `BinaryHeap` is a max-heap).
-    heap: BinaryHeap<Reverse<ExpiryKey>>,
-    /// Armed expiry boundary per job; `Time::MAX` = not armed.
-    armed_expiry: Vec<Time>,
     /// The next not-yet-admitted arrival; `None` = every job has arrived.
     armed_arrival: Option<Time>,
     /// The run's hard stop.
     horizon: Time,
-    /// Expiry keys disarmed or superseded since the last compaction (never
-    /// decremented — naturally-popped corpses just make the next
-    /// compaction earlier).
-    stale_hint: usize,
+    /// Index of the first expiry key not yet passed.
+    next_expiry: usize,
     #[cfg(test)]
-    pub(crate) counts: HeapCounts,
+    pub(crate) counts: CursorCounts,
 }
 
 impl EventKernel {
-    /// A kernel for an instance of `n` jobs whose run stops at `horizon`.
-    /// No arrival or expiry is armed; the driver arms the first arrival
-    /// iff the kernel is on.
-    pub(crate) fn new(n: usize, horizon: Time) -> EventKernel {
+    /// A kernel for a run that stops at `horizon`. The arrival cursor is
+    /// not armed; the driver arms the first arrival iff the kernel is on.
+    pub(crate) fn new(horizon: Time) -> EventKernel {
         EventKernel {
-            heap: BinaryHeap::new(),
-            armed_expiry: vec![Time::MAX; n],
             armed_arrival: None,
             horizon,
-            stale_hint: 0,
+            next_expiry: 0,
             #[cfg(test)]
-            counts: HeapCounts::default(),
+            counts: CursorCounts::default(),
         }
     }
 
@@ -147,110 +116,61 @@ impl EventKernel {
         self.armed_arrival = None;
     }
 
-    /// Arm `job`'s expiry boundary at `at` (admission of a zero-tail job).
-    pub(crate) fn arm_expiry(&mut self, job: JobId, at: Time) {
-        let slot = &mut self.armed_expiry[job.index()];
-        if *slot != Time::MAX {
-            self.stale_hint += 1;
-        }
-        *slot = at;
-        self.heap.push(Reverse(ExpiryKey {
-            time: at,
-            job: job.0,
-        }));
-    }
-
-    /// Disarm `job`'s expiry boundary (terminal transition). No-op if it
-    /// was never armed (tail-profit jobs).
-    pub(crate) fn disarm_expiry(&mut self, job: JobId) {
-        let slot = &mut self.armed_expiry[job.index()];
-        if *slot != Time::MAX {
-            *slot = Time::MAX;
-            self.stale_hint += 1;
-        }
-    }
-
-    /// Ticks from `t` to the nearest armed boundary: the earliest valid
-    /// expiry, the arrival cursor or the horizon, discarding stale heap
-    /// entries as they surface.
-    pub(crate) fn window(&mut self, t: Time) -> u64 {
-        self.maybe_compact();
+    /// Ticks from `t` to the nearest boundary: the earliest valid key of
+    /// `keys` (the instance's expiry order), the arrival cursor or the
+    /// horizon. Moves the cursor past the keys of terminal jobs.
+    pub(crate) fn window(
+        &mut self,
+        t: Time,
+        keys: &[(Time, JobId)],
+        is_terminal: impl Fn(JobId) -> bool,
+    ) -> u64 {
         let mut next = self.horizon;
         if let Some(at) = self.armed_arrival {
             next = next.min(at);
         }
-        while let Some(&Reverse(e)) = self.heap.peek() {
-            if self.armed_expiry[e.job as usize] == e.time {
-                debug_assert!(e.time >= t, "a valid expiry is never in the past");
-                next = next.min(e.time);
+        while let Some(&(at, job)) = keys.get(self.next_expiry) {
+            if !is_terminal(job) {
+                debug_assert!(at >= t, "a valid expiry is never in the past");
+                next = next.min(at);
                 break;
             }
-            self.heap.pop();
+            self.next_expiry += 1;
             #[cfg(test)]
             {
-                self.counts.stale_pops += 1;
+                self.counts.skipped += 1;
             }
         }
         next.since(t)
     }
 
-    /// Pop every entry with `time ≤ t`, collecting the *due* expiries into
-    /// `out` in ascending job order (= arrival order). Due expiries are
-    /// disarmed as they pop; every other entry at or below `t` is stale
-    /// for good (see the module docs) and is dropped.
-    pub(crate) fn pop_due_expiries(&mut self, t: Time, out: &mut Vec<JobId>) {
-        self.maybe_compact();
-        while self.heap.peek().is_some_and(|&Reverse(top)| top.time <= t) {
-            let Reverse(e) = self.heap.pop().expect("just peeked");
-            let slot = &mut self.armed_expiry[e.job as usize];
-            let due = *slot == e.time;
+    /// Move the cursor past every key of `keys` with `time ≤ t`, collecting
+    /// the *due* expiries (keys of jobs not yet terminal) into `out` in
+    /// ascending job order (= arrival order; see the module docs).
+    pub(crate) fn pop_due_expiries(
+        &mut self,
+        t: Time,
+        keys: &[(Time, JobId)],
+        is_terminal: impl Fn(JobId) -> bool,
+        out: &mut Vec<JobId>,
+    ) {
+        while let Some(&(at, job)) = keys.get(self.next_expiry) {
+            if at > t {
+                break;
+            }
+            self.next_expiry += 1;
+            let due = !is_terminal(job);
             if due {
-                *slot = Time::MAX;
-                out.push(JobId(e.job));
+                debug_assert!(at == t, "a valid expiry is never in the past");
+                out.push(job);
             }
             #[cfg(test)]
             if due {
-                self.counts.live_pops += 1;
+                self.counts.due += 1;
             } else {
-                self.counts.stale_pops += 1;
+                self.counts.skipped += 1;
             }
         }
-        out.sort_unstable();
-    }
-
-    /// In-place compaction: once the superseded-key count could dominate,
-    /// retain only entries whose key is still armed. Keeps the backing
-    /// capacity.
-    fn maybe_compact(&mut self) {
-        if self.stale_hint < COMPACT_MIN_STALE || self.stale_hint * 2 < self.heap.len() {
-            return;
-        }
-        #[cfg(test)]
-        let before = self.heap.len();
-        let armed = &self.armed_expiry;
-        self.heap
-            .retain(|&Reverse(e)| armed[e.job as usize] == e.time);
-        self.stale_hint = 0;
-        #[cfg(test)]
-        {
-            self.counts.compactions += 1;
-            self.counts.compacted += (before - self.heap.len()) as u64;
-        }
-    }
-
-    /// Heap length (diagnostics / tests).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Number of armed expiry keys — the only keys the heap holds (tests).
-    #[cfg(test)]
-    pub(crate) fn armed_keys(&self) -> usize {
-        self.armed_expiry
-            .iter()
-            .filter(|&&t| t != Time::MAX)
-            .count()
     }
 }
 
@@ -258,156 +178,155 @@ impl EventKernel {
 mod tests {
     use super::*;
 
+    fn keys(list: &[(u64, u32)]) -> Vec<(Time, JobId)> {
+        list.iter().map(|&(t, j)| (Time(t), JobId(j))).collect()
+    }
+
     #[test]
     fn tie_break_orders_time_then_job() {
-        let key = |time, job| ExpiryKey {
-            time: Time(time),
-            job,
-        };
-        let mut keys = vec![key(5, 1), key(4, 9), key(5, 0)];
-        keys.sort();
-        assert_eq!(keys, vec![key(4, 9), key(5, 0), key(5, 1)]);
+        // The instance's key order: equal times break by ascending id, so
+        // due expiries at one tick come out in arrival order.
+        let ks = keys(&[(4, 9), (5, 0), (5, 1)]);
+        let mut k = EventKernel::new(Time(100));
+        let mut due = Vec::new();
+        k.pop_due_expiries(Time(4), &ks, |_| false, &mut due);
+        assert_eq!(due, vec![JobId(9)]);
+        due.clear();
+        k.pop_due_expiries(Time(5), &ks, |_| false, &mut due);
+        assert_eq!(due, vec![JobId(0), JobId(1)]);
     }
 
     #[test]
     fn rearming_the_arrival_cursor_invalidates_the_old_entry() {
-        let mut k = EventKernel::new(1, Time(100));
+        let mut k = EventKernel::new(Time(100));
         k.arm_arrival(Time(5));
         k.arm_arrival(Time(9)); // supersedes 5
-        assert_eq!(k.window(Time(3)), 6);
+        assert_eq!(k.window(Time(3), &[], |_| false), 6);
         k.disarm_arrival();
-        assert_eq!(k.window(Time(3)), 97, "only the horizon remains");
-        assert_eq!(k.len(), 0, "the global sources never enter the heap");
+        assert_eq!(
+            k.window(Time(3), &[], |_| false),
+            97,
+            "only the horizon remains"
+        );
     }
 
     #[test]
     fn disarmed_expiry_entries_are_skipped() {
-        let mut k = EventKernel::new(2, Time(50));
-        k.arm_expiry(JobId(0), Time(7));
-        k.arm_expiry(JobId(1), Time(12));
-        assert_eq!(k.window(Time(2)), 5);
-        k.disarm_expiry(JobId(0));
-        assert_eq!(k.window(Time(2)), 10);
-        k.disarm_expiry(JobId(1));
-        assert_eq!(k.window(Time(2)), 48);
+        // A terminal job's key no longer bounds the window, and the cursor
+        // passes it for good.
+        let ks = keys(&[(7, 0), (12, 1)]);
+        let mut terminal = [false; 2];
+        let mut k = EventKernel::new(Time(50));
+        assert_eq!(k.window(Time(2), &ks, |j| terminal[j.index()]), 5);
+        terminal[0] = true;
+        assert_eq!(k.window(Time(2), &ks, |j| terminal[j.index()]), 10);
+        terminal[1] = true;
+        assert_eq!(k.window(Time(2), &ks, |j| terminal[j.index()]), 48);
+        assert_eq!(k.counts, CursorCounts { due: 0, skipped: 2 });
     }
 
     #[test]
     fn pop_due_collects_expiries_sorted_and_disarms_them() {
-        let mut k = EventKernel::new(3, Time(100));
-        // Armed out of id order, one of them not yet due.
-        k.arm_expiry(JobId(2), Time(5));
-        k.arm_expiry(JobId(0), Time(5));
-        k.arm_expiry(JobId(1), Time(30));
+        // Job 1 completed before its boundary; job 3 is not yet due.
+        let ks = keys(&[(5, 0), (5, 1), (5, 2), (30, 3)]);
+        let terminal = |j: JobId| j == JobId(1);
+        let mut k = EventKernel::new(Time(100));
         let mut due = Vec::new();
-        k.pop_due_expiries(Time(5), &mut due);
+        k.pop_due_expiries(Time(5), &ks, terminal, &mut due);
         assert_eq!(
             due,
             vec![JobId(0), JobId(2)],
             "ascending id = arrival order"
         );
         due.clear();
-        // Popping again at the same t: already disarmed, nothing due.
-        k.pop_due_expiries(Time(5), &mut due);
+        // Popping again at the same t: the cursor is past them, nothing due.
+        k.pop_due_expiries(Time(5), &ks, terminal, &mut due);
         assert!(due.is_empty());
-        due.clear();
-        k.pop_due_expiries(Time(30), &mut due);
-        assert_eq!(due, vec![JobId(1)]);
+        k.pop_due_expiries(Time(30), &ks, terminal, &mut due);
+        assert_eq!(due, vec![JobId(3)]);
+        assert_eq!(k.counts, CursorCounts { due: 3, skipped: 1 });
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// Adversarial arm/disarm churn over the expiry boundaries and the
-        /// arrival cursor: after every query the heap stays bounded by the
-        /// armed expiries plus the compaction slack, and no live key is
-        /// ever dropped — the due-expiry pops and the window always agree
-        /// with a naive mirror of the armed state.
+        /// Random instances (zero-tail and, for `kind == 0`, tail jobs;
+        /// equal expiry times)
+        /// run as the driver runs them: admit arrivals, pop due expiries,
+        /// mark random alive jobs completed, then jump to a random tick
+        /// inside the window. At every query the due set and the window
+        /// equal a brute-force mirror of the naive scan over the alive
+        /// jobs, and no key is passed twice.
         #[test]
-        fn churn_keeps_the_heap_bounded_and_drops_no_live_key(
-            ops in proptest::collection::vec((0u8..4, 0u32..16, 0u64..40), 1..300)
+        fn cursor_matches_the_naive_scan_on_random_instances(
+            mut specs in proptest::collection::vec((0u64..12, 1u64..10, 0u8..3), 1..24),
+            marks in proptest::collection::vec((0u32..24, 0u64..100), 0..40),
+            horizon in 1u64..40,
         ) {
+            use dagsched_workload::{Instance, JobSpec, StepProfitFn};
             use proptest::prelude::{prop_assert, prop_assert_eq};
-            let horizon = Time(1_000_000);
-            let mut k = EventKernel::new(16, horizon);
-            let mut now = Time(0);
-            // Mirror of the armed state: expiry per job, arrival cursor.
-            let mut mirror = [Time::MAX; 16];
-            let mut arrival: Option<Time> = None;
+            specs.sort_unstable(); // arrivals ascending
+            let jobs: Vec<JobSpec> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, d, kind))| {
+                    let profit = if kind == 0 {
+                        StepProfitFn::steps(vec![(Time(d), 2)], 1).unwrap()
+                    } else {
+                        StepProfitFn::deadline(Time(d), 2)
+                    };
+                    let dag = dagsched_dag::gen::single(1).into_shared();
+                    JobSpec::new(JobId(i as u32), Time(r), dag, profit)
+                })
+                .collect();
+            let inst = Instance::new(1, jobs).unwrap();
+            let jobs = inst.jobs();
+            let n = jobs.len();
+            let horizon = Time(horizon);
+            let mut k = EventKernel::new(horizon);
+            let (mut next_arrival, mut terminal, mut alive) = (0, vec![false; n], vec![false; n]);
+            let mut marks = marks.iter();
             let mut due = Vec::new();
-            for &(sel, job, dt) in &ops {
-                match sel {
-                    0 => {
-                        let at = Time(now.0 + dt);
-                        k.arm_expiry(JobId(job), at);
-                        mirror[job as usize] = at;
-                    }
-                    1 => {
-                        k.disarm_expiry(JobId(job));
-                        mirror[job as usize] = Time::MAX;
-                    }
-                    2 => {
-                        let at = Time(500_000 + dt);
-                        k.arm_arrival(at);
-                        arrival = Some(at);
-                    }
-                    _ => {
-                        now = Time(now.0 + dt);
-                        due.clear();
-                        k.pop_due_expiries(now, &mut due);
-                        let expect: Vec<JobId> = (0..16u32)
-                            .filter(|&j| mirror[j as usize] <= now)
-                            .map(JobId)
-                            .collect();
-                        prop_assert_eq!(due.clone(), expect, "due set diverges at t={}", now.0);
-                        for j in &due {
-                            mirror[j.index()] = Time::MAX;
-                        }
-                        // Every armed expiry > now must still bound the
-                        // window (no live key dropped by compaction).
-                        let min_live = mirror
-                            .iter()
-                            .copied()
-                            .chain(arrival)
-                            .chain(std::iter::once(horizon))
-                            .min()
-                            .expect("horizon is always armed");
-                        prop_assert_eq!(k.window(now), min_live.since(now));
-                        // Heap bound: one live entry per armed expiry plus
-                        // the corpses compaction is allowed to defer.
-                        let live = mirror.iter().filter(|&&t| t != Time::MAX).count();
-                        prop_assert_eq!(k.armed_keys(), live);
-                        prop_assert!(
-                            k.len() <= 2 * live + COMPACT_MIN_STALE,
-                            "heap holds {} entries for {} live keys",
-                            k.len(),
-                            live
-                        );
-                    }
+            let mut t = jobs[0].arrival;
+            while t < horizon {
+                while next_arrival < n && jobs[next_arrival].arrival <= t {
+                    alive[next_arrival] = true;
+                    next_arrival += 1;
                 }
+                match jobs.get(next_arrival) {
+                    Some(j) => k.arm_arrival(j.arrival),
+                    None => k.disarm_arrival(),
+                }
+                due.clear();
+                k.pop_due_expiries(t, inst.expiry_order(), |j| terminal[j.index()], &mut due);
+                let want: Vec<JobId> = (0..n)
+                    .filter(|&i| {
+                        alive[i] && jobs[i].profit.tail_value() == 0 && t >= jobs[i].last_useful_abs()
+                    })
+                    .map(|i| JobId(i as u32))
+                    .collect();
+                prop_assert_eq!(due.clone(), want, "due set diverges at t={}", t.0);
+                for j in &due {
+                    alive[j.index()] = false;
+                    terminal[j.index()] = true;
+                }
+                let (job, step) = marks.next().copied().unwrap_or((u32::MAX, 1));
+                if let Some(a) = alive.get_mut(job as usize).filter(|a| **a) {
+                    *a = false;
+                    terminal[job as usize] = true;
+                }
+                let next = (0..n)
+                    .filter(|&i| alive[i] && jobs[i].profit.tail_value() == 0)
+                    .map(|i| jobs[i].last_useful_abs())
+                    .chain(jobs.get(next_arrival).map(|j| j.arrival))
+                    .fold(horizon, Time::min);
+                let w = k.window(t, inst.expiry_order(), |j| terminal[j.index()]);
+                prop_assert_eq!(w, next.since(t), "window diverges at t={}", t.0);
+                prop_assert!(w > 0);
+                t = Time(t.0 + 1 + step % w);
             }
+            let passed = k.counts.due + k.counts.skipped;
+            prop_assert!(passed as usize <= inst.expiry_order().len());
         }
-    }
-
-    #[test]
-    fn compaction_bounds_the_heap_under_rekey_churn() {
-        let mut k = EventKernel::new(1, Time(1_000_000));
-        // Re-arm one expiry far more often than the compaction threshold,
-        // querying the kernel each round as the driver does every step
-        // (compaction piggybacks on the queries): without it the heap
-        // would hold one corpse per re-arm.
-        let mut due = Vec::new();
-        for i in 0..10_000u64 {
-            k.arm_expiry(JobId(0), Time(100 + i));
-            k.pop_due_expiries(Time(50), &mut due);
-        }
-        assert!(due.is_empty());
-        assert!(
-            k.len() < 2 * COMPACT_MIN_STALE + 2,
-            "heap holds {} entries despite 10k re-keys",
-            k.len()
-        );
-        // The surviving armed entry still answers correctly.
-        assert_eq!(k.window(Time(50)), 10_049);
     }
 }

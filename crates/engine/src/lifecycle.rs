@@ -178,6 +178,13 @@ impl Lifecycle {
         id.index() < self.live.len() && self.live[id.index()].is_some()
     }
 
+    /// Whether `id` has reached a terminal outcome (completed or expired).
+    /// A job that has not arrived yet is not terminal.
+    #[inline]
+    pub(crate) fn is_terminal(&self, id: JobId) -> bool {
+        self.outcomes[id.index()] != JobStatus::Unfinished
+    }
+
     /// Whether any job has yet to arrive.
     #[inline]
     pub(crate) fn pending_arrivals(&self) -> bool {
@@ -263,9 +270,10 @@ impl Lifecycle {
     }
 
     /// Indexed variant of [`expire_hopeless`](Self::expire_hopeless): pull
-    /// the due expiries from the kernel's sorted boundary index instead of
-    /// rescanning every alive job. O(due · log n) against the scan's
-    /// O(alive) — and O(1) on the (typical) step where nothing is due.
+    /// the due expiries from the kernel's cursor over the instance's sorted
+    /// `expiry_keys` instead of rescanning every alive job. O(due + keys
+    /// passed) against the scan's O(alive); each key is passed once per
+    /// run, and a step where nothing is due reads one key.
     ///
     /// Byte-identical to the scan by construction: the kernel returns due
     /// ids ascending, which *is* arrival order (instance ids are assigned
@@ -275,12 +283,13 @@ impl Lifecycle {
         &mut self,
         t: Time,
         kernel: &mut crate::events::EventKernel,
+        expiry_keys: &[(Time, JobId)],
         sched: &mut dyn OnlineScheduler,
         obs: &mut O,
         expired: &mut Vec<JobId>,
     ) -> bool {
         expired.clear();
-        kernel.pop_due_expiries(t, expired);
+        kernel.pop_due_expiries(t, expiry_keys, |id| self.is_terminal(id), expired);
         if expired.is_empty() {
             return false;
         }

@@ -4,9 +4,10 @@
 //! [`SimConfig::fast_forward`] is the one switch between the engine's two
 //! execution paths, which produce identical results:
 //!
-//! * the **production path** (`true`, the default) keeps the next event in
-//!   an [`EventKernel`](crate::events::EventKernel) and maintains the
-//!   scheduler's view incrementally. Between *events* (arrivals, node
+//! * the **production path** (`true`, the default) finds the next event
+//!   with an [`EventKernel`](crate::events::EventKernel) (an arrival
+//!   cursor and a cursor over the instance's presorted expiry order) and
+//!   maintains the scheduler's view incrementally. Between *events* (arrivals, node
 //!   completions, expiries, the horizon) nothing visible to a stable
 //!   scheduler changes, so while the view is unchanged and the last
 //!   allocation's stability window is open it replays that allocation

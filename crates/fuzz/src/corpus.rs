@@ -210,6 +210,24 @@ mod tests {
         }
     }
 
+    /// The seed corpus and the collision instances built from it (equal
+    /// expiry ticks, tail-profit jobs): each instance's `expiry_order` is
+    /// a filter-and-sort of its zero-tail jobs (hence strictly ascending:
+    /// ids are distinct).
+    #[test]
+    fn expiry_order_is_the_sorted_zero_tail_keys() {
+        let seeds = seed_corpus().into_iter().map(|s| s.to_instance().unwrap());
+        let mut tails = 0;
+        for inst in seeds.chain(collision_instances(3, 24)) {
+            let zero_tail = inst.jobs().iter().filter(|j| j.profit.tail_value() == 0);
+            let mut want: Vec<_> = zero_tail.map(|j| (j.last_useful_abs(), j.id)).collect();
+            want.sort();
+            assert_eq!(inst.expiry_order(), want.as_slice());
+            tails += inst.len() - want.len();
+        }
+        assert!(tails > 0, "the corpus must hold tail-profit jobs");
+    }
+
     #[test]
     fn collision_instances_are_deterministic_and_collide() {
         let a = collision_instances(9, 6);

@@ -74,30 +74,41 @@ pub fn federated_assignment(set: &SporadicTaskSet) -> Option<FederatedAssignment
 
     // Light tasks: first-fit-decreasing by density onto shared processors,
     // each processor holding total density ≤ 1 (sequential EDF test for
-    // constrained-deadline sporadic tasks).
+    // constrained-deadline sporadic tasks). A density `W/δ` is kept as its
+    // exact terms: the order cross-multiplies them and each processor's
+    // load is a reduced fraction.
+    let terms = |i: usize| {
+        let (w, delta) = set.tasks[i].density();
+        (u128::from(w), u128::from(delta))
+    };
     let mut light: Vec<usize> = (0..n_tasks).filter(|&i| !set.tasks[i].is_heavy()).collect();
-    light.sort_by(|&a, &b| set.tasks[b].density().total_cmp(&set.tasks[a].density()));
+    // Descending density; the stable sort keeps index order on ties.
+    light.sort_by(|&a, &b| {
+        let ((wa, da), (wb, db)) = (terms(a), terms(b));
+        (wb * da).cmp(&(wa * db))
+    });
     let max_shared = (m as u64 - used) as u32;
-    let mut core_density: Vec<f64> = Vec::new();
+    let mut core_load: Vec<(u128, u128)> = Vec::new();
     for &i in &light {
-        let d = set.tasks[i].density();
-        if d > 1.0 {
+        let (w, d) = terms(i);
+        if d == 0 || w > d {
             return None; // a light task that alone overloads a processor
         }
-        match core_density
+        let fit = core_load
             .iter()
-            .position(|&load| load + d <= 1.0 + 1e-12)
-        {
-            Some(c) => {
-                core_density[c] += d;
+            .enumerate()
+            .find_map(|(c, &load)| add_if_fits(load, w, d).map(|sum| (c, sum)));
+        match fit {
+            Some((c, sum)) => {
+                core_load[c] = sum;
                 shared_core[i] = Some(c as u32);
             }
             None => {
-                if core_density.len() as u32 >= max_shared {
+                if core_load.len() as u32 >= max_shared {
                     return None;
                 }
-                shared_core[i] = Some(core_density.len() as u32);
-                core_density.push(d);
+                shared_core[i] = Some(core_load.len() as u32);
+                core_load.push(add_if_fits((0, 1), w, d).expect("w ≤ d fits an empty core"));
             }
         }
     }
@@ -105,8 +116,28 @@ pub fn federated_assignment(set: &SporadicTaskSet) -> Option<FederatedAssignment
     Some(FederatedAssignment {
         dedicated,
         shared_core,
-        shared_count: core_density.len() as u32,
+        shared_count: core_load.len() as u32,
     })
+}
+
+/// `num/den + w/d` as a reduced fraction if it is at most 1. `None` when it
+/// exceeds 1 or an exact term overflows `u128`: an unverifiable sum counts
+/// as not fitting, which keeps the schedulability test sound.
+fn add_if_fits((num, den): (u128, u128), w: u128, d: u128) -> Option<(u128, u128)> {
+    let sum_num = num.checked_mul(d)?.checked_add(w.checked_mul(den)?)?;
+    let sum_den = den.checked_mul(d)?;
+    if sum_num > sum_den {
+        return None;
+    }
+    let g = gcd(sum_num, sum_den);
+    Some((sum_num / g, sum_den / g))
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Executes a [`FederatedAssignment`]: heavy tasks always receive their
@@ -282,6 +313,37 @@ mod tests {
             seed: 0,
         };
         assert!(federated_assignment(&set).is_none());
+    }
+
+    /// Densities `1/2` and `1/2 + 10⁻¹³` sum to just above 1, which a float
+    /// test with a `1e-12` slack accepts: they need two shared processors.
+    /// A sum of exactly 1 fits one; `δ = min(D, T) = 0` is rejected.
+    #[test]
+    fn light_packing_is_exact() {
+        let task = |work: u64, d: u64, period: u64| SporadicTask {
+            dag: gen::single(work).into_shared(),
+            period,
+            rel_deadline: Time(d),
+            profit: 1,
+            jitter: 0,
+        };
+        let assign = |m, tasks| {
+            let horizon = Time(100);
+            federated_assignment(&SporadicTaskSet {
+                m,
+                tasks,
+                horizon,
+                seed: 0,
+            })
+        };
+        let d = 10_000_000_000_000;
+        let near = || vec![task(1, 2, 2), task(d / 2 + 1, d, d)];
+        let a = assign(2, near()).expect("one task per processor");
+        assert_eq!(a.shared_core, vec![Some(1), Some(0)], "denser task first");
+        assert!(assign(1, near()).is_none());
+        let exact = assign(1, vec![task(1, 2, 2), task(3, 6, 6)]);
+        assert_eq!(exact.map(|a| a.shared_count), Some(1));
+        assert!(assign(4, vec![task(1, 5, 0)]).is_none());
     }
 
     #[test]

@@ -357,14 +357,17 @@ macro_rules! prop_assert_ne {
 
 /// Declare property tests, compatible with the `proptest!` macro:
 ///
-/// ```ignore
+/// ```
+/// use dagsched_testkit::prelude::*;
+///
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(64))]
-///     #[test]
+///     // In a test module, put `#[test]` here: attributes pass through.
 ///     fn holds(x in 0u64..100, y in 0.0f64..1.0) {
 ///         prop_assert!(x < 100 && y < 1.0);
 ///     }
 /// }
+/// holds();
 /// ```
 ///
 /// Each test evaluates its strategy expressions and body once per case with

@@ -1,7 +1,7 @@
 //! A complete online problem instance.
 
 use crate::job::JobSpec;
-use dagsched_core::{Result, SchedError, Time, Work, MAX_PROCESSORS};
+use dagsched_core::{JobId, Result, SchedError, Time, Work, MAX_PROCESSORS};
 
 /// A machine size plus jobs sorted by arrival time.
 #[derive(Debug, Clone)]
@@ -13,6 +13,9 @@ pub struct Instance {
     /// Max over jobs of [`JobSpec::last_useful_abs`], computed at
     /// construction.
     horizon: Time,
+    /// `(last_useful_abs, id)` of every zero-tail job, ascending; computed
+    /// at construction.
+    expiry_order: Vec<(Time, JobId)>,
 }
 
 /// Aggregate facts about an instance, for experiment reporting.
@@ -74,9 +77,10 @@ impl Instance {
                 "jobs must be sorted by arrival".into(),
             ));
         }
-        let (mut work, mut profit, mut horizon) = (0u64, 0u64, Time::ZERO);
+        let (mut work, mut profit, mut horizon, mut zero_tail) = (0u64, 0u64, Time::ZERO, 0);
         for j in &jobs {
             horizon = horizon.max(j.last_useful_abs());
+            zero_tail += usize::from(j.profit.tail_value() == 0);
             work = work
                 .checked_add(j.work().units())
                 .ok_or_else(|| SchedError::InvalidInstance("total work overflows u64".into()))?;
@@ -84,11 +88,19 @@ impl Instance {
                 SchedError::InvalidInstance("total max profit overflows u64".into())
             })?;
         }
+        let mut expiry_order = Vec::with_capacity(zero_tail);
+        expiry_order.extend(
+            jobs.iter()
+                .filter(|j| j.profit.tail_value() == 0)
+                .map(|j| (j.last_useful_abs(), j.id)),
+        );
+        expiry_order.sort_unstable();
         Ok(Instance {
             m,
             jobs,
             total_work: Work(work),
             horizon,
+            expiry_order,
         })
     }
 
@@ -98,7 +110,7 @@ impl Instance {
         self.m
     }
 
-    /// The jobs, sorted by arrival, indexed by [`JobId`](dagsched_core::JobId).
+    /// The jobs, sorted by arrival, indexed by [`JobId`].
     #[inline]
     pub fn jobs(&self) -> &[JobSpec] {
         &self.jobs
@@ -129,6 +141,16 @@ impl Instance {
         self.horizon
     }
 
+    /// Every zero-tail job's expiry boundary as `(last_useful_abs, id)`,
+    /// strictly ascending (ids break ties). The boundary is fixed by the
+    /// job, so [`new`](Self::new) sorts the list once; the engine's event
+    /// kernel walks it with a cursor. Tail-profit jobs never expire and are
+    /// absent.
+    #[inline]
+    pub fn expiry_order(&self) -> &[(Time, JobId)] {
+        &self.expiry_order
+    }
+
     /// Compute aggregate statistics.
     pub fn stats(&self) -> InstanceStats {
         let n_jobs = self.jobs.len();
@@ -156,7 +178,6 @@ impl Instance {
 mod tests {
     use super::*;
     use crate::profit::StepProfitFn;
-    use dagsched_core::JobId;
     use dagsched_dag::gen;
 
     fn job(id: u32, arrival: u64, width: u32, d: u64, p: u64) -> JobSpec {

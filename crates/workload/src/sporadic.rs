@@ -39,17 +39,18 @@ impl SporadicTask {
         self.dag.total_work().as_f64() / self.period as f64
     }
 
-    /// Density `W / min(D, period)` (the sequential-task density used by
-    /// partitioned EDF tests).
-    pub fn density(&self) -> f64 {
-        self.dag.total_work().as_f64() / self.rel_deadline.as_f64().min(self.period as f64)
+    /// Density `W / δ` with `δ = min(D, period)` (the sequential-task
+    /// density used by partitioned EDF tests), as its exact terms `(W, δ)`.
+    pub fn density(&self) -> (u64, u64) {
+        let delta = self.rel_deadline.ticks().min(self.period);
+        (self.dag.total_work().units(), delta)
     }
 
     /// Is the task *heavy* in the federated-scheduling sense — impossible
     /// to finish on one dedicated processor within its deadline
     /// (`W > D`)?
     pub fn is_heavy(&self) -> bool {
-        self.dag.total_work().as_f64() > self.rel_deadline.as_f64()
+        self.dag.total_work().units() > self.rel_deadline.ticks()
     }
 }
 
@@ -144,10 +145,14 @@ mod tests {
     fn utilization_and_density() {
         let t = task(10, 40, 25); // W = 20
         assert!((t.utilization() - 0.5).abs() < 1e-12);
-        assert!((t.density() - 20.0 / 25.0).abs() < 1e-12);
+        assert_eq!(t.density(), (20, 25));
         assert!(!t.is_heavy());
         let heavy = task(20, 100, 30); // W = 40 > D = 30
         assert!(heavy.is_heavy());
+        // Exact: W = 2^53 + 1 and D = 2^53 round to the same `f64`.
+        let mut edge = task(1, 100, 1 << 53);
+        edge.dag = gen::single((1 << 53) + 1).into_shared();
+        assert!(edge.is_heavy());
     }
 
     #[test]

@@ -41,9 +41,15 @@
 #
 # Scheduler S's hooks are too short for 10 samples a second to resolve.
 # `examples/hook_times.rs` times them directly on the seed's parked
-# instance and prints the best of N runs per hook, in ms:
+# instance and prints the best of N runs per hook, in ms. It first prints
+# the best of N wall times of each of the `parked-dense` op's four
+# simulations (EDF on the parked single-node and chain instances, S, and
+# S-profit on the slot-plan instance) and their sum: the engine and
+# scheduler half of the op, without the benchmark's set-up and checks, so
+# an engine change can be sized per simulation. Pin it to one CPU and
+# alternate with a build of the parent:
 #
-#   cargo run --release --offline -q --example hook_times -- 200 1
+#   taskset -c 0 cargo run --release --offline -q --example hook_times -- 200 1
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
