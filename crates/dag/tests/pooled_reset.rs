@@ -5,8 +5,7 @@
 //! expired jobs via `reset_from`, so the entire byte-invisibility argument
 //! for PR 5's pooling layer reduces to this property: no matter how dirty
 //! the recycled state is (arbitrary partial unfold of an unrelated DAG,
-//! with node claims still held, as a job that expires inside a held
-//! fast-forward window leaves it), after `reset_from(spec, scale)` it must
+//! with node claims still set), after `reset_from(spec, scale)` it must
 //! be indistinguishable from `UnfoldState::new(spec, scale)` under every
 //! observable — no claim survives — and under any interleaving of
 //! `advance` / `advance_bulk` / `claim` / `release` the engine can issue.

@@ -9,12 +9,11 @@
 //! * `skip_idle_to` jumps over a gap in which nothing
 //!   is alive and nothing arrives (no ticks are charged: the naive reference
 //!   path never iterated those ticks either);
-//! * `advance_tick` closes one reference tick
-//!   (1 tick, 1 step);
-//! * `advance_window` closes one fast-forward bulk
-//!   window of `s` ticks (`s` ticks, 1 step).
+//! * `advance_window` closes one engine step of `s` ticks (`s` ticks, 1
+//!   step): one reference tick on the naive path, a bulk window or a bulk
+//!   window and its completion tick on the fast-forward path.
 //!
-//! Keeping the counters behind these three operations is what makes
+//! Keeping the counters behind these two operations is what makes
 //! `ticks_simulated` byte-identical between the naive and fast-forward paths:
 //! there is no other way to move time.
 
@@ -84,15 +83,7 @@ impl Clock {
         self.now = t;
     }
 
-    /// Close one reference tick.
-    #[inline]
-    pub(crate) fn advance_tick(&mut self) {
-        self.now = self.now.after(1);
-        self.ticks_simulated += 1;
-        self.steps_executed += 1;
-    }
-
-    /// Close one bulk fast-forward window of `s` ticks in a single step.
+    /// Close one engine step of `s` ticks.
     #[inline]
     pub(crate) fn advance_window(&mut self, s: u64) {
         self.now = self.now.after(s);
@@ -122,7 +113,7 @@ mod tests {
         c.skip_idle_to(Time(20));
         assert_eq!(c.now(), Time(20));
         assert_eq!(c.ticks_simulated(), 0, "idle skips charge nothing");
-        c.advance_tick();
+        c.advance_window(1);
         assert_eq!((c.ticks_simulated(), c.steps_executed()), (1, 1));
         c.advance_window(10);
         assert_eq!((c.ticks_simulated(), c.steps_executed()), (11, 2));

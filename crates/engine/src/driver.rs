@@ -6,11 +6,13 @@
 //! sequence of explicit **steps**:
 //!
 //! * [`step`](SimDriver::step) executes exactly one engine scheduling round
-//!   — one tick or one bulk fast-forward window — and reports whether the
-//!   run is still live;
+//!   — one tick, or on the fast-forward path a bulk window of quiet ticks
+//!   up to the next event, together with the completion tick that ends it
+//!   when that event is a node completion — and reports whether the run is
+//!   still live;
 //! * [`run_until`](SimDriver::run_until) steps until simulated time reaches
-//!   a target (a step may overshoot it: bulk windows are never split, which
-//!   is what keeps a stepped run byte-identical to a one-shot run);
+//!   a target (a step may overshoot it: steps are never split, which is
+//!   what keeps a stepped run byte-identical to a one-shot run);
 //! * [`finish`](SimDriver::finish) steps to the end and returns the
 //!   [`SimResult`].
 //!
@@ -29,8 +31,13 @@
 //! allocation's stability window ended (otherwise it replays that
 //! allocation); the naive reference path steps tick by tick, scans for
 //! expiries, rebuilds the view and asks every tick. The two share the
-//! execution round (phase 6 of [`step`](SimDriver::step)) and the
-//! lifecycle transitions, nothing else.
+//! per-processor execution round (phase 6 of [`step`](SimDriver::step))
+//! and the lifecycle transitions, nothing else.
+//!
+//! Observers see a step's quiet ticks as one window and its completion
+//! tick as a window of one tick, with the node completions at that tick:
+//! the calls a separate window and a separate completion tick would make,
+//! whatever the step structure.
 //!
 //! Driving the same schedule stepped or one-shot produces the same
 //! [`SimResult`] *including* `steps_executed` and the same event stream —
@@ -50,14 +57,17 @@ use dagsched_core::{ticks_to_complete, JobId, NodeId, Result, SchedError, Time};
 use dagsched_workload::Instance;
 
 /// Scratch buffers reused across every step (no per-tick allocation):
-/// the reference path's rebuilt tick view, validation output, expired ids,
-/// the pick batch, per-processor continuations, the fast-forward claim
-/// list, the run-wide list of claimed nodes, and the observation payload
-/// builders.
+/// the reference path's rebuilt tick view, validation output, the
+/// executed tick's completed and touched jobs, expiry scratch, the pick
+/// batch, per-processor continuations, the fast-forward claim list, the
+/// round's list of claimed nodes, and the observation payload builders.
 #[derive(Default)]
 struct StepScratch {
     view_jobs: Vec<(JobId, u32)>,
     completions: Vec<JobId>,
+    /// Jobs that finished a node in the executed tick and did not
+    /// complete: the only ready counts that can have moved.
+    touched: Vec<JobId>,
     alloc: Allocation,
     expired: Vec<JobId>,
     picked: Vec<NodeId>,
@@ -65,9 +75,8 @@ struct StepScratch {
     /// Fast-forward claim list: `(job, node, units)` with the per-tick rate
     /// of the processor each node is bound to.
     claimed: Vec<(JobId, NodeId, u64)>,
-    /// Every node whose claim bit is set, in claim order: released after
-    /// the execution round, or — for a held window — when the next step
-    /// asks afresh.
+    /// Every node whose claim bit is set, in claim order: set and released
+    /// within one execution round.
     claims: Vec<(JobId, NodeId)>,
     adm_events: Vec<AdmissionEvent>,
     node_done: Vec<(JobId, NodeId)>,
@@ -115,24 +124,12 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     /// `scratch.alloc` is what the scheduler would decide at every tick
     /// before this one, so it is replayed instead of asked for again.
     replay_before: Time,
-    /// The last bulk window ended one tick before its earliest claimed
-    /// completion, and `scratch.claimed` is still claimed: if this
-    /// step replays, those claims are exactly what the claim pass would
-    /// pick again, and one of them finishes this tick.
-    held: bool,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
     done: bool,
     poisoned: bool,
     scratch: StepScratch,
-    /// Number of claim passes run, for tests that pin what held claims
-    /// save.
-    #[cfg(test)]
-    claim_passes: u64,
-    /// Number of held claim sets released by a fresh ask instead of run.
-    #[cfg(test)]
-    held_released: u64,
 }
 
 impl<'a> SimDriver<'a, NullObserver> {
@@ -210,15 +207,10 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             fast_forward,
             stability,
             replay_before: Time(0),
-            held: false,
             observing,
             done: false,
             poisoned: false,
             scratch: StepScratch::default(),
-            #[cfg(test)]
-            claim_passes: 0,
-            #[cfg(test)]
-            held_released: 0,
             inst,
             sched,
             cfg,
@@ -257,7 +249,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
     }
 
     /// Execute one engine scheduling round: one tick, or one bulk
-    /// fast-forward window. Returns `Ok(true)` while the run is live;
+    /// fast-forward window up to the next event, through the completion
+    /// tick of the earliest node it runs when that comes first. Returns
+    /// `Ok(true)` while the run is live;
     /// `Ok(false)` once it has ended (the first such call fires
     /// [`SimObserver::on_end`]; further calls are no-ops).
     ///
@@ -355,10 +349,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // patched). If it has not changed since the last fresh allocation
         // and `t` is still inside that allocation's stability window, the
         // scheduler would decide the same again, so `scratch.alloc` (which
-        // nothing writes between steps) is replayed. Otherwise release any
-        // claims the last window held, ask for a fresh allocation and open
-        // its window. Reference: rebuild the view from scratch into the
-        // hoisted buffer and ask every tick.
+        // nothing writes between steps) is replayed. Otherwise ask for a
+        // fresh allocation and open its window. Reference: rebuild the
+        // view from scratch into the hoisted buffer and ask every tick.
         //
         // `fresh_until` keeps `stable_until(t)` when this step asked a
         // bounded scheduler afresh, so the window cap in phase 5 need not
@@ -367,13 +360,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         let mut fresh_until = None;
         if production {
             if self.life.view_changed || t >= self.replay_before {
-                if std::mem::take(&mut self.held) {
-                    self.life.release_claims(&mut self.scratch.claims);
-                    #[cfg(test)]
-                    {
-                        self.held_released += 1;
-                    }
-                }
                 let view = TickView::new(self.platform.m(), t, self.life.view())
                     .with_groups(self.platform.groups());
                 self.sched.allocate_into(&view, &mut self.scratch.alloc);
@@ -416,19 +402,28 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         }
 
         // 5. Fast-forward: with a stable scheduler and a deterministic
-        // picker, nothing observable changes until the next event. Claim
-        // this tick's nodes — the batch the execution round below hands
-        // out — find the widest window in which no claimed node can
-        // finish and no arrival / expiry / horizon boundary falls, and
-        // advance the whole window in one engine step.
+        // picker, nothing observable changes until the next event. The
+        // claim pass picks this tick's nodes — the batch the execution
+        // round below hands out first — and finds `min_q`, the ticks until
+        // the earliest of them finishes. For `min_q − 1` ticks no claimed
+        // node finishes, so the ready sets — and with them every pick and
+        // every allocation — are frozen: those quiet ticks advance in bulk.
+        // Tick `t + min_q − 1` is the completion tick. When no arrival,
+        // expiry, stability or horizon boundary falls before `t + min_q`,
+        // this step runs the quiet ticks and the completion tick, one step
+        // per node completion. Otherwise the step ends at the boundary,
+        // and the next step starts with that boundary's events.
         //
-        // A window that ends one tick before its earliest claimed
-        // completion keeps its claims (`held`). Picks are a pure function
-        // of each job's ready list and claim bits, and no node completes
-        // inside a window, so if the next step replays, the claim pass
-        // would pick the same nodes again — and one of them finishes that
-        // tick (`s == 0`). That step runs the tick on the held claims
-        // directly; a step that asks afresh released them in phase 3.
+        // The claim pass sets no claim bits: entries name distinct jobs
+        // and one pick returns distinct nodes, so the bits matter only to
+        // the execution round's later picks, which claim the first batch
+        // before they pick again.
+        //
+        // `bulk` counts the quiet ticks this step advanced; the execution
+        // round runs tick `t + bulk`. `ran` says the completion tick needs
+        // no per-processor round and already ran.
+        let mut bulk = 0u64;
+        let mut ran = false;
         if self.fast_forward {
             let sc = &mut self.scratch;
             // Bounded stability: the plan may change at the scheduler's
@@ -451,118 +446,95 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     None => u64::MAX,
                 }
             };
-            // Held claims: one of them finishes this tick.
-            let mut min_q = 1;
-            if !std::mem::take(&mut self.held) {
-                #[cfg(test)]
-                {
-                    self.claim_passes += 1;
-                }
-                sc.claimed.clear();
-                // Ticks until the earliest claimed completion,
-                // ceil(remaining / units): within `min_q - 1` ticks no
-                // claimed node finishes, so the ready sets — and with them
-                // every pick and every allocation — are frozen. A uniform
-                // platform folds the smallest remaining work and divides
-                // once; a heterogeneous one divides per node by its
-                // processor's rate.
-                min_q = u64::MAX;
-                let mut min_rem = u64::MAX;
-                let mut cursor = 0usize;
-                for &(id, k) in &sc.alloc {
-                    let st = self.life.live[id.index()]
-                        .as_mut()
-                        .expect("validated alive");
-                    self.picker.pick_into(st, k as usize, &mut sc.picked);
-                    for (i, &node) in sc.picked.iter().enumerate() {
-                        st.claim(node);
-                        sc.claims.push((id, node));
-                        let rem = st.node_remaining(node).units();
-                        // The i-th picked node binds to the i-th processor
-                        // the entry consumes — the same pairing the
-                        // execution round's per-processor loop realizes.
-                        let pu = match uniform_units {
-                            Some(u) => {
-                                min_rem = min_rem.min(rem);
-                                u
+            sc.claimed.clear();
+            // Ticks until the earliest claimed completion, ceil(remaining /
+            // units), and whether a node finishing then has budget left
+            // over in that tick (remaining not a multiple of its rate). A
+            // uniform platform folds the smallest remaining work and
+            // divides once; a heterogeneous one divides per node by its
+            // processor's rate.
+            let mut min_q = u64::MAX;
+            let mut min_rem = u64::MAX;
+            let mut leftover = false;
+            let mut cursor = 0usize;
+            for &(id, k) in &sc.alloc {
+                let st = self.life.live[id.index()]
+                    .as_ref()
+                    .expect("validated alive");
+                self.picker.pick_into(st, k as usize, &mut sc.picked);
+                for (i, &node) in sc.picked.iter().enumerate() {
+                    let rem = st.node_remaining(node).units();
+                    // The i-th picked node binds to the i-th processor
+                    // the entry consumes — the same pairing the
+                    // execution round's per-processor loop realizes.
+                    let pu = match uniform_units {
+                        Some(u) => {
+                            min_rem = min_rem.min(rem);
+                            u
+                        }
+                        None => {
+                            let pu = self.platform.proc_units()[cursor + i];
+                            let q = ticks_to_complete(rem, pu);
+                            let short = !rem.is_multiple_of(pu);
+                            if q < min_q {
+                                (min_q, leftover) = (q, short);
+                            } else if q == min_q {
+                                leftover |= short;
                             }
-                            None => {
-                                let pu = self.platform.proc_units()[cursor + i];
-                                min_q = min_q.min(ticks_to_complete(rem, pu));
-                                pu
-                            }
-                        };
-                        sc.claimed.push((id, node, pu));
-                    }
-                    cursor += k as usize;
+                            pu
+                        }
+                    };
+                    sc.claimed.push((id, node, pu));
                 }
-                if let Some(u) = uniform_units {
-                    if min_rem != u64::MAX {
-                        min_q = if min_rem <= u {
-                            1
-                        } else {
-                            ticks_to_complete(min_rem, u)
-                        };
-                    }
+                cursor += k as usize;
+            }
+            if let Some(u) = uniform_units {
+                if min_rem != u64::MAX {
+                    min_q = ticks_to_complete(min_rem, u);
+                    leftover = !min_rem.is_multiple_of(u);
                 }
             }
-            // Window width in ticks. Every cap is ≥ 1 (after the idle
-            // skip the next arrival is strictly in the future, after step 2
-            // every zero-tail job is strictly before its expiry boundary,
-            // and the run guard keeps t < horizon), so s == 0 iff a claimed
-            // node completes this very tick — which runs as a single-tick
-            // round below. An empty claim set (empty allocation) also runs
-            // the single tick: the naive path counts allocation-idle ticks
-            // one by one, and `ticks_simulated` must stay byte-identical.
+            // Every cap is ≥ 1 (after the idle skip the next arrival is
+            // strictly in the future, after step 2 every zero-tail job is
+            // strictly before its expiry boundary, and the run guard keeps
+            // t < horizon). An empty claim set (empty allocation) runs the
+            // single tick: the naive path counts allocation-idle ticks one
+            // by one, and `ticks_simulated` must stay byte-identical.
             // `min_q == 1` needs no kernel query: a claimed node finishes
-            // this tick, so `s == 0` whatever the next boundary is.
+            // this tick, whatever the next boundary is.
             if !sc.claimed.is_empty() {
-                let s = if min_q == 1 {
-                    0
-                } else {
+                if min_q > 1 {
                     let life = &self.life;
                     let w = self
                         .kernel
-                        .window(t, self.inst.expiry_order(), |id| life.is_terminal(id));
-                    (min_q - 1).min(w).min(bound_cap())
-                };
-                if s > 0 {
-                    // No claimed node completes within the window: each
-                    // consumes its processor's full rate per tick
-                    // (remaining > s·units of that processor), exactly as
-                    // `s` reference ticks would, and no carryover,
-                    // completion or hook can fire.
-                    let mut total = 0u64;
-                    for &(id, node, pu) in &sc.claimed {
-                        self.life.live[id.index()]
-                            .as_mut()
-                            .expect("claimed implies live")
-                            .advance_bulk(node, s * pu);
-                        total += s * pu;
+                        .window(t, self.inst.expiry_order(), |id| life.is_terminal(id))
+                        .min(bound_cap());
+                    if w < min_q {
+                        // A boundary falls on or before the completion
+                        // tick: advance to it and let the next step
+                        // handle its events.
+                        self.advance_quiet(t, w);
+                        self.clock.advance_window(w);
+                        return Ok(true);
                     }
-                    self.platform.record_units(total);
-                    if self.observing {
-                        // `claimed` lists each alloc entry's nodes
-                        // contiguously, in alloc order: walk it once to sum
-                        // each job's per-tick rate over its claimed nodes.
-                        sc.progress.clear();
-                        let mut rest = sc.claimed.as_slice();
-                        for &(id, _) in &sc.alloc {
-                            let cnt = rest.iter().take_while(|&&(j, _, _)| j == id).count();
-                            let rate: u64 = rest[..cnt].iter().map(|&(_, _, pu)| pu).sum();
-                            rest = &rest[cnt..];
-                            sc.progress.push((id, s * rate));
-                        }
-                        self.obs
-                            .on_window(t, s, self.life.view(), &sc.alloc, &sc.progress);
+                    bulk = min_q - 1;
+                }
+                if !self.cfg.carryover || !leftover {
+                    // No node finishing on the completion tick has budget
+                    // left over, so no processor continues into another
+                    // node and the per-processor round reduces to one
+                    // `advance` of `min_q` ticks' budget per claimed node,
+                    // in claim order: each non-finishing node consumes its
+                    // processor's full rate every tick, and each finishing
+                    // one consumes its remainder and frees its processor
+                    // for the rest of the tick.
+                    if self.observing && bulk > 0 {
+                        self.observe_quiet(t, bulk);
                     }
-                    if s == min_q - 1 {
-                        self.held = true;
-                    } else {
-                        self.life.release_claims(&mut sc.claims);
-                    }
-                    self.clock.advance_window(s);
-                    return Ok(true);
+                    self.run_claimed(bulk);
+                    ran = true;
+                } else if bulk > 0 {
+                    self.advance_quiet(t, bulk);
                 }
             } else if bounded && sc.alloc.is_empty() && !self.life.alive.is_empty() {
                 // Bounded schedulers idle *deliberately*: an empty
@@ -593,34 +565,164 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     return Ok(true);
                 }
             }
-            // A completion is due this tick (or nothing was claimed): run
-            // the single-tick round below, which hands out the claimed
-            // nodes (still claimed) as each entry's first batch and
-            // handles completion, carryover and unlocking.
+        }
+        let tick = t.after(bulk);
+
+        // 6. Execute tick `tick` (both paths) in the per-processor round,
+        // unless the claim list already ran it above.
+        if !ran {
+            self.run_round();
+        }
+        let sc = &mut self.scratch;
+        if self.observing {
+            let vj: &[(JobId, u32)] = if production {
+                self.life.view()
+            } else {
+                &sc.view_jobs
+            };
+            self.obs.on_window(tick, 1, vj, &sc.alloc, &sc.progress);
+            for &(id, node) in &sc.node_done {
+                self.obs.on_node_complete(tick, id, node);
+            }
         }
 
-        // 6. Execute one tick (both paths).
-        //
-        // Each entry's fresh nodes come from a batch of up to `batch_k`
-        // nodes in the picker's order. Within one tick the entry's eligible
-        // set (ready and unclaimed) only shrinks: a handed-out node stays
-        // claimed, and every node a completion unlocks is claimed below
-        // before any later pick can see it. For a deterministic policy the
-        // nodes one-node picks would return are therefore successive
-        // prefixes of one policy order over the tick-start eligible set, so
-        // one `k`-node pick per batch returns the same nodes in the same
-        // order. A batch that came back short has drained the eligible set
-        // for the rest of the tick. `Random`'s reservoir draws per call
-        // are part of its output, so it keeps one call per node.
+        // Patch the maintained view's ready counts: node completions in
+        // the execution round are the only thing that moves them, so only
+        // jobs that finished a node and go on need it — jobs completing
+        // this step are covered by their removal in phase 7. (After the
+        // observer call: the window payload carries the view the
+        // *scheduler* saw.)
+        for &id in &sc.touched {
+            self.life.patch_ready(id);
+        }
+
+        // 7. Completions take effect at the end of the executed tick.
+        let t_done = tick.after(1);
+        self.life
+            .complete(jobs, t_done, &sc.completions, self.sched, &mut self.obs);
+        let completed_any = !sc.completions.is_empty();
+        if self.observing && completed_any {
+            self.forward_admissions(t_done);
+        }
+
+        self.clock.advance_window(bulk + 1);
+        Ok(true)
+    }
+
+    /// Advance every claimed node by `s` ticks of its processor's rate: a
+    /// window in which no claimed node finishes, so each consumes its full
+    /// rate every tick (remaining > s·units), exactly as `s` reference
+    /// ticks would, and no carryover, completion or hook can fire.
+    fn advance_quiet(&mut self, t: Time, s: u64) {
+        let mut total = 0u64;
+        for &(id, node, pu) in &self.scratch.claimed {
+            self.life.live[id.index()]
+                .as_mut()
+                .expect("claimed implies live")
+                .advance_bulk(node, s * pu);
+            total += s * pu;
+        }
+        self.platform.record_units(total);
+        if self.observing {
+            self.observe_quiet(t, s);
+        }
+    }
+
+    /// Report the `s` quiet ticks from `t` to the observer, each job's
+    /// progress being its claimed nodes' summed rate times `s`.
+    fn observe_quiet(&mut self, t: Time, s: u64) {
+        let sc = &mut self.scratch;
+        // `claimed` lists each alloc entry's nodes contiguously, in alloc
+        // order: walk it once to sum each job's per-tick rate.
+        sc.progress.clear();
+        let mut rest = sc.claimed.as_slice();
+        for &(id, _) in &sc.alloc {
+            let cnt = rest.iter().take_while(|&&(j, _, _)| j == id).count();
+            let rate: u64 = rest[..cnt].iter().map(|&(_, _, pu)| pu).sum();
+            rest = &rest[cnt..];
+            sc.progress.push((id, s * rate));
+        }
+        self.obs
+            .on_window(t, s, self.life.view(), &sc.alloc, &sc.progress);
+    }
+
+    /// Run the `bulk` quiet ticks and the completion tick after them on
+    /// the claim list alone: each claimed node gets `bulk + 1` ticks of its
+    /// processor's rate in one [`advance`](dagsched_dag::UnfoldState::advance),
+    /// in claim order. Fills the completion tick's progress, finished
+    /// nodes, completed and touched jobs as the per-processor round does.
+    fn run_claimed(&mut self, bulk: u64) {
+        let ticks = bulk + 1;
         let sc = &mut self.scratch;
         sc.completions.clear();
+        sc.touched.clear();
         if self.observing {
             sc.progress.clear();
             sc.node_done.clear();
         }
+        let mut total = 0u64;
+        let mut rest = sc.claimed.as_slice();
+        for &(id, _) in &sc.alloc {
+            let st = self.life.live[id.index()]
+                .as_mut()
+                .expect("validated alive");
+            let cnt = rest.iter().take_while(|&&(j, _, _)| j == id).count();
+            let (mine, tail) = rest.split_at(cnt);
+            rest = tail;
+            let (mut units, mut rate, mut finished_any) = (0u64, 0u64, false);
+            for &(_, node, pu) in mine {
+                // Saturating: a budget past `u64::MAX` finishes the node
+                // exactly as the true one would.
+                let (consumed, finished) = st.advance(node, ticks.saturating_mul(pu));
+                units += consumed;
+                rate += pu;
+                if finished {
+                    finished_any = true;
+                    if self.observing {
+                        sc.node_done.push((id, node));
+                    }
+                }
+            }
+            total += units;
+            if self.observing {
+                sc.progress.push((id, units - bulk * rate));
+            }
+            if st.is_complete() {
+                sc.completions.push(id);
+            } else if finished_any {
+                sc.touched.push(id);
+            }
+        }
+        self.platform.record_units(total);
+    }
+
+    /// The per-processor execution round of one tick (phase 6 of
+    /// [`step`](Self::step)): fills the tick's progress, finished nodes,
+    /// completed and touched jobs, and releases every claim it set.
+    ///
+    /// Each entry's fresh nodes come from a batch of up to `batch_k` nodes
+    /// in the picker's order. Within one tick the entry's eligible set
+    /// (ready and unclaimed) only shrinks: a handed-out node stays claimed,
+    /// and every node a completion unlocks is claimed before any later
+    /// pick can see it. For a deterministic policy the nodes one-node picks
+    /// would return are therefore successive prefixes of one policy order
+    /// over the tick-start eligible set, so one `k`-node pick per batch
+    /// returns the same nodes in the same order. A batch that came back
+    /// short has drained the eligible set for the rest of the tick.
+    /// `Random`'s reservoir draws per call are part of its output, so it
+    /// keeps one call per node.
+    fn run_round(&mut self) {
+        let sc = &mut self.scratch;
+        sc.completions.clear();
+        sc.touched.clear();
+        if self.observing {
+            sc.progress.clear();
+            sc.node_done.clear();
+        }
+        let uniform_units = self.platform.uniform_units();
         let batching = self.cfg.pick.fast_forward_safe();
         // On the fast-forward path the claim pass ran this step: its
-        // claims, contiguous per entry in alloc order, are the first
+        // picks, contiguous per entry in alloc order, are the first
         // batches. (On the naive path the list is always empty.)
         let mut claimed = sc.claimed.as_slice();
         let mut cursor = 0usize;
@@ -629,11 +731,15 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                 .as_mut()
                 .expect("validated alive");
             let mut entry_units = 0u64;
+            let mut finished_any = false;
             let batch_k = if batching { k as usize } else { 1 };
             let taken = claimed.iter().take_while(|&&(j, _, _)| j == id).count();
             sc.picked.clear();
-            sc.picked
-                .extend(claimed[..taken].iter().map(|&(_, node, _)| node));
+            for &(_, node, _) in &claimed[..taken] {
+                st.claim(node);
+                sc.claims.push((id, node));
+                sc.picked.push(node);
+            }
             claimed = &claimed[taken..];
             let mut drained = self.fast_forward && taken < batch_k;
             let mut next = 0usize;
@@ -678,6 +784,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
                     if !node_finished {
                         break;
                     }
+                    finished_any = true;
                     if self.observing {
                         sc.node_done.push((id, node));
                     }
@@ -700,6 +807,8 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             }
             if st.is_complete() {
                 sc.completions.push(id);
+            } else if finished_any {
+                sc.touched.push(id);
             }
             cursor += k as usize;
         }
@@ -707,43 +816,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // releasing every claim after the round equals releasing each
         // entry's claims after the entry.
         self.life.release_claims(&mut sc.claims);
-        if self.observing {
-            let vj: &[(JobId, u32)] = if production {
-                self.life.view()
-            } else {
-                &sc.view_jobs
-            };
-            self.obs.on_window(t, 1, vj, &sc.alloc, &sc.progress);
-            for &(id, node) in &sc.node_done {
-                self.obs.on_node_complete(t, id, node);
-            }
-        }
-
-        // Patch the maintained view's ready counts: node completions in
-        // the execution loop above are the only thing that moves them, and
-        // only for allocated jobs. Jobs completing this step skip the patch
-        // — their removal in phase 7 covers it. (After the observer call:
-        // the window payload carries the view the *scheduler* saw.)
-        for &(id, _) in &sc.alloc {
-            let st = self.life.live[id.index()]
-                .as_ref()
-                .expect("validated alive");
-            if !st.is_complete() {
-                self.life.patch_ready(id);
-            }
-        }
-
-        // 7. Completions take effect at t+1.
-        let t_done = t.after(1);
-        self.life
-            .complete(jobs, t_done, &sc.completions, self.sched, &mut self.obs);
-        let completed_any = !sc.completions.is_empty();
-        if self.observing && completed_any {
-            self.forward_admissions(t_done);
-        }
-
-        self.clock.advance_tick();
-        Ok(true)
     }
 
     /// Drain the scheduler's recorded admission decisions and forward them
@@ -759,10 +831,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
     }
 
     /// Step until simulated time reaches `target` or the run ends,
-    /// whichever comes first. A step may overshoot the target — bulk
-    /// fast-forward windows are never split, which is what keeps a stepped
-    /// run byte-identical to a one-shot run. Returns `Ok(true)` while the
-    /// run is live.
+    /// whichever comes first. A step may overshoot the target — steps are
+    /// never split, which is what keeps a stepped run byte-identical to a
+    /// one-shot run. Returns `Ok(true)` while the run is live.
     ///
     /// # Errors
     /// As [`step`](Self::step).
@@ -1025,9 +1096,10 @@ mod tests {
             },
             "A re-claimed on the 2-unit group at t = 5 finishes during tick 9"
         );
-        // Windows [0,1) [1,4) [5,9) [10,100) plus the three completion
-        // ticks 4, 9 and 100.
-        assert_eq!(fast.steps_executed, 7);
+        // Steps [0,1) (capped by C's arrival), [1,5) (B's completion tick
+        // 4 on the claim list), [5,10) (A's completion tick 9 leaves one
+        // unit of budget over: the per-processor round) and [10,101).
+        assert_eq!(fast.steps_executed, 4);
         assert_eq!(naive.steps_executed, 101);
     }
 
@@ -1124,35 +1196,26 @@ mod tests {
         )
     }
 
-    /// What a run on the production path did with held claims.
-    struct HeldRun {
-        /// Times at which a bulk window ended holding its claims.
-        held_ends: Vec<Time>,
-        claim_passes: u64,
-        held_released: u64,
+    /// What a checked run on the production path did.
+    struct CheckedRun {
+        /// Simulated time after each step: where each step ended.
+        step_ends: Vec<Time>,
+        /// The one-shot run's observer calls.
+        lines: Vec<String>,
         result: SimResult,
     }
 
-    /// Drive `inst` step by step on the production path, recording where
-    /// windows held their claims, and check the run against everything it
-    /// must equal: the naive path's outcome, and a one-shot run's
-    /// `steps_executed` and event stream — both for the step-by-step run
-    /// and for one paused with `run_until` at every target in `pauses`.
-    fn check_held_run(
-        inst: &Instance,
-        mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
-        pauses: &[Time],
-    ) -> HeldRun {
-        check_held_run_on(inst, mk, pauses, &SimConfig::default())
-    }
-
-    /// [`check_held_run`] under `cfg`.
-    fn check_held_run_on(
+    /// Drive `inst` step by step on the production path under `cfg`,
+    /// recording where each step ended, and check the run against
+    /// everything it must equal: the naive path's outcome, and a one-shot
+    /// run's `steps_executed` and event stream — both for the step-by-step
+    /// run and for one paused with `run_until` at every target in `pauses`.
+    fn check_run_on(
         inst: &Instance,
         mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
         pauses: &[Time],
         cfg: &SimConfig,
-    ) -> HeldRun {
+    ) -> CheckedRun {
         let mut one_shot_lines = Lines::default();
         let one_shot = {
             let mut s = mk();
@@ -1176,13 +1239,10 @@ mod tests {
         let mut s = mk();
         let obs: &mut dyn SimObserver = &mut stepped_lines;
         let mut drv = SimDriver::with_observer(inst, &mut *s, cfg, obs);
-        let mut held_ends = Vec::new();
+        let mut step_ends = Vec::new();
         while drv.step().unwrap() {
-            if drv.held {
-                held_ends.push(drv.now());
-            }
+            step_ends.push(drv.now());
         }
-        let (claim_passes, held_released) = (drv.claim_passes, drv.held_released);
         let stepped = drv.finish().unwrap();
         full_eq(&stepped, &one_shot);
         assert_eq!(stepped_lines.0, one_shot_lines.0, "stepped event stream");
@@ -1198,28 +1258,45 @@ mod tests {
         full_eq(&paused, &one_shot);
         assert_eq!(paused_lines.0, one_shot_lines.0, "paused event stream");
 
-        HeldRun {
-            held_ends,
-            claim_passes,
-            held_released,
+        CheckedRun {
+            step_ends,
+            lines: one_shot_lines.0,
             result: one_shot,
         }
     }
 
-    /// A chain of `n` nodes of 10 ticks each on one processor: every node
-    /// runs as one 9-tick window that ends a tick before the node finishes
-    /// and holds its claim, then one completion tick that reuses it. The
-    /// successor leaves the ready count at 1, so the next window replays
-    /// without a fresh ask. Held claims save one claim pass per node:
-    /// `n` passes for `2n` steps instead of `2n`. At speed 3/2 a node of
-    /// 20 scaled units takes ceil(20 / 3) = 7 ticks (and carryover moves
-    /// the leftover unit of each completion tick into the successor), so
-    /// the windows are no longer 9 ticks but the count is the same.
+    /// [`check_run_on`] under the default configuration.
+    fn check_run(
+        inst: &Instance,
+        mk: &dyn Fn() -> Box<dyn OnlineScheduler>,
+        pauses: &[Time],
+    ) -> CheckedRun {
+        check_run_on(inst, mk, pauses, &SimConfig::default())
+    }
+
+    /// The tick after each node completion the run reported: where a
+    /// step ends when its completion tick ran in it.
+    fn after_node_completions(lines: &[String]) -> Vec<Time> {
+        lines
+            .iter()
+            .filter_map(|l| l.strip_prefix("node Time("))
+            .map(|l| Time(l[..l.find(')').unwrap()].parse::<u64>().unwrap() + 1))
+            .collect()
+    }
+
+    /// A chain of `n` nodes of 10 ticks each on one processor takes one
+    /// step per node: its quiet ticks and its completion tick. The
+    /// successor leaves the ready count at 1, so the next step replays.
+    /// At speed 3/2 a node is 20 scaled units at 3 per tick: node 0 takes
+    /// 7 ticks and carries its leftover unit into node 1 in the per-
+    /// processor round; node 1 (19 units) takes 7 ticks and carries 2;
+    /// node 2 (18 units) finishes with no budget left over, so its
+    /// completion tick runs on the claim list alone.
     #[test]
-    fn held_claims_save_one_claim_pass_per_completion_tick() {
-        for speed in [
-            dagsched_core::Speed::ONE,
-            dagsched_core::Speed::new(3, 2).unwrap(),
+    fn chains_take_one_step_per_node_completion() {
+        for (speed, ends) in [
+            (dagsched_core::Speed::ONE, [10, 20, 30]),
+            (dagsched_core::Speed::new(3, 2).unwrap(), [7, 14, 20]),
         ] {
             let cfg = SimConfig::at_speed(speed);
             for n in [1u32, 3, 8] {
@@ -1233,88 +1310,79 @@ mod tests {
                     )],
                 )
                 .unwrap();
-                let run = check_held_run_on(&inst, &|| Box::new(Greedy), &[], &cfg);
-                let n = u64::from(n);
-                assert_eq!(run.result.steps_executed, 2 * n, "{speed:?}");
-                assert_eq!(run.claim_passes, n, "one claim pass per node, not two");
-                assert_eq!(run.held_released, 0);
-                assert_eq!(run.held_ends.len() as u64, n);
-                if speed == dagsched_core::Speed::ONE {
-                    let ends: Vec<Time> = (0..n).map(|i| Time(10 * i + 9)).collect();
-                    assert_eq!(run.held_ends, ends);
-                }
+                let run = check_run_on(&inst, &|| Box::new(Greedy), &[], &cfg);
+                assert_eq!(run.result.steps_executed, u64::from(n), "{speed:?}");
+                assert_eq!(run.step_ends, after_node_completions(&run.lines));
+                let k = ends.len().min(n as usize);
+                assert_eq!(run.step_ends[..k], ends.map(Time)[..k], "{speed:?} n = {n}");
             }
         }
     }
 
-    /// Arrivals cap two windows. The one at t = 4 falls before the running
-    /// node's last tick, so that window releases its claim; the one at
-    /// t = 9 lands on a held window's end and preempts the held job, so
-    /// the fresh ask must release the held claim (the preempted job would
-    /// otherwise keep its node claimed and never finish).
+    /// An arrival on the completion tick (t = 9, job 0's last tick) ends
+    /// the window before it: the step at t = 9 admits job 1, which takes
+    /// the processor, and job 0 finishes its last unit after it. An
+    /// arrival on the tick after (t = 10) leaves job 0's window whole.
     #[test]
-    fn arrival_at_a_held_window_end_releases_the_claims() {
-        let inst = Instance::new(
-            1,
-            vec![
-                one_node(0, 0, 10, 1000),
-                one_node(1, 4, 3, 1000),
-                one_node(2, 9, 5, 1000),
-            ],
-        )
-        .unwrap();
+    fn arrival_on_the_completion_tick_ends_the_window() {
         let mk = || -> Box<dyn OnlineScheduler> {
             Box::new(Pinned {
-                select: vec![2, 0, 1],
-                place: vec![2, 0, 1],
+                select: vec![1, 0],
+                place: vec![1, 0],
             })
         };
-        let run = check_held_run(&inst, &mk, &[Time(4), Time(9)]);
-        assert_eq!(run.held_ends, vec![Time(9), Time(13), Time(17)]);
-        assert_eq!(
-            run.held_released, 1,
-            "only the arrival at t = 9 meets held claims"
-        );
-        assert_eq!(
-            run.result.outcomes[0],
-            JobStatus::Completed {
-                at: Time(15),
-                profit: 1
-            }
-        );
+        for (at, ends, done) in [(9, vec![9, 12, 13], 13), (10, vec![10, 13], 10)] {
+            let inst =
+                Instance::new(1, vec![one_node(0, 0, 10, 1000), one_node(1, at, 3, 1000)]).unwrap();
+            let run = check_run(&inst, &mk, &[Time(4), Time(9), Time(10)]);
+            assert_eq!(
+                run.step_ends,
+                ends.into_iter().map(Time).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                run.result.outcomes[0],
+                JobStatus::Completed {
+                    at: Time(done),
+                    profit: 1
+                },
+                "arrival at {at}"
+            );
+        }
     }
 
-    /// Expiries cap two windows. Job 1, never run, expires at t = 5, before
-    /// job 0's node is due, so that window releases its claim. Job 0 itself
-    /// expires at t = 9, the end of a held window: its claim bit stays set
-    /// in the pooled state, which job 2 reuses at t = 12. Admission resets
-    /// every claim bit, so job 2 runs normally.
+    /// An expiry on the completion tick ends the window before it: job 0
+    /// (deadline 9) expires at t = 9, the tick it would have finished on,
+    /// and job 1 runs alone from there. With deadline 10 job 0's expiry
+    /// key is the tick after its completion tick, so its window stays
+    /// whole, it completes at t = 10, and the cursor skips its key.
     #[test]
-    fn expiry_at_a_held_window_end_drops_the_claims_with_the_job() {
-        let inst = Instance::new(
-            1,
-            vec![
-                one_node(0, 0, 10, 9),
-                one_node(1, 0, 1, 5),
-                one_node(2, 12, 4, 1000),
-            ],
-        )
-        .unwrap();
-        let run = check_held_run(&inst, &|| Box::new(Greedy), &[Time(5), Time(9)]);
-        assert_eq!(run.held_ends, vec![Time(9), Time(15)]);
-        assert_eq!(
-            run.held_released, 1,
-            "only the expiry at t = 9 meets held claims"
-        );
-        assert_eq!(run.result.outcomes[0], JobStatus::Expired { at: Time(9) });
-        assert_eq!(run.result.outcomes[1], JobStatus::Expired { at: Time(5) });
-        assert_eq!(
-            run.result.outcomes[2],
-            JobStatus::Completed {
-                at: Time(16),
-                profit: 1
-            }
-        );
+    fn expiry_on_the_completion_tick_ends_the_window() {
+        for (deadline, job0) in [
+            (9, JobStatus::Expired { at: Time(9) }),
+            (
+                10,
+                JobStatus::Completed {
+                    at: Time(10),
+                    profit: 1,
+                },
+            ),
+        ] {
+            let inst = Instance::new(
+                2,
+                vec![one_node(0, 0, 10, deadline), one_node(1, 0, 20, 1000)],
+            )
+            .unwrap();
+            let run = check_run(&inst, &|| Box::new(Greedy), &[Time(5), Time(9)]);
+            assert_eq!(run.step_ends, vec![Time(deadline), Time(20)]);
+            assert_eq!(run.result.outcomes[0], job0, "deadline {deadline}");
+            assert_eq!(
+                run.result.outcomes[1],
+                JobStatus::Completed {
+                    at: Time(20),
+                    profit: 1
+                }
+            );
+        }
     }
 
     /// Boundedly stable test scheduler: arrival order in even shifts of
@@ -1356,54 +1424,65 @@ mod tests {
         }
     }
 
-    /// A `stable_until` boundary lands on a held window's end: the shift
-    /// change at t = 9 asks afresh and hands the processor to the other
-    /// job, so the held claim must be released there. The shift changes at
-    /// t = 18, 27 and 36 cap windows that end before any node is due, so
-    /// those windows release their claims; the window from t = 36 ends a
-    /// tick before job 1 finishes and holds.
+    /// A `stable_until` boundary on the completion tick ends the window
+    /// before it. With shifts of 9 ticks, job 0's last tick (t = 9) opens
+    /// an odd shift that hands the processor to job 1; job 0 finishes its
+    /// last unit in the next even shift (t = 18, a one-tick step), and
+    /// job 1's windows end at each shift change until its last 4 units
+    /// fit inside one. With shifts of 10 the boundary falls on the tick
+    /// after job 0's completion tick, and every window runs whole.
     #[test]
-    fn stable_until_boundary_at_a_held_window_end_releases_the_claims() {
-        let inst =
-            Instance::new(1, vec![one_node(0, 0, 10, 1000), one_node(1, 0, 30, 1000)]).unwrap();
-        let run = check_held_run(
-            &inst,
-            &|| Box::new(Shifts { period: 9 }),
-            &[Time(9), Time(18)],
-        );
-        assert_eq!(run.held_ends, vec![Time(9), Time(39)]);
-        assert_eq!(
-            run.held_released, 1,
-            "only the shift change at t = 9 meets held claims"
-        );
-        assert_eq!(
-            run.result.outcomes,
-            vec![
-                JobStatus::Completed {
-                    at: Time(19),
-                    profit: 1
-                },
-                JobStatus::Completed {
-                    at: Time(40),
-                    profit: 1
-                },
-            ]
-        );
+    fn stable_until_boundary_on_the_completion_tick_ends_the_window() {
+        for (period, ends, done0) in [
+            (9, vec![9, 18, 19, 27, 36, 40], 19),
+            (10, vec![10, 20, 30, 40], 10),
+        ] {
+            let inst =
+                Instance::new(1, vec![one_node(0, 0, 10, 1000), one_node(1, 0, 30, 1000)]).unwrap();
+            let run = check_run(&inst, &|| Box::new(Shifts { period }), &[Time(9), Time(18)]);
+            assert_eq!(
+                run.step_ends,
+                ends.into_iter().map(Time).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                run.result.outcomes,
+                vec![
+                    JobStatus::Completed {
+                        at: Time(done0),
+                        profit: 1
+                    },
+                    JobStatus::Completed {
+                        at: Time(40),
+                        profit: 1
+                    },
+                ],
+                "period {period}"
+            );
+        }
     }
 
-    /// `run_until` pauses exactly at each held window's end: the claims
-    /// stay held across the pause and the resumed run is the one-shot run.
+    /// `run_until` targets inside a step (a quiet tick, or the completion
+    /// tick itself) are overshot, never split: the paused run is the
+    /// one-shot run, event for event.
     #[test]
-    fn run_until_pause_at_a_held_window_end_keeps_the_claims() {
+    fn run_until_pauses_inside_a_merged_step() {
         let inst = WorkloadGen::standard(4, 30, 5).generate().unwrap();
-        let probe = check_held_run(&inst, &|| Box::new(Greedy), &[]);
+        let probe = check_run(&inst, &|| Box::new(Greedy), &[]);
+        let merged: Vec<Time> = after_node_completions(&probe.lines)
+            .into_iter()
+            .filter(|t| probe.step_ends.contains(t))
+            .collect();
         assert!(
-            probe.held_ends.len() > 10,
-            "the workload must hold claims often"
+            merged.len() > 10,
+            "the workload must run completion ticks inside merged steps often"
         );
-        let run = check_held_run(&inst, &|| Box::new(Greedy), &probe.held_ends);
-        assert_eq!(run.held_ends, probe.held_ends);
-        assert_eq!(run.claim_passes, probe.claim_passes);
+        let mut pauses: Vec<Time> = merged
+            .iter()
+            .flat_map(|&end| [Time(end.0 - 2), Time(end.0 - 1)])
+            .collect();
+        pauses.sort();
+        let run = check_run(&inst, &|| Box::new(Greedy), &pauses);
+        assert_eq!(run.step_ends, probe.step_ends);
     }
 
     /// Earliest-deadline-first test scheduler: alive jobs by absolute

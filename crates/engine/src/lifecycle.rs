@@ -64,7 +64,7 @@ pub struct Lifecycle {
     pub(crate) total_profit: u64,
     /// Free list of retired unfold states. Terminal transitions push here
     /// instead of dropping, and `admit_arrivals` pops + `reset_from`s (which
-    /// also clears any claim a held window left), so an arrival storm is
+    /// also clears every claim bit), so an arrival storm is
     /// allocation-free once the pool reaches the high-water mark of
     /// concurrently alive jobs. A cold arrival allocates the one cell
     /// vector.
@@ -234,8 +234,9 @@ impl Lifecycle {
 
     /// Abandon zero-tail jobs that can no longer earn anything even if they
     /// complete this very tick (completion time would be `t + 1`), running
-    /// the expiry hooks. The expired ids are left in `expired` for the
-    /// driver's fast-forward boundary logic. Returns whether any expired.
+    /// the expiry hooks. `expired` is scratch space: it holds this call's
+    /// expired ids, in id order, and nothing reads it after the call.
+    /// Returns whether any expired.
     pub(crate) fn expire_hopeless<O: SimObserver + ?Sized>(
         &mut self,
         jobs: &[JobSpec],
@@ -312,14 +313,15 @@ impl Lifecycle {
         true
     }
 
-    /// Release every claim in `claims` (the driver's run-wide claim list),
-    /// leaving it empty. A job that expired since its nodes were claimed is
-    /// skipped: its pooled state clears every claim when it is reset.
+    /// Release every claim in `claims` (the execution round's claim list),
+    /// leaving it empty. The round releases before any job leaves, so
+    /// every claimed job is live.
     pub(crate) fn release_claims(&mut self, claims: &mut Vec<(JobId, NodeId)>) {
         for (id, node) in claims.drain(..) {
-            if let Some(st) = self.live[id.index()].as_mut() {
-                st.release(node);
-            }
+            self.live[id.index()]
+                .as_mut()
+                .expect("claimed jobs are live")
+                .release(node);
         }
     }
 
@@ -415,9 +417,9 @@ mod tests {
         assert!(lc.admit_arrivals(&jobs, Time(1), 1, &mut sched, &mut obs));
         assert_eq!(lc.pool_len(), 0);
 
-        // Complete job 0 while its head node is still claimed (as a job
-        // expiring inside a held window leaves its state): the slot must
-        // land in the pool, not be dropped.
+        // Complete job 0 while its head node is still claimed (the driver
+        // never retires a claimed state, but the pool must not depend on
+        // it): the slot must land in the pool, not be dropped.
         lc.live[0].as_mut().expect("job 0 alive").claim(NodeId(0));
         lc.complete(&jobs, Time(1), &[JobId(0)], &mut sched, &mut obs);
         assert_eq!(lc.pool_len(), 1);

@@ -37,12 +37,18 @@
 //!    past its last useful moment;
 //! 4. [`on_window`](SimObserver::on_window) for the tick (or bulk window)
 //!    starting at `t`;
-//! 5. [`on_node_complete`](SimObserver::on_node_complete) for each node
-//!    finished during the tick, in execution order (never fires inside a
-//!    bulk window — windows end strictly before any node completes);
-//! 6. [`on_job_complete`](SimObserver::on_job_complete) at `t + 1` for each
-//!    job whose last node finished, followed by the admission decisions the
-//!    scheduler recorded during its completion hooks.
+//! 5. on the fast-forward path, when the step runs through the completion
+//!    tick `t'` of the earliest node it runs: `on_window` for the bulk
+//!    window of quiet ticks before `t'` at step 4, then `on_window` for
+//!    `t'` alone (width 1);
+//! 6. [`on_node_complete`](SimObserver::on_node_complete) for each node
+//!    finished during the executed tick, in execution order (never fires
+//!    inside a bulk window — a bulk window ends strictly before any node
+//!    completes);
+//! 7. [`on_job_complete`](SimObserver::on_job_complete) at the end of the
+//!    executed tick for each job whose last node finished, followed by the
+//!    admission decisions the scheduler recorded during its completion
+//!    hooks.
 //!
 //! [`on_start`](SimObserver::on_start) opens the run and
 //! [`on_end`](SimObserver::on_end) closes it unconditionally.

@@ -13,7 +13,9 @@
 //!   allocation's stability window is open it replays that allocation
 //!   instead of asking again, and it computes the width of that boring
 //!   window and bulk-advances every claimed node across it in one engine
-//!   step — O(events) instead of O(ticks). Both engage only when the
+//!   step. When the window ends because a claimed node finishes, the same
+//!   step also runs that node's completion tick: one step per event,
+//!   O(events) instead of O(ticks). Both engage only when the
 //!   scheduler opts in via
 //!   [`OnlineScheduler::allocation_stable_between_events`] or
 //!   [`OnlineScheduler::bounded_stability`]; bulk windows also need a
@@ -520,7 +522,8 @@ mod tests {
     #[test]
     fn fast_forward_collapses_long_nodes_into_steps() {
         // One 1000-unit node: the naive path iterates 1000 ticks; the
-        // fast-forward path takes one bulk window plus the completion tick.
+        // fast-forward path takes one step, its 999 quiet ticks and the
+        // completion tick.
         let inst = one_job(gen::single(1000).into_shared(), 0, 5_000, 1, 1);
         let fast = simulate(&inst, &mut Greedy, &SimConfig::default()).unwrap();
         let naive = simulate(
@@ -535,7 +538,7 @@ mod tests {
         assert!(fast.same_outcome(&naive));
         assert_eq!(naive.steps_executed, 1000);
         assert_eq!(fast.ticks_simulated, 1000);
-        assert_eq!(fast.steps_executed, 2);
+        assert_eq!(fast.steps_executed, 1);
     }
 
     #[test]

@@ -158,11 +158,13 @@ const STEP_SLACK: u64 = 32;
 
 #[test]
 fn cold_arrivals_allocate_once_each() {
-    // `n` single-node jobs, all arriving at t = 0 with nothing pooled. Each
-    // node runs 50 ticks, so the first step is the arrival step: admit
-    // every job, allocate, claim and open a bulk window.
+    // `n` two-node chain jobs, all arriving at t = 0 with nothing pooled.
+    // The first step is the arrival step: admit every job, allocate,
+    // claim, and run through the completion tick of the first four jobs'
+    // head nodes. Each job has a second node left, so no job completes and
+    // no state returns to the pool within the step.
     const N: u32 = 1_000;
-    let dag = gen::chain(1, 50).into_shared();
+    let dag = gen::chain(2, 50).into_shared();
     let jobs: Vec<JobSpec> = (0..N)
         .map(|i| {
             JobSpec::new(

@@ -15,7 +15,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Scaling node works by a large factor must not scale engine effort:
-    /// steps stay O(#nodes) while simulated ticks grow with total work.
+    /// a chain takes one step per node while simulated ticks grow with
+    /// total work.
     #[test]
     fn steps_stay_bounded_as_node_work_grows(len in 1u32..10, node_work in 1_000u64..50_000) {
         let inst = Instance::new(
@@ -30,11 +31,13 @@ proptest! {
         .expect("valid instance");
         let r = simulate(&inst, &mut Fifo::new(1), &SimConfig::default()).expect("runs");
         prop_assert_eq!(r.ticks_simulated, len as u64 * node_work);
-        // One bulk window + one completion tick per node (plus slack for
-        // the final tick bookkeeping): O(#nodes), independent of node_work.
-        prop_assert!(
-            r.steps_executed <= 3 * len as u64 + 2,
-            "{} steps for {} nodes of work {}", r.steps_executed, len, node_work
+        // At speed 1 every node finishes with no budget left over, and no
+        // boundary falls inside the job's run: one step per node
+        // completion (its quiet ticks and its completion tick), exactly.
+        prop_assert_eq!(
+            r.steps_executed,
+            len as u64,
+            "steps for {} nodes of work {}", len, node_work
         );
     }
 }

@@ -43,14 +43,14 @@ fn sweep(args: &[&str]) -> String {
 fn sweep_b1_uniform_csv_is_golden() {
     let out = sweep(&["--grid", "b1", "--threads", "2"]);
     assert_eq!(out.len(), 9734);
-    assert_eq!(fnv1a(out.as_bytes()), 0x39e1_4e69_e29f_d394);
+    assert_eq!(fnv1a(out.as_bytes()), 0xc736_2970_0571_9f4b);
 }
 
 #[test]
 fn sweep_b1_grouped_csv_is_golden() {
     let out = sweep(&["--grid", "b1", "--threads", "2", "--groups", "4x1,2x2;3x1"]);
-    assert_eq!(out.len(), 20279);
-    assert_eq!(fnv1a(out.as_bytes()), 0x1aa1_1084_8195_2514);
+    assert_eq!(out.len(), 20278);
+    assert_eq!(fnv1a(out.as_bytes()), 0x690e_d71c_00f9_5286);
 }
 
 #[test]
@@ -215,7 +215,7 @@ fn pick_matrix_runs_are_golden() {
         }
     }
     assert_eq!(all.len(), 6704544);
-    assert_eq!(fnv1a(all.as_bytes()), 0x1183_3802_fe34_0d5f);
+    assert_eq!(fnv1a(all.as_bytes()), 0x55e4_8206_c75b_25eb);
 }
 
 /// A large-alive instance, after the `parked-dense` benchmark's builder:
@@ -317,7 +317,7 @@ fn parked_baseline_runs_are_golden() {
         }
     }
     assert_eq!(all.len(), 1000417);
-    assert_eq!(fnv1a(all.as_bytes()), 0x346f_c7b6_d9e3_ef3a);
+    assert_eq!(fnv1a(all.as_bytes()), 0xf62d_0bfc_e0c7_bc5f);
 }
 
 /// A deadline-wave workload for related machines: every 15 ticks, two hard
@@ -476,8 +476,8 @@ fn stream_equiv_corpus_runs_are_golden() {
             }
         }
     }
-    assert_eq!(all.len(), 9594);
-    assert_eq!(fnv1a(all.as_bytes()), 0x24af_1077_f266_5c8d);
+    assert_eq!(all.len(), 9578);
+    assert_eq!(fnv1a(all.as_bytes()), 0x1d27_d05b_83fa_8a75);
 }
 
 /// Every promoted fuzz fixture (`crates/verify/tests/fixtures/`) under
@@ -527,7 +527,7 @@ fn promoted_fixture_runs_are_golden() {
         }
     }
     assert_eq!(all.len(), 1027);
-    assert_eq!(fnv1a(all.as_bytes()), 0x794d_e612_cddb_c6e7);
+    assert_eq!(fnv1a(all.as_bytes()), 0x1d96_89ba_c385_167a);
 }
 
 /// Every traced run of `tests/trace_cluster.rs`, `tests/trace_recount.rs`
