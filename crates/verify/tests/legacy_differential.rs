@@ -27,8 +27,9 @@
 //!
 //! S-noadmit, EDF-AC and RANDOM are not in the paper. Their runs on the same
 //! inputs and configs are pinned by golden digests (FNV-1a of the
-//! `SimResult` `Debug` text and of the JSONL log, recorded at `50cc33e`),
-//! and RANDOM's production path is also held to its own naive per-tick run.
+//! `SimResult` `Debug` text with `steps_executed` masked, and of the JSONL
+//! log) next to each scheduler's exact step total, and RANDOM's production
+//! path is also held to its own naive per-tick run.
 
 mod support;
 
@@ -38,6 +39,7 @@ use dagsched_engine::{NodePick, OnlineScheduler, SimConfig, SimDriver, SimResult
 use dagsched_fuzz::ir::fnv1a;
 use dagsched_sched::{PaperS, SchedulerS, SchedulerSProfit};
 use dagsched_workload::{Instance, JobSpec, StepProfitFn, WorkloadGen};
+use std::collections::BTreeMap;
 use support::{
     assert_same_run, check_corpus, entry, eps1, matrix, naive, overload, run_logged, run_paced,
     Against, Steps,
@@ -66,27 +68,52 @@ const S_PAIRS: Against = Against::Paper(&["S", "S-wc"]);
 /// The general-profit scheduler.
 const S_PROFIT: Against = Against::Paper(&["S-profit"]);
 
+/// Golden digest lines with `steps_executed` masked, and the exact step
+/// total of each scheduler's runs beside them: an engine change that moves
+/// only step counts moves only the totals.
+#[derive(Default)]
+struct Pins {
+    lines: String,
+    steps: BTreeMap<String, u64>,
+}
+
+impl Pins {
+    /// Asserts the lines' length and digest and the step totals.
+    fn assert_eq(&self, len: usize, digest: u64, steps: &[(&str, u64)]) {
+        assert_eq!(self.lines.len(), len);
+        assert_eq!(fnv1a(self.lines.as_bytes()), digest);
+        let got: Vec<(&str, u64)> = self.steps.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        assert_eq!(got, steps, "step totals per scheduler");
+    }
+}
+
 /// Appends one line per config × scheduler in `which` to `all`: `prefix`
 /// of the run, its config, and the digests of its `SimResult` `Debug` text
-/// and JSONL event log.
+/// (`steps_executed` masked to 0, its value added to the step totals) and
+/// JSONL event log.
 fn digest(
     inst: &Instance,
     params: AlgoParams,
     cfgs: &[SimConfig],
     which: &[&str],
     prefix: impl Fn(&SimResult) -> String,
-    all: &mut String,
+    all: &mut Pins,
 ) {
     for cfg in cfgs {
         for name in which {
             let (res, log) = run_logged(inst, (entry(name).make)(inst.m(), params).as_mut(), cfg);
-            all.push_str(&format!(
+            *all.steps.entry(res.scheduler.clone()).or_default() += res.steps_executed;
+            let masked = SimResult {
+                steps_executed: 0,
+                ..res.clone()
+            };
+            all.lines.push_str(&format!(
                 "{} {:?} {:?} {} {:#x} {:#x}\n",
                 prefix(&res),
                 cfg.speed,
                 cfg.pick,
                 cfg.fast_forward,
-                fnv1a(format!("{res:?}").as_bytes()),
+                fnv1a(format!("{masked:?}").as_bytes()),
                 fnv1a(log.to_jsonl().as_bytes()),
             ));
         }
@@ -94,14 +121,14 @@ fn digest(
 }
 
 /// S-noadmit's and EDF-AC's digest lines, each led by the scheduler name.
-fn digest_baselines(inst: &Instance, params: AlgoParams, label: &str, all: &mut String) {
+fn digest_baselines(inst: &Instance, params: AlgoParams, label: &str, all: &mut Pins) {
     let named = |r: &SimResult| format!("{label} {}", r.scheduler);
     let cfgs = configs(TO_2);
     digest(inst, params, &cfgs, &["S-noadmit", "EDF-AC"], named, all);
 }
 
 /// RANDOM's digest lines.
-fn digest_random(inst: &Instance, label: &str, all: &mut String) {
+fn digest_random(inst: &Instance, label: &str, all: &mut Pins) {
     let cfgs = configs(TO_3_2);
     digest(inst, eps1(), &cfgs, &["RANDOM"], |_| label.into(), all);
 }
@@ -149,24 +176,26 @@ fn rewrites_match_oracles_under_overload() {
 
 #[test]
 fn baselines_are_golden_on_standard_workloads_and_overload() {
-    let mut all = String::new();
+    let mut all = Pins::default();
     for (label, inst) in support::standard_instances() {
         digest_baselines(&inst, eps1(), &label, &mut all);
     }
     digest_baselines(&overload(6, 50), eps1(), "overload", &mut all);
-    assert_eq!(all.len(), 9974);
-    assert_eq!(fnv1a(all.as_bytes()), 0xcdbf_b9df_308c_fca6);
+    all.assert_eq(
+        9974,
+        0xe0da_71ba_0dd5_671b,
+        &[("EDF-AC", 12264), ("S-noadmit", 12683)],
+    );
 }
 
 #[test]
 fn random_is_golden_on_standard_workloads_and_overload() {
-    let mut all = String::new();
+    let mut all = Pins::default();
     for (label, inst) in support::standard_instances() {
         digest_random(&inst, &label, &mut all);
     }
     digest_random(&overload(6, 50), "overload", &mut all);
-    assert_eq!(all.len(), 3054);
-    assert_eq!(fnv1a(all.as_bytes()), 0xbab1_c014_3642_63bf);
+    all.assert_eq(3054, 0xf02a_408f_c396_2dcf, &[("RANDOM", 11222)]);
 }
 
 // ------------------------------------------------- targeted-scan inputs
@@ -420,12 +449,15 @@ fn optimized_schedulers_match_legacy_on_targeted_scan_inputs() {
 
 #[test]
 fn baselines_are_golden_on_targeted_scan_inputs() {
-    let mut all = String::new();
+    let mut all = Pins::default();
     for (label, inst, params) in targeted_scan_inputs() {
         digest_baselines(&inst, params, label, &mut all);
     }
-    assert_eq!(all.len(), 21010);
-    assert_eq!(fnv1a(all.as_bytes()), 0x37bf_38dd_8018_59b3);
+    all.assert_eq(
+        21004,
+        0x7b31_7a2b_252c_2629,
+        &[("EDF-AC", 22048), ("S-noadmit", 20702)],
+    );
 }
 
 #[test]
@@ -815,10 +847,9 @@ fn rewrites_match_oracles_with_a_parked_majority() {
 
 #[test]
 fn random_is_golden_with_a_parked_majority() {
-    let mut all = String::new();
+    let mut all = Pins::default();
     digest_random(&parked_deadlines(), "parked majority", &mut all);
-    assert_eq!(all.len(), 768);
-    assert_eq!(fnv1a(all.as_bytes()), 0xe8fc_4654_5026_cf19);
+    all.assert_eq(768, 0x9a48_434f_847a_5f23, &[("RANDOM", 333496)]);
 }
 
 /// The slot-plan regime of `fastforward_guard.rs` at 40 background jobs:
@@ -893,10 +924,9 @@ fn rewrites_match_oracles_on_the_fuzz_collision_corpus() {
 
 #[test]
 fn random_is_golden_on_the_fuzz_collision_corpus() {
-    let mut all = String::new();
+    let mut all = Pins::default();
     for (ci, inst) in support::collision_corpus().iter().enumerate() {
         digest_random(inst, &format!("fuzz collision #{ci}"), &mut all);
     }
-    assert_eq!(all.len(), 12566);
-    assert_eq!(fnv1a(all.as_bytes()), 0xadfc_223b_40ef_f671);
+    all.assert_eq(12576, 0xc5d2_0fbf_0ac7_4b33, &[("RANDOM", 7360)]);
 }
