@@ -2,16 +2,17 @@
 //! paths.
 //!
 //! A [`Clock`] owns the three time-like quantities of a run — the current
-//! tick, the hard horizon, and the two effort counters (`ticks_simulated`
-//! counts covered simulated time, `steps_executed` counts engine scheduling
-//! rounds) — and the ways they may legally advance:
+//! tick, the hard horizon (the one the driver's windows read), and the two
+//! effort counters (`ticks_simulated` counts covered simulated time,
+//! `steps_executed` counts engine scheduling rounds) — and the two ways
+//! they may legally advance:
 //!
 //! * `skip_idle_to` jumps over a gap in which nothing
 //!   is alive and nothing arrives (no ticks are charged: the naive reference
 //!   path never iterated those ticks either);
 //! * `advance_window` closes one engine step of `s` ticks (`s` ticks, 1
-//!   step): one reference tick on the naive path, a bulk window or a bulk
-//!   window and its completion tick on the fast-forward path.
+//!   step): one reference tick on the naive path; on the fast-forward path
+//!   a quiet or idle window, or a quiet window and its completion tick.
 //!
 //! Keeping the counters behind these two operations is what makes
 //! `ticks_simulated` byte-identical between the naive and fast-forward paths:
@@ -73,11 +74,10 @@ impl Clock {
 
     /// Jump over an idle gap (nothing alive, next arrival at `t`). Charges
     /// no ticks — the reference path never iterates idle gaps either. The
-    /// driver reads the target from the arrival list on the scan path and
-    /// from the [`EventKernel`](crate::events::EventKernel)'s arrival
-    /// cursor on the kernel path; both are the same time by construction.
-    /// Every job that arrived before the gap is terminal, so the jump
-    /// passes no pending expiry: the kernel's expiry cursor relies on it.
+    /// driver reads the target from the lifecycle's arrival cursor on both
+    /// paths. Every job that arrived before the gap is terminal, so the
+    /// jump passes no pending expiry: the lifecycle's expiry cursor relies
+    /// on it.
     #[inline]
     pub(crate) fn skip_idle_to(&mut self, t: Time) {
         self.now = t;
@@ -106,7 +106,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_track_the_three_advance_operations() {
+    fn counters_track_the_two_advance_operations() {
         let mut c = Clock::new(Time(5), Time(100));
         assert_eq!(c.now(), Time(5));
         assert!(c.before_horizon());

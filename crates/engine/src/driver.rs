@@ -25,14 +25,24 @@
 //! `&mut dyn SimObserver` (which itself implements [`SimObserver`]).
 //!
 //! [`SimConfig::fast_forward`] alone picks the path a driver runs (see the
-//! [`sim`](crate::sim) module docs): the production path keeps an
-//! [`EventKernel`] and the lifecycle's maintained view, and asks the
-//! scheduler for a fresh allocation only when the view changed or the last
-//! allocation's stability window ended (otherwise it replays that
-//! allocation); the naive reference path steps tick by tick, scans for
-//! expiries, rebuilds the view and asks every tick. The two share the
-//! per-processor execution round (phase 6 of [`step`](SimDriver::step))
-//! and the lifecycle transitions, nothing else.
+//! [`sim`](crate::sim) module docs): the production path keeps the
+//! lifecycle's maintained view and asks the scheduler for a fresh
+//! allocation only when the view changed or the last allocation's validity
+//! ended (otherwise it replays that allocation); the naive reference path
+//! steps tick by tick, scans for expiries, rebuilds the view and asks every
+//! tick. The two share the per-processor execution round (phase 6 of
+//! [`step`](SimDriver::step)) and the lifecycle transitions, nothing else.
+//!
+//! The production path keeps one window rule. Each fresh allocation gets
+//! one validity end, `valid_until`, from the scheduler's stability
+//! declaration: the next tick for a scheduler that declares none,
+//! [`stable_until`](OnlineScheduler::stable_until) of the tick it was asked
+//! at (at least the next tick) for a boundedly stable one, and no end for a
+//! fully stable one. With a deterministic pick, a step then runs every
+//! claimed node up to the earliest of `valid_until`, the lifecycle's next
+//! arrival or expiry boundary, the horizon and the completion tick of the
+//! earliest claimed node: a quiet stretch, an idle stretch (nothing
+//! claimed) and a per-tick scheduler's single tick alike.
 //!
 //! Observers see a step's quiet ticks as one window and its completion
 //! tick as a window of one tick, with the node completions at that tick:
@@ -45,7 +55,6 @@
 //! byte-identical for every production scheduler.
 
 use crate::clock::{auto_horizon, Clock};
-use crate::events::EventKernel;
 use crate::lifecycle::Lifecycle;
 use crate::observe::{AdmissionEvent, NullObserver, SimObserver};
 use crate::pick::Picker;
@@ -84,10 +93,11 @@ struct StepScratch {
 }
 
 /// How long a fresh allocation stays valid while the view is unchanged: the
-/// scheduler's stability declaration, sampled once at construction.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// scheduler's stability declaration, sampled once at construction and read
+/// only where a fresh ask sets `valid_until`.
+#[derive(Clone, Copy)]
 enum Stability {
-    /// No declaration: the scheduler is asked every step.
+    /// No declaration: valid for the tick it was decided at.
     PerTick,
     /// [`OnlineScheduler::bounded_stability`]: valid until
     /// [`OnlineScheduler::stable_until`] of the tick it was decided at.
@@ -107,23 +117,16 @@ pub struct SimDriver<'a, O: SimObserver = NullObserver> {
     platform: Platform,
     life: Lifecycle,
     picker: Picker,
-    /// Next-event index; armed and read on the production path only.
-    kernel: EventKernel,
-    /// Whether bulk fast-forward windows are engaged (pinned at
-    /// construction: production path, scheduler opt-in, deterministic
-    /// pick).
+    /// Whether steps run the claim pass and windows (pinned at
+    /// construction: production path and a deterministic pick).
     fast_forward: bool,
-    /// The scheduler's stability. On the production path it bounds how
-    /// long `scratch.alloc` is replayed; with bulk windows engaged,
-    /// [`Stability::Bounded`] also caps every window at
-    /// [`OnlineScheduler::stable_until`] and lets allocation-idle
-    /// stretches be bulk-skipped (the plan boundary — not the per-tick
-    /// re-decision — is what ends an idle stretch).
+    /// The scheduler's stability: what a fresh ask sets `valid_until` to.
     stability: Stability,
-    /// Production path: while the maintained view is unchanged,
-    /// `scratch.alloc` is what the scheduler would decide at every tick
-    /// before this one, so it is replayed instead of asked for again.
-    replay_before: Time,
+    /// Production path: while the maintained view is unchanged and the
+    /// clock is before this tick, `scratch.alloc` is what the scheduler
+    /// would decide, so it is replayed instead of asked for again, and
+    /// every window ends here at the latest.
+    valid_until: Time,
     /// `obs.is_active()`, pinned at construction; a compile-time `false`
     /// for the [`NullObserver`] instantiation.
     observing: bool,
@@ -181,10 +184,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         if !platform.groups().is_uniform() {
             obs.on_platform(platform.groups());
         }
-        // The fast-forward path needs every source of per-tick variation
-        // pinned down: a scheduler whose allocation is stable between
-        // events (fully, or boundedly with `stable_until` capping every
-        // window) and a deterministic pick policy.
         let stability = if sched.allocation_stable_between_events() {
             Stability::Full
         } else if sched.bounded_stability() {
@@ -192,21 +191,14 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         } else {
             Stability::PerTick
         };
-        let fast_forward =
-            cfg.fast_forward && cfg.pick.fast_forward_safe() && stability != Stability::PerTick;
-        let mut kernel = EventKernel::new(horizon);
-        if cfg.fast_forward {
-            kernel.arm_arrival(jobs[0].arrival);
-        }
         SimDriver {
             clock: Clock::new(jobs[0].arrival, horizon),
             platform,
             life: Lifecycle::new(n),
             picker: Picker::new(cfg.pick.clone()),
-            kernel,
-            fast_forward,
+            fast_forward: cfg.fast_forward && cfg.pick.fast_forward_safe(),
             stability,
-            replay_before: Time(0),
+            valid_until: Time(0),
             observing,
             done: false,
             poisoned: false,
@@ -269,7 +261,7 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             return Ok(false);
         }
         let jobs = self.inst.jobs();
-        // The one path switch: production (event kernel, maintained view,
+        // The one path switch: production (expiry cursor, maintained view,
         // allocation replay) or the naive reference path.
         let production = self.cfg.fast_forward;
         if !((self.life.pending_arrivals() || !self.life.alive.is_empty())
@@ -281,16 +273,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         }
 
         // Skip idle gaps between arrival waves. (The run guard above
-        // ensures an arrival is pending whenever nothing is alive, so both
-        // sources always have a target here.)
+        // ensures an arrival is pending whenever nothing is alive.)
         if self.life.alive.is_empty() {
-            let next = if production {
-                self.kernel
-                    .armed_arrival()
-                    .expect("pending arrival is armed")
-            } else {
-                jobs[self.life.next_arrival].arrival
-            };
+            let next = jobs[self.life.next_arrival].arrival;
             if next > self.clock.now() {
                 self.clock.skip_idle_to(next);
             }
@@ -309,13 +294,6 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             self.sched,
             &mut self.obs,
         );
-        if arrived && production {
-            // Re-arm the arrival cursor past the admitted batch.
-            match jobs.get(self.life.next_arrival) {
-                Some(next) => self.kernel.arm_arrival(next.arrival),
-                None => self.kernel.disarm_arrival(),
-            }
-        }
         if self.observing && arrived {
             self.forward_admissions(t);
         }
@@ -323,10 +301,9 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // 2. Expiry: zero-tail jobs that can no longer earn anything even
         // if they complete this very tick (completion time would be t+1).
         let expired_any = if production {
-            self.life.expire_hopeless_indexed(
+            self.life.expire_due(
                 t,
-                &mut self.kernel,
-                self.inst.expiry_order(),
+                self.inst,
                 self.sched,
                 &mut self.obs,
                 &mut self.scratch.expired,
@@ -347,31 +324,26 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         // 3. Ask the scheduler. Production: the maintained view is already
         // current (phases 1–2 and the previous step's execution kept it
         // patched). If it has not changed since the last fresh allocation
-        // and `t` is still inside that allocation's stability window, the
+        // and `t` is still before that allocation's `valid_until`, the
         // scheduler would decide the same again, so `scratch.alloc` (which
         // nothing writes between steps) is replayed. Otherwise ask for a
-        // fresh allocation and open its window. Reference: rebuild the
-        // view from scratch into the hoisted buffer and ask every tick.
-        //
-        // `fresh_until` keeps `stable_until(t)` when this step asked a
-        // bounded scheduler afresh, so the window cap in phase 5 need not
-        // ask again.
+        // fresh allocation and set its validity end: the only place the
+        // stability declaration is read. Reference: rebuild the view from
+        // scratch into the hoisted buffer and ask every tick.
         let mut fresh = !production;
-        let mut fresh_until = None;
         if production {
-            if self.life.view_changed || t >= self.replay_before {
+            if self.life.view_changed || t >= self.valid_until {
                 let view = TickView::new(self.platform.m(), t, self.life.view())
                     .with_groups(self.platform.groups());
                 self.sched.allocate_into(&view, &mut self.scratch.alloc);
                 self.life.view_changed = false;
                 fresh = true;
-                self.replay_before = match self.stability {
-                    Stability::PerTick => t,
-                    Stability::Bounded => {
-                        let until = self.sched.stable_until(t);
-                        fresh_until = Some(until);
-                        until.unwrap_or(Time::MAX)
-                    }
+                self.valid_until = match self.stability {
+                    Stability::PerTick => t.after(1),
+                    Stability::Bounded => self
+                        .sched
+                        .stable_until(t)
+                        .map_or(Time::MAX, |until| until.max(t.after(1))),
                     Stability::Full => Time::MAX,
                 };
             }
@@ -401,18 +373,18 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
             }
         }
 
-        // 5. Fast-forward: with a stable scheduler and a deterministic
-        // picker, nothing observable changes until the next event. The
-        // claim pass picks this tick's nodes — the batch the execution
-        // round below hands out first — and finds `min_q`, the ticks until
-        // the earliest of them finishes. For `min_q − 1` ticks no claimed
-        // node finishes, so the ready sets — and with them every pick and
-        // every allocation — are frozen: those quiet ticks advance in bulk.
-        // Tick `t + min_q − 1` is the completion tick. When no arrival,
-        // expiry, stability or horizon boundary falls before `t + min_q`,
-        // this step runs the quiet ticks and the completion tick, one step
-        // per node completion. Otherwise the step ends at the boundary,
-        // and the next step starts with that boundary's events.
+        // 5. Fast-forward: with a deterministic picker, nothing observable
+        // changes before the step's cap: `valid_until`, the lifecycle's
+        // next arrival or expiry boundary, or the horizon. The claim pass
+        // picks this tick's nodes — the batch the execution round below
+        // hands out first — and finds `min_q`, the ticks until the earliest
+        // of them finishes. For `min_q − 1` ticks no claimed node finishes,
+        // so the ready sets — and with them every pick and every
+        // allocation — are frozen: those quiet ticks advance in bulk. Tick
+        // `t + min_q − 1` is the completion tick. When the cap falls after
+        // it, this step runs the quiet ticks and the completion tick, one
+        // step per node completion. Otherwise the step ends at the cap, and
+        // the next step starts with that boundary's events.
         //
         // The claim pass sets no claim bits: entries name distinct jobs
         // and one pick returns distinct nodes, so the bits matter only to
@@ -425,145 +397,46 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
         let mut bulk = 0u64;
         let mut ran = false;
         if self.fast_forward {
-            let sc = &mut self.scratch;
-            // Bounded stability: the plan may change at the scheduler's
-            // next boundary even with no job event in between, so every
-            // window is additionally capped at `stable_until`. `None`
-            // means no further boundary (stable to the next event, like a
-            // fully stable scheduler); a boundary at or before `t` means a
-            // single-tick window. The cap is computed only where a window
-            // can open — not on a step where a claimed node finishes this
-            // tick — so such a step asks `stable_until` nothing.
-            let bounded = self.stability == Stability::Bounded;
-            let sched = &self.sched;
-            let bound_cap = || {
-                if !bounded {
-                    return u64::MAX;
-                }
-                match fresh_until.unwrap_or_else(|| sched.stable_until(t)) {
-                    Some(until) if until > t => until.since(t),
-                    Some(_) => 1,
-                    None => u64::MAX,
-                }
-            };
-            sc.claimed.clear();
-            // Ticks until the earliest claimed completion, ceil(remaining /
-            // units), and whether a node finishing then has budget left
-            // over in that tick (remaining not a multiple of its rate). A
-            // uniform platform folds the smallest remaining work and
-            // divides once; a heterogeneous one divides per node by its
-            // processor's rate.
-            let mut min_q = u64::MAX;
-            let mut min_rem = u64::MAX;
-            let mut leftover = false;
-            let mut cursor = 0usize;
-            for &(id, k) in &sc.alloc {
-                let st = self.life.live[id.index()]
-                    .as_ref()
-                    .expect("validated alive");
-                self.picker.pick_into(st, k as usize, &mut sc.picked);
-                for (i, &node) in sc.picked.iter().enumerate() {
-                    let rem = st.node_remaining(node).units();
-                    // The i-th picked node binds to the i-th processor
-                    // the entry consumes — the same pairing the
-                    // execution round's per-processor loop realizes.
-                    let pu = match uniform_units {
-                        Some(u) => {
-                            min_rem = min_rem.min(rem);
-                            u
-                        }
-                        None => {
-                            let pu = self.platform.proc_units()[cursor + i];
-                            let q = ticks_to_complete(rem, pu);
-                            let short = !rem.is_multiple_of(pu);
-                            if q < min_q {
-                                (min_q, leftover) = (q, short);
-                            } else if q == min_q {
-                                leftover |= short;
-                            }
-                            pu
-                        }
-                    };
-                    sc.claimed.push((id, node, pu));
-                }
-                cursor += k as usize;
-            }
-            if let Some(u) = uniform_units {
-                if min_rem != u64::MAX {
-                    min_q = ticks_to_complete(min_rem, u);
-                    leftover = !min_rem.is_multiple_of(u);
-                }
-            }
-            // Every cap is ≥ 1 (after the idle skip the next arrival is
-            // strictly in the future, after step 2 every zero-tail job is
-            // strictly before its expiry boundary, and the run guard keeps
-            // t < horizon). An empty claim set (empty allocation) runs the
-            // single tick: the naive path counts allocation-idle ticks one
-            // by one, and `ticks_simulated` must stay byte-identical.
-            // `min_q == 1` needs no kernel query: a claimed node finishes
-            // this tick, whatever the next boundary is.
-            if !sc.claimed.is_empty() {
-                if min_q > 1 {
-                    let life = &self.life;
-                    let w = self
-                        .kernel
-                        .window(t, self.inst.expiry_order(), |id| life.is_terminal(id))
-                        .min(bound_cap());
-                    if w < min_q {
-                        // A boundary falls on or before the completion
-                        // tick: advance to it and let the next step
-                        // handle its events.
-                        self.advance_quiet(t, w);
-                        self.clock.advance_window(w);
-                        return Ok(true);
-                    }
-                    bulk = min_q - 1;
-                }
-                if !self.cfg.carryover || !leftover {
-                    // No node finishing on the completion tick has budget
-                    // left over, so no processor continues into another
-                    // node and the per-processor round reduces to one
-                    // `advance` of `min_q` ticks' budget per claimed node,
-                    // in claim order: each non-finishing node consumes its
-                    // processor's full rate every tick, and each finishing
-                    // one consumes its remainder and frees its processor
-                    // for the rest of the tick.
-                    if self.observing && bulk > 0 {
-                        self.observe_quiet(t, bulk);
-                    }
-                    self.run_claimed(bulk);
-                    ran = true;
-                } else if bulk > 0 {
-                    self.advance_quiet(t, bulk);
-                }
-            } else if bounded && sc.alloc.is_empty() && !self.life.alive.is_empty() {
-                // Bounded schedulers idle *deliberately*: an empty
-                // allocation with alive jobs is a plan gap (no slot at this
-                // tick), and within `bound_cap` the per-tick re-decision
-                // cannot change it. Skip the whole gap in one window — the
-                // naive path would emit `s` identical empty-allocation
-                // ticks, which the event log coalesces into exactly this
-                // window, and `advance_window` charges the same
-                // `ticks_simulated`. Restricted to bounded schedulers so
-                // fully stable schedulers keep their frozen per-tick idle
-                // accounting. When the last alive job left during this
-                // step's own event phases the window has no job boundary
-                // left to cap it — fall through to the single tick the
-                // naive path charges before its run guard ends the run.
-                let life = &self.life;
-                let w = self
-                    .kernel
-                    .window(t, self.inst.expiry_order(), |id| life.is_terminal(id));
-                let s = w.min(bound_cap());
-                if s > 0 {
-                    if self.observing {
-                        sc.progress.clear();
-                        self.obs
-                            .on_window(t, s, self.life.view(), &sc.alloc, &sc.progress);
-                    }
-                    self.clock.advance_window(s);
+            let (min_q, leftover) = self.claim_pass(uniform_units);
+            // Every cap is > `t` (after the idle skip the next arrival is
+            // strictly in the future, after step 2 every valid expiry key
+            // is, a fresh `valid_until` is at least `t + 1`, and the run
+            // guard keeps t < horizon). An empty claim set with jobs alive
+            // is one idle window up to the cap, as the naive path's empty
+            // ticks are. When the last alive job left during this step's
+            // own event phases, no job boundary is left to cap the window:
+            // fall through to the single tick the naive path charges before
+            // its run guard ends the run. `min_q == 1` needs no boundary
+            // query: a claimed node finishes this tick, whatever the next
+            // boundary is.
+            let idle = self.scratch.claimed.is_empty();
+            if min_q > 1 && !(idle && self.life.alive.is_empty()) {
+                let w = self.window(t);
+                if idle || w < min_q {
+                    // A boundary falls on or before the completion tick:
+                    // advance to it and let the next step handle its
+                    // events.
+                    self.advance_quiet(t, w);
+                    self.clock.advance_window(w);
                     return Ok(true);
                 }
+                bulk = min_q - 1;
+            }
+            if !idle && (!self.cfg.carryover || !leftover) {
+                // No node finishing on the completion tick has budget left
+                // over, so no processor continues into another node and the
+                // per-processor round reduces to one `advance` of `min_q`
+                // ticks' budget per claimed node, in claim order: each
+                // non-finishing node consumes its processor's full rate
+                // every tick, and each finishing one consumes its remainder
+                // and frees its processor for the rest of the tick.
+                if self.observing && bulk > 0 {
+                    self.observe_quiet(t, bulk);
+                }
+                self.run_claimed(bulk);
+                ran = true;
+            } else if bulk > 0 {
+                self.advance_quiet(t, bulk);
             }
         }
         let tick = t.after(bulk);
@@ -607,6 +480,71 @@ impl<'a, O: SimObserver> SimDriver<'a, O> {
 
         self.clock.advance_window(bulk + 1);
         Ok(true)
+    }
+
+    /// Fill `scratch.claimed` with this tick's picks for every allocation
+    /// entry, each node with the per-tick rate of the processor it binds to,
+    /// and return the ticks until the earliest of them completes,
+    /// `ceil(remaining / rate)` (`u64::MAX` when nothing is claimed), and
+    /// whether a node finishing then has budget left over in that tick
+    /// (remaining not a multiple of its rate). A uniform platform folds the
+    /// smallest remaining work and divides once; a heterogeneous one
+    /// divides per node by its processor's rate.
+    fn claim_pass(&mut self, uniform_units: Option<u64>) -> (u64, bool) {
+        let sc = &mut self.scratch;
+        sc.claimed.clear();
+        let mut min_q = u64::MAX;
+        let mut min_rem = u64::MAX;
+        let mut leftover = false;
+        let mut cursor = 0usize;
+        for &(id, k) in &sc.alloc {
+            let st = self.life.live[id.index()]
+                .as_ref()
+                .expect("validated alive");
+            self.picker.pick_into(st, k as usize, &mut sc.picked);
+            for (i, &node) in sc.picked.iter().enumerate() {
+                let rem = st.node_remaining(node).units();
+                // The i-th picked node binds to the i-th processor the
+                // entry consumes — the same pairing the execution round's
+                // per-processor loop realizes.
+                let pu = match uniform_units {
+                    Some(u) => {
+                        min_rem = min_rem.min(rem);
+                        u
+                    }
+                    None => {
+                        let pu = self.platform.proc_units()[cursor + i];
+                        let q = ticks_to_complete(rem, pu);
+                        let short = !rem.is_multiple_of(pu);
+                        if q < min_q {
+                            (min_q, leftover) = (q, short);
+                        } else if q == min_q {
+                            leftover |= short;
+                        }
+                        pu
+                    }
+                };
+                sc.claimed.push((id, node, pu));
+            }
+            cursor += k as usize;
+        }
+        if let Some(u) = uniform_units {
+            if min_rem != u64::MAX {
+                min_q = ticks_to_complete(min_rem, u);
+                leftover = !min_rem.is_multiple_of(u);
+            }
+        }
+        (min_q, leftover)
+    }
+
+    /// Ticks from `t` to the step's cap: the earliest of `valid_until`, the
+    /// lifecycle's next arrival or expiry boundary, and the horizon.
+    fn window(&mut self, t: Time) -> u64 {
+        let cap = self.valid_until.min(self.clock.horizon());
+        self.life
+            .next_boundary(self.inst)
+            .map_or(cap, |b| b.min(cap))
+            .since(t)
     }
 
     /// Advance every claimed node by `s` ticks of its processor's rate: a
@@ -1057,8 +995,8 @@ mod tests {
     /// Related machines: a node first claimed at 1 unit/tick, then
     /// preempted, then re-claimed on the 2-unit group lands on the same
     /// last-safe tick as its first claim (rem 10 from t = 0 at 1 unit/tick:
-    /// tick 9; rem 9 from t = 5 at 2 units/tick: tick 9 again). Event
-    /// kernels that cache per-node completion ticks must not lose it.
+    /// tick 9; rem 9 from t = 5 at 2 units/tick: tick 9 again). An engine
+    /// that caches per-node completion ticks must not lose it.
     #[test]
     fn reclaim_on_a_faster_group_matches_naive() {
         use dagsched_core::MachineGroups;
@@ -1461,6 +1399,109 @@ mod tests {
         }
     }
 
+    /// A fully stable scheduler that leaves a job alive with an empty
+    /// allocation idles in one step per boundary-free stretch: job 0 is
+    /// never picked, so [0, 20) ends at job 1's arrival, job 1 runs
+    /// [20, 25), and [25, 50) ends at job 0's expiry. The step at t = 50
+    /// expires the last alive job and charges the naive path's tick.
+    #[test]
+    fn stable_idle_stretches_take_one_step_each() {
+        let inst =
+            Instance::new(1, vec![one_node(0, 0, 10, 50), one_node(1, 20, 5, 1000)]).unwrap();
+        let mk = || -> Box<dyn OnlineScheduler> {
+            Box::new(Pinned {
+                select: vec![1],
+                place: vec![1],
+            })
+        };
+        let run = check_run(&inst, &mk, &[Time(3), Time(22), Time(30)]);
+        assert_eq!(
+            run.step_ends,
+            [20, 25, 50, 51].map(Time).to_vec(),
+            "idle, busy, idle, the expiry tick"
+        );
+        assert_eq!(run.result.ticks_simulated, 51);
+        assert!(run
+            .lines
+            .contains(&"window Time(0) 20 [(JobId(0), 1)] [] []".to_string()));
+        assert!(run
+            .lines
+            .contains(&"window Time(25) 25 [(JobId(0), 1)] [] []".to_string()));
+    }
+
+    /// When the last alive job leaves during the step's own event phases
+    /// (here: job 0 expires at t = 30 with nothing pending), no boundary is
+    /// left to cap an idle window, and the step charges the single tick
+    /// the naive path runs before its run guard ends the run.
+    #[test]
+    fn last_job_leaving_in_the_event_phases_charges_one_tick() {
+        for select in [vec![], vec![0]] {
+            let inst = Instance::new(1, vec![one_node(0, 0, 40, 30)]).unwrap();
+            let mk = || -> Box<dyn OnlineScheduler> {
+                Box::new(Pinned {
+                    select: select.clone(),
+                    place: select.clone(),
+                })
+            };
+            let run = check_run(&inst, &mk, &[Time(10)]);
+            assert_eq!(run.step_ends, vec![Time(30), Time(31)], "{select:?}");
+            assert_eq!(run.result.ticks_simulated, 31);
+            assert_eq!(run.result.outcomes[0], JobStatus::Expired { at: Time(30) });
+        }
+    }
+
+    /// [`Greedy`] without a stability declaration: asked afresh every
+    /// tick, so every step is one tick.
+    struct Undeclared;
+
+    impl OnlineScheduler for Undeclared {
+        fn name(&self) -> String {
+            "undeclared-test".into()
+        }
+        fn on_arrival(&mut self, _job: &JobInfo, _now: Time) {}
+        fn on_completion(&mut self, _id: JobId, _now: Time) {}
+        fn on_expiry(&mut self, _id: JobId, _now: Time) {}
+        fn allocate(&mut self, view: &TickView<'_>) -> Allocation {
+            Greedy.allocate(view)
+        }
+    }
+
+    /// An undeclared scheduler shares the claim pass, capped at one tick:
+    /// on the speed-3/2 chain of `chains_take_one_step_per_node_completion`
+    /// (nodes 0 and 1 carry leftover budget into their successors in the
+    /// per-processor round) it takes one step per tick, and its event
+    /// stream is the naive path's, window for window.
+    #[test]
+    fn undeclared_scheduler_runs_the_carryover_chain_one_tick_a_step() {
+        let cfg = SimConfig::at_speed(dagsched_core::Speed::new(3, 2).unwrap());
+        let inst = Instance::new(
+            1,
+            vec![dagsched_workload::JobSpec::new(
+                JobId(0),
+                Time(0),
+                dagsched_dag::gen::chain(3, 10).into_shared(),
+                dagsched_workload::StepProfitFn::deadline(Time(1000), 1),
+            )],
+        )
+        .unwrap();
+        let run = check_run_on(&inst, &|| Box::new(Undeclared), &[Time(6), Time(7)], &cfg);
+        assert_eq!(run.step_ends, (1..=20).map(Time).collect::<Vec<_>>());
+        assert_eq!(after_node_completions(&run.lines), [7, 14, 20].map(Time));
+        let mut naive = Lines::default();
+        let naive_cfg = SimConfig {
+            fast_forward: false,
+            ..cfg
+        };
+        let obs: &mut dyn SimObserver = &mut naive;
+        SimDriver::with_observer(&inst, &mut Undeclared, &naive_cfg, obs)
+            .finish()
+            .unwrap();
+        assert_eq!(run.lines, naive.0);
+        assert!(run.lines.contains(
+            &"window Time(6) 1 [(JobId(0), 1)] [(JobId(0), 1)] [(JobId(0), 3)]".to_string()
+        ));
+    }
+
     /// `run_until` targets inside a step (a quiet tick, or the completion
     /// tick itself) are overshot, never split: the paused run is the
     /// one-shot run, event for event.
@@ -1569,13 +1610,13 @@ mod tests {
     /// change to the index shows here.
     #[test]
     fn expiry_cursor_passes_each_key_once() {
-        use crate::events::CursorCounts;
+        use crate::lifecycle::CursorCounts;
         let run = |inst: &Instance| {
             let cfg = SimConfig::default();
             let mut sched = DeadlineFirst::default();
             let mut drv = SimDriver::new(inst, &mut sched, &cfg);
             while drv.step().unwrap() {}
-            let counts = drv.kernel.counts;
+            let counts = drv.life.counts;
             assert!(
                 (counts.due + counts.skipped) as usize <= inst.expiry_order().len(),
                 "{counts:?} passes more keys than the instance has"

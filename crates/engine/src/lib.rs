@@ -31,7 +31,6 @@
 
 pub mod clock;
 pub mod driver;
-pub mod events;
 pub mod lifecycle;
 pub mod observe;
 pub mod pick;

@@ -3,29 +3,64 @@
 //! A [`Lifecycle`] owns every per-job state the engine keeps — the dense
 //! slab of unfolded DAG states (one [`UnfoldState`] per alive job, whose
 //! single cell vector also carries the execution round's node claims), the
-//! arrival cursor, the alive list (always in arrival order), terminal
-//! outcomes, and earned profit — and the three transitions a job can make:
+//! arrival cursor, the expiry cursor, the alive list (always in arrival
+//! order), terminal outcomes, and earned profit — and the three transitions
+//! a job can make:
 //!
 //! * `admit_arrivals` materializes every job
 //!   with `arrival ≤ t` and runs the scheduler's and observer's arrival
 //!   hooks;
 //! * `expire_hopeless` abandons zero-tail jobs
 //!   past their last useful moment (the reference path's O(alive) scan;
-//!   the production path pulls the due ids from the event kernel via
-//!   `expire_hopeless_indexed`);
+//!   the production path pops the due ids off the expiry cursor via
+//!   `expire_due`);
 //! * `complete` retires jobs whose last node
 //!   finished, paying `p(t_done − r)`.
 //!
 //! The scheduler and observer hooks fire *inside* the transition methods so
 //! that the ordering contract of [`observe`](crate::observe) is enforced in
 //! exactly one place.
+//!
+//! # Next boundary
+//!
+//! The two cursors also answer the production path's one event question,
+//! `next_boundary`: the earliest tick at which a job arrives or expires.
+//! (The horizon is the clock's, and node completions are the driver's claim
+//! pass's.) The next arrival is `jobs[next_arrival].arrival`. A zero-tail
+//! job's expiry boundary `last_useful_abs()` is fixed by the instance, so
+//! [`Instance::expiry_order`] sorts every boundary once, as `(time, job)`,
+//! and one cursor walks that slice: nothing is pushed, popped or re-keyed,
+//! and each key is passed exactly once over a run. A key is *valid* while
+//! its job is not terminal; a key turns invalid once and for good.
+//! `next_boundary` moves the cursor past invalid keys and stops at the
+//! first valid one; `expire_due` moves it past every key at or below `t`
+//! and expires the valid ones. A job that has not arrived yet is not
+//! terminal, so its key is valid and may bound a window. That is harmless:
+//! its key is at or after its arrival, which is at or after the next
+//! arrival, which already bounds the window.
+//!
+//! Keys order by `(time, job)`. No window crosses a valid key, and an idle
+//! skip happens only when every arrived job is terminal, so every valid key
+//! `expire_due` reaches has `time == t`: due expiries come out in ascending
+//! job order (= arrival order: instance ids are assigned in arrival order),
+//! the order the naive scan expires them in.
 
 use crate::observe::SimObserver;
 use crate::result::JobStatus;
 use crate::sched_api::{JobInfo, OnlineScheduler};
 use dagsched_core::{JobId, NodeId, Time};
 use dagsched_dag::UnfoldState;
-use dagsched_workload::JobSpec;
+use dagsched_workload::{Instance, JobSpec};
+
+/// What the expiry cursor did over a run, for tests that pin its work.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CursorCounts {
+    /// Keys passed as due expiries.
+    pub(crate) due: u64,
+    /// Keys passed because their job was already terminal.
+    pub(crate) skipped: u64,
+}
 
 /// The per-job state machine of one run. See the [module docs](self).
 pub struct Lifecycle {
@@ -60,6 +95,11 @@ pub struct Lifecycle {
     pub(crate) view_changed: bool,
     /// Index of the next not-yet-arrived job.
     pub(crate) next_arrival: usize,
+    /// Index of the first key of the instance's expiry order not yet
+    /// passed (production path only).
+    next_expiry: usize,
+    #[cfg(test)]
+    pub(crate) counts: CursorCounts,
     /// Σ profit of completed jobs.
     pub(crate) total_profit: u64,
     /// Free list of retired unfold states. Terminal transitions push here
@@ -84,6 +124,9 @@ impl Lifecycle {
             pos_hint: vec![0; n],
             view_changed: false,
             next_arrival: 0,
+            next_expiry: 0,
+            #[cfg(test)]
+            counts: CursorCounts::default(),
             total_profit: 0,
             pool: Vec::new(),
         }
@@ -123,10 +166,10 @@ impl Lifecycle {
 
     /// Re-read `id`'s ready count from its unfold state and patch the
     /// maintained view (flagging the change) if it moved.
-    /// The driver calls this after the reference execution path, the only
-    /// place a ready count can change (node completions unlock successors);
-    /// bulk fast-forward windows never complete a node, so they never need
-    /// a patch.
+    /// The driver calls this after a step's completion tick, for each job
+    /// that finished a node there and goes on: node completions (which
+    /// unlock successors) are the only thing that moves a ready count, and
+    /// a step's quiet ticks complete none.
     pub(crate) fn patch_ready(&mut self, id: JobId) {
         let st = self.live[id.index()].as_ref().expect("patched job is live");
         let rc = st.ready_count() as u32;
@@ -270,27 +313,63 @@ impl Lifecycle {
         !expired.is_empty()
     }
 
-    /// Indexed variant of [`expire_hopeless`](Self::expire_hopeless): pull
-    /// the due expiries from the kernel's cursor over the instance's sorted
-    /// `expiry_keys` instead of rescanning every alive job. O(due + keys
-    /// passed) against the scan's O(alive); each key is passed once per
-    /// run, and a step where nothing is due reads one key.
+    /// The earliest tick after the last admission at which a job arrives
+    /// or a valid expiry key falls (see the [module docs](self)), or
+    /// `None` when every job has arrived and no valid key is left. Moves
+    /// the expiry cursor past the keys of terminal jobs.
+    pub(crate) fn next_boundary(&mut self, inst: &Instance) -> Option<Time> {
+        let keys = inst.expiry_order();
+        let arrival = inst.jobs().get(self.next_arrival).map(|j| j.arrival);
+        while let Some(&(at, job)) = keys.get(self.next_expiry) {
+            if !self.is_terminal(job) {
+                return Some(arrival.map_or(at, |a| a.min(at)));
+            }
+            self.next_expiry += 1;
+            #[cfg(test)]
+            {
+                self.counts.skipped += 1;
+            }
+        }
+        arrival
+    }
+
+    /// Indexed variant of [`expire_hopeless`](Self::expire_hopeless): pass
+    /// every key of the instance's expiry order at or below `t`, expiring
+    /// the jobs of the valid ones, instead of rescanning every alive job.
+    /// O(due + keys passed) against the scan's O(alive); each key is passed
+    /// once per run, and a step where nothing is due reads one key.
     ///
-    /// Byte-identical to the scan by construction: the kernel returns due
-    /// ids ascending, which *is* arrival order (instance ids are assigned
-    /// in arrival order), so outcomes, pool pushes, and the expiry hooks
-    /// all fire in the scan's order.
-    pub(crate) fn expire_hopeless_indexed<O: SimObserver + ?Sized>(
+    /// Byte-identical to the scan by construction: due ids come out
+    /// ascending, which *is* arrival order (see the [module docs](self)),
+    /// so outcomes, pool pushes, and the expiry hooks all fire in the
+    /// scan's order.
+    pub(crate) fn expire_due<O: SimObserver + ?Sized>(
         &mut self,
         t: Time,
-        kernel: &mut crate::events::EventKernel,
-        expiry_keys: &[(Time, JobId)],
+        inst: &Instance,
         sched: &mut dyn OnlineScheduler,
         obs: &mut O,
         expired: &mut Vec<JobId>,
     ) -> bool {
         expired.clear();
-        kernel.pop_due_expiries(t, expiry_keys, |id| self.is_terminal(id), expired);
+        let keys = inst.expiry_order();
+        while let Some(&(at, job)) = keys.get(self.next_expiry) {
+            if at > t {
+                break;
+            }
+            self.next_expiry += 1;
+            let due = !self.is_terminal(job);
+            if due {
+                debug_assert!(at == t, "a valid expiry is never in the past");
+                expired.push(job);
+            }
+            #[cfg(test)]
+            if due {
+                self.counts.due += 1;
+            } else {
+                self.counts.skipped += 1;
+            }
+        }
         if expired.is_empty() {
             return false;
         }
@@ -442,8 +521,182 @@ mod tests {
         assert_eq!(lc.pool_len(), 2);
     }
 
+    /// An instance of one-node zero-tail jobs `(arrival, deadline)`, ids
+    /// in list order; job `i`'s expiry key is `(arrival + deadline, i)`.
+    fn deadline_jobs(list: &[(u64, u64)]) -> Instance {
+        let dag = gen::single(1).into_shared();
+        let jobs = list
+            .iter()
+            .enumerate()
+            .map(|(i, &(r, d))| {
+                JobSpec::new(
+                    JobId(i as u32),
+                    Time(r),
+                    dag.clone(),
+                    StepProfitFn::deadline(Time(d), 2),
+                )
+            })
+            .collect();
+        Instance::new(1, jobs).unwrap()
+    }
+
+    /// Admit every job of `inst` by `t` into `lc`.
+    fn admit(lc: &mut Lifecycle, inst: &Instance, t: u64) {
+        lc.admit_arrivals(inst.jobs(), Time(t), 1, &mut NopSched, &mut NullObserver);
+    }
+
+    /// The ids `expire_due` expires at `t`.
+    fn due(lc: &mut Lifecycle, inst: &Instance, t: u64) -> Vec<JobId> {
+        let mut expired = Vec::new();
+        lc.expire_due(
+            Time(t),
+            inst,
+            &mut NopSched,
+            &mut NullObserver,
+            &mut expired,
+        );
+        expired
+    }
+
     #[test]
-    fn maintained_view_compacts_in_arrival_order_and_records_deltas() {
+    fn tie_break_orders_time_then_job() {
+        // Keys (4, 2), (5, 0), (5, 1): equal times break by ascending id,
+        // so due expiries at one tick come out in arrival order.
+        let inst = deadline_jobs(&[(0, 5), (0, 5), (0, 4)]);
+        let mut lc = Lifecycle::new(3);
+        admit(&mut lc, &inst, 0);
+        assert_eq!(due(&mut lc, &inst, 4), vec![JobId(2)]);
+        assert_eq!(due(&mut lc, &inst, 5), vec![JobId(0), JobId(1)]);
+    }
+
+    #[test]
+    fn terminal_jobs_keys_are_skipped() {
+        // A terminal job's key no longer bounds the next boundary, and the
+        // cursor passes it for good.
+        let inst = deadline_jobs(&[(0, 7), (0, 12)]);
+        let mut lc = Lifecycle::new(2);
+        admit(&mut lc, &inst, 0);
+        assert_eq!(lc.next_boundary(&inst), Some(Time(7)));
+        lc.complete(
+            inst.jobs(),
+            Time(2),
+            &[JobId(0)],
+            &mut NopSched,
+            &mut NullObserver,
+        );
+        assert_eq!(lc.next_boundary(&inst), Some(Time(12)));
+        lc.complete(
+            inst.jobs(),
+            Time(2),
+            &[JobId(1)],
+            &mut NopSched,
+            &mut NullObserver,
+        );
+        assert_eq!(lc.next_boundary(&inst), None, "only the horizon remains");
+        assert_eq!(lc.counts, CursorCounts { due: 0, skipped: 2 });
+    }
+
+    #[test]
+    fn expire_due_collects_expiries_in_id_order_once() {
+        // Job 1 completed before its boundary; job 3 is not yet due.
+        let inst = deadline_jobs(&[(0, 5), (0, 5), (0, 5), (0, 30)]);
+        let mut lc = Lifecycle::new(4);
+        admit(&mut lc, &inst, 0);
+        lc.complete(
+            inst.jobs(),
+            Time(3),
+            &[JobId(1)],
+            &mut NopSched,
+            &mut NullObserver,
+        );
+        assert_eq!(
+            due(&mut lc, &inst, 5),
+            vec![JobId(0), JobId(2)],
+            "ascending id = arrival order"
+        );
+        // Expiring again at the same t: the cursor is past them.
+        assert!(due(&mut lc, &inst, 5).is_empty());
+        assert_eq!(due(&mut lc, &inst, 30), vec![JobId(3)]);
+        assert_eq!(lc.counts, CursorCounts { due: 3, skipped: 1 });
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random instances (zero-tail and, for `kind == 0`, tail jobs;
+        /// equal expiry times) run as the driver runs them: admit
+        /// arrivals, expire due jobs, complete a random alive job, then
+        /// jump to a random tick before the next boundary. At every query
+        /// the due set and the next boundary (capped at the horizon) equal
+        /// a brute-force mirror of the naive scan over the alive jobs, and
+        /// no key is passed twice.
+        #[test]
+        fn cursor_matches_the_naive_scan_on_random_instances(
+            mut specs in proptest::collection::vec((0u64..12, 1u64..10, 0u8..3), 1..24),
+            marks in proptest::collection::vec((0u32..24, 0u64..100), 0..40),
+            horizon in 1u64..40,
+        ) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            specs.sort_unstable(); // arrivals ascending
+            let jobs: Vec<JobSpec> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, d, kind))| {
+                    let profit = if kind == 0 {
+                        StepProfitFn::steps(vec![(Time(d), 2)], 1).unwrap()
+                    } else {
+                        StepProfitFn::deadline(Time(d), 2)
+                    };
+                    JobSpec::new(JobId(i as u32), Time(r), gen::single(1).into_shared(), profit)
+                })
+                .collect();
+            let inst = Instance::new(1, jobs).unwrap();
+            let jobs = inst.jobs();
+            let n = jobs.len();
+            let horizon = Time(horizon);
+            let mut lc = Lifecycle::new(n);
+            let (mut next_arrival, mut alive) = (0, vec![false; n]);
+            let mut marks = marks.iter();
+            let mut t = jobs[0].arrival;
+            while t < horizon {
+                admit(&mut lc, &inst, t.0);
+                while next_arrival < n && jobs[next_arrival].arrival <= t {
+                    alive[next_arrival] = true;
+                    next_arrival += 1;
+                }
+                let got = due(&mut lc, &inst, t.0);
+                let want: Vec<JobId> = (0..n)
+                    .filter(|&i| {
+                        alive[i] && jobs[i].profit.tail_value() == 0 && t >= jobs[i].last_useful_abs()
+                    })
+                    .map(|i| JobId(i as u32))
+                    .collect();
+                prop_assert_eq!(got.clone(), want, "due set diverges at t={}", t.0);
+                for j in &got {
+                    alive[j.index()] = false;
+                }
+                let (job, step) = marks.next().copied().unwrap_or((u32::MAX, 1));
+                if let Some(a) = alive.get_mut(job as usize).filter(|a| **a) {
+                    *a = false;
+                    lc.complete(jobs, t.after(1), &[JobId(job)], &mut NopSched, &mut NullObserver);
+                }
+                let next = (0..n)
+                    .filter(|&i| alive[i] && jobs[i].profit.tail_value() == 0)
+                    .map(|i| jobs[i].last_useful_abs())
+                    .chain(jobs.get(next_arrival).map(|j| j.arrival))
+                    .fold(horizon, Time::min);
+                let w = lc.next_boundary(&inst).map_or(horizon, |b| b.min(horizon)).since(t);
+                prop_assert_eq!(w, next.since(t), "next boundary diverges at t={}", t.0);
+                prop_assert!(w > 0);
+                t = Time(t.0 + 1 + step % w);
+            }
+            let passed = lc.counts.due + lc.counts.skipped;
+            prop_assert!(passed as usize <= inst.expiry_order().len());
+        }
+    }
+
+    #[test]
+    fn maintained_view_compacts_in_arrival_order_and_flags_changes() {
         let dag = gen::chain(3, 2).into_shared();
         let jobs: Vec<JobSpec> = (0..4u32)
             .map(|i| {

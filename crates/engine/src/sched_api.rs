@@ -176,11 +176,13 @@ pub trait OnlineScheduler {
     /// tick on a rebuilt view. The production path calls it only when the
     /// previous allocation may have gone stale: the view changed since the
     /// last call (an arrival, a completion, an expiry, or a ready count
-    /// moved), or `now` left that call's stability window (see
+    /// moved), or `now` reached the validity end the engine set at that
+    /// call (see
     /// [`allocation_stable_between_events`](Self::allocation_stable_between_events)
-    /// and [`bounded_stability`](Self::bounded_stability)). Otherwise it
-    /// replays the previous `out` unchanged. A scheduler that declares
-    /// neither stability is asked every step.
+    /// and [`bounded_stability`](Self::bounded_stability); this call is the
+    /// only point where [`stable_until`](Self::stable_until) is read).
+    /// Otherwise it replays the previous `out` unchanged. A scheduler that
+    /// declares neither stability is asked every tick.
     fn allocate_into(&mut self, view: &TickView<'_>, out: &mut Allocation) {
         out.clear();
         let alloc = self.allocate(view);
@@ -230,10 +232,10 @@ pub trait OnlineScheduler {
 
     /// Retained for API compatibility; **the engine no longer reads it.**
     ///
-    /// It once selected whether the event kernel kept per-node completion
-    /// entries for this scheduler. The kernel now holds only arrival,
-    /// expiry and horizon boundaries, and the driver folds the nearest
-    /// completion in its claim pass for every scheduler. The default
+    /// It once selected whether the engine's event index kept per-node
+    /// completion entries for this scheduler. The engine now reads only
+    /// arrival, expiry and horizon boundaries, and the driver folds the
+    /// nearest completion in its claim pass for every scheduler. The default
     /// forwards to
     /// [`allocation_stable_between_events`](Self::allocation_stable_between_events);
     /// there is no reason to override it.
@@ -256,11 +258,11 @@ pub trait OnlineScheduler {
     /// other `now` dependence). The production path then replays the
     /// allocation decided at `t` while the view is unchanged and
     /// `now < stable_until(t)`, and fast-forwards in windows capped by
-    /// `stable_until` instead of single ticks.
+    /// `stable_until(t)` instead of single ticks.
     ///
     /// Full stability subsumes this: schedulers returning `true` from
     /// `allocation_stable_between_events` are never asked. The default
-    /// `false` keeps `now`-dependent schedulers on the per-tick path.
+    /// `false` keeps `now`-dependent schedulers on one-tick windows.
     fn bounded_stability(&self) -> bool {
         false
     }
@@ -270,11 +272,13 @@ pub trait OnlineScheduler {
     /// `[now, stable_until(now))`.
     ///
     /// Only consulted when [`bounded_stability`](Self::bounded_stability)
-    /// returns `true`: after each fresh allocation on the production path
-    /// (to end its replay window) and once per fast-forward step. `None`
-    /// means *no further plan boundary* — stable until the next event, like
-    /// a fully stable scheduler. `Some(t)` with `t <= now` is treated as a
-    /// single-tick window. The default `None` pairs with the default
+    /// returns `true`, and only at a fresh ask on the production path:
+    /// right after each [`allocate_into`](Self::allocate_into) call, with
+    /// that call's `now`. The answer is the allocation's validity end: it
+    /// is replayed, and every fast-forward window is capped, until then.
+    /// `None` means *no further plan boundary* — stable until the next
+    /// event, like a fully stable scheduler. `Some(t)` with `t <= now` is
+    /// treated as a single-tick window. The default `None` pairs with the default
     /// `bounded_stability` of `false` and is never reached.
     fn stable_until(&self, now: Time) -> Option<Time> {
         let _ = now;

@@ -4,23 +4,25 @@
 //! [`SimConfig::fast_forward`] is the one switch between the engine's two
 //! execution paths, which produce identical results:
 //!
-//! * the **production path** (`true`, the default) finds the next event
-//!   with an [`EventKernel`](crate::events::EventKernel) (an arrival
-//!   cursor and a cursor over the instance's presorted expiry order) and
-//!   maintains the scheduler's view incrementally. Between *events* (arrivals, node
-//!   completions, expiries, the horizon) nothing visible to a stable
-//!   scheduler changes, so while the view is unchanged and the last
-//!   allocation's stability window is open it replays that allocation
-//!   instead of asking again, and it computes the width of that boring
-//!   window and bulk-advances every claimed node across it in one engine
-//!   step. When the window ends because a claimed node finishes, the same
-//!   step also runs that node's completion tick: one step per event,
-//!   O(events) instead of O(ticks). Both engage only when the
-//!   scheduler opts in via
-//!   [`OnlineScheduler::allocation_stable_between_events`] or
-//!   [`OnlineScheduler::bounded_stability`]; bulk windows also need a
-//!   deterministic pick policy ([`NodePick::fast_forward_safe`]), and
-//!   otherwise the production path runs one tick per step;
+//! * the **production path** (`true`, the default) maintains the
+//!   scheduler's view incrementally and finds the next arrival or expiry
+//!   with the lifecycle's two cursors (the arrival index and a cursor over
+//!   the instance's presorted expiry order). Each fresh allocation gets
+//!   one validity end from the scheduler's declaration: the next tick by
+//!   default, [`OnlineScheduler::stable_until`] under
+//!   [`OnlineScheduler::bounded_stability`], none under
+//!   [`OnlineScheduler::allocation_stable_between_events`]. While the view
+//!   is unchanged and that end has not come, it replays the allocation
+//!   instead of asking again. With a deterministic pick policy
+//!   ([`NodePick::fast_forward_safe`]) it computes the width of the
+//!   window up to the next event (an arrival, a node completion, an
+//!   expiry, the validity end, the horizon) and bulk-advances every
+//!   claimed node across it in one engine step, an idle window with
+//!   nothing claimed included. When the window ends because a claimed
+//!   node finishes, the same step also runs that node's completion tick:
+//!   one step per event, O(events) instead of O(ticks). A scheduler that
+//!   declares nothing thus gets one-tick windows, and a random pick policy
+//!   one tick per step;
 //! * the **naive reference path** (`false`) is the direct transcription of
 //!   the paper's per-tick model, kept as ground truth. It steps one tick at
 //!   a time, skips idle gaps from the arrival list, finds expiries by
@@ -69,9 +71,9 @@ pub struct SimConfig {
     /// Hard stop; `None` derives a bound that any work-conserving schedule
     /// fits in (last useful time + total work + 1).
     pub horizon: Option<Time>,
-    /// Run the production path (on by default): the event kernel, the
+    /// Run the production path (on by default): the expiry cursor, the
     /// maintained view with allocation replay, and bulk fast-forward
-    /// windows when the scheduler and pick policy allow them. Turn off for
+    /// windows when the pick policy allows them. Turn off for
     /// the naive per-tick reference path, e.g. for differential testing.
     /// See the [module docs](self).
     pub fast_forward: bool,

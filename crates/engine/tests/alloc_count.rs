@@ -152,7 +152,7 @@ fn warm_pool_arrivals_do_not_allocate() {
 /// Upper bound on the allocations of the arrival step that are not per
 /// job: amortized doubling of the alive list and the maintained view
 /// (about log2(n) each), and the first growth of the step's scratch
-/// buffers. Expiries allocate nothing: the event kernel walks the
+/// buffers. Expiries allocate nothing: the lifecycle's cursor walks the
 /// instance's presorted expiry order. 1,000 cold arrivals take 22.
 const STEP_SLACK: u64 = 32;
 

@@ -7,10 +7,12 @@
 //! * which admission verdict × reason combinations fired;
 //! * which density bands (powers of `c` of the density) admitted jobs
 //!   landed in — Observation 3's unit of accounting;
-//! * expiry-batch sizes (log₂ buckets) — the kernel's sorted batch pops;
-//! * execution-window widths (log₂ buckets) — fast-forward horizon shapes;
+//! * expiry-batch sizes (log₂ buckets) — the expiry cursor's sorted
+//!   batches;
+//! * execution-window widths (log₂ buckets) — fast-forward horizon shapes
+//!   (see [`CoverageObserver::idle_windows_as_ticks`] for idle windows);
 //! * which event kinds collided on one tick (arrival/expiry/completion
-//!   masks) — the kernel's tie-break cases as seen from the stream;
+//!   masks) — the engine's tie-break cases as seen from the stream;
 //! * end-time and peak-alive-set buckets.
 //!
 //! A candidate that produces any feature id the corpus has not produced
@@ -158,6 +160,7 @@ pub struct CoverageObserver {
     // Run-length state for expiry batches.
     expiry_t: u64,
     expiry_run: u64,
+    idle_as_ticks: bool,
 }
 
 impl CoverageObserver {
@@ -171,7 +174,19 @@ impl CoverageObserver {
             cur_mask: 0,
             expiry_t: u64::MAX,
             expiry_run: 0,
+            idle_as_ticks: false,
         }
+    }
+
+    /// Bucket each idle window (empty allocation) as one-tick windows
+    /// instead of by its width. The fuzz loop sets this for a fully stable
+    /// subject: the engine used to run such a subject's idle stretches one
+    /// tick per step and now runs each as one window, and counting them as
+    /// before keeps every feature set, and with it every corpus trajectory,
+    /// what it was. A boundedly stable subject's idle stretches were
+    /// already one window each, and are bucketed by width.
+    pub fn idle_windows_as_ticks(&mut self, on: bool) {
+        self.idle_as_ticks = on;
     }
 
     /// The feature ids this run produced. Call after the run (flushing of
@@ -236,10 +251,12 @@ impl SimObserver for CoverageObserver {
         _at: Time,
         ticks: u64,
         jobs: &[(JobId, u32)],
-        _alloc: &[(JobId, u32)],
+        alloc: &[(JobId, u32)],
         _progress: &[(JobId, u64)],
     ) {
-        self.features.insert(window_feature(ticks));
+        let idle = self.idle_as_ticks && alloc.is_empty();
+        self.features
+            .insert(window_feature(if idle { 1 } else { ticks }));
         self.features.insert(alive_feature(jobs.len()));
         self.flush_expiry_run();
     }

@@ -1166,7 +1166,7 @@ mod tests {
         // one blocked stretch. Probing them one by one cost 254,006 probes.
         // Invariant checks replay the full walk against every skip; they do
         // not change the probe count. A `Trace` observer changes nothing
-        // about how the run steps: the traced run takes the untraced 3,915
+        // about how the run steps: the traced run takes the untraced 922
         // steps over 500,001 ticks, in at most one trace window per step.
         let n = 1_500u32;
         let mut rng = dagsched_core::Rng64::seed_from(1).child(0);
@@ -1202,7 +1202,7 @@ mod tests {
         // revisit `DensityBands`.
         assert_eq!(metrics.max_q_len, 6);
         assert_eq!(r.total_profit, 3_598);
-        assert_eq!(r.steps_executed, 3_915);
+        assert_eq!(r.steps_executed, 922);
 
         let mut trace = Trace::new();
         let mut s = SchedulerS::with_epsilon(4, 1.0);

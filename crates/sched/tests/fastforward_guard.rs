@@ -1,15 +1,15 @@
 //! Guards on the fast-forward opt-in: schedulers that are *boundedly*
-//! stable run the event path with `stable_until`-capped windows, schedulers
-//! with no stability claim at all stay on the reference path, and a
+//! stable run the event path with `stable_until`-capped windows,
+//! schedulers with no stability claim at all get one-tick windows, and a
 //! [`Trace`] observer changes no scheduler's step count. On a parked slot
 //! plan, SProfit's step, tick and fresh-allocation counts are pinned
 //! exactly.
 //!
-//! On the reference path every simulated tick is one engine step, so
+//! With one-tick windows every simulated tick is one engine step, so
 //! `steps_executed == ticks_simulated` is the observable signature that no
-//! bulk window was taken — and for RandomOrder, whose windows are pinned to
-//! a single tick, the same equality proves the cap is honored (every tick
-//! still consumes exactly one RNG draw).
+//! wider window was taken — and for RandomOrder, whose windows are pinned
+//! to a single tick, the same equality proves the cap is honored (every
+//! tick still consumes exactly one RNG draw).
 
 use dagsched_core::{JobId, Speed, Time};
 use dagsched_dag::gen;

@@ -184,7 +184,7 @@ fn baselines_are_golden_on_standard_workloads_and_overload() {
     all.assert_eq(
         9974,
         0xe0da_71ba_0dd5_671b,
-        &[("EDF-AC", 12264), ("S-noadmit", 12683)],
+        &[("EDF-AC", 12165), ("S-noadmit", 12683)],
     );
 }
 

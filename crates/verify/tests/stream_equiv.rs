@@ -4,12 +4,12 @@
 //! JSONL event logs.
 //!
 //! The naive path shares no event or handoff code with the production
-//! path: it scans for expiries where production pops the event kernel, and
-//! rebuilds the view and asks for an allocation every tick where
-//! production maintains the view and replays the last allocation until the
-//! view changes or its stability window ends. So one comparison checks the
-//! kernel's windows and expiry batches, the engine's replay and every
-//! scheduler's stability declaration at once. Every comparison is
+//! path: it scans for expiries where production walks the lifecycle's
+//! expiry cursor, and rebuilds the view and asks for an allocation every
+//! tick where production maintains the view and replays the last
+//! allocation until the view changes or its validity end comes. So one
+//! comparison checks the production windows and expiry batches, the
+//! engine's replay and every scheduler's stability declaration at once. Every comparison is
 //! [`assert_same_run`] with a step relation:
 //!
 //! * **fast vs naive** (`Steps::AtMost`): every roster scheduler on the

@@ -143,8 +143,8 @@ impl Instance {
 
     /// Every zero-tail job's expiry boundary as `(last_useful_abs, id)`,
     /// strictly ascending (ids break ties). The boundary is fixed by the
-    /// job, so [`new`](Self::new) sorts the list once; the engine's event
-    /// kernel walks it with a cursor. Tail-profit jobs never expire and are
+    /// job, so [`new`](Self::new) sorts the list once; the engine's
+    /// lifecycle walks it with a cursor. Tail-profit jobs never expire and are
     /// absent.
     #[inline]
     pub fn expiry_order(&self) -> &[(Time, JobId)] {

@@ -8,7 +8,8 @@
 //! each `N` times and prints the least wall time per simulation and their
 //! sum (best of `N`, the figure least disturbed by other load on the host):
 //! the engine-and-scheduler half of the op, without the benchmark's set-up
-//! or checks.
+//! or checks. Beside each time it prints the simulation's engine steps and
+//! simulated ticks, which are exact and do not vary between runs.
 //!
 //! It then runs S behind a wrapper that times each call of its event hooks
 //! and of `allocate_into`, and prints, per hook, the call count and the
@@ -152,14 +153,16 @@ fn main() {
         ("S-profit", SchedKind::SProfit { epsilon: 1.0 }, &profit),
     ];
     let mut best_sims = [Duration::MAX; 4];
+    let mut effort = [(0, 0); 4];
     let mut best = [Duration::MAX; 4];
     let mut calls = [0; 4];
     for _ in 0..runs {
-        for ((_, kind, inst), b) in sims.iter().zip(&mut best_sims) {
+        for (((_, kind, inst), b), e) in sims.iter().zip(&mut best_sims).zip(&mut effort) {
             let mut sched = kind.build(inst.m());
             let start = Instant::now();
-            simulate(inst, sched.as_mut(), &SimConfig::default()).expect("simulation runs");
+            let r = simulate(inst, sched.as_mut(), &SimConfig::default()).expect("simulation runs");
             *b = (*b).min(start.elapsed());
+            *e = (r.steps_executed, r.ticks_simulated);
         }
         let mut timed = Timed {
             s: SchedulerS::with_epsilon(4, 1.0),
@@ -175,9 +178,12 @@ fn main() {
 
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     println!("parked-dense op simulations (seed {seed}), best of {runs} runs:");
-    println!("{:<14} {:>10}", "simulation", "ms");
-    for ((name, _, _), best) in sims.iter().zip(best_sims) {
-        println!("{name:<14} {:>10.3}", ms(best));
+    println!(
+        "{:<14} {:>10} {:>8} {:>8}",
+        "simulation", "ms", "steps", "ticks"
+    );
+    for (((name, _, _), best), (steps, ticks)) in sims.iter().zip(best_sims).zip(effort) {
+        println!("{name:<14} {:>10.3} {steps:>8} {ticks:>8}", ms(best));
     }
     let sum: Duration = best_sims.iter().sum();
     println!("{:<14} {:>10.3}", "sum", ms(sum));

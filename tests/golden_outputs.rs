@@ -101,13 +101,13 @@ fn sweep_b1_uniform_csv_is_golden() {
     assert_eq!(fnv1a(out.as_bytes()), 0xc054_b90e_13b0_3ab4);
     steps.assert_eq(&[
         ("EDF", 9458),
-        ("EDF-AC", 9450),
+        ("EDF-AC", 9430),
         ("EQUI", 9588),
         ("FIFO", 9501),
         ("HDF", 9501),
         ("LLF", 9494),
         ("MOLD-LIST", 10577),
-        ("S(e=1)", 10627),
+        ("S(e=1)", 9811),
         ("S-wc(e=1)", 9540),
     ]);
 }
@@ -126,13 +126,13 @@ fn sweep_b1_grouped_csv_is_golden() {
     assert_eq!(fnv1a(out.as_bytes()), 0x2042_ab90_dc82_8c08);
     steps.assert_eq(&[
         ("EDF", 21591),
-        ("EDF-AC", 21422),
+        ("EDF-AC", 20905),
         ("EQUI", 21807),
         ("FIFO", 21069),
         ("HDF", 21069),
         ("LLF", 21476),
         ("MOLD-LIST", 23271),
-        ("S(e=1)", 24115),
+        ("S(e=1)", 19952),
         ("S-wc(e=1)", 21034),
     ]);
 }
@@ -299,7 +299,7 @@ fn pick_matrix_runs_are_golden() {
     }
     assert_eq!(all.len(), 6704016);
     assert_eq!(fnv1a(all.as_bytes()), 0x3119_61a3_c154_6d23);
-    steps.assert_eq(&[("EDF", 24086), ("FIFO", 2820), ("S(eps=1)", 24825)]);
+    steps.assert_eq(&[("EDF", 24086), ("FIFO", 2820), ("S(eps=1)", 24039)]);
 }
 
 /// A large-alive instance, after the `parked-dense` benchmark's builder:
@@ -579,15 +579,15 @@ fn stream_equiv_corpus_runs_are_golden() {
     assert_eq!(fnv1a(all.as_bytes()), 0xe3a1_4fdb_e34a_2403);
     steps.assert_eq(&[
         ("EDF", 1150),
-        ("EDF-AC", 1154),
+        ("EDF-AC", 1117),
         ("EQUI", 1225),
         ("FIFO", 1116),
         ("HDF", 1116),
         ("LLF", 1136),
         ("MOLD-LIST", 1189),
         ("RANDOM", 2161),
-        ("S(d=0.250,c=40.0)", 1247),
-        ("S(e=1)", 1247),
+        ("S(d=0.250,c=40.0)", 943),
+        ("S(e=1)", 943),
         ("S-noadmit", 1046),
         ("S-prof(e=1)", 765),
         ("S-wc(e=1)", 1134),
@@ -644,7 +644,7 @@ fn promoted_fixture_runs_are_golden() {
     }
     assert_eq!(all.len(), 1026);
     assert_eq!(fnv1a(all.as_bytes()), 0x5cff_7178_725b_d39b);
-    steps.assert_eq(&[("S(e=1)", 262), ("S-prof(e=1)", 33)]);
+    steps.assert_eq(&[("S(e=1)", 31), ("S-prof(e=1)", 33)]);
 }
 
 /// Every traced run of `tests/trace_cluster.rs`, `tests/trace_recount.rs`
