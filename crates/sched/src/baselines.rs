@@ -311,15 +311,6 @@ impl OnlineScheduler for RandomOrder {
         // return a different order.
         false
     }
-    fn bounded_stability(&self) -> bool {
-        // ... but it IS *boundedly* stable with single-tick windows: the
-        // engine re-asks (and the RNG re-rolls) every tick, exactly as the
-        // naive path would, while keeping the claim/advance machinery.
-        true
-    }
-    fn stable_until(&self, now: Time) -> Option<Time> {
-        Some(now.after(1))
-    }
     fn reset(&mut self) -> bool {
         self.rng = Rng64::seed_from(self.seed);
         true
