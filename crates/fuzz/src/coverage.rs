@@ -9,8 +9,9 @@
 //!   landed in — Observation 3's unit of accounting;
 //! * expiry-batch sizes (log₂ buckets) — the expiry cursor's sorted
 //!   batches;
-//! * execution-window widths (log₂ buckets) — fast-forward horizon shapes
-//!   (see [`CoverageObserver::idle_windows_as_ticks`] for idle windows);
+//! * execution-window widths (log₂ buckets) — stable-stretch shapes, each
+//!   the width of contiguous windows with one allocation and no event
+//!   between them, idle stretches included;
 //! * which event kinds collided on one tick (arrival/expiry/completion
 //!   masks) — the engine's tie-break cases as seen from the stream;
 //! * end-time and peak-alive-set buckets.
@@ -160,7 +161,11 @@ pub struct CoverageObserver {
     // Run-length state for expiry batches.
     expiry_t: u64,
     expiry_run: u64,
-    idle_as_ticks: bool,
+    // The open window stretch: its end, its width (0 when none is open)
+    // and its allocation.
+    win_end: u64,
+    win_ticks: u64,
+    win_alloc: Vec<(JobId, u32)>,
 }
 
 impl CoverageObserver {
@@ -174,19 +179,10 @@ impl CoverageObserver {
             cur_mask: 0,
             expiry_t: u64::MAX,
             expiry_run: 0,
-            idle_as_ticks: false,
+            win_end: 0,
+            win_ticks: 0,
+            win_alloc: Vec::new(),
         }
-    }
-
-    /// Bucket each idle window (empty allocation) as one-tick windows
-    /// instead of by its width. The fuzz loop sets this for a fully stable
-    /// subject: the engine used to run such a subject's idle stretches one
-    /// tick per step and now runs each as one window, and counting them as
-    /// before keeps every feature set, and with it every corpus trajectory,
-    /// what it was. A boundedly stable subject's idle stretches were
-    /// already one window each, and are bucketed by width.
-    pub fn idle_windows_as_ticks(&mut self, on: bool) {
-        self.idle_as_ticks = on;
     }
 
     /// The feature ids this run produced. Call after the run (flushing of
@@ -214,6 +210,14 @@ impl CoverageObserver {
         }
     }
 
+    /// Close the open window stretch, bucketing its width.
+    fn flush_window(&mut self) {
+        if self.win_ticks > 0 {
+            self.features.insert(window_feature(self.win_ticks));
+            self.win_ticks = 0;
+        }
+    }
+
     fn note(&mut self, t: Time, bit: u8) {
         if t.ticks() != self.cur_t {
             self.flush_tick();
@@ -230,6 +234,7 @@ impl SimObserver for CoverageObserver {
             self.density.resize(idx + 1, 0.0);
         }
         self.density[idx] = info.profit.max_profit() as f64 / info.work.units().max(1) as f64;
+        self.flush_window();
         self.note(now, ARRIVED);
     }
 
@@ -246,30 +251,46 @@ impl SimObserver for CoverageObserver {
         }
     }
 
+    /// Windows are bucketed by the width of the stretch they belong to:
+    /// contiguous windows with one allocation and no event between them
+    /// (so one view, too) count as one, as the JSONL event log coalesces
+    /// them. The features then depend on the schedule alone, not on how
+    /// the engine cuts it into steps: the naive and the fast-forward path
+    /// produce the same set.
     fn on_window(
         &mut self,
-        _at: Time,
+        at: Time,
         ticks: u64,
         jobs: &[(JobId, u32)],
         alloc: &[(JobId, u32)],
         _progress: &[(JobId, u64)],
     ) {
-        let idle = self.idle_as_ticks && alloc.is_empty();
-        self.features
-            .insert(window_feature(if idle { 1 } else { ticks }));
+        if self.win_ticks > 0 && at.ticks() == self.win_end && alloc == self.win_alloc {
+            self.win_ticks += ticks;
+        } else {
+            self.flush_window();
+            self.win_ticks = ticks;
+            self.win_alloc.clear();
+            self.win_alloc.extend_from_slice(alloc);
+        }
+        self.win_end = at.ticks() + ticks;
         self.features.insert(alive_feature(jobs.len()));
         self.flush_expiry_run();
     }
 
-    fn on_node_complete(&mut self, _at: Time, _job: JobId, _node: NodeId) {}
+    fn on_node_complete(&mut self, _at: Time, _job: JobId, _node: NodeId) {
+        self.flush_window();
+    }
 
     fn on_job_complete(&mut self, at: Time, _job: JobId, _profit: u64) {
+        self.flush_window();
         self.note(at, COMPLETED);
         self.flush_expiry_run();
     }
 
     fn on_job_expired(&mut self, at: Time, job: JobId) {
         let _ = job;
+        self.flush_window();
         self.note(at, EXPIRED);
         if at.ticks() == self.expiry_t {
             self.expiry_run += 1;
@@ -281,6 +302,7 @@ impl SimObserver for CoverageObserver {
     }
 
     fn on_end(&mut self, at: Time) {
+        self.flush_window();
         self.flush_tick();
         self.flush_expiry_run();
         self.features.insert(end_feature(at.ticks()));
@@ -413,24 +435,62 @@ mod tests {
         assert!(ids.iter().all(|&id| id < FeatureSet::CAPACITY));
     }
 
-    /// One judged run per seed-corpus entry yields exactly the features the
-    /// `BTreeSet<u32>` observer this bitset replaced produced (recorded on
-    /// that code, one line per entry; entry 4 runs the S-profit subject,
-    /// and was re-recorded when S-profit's allotments, slot counts and
-    /// tail-step cap became exact; entry 3, the band burst of chains at
-    /// `D = (1+2δ)·L`, when such chains became δ-good on one processor).
+    /// Window widths are the widths of coalesced stretches, so the naive
+    /// and the fast-forward path, which cut one schedule into different
+    /// windows, yield the same features: on every seed-corpus entry under
+    /// its own subject and configuration, and on a standard workload
+    /// under S and S-profit.
+    #[test]
+    fn features_do_not_depend_on_the_engine_path() {
+        use crate::oracle::Subject;
+        let features = |inst: &dagsched_workload::Instance, subject: &Subject, cfg: &SimConfig| {
+            [true, false].map(|fast_forward| {
+                let mut cov = CoverageObserver::new(1.5);
+                let cfg = SimConfig {
+                    fast_forward,
+                    ..cfg.clone()
+                };
+                let mut s = subject.instantiate(inst.m());
+                simulate_observed(inst, s.as_mut(), &cfg, &mut cov).unwrap();
+                cov.into_features()
+            })
+        };
+        for (i, fi) in crate::corpus::seed_corpus().iter().enumerate() {
+            let subject = if fi.sprofit_subject {
+                Subject::scheduler_s_profit()
+            } else {
+                Subject::scheduler_s()
+            };
+            let [fast, naive] = features(&fi.to_instance().unwrap(), &subject, &fi.base_config());
+            assert_eq!(fast, naive, "seed-corpus entry {i}");
+        }
+        let inst = WorkloadGen::standard(3, 40, 5).generate().unwrap();
+        for subject in [Subject::scheduler_s(), Subject::scheduler_s_profit()] {
+            let [fast, naive] = features(&inst, &subject, &SimConfig::default());
+            assert_eq!(fast, naive);
+        }
+    }
+
+    /// One judged run per seed-corpus entry yields exactly these features,
+    /// one line per entry (entry 4 runs the S-profit subject). First
+    /// recorded on the `BTreeSet<u32>` observer this bitset replaced;
+    /// entry 4 was re-recorded when S-profit's allotments, slot counts and
+    /// tail-step cap became exact, entry 3 (the band burst of chains at
+    /// `D = (1+2δ)·L`) when such chains became δ-good on one processor,
+    /// and entries 1–5 when window widths became the widths of coalesced
+    /// stretches.
     #[test]
     fn seed_corpus_features_are_pinned() {
         use crate::oracle::{run_exec_with, OracleSet, Subject};
         let pinned: [&[u32]; 6] = [
             &[7, 8, 10, 62, 63, 97, 113, 114, 116, 155, 164, 201, 202],
             &[
-                7, 8, 10, 21, 62, 63, 97, 113, 155, 158, 164, 200, 201, 202, 203,
+                7, 8, 10, 21, 62, 63, 97, 113, 114, 155, 158, 164, 200, 201, 202, 203,
             ],
-            &[10, 97, 113, 165, 200, 201, 202],
-            &[7, 8, 63, 99, 113, 114, 164, 200, 203],
-            &[97, 113, 114, 115, 117, 166, 201, 202],
-            &[7, 8, 63, 97, 113, 114, 115, 169, 201, 202],
+            &[10, 97, 113, 117, 165, 200, 201, 202],
+            &[7, 8, 63, 99, 113, 114, 115, 164, 200, 203],
+            &[97, 114, 115, 117, 166, 201, 202],
+            &[7, 8, 63, 97, 113, 114, 115, 116, 169, 201, 202],
         ];
         let corpus = crate::corpus::seed_corpus();
         assert_eq!(corpus.len(), pinned.len());

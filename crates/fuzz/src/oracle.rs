@@ -237,7 +237,6 @@ fn judge(
     let (fast, fast_log) = {
         let mut log = EventLog::new();
         let mut sched = subject.instantiate(inst.m());
-        cov.idle_windows_as_ticks(sched.allocation_stable_between_events());
         let mut run = |fan: Vec<&mut dyn SimObserver>| {
             simulate_observed(inst, sched.as_mut(), cfg, &mut Observers::new(fan))
                 .map_err(|e| sim_error("fast path", e))
