@@ -203,12 +203,35 @@ pub fn run_exec_with(
     replay_seed: Option<u64>,
     base: &SimConfig,
 ) -> ExecOutcome {
-    let params = AlgoParams::from_epsilon(1.0).expect("valid epsilon");
+    let mut logs = ExecLogs::default();
+    run_exec_in(&mut logs, inst, subject, set, pause_salt, replay_seed, base)
+}
+
+/// The event logs one exec's heads record into: head 1's, and one that
+/// heads 2 and 3 use in turn. The fuzz loop keeps one set for a whole
+/// session, so each exec reuses the buffers earlier execs grew instead of
+/// growing its logs from empty.
+#[derive(Debug, Default)]
+pub(crate) struct ExecLogs {
+    fast: EventLog,
+    other: EventLog,
+}
+
+/// [`run_exec_with`], recording into `logs` (cleared first).
+pub(crate) fn run_exec_in(
+    logs: &mut ExecLogs,
+    inst: &Instance,
+    subject: &Subject,
+    set: &OracleSet,
+    pause_salt: u64,
+    replay_seed: Option<u64>,
+    base: &SimConfig,
+) -> ExecOutcome {
     if let Some(seed) = replay_seed {
         dagsched_verify::context::set_replay_seed(seed);
     }
-    let mut cov = CoverageObserver::new(params.c());
-    let failure = judge(inst, subject, set, pause_salt, base, params, &mut cov).err();
+    let mut cov = CoverageObserver::new(judge_params().c());
+    let failure = judge(inst, subject, set, pause_salt, base, &mut cov, logs).err();
     ExecOutcome {
         features: cov.into_features(),
         failure,
@@ -222,6 +245,11 @@ fn sim_error(label: &str, e: impl std::fmt::Display) -> OracleFailure {
     }
 }
 
+/// The parameters the heads judge under (`ε = 1`).
+fn judge_params() -> AlgoParams {
+    AlgoParams::from_epsilon(1.0).expect("valid epsilon")
+}
+
 /// The heads in order; the first failure ends the exec.
 fn judge(
     inst: &Instance,
@@ -229,13 +257,17 @@ fn judge(
     set: &OracleSet,
     pause_salt: u64,
     cfg: &SimConfig,
-    params: AlgoParams,
     cov: &mut CoverageObserver,
+    logs: &mut ExecLogs,
 ) -> Result<(), OracleFailure> {
+    let ExecLogs {
+        fast: fast_log,
+        other: log,
+    } = logs;
+    fast_log.clear();
     // Head 1 (always simulated — it carries the coverage signal and the
     // fast-path event log).
-    let (fast, fast_log) = {
-        let mut log = EventLog::new();
+    let fast = {
         let mut sched = subject.instantiate(inst.m());
         let mut run = |fan: Vec<&mut dyn SimObserver>| {
             simulate_observed(inst, sched.as_mut(), cfg, &mut Observers::new(fan))
@@ -243,12 +275,12 @@ fn judge(
         };
         let (r, violations) = match subject.profile {
             InvariantProfile::SchedulerS { backfill } if set.invariants => {
-                let mut suite = InvariantSuite::for_scheduler_s(params);
+                let mut suite = InvariantSuite::for_scheduler_s(judge_params());
                 if backfill {
                     suite = suite.allow_backfill();
                 }
                 let mut suite = suite.lenient();
-                let r = run(vec![&mut suite, cov, &mut log])?;
+                let r = run(vec![&mut suite, cov, fast_log])?;
                 let vs = suite.violations();
                 let mut lines: Vec<String> = vs.iter().take(4).map(|v| v.to_string()).collect();
                 if vs.len() > 4 {
@@ -258,11 +290,11 @@ fn judge(
             }
             InvariantProfile::WorkOnly if set.invariants => {
                 let mut work = WorkConservationChecker::new().lenient();
-                let r = run(vec![&mut work, cov, &mut log])?;
+                let r = run(vec![&mut work, cov, fast_log])?;
                 let first = work.violations().first().map(|v| v.to_string());
                 (r, first.into_iter().collect())
             }
-            _ => (run(vec![cov, &mut log])?, Vec::new()),
+            _ => (run(vec![cov, fast_log])?, Vec::new()),
         };
         if !violations.is_empty() {
             return Err(OracleFailure {
@@ -270,7 +302,7 @@ fn judge(
                 detail: violations.join("; "),
             });
         }
-        (r, log)
+        r
     };
 
     // Head 2: the naive reference path must match the fast path's outcome
@@ -280,9 +312,9 @@ fn judge(
             fast_forward: false,
             ..cfg.clone()
         };
-        let mut log = EventLog::new();
+        log.clear();
         let mut sched = subject.instantiate(inst.m());
-        let naive = simulate_observed(inst, sched.as_mut(), &naive_cfg, &mut log)
+        let naive = simulate_observed(inst, sched.as_mut(), &naive_cfg, log)
             .map_err(|e| sim_error("naive path", e))?;
         if !fast.same_outcome(&naive) {
             return Err(OracleFailure {
@@ -296,7 +328,7 @@ fn judge(
         if log != fast_log {
             return Err(OracleFailure {
                 oracle: "naive-vs-fast",
-                detail: format!("fast != naive: {}", fast_log.first_diff(&log)),
+                detail: format!("fast != naive: {}", fast_log.first_diff(log)),
             });
         }
     }
@@ -307,10 +339,10 @@ fn judge(
         let span = inst.stats().horizon.ticks() + 8;
         let mut prng = Rng64::seed_from(pause_salt);
         let n_pauses = 1 + prng.gen_range(6) as usize;
-        let mut log = EventLog::new();
+        log.clear();
         let mut sched = subject.instantiate(inst.m());
         let mut driver =
-            SimDriver::with_observer(inst, sched.as_mut(), cfg, &mut log as &mut dyn SimObserver);
+            SimDriver::with_observer(inst, sched.as_mut(), cfg, &mut *log as &mut dyn SimObserver);
         for _ in 0..n_pauses {
             driver
                 .run_until(Time(prng.gen_range(span.max(1))))
@@ -323,7 +355,7 @@ fn judge(
         {
             return Err(OracleFailure {
                 oracle: "paused-vs-oneshot",
-                detail: format!("paused != one-shot: {}", log.first_diff(&fast_log)),
+                detail: format!("paused != one-shot: {}", log.first_diff(fast_log)),
             });
         }
     }

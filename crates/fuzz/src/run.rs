@@ -15,7 +15,7 @@ use crate::coverage::CoverageMap;
 use crate::ir::{fnv1a, FuzzInstance};
 use crate::minimize::minimize;
 use crate::mutate::mutate;
-use crate::oracle::{run_exec_with, OracleSet, Subject};
+use crate::oracle::{run_exec_in, ExecLogs, OracleSet, Subject};
 use dagsched_core::Rng64;
 use dagsched_engine::SimConfig;
 use dagsched_workload::codec;
@@ -215,16 +215,18 @@ impl FuzzSession {
         let mut trajectory: u64 = fnv1a(&cfg.master_seed.to_le_bytes());
         let mut execs: u64 = 0;
         let mut invalid: u64 = 0;
+        let mut logs = ExecLogs::default();
 
-        let judge = |inst: &dagsched_workload::Instance,
-                     subject: &Subject,
-                     base: &SimConfig,
-                     exec_index: u64,
-                     pause_salt: u64,
-                     coverage: &mut CoverageMap,
-                     failures: &mut Vec<FailureReport>|
+        let mut judge = |inst: &dagsched_workload::Instance,
+                         subject: &Subject,
+                         base: &SimConfig,
+                         exec_index: u64,
+                         pause_salt: u64,
+                         coverage: &mut CoverageMap,
+                         failures: &mut Vec<FailureReport>|
          -> usize {
-            let outcome = run_exec_with(
+            let outcome = run_exec_in(
+                &mut logs,
                 inst,
                 subject,
                 &cfg.oracles,

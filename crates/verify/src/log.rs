@@ -82,6 +82,18 @@ struct PendingWindow {
     progress: Vec<(JobId, u64)>,
 }
 
+impl PendingWindow {
+    /// Close the window, keeping its vectors' capacity.
+    fn reset(&mut self) {
+        self.open = false;
+        self.at = Time::default();
+        self.ticks = 0;
+        self.jobs.clear();
+        self.alloc.clear();
+        self.progress.clear();
+    }
+}
+
 /// Observer recording the full event stream, rendered as JSON lines by
 /// [`to_jsonl`](EventLog::to_jsonl).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -104,12 +116,7 @@ fn flush_into(tokens: &mut Vec<u64>, w: &mut PendingWindow) {
     push_pairs(tokens, &w.jobs);
     push_pairs(tokens, &w.alloc);
     push_pairs(tokens, &w.progress);
-    w.open = false;
-    w.at = Time::default();
-    w.ticks = 0;
-    w.jobs.clear();
-    w.alloc.clear();
-    w.progress.clear();
+    w.reset();
 }
 
 /// Append `v` in decimal, exactly as `format!("{v}")` writes it.
@@ -238,6 +245,14 @@ impl EventLog {
     /// Create an empty log.
     pub fn new() -> EventLog {
         EventLog::default()
+    }
+
+    /// Empty the log, keeping its buffers' capacity, so one log can record
+    /// run after run without growing from nothing each time. A cleared log
+    /// compares equal to a new one.
+    pub fn clear(&mut self) {
+        self.tokens.clear();
+        self.window.reset();
     }
 
     /// The stream so far as JSONL, one newline-terminated line per event; a
@@ -539,6 +554,38 @@ mod tests {
         assert_eq!(log, EventLog::default());
         assert_eq!(log.to_jsonl(), "\n");
         assert_eq!(log.into_jsonl(), "\n");
+    }
+
+    /// A cleared log, even one cleared with a window still open, equals a
+    /// new one and records the next run exactly as a new log would.
+    #[test]
+    fn a_cleared_log_records_like_a_new_one() {
+        let record = |log: &mut EventLog| {
+            log.on_start(2, Speed::integer(1).unwrap(), Time(9));
+            log.on_window(
+                Time(0),
+                3,
+                &[(JobId(0), 2)],
+                &[(JobId(0), 2)],
+                &[(JobId(0), 6)],
+            );
+            log.on_job_complete(Time(3), JobId(0), 5);
+            log.on_window(
+                Time(3),
+                1,
+                &[(JobId(1), 1)],
+                &[(JobId(1), 1)],
+                &[(JobId(1), 1)],
+            );
+        };
+        let mut fresh = EventLog::new();
+        record(&mut fresh);
+        let mut reused = fresh.clone();
+        reused.clear();
+        assert_eq!(reused, EventLog::new());
+        record(&mut reused);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.to_jsonl(), fresh.to_jsonl());
     }
 
     #[test]
